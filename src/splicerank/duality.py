@@ -25,7 +25,7 @@ from .errors import (
     StatsInconsistent,
     TauRelationFailure,
 )
-from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim, span_intersection, span_sum_dim
+from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim
 from .homology import induced_matrix
 from .model import BifilteredComplex
 from .surgery import SurgeryTriple, label_matrix
@@ -390,15 +390,14 @@ class PackageStats:
 
 def _pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
     """(k, l, c, d) for one map pair, straight from the definitions."""
-    ker_f = f.kernel_basis()
-    ker_fbar = fbar.kernel_basis()
-    k = len(span_intersection(ker_f, ker_fbar, f.cols))
-    l = len((f + fbar).kernel_basis()) - k
-    im_cols = [f.mul_vec(1 << i) for i in range(f.cols)]
-    imbar_cols = [fbar.mul_vec(1 << i) for i in range(f.cols)]
-    im_sum = span_sum_dim(im_cols, imbar_cols)
+    # Ker f ∩ Ker fbar is the kernel of f stacked on fbar, and Im f + Im fbar
+    # the column space of f beside fbar: all four come from ranks.
+    sum_rank = (f + fbar).rank()
+    k = f.cols - span_dim(f.row_bits + fbar.row_bits)
+    im_sum = span_dim(a | (b << f.cols) for a, b in zip(f.row_bits, fbar.row_bits))
+    l = f.cols - sum_rank - k
     c = f.rows - im_sum
-    d = im_sum - (f + fbar).rank()
+    d = im_sum - sum_rank
     return k, l, c, d
 
 

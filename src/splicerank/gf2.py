@@ -3,6 +3,15 @@
 A matrix stores one Python int per row; bit ``c`` of row ``r`` is the entry
 at ``(r, c)``.  Column vectors are plain ints with bit ``i`` holding
 coordinate ``i``.  Zero-dimensional matrices are legal values throughout.
+
+Elimination has one core, ``echelon``: a dict from pivot column (the lowest
+set bit of a row) to its row, reduced so that no row has a bit at another
+row's pivot.  That is the reduced row echelon form, which is unique, so
+``kernel_basis``, ``cokernel_basis``, ``inverse`` and ``span_basis`` return
+the same vectors however the rows are ordered.  ``span_intersection`` needs
+only its forward pass.  Dimensions come from ``rank`` (``span_dim``), a
+forward pass keyed on the highest bit, which is cheaper to find: this is why
+``kernel_dim`` and ``cokernel_dim`` never build a basis.
 """
 
 from __future__ import annotations
@@ -11,10 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import PivotZero, ShapeMismatch
-
-
-def popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -155,7 +160,7 @@ class Gf2Matrix:
             raise ShapeMismatch(f"vector has bits beyond {self.cols}")
         out = 0
         for r, b in enumerate(self.row_bits):
-            out |= (popcount(b & v) & 1) << r
+            out |= ((b & v).bit_count() & 1) << r
         return out
 
     def transpose(self) -> Gf2Matrix:
@@ -182,30 +187,24 @@ class Gf2Matrix:
         return span_dim(self.row_bits)
 
     def kernel_basis(self) -> list[int]:
-        """Basis of {v : Mv = 0}, each vector a cols-bit mask."""
-        work = list(self.row_bits)
-        pivot_of_col: dict[int, int] = {}
-        r = 0
-        for c in range(self.cols):
-            p = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-            if p is None:
-                continue
-            work[r], work[p] = work[p], work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] >> c) & 1:
-                    work[i] ^= work[r]
-            pivot_of_col[c] = r
-            r += 1
-        basis = []
-        for c in range(self.cols):
-            if c in pivot_of_col:
-                continue
-            v = 1 << c
-            for pc, pr in pivot_of_col.items():
-                if (work[pr] >> c) & 1:
-                    v |= 1 << pc
-            basis.append(v)
-        return basis
+        """Basis of {v : Mv = 0}, each vector a cols-bit mask.
+
+        One vector per free column c, in increasing c: bit c plus the pivot
+        columns whose reduced row has a 1 in column c.
+        """
+        pivots = echelon(self.row_bits)
+        free = ((1 << self.cols) - 1) ^ _mask(pivots)
+        basis = {c: 1 << c for c in bits_of(free)}
+        for p, row in pivots.items():
+            for c in bits_of(row & free):
+                basis[c] |= 1 << p
+        return list(basis.values())
+
+    def kernel_dim(self) -> int:
+        return self.cols - self.rank()
+
+    def cokernel_dim(self) -> int:
+        return self.rows - self.rank()
 
     def cokernel_basis(self) -> list[int]:
         """Basis of the left kernel {w : wM = 0}, each a rows-bit mask."""
@@ -237,31 +236,14 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows - 1, self.cols - 1, bits)
 
     def inverse(self) -> Gf2Matrix:
-        """Inverse of a square invertible matrix (Gauss-Jordan)."""
+        """Inverse of a square invertible matrix: reduce (M | I) to (I | M^-1)."""
         if self.rows != self.cols:
             raise ShapeMismatch(f"inverse of non-square {self.rows}x{self.cols}")
         n = self.rows
-        work = [b | (1 << (n + r)) for r, b in enumerate(self.row_bits)]
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, n) if (work[i] >> c) & 1), None)
-            if p is None:
-                raise ShapeMismatch("matrix is singular")
-            work[r], work[p] = work[p], work[r]
-            for i in range(n):
-                if i != r and (work[i] >> c) & 1:
-                    work[i] ^= work[r]
-            r += 1
-        return Gf2Matrix(n, n, [b >> n for b in work])
-
-    def hstack(self, other: Gf2Matrix) -> Gf2Matrix:
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack row mismatch")
-        return Gf2Matrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(a | (b << self.cols) for a, b in zip(self.row_bits, other.row_bits)),
-        )
+        pivots = echelon(b | (1 << (n + r)) for r, b in enumerate(self.row_bits))
+        if any(p >= n for p in pivots):
+            raise ShapeMismatch("matrix is singular")
+        return Gf2Matrix(n, n, [pivots[c] >> n for c in range(n)])
 
     def submatrix(self, row_range: range, col_range: range) -> Gf2Matrix:
         lowmask = 0
@@ -272,76 +254,64 @@ class Gf2Matrix:
         return Gf2Matrix(len(row_range), len(col_range), bits)
 
 
-def rank(m: Gf2Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Gf2Matrix) -> list[int]:
-    return m.kernel_basis()
-
-
-def cokernel_basis(m: Gf2Matrix) -> list[int]:
-    return m.cokernel_basis()
-
-
-def h_number(m: Gf2Matrix) -> int:
-    return m.h_number()
-
-
-def kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
-    return a.kron(b)
-
-
-def cancel(m: Gf2Matrix, r: int, c: int) -> Gf2Matrix:
-    return m.cancel(r, c)
-
-
 # -- spans of bitmask vectors ---------------------------------------------
 
 
-def span_basis(vectors: Iterable[int]) -> list[int]:
-    """Row-reduce vectors to a canonical echelon basis (descending pivots)."""
-    basis: dict[int, int] = {}
+def echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Reduced row echelon form of the vectors, keyed on each row's lowest bit.
+
+    A forward pass keys every new row on its lowest bit that is not already
+    a pivot; back-substitution, from the highest pivot down, then clears
+    every other pivot bit from each row.
+    """
+    pivots = _forward(vectors)
+    mask = _mask(pivots)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in bits_of(row & mask ^ (1 << p)):
+            row ^= pivots[q]
+        pivots[p] = row
+    return pivots
+
+
+def _forward(vectors: Iterable[int]) -> dict[int, int]:
+    pivots: dict[int, int] = {}
     for v in vectors:
-        v = _reduce(v, basis)
-        if v:
-            basis[v.bit_length() - 1] = v
-    _back_substitute(basis)
-    return [basis[p] for p in sorted(basis, reverse=True)]
+        while v:
+            p = (v & -v).bit_length() - 1
+            row = pivots.get(p)
+            if row is None:
+                pivots[p] = v
+                break
+            v ^= row
+    return pivots
 
 
-def _reduce(v: int, basis: dict[int, int]) -> int:
-    while v:
-        p = v.bit_length() - 1
-        if p not in basis:
-            return v
-        v ^= basis[p]
-    return 0
+def _mask(pivots: dict[int, int]) -> int:
+    out = 0
+    for p in pivots:
+        out |= 1 << p
+    return out
 
 
-def _back_substitute(basis: dict[int, int]) -> None:
-    for p in sorted(basis):
-        for q in basis:
-            if q > p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
+def span_basis(vectors: Iterable[int]) -> list[int]:
+    """Canonical basis of the span: the reduced echelon rows, by pivot."""
+    pivots = echelon(vectors)
+    return [pivots[p] for p in sorted(pivots)]
 
 
 def span_dim(vectors: Iterable[int]) -> int:
+    """Dimension of the span: a forward pass keyed on the highest bit."""
     basis: dict[int, int] = {}
     for v in vectors:
-        v = _reduce(v, basis)
-        if v:
-            basis[v.bit_length() - 1] = v
+        while v:
+            p = v.bit_length() - 1
+            row = basis.get(p)
+            if row is None:
+                basis[p] = v
+                break
+            v ^= row
     return len(basis)
-
-
-def in_span(v: int, basis_vectors: Iterable[int]) -> bool:
-    basis: dict[int, int] = {}
-    for b in basis_vectors:
-        b = _reduce(b, basis)
-        if b:
-            basis[b.bit_length() - 1] = b
-    return _reduce(v, basis) == 0
 
 
 def span_sum_dim(*vector_sets: Iterable[int]) -> int:
@@ -352,16 +322,14 @@ def span_sum_dim(*vector_sets: Iterable[int]) -> int:
 
 
 def span_intersection(u_vectors: list[int], v_vectors: list[int], ambient: int) -> list[int]:
-    """Basis of span(U) ∩ span(V) inside F_2^ambient (Zassenhaus)."""
-    rows = [(u << ambient) | u for u in u_vectors]
-    rows += [v << ambient for v in v_vectors]
-    basis: dict[int, int] = {}
-    for r in rows:
-        r = _reduce(r, basis)
-        if r:
-            basis[r.bit_length() - 1] = r
-    low = (1 << ambient) - 1
-    return span_basis([basis[p] & low for p in basis if p < ambient])
+    """Basis of span(U) ∩ span(V) inside F_2^ambient (Zassenhaus).
+
+    Rows (u | u) and (v | 0) with the sum part in the low bits: the echelon
+    rows whose low part vanishes carry a basis of the intersection above it.
+    """
+    rows = [u | (u << ambient) for u in u_vectors] + list(v_vectors)
+    pivots = _forward(rows)
+    return [pivots[p] >> ambient for p in sorted(pivots) if p >= ambient]
 
 
 class SpanSolver:
@@ -454,6 +422,3 @@ def _offsets(dims: tuple[int, ...]) -> list[int]:
         out.append(out[-1] + d)
     return out
 
-
-def assemble(grid: BlockGrid) -> Gf2Matrix:
-    return grid.assemble()

@@ -46,7 +46,7 @@ class HomologySpace:
     def __init__(self, complex_: ChainComplexF2):
         self.complex = complex_
         boundary = complex_.boundary
-        image = span_basis(boundary.column(c) for c in range(boundary.cols))
+        image = span_basis(boundary.transpose().row_bits)
         cycles = boundary.kernel_basis()
         probe = SpanSolver(image)
         reps = [z for z in cycles if probe.add(z)]

@@ -80,15 +80,12 @@ def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None
     first = subquotient(complex_, SubquotientSpec(i_le=s, j_eq=0))
     second = subquotient(complex_, SubquotientSpec(i_eq=0, j_le=n - s - 1))
     codomain = flip.target
-    flip_cols = {lbl: flip.matrix.column(k) for k, lbl in enumerate(flip.source.basis)}
+    flip_cols = dict(zip(flip.source.basis, flip.matrix.transpose().row_bits))
     cod_index = {lbl: k for k, lbl in enumerate(codomain.basis)}
 
     dom_dim = first.dim + second.dim
-    map_bits_by_col = []
-    for lbl in first.basis:
-        map_bits_by_col.append(1 << cod_index[lbl])
-    for lbl in second.basis:
-        map_bits_by_col.append(flip_cols[lbl])
+    map_bits_by_col = [1 << cod_index[lbl] for lbl in first.basis]
+    map_bits_by_col += [flip_cols[lbl] for lbl in second.basis]
     chain_map = Gf2Matrix.from_columns(map_bits_by_col, codomain.dim)
 
     labels = (
@@ -97,36 +94,16 @@ def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None
         + tuple(("w", lbl) for lbl in codomain.basis)
     )
     total = dom_dim + codomain.dim
-    bits = [0] * total
-
-    def put(col: int, row: int) -> None:
-        bits[row] |= 1 << col
-
-    for c in range(first.dim):
-        col_bd = first.boundary.column(c)
-        for r in _bit_positions(col_bd):
-            put(c, r)
-        for r in _bit_positions(map_bits_by_col[c]):
-            put(c, dom_dim + r)
-    for c in range(second.dim):
-        col_bd = second.boundary.column(c)
-        for r in _bit_positions(col_bd):
-            put(first.dim + c, first.dim + r)
-        for r in _bit_positions(map_bits_by_col[first.dim + c]):
-            put(first.dim + c, dom_dim + r)
-    for c in range(codomain.dim):
-        for r in _bit_positions(codomain.boundary.column(c)):
-            put(dom_dim + c, dom_dim + r)
+    # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
+    bits = list(first.boundary.row_bits)
+    bits += [b << first.dim for b in second.boundary.row_bits]
+    bits += [
+        m | (b << dom_dim)
+        for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
+    ]
 
     cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
     return MappingCone(n, s, first, second, codomain, chain_map, cone)
-
-
-def _bit_positions(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def spot_plane(complex_: BifilteredComplex, s: int) -> ChainComplexF2:

@@ -36,6 +36,48 @@ def brute_rank(m: Gf2Matrix) -> int:
     return len(span).bit_length() - 1
 
 
+def reference_kernel_basis(m: Gf2Matrix) -> list[int]:
+    """Reference: dense Gauss-Jordan over the columns in increasing order."""
+    work = list(m.row_bits)
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> c) & 1:
+                work[i] ^= work[r]
+        pivot_of_col[c] = r
+        r += 1
+    basis = []
+    for c in range(m.cols):
+        if c in pivot_of_col:
+            continue
+        v = 1 << c
+        for pc, pr in pivot_of_col.items():
+            if (work[pr] >> c) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis
+
+
+def reference_inverse(m: Gf2Matrix) -> Gf2Matrix | None:
+    """Reference: Gauss-Jordan on (M | I); None when M is singular."""
+    n = m.rows
+    work = [b | (1 << (n + r)) for r, b in enumerate(m.row_bits)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if (work[i] >> c) & 1), None)
+        if p is None:
+            return None
+        work[c], work[p] = work[p], work[c]
+        for i in range(n):
+            if i != c and (work[i] >> c) & 1:
+                work[i] ^= work[c]
+    return Gf2Matrix(n, n, [b >> n for b in work])
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Gf2Matrix:
     return Gf2Matrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 
@@ -47,6 +89,66 @@ matrices = st.integers(0, 5).flatmap(
         ).map(lambda bits: Gf2Matrix(r, c, bits))
     )
 )
+
+
+# sparse and dense rows up to 10x10, so that pivots collide and rows vanish
+sparse_matrices = st.tuples(st.integers(0, 10), st.integers(0, 10)).flatmap(
+    lambda rc: st.lists(
+        st.lists(st.integers(0, rc[1] - 1), max_size=3).map(
+            lambda cols: sum({1 << c for c in cols})
+        )
+        | st.integers(0, (1 << rc[1]) - 1),
+        min_size=rc[0],
+        max_size=rc[0],
+    ).map(lambda bits: Gf2Matrix(rc[0], rc[1], bits))
+    if rc[1]
+    else st.just(Gf2Matrix.zeros(rc[0], 0))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices | sparse_matrices)
+def test_echelon_core_matches_dense_gauss_jordan(m):
+    assert m.kernel_basis() == reference_kernel_basis(m)
+    assert m.cokernel_basis() == reference_kernel_basis(m.transpose())
+    assert m.kernel_dim() == len(m.kernel_basis())
+    assert m.cokernel_dim() == len(m.cokernel_basis())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_inverse_matches_dense_gauss_jordan(bits):
+    m = Gf2Matrix(len(bits), len(bits), bits)
+    want = reference_inverse(m)
+    if want is None:
+        with pytest.raises(ShapeMismatch):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+        assert m @ want == Gf2Matrix.identity(m.rows)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(ShapeMismatch):
+        Gf2Matrix.from_dense([[1, 1], [1, 1]]).inverse()
+    with pytest.raises(ShapeMismatch):
+        Gf2Matrix.zeros(2, 3).inverse()
+    assert Gf2Matrix.zeros(0, 0).inverse() == Gf2Matrix.zeros(0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, matrices)
+def test_span_intersection_dimension_and_membership(a, b):
+    n = min(a.cols, b.cols)
+    low = (1 << n) - 1
+    u = [x & low for x in a.row_bits]
+    v = [x & low for x in b.row_bits]
+    inter = span_intersection(u, v, n)
+    assert span_dim(inter) == len(inter)
+    assert len(inter) == span_dim(u) + span_dim(v) - span_sum_dim(u, v)
+    for w in inter:
+        assert span_dim(u + [w]) == span_dim(u)
+        assert span_dim(v + [w]) == span_dim(v)
 
 
 def test_rank_identity():
@@ -71,6 +173,10 @@ def test_kernel_cokernel_degenerate_shapes():
     square = BlockGrid((1, 1), (1, 1), {(1, 0): Gf2Matrix.identity(1)}).assemble()
     assert len(square.kernel_basis()) == 1
     assert len(square.cokernel_basis()) == 1
+    for rows, cols in ((0, 0), (0, 4), (4, 0)):
+        m = Gf2Matrix.zeros(rows, cols)
+        assert m.kernel_basis() == reference_kernel_basis(m) == [1 << c for c in range(cols)]
+        assert m.cokernel_basis() == [1 << r for r in range(rows)]
 
 
 def test_kernel_cokernel_rank4_5x7_frozen():

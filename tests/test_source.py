@@ -1,0 +1,22 @@
+"""Checks on the library source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import splicerank
+
+PACKAGE = Path(splicerank.__file__).parent
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a check made with one vanishes in that mode
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(PACKAGE.glob("*.py"))) > 5
+    assert found == []

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
+from splicerank import splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package, stats, synthetic_package
+from splicerank.errors import WitnessNotInKernel
 from splicerank.filtration import profile
+from splicerank.gf2 import Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
     SCase,
+    _basis_tuples,
+    assemble_witness,
     build_D,
     classify_S,
     kernel_witnesses,
@@ -17,6 +25,7 @@ from splicerank.splice import (
     splice_rank,
     subspace_bounds,
     theorem_check,
+    witness_data,
 )
 
 
@@ -235,3 +244,40 @@ def test_random_complex_pairs_witness_bounds():
         for p2 in packs:
             assert kernel_witnesses(p1, p2).bounds_hold
             assert splice_rank(p1, p2).h % 2 == 1
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("unknot", "trefoil_staircase"),
+        ("trefoil_staircase", "trefoil_staircase_mirror"),
+        ("fig8_box", "t25_staircase"),
+        ("t34_staircase", "t27_staircase"),
+    ],
+)
+def test_rank_dimensions_match_kernel_bases(names):
+    p1, p2 = (pkg(n) for n in names)
+    d = build_D(p1, p2).matrix
+    rank = splice_rank(p1, p2)
+    assert rank.ker == len(d.kernel_basis())
+    assert rank.coker == len(d.cokernel_basis())
+    report = kernel_witnesses(p1, p2)
+    assert (report.ker_dim, report.coker_dim) == (rank.ker, rank.coker)
+
+
+def test_witness_outside_kernel_names_its_pair(monkeypatch):
+    p1 = p2 = pkg("trefoil_staircase")
+    real = build_D(p1, p2)
+    ones = (1 << real.matrix.cols) - 1
+    broken = Gf2Matrix(real.matrix.rows, real.matrix.cols, [0] * (real.matrix.rows - 1) + [ones])
+    monkeypatch.setattr(splice, "build_D", lambda *args: replace(real, matrix=broken))
+    witnesses = [
+        assemble_witness(t1, t2, p1, p2)
+        for t1, t2 in product(
+            _basis_tuples(witness_data(p1), p1), _basis_tuples(witness_data(p2), p2)
+        )
+    ]
+    first_bad = next(i for i, v in enumerate(witnesses, 1) if v and broken.mul_vec(v))
+    assert first_bad > 1
+    with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
+        kernel_witnesses(p1, p2)
