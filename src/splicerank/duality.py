@@ -28,7 +28,7 @@ from .errors import (
 from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim
 from .homology import induced_matrix
 from .model import BifilteredComplex
-from .surgery import SurgeryTriple, label_matrix
+from .surgery import SurgeryTriple, label_matrix, total_package
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,6 @@ def verify_package(p: SurgeryPackage) -> None:
 
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
     """Full pipeline: surgery triple, duality maps, normalized package."""
-    from .surgery import total_package
-
     if triple is None:
         triple = total_package(complex_)
     maps = build_tau(complex_, triple)

@@ -1,10 +1,10 @@
 """Double-filtration invariants of the ambient homology and the lemma suite.
 
 Both filtration directions of the ambient invariant are realized inside the
-homology of the j = 0 plane: the row side by the sub-planes C{i<=s, j=0}
-directly, the column side by running the reversed-orientation complex through
-the flip.  All comparisons with the surgery and duality pipelines are made at
-the level of dimensions.
+homology of the j = 0 plane: the row side by its sub-planes C{i<=s, j=0}
+directly, the column side by the sub-planes C{i=0, j<=s} of the i = 0 plane
+mapped through the flip.  All comparisons with the surgery and duality
+pipelines are made at the level of dimensions.
 
 Calibration of the graded-piece multiplicities
 ----------------------------------------------
@@ -28,17 +28,9 @@ from typing import Callable
 from .errors import StatsInconsistent
 from .gf2 import Gf2Matrix, SpanSolver, span_intersection, span_sum_dim
 from .homology import ChainComplexF2, HomologySpace, homology, induced_matrix
-from .model import (
-    BifilteredComplex,
-    SubquotientSpec,
-    flip_map,
-    plane_j0,
-    require_valid,
-    reverse_orientation,
-    subquotient,
-)
+from .model import BifilteredComplex, flip_map, require_valid
 from .surgery import SurgeryTriple, label_matrix, total_package
-from .duality import SurgeryPackage
+from .duality import SurgeryPackage, geometric_package
 
 E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
     "ker_b1": lambda s: max(0, abs(s) - 1),
@@ -83,20 +75,20 @@ class FiltrationProfile:
 
 
 def _build_side(
-    complex_: BifilteredComplex,
-    to_ambient_chain: Gf2Matrix,
+    window: range,
+    level: Callable[[tuple[str, int, int]], int],
     own_plane: ChainComplexF2,
+    to_ambient_chain: Gf2Matrix,
     ambient_h: HomologySpace,
 ) -> SideData:
-    lo, hi = complex_.grading_range()
-    window = range(lo - 1, hi + 2)
+    """Kernels of the sub-planes {level <= s} of own_plane into the ambient homology."""
     image: dict[int, list[int]] = {}
     kernels: dict[int, list[int]] = {}
     spaces: dict[int, HomologySpace] = {}
     incs: dict[int, Gf2Matrix] = {}
     prev_sub = None
     for s in window:
-        sub = subquotient(complex_, SubquotientSpec(i_le=s, j_eq=0))
+        sub = own_plane.restrict(lambda lbl: level(lbl) <= s)
         h = homology(sub)
         to_plane = label_matrix(sub, own_plane, lambda lbl: lbl)
         iota = induced_matrix(to_ambient_chain @ to_plane, h, ambient_h)
@@ -172,14 +164,11 @@ def profile(complex_: BifilteredComplex) -> FiltrationProfile:
     ambient = flip.target
     ambient_h = homology(ambient)
 
-    identity_chain = label_matrix(ambient, ambient, lambda lbl: lbl)
-    row = _build_side(complex_, identity_chain, ambient, ambient_h)
-
-    reversed_ = reverse_orientation(complex_)
-    rev_plane = plane_j0(reversed_)
-    # the reversed j = 0 plane is the original i = 0 plane; route through the flip
-    relabel = label_matrix(rev_plane, flip.source, lambda lbl: (lbl[0], 0, lbl[1]))
-    col = _build_side(reversed_, flip.matrix @ relabel, rev_plane, ambient_h)
+    lo, hi = complex_.grading_range()
+    row = _build_side(
+        range(lo - 1, hi + 2), lambda lbl: lbl[1], ambient, Gf2Matrix.identity(ambient.dim), ambient_h
+    )
+    col = _build_side(range(-hi - 1, -lo + 2), lambda lbl: lbl[2], flip.source, flip.matrix, ambient_h)
 
     hf_dim = ambient_h.dim
     a_dims: dict[tuple[int, int], int] = {}
@@ -349,8 +338,6 @@ def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 
 def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
     """Run the full lemma suite on one complex (shared intermediate data)."""
-    from .duality import geometric_package
-
     triple = total_package(complex_)
     prof = profile(complex_)
     package = geometric_package(complex_, triple)
@@ -386,8 +373,6 @@ def candidate_readings(which: str) -> dict[str, Callable[[int, int], int]]:
 
 def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
     """Mismatch counts of every candidate reading over the given complexes."""
-    from .duality import geometric_package
-
     counts: dict[str, dict[str, int]] = {
         which: {name: 0 for name in candidate_readings(which)}
         for which in _PRINTED_EXPONENTS

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import NotAComplex
-from .gf2 import Gf2Matrix, SpanSolver, span_basis
+from .gf2 import Gf2Matrix, SpanSolver, bits_of, span_basis
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,20 @@ class ChainComplexF2:
 
     def index_of(self, label: Hashable) -> int:
         return self.basis.index(label)
+
+    def restrict(self, keep: Callable[[Hashable], bool]) -> ChainComplexF2:
+        """The span of the basis labels that keep accepts, in basis order.
+
+        The boundary is read off this one on the kept labels, so keep must cut
+        an interval of a filtration (a sub-plane or a one-spot plane) for the
+        result to be a complex; the constructor checks that it is.
+        """
+        kept = [k for k, label in enumerate(self.basis) if keep(label)]
+        index = {old: new for new, old in enumerate(kept)}
+        rows = self.boundary.row_bits
+        bits = [sum(1 << index[c] for c in bits_of(rows[r]) if c in index) for r in kept]
+        basis = tuple(self.basis[k] for k in kept)
+        return ChainComplexF2(basis, Gf2Matrix(len(kept), len(kept), bits))
 
 
 class HomologySpace:

@@ -2,17 +2,18 @@
 
 A model is a finite generator set with Alexander gradings and a GF(2)
 differential whose arrows drop the two filtration levels by recorded
-amounts.  Planes of the induced bifiltration are finite chain complexes:
-fixing one filtration index pins the other through the grading relation
-s(x) - i + j = 0, so each generator contributes at most one basis element
-``[x, i, j]`` to any constrained plane.
+amounts.  The grading relation s(x) - i + j = 0 places each generator once
+in each of the two planes built from the arrows, C{j=0} (``plane_j0``, basis
+``[x, s(x), 0]``) and C{i=0} (``plane_i0``, basis ``[x, 0, -s(x)]``).  Every
+other plane the pipeline uses is a sub-plane of one of these two, cut by
+``ChainComplexF2.restrict`` on its labels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     NoFlipData,
@@ -69,35 +70,6 @@ class BifilteredComplex:
     def grading_range(self) -> tuple[int, int]:
         values = [g.alexander for g in self.generators]
         return (min(values), max(values)) if values else (0, 0)
-
-
-@dataclass(frozen=True)
-class SubquotientSpec:
-    """Plane constraints; at least one axis must be pinned by an equality."""
-
-    i_eq: int | None = None
-    i_le: int | None = None
-    j_eq: int | None = None
-    j_le: int | None = None
-
-    def __post_init__(self):
-        if self.i_eq is not None and self.i_le is not None:
-            raise ShapeMismatch("i is both pinned and bounded")
-        if self.j_eq is not None and self.j_le is not None:
-            raise ShapeMismatch("j is both pinned and bounded")
-        if self.i_eq is None and self.j_eq is None:
-            raise ShapeMismatch("at least one index must be pinned for finiteness")
-
-    def admits(self, i: int, j: int) -> bool:
-        if self.i_eq is not None and i != self.i_eq:
-            return False
-        if self.i_le is not None and i > self.i_le:
-            return False
-        if self.j_eq is not None and j != self.j_eq:
-            return False
-        if self.j_le is not None and j > self.j_le:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -181,40 +153,28 @@ def require_valid(complex_: BifilteredComplex) -> None:
         )
 
 
-def subquotient(complex_: BifilteredComplex, spec: SubquotientSpec) -> ChainComplexF2:
-    """The plane complex cut out by spec, with its induced differential."""
-    grading = complex_._grading
-    basis: list[tuple[str, int, int]] = []
-    for g in complex_.generators:
-        placements = []
-        if spec.j_eq is not None:
-            placements.append((g.alexander + spec.j_eq, spec.j_eq))
-        elif spec.i_eq is not None:
-            placements.append((spec.i_eq, spec.i_eq - g.alexander))
-        for i, j in placements:
-            if spec.admits(i, j):
-                basis.append((g.id, i, j))
+def _plane(complex_: BifilteredComplex, place: Callable[[Generator], tuple[str, int, int]]) -> ChainComplexF2:
+    """The plane holding one label place(g) per generator, with the arrows inside it."""
+    basis = tuple(place(g) for g in complex_.generators)
     index = {label: k for k, label in enumerate(basis)}
-    n = len(basis)
+    at = {label[0]: label for label in basis}
     entries = []
     for a in complex_.arrows:
-        for src_label in basis:
-            if src_label[0] != a.src:
-                continue
-            _, i, j = src_label
-            dst_label = (a.dst, i - a.drop_i, j - a.drop_j)
-            if dst_label in index:
-                entries.append((index[dst_label], index[src_label]))
-    boundary = Gf2Matrix.from_entries(n, n, entries)
-    return ChainComplexF2(tuple(basis), boundary)
+        if a.src in at:
+            _, i, j = src = at[a.src]
+            dst = index.get((a.dst, i - a.drop_i, j - a.drop_j))
+            if dst is not None:
+                entries.append((dst, index[src]))
+    n = len(basis)
+    return ChainComplexF2(basis, Gf2Matrix.from_entries(n, n, entries))
 
 
 def plane_j0(complex_: BifilteredComplex) -> ChainComplexF2:
-    return subquotient(complex_, SubquotientSpec(j_eq=0))
+    return _plane(complex_, lambda g: (g.id, g.alexander, 0))
 
 
 def plane_i0(complex_: BifilteredComplex) -> ChainComplexF2:
-    return subquotient(complex_, SubquotientSpec(i_eq=0))
+    return _plane(complex_, lambda g: (g.id, 0, -g.alexander))
 
 
 def hf_hat(complex_: BifilteredComplex) -> HomologySpace:
@@ -225,24 +185,13 @@ def hf_hat(complex_: BifilteredComplex) -> HomologySpace:
 def hfk_hat_dims(complex_: BifilteredComplex) -> dict[int, int]:
     """Knot Floer ranks per Alexander grading (homology of one-spot planes)."""
     lo, hi = complex_.grading_range()
+    plane = plane_i0(complex_)
     out = {}
     for s in range(lo, hi + 1):
-        h = homology(subquotient(complex_, SubquotientSpec(i_eq=0, j_eq=-s)))
+        h = homology(plane.restrict(lambda lbl: lbl[2] == -s))
         if h.dim:
             out[s] = h.dim
     return out
-
-
-def reverse_orientation(complex_: BifilteredComplex) -> BifilteredComplex:
-    """Swap the two filtration directions (the knot with reversed orientation)."""
-    return replace(
-        complex_,
-        name=complex_.name + "-rev",
-        generators=tuple(Generator(g.id, -g.alexander) for g in complex_.generators),
-        arrows=tuple(Arrow(a.src, a.dst, a.drop_j, a.drop_i) for a in complex_.arrows),
-        flip=None,
-        tau_override=None,
-    )
 
 
 def mirror(complex_: BifilteredComplex) -> BifilteredComplex:

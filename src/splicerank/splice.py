@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .duality import PackageStats, SurgeryPackage, stats
+from .duality import PackageStats, SurgeryPackage, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
 from .gf2 import BlockGrid, Gf2Matrix, bits_of, span_dim
 from .model import BifilteredComplex, mirror
-
-X_VARIANTS = ("printed", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class SpliceMatrix:
     matrix: Gf2Matrix
     row_block_dims: tuple[int, ...]
     col_block_dims: tuple[int, ...]
-    x_variant: str
 
 
 def _vec_kron(v: int, w: int, w_len: int) -> int:
@@ -37,19 +34,12 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
     return out
 
 
-def build_D(
-    p1: SurgeryPackage, p2: SurgeryPackage, x_variant: str = "printed"
-) -> SpliceMatrix:
+def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair.
 
-    ``x_variant`` controls the print-suspect dressed entries: "printed" keeps
-    the square factors in the printed order (X1 A_inf on the left knot,
-    D0 X1 on the right knot); "symmetric" reverses those two square products
-    for sensitivity analysis.  The rectangular dressed factors admit no
-    order swap at these shapes.
+    The dressed entries take their square factors in the printed order:
+    X1 A_inf on the left knot, D0 X1 on the right knot.
     """
-    if x_variant not in X_VARIANTS:
-        raise ShapeMismatch(f"unknown x_variant {x_variant!r}")
     A0_1, B0_1, D0_1 = p1.blocks0.A, p1.blocks0.B, p1.blocks0.D
     A1_1, B1_1, D1_1 = p1.blocks1.A, p1.blocks1.B, p1.blocks1.D
     Ai_1, Bi_1, Di_1 = p1.blocks_inf.A, p1.blocks_inf.B, p1.blocks_inf.D
@@ -79,12 +69,8 @@ def build_D(
     )
 
     ident = Gf2Matrix.identity
-    if x_variant == "printed":
-        x1a_1 = X1_1 @ Ai_1
-        d0x_2 = D0_2 @ X1_2
-    else:
-        x1a_1 = Ai_1 @ X1_1
-        d0x_2 = X1_2 @ D0_2
+    x1a_1 = X1_1 @ Ai_1
+    d0x_2 = D0_2 @ X1_2
     x1b_1 = X1_1 @ Bi_1
     b0x_2 = B0_2 @ X1_2
 
@@ -123,7 +109,7 @@ def build_D(
                 f"splice entry {key} has shape {(block.rows, block.cols)}, needs {want}"
             )
     grid = BlockGrid(row_dims, col_dims, entries)
-    return SpliceMatrix(grid, grid.assemble(), row_dims, col_dims, x_variant)
+    return SpliceMatrix(grid, grid.assemble(), row_dims, col_dims)
 
 
 @dataclass(frozen=True)
@@ -133,9 +119,9 @@ class SpliceRank:
     coker: int
 
 
-def splice_rank(p1: SurgeryPackage, p2: SurgeryPackage, x_variant: str = "printed") -> SpliceRank:
+def splice_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
     """Rank of the hat invariant of the splice: dim Ker + dim Coker."""
-    m = build_D(p1, p2, x_variant).matrix
+    m = build_D(p1, p2).matrix
     rank = m.rank()
     ker = m.cols - rank
     coker = m.rows - rank
@@ -469,16 +455,16 @@ def theorem_check(
     """
     st1, st2 = stats(p1), stats(p2)
     y_inf_1 = profile1.e_total() if profile1 is not None else st1.y_inf
-    rank = splice_rank(p1, p2)
     witness = kernel_witnesses(p1, p2, st1, st2)
+    h = witness.ker_dim + witness.coker_dim
     applicable = st2.y_inf == 1
-    holds = rank.h >= y_inf_1 if applicable else None
+    holds = h >= y_inf_1 if applicable else None
     return TheoremVerdict(
         applicable,
         holds,
-        rank.h,
+        h,
         y_inf_1 if applicable else None,
-        rank.h - y_inf_1 if applicable else None,
+        h - y_inf_1 if applicable else None,
         witness.bounds_hold,
     )
 
@@ -495,8 +481,6 @@ class MirrorVerdict:
 
 def mirror_invariance(c1: BifilteredComplex, c2: BifilteredComplex) -> MirrorVerdict:
     """The splice rank is unchanged by mirroring both knots simultaneously."""
-    from .duality import geometric_package
-
     h = splice_rank(geometric_package(c1), geometric_package(c2)).h
     h_m = splice_rank(
         geometric_package(mirror(c1)), geometric_package(mirror(c2))

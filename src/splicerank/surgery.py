@@ -21,7 +21,7 @@ from typing import Callable, Hashable
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable
 from .gf2 import BlockGrid, Gf2Matrix
 from .homology import ChainComplexF2, HomologySpace, homology, induced_matrix
-from .model import BifilteredComplex, FlipMap, SubquotientSpec, flip_map, require_valid, subquotient
+from .model import BifilteredComplex, FlipMap, flip_map, require_valid
 
 INF = "inf"
 
@@ -77,8 +77,8 @@ def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None
         raise ShapeMismatch(f"cone surgery coefficient must be 0 or 1, got {n!r}")
     if flip is None:
         flip = flip_map(complex_)
-    first = subquotient(complex_, SubquotientSpec(i_le=s, j_eq=0))
-    second = subquotient(complex_, SubquotientSpec(i_eq=0, j_le=n - s - 1))
+    first = flip.target.restrict(lambda lbl: lbl[1] <= s)
+    second = flip.source.restrict(lambda lbl: lbl[2] <= n - s - 1)
     codomain = flip.target
     flip_cols = dict(zip(flip.source.basis, flip.matrix.transpose().row_bits))
     cod_index = {lbl: k for k, lbl in enumerate(codomain.basis)}
@@ -106,9 +106,9 @@ def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None
     return MappingCone(n, s, first, second, codomain, chain_map, cone)
 
 
-def spot_plane(complex_: BifilteredComplex, s: int) -> ChainComplexF2:
+def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
     """C{i=0, j=-s}, the knot Floer group at Alexander grading s."""
-    return subquotient(complex_, SubquotientSpec(i_eq=0, j_eq=-s))
+    return flip.source.restrict(lambda lbl: lbl[2] == -s)
 
 
 class SurgeryTriple:
@@ -136,7 +136,7 @@ class SurgeryTriple:
         for s in self.window:
             self.cones0[s] = build_cone(complex_, 0, s, self.flip)
             self.cones1[s] = build_cone(complex_, 1, s, self.flip)
-            self.spots[s] = spot_plane(complex_, s)
+            self.spots[s] = spot_plane(self.flip, s)
             self.H0[s] = homology(self.cones0[s].cone)
             self.H1[s] = homology(self.cones1[s].cone)
             self.Hinf[s] = homology(self.spots[s])
@@ -160,7 +160,7 @@ class SurgeryTriple:
                 cone = build_cone(self.complex, n, s, self.flip)
                 if homology(cone.cone).dim:
                     raise WindowNotStable(f"H_{n}({s}) nonzero outside window")
-            if homology(spot_plane(self.complex, s)).dim:
+            if homology(spot_plane(self.flip, s)).dim:
                 raise WindowNotStable(f"H_inf({s}) nonzero outside window")
 
     def _build_level_maps(self, s: int) -> None:
@@ -238,15 +238,16 @@ class SurgeryTriple:
         src: str,
         tgt: str,
         src_of: Callable[[int], int],
+        tgt_of: Callable[[int], int] = lambda s: s,
     ) -> Gf2Matrix:
         row_dims = tuple(self.dims(tgt))
         col_dims = tuple(self.dims(src))
         index = {s: k for k, s in enumerate(self.window)}
         blocks = {}
         for s, m in fam.items():
-            s_src = src_of(s)
-            if s_src in index:
-                blocks[(index[s], index[s_src])] = m
+            s_src, s_tgt = src_of(s), tgt_of(s)
+            if s_src in index and s_tgt in index:
+                blocks[(index[s_tgt], index[s_src])] = m
         return BlockGrid(row_dims, col_dims, blocks).assemble()
 
     @cached_property
@@ -271,15 +272,7 @@ class SurgeryTriple:
 
     @cached_property
     def total_fbar1(self) -> Gf2Matrix:
-        grid_blocks: dict[int, Gf2Matrix] = self.fbar1
-        row_dims = tuple(self.dims("H0"))
-        col_dims = tuple(self.dims("Hinf"))
-        index = {s: k for k, s in enumerate(self.window)}
-        blocks = {}
-        for s, m in grid_blocks.items():
-            if s - 1 in index:
-                blocks[(index[s - 1], index[s])] = m
-        return BlockGrid(row_dims, col_dims, blocks).assemble()
+        return self._total(self.fbar1, "Hinf", "H0", lambda s: s, lambda s: s - 1)
 
     @property
     def a0(self) -> int:
@@ -327,7 +320,7 @@ class SurgeryTriple:
 def surgery_homology(complex_: BifilteredComplex, n, s: int) -> HomologySpace:
     """H_n(K, s) for n in {0, 1, "inf"}."""
     if n == INF:
-        return homology(spot_plane(complex_, s))
+        return homology(spot_plane(flip_map(complex_), s))
     return homology(build_cone(complex_, n, s).cone)
 
 

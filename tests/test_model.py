@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from splicerank import filtration
 from splicerank.corpus import corpus, corpus_names
-from splicerank.errors import NoFlipData, NotQuasiIso, ShapeMismatch, UnknownName
-from splicerank.homology import homology
+from splicerank.errors import NoFlipData, NotQuasiIso, UnknownName
+from splicerank.gf2 import Gf2Matrix
+from splicerank.homology import ChainComplexF2, homology
 from splicerank.model import (
     Arrow,
     BifilteredComplex,
     Generator,
-    SubquotientSpec,
     flip_map,
     hf_hat,
     hfk_hat_dims,
@@ -19,14 +20,62 @@ from splicerank.model import (
     plane_i0,
     plane_j0,
     random_complex,
-    reverse_orientation,
-    subquotient,
+    staircase,
     validate,
 )
+from splicerank.surgery import build_cone, spot_plane
 
 
 def trefoil() -> BifilteredComplex:
     return corpus("trefoil_staircase")
+
+
+def reference_subquotient(
+    complex_: BifilteredComplex,
+    i_eq: int | None = None,
+    i_le: int | None = None,
+    j_eq: int | None = None,
+    j_le: int | None = None,
+) -> ChainComplexF2:
+    """Reference plane cut straight from the arrow list: one placement per
+    generator on the pinned axis, then every arrow whose two ends both land
+    inside the constraints."""
+    basis = []
+    for g in complex_.generators:
+        if j_eq is not None:
+            i, j = g.alexander + j_eq, j_eq
+        else:
+            i, j = i_eq, i_eq - g.alexander
+        if (
+            (i_eq is None or i == i_eq)
+            and (i_le is None or i <= i_le)
+            and (j_eq is None or j == j_eq)
+            and (j_le is None or j <= j_le)
+        ):
+            basis.append((g.id, i, j))
+    index = {label: k for k, label in enumerate(basis)}
+    entries = []
+    for a in complex_.arrows:
+        for src_label in basis:
+            if src_label[0] != a.src:
+                continue
+            _, i, j = src_label
+            dst_label = (a.dst, i - a.drop_i, j - a.drop_j)
+            if dst_label in index:
+                entries.append((index[dst_label], index[src_label]))
+    n = len(basis)
+    return ChainComplexF2(tuple(basis), Gf2Matrix.from_entries(n, n, entries))
+
+
+def oracle_models() -> list[BifilteredComplex]:
+    out = [corpus(name) for name in corpus_names()]
+    out += [mirror(corpus(name)) for name in corpus_names()]
+    out += [random_complex(seed, 8) for seed in range(12)]
+    for steps in ([], [1, 1], [1, 2, 2, 1], [2, 1, 1, 2], [3, 1, 1, 3], [1, 1, 2, 2, 1, 1]):
+        out.append(staircase(steps, f"staircase{steps}"))
+    # gradings not symmetric about 0, so the two filtration windows differ
+    out.append(BifilteredComplex("shifted", (Generator("e", 1),), (), None, Gf2Matrix.identity(1)))
+    return out
 
 
 def test_validate_unknot():
@@ -88,21 +137,62 @@ def test_subquotient_trefoil_j0():
 
 
 def test_subquotient_trefoil_bounded_column():
-    x = subquotient(trefoil(), SubquotientSpec(i_le=0, j_eq=0))
+    x = plane_j0(trefoil()).restrict(lambda lbl: lbl[1] <= 0)
     assert x.basis == (("a", -1, 0), ("b", 0, 0))
     assert homology(x).dim == 0
-
-
-def test_subquotient_requires_a_pin():
-    with pytest.raises(ShapeMismatch):
-        SubquotientSpec(i_le=0, j_le=0)
 
 
 def test_homology_zero_boundary_and_empty():
     x = plane_i0(corpus("unknot"))
     assert homology(x).dim == 1
-    empty = subquotient(trefoil(), SubquotientSpec(i_eq=99, j_eq=0))
+    empty = plane_j0(trefoil()).restrict(lambda lbl: lbl[1] == 99)
+    assert empty.dim == 0 and empty.boundary.rows == 0
     assert homology(empty).dim == 0
+
+
+def test_planes_match_reference_on_oracle_models():
+    for c in oracle_models():
+        assert plane_j0(c) == reference_subquotient(c, j_eq=0), c.name
+        assert plane_i0(c) == reference_subquotient(c, i_eq=0), c.name
+        lo, hi = c.grading_range()
+        want = {}
+        for s in range(lo, hi + 1):
+            d = homology(reference_subquotient(c, i_eq=0, j_eq=-s)).dim
+            if d:
+                want[s] = d
+        assert hfk_hat_dims(c) == want, c.name
+
+
+def test_cones_and_spots_match_reference_on_oracle_models():
+    for c in oracle_models():
+        flip = flip_map(c)
+        lo, hi = c.grading_range()
+        for s in range(lo - 3, hi + 4):
+            for n in (0, 1):
+                cone = build_cone(c, n, s, flip)
+                assert cone.first == reference_subquotient(c, i_le=s, j_eq=0), (c.name, n, s)
+                assert cone.second == reference_subquotient(c, i_eq=0, j_le=n - s - 1), (c.name, n, s)
+            assert spot_plane(flip, s) == reference_subquotient(c, i_eq=0, j_eq=-s), (c.name, s)
+
+
+def test_profile_sub_planes_match_reference_on_oracle_models(monkeypatch):
+    seen: list[ChainComplexF2] = []
+
+    def recording_homology(complex_):
+        seen.append(complex_)
+        return homology(complex_)
+
+    monkeypatch.setattr(filtration, "homology", recording_homology)
+    for c in oracle_models():
+        seen.clear()
+        filtration.profile(c)
+        lo, hi = c.grading_range()
+        # the ambient plane, then the row side C{i<=s, j=0}, then the column
+        # side C{i=0, j<=s} (the second filtration runs over -hi-1 .. -lo+1)
+        want = [reference_subquotient(c, j_eq=0)]
+        want += [reference_subquotient(c, i_le=s, j_eq=0) for s in range(lo - 1, hi + 2)]
+        want += [reference_subquotient(c, i_eq=0, j_le=s) for s in range(-hi - 1, -lo + 2)]
+        assert seen == want, c.name
 
 
 def test_homology_trefoil_j0_representative():
@@ -112,23 +202,9 @@ def test_homology_trefoil_j0_representative():
     assert h.reps == [1 << x.index_of(("c", 1, 0))]
 
 
-def test_reverse_orientation_unknot_fixed():
-    u = corpus("unknot")
-    assert reverse_orientation(u).generators == u.generators
-    assert reverse_orientation(u).arrows == u.arrows
-
-
-def test_reverse_orientation_trefoil_mechanical_swap():
-    r = reverse_orientation(trefoil())
-    assert {g.id: g.alexander for g in r.generators} == {"a": 1, "b": 0, "c": -1}
-    assert set(r.arrows) == {Arrow("b", "a", 0, 1), Arrow("b", "c", 1, 0)}
-
-
 def test_reverse_and_mirror_are_involutions():
     for name in ("trefoil_staircase", "fig8_box", "t34_staircase"):
         c = corpus(name)
-        assert reverse_orientation(reverse_orientation(c)).generators == c.generators
-        assert reverse_orientation(reverse_orientation(c)).arrows == c.arrows
         assert mirror(mirror(c)).generators == c.generators
         assert set(mirror(mirror(c)).arrows) == set(c.arrows)
 
@@ -162,8 +238,6 @@ def test_flip_requires_data():
 
 
 def test_explicit_flip_must_be_quasi_iso():
-    from splicerank.gf2 import Gf2Matrix
-
     c = BifilteredComplex("bad-flip", (Generator("e", 0),), (), None, Gf2Matrix.zeros(1, 1))
     with pytest.raises(NotQuasiIso):
         flip_map(c)

@@ -20,3 +20,17 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert found == []
+
+
+def test_library_imports_only_at_module_top():
+    # an import inside a function hides a dependency (or an import cycle)
+    # from the module header
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
