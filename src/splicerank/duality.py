@@ -313,12 +313,13 @@ def verify_package(p: SurgeryPackage) -> None:
     for name, m, shape in expect:
         if (m.rows, m.cols) != shape:
             raise NormalizationFailure(f"{name} has shape {(m.rows, m.cols)}, expected {shape}")
+    inverses = {}
     for name, tau, blocks, top, bottom in [
         ("tau0", p.tau0, p.blocks0, p.a_inf, p.a1),
         ("tau1", p.tau1, p.blocks1, p.a0, p.a_inf),
         ("tau_inf", p.tau_inf, p.blocks_inf, p.a1, p.a0),
     ]:
-        inv = tau.inverse()
+        inv = inverses[name] = tau.inverse()
         ia, ib, ic, id_ = _split_blocks(inv, top, bottom)
         if ia != blocks.A or ib != blocks.B or id_ != blocks.D:
             raise NormalizationFailure(f"{name} inverse does not share the A, B, D blocks")
@@ -328,9 +329,9 @@ def verify_package(p: SurgeryPackage) -> None:
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"{name} does not square to zero")
     relations = [
-        ("fbar0", p.fbar0, p.tau_inf.inverse() @ p.f0 @ p.tau1),
-        ("fbar1", p.fbar1, p.tau0.inverse() @ p.f1 @ p.tau_inf),
-        ("fbar_inf", p.fbar_inf, p.tau1.inverse() @ p.f_inf @ p.tau0),
+        ("fbar0", p.fbar0, inverses["tau_inf"] @ p.f0 @ p.tau1),
+        ("fbar1", p.fbar1, inverses["tau0"] @ p.f1 @ p.tau_inf),
+        ("fbar_inf", p.fbar_inf, inverses["tau1"] @ p.f_inf @ p.tau0),
     ]
     for name, lhs, rhs in relations:
         if lhs != rhs:

@@ -3,8 +3,9 @@
 Both filtration directions of the ambient invariant are realized inside the
 homology of the j = 0 plane: the row side by its sub-planes C{i<=s, j=0}
 directly, the column side by the sub-planes C{i=0, j<=s} of the i = 0 plane
-mapped through the flip.  All comparisons with the surgery and duality
-pipelines are made at the level of dimensions.
+mapped through the flip.  Both come from one ``surgery.PlaneStore`` per
+``profile`` call.  All comparisons with the surgery and duality pipelines
+are made at the level of dimensions.
 
 Calibration of the graded-piece multiplicities
 ----------------------------------------------
@@ -26,10 +27,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StatsInconsistent
-from .gf2 import Gf2Matrix, SpanSolver, span_intersection, span_sum_dim
-from .homology import ChainComplexF2, HomologySpace, homology, induced_matrix
+from .gf2 import Gf2Matrix, SpanSolver, span_intersection, span_sum_dim, xor_columns
+from .homology import (
+    ChainComplexF2,
+    HomologySpace,
+    homology,
+    inclusion_columns,
+    induced_by_columns,
+)
 from .model import BifilteredComplex, flip_map, require_valid
-from .surgery import SurgeryTriple, label_matrix, total_package
+from .surgery import PlaneStore, SurgeryTriple, total_package
 from .duality import SurgeryPackage, geometric_package
 
 E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
@@ -76,28 +83,29 @@ class FiltrationProfile:
 
 def _build_side(
     window: range,
-    level: Callable[[tuple[str, int, int]], int],
-    own_plane: ChainComplexF2,
-    to_ambient_chain: Gf2Matrix,
+    cut: Callable[[int], ChainComplexF2],
+    to_ambient: Callable[[ChainComplexF2], list[int]],
     ambient_h: HomologySpace,
 ) -> SideData:
-    """Kernels of the sub-planes {level <= s} of own_plane into the ambient homology."""
+    """Kernels of the sub-planes cut(s) into the ambient homology.
+
+    ``to_ambient`` gives the columns of a sub-plane's chain map into the
+    ambient plane; consecutive sub-planes include by their labels.
+    """
     image: dict[int, list[int]] = {}
     kernels: dict[int, list[int]] = {}
     spaces: dict[int, HomologySpace] = {}
     incs: dict[int, Gf2Matrix] = {}
     prev_sub = None
     for s in window:
-        sub = own_plane.restrict(lambda lbl: level(lbl) <= s)
+        sub = cut(s)
         h = homology(sub)
-        to_plane = label_matrix(sub, own_plane, lambda lbl: lbl)
-        iota = induced_matrix(to_ambient_chain @ to_plane, h, ambient_h)
-        image[s] = [iota.mul_vec(1 << i) for i in range(h.dim)]
+        iota = induced_by_columns(to_ambient(sub), h, ambient_h)
+        image[s] = list(iota.transpose().row_bits)
         kernels[s] = iota.kernel_basis()
         spaces[s] = h
         if prev_sub is not None:
-            step = label_matrix(prev_sub, sub, lambda lbl: lbl)
-            incs[s] = induced_matrix(step, spaces[s - 1], h)
+            incs[s] = induced_by_columns(inclusion_columns(prev_sub, sub), spaces[s - 1], h)
         prev_sub = sub
 
     bracket_sub: dict[int, int] = {}
@@ -117,7 +125,7 @@ def _build_side(
                 cols.append(coeffs)
             step_matrix = Gf2Matrix.from_columns(cols, len(kernels[s + 1]))
             ker_coeff = step_matrix.kernel_basis()
-            sub_vectors[s] = [_combine(basis, c) for c in ker_coeff]
+            sub_vectors[s] = [xor_columns(basis, c) for c in ker_coeff]
             bracket_sub[s] = len(ker_coeff)
             bracket_img[s] = step_matrix.rank()
             img_vectors[s + 1] = [incs[s + 1].mul_vec(k) for k in basis]
@@ -145,30 +153,15 @@ def _build_side(
     )
 
 
-def _combine(basis: list[int], coeffs: int) -> int:
-    out = 0
-    i = 0
-    c = coeffs
-    while c:
-        if c & 1:
-            out ^= basis[i]
-        c >>= 1
-        i += 1
-    return out
-
-
 def profile(complex_: BifilteredComplex) -> FiltrationProfile:
     """All double-filtration invariants of one complex."""
     require_valid(complex_)
-    flip = flip_map(complex_)
-    ambient = flip.target
-    ambient_h = homology(ambient)
+    planes = PlaneStore(flip_map(complex_))
+    ambient_h = homology(planes.flip.target)
 
     lo, hi = complex_.grading_range()
-    row = _build_side(
-        range(lo - 1, hi + 2), lambda lbl: lbl[1], ambient, Gf2Matrix.identity(ambient.dim), ambient_h
-    )
-    col = _build_side(range(-hi - 1, -lo + 2), lambda lbl: lbl[2], flip.source, flip.matrix, ambient_h)
+    row = _build_side(range(lo - 1, hi + 2), planes.first, planes.include, ambient_h)
+    col = _build_side(range(-hi - 1, -lo + 2), planes.second, planes.flip_columns, ambient_h)
 
     hf_dim = ambient_h.dim
     a_dims: dict[tuple[int, int], int] = {}

@@ -17,7 +17,7 @@ forward pass keyed on the highest bit, which is cheaper to find: this is why
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PivotZero, ShapeMismatch
 
@@ -28,6 +28,15 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def xor_columns(columns: Sequence[int], mask: int) -> int:
+    """The XOR of columns[k] over the set bits k of mask: a matrix given by
+    its columns, applied to the vector mask."""
+    out = 0
+    for k in bits_of(mask):
+        out ^= columns[k]
+    return out
 
 
 class Gf2Matrix:
@@ -333,26 +342,25 @@ def span_intersection(u_vectors: list[int], v_vectors: list[int], ambient: int) 
 
 
 class SpanSolver:
-    """Online span with coordinate solving over the inserted generators.
+    """Online span with coordinate solving over the accepted generators.
 
-    ``add`` inserts a generator; ``solve`` expresses a vector as a combination
-    of previously inserted generators (mask over generator indices) or returns
-    None if the vector is outside the span.
+    ``add`` inserts a vector and reports whether it was outside the span so
+    far; only an accepted vector becomes a generator, and generators are
+    indexed 0, 1, ... in the order they were accepted.  ``solve`` expresses a
+    vector as a combination of the generators (a mask over their indices) or
+    returns None if the vector is outside the span.
     """
 
-    def __init__(self, vectors: Iterable[int] = ()):  # generators in order
+    def __init__(self, vectors: Iterable[int] = ()):
         self._pivots: dict[int, tuple[int, int]] = {}
-        self.count = 0
         for v in vectors:
             self.add(v)
 
     def add(self, v: int) -> bool:
-        idx = self.count
-        self.count += 1
         v, coeff = self._reduce_with_coeffs(v)
         if v == 0:
             return False
-        self._pivots[v.bit_length() - 1] = (v, coeff | (1 << idx))
+        self._pivots[v.bit_length() - 1] = (v, coeff | (1 << len(self._pivots)))
         return True
 
     def _reduce_with_coeffs(self, v: int) -> tuple[int, int]:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .errors import NotAComplex
-from .gf2 import Gf2Matrix, SpanSolver, bits_of, span_basis
+from .gf2 import Gf2Matrix, SpanSolver, bits_of, xor_columns
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,14 @@ class ChainComplexF2:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index_of(self, label: Hashable) -> int:
-        return self.basis.index(label)
+    @cached_property
+    def index(self) -> dict[Hashable, int]:
+        """Position of each basis label, built on first use."""
+        return {label: k for k, label in enumerate(self.basis)}
+
+    def homology_dim(self) -> int:
+        """dim Ker - dim Im = dim - 2 rank(boundary), with no representatives."""
+        return self.dim - 2 * self.boundary.rank()
 
     def restrict(self, keep: Callable[[Hashable], bool]) -> ChainComplexF2:
         """The span of the basis labels that keep accepts, in basis order.
@@ -53,21 +60,20 @@ class ChainComplexF2:
 class HomologySpace:
     """Homology of a ChainComplexF2 with a distinguished cycle-representative basis.
 
-    ``coords`` rewrites any cycle as a combination of the representatives
-    modulo boundaries, as a bitmask over the representative indices.
+    One SpanSolver holds a basis of the boundaries (the boundary columns that
+    add, in column order) and then the representatives: the kernel basis
+    vectors that add, in kernel-basis order.  So the solver indexes the
+    boundaries 0 .. b-1 and the representatives b, b+1, ...; ``coords``
+    rewrites any cycle as a combination of the representatives modulo
+    boundaries, as a bitmask over the representative indices.
     """
 
     def __init__(self, complex_: ChainComplexF2):
         self.complex = complex_
         boundary = complex_.boundary
-        image = span_basis(boundary.transpose().row_bits)
-        cycles = boundary.kernel_basis()
-        probe = SpanSolver(image)
-        reps = [z for z in cycles if probe.add(z)]
-        # solver indices: boundaries first, then exactly the representatives
-        self._n_boundaries = len(image)
-        self._solver = SpanSolver(image + reps)
-        self.reps: list[int] = reps
+        self._solver = SpanSolver(boundary.transpose().row_bits)
+        self._n_boundaries = self._solver.dim
+        self.reps: list[int] = [z for z in boundary.kernel_basis() if self._solver.add(z)]
 
     @property
     def dim(self) -> int:
@@ -96,10 +102,18 @@ def induced_matrix(chain_map: Gf2Matrix, source: HomologySpace, target: Homology
     The chain map is not re-verified here; callers check commutation where
     the map is not one by construction.
     """
-    cols = []
-    for rep in source.reps:
-        cols.append(target.coords(chain_map.mul_vec(rep)))
+    return induced_by_columns(chain_map.transpose().row_bits, source, target)
+
+
+def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: HomologySpace) -> Gf2Matrix:
+    """``induced_matrix`` of the chain map whose column c is columns[c]."""
+    cols = [target.coords(xor_columns(columns, rep)) for rep in source.reps]
     return Gf2Matrix.from_columns(cols, target.dim)
+
+
+def inclusion_columns(sub: ChainComplexF2, parent: ChainComplexF2) -> list[int]:
+    """Columns of the inclusion of a sub-complex: each label to its position in parent."""
+    return [1 << parent.index[label] for label in sub.basis]
 
 
 def chain_map_commutes(chain_map: Gf2Matrix, source: ChainComplexF2, target: ChainComplexF2) -> bool:

@@ -36,6 +36,16 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise InputFormatError(path, message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; bool is a subclass of int in Python, so true is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect_list(value: Any, path: str) -> list:
+    _expect(isinstance(value, list), path, "expected an array")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     _expect(isinstance(obj, dict), path, "expected an object")
     for key in obj:
@@ -47,8 +57,8 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
 def matrix_from_json(obj: Any, path: str) -> Gf2Matrix:
     _check_keys(obj, {"rows", "cols", "data"}, {"rows", "cols", "data"}, path)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    _expect(isinstance(rows, int) and rows >= 0, f"{path}/rows", "expected a nonnegative integer")
-    _expect(isinstance(cols, int) and cols >= 0, f"{path}/cols", "expected a nonnegative integer")
+    _expect(_is_int(rows) and rows >= 0, f"{path}/rows", "expected a nonnegative integer")
+    _expect(_is_int(cols) and cols >= 0, f"{path}/cols", "expected a nonnegative integer")
     _expect(isinstance(data, list) and len(data) == rows, f"{path}/data", f"expected {rows} rows")
     for r, row in enumerate(data):
         _expect(
@@ -57,7 +67,7 @@ def matrix_from_json(obj: Any, path: str) -> Gf2Matrix:
             f"expected {cols} entries",
         )
         for c, v in enumerate(row):
-            _expect(v in (0, 1), f"{path}/data/{r}/{c}", "entries must be 0 or 1")
+            _expect(_is_int(v) and v in (0, 1), f"{path}/data/{r}/{c}", "entries must be 0 or 1")
     return Gf2Matrix.from_dense(data, cols)
 
 
@@ -67,30 +77,36 @@ def matrix_to_json(m: Gf2Matrix) -> dict:
 
 def complex_from_dict(doc: Any, path: str = "") -> BifilteredComplex:
     _check_keys(doc, _TOP_FIELDS, {"format", "name", "generators", "differential"}, path or "/")
-    _expect(doc["format"] == FORMAT_VERSION, f"{path}/format", f"expected format {FORMAT_VERSION}")
+    _expect(
+        _is_int(doc["format"]) and doc["format"] == FORMAT_VERSION,
+        f"{path}/format",
+        f"expected format {FORMAT_VERSION}",
+    )
     _expect(isinstance(doc["name"], str), f"{path}/name", "expected a string")
 
     generators = []
-    for k, g in enumerate(doc["generators"]):
+    for k, g in enumerate(_expect_list(doc["generators"], f"{path}/generators")):
         gpath = f"{path}/generators/{k}"
         _check_keys(g, {"id", "alexander"}, {"id", "alexander"}, gpath)
         _expect(isinstance(g["id"], str), f"{gpath}/id", "expected a string")
-        _expect(isinstance(g["alexander"], int), f"{gpath}/alexander", "expected an integer")
+        _expect(_is_int(g["alexander"]), f"{gpath}/alexander", "expected an integer")
         generators.append(Generator(g["id"], g["alexander"]))
 
     arrows = []
-    for k, a in enumerate(doc["differential"]):
+    for k, a in enumerate(_expect_list(doc["differential"], f"{path}/differential")):
         apath = f"{path}/differential/{k}"
         fields = {"from", "to", "drop_i", "drop_j"}
         _check_keys(a, fields, fields, apath)
+        for key in ("from", "to"):
+            _expect(isinstance(a[key], str), f"{apath}/{key}", "expected a generator id")
         for key in ("drop_i", "drop_j"):
-            _expect(isinstance(a[key], int) and a[key] >= 0, f"{apath}/{key}", "expected a nonnegative integer")
+            _expect(_is_int(a[key]) and a[key] >= 0, f"{apath}/{key}", "expected a nonnegative integer")
         arrows.append(Arrow(a["from"], a["to"], a["drop_i"], a["drop_j"]))
 
     symmetry = None
     if "symmetry" in doc:
         symmetry = {}
-        for k, orbit in enumerate(doc["symmetry"]):
+        for k, orbit in enumerate(_expect_list(doc["symmetry"], f"{path}/symmetry")):
             opath = f"{path}/symmetry/{k}"
             _expect(isinstance(orbit, list) and len(orbit) in (1, 2), opath, "expected a 1- or 2-cycle")
             for x in orbit:

@@ -15,7 +15,7 @@ from itertools import product
 
 from .duality import PackageStats, SurgeryPackage, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
-from .gf2 import BlockGrid, Gf2Matrix, bits_of, span_dim
+from .gf2 import BlockGrid, Gf2Matrix, bits_of, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
 
 
@@ -271,10 +271,7 @@ def kernel_witnesses(
         if v:
             nonzero += 1
             span.append(v)
-            image = 0
-            for c in bits_of(v):
-                image ^= d_columns[c]
-            if image:
+            if xor_columns(d_columns, v):
                 raise WitnessNotInKernel(
                     f"witness from pair #{checked} not annihilated by the splice matrix"
                 )

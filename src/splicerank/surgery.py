@@ -10,6 +10,22 @@ the n = infinity group is the one-spot plane C{i=0, j=-s}.  The short exact
 sequences relating the n = 0 and n = 1 cones give six maps per level:
 unbarred f_inf, f_0, f_1 and barred counterparts shifted by one level.
 Connecting maps are computed by an explicit chain-level zig-zag.
+
+Every plane comes from one ``PlaneStore`` per knot, built on the flip map's
+two planes C{j=0} (``flip.target``) and C{i=0} (``flip.source``).  It cuts
+each sub-plane once, by ``ChainComplexF2.restrict``, and keeps it by level:
+
+    first(s)   C{i<=s, j=0}    summand u of both cones at level s, and the
+                               row-side filtration of ``filtration.profile``;
+    second(t)  C{i=0, j<=t}    summand v: the n = 0 cone at level s reads
+                               t = -s-1, the n = 1 cone t = -s, so cone (0, s)
+                               and cone (1, s+1) share it; also the
+                               column-side filtration;
+    spot(s)    C{i=0, j=-s}    H_inf at level s.
+
+It reads the flip's columns once, for every cone's chain map and for the
+column side of the filtration.  The store lives as long as the
+``SurgeryTriple`` (or the ``profile`` call) that made it.
 """
 
 from __future__ import annotations
@@ -20,7 +36,14 @@ from typing import Callable, Hashable
 
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable
 from .gf2 import BlockGrid, Gf2Matrix
-from .homology import ChainComplexF2, HomologySpace, homology, induced_matrix
+from .homology import (
+    ChainComplexF2,
+    HomologySpace,
+    homology,
+    inclusion_columns,
+    induced_by_columns,
+    induced_matrix,
+)
 from .model import BifilteredComplex, FlipMap, flip_map, require_valid
 
 INF = "inf"
@@ -43,7 +66,7 @@ def label_matrix(
     fn: Callable[[Hashable], Hashable | None],
 ) -> Gf2Matrix:
     """Matrix of the linear map sending each basis label through fn (None kills)."""
-    tgt = {lbl: k for k, lbl in enumerate(target.basis)}
+    tgt = target.index
     entries = []
     for col, lbl in enumerate(source.basis):
         image = fn(lbl)
@@ -58,7 +81,7 @@ def relabel_vector(
     target: ChainComplexF2,
     fn: Callable[[Hashable], Hashable | None],
 ) -> int:
-    tgt = {lbl: k for k, lbl in enumerate(target.basis)}
+    tgt = target.index
     out = 0
     v = vec
     while v:
@@ -71,44 +94,82 @@ def relabel_vector(
     return out
 
 
+class PlaneStore:
+    """The sub-planes of one knot's flip map, each cut once, and the cones on them."""
+
+    def __init__(self, flip: FlipMap):
+        self.flip = flip
+        self._planes: dict[tuple[str, int], ChainComplexF2] = {}
+
+    def _cut(
+        self, key: tuple[str, int], plane: ChainComplexF2, keep: Callable[[Hashable], bool]
+    ) -> ChainComplexF2:
+        out = self._planes.get(key)
+        if out is None:
+            out = self._planes[key] = plane.restrict(keep)
+        return out
+
+    def first(self, s: int) -> ChainComplexF2:
+        """C{i<=s, j=0}."""
+        return self._cut(("first", s), self.flip.target, lambda lbl: lbl[1] <= s)
+
+    def second(self, t: int) -> ChainComplexF2:
+        """C{i=0, j<=t}."""
+        return self._cut(("second", t), self.flip.source, lambda lbl: lbl[2] <= t)
+
+    def spot(self, s: int) -> ChainComplexF2:
+        """C{i=0, j=-s}, the knot Floer group at Alexander grading s."""
+        return self._cut(("spot", s), self.flip.source, lambda lbl: lbl[2] == -s)
+
+    @cached_property
+    def _flip_columns(self) -> dict[Hashable, int]:
+        return dict(zip(self.flip.source.basis, self.flip.matrix.transpose().row_bits))
+
+    def include(self, sub: ChainComplexF2) -> list[int]:
+        """Columns in C{j=0} of the inclusion of a sub-plane of C{j=0}."""
+        return inclusion_columns(sub, self.flip.target)
+
+    def flip_columns(self, sub: ChainComplexF2) -> list[int]:
+        """Columns in C{j=0} of the flip restricted to a sub-plane of C{i=0}."""
+        return [self._flip_columns[lbl] for lbl in sub.basis]
+
+    def cone(self, n: int, s: int) -> MappingCone:
+        """Cone of i_n^s; the first summand maps by inclusion, the second by the flip."""
+        if n not in (0, 1):
+            raise ShapeMismatch(f"cone surgery coefficient must be 0 or 1, got {n!r}")
+        first, second = self.first(s), self.second(n - s - 1)
+        codomain = self.flip.target
+        dom_dim = first.dim + second.dim
+        chain_map = Gf2Matrix.from_columns(
+            self.include(first) + self.flip_columns(second), codomain.dim
+        )
+
+        labels = (
+            tuple(("u", lbl) for lbl in first.basis)
+            + tuple(("v", lbl) for lbl in second.basis)
+            + tuple(("w", lbl) for lbl in codomain.basis)
+        )
+        total = dom_dim + codomain.dim
+        # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
+        bits = list(first.boundary.row_bits)
+        bits += [b << first.dim for b in second.boundary.row_bits]
+        bits += [
+            m | (b << dom_dim)
+            for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
+        ]
+
+        cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
+        return MappingCone(n, s, first, second, codomain, chain_map, cone)
+
+
 def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None = None) -> MappingCone:
-    """Cone of i_n^s; the first summand maps by inclusion, the second by the flip."""
-    if n not in (0, 1):
-        raise ShapeMismatch(f"cone surgery coefficient must be 0 or 1, got {n!r}")
-    if flip is None:
-        flip = flip_map(complex_)
-    first = flip.target.restrict(lambda lbl: lbl[1] <= s)
-    second = flip.source.restrict(lambda lbl: lbl[2] <= n - s - 1)
-    codomain = flip.target
-    flip_cols = dict(zip(flip.source.basis, flip.matrix.transpose().row_bits))
-    cod_index = {lbl: k for k, lbl in enumerate(codomain.basis)}
-
-    dom_dim = first.dim + second.dim
-    map_bits_by_col = [1 << cod_index[lbl] for lbl in first.basis]
-    map_bits_by_col += [flip_cols[lbl] for lbl in second.basis]
-    chain_map = Gf2Matrix.from_columns(map_bits_by_col, codomain.dim)
-
-    labels = (
-        tuple(("u", lbl) for lbl in first.basis)
-        + tuple(("v", lbl) for lbl in second.basis)
-        + tuple(("w", lbl) for lbl in codomain.basis)
-    )
-    total = dom_dim + codomain.dim
-    # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
-    bits = list(first.boundary.row_bits)
-    bits += [b << first.dim for b in second.boundary.row_bits]
-    bits += [
-        m | (b << dom_dim)
-        for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
-    ]
-
-    cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
-    return MappingCone(n, s, first, second, codomain, chain_map, cone)
+    """Cone of i_n^s (``PlaneStore.cone`` on a store of its own)."""
+    return PlaneStore(flip_map(complex_) if flip is None else flip).cone(n, s)
 
 
 def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
-    """C{i=0, j=-s}, the knot Floer group at Alexander grading s."""
-    return flip.source.restrict(lambda lbl: lbl[2] == -s)
+    """C{i=0, j=-s} (``PlaneStore.spot`` on a store of its own)."""
+    return PlaneStore(flip).spot(s)
 
 
 class SurgeryTriple:
@@ -124,6 +185,7 @@ class SurgeryTriple:
         require_valid(complex_)
         self.complex = complex_
         self.flip = flip_map(complex_)
+        self._planes = PlaneStore(self.flip)
         lo, hi = complex_.grading_range()
         self.window = range(lo - 1, hi + 2)
 
@@ -134,9 +196,9 @@ class SurgeryTriple:
         self.H1: dict[int, HomologySpace] = {}
         self.Hinf: dict[int, HomologySpace] = {}
         for s in self.window:
-            self.cones0[s] = build_cone(complex_, 0, s, self.flip)
-            self.cones1[s] = build_cone(complex_, 1, s, self.flip)
-            self.spots[s] = spot_plane(self.flip, s)
+            self.cones0[s] = self._planes.cone(0, s)
+            self.cones1[s] = self._planes.cone(1, s)
+            self.spots[s] = self._planes.spot(s)
             self.H0[s] = homology(self.cones0[s].cone)
             self.H1[s] = homology(self.cones1[s].cone)
             self.Hinf[s] = homology(self.spots[s])
@@ -157,10 +219,9 @@ class SurgeryTriple:
         lo, hi = self.window.start, self.window.stop - 1
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
             for n in (0, 1):
-                cone = build_cone(self.complex, n, s, self.flip)
-                if homology(cone.cone).dim:
+                if self._planes.cone(n, s).cone.homology_dim():
                     raise WindowNotStable(f"H_{n}({s}) nonzero outside window")
-            if homology(spot_plane(self.flip, s)).dim:
+            if self._planes.spot(s).homology_dim():
                 raise WindowNotStable(f"H_inf({s}) nonzero outside window")
 
     def _build_level_maps(self, s: int) -> None:
@@ -169,8 +230,8 @@ class SurgeryTriple:
 
         # unbarred: inclusion of cones, projection to the quotient spot,
         # connecting map by zig-zag
-        inc = label_matrix(cone0.cone, cone1.cone, lambda lbl: lbl)
-        self.f_inf[s] = induced_matrix(inc, self.H0[s], self.H1[s])
+        inc = inclusion_columns(cone0.cone, cone1.cone)
+        self.f_inf[s] = induced_by_columns(inc, self.H0[s], self.H1[s])
 
         def project_v(lbl):
             tag, plane = lbl
@@ -192,8 +253,8 @@ class SurgeryTriple:
         # barred: the n = 0 cone one level down includes into the n = 1 cone
         prev = s - 1
         if prev in self.window:
-            inc_bar = label_matrix(self.cones0[prev].cone, cone1.cone, lambda lbl: lbl)
-            self.fbar_inf[s] = induced_matrix(inc_bar, self.H0[prev], self.H1[s])
+            inc_bar = inclusion_columns(self.cones0[prev].cone, cone1.cone)
+            self.fbar_inf[s] = induced_by_columns(inc_bar, self.H0[prev], self.H1[s])
 
         def project_u(lbl):
             tag, plane = lbl

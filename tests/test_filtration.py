@@ -7,6 +7,7 @@ import pytest
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package, stats
 from splicerank.filtration import (
+    SideData,
     calibrate_e_readings,
     check_all_lemmas,
     lemma31_check,
@@ -15,8 +16,11 @@ from splicerank.filtration import (
     lemma37_check,
     profile,
 )
-from splicerank.model import hf_hat, mirror, random_complex
+from splicerank.gf2 import Gf2Matrix
+from splicerank.model import flip_map, hf_hat, mirror, random_complex
 from splicerank.surgery import total_package
+
+from oracles import ReferenceHomology, oracle_models, reference_build_side
 
 
 def test_unknot_profile():
@@ -149,3 +153,20 @@ def test_calibration_singles_out_frozen_reading():
     assert counts["coker_b0"]["printed-multiplicity"] > 0
     # and truncation fails where honest multiplicities exceed one
     assert counts["ker_b1"]["printed-truncation"] > 0
+
+
+def test_build_side_matches_reference_on_oracle_models():
+    for c in oracle_models():
+        flip = flip_map(c)
+        ambient = flip.target
+        ambient_h = ReferenceHomology(ambient)
+        lo, hi = c.grading_range()
+        row = reference_build_side(
+            range(lo - 1, hi + 2), lambda lbl: lbl[1], ambient, Gf2Matrix.identity(ambient.dim), ambient_h
+        )
+        col = reference_build_side(
+            range(-hi - 1, -lo + 2), lambda lbl: lbl[2], flip.source, flip.matrix, ambient_h
+        )
+        prof = profile(c)
+        assert prof.row == SideData(*row), c.name
+        assert prof.col == SideData(*col), c.name

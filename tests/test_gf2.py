@@ -332,10 +332,9 @@ def test_span_helpers():
     basis = span_basis(vecs)
     assert len(basis) == 2
     assert span_sum_dim(vecs, [0b100]) == 3
+    # U = span{101,011} = {0,101,011,110}, V = span{110,001} = {0,110,001,111}
     inter = span_intersection([0b101, 0b011], [0b110, 0b001], 3)
-    assert span_dim(inter) == 2 - 0 or True  # dims checked precisely below
-    # U = span{101,011} (dim 2), V = span{110,001} (dim 2): U+V = F^3 so U∩V dim 1
-    assert len(inter) == 1
+    assert span_basis(inter) == [0b110]
 
 
 def test_span_solver_coordinates():
@@ -345,3 +344,13 @@ def test_span_solver_coordinates():
     s2 = SpanSolver([0b11])
     assert s2.solve(0b01) is None
     assert list(bits_of(0b1010)) == [1, 3]
+
+
+def test_span_solver_rejected_add_takes_no_index():
+    solver = SpanSolver([0b011])
+    assert not solver.add(0b011)
+    assert solver.add(0b100)  # the second generator: index 1, not 2
+    assert solver.dim == 2
+    assert solver.solve(0b111) == 0b11
+    assert solver.solve(0b100) == 0b10
+    assert solver.solve(0b001) is None

@@ -25,6 +25,8 @@ from splicerank.model import (
 )
 from splicerank.surgery import build_cone, spot_plane
 
+from oracles import oracle_models
+
 
 def trefoil() -> BifilteredComplex:
     return corpus("trefoil_staircase")
@@ -65,17 +67,6 @@ def reference_subquotient(
                 entries.append((index[dst_label], index[src_label]))
     n = len(basis)
     return ChainComplexF2(tuple(basis), Gf2Matrix.from_entries(n, n, entries))
-
-
-def oracle_models() -> list[BifilteredComplex]:
-    out = [corpus(name) for name in corpus_names()]
-    out += [mirror(corpus(name)) for name in corpus_names()]
-    out += [random_complex(seed, 8) for seed in range(12)]
-    for steps in ([], [1, 1], [1, 2, 2, 1], [2, 1, 1, 2], [3, 1, 1, 3], [1, 1, 2, 2, 1, 1]):
-        out.append(staircase(steps, f"staircase{steps}"))
-    # gradings not symmetric about 0, so the two filtration windows differ
-    out.append(BifilteredComplex("shifted", (Generator("e", 1),), (), None, Gf2Matrix.identity(1)))
-    return out
 
 
 def test_validate_unknot():
@@ -132,8 +123,8 @@ def test_subquotient_trefoil_j0():
     x = plane_j0(trefoil())
     assert x.basis == (("a", -1, 0), ("b", 0, 0), ("c", 1, 0))
     # the j-dropping arrow b->c is excluded; d[b] = [a]
-    assert x.boundary.column(x.index_of(("b", 0, 0))) == 1 << x.index_of(("a", -1, 0))
-    assert x.boundary.column(x.index_of(("a", -1, 0))) == 0
+    assert x.boundary.column(x.index[("b", 0, 0)]) == 1 << x.index[("a", -1, 0)]
+    assert x.boundary.column(x.index[("a", -1, 0)]) == 0
 
 
 def test_subquotient_trefoil_bounded_column():
@@ -199,7 +190,7 @@ def test_homology_trefoil_j0_representative():
     x = plane_j0(trefoil())
     h = homology(x)
     assert h.dim == 1
-    assert h.reps == [1 << x.index_of(("c", 1, 0))]
+    assert h.reps == [1 << x.index[("c", 1, 0)]]
 
 
 def test_reverse_and_mirror_are_involutions():
@@ -226,9 +217,9 @@ def test_flip_trefoil_permutation():
     c = trefoil()
     f = flip_map(c)
     src, tgt, m = f.source, f.target, f.matrix
-    assert m.column(src.index_of(("a", 0, 1))) == 1 << tgt.index_of(("c", 1, 0))
-    assert m.column(src.index_of(("b", 0, 0))) == 1 << tgt.index_of(("b", 0, 0))
-    assert m.column(src.index_of(("c", 0, -1))) == 1 << tgt.index_of(("a", -1, 0))
+    assert m.column(src.index[("a", 0, 1)]) == 1 << tgt.index[("c", 1, 0)]
+    assert m.column(src.index[("b", 0, 0)]) == 1 << tgt.index[("b", 0, 0)]
+    assert m.column(src.index[("c", 0, -1)]) == 1 << tgt.index[("a", -1, 0)]
 
 
 def test_flip_requires_data():

@@ -1,0 +1,70 @@
+"""JSON input: every malformed field fails with a pointer; models round-trip."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splicerank.corpus import corpus
+from splicerank.errors import InputFormatError
+from splicerank.gf2 import Gf2Matrix
+from splicerank.model import BifilteredComplex, Generator, random_complex
+from splicerank.serialize import complex_from_dict, complex_to_dict, dump_complex, load_complex
+
+TREFOIL = complex_to_dict(corpus("trefoil_staircase"))
+WITH_FLIP = complex_to_dict(
+    BifilteredComplex("flipped", (Generator("e", 0),), (), None, Gf2Matrix.identity(1))
+)
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(doc)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "doc, path, value, pointer",
+    [
+        (TREFOIL, ("generators",), 5, "/generators"),
+        (TREFOIL, ("differential",), 7, "/differential"),
+        (TREFOIL, ("symmetry",), 3, "/symmetry"),
+        (TREFOIL, ("format",), True, "/format"),
+        (TREFOIL, ("generators", 0, "alexander"), True, "/generators/0/alexander"),
+        (TREFOIL, ("differential", 0, "drop_i"), True, "/differential/0/drop_i"),
+        (TREFOIL, ("differential", 0, "drop_j"), False, "/differential/0/drop_j"),
+        (TREFOIL, ("differential", 0, "from"), ["a"], "/differential/0/from"),
+        (TREFOIL, ("differential", 1, "to"), 3, "/differential/1/to"),
+        (WITH_FLIP, ("flip", "rows"), True, "/flip/rows"),
+        (WITH_FLIP, ("flip", "cols"), True, "/flip/cols"),
+        (WITH_FLIP, ("flip", "data", 0, 0), True, "/flip/data/0/0"),
+    ],
+)
+def test_malformed_field_raises_input_format_error_at_its_pointer(doc, path, value, pointer):
+    complex_from_dict(doc)  # the unbroken document parses
+    with pytest.raises(InputFormatError) as err:
+        complex_from_dict(_set(doc, path, value))
+    assert err.value.pointer == pointer
+
+
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 300))
+def test_random_models_round_trip(tmp_path, seed):
+    c = random_complex(seed, 8)
+    assert complex_from_dict(complex_to_dict(c)) == c
+    path = tmp_path / "model.json"
+    dump_complex(c, str(path))
+    assert load_complex(str(path)) == c
+
+
+def test_flip_model_round_trips(tmp_path):
+    c = complex_from_dict(WITH_FLIP)
+    path = tmp_path / "model.json"
+    dump_complex(c, str(path))
+    assert load_complex(str(path)) == c

@@ -6,10 +6,18 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicerank import splice
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import geometric_package, stats, synthetic_package
+from splicerank.duality import (
+    apply_admissible,
+    geometric_package,
+    random_admissible,
+    stats,
+    synthetic_package,
+)
 from splicerank.errors import WitnessNotInKernel
 from splicerank.filtration import profile
 from splicerank.gf2 import Gf2Matrix
@@ -273,3 +281,23 @@ def test_witness_outside_kernel_names_its_pair(monkeypatch):
     assert first_bad > 1
     with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
         kernel_witnesses(p1, p2)
+
+
+random_models = st.integers(0, 300).map(lambda seed: geometric_package(random_complex(seed, 8)))
+
+
+@settings(max_examples=30)
+@given(random_models, random_models)
+def test_h_is_swap_symmetric_on_random_models(p1, p2):
+    assert splice_rank(p1, p2).h == splice_rank(p2, p1).h
+
+
+@settings(max_examples=30)
+@given(random_models, random_models, st.integers(0, 10_000))
+def test_h_is_unchanged_by_admissible_changes(p1, p2, seed):
+    h = splice_rank(p1, p2).h
+    q1 = apply_admissible(p1, random_admissible(seed, p1.dims))
+    q2 = apply_admissible(p2, random_admissible(seed + 1, p2.dims))
+    assert splice_rank(q1, p2).h == h
+    assert splice_rank(p1, q2).h == h
+    assert splice_rank(q1, q2).h == h

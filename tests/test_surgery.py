@@ -5,15 +5,19 @@ from __future__ import annotations
 import pytest
 
 from splicerank.corpus import corpus
-from splicerank.model import hfk_hat_dims, hf_hat, random_complex
+from splicerank.homology import homology
+from splicerank.model import flip_map, hfk_hat_dims, hf_hat, random_complex
 from splicerank.surgery import (
     INF,
+    PlaneStore,
     SurgeryTriple,
     build_cone,
     surgery_homology,
     total_package,
     triangle_maps,
 )
+
+from oracles import ReferenceHomology, oracle_models, reference_level_maps
 
 
 def test_unknot_cone_n0_acyclic():
@@ -148,3 +152,38 @@ def test_meridian_suspension_dims_vs_ambient():
         t = total_package(c)
         total = t.total_f_inf + t.total_fbar_inf
         assert total.h_number() == hf_hat(c).dim, name
+
+
+def test_homology_and_level_maps_match_reference_on_oracle_models():
+    for c in oracle_models():
+        t = SurgeryTriple(c)
+        for s in t.window:
+            for space in (t.H0[s], t.H1[s], t.Hinf[s]):
+                ref = ReferenceHomology(space.complex)
+                assert space.reps == ref.reps, (c.name, s)
+                boundary = space.complex.boundary
+                cycles = boundary.kernel_basis()
+                columns = [b for b in boundary.transpose().row_bits if b]
+                # every kernel vector, and the first few moved by each boundary
+                probes = cycles + [z ^ b for z in cycles[:3] for b in columns]
+                assert [space.coords(z) for z in probes] == [ref.coords(z) for z in probes]
+        for family, maps in reference_level_maps(t).items():
+            assert getattr(t, family) == maps, (c.name, family)
+
+
+def test_cones_share_the_stored_planes():
+    t = SurgeryTriple(corpus("t35_staircase"))
+    for s in t.window:
+        assert t.cones0[s].first is t.cones1[s].first
+        if s + 1 in t.window:
+            # C{i=0, j<=-s-1} is the second summand of cones (0, s) and (1, s+1)
+            assert t.cones0[s].second is t.cones1[s + 1].second
+
+
+def test_homology_dim_matches_homology_inside_and_outside_the_window():
+    for c in oracle_models():
+        planes = PlaneStore(flip_map(c))
+        lo, hi = c.grading_range()
+        for s in range(lo - 4, hi + 5):
+            for complex_ in (planes.cone(0, s).cone, planes.cone(1, s).cone, planes.spot(s)):
+                assert complex_.homology_dim() == homology(complex_).dim, (c.name, s)
