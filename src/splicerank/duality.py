@@ -26,9 +26,9 @@ from .errors import (
     TauRelationFailure,
 )
 from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim
-from .homology import induced_matrix
+from .homology import induced_by_columns
 from .model import BifilteredComplex
-from .surgery import SurgeryTriple, label_matrix, total_package
+from .surgery import SurgeryTriple, label_columns, total_package
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,8 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
             t = reflect(s)
             if t not in index:
                 raise NormalizationFailure(f"duality reflects level {s} outside the window")
-            chain = label_matrix(cones[s].cone, cones[t].cone, swap)
-            blocks[(index[t], index[s])] = induced_matrix(chain, spaces[s], spaces[t])
+            chain = label_columns(cones[s].cone, cones[t].cone, swap)
+            blocks[(index[t], index[s])] = induced_by_columns(chain, spaces[s], spaces[t])
         return BlockGrid(dims, dims, blocks).assemble()
 
     tau0 = tau_for(triple.cones0, triple.H0, lambda s: -s - 1)
@@ -177,10 +177,10 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
         t = -s
         if t not in index:
             raise NormalizationFailure(f"duality reflects level {s} outside the window")
-        chain = label_matrix(
+        chain = label_columns(
             triple.spots[s], triple.spots[t], lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
         )
-        blocks[(index[t], index[s])] = induced_matrix(chain, triple.Hinf[s], triple.Hinf[t])
+        blocks[(index[t], index[s])] = induced_by_columns(chain, triple.Hinf[s], triple.Hinf[t])
     tau_inf = BlockGrid(dims, dims, blocks).assemble()
     return tau0, tau1, tau_inf
 

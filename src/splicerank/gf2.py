@@ -4,14 +4,23 @@ A matrix stores one Python int per row; bit ``c`` of row ``r`` is the entry
 at ``(r, c)``.  Column vectors are plain ints with bit ``i`` holding
 coordinate ``i``.  Zero-dimensional matrices are legal values throughout.
 
+Who validates what: rows from outside this module enter through the public
+constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
+``from_columns``), which reject a shape that does not fit and any bit beyond
+it.  A result of this module's own operations (``@``, ``+``, ``transpose``,
+``kron``, ``inverse``, ``submatrix``, ``from_columns`` after its range check
+and ``BlockGrid.assemble``) is in range by construction, so it is built by
+``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
+module calls that.
+
 Elimination has one core, ``echelon``: a dict from pivot column (the lowest
 set bit of a row) to its row, reduced so that no row has a bit at another
 row's pivot.  That is the reduced row echelon form, which is unique, so
-``kernel_basis``, ``cokernel_basis``, ``inverse`` and ``span_basis`` return
-the same vectors however the rows are ordered.  ``span_intersection`` needs
-only its forward pass.  Dimensions come from ``rank`` (``span_dim``), a
-forward pass keyed on the highest bit, which is cheaper to find: this is why
-``kernel_dim`` and ``cokernel_dim`` never build a basis.
+``kernel_basis``, ``cokernel_basis`` and ``inverse`` return the same vectors
+however the rows are ordered.  ``span_intersection`` needs only its forward
+pass.  Dimensions come from ``rank`` (``span_dim``), a forward pass keyed on
+the highest bit, which is cheaper to find: this is why ``kernel_dim`` and
+``cokernel_dim`` never build a basis.
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ def xor_columns(columns: Sequence[int], mask: int) -> int:
     """The XOR of columns[k] over the set bits k of mask: a matrix given by
     its columns, applied to the vector mask."""
     out = 0
-    for k in bits_of(mask):
-        out ^= columns[k]
+    while mask:
+        low = mask & -mask
+        out ^= columns[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -57,6 +68,19 @@ class Gf2Matrix:
         self.rows = rows
         self.cols = cols
         self.row_bits = bits
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> Gf2Matrix:
+        """A matrix on rows already known to fit rows x cols: no scan, no copy.
+
+        Only this module's own operations call it, on results they build in
+        range; input from outside goes through the public constructors.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.row_bits = row_bits
+        return m
 
     # -- construction -----------------------------------------------------
 
@@ -98,11 +122,16 @@ class Gf2Matrix:
         """Matrix whose c-th column is the bitmask columns[c]."""
         bits = [0] * rows
         for c, col in enumerate(columns):
-            for r in bits_of(col):
-                if r >= rows:
-                    raise ShapeMismatch(f"column {c} has bit {r} beyond row {rows}")
-                bits[r] |= 1 << c
-        return cls(rows, len(columns), bits)
+            high = col >> rows
+            if high:
+                r = rows + (high & -high).bit_length() - 1
+                raise ShapeMismatch(f"column {c} has bit {r} beyond row {rows}")
+            cbit = 1 << c
+            while col:
+                low = col & -col
+                bits[low.bit_length() - 1] |= cbit
+                col ^= low
+        return cls._trusted(rows, len(columns), tuple(bits))
 
     # -- access -----------------------------------------------------------
 
@@ -111,9 +140,6 @@ class Gf2Matrix:
             raise IndexError(f"({r},{c}) outside {self.rows}x{self.cols}")
         return (self.row_bits[r] >> c) & 1
 
-    def row(self, r: int) -> int:
-        return self.row_bits[r]
-
     def column(self, c: int) -> int:
         if not 0 <= c < self.cols:
             raise IndexError(c)
@@ -121,9 +147,6 @@ class Gf2Matrix:
         for r, b in enumerate(self.row_bits):
             out |= ((b >> c) & 1) << r
         return out
-
-    def columns(self) -> list[int]:
-        return [self.column(c) for c in range(self.cols)]
 
     def dense(self) -> list[list[int]]:
         return [[(b >> c) & 1 for c in range(self.cols)] for b in self.row_bits]
@@ -150,18 +173,23 @@ class Gf2Matrix:
     def __add__(self, other: Gf2Matrix) -> Gf2Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"add {self.rows}x{self.cols} to {other.rows}x{other.cols}")
-        return Gf2Matrix(self.rows, self.cols, tuple(a ^ b for a, b in zip(self.row_bits, other.row_bits)))
+        return Gf2Matrix._trusted(
+            self.rows, self.cols, tuple([a ^ b for a, b in zip(self.row_bits, other.row_bits)])
+        )
 
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        rows = other.row_bits
         out = []
         for b in self.row_bits:
             acc = 0
-            for k in bits_of(b):
-                acc ^= other.row_bits[k]
+            while b:
+                low = b & -b
+                acc ^= rows[low.bit_length() - 1]
+                b ^= low
             out.append(acc)
-        return Gf2Matrix(self.rows, other.cols, out)
+        return Gf2Matrix._trusted(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector (bitmask of length cols)."""
@@ -175,9 +203,12 @@ class Gf2Matrix:
     def transpose(self) -> Gf2Matrix:
         bits = [0] * self.cols
         for r, b in enumerate(self.row_bits):
-            for c in bits_of(b):
-                bits[c] |= 1 << r
-        return Gf2Matrix(self.cols, self.rows, bits)
+            rbit = 1 << r
+            while b:
+                low = b & -b
+                bits[low.bit_length() - 1] |= rbit
+                b ^= low
+        return Gf2Matrix._trusted(self.cols, self.rows, tuple(bits))
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
         """Kronecker product; rank is multiplicative."""
@@ -188,7 +219,7 @@ class Gf2Matrix:
                 for c in bits_of(a):
                     acc |= b << (c * other.cols)
                 bits.append(acc)
-        return Gf2Matrix(self.rows * other.rows, self.cols * other.cols, bits)
+        return Gf2Matrix._trusted(self.rows * other.rows, self.cols * other.cols, tuple(bits))
 
     # -- elimination --------------------------------------------------------
 
@@ -252,15 +283,18 @@ class Gf2Matrix:
         pivots = echelon(b | (1 << (n + r)) for r, b in enumerate(self.row_bits))
         if any(p >= n for p in pivots):
             raise ShapeMismatch("matrix is singular")
-        return Gf2Matrix(n, n, [pivots[c] >> n for c in range(n)])
+        return Gf2Matrix._trusted(n, n, tuple([pivots[c] >> n for c in range(n)]))
 
     def submatrix(self, row_range: range, col_range: range) -> Gf2Matrix:
-        lowmask = 0
-        for c in col_range:
-            lowmask |= 1 << c
-        shift = col_range.start if len(col_range) else 0
-        bits = [(self.row_bits[r] & lowmask) >> shift for r in row_range]
-        return Gf2Matrix(len(row_range), len(col_range), bits)
+        """The rows in row_range and the columns in col_range, both step 1."""
+        # a stepped column range would keep bits between its columns
+        if row_range.step != 1 or col_range.step != 1:
+            raise ShapeMismatch(f"submatrix ranges must have step 1, got {row_range}, {col_range}")
+        width = len(col_range)
+        mask = (1 << width) - 1
+        shift = col_range.start if width else 0
+        bits = tuple([(self.row_bits[r] >> shift) & mask for r in row_range])
+        return Gf2Matrix._trusted(len(row_range), width, bits)
 
 
 # -- spans of bitmask vectors ---------------------------------------------
@@ -301,12 +335,6 @@ def _mask(pivots: dict[int, int]) -> int:
     for p in pivots:
         out |= 1 << p
     return out
-
-
-def span_basis(vectors: Iterable[int]) -> list[int]:
-    """Canonical basis of the span: the reduced echelon rows, by pivot."""
-    pivots = echelon(vectors)
-    return [pivots[p] for p in sorted(pivots)]
 
 
 def span_dim(vectors: Iterable[int]) -> int:
@@ -414,14 +442,7 @@ class BlockGrid:
             r0, c0 = row_off[i], col_off[j]
             for r, rb in enumerate(b.row_bits):
                 bits[r0 + r] |= rb << c0
-        return Gf2Matrix(total_rows, total_cols, bits)
-
-    def slice(self, m: Gf2Matrix, i: int, j: int) -> Gf2Matrix:
-        row_off = _offsets(self.row_dims)
-        col_off = _offsets(self.col_dims)
-        return m.submatrix(
-            range(row_off[i], row_off[i + 1]), range(col_off[j], col_off[j + 1])
-        )
+        return Gf2Matrix._trusted(total_rows, total_cols, tuple(bits))
 
 
 def _offsets(dims: tuple[int, ...]) -> list[int]:

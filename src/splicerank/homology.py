@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
-from .errors import NotAComplex
+from .errors import NotAComplex, ShapeMismatch
 from .gf2 import Gf2Matrix, SpanSolver, bits_of, xor_columns
 
 
@@ -26,8 +26,17 @@ class ChainComplexF2:
             raise NotAComplex(
                 f"boundary is {self.boundary.rows}x{self.boundary.cols} on {n} generators"
             )
-        if not (self.boundary @ self.boundary).is_zero():
-            raise NotAComplex("boundary does not square to zero")
+        # d @ d = 0, one row at a time: row r of d @ d is the XOR of the rows
+        # of d at the bits of row r
+        rows = self.boundary.row_bits
+        for b in rows:
+            acc = 0
+            while b:
+                low = b & -b
+                acc ^= rows[low.bit_length() - 1]
+                b ^= low
+            if acc:
+                raise NotAComplex("boundary does not square to zero")
 
     @property
     def dim(self) -> int:
@@ -66,12 +75,17 @@ class HomologySpace:
     boundaries 0 .. b-1 and the representatives b, b+1, ...; ``coords``
     rewrites any cycle as a combination of the representatives modulo
     boundaries, as a bitmask over the representative indices.
+
+    ``boundary_columns`` keeps the boundary's columns, read once for the
+    solver: ``coords`` tests "is a cycle" on them, and callers apply the
+    boundary to a chain with ``xor_columns``.
     """
 
     def __init__(self, complex_: ChainComplexF2):
         self.complex = complex_
         boundary = complex_.boundary
-        self._solver = SpanSolver(boundary.transpose().row_bits)
+        self.boundary_columns: tuple[int, ...] = boundary.transpose().row_bits
+        self._solver = SpanSolver(self.boundary_columns)
         self._n_boundaries = self._solver.dim
         self.reps: list[int] = [z for z in boundary.kernel_basis() if self._solver.add(z)]
 
@@ -81,15 +95,14 @@ class HomologySpace:
 
     def coords(self, cycle: int) -> int:
         """Class of a cycle in the representative basis (a dim-bit mask)."""
-        if self.complex.boundary.mul_vec(cycle):
+        if cycle >> self.complex.dim:
+            raise ShapeMismatch(f"vector has bits beyond {self.complex.dim}")
+        if xor_columns(self.boundary_columns, cycle):
             raise NotAComplex("coords() called on a non-cycle")
         coeffs = self._solver.solve(cycle)
         if coeffs is None:
             raise NotAComplex("cycle escaped its own homology; internal error")
         return coeffs >> self._n_boundaries
-
-    def class_vectors(self, chains: Sequence[int]) -> list[int]:
-        return [self.coords(z) for z in chains]
 
 
 def homology(complex_: ChainComplexF2) -> HomologySpace:

@@ -35,14 +35,13 @@ from functools import cached_property
 from typing import Callable, Hashable
 
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable
-from .gf2 import BlockGrid, Gf2Matrix
+from .gf2 import BlockGrid, Gf2Matrix, xor_columns
 from .homology import (
     ChainComplexF2,
     HomologySpace,
     homology,
     inclusion_columns,
     induced_by_columns,
-    induced_matrix,
 )
 from .model import BifilteredComplex, FlipMap, flip_map, require_valid
 
@@ -60,19 +59,18 @@ class MappingCone:
     cone: ChainComplexF2    # labels ("u",lbl) | ("v",lbl) | ("w",lbl)
 
 
-def label_matrix(
+def label_columns(
     source: ChainComplexF2,
     target: ChainComplexF2,
     fn: Callable[[Hashable], Hashable | None],
-) -> Gf2Matrix:
-    """Matrix of the linear map sending each basis label through fn (None kills)."""
+) -> list[int]:
+    """Columns of the linear map sending each basis label through fn (None kills)."""
     tgt = target.index
-    entries = []
-    for col, lbl in enumerate(source.basis):
+    out = []
+    for lbl in source.basis:
         image = fn(lbl)
-        if image is not None:
-            entries.append((tgt[image], col))
-    return Gf2Matrix.from_entries(target.dim, source.dim, entries)
+        out.append(0 if image is None else 1 << tgt[image])
+    return out
 
 
 def relabel_vector(
@@ -239,13 +237,15 @@ class SurgeryTriple:
                 return plane
             return None
 
-        proj = label_matrix(cone1.cone, spot, project_v)
-        self.f0[s] = induced_matrix(proj, self.H1[s], self.Hinf[s])
+        proj = label_columns(cone1.cone, spot, project_v)
+        self.f0[s] = induced_by_columns(proj, self.H1[s], self.Hinf[s])
 
+        # the cone boundary, applied through the columns H1[s] keeps
+        d1 = self.H1[s].boundary_columns
         cols = []
         for rep in self.Hinf[s].reps:
             lifted = relabel_vector(rep, spot, cone1.cone, lambda lbl: ("v", lbl))
-            bd = cone1.cone.boundary.mul_vec(lifted)
+            bd = xor_columns(d1, lifted)
             back = relabel_vector(bd, cone1.cone, cone0.cone, lambda lbl: lbl)
             cols.append(self.H0[s].coords(back))
         self.f1[s] = Gf2Matrix.from_columns(cols, self.H0[s].dim)
@@ -262,8 +262,8 @@ class SurgeryTriple:
                 return (plane[0], 0, -s)
             return None
 
-        proj_bar = label_matrix(cone1.cone, spot, project_u)
-        self.fbar0[s] = induced_matrix(proj_bar, self.H1[s], self.Hinf[s])
+        proj_bar = label_columns(cone1.cone, spot, project_u)
+        self.fbar0[s] = induced_by_columns(proj_bar, self.H1[s], self.Hinf[s])
 
         if prev in self.window:
             cols = []
@@ -271,7 +271,7 @@ class SurgeryTriple:
                 lifted = relabel_vector(
                     rep, spot, cone1.cone, lambda lbl: ("u", (lbl[0], s, 0))
                 )
-                bd = cone1.cone.boundary.mul_vec(lifted)
+                bd = xor_columns(d1, lifted)
                 back = relabel_vector(bd, cone1.cone, self.cones0[prev].cone, lambda lbl: lbl)
                 cols.append(self.H0[prev].coords(back))
             self.fbar1[s] = Gf2Matrix.from_columns(cols, self.H0[prev].dim)

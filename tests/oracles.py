@@ -1,8 +1,9 @@
 """Reference implementations and model sets shared by the oracle tests.
 
 Each reference is an earlier, plainer route to the same answer: homology
-from two solvers, level maps and filtration sides through label matrices
-and matrix products.  The library must match them bit for bit.
+from two solvers, level maps, duality maps and filtration sides through
+label matrices and matrix products.  The library must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -10,10 +11,23 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.gf2 import Gf2Matrix, SpanSolver, span_basis, span_intersection, span_sum_dim
-from splicerank.homology import ChainComplexF2
+from splicerank.gf2 import (
+    BlockGrid,
+    Gf2Matrix,
+    SpanSolver,
+    echelon,
+    span_intersection,
+    span_sum_dim,
+)
+from splicerank.homology import ChainComplexF2, induced_matrix
 from splicerank.model import BifilteredComplex, Generator, mirror, random_complex, staircase
 from splicerank.surgery import SurgeryTriple
+
+
+def span_basis(vectors) -> list[int]:
+    """Canonical basis of the span: the reduced echelon rows, by pivot."""
+    pivots = echelon(vectors)
+    return [pivots[p] for p in sorted(pivots)]
 
 
 def oracle_models() -> list[BifilteredComplex]:
@@ -127,6 +141,41 @@ def reference_level_maps(triple: SurgeryTriple) -> dict[str, dict[int, Gf2Matrix
             maps["fbar_inf"][s] = reference_induced(inc_bar, H0[s - 1], H1[s])
             maps["fbar1"][s] = zig_zag(s, s - 1, lambda lbl: ("u", (lbl[0], s, 0)))
     return maps
+
+
+def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
+    """tau0, tau1, tau_inf of ``duality._geometric_tau``, each block the
+    induced map of a label matrix (``homology.induced_matrix``)."""
+    sigma = complex_.symmetry
+    index = {s: k for k, s in enumerate(triple.window)}
+
+    def swap(lbl):
+        tag, (x, i, j) = lbl
+        if tag == "w":
+            return lbl
+        return ("v" if tag == "u" else "u", (sigma[x], j, i))
+
+    def total(planes, spaces, reflect, fn):
+        dims = tuple(spaces[s].dim for s in triple.window)
+        blocks = {}
+        for s in triple.window:
+            if spaces[s].dim:
+                t = reflect(s)
+                chain = reference_label_matrix(planes[s], planes[t], fn(s))
+                blocks[(index[t], index[s])] = induced_matrix(chain, spaces[s], spaces[t])
+        return BlockGrid(dims, dims, blocks).assemble()
+
+    cones0 = {s: c.cone for s, c in triple.cones0.items()}
+    cones1 = {s: c.cone for s, c in triple.cones1.items()}
+    tau0 = total(cones0, triple.H0, lambda s: -s - 1, lambda s: swap)
+    tau1 = total(cones1, triple.H1, lambda s: -s, lambda s: swap)
+    tau_inf = total(
+        triple.spots,
+        triple.Hinf,
+        lambda s: -s,
+        lambda s: lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s),
+    )
+    return tau0, tau1, tau_inf
 
 
 def reference_build_side(

@@ -8,6 +8,7 @@ from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     PackageStats,
     apply_admissible,
+    _geometric_tau,
     build_tau,
     geometric_package,
     normalize,
@@ -18,7 +19,9 @@ from splicerank.duality import (
 from splicerank.errors import TauRelationFailure
 from splicerank.gf2 import Gf2Matrix
 from splicerank.model import TauOverride, random_complex, replace
-from splicerank.surgery import total_package
+from splicerank.surgery import SurgeryTriple, total_package
+
+from oracles import oracle_models, reference_geometric_tau
 
 
 def test_unknot_package_dims_and_blocks():
@@ -167,3 +170,14 @@ def test_geometric_tau_is_involution():
         maps = build_tau(c, t)
         for m in (maps.tau0, maps.tau1, maps.tau_inf):
             assert m @ m == Gf2Matrix.identity(m.rows), name
+
+
+def test_geometric_tau_matches_label_matrix_route_on_oracle_models():
+    checked = 0
+    for c in oracle_models():
+        if c.symmetry is None:
+            continue
+        triple = SurgeryTriple(c)
+        assert _geometric_tau(c, triple) == reference_geometric_tau(c, triple), c.name
+        checked += 1
+    assert checked >= 30

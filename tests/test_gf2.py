@@ -14,11 +14,12 @@ from splicerank.gf2 import (
     Gf2Matrix,
     SpanSolver,
     bits_of,
-    span_basis,
     span_dim,
     span_intersection,
     span_sum_dim,
 )
+
+from oracles import span_basis
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -310,10 +311,12 @@ def test_assemble_then_slice_roundtrip():
         for i in range(3)
         for j in range(2)
     }
-    grid = BlockGrid(row_dims, col_dims, blocks)
-    m = grid.assemble()
-    for key, b in blocks.items():
-        assert grid.slice(m, *key) == b
+    m = BlockGrid(row_dims, col_dims, blocks).assemble()
+    row_off, col_off = [0, 2, 2, 5], [0, 1, 5]
+    for (i, j), b in blocks.items():
+        rows = range(row_off[i], row_off[i + 1])
+        cols = range(col_off[j], col_off[j + 1])
+        assert m.submatrix(rows, cols) == b
 
 
 def test_matmul_and_transpose_consistency():
@@ -354,3 +357,87 @@ def test_span_solver_rejected_add_takes_no_index():
     assert solver.solve(0b111) == 0b11
     assert solver.solve(0b100) == 0b10
     assert solver.solve(0b001) is None
+
+
+# -- results built on the trusted path ----------------------------------------
+
+
+def _bits(draw, rows: int, cols: int) -> list[int]:
+    return draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+
+
+def _sub_range(draw, n: int) -> range:
+    start = draw(st.integers(0, n))
+    return range(start, draw(st.integers(start, n)))
+
+
+@st.composite
+def trusted_results(draw):
+    """(name, result) for one of gf2's own operations on random shapes,
+    0 x n and n x 0 included."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a = Gf2Matrix(r, k, _bits(draw, r, k))
+    b = Gf2Matrix(k, c, _bits(draw, k, c))
+    name = draw(
+        st.sampled_from(
+            ["matmul", "add", "transpose", "kron", "inverse", "submatrix", "from_columns", "assemble"]
+        )
+    )
+    if name == "matmul":
+        return name, a @ b
+    if name == "add":
+        return name, a + Gf2Matrix(r, k, _bits(draw, r, k))
+    if name == "transpose":
+        return name, a.transpose()
+    if name == "kron":
+        return name, a.kron(b)
+    if name == "inverse":
+        square = Gf2Matrix(r, r, _bits(draw, r, r))
+        if reference_inverse(square) is None:
+            square = Gf2Matrix.identity(r)
+        return name, square.inverse()
+    if name == "submatrix":
+        return name, a.submatrix(_sub_range(draw, r), _sub_range(draw, k))
+    if name == "from_columns":
+        return name, Gf2Matrix.from_columns(_bits(draw, c, r), r)
+    row_dims = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    col_dims = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    blocks = {
+        (i, j): Gf2Matrix(row_dims[i], col_dims[j], _bits(draw, row_dims[i], col_dims[j]))
+        for i in range(len(row_dims))
+        for j in range(len(col_dims))
+        if draw(st.booleans())
+    }
+    return name, BlockGrid(row_dims, col_dims, blocks).assemble()
+
+
+@settings(max_examples=400)
+@given(trusted_results())
+def test_trusted_results_pass_the_public_constructor(case):
+    name, m = case
+    assert type(m.row_bits) is tuple, name
+    assert Gf2Matrix(m.rows, m.cols, m.row_bits) == m, name
+
+
+def test_public_constructors_still_reject_bits_out_of_range():
+    with pytest.raises(ShapeMismatch, match="row 1 has bits beyond column 2"):
+        Gf2Matrix(2, 2, [0b01, 0b100])
+    with pytest.raises(ShapeMismatch):
+        Gf2Matrix(2, 2, [0b01])
+    with pytest.raises(ShapeMismatch, match=r"entry \(0,3\) outside 2x3"):
+        Gf2Matrix.from_entries(2, 3, [(0, 3)])
+    with pytest.raises(ShapeMismatch, match=r"entry \(2,0\) outside 2x3"):
+        Gf2Matrix.from_entries(2, 3, [(2, 0)])
+    with pytest.raises(ShapeMismatch, match="column 1 has bit 2 beyond row 2"):
+        Gf2Matrix.from_columns([0b01, 0b1110], 2)
+    with pytest.raises(ShapeMismatch, match="column 0 has bit 0 beyond row 0"):
+        Gf2Matrix.from_columns([0b1], 0)
+
+
+def test_submatrix_rejects_a_stepped_range():
+    m = Gf2Matrix.identity(4)
+    assert m.submatrix(range(1, 3), range(1, 3)) == Gf2Matrix.identity(2)
+    with pytest.raises(ShapeMismatch, match="step 1"):
+        m.submatrix(range(4), range(0, 4, 2))
+    with pytest.raises(ShapeMismatch, match="step 1"):
+        m.submatrix(range(3, -1, -1), range(4))

@@ -6,7 +6,7 @@ import pytest
 
 from splicerank import filtration
 from splicerank.corpus import corpus, corpus_names
-from splicerank.errors import NoFlipData, NotQuasiIso, UnknownName
+from splicerank.errors import NoFlipData, NotAComplex, NotQuasiIso, ShapeMismatch, UnknownName
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import ChainComplexF2, homology
 from splicerank.model import (
@@ -139,6 +139,27 @@ def test_homology_zero_boundary_and_empty():
     empty = plane_j0(trefoil()).restrict(lambda lbl: lbl[1] == 99)
     assert empty.dim == 0 and empty.boundary.rows == 0
     assert homology(empty).dim == 0
+
+
+def test_complex_rejects_a_boundary_that_does_not_square_to_zero():
+    # d(c) = b, d(b) = a: d @ d sends c to a
+    with pytest.raises(NotAComplex, match="square to zero"):
+        ChainComplexF2(("a", "b", "c"), Gf2Matrix.from_entries(3, 3, [(0, 1), (1, 2)]))
+
+
+def test_coords_rejects_non_cycles_and_too_wide_vectors():
+    # d(b) = a, c a cycle: homology is spanned by c, and a is a boundary
+    h = homology(ChainComplexF2(("a", "b", "c"), Gf2Matrix.from_entries(3, 3, [(0, 1)])))
+    assert h.dim == 1
+    assert h.coords(0b100) == 1
+    assert h.coords(0b101) == 1
+    assert h.coords(0b001) == 0
+    with pytest.raises(NotAComplex, match="non-cycle"):
+        h.coords(0b010)
+    with pytest.raises(ShapeMismatch, match="beyond 3"):
+        h.coords(0b1000)
+    with pytest.raises(ShapeMismatch):
+        h.coords(-1)
 
 
 def test_planes_match_reference_on_oracle_models():

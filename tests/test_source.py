@@ -34,3 +34,15 @@ def test_library_imports_only_at_module_top():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_trusted_constructor_is_private_to_gf2():
+    # Gf2Matrix._trusted skips the range check; only gf2's own operations,
+    # whose results are in range by construction, may build with it
+    assert "_trusted" in (PACKAGE / "gf2.py").read_text()
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "gf2.py" and "_trusted" in path.read_text()
+    ]
+    assert found == []

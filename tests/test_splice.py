@@ -301,3 +301,41 @@ def test_h_is_unchanged_by_admissible_changes(p1, p2, seed):
     assert splice_rank(q1, p2).h == h
     assert splice_rank(p1, q2).h == h
     assert splice_rank(q1, q2).h == h
+
+
+# dims whose totals have a knot's parities: Hinf = a1 + a0 odd, H0 = a_inf + a1
+# even.  Off these parities h can be even (e.g. dims (0, 0, 0) paired with
+# anything), so the parity property is stated on them.
+knot_dims = [d for d in product(range(4), repeat=3) if (d[0] + d[1]) % 2 and (d[1] + d[2]) % 2 == 0]
+synthetic_models = st.tuples(st.integers(0, 100), st.sampled_from(knot_dims)).map(
+    lambda args: synthetic_package(*args)
+)
+any_models = random_models | synthetic_models
+
+
+@settings(max_examples=60)
+@given(any_models, any_models)
+def test_h_is_odd_on_random_and_synthetic_models(p1, p2):
+    assert splice_rank(p1, p2).h % 2 == 1
+
+
+@settings(max_examples=40)
+@given(any_models)
+def test_splice_with_unknot_returns_y_inf(p):
+    u = pkg("unknot")
+    assert splice_rank(p, u).h == splice_rank(u, p).h == stats(p).y_inf
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 300))
+def test_splice_with_unknot_returns_hf_hat_on_random_models(seed):
+    c = random_complex(seed, 8)
+    p = geometric_package(c)
+    assert splice_rank(p, pkg("unknot")).h == stats(p).y_inf == hf_hat(c).dim
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 300), st.integers(0, 300))
+def test_h_is_mirror_invariant_on_random_models(seed1, seed2):
+    verdict = mirror_invariance(random_complex(seed1, 8), random_complex(seed2, 8))
+    assert verdict.equal, verdict
