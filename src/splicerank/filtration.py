@@ -3,22 +3,38 @@
 Both filtration directions of the ambient invariant are realized inside the
 homology of the j = 0 plane: the row side by its sub-planes C{i<=s, j=0}
 directly, the column side by the sub-planes C{i=0, j<=s} of the i = 0 plane
-mapped through the flip.  Both come from one ``surgery.PlaneStore`` per
-``profile`` call.  All comparisons with the surgery and duality pipelines
-are made at the level of dimensions.
+mapped through the flip.  Both come from one ``surgery.PlaneStore``:
+``profile`` makes its own, and ``check_all_lemmas`` hands it the store of the
+``SurgeryTriple`` it has already built.  All comparisons with the surgery and
+duality pipelines are made at the level of dimensions.
 
-Calibration of the graded-piece multiplicities
-----------------------------------------------
+Graded pieces by a diagonal sweep
+---------------------------------
+With R_p the image of the row-side sub-plane p and C_q that of the
+column-side sub-plane q, ``profile`` sweeps the diagonals t = p + q once.  It
+cuts each R_p ∩ C_q once, keeps its dimension h(p, q), and keeps u(t), the
+dimension of the sum of the diagonal's intersections; no basis outlives its
+diagonal.  The graded pieces are then
+
+    A(p, q) = h(p, q) - h(p-1, q) - h(p, q-1) + h(p-1, q-1),
+
+which is exact because both filtrations are nested (R_{p-1} ⊆ R_p and
+C_{q-1} ⊆ C_q): the two subspaces below (p, q) meet in R_{p-1} ∩ C_{q-1}.
+Two checks remain.  The pieces must fill the ambient rank, and the E pieces
+summed from A must equal u(t) - u(t-1), which comes from real spans.
+
+Graded-piece multiplicities
+---------------------------
 The structural formulas for Ker/Coker of the B blocks and their double
-products carry direct-sum powers of the graded pieces E_s whose printed
-exponents are not usable literally: calibrating every candidate reading
-against the independently computed left-hand sides over the corpus and the
-random-model fuzz pool singles out the multiplicity functions in
-``E_TERM_MULTIPLICITY`` (contribution sum_s m(s) * e_s).  Two of the four
-differ from a literal reading of the printed exponents: the double-product
-formulas take each E_s at most once (exponents act as indicators), and the
-Coker(B0) formula needs an extra max(0, s-2) on the positive side, as the
-staircase models with top grading >= 2 show.
+products carry direct-sum powers of the graded pieces E_s; the contribution
+of each is sum_s m(s) * e_s with m from ``E_TERM_MULTIPLICITY``.  These
+readings are frozen: the calibration that singled them out among literal
+readings of the printed exponents lives in the test suite
+(``tests/oracles.py``), which re-runs it over the corpus and random models.
+Two of the four differ from a literal reading: the double-product formulas
+take each E_s at most once (exponents act as indicators), and the Coker(B0)
+formula needs an extra max(0, s-2) on the positive side, as the staircase
+models with top grading >= 2 show.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StatsInconsistent
-from .gf2 import Gf2Matrix, SpanSolver, span_intersection, span_sum_dim, xor_columns
+from .gf2 import Gf2Matrix, SpanSolver, span_dim, span_intersection, span_sum_dim, xor_columns
 from .homology import (
     ChainComplexF2,
     HomologySpace,
@@ -58,11 +74,6 @@ class SideData:
     bracket_img: dict[int, int]  # dim Im(K_s -> K_{s+1})
     inter: dict[int, int]  # dim ([K_s]_{s+1} cap [K_{s-1}]^s)
     quot: dict[int, int]  # dim K_s / ([K_{s-1}]^s + [K_s]_{s+1})
-
-    def stable_image(self, s: int) -> list[int]:
-        if s < self.window.start:
-            return []
-        return self.image[min(s, self.window.stop - 1)]
 
 
 @dataclass(frozen=True)
@@ -153,27 +164,45 @@ def _build_side(
     )
 
 
-def profile(complex_: BifilteredComplex) -> FiltrationProfile:
-    """All double-filtration invariants of one complex."""
-    require_valid(complex_)
-    planes = PlaneStore(flip_map(complex_))
-    ambient_h = homology(planes.flip.target)
+def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -> FiltrationProfile:
+    """All double-filtration invariants of one complex.
+
+    ``_planes`` is the plane store of a ``SurgeryTriple`` already built on
+    this complex, which has validated it and checked its flip map; only
+    ``check_all_lemmas`` passes one.
+    """
+    if _planes is None:
+        require_valid(complex_)
+        _planes = PlaneStore(flip_map(complex_))
+    ambient_h = homology(_planes.flip.target)
 
     lo, hi = complex_.grading_range()
-    row = _build_side(range(lo - 1, hi + 2), planes.first, planes.include, ambient_h)
-    col = _build_side(range(-hi - 1, -lo + 2), planes.second, planes.flip_columns, ambient_h)
-
+    row = _build_side(range(lo - 1, hi + 2), _planes.first, _planes.include, ambient_h)
+    col = _build_side(range(-hi - 1, -lo + 2), _planes.second, _planes.flip_columns, ambient_h)
     hf_dim = ambient_h.dim
+
+    # One sweep over the diagonals t = p + q cuts each R_p ∩ C_q once:
+    # h[p, q] is its dimension and u[t] the dimension of the diagonal's sum.
+    r_lo, r_hi = row.window.start, row.window.stop - 1
+    c_lo, c_hi = col.window.start, col.window.stop - 1
+    h: dict[tuple[int, int], int] = {}
+    u: dict[int, int] = {}
+    for t in range(r_lo + c_lo, r_hi + c_hi + 1):
+        diagonal: list[int] = []
+        for p in range(max(r_lo, t - c_hi), min(r_hi, t - c_lo) + 1):
+            meet = span_intersection(row.image[p], col.image[t - p], hf_dim)
+            h[p, t - p] = len(meet)
+            diagonal += meet
+        u[t] = span_dim(diagonal)
+
+    # A(p, q) = H(p, q) / (H(p-1, q) + H(p, q-1)) with H(p, q) = R_p ∩ C_q.
+    # Both filtrations are nested (R_{p-1} ⊆ R_p, C_{q-1} ⊆ C_q), so the two
+    # subspaces below meet in H(p-1, q) ∩ H(p, q-1) = H(p-1, q-1), and
+    # inclusion-exclusion of dimensions is exact; h is 0 below either window.
     a_dims: dict[tuple[int, int], int] = {}
-
-    def hpq(p: int, q: int) -> list[int]:
-        return span_intersection(row.stable_image(p), col.stable_image(q), hf_dim)
-
     for p in row.window:
         for q in col.window:
-            whole = hpq(p, q)
-            below = span_sum_dim(hpq(p - 1, q), hpq(p, q - 1))
-            d = len(whole) - below
+            d = h[p, q] - h.get((p - 1, q), 0) - h.get((p, q - 1), 0) + h.get((p - 1, q - 1), 0)
             if d:
                 a_dims[(p, q)] = d
     if sum(a_dims.values()) != hf_dim:
@@ -182,17 +211,11 @@ def profile(complex_: BifilteredComplex) -> FiltrationProfile:
     e_dims: dict[int, int] = {}
     for (p, q), d in a_dims.items():
         e_dims[p + q] = e_dims.get(p + q, 0) + d
-    # cross-check against the diagonal-sum definition of the E pieces
-    diag_levels = sorted(e_dims)
-    if diag_levels:
-        for t in range(min(diag_levels), max(diag_levels) + 1):
-            u_now = span_sum_dim(
-                *[hpq(p, t - p) for p in row.window if t - p in col.window] or [[]]
-            )
-            u_prev = span_sum_dim(
-                *[hpq(p, t - 1 - p) for p in row.window if t - 1 - p in col.window] or [[]]
-            )
-            if u_now - u_prev != e_dims.get(t, 0):
+    # cross-check against the diagonal-sum definition of the E pieces, read
+    # from the spans of the sweep rather than from A
+    if e_dims:
+        for t in range(min(e_dims), max(e_dims) + 1):
+            if u.get(t, 0) - u.get(t - 1, 0) != e_dims.get(t, 0):
                 raise StatsInconsistent(f"E pieces disagree with A pieces at level {t}")
 
     return FiltrationProfile(complex_.name, hf_dim, e_dims, a_dims, row, col)
@@ -332,7 +355,7 @@ def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
     """Run the full lemma suite on one complex (shared intermediate data)."""
     triple = total_package(complex_)
-    prof = profile(complex_)
+    prof = profile(complex_, _planes=triple.planes)
     package = geometric_package(complex_, triple)
     return {
         "lemma31": lemma31_check(complex_, triple, prof),
@@ -340,51 +363,3 @@ def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
         "lemma33": lemma33_check(package, prof),
         "lemma37": lemma37_check(package, prof),
     }
-
-
-# -- calibration --------------------------------------------------------------
-
-_PRINTED_EXPONENTS: dict[str, Callable[[int], int]] = {
-    "ker_b1": lambda s: max(0, abs(s) - 1),
-    "coker_b0": lambda s: max(0, -s),
-    "ker_b1b0": lambda s: max(0, s),
-    "coker_b1b0": lambda s: max(0, 1 - s),
-}
-
-
-def candidate_readings(which: str) -> dict[str, Callable[[int, int], int]]:
-    """Candidate interpretations of an E_s power for calibration runs."""
-    exp = _PRINTED_EXPONENTS[which]
-    frozen = E_TERM_MULTIPLICITY[which]
-    return {
-        "printed-multiplicity": lambda s, e: exp(s) * e,
-        "printed-truncation": lambda s, e: min(e, exp(s)),
-        "printed-indicator": lambda s, e: e if exp(s) > 0 else 0,
-        "frozen": lambda s, e: frozen(s) * e,
-    }
-
-
-def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
-    """Mismatch counts of every candidate reading over the given complexes."""
-    counts: dict[str, dict[str, int]] = {
-        which: {name: 0 for name in candidate_readings(which)}
-        for which in _PRINTED_EXPONENTS
-    }
-    for complex_ in complexes:
-        prof = profile(complex_)
-        package = geometric_package(complex_)
-        b0, b1 = package.blocks0.B, package.blocks1.B
-        prod = b1 @ b0
-        lhs = {
-            "ker_b1": b1.kernel_dim() - _brackets_img_total(prof),
-            "coker_b0": b0.cokernel_dim() - _brackets_img_total(prof),
-            "ker_b1b0": prod.kernel_dim() - sum(prof.col.inter.values()),
-            "coker_b1b0": prod.cokernel_dim() - sum(prof.col.quot.values()),
-        }
-        for which, readings in counts.items():
-            for name in readings:
-                reading = candidate_readings(which)[name]
-                rhs = sum(reading(s, e) for s, e in prof.e.items())
-                if rhs != lhs[which]:
-                    readings[name] += 1
-    return counts

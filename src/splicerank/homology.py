@@ -10,6 +10,21 @@ from .errors import NotAComplex, ShapeMismatch
 from .gf2 import Gf2Matrix, SpanSolver, bits_of, xor_columns
 
 
+def require_square_zero(boundary: Gf2Matrix) -> None:
+    """Raise ``NotAComplex`` unless boundary @ boundary = 0."""
+    # one row at a time: row r of d @ d is the XOR of the rows of d at the
+    # bits of row r
+    rows = boundary.row_bits
+    for b in rows:
+        acc = 0
+        while b:
+            low = b & -b
+            acc ^= rows[low.bit_length() - 1]
+            b ^= low
+        if acc:
+            raise NotAComplex("boundary does not square to zero")
+
+
 @dataclass(frozen=True)
 class ChainComplexF2:
     """Ungraded chain complex: square boundary with boundary @ boundary = 0.
@@ -26,17 +41,7 @@ class ChainComplexF2:
             raise NotAComplex(
                 f"boundary is {self.boundary.rows}x{self.boundary.cols} on {n} generators"
             )
-        # d @ d = 0, one row at a time: row r of d @ d is the XOR of the rows
-        # of d at the bits of row r
-        rows = self.boundary.row_bits
-        for b in rows:
-            acc = 0
-            while b:
-                low = b & -b
-                acc ^= rows[low.bit_length() - 1]
-                b ^= low
-            if acc:
-                raise NotAComplex("boundary does not square to zero")
+        require_square_zero(self.boundary)
 
     @property
     def dim(self) -> int:

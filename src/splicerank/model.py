@@ -81,9 +81,28 @@ class ValidationReport:
         return not self.violations
 
 
+def is_int(value: object) -> bool:
+    """An integer; bool is a subclass of int in Python, so True is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(complex_: BifilteredComplex) -> ValidationReport:
-    """Check grading compatibility, d^2 = 0 and the symmetry axioms."""
-    out: list[str] = []
+    """Check integer gradings and drops, grading compatibility, d^2 = 0 and
+    the symmetry axioms."""
+    # the other checks do arithmetic on gradings and drops, so a value that
+    # is not an int ends the validation here
+    out = [
+        f"Alexander grading of {g.id!r} is not an int: {g.alexander!r}"
+        for g in complex_.generators
+        if not is_int(g.alexander)
+    ]
+    out += [
+        f"arrow {a.src}->{a.dst} has a drop that is not an int: ({a.drop_i!r}, {a.drop_j!r})"
+        for a in complex_.arrows
+        if not (is_int(a.drop_i) and is_int(a.drop_j))
+    ]
+    if out:
+        return ValidationReport(tuple(out))
     grading: dict[str, int] = {}
     for g in complex_.generators:
         if g.id in grading:
@@ -270,6 +289,9 @@ def staircase(steps: Iterable[int], name: str = "staircase") -> BifilteredComple
     carry the differentials onto their two neighbours.
     """
     steps = list(steps)
+    bad = [step for step in steps if not (is_int(step) and step > 0)]
+    if bad:
+        raise ShapeMismatch(f"staircase steps must be positive ints, got {bad!r}")
     if not steps:
         return BifilteredComplex(name, (Generator("v0", 0),), (), {"v0": "v0"})
     if len(steps) % 2 or steps != steps[::-1]:

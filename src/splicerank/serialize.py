@@ -24,7 +24,7 @@ from typing import Any
 
 from .errors import InputFormatError
 from .gf2 import Gf2Matrix
-from .model import Arrow, BifilteredComplex, Generator, TauOverride
+from .model import Arrow, BifilteredComplex, Generator, TauOverride, is_int
 
 FORMAT_VERSION = 1
 
@@ -34,11 +34,6 @@ _TOP_FIELDS = {"format", "name", "generators", "differential", "symmetry", "flip
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise InputFormatError(path, message)
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer; bool is a subclass of int in Python, so true is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expect_list(value: Any, path: str) -> list:
@@ -57,8 +52,8 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
 def matrix_from_json(obj: Any, path: str) -> Gf2Matrix:
     _check_keys(obj, {"rows", "cols", "data"}, {"rows", "cols", "data"}, path)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    _expect(_is_int(rows) and rows >= 0, f"{path}/rows", "expected a nonnegative integer")
-    _expect(_is_int(cols) and cols >= 0, f"{path}/cols", "expected a nonnegative integer")
+    _expect(is_int(rows) and rows >= 0, f"{path}/rows", "expected a nonnegative integer")
+    _expect(is_int(cols) and cols >= 0, f"{path}/cols", "expected a nonnegative integer")
     _expect(isinstance(data, list) and len(data) == rows, f"{path}/data", f"expected {rows} rows")
     for r, row in enumerate(data):
         _expect(
@@ -67,7 +62,7 @@ def matrix_from_json(obj: Any, path: str) -> Gf2Matrix:
             f"expected {cols} entries",
         )
         for c, v in enumerate(row):
-            _expect(_is_int(v) and v in (0, 1), f"{path}/data/{r}/{c}", "entries must be 0 or 1")
+            _expect(is_int(v) and v in (0, 1), f"{path}/data/{r}/{c}", "entries must be 0 or 1")
     return Gf2Matrix.from_dense(data, cols)
 
 
@@ -78,7 +73,7 @@ def matrix_to_json(m: Gf2Matrix) -> dict:
 def complex_from_dict(doc: Any, path: str = "") -> BifilteredComplex:
     _check_keys(doc, _TOP_FIELDS, {"format", "name", "generators", "differential"}, path or "/")
     _expect(
-        _is_int(doc["format"]) and doc["format"] == FORMAT_VERSION,
+        is_int(doc["format"]) and doc["format"] == FORMAT_VERSION,
         f"{path}/format",
         f"expected format {FORMAT_VERSION}",
     )
@@ -89,7 +84,7 @@ def complex_from_dict(doc: Any, path: str = "") -> BifilteredComplex:
         gpath = f"{path}/generators/{k}"
         _check_keys(g, {"id", "alexander"}, {"id", "alexander"}, gpath)
         _expect(isinstance(g["id"], str), f"{gpath}/id", "expected a string")
-        _expect(_is_int(g["alexander"]), f"{gpath}/alexander", "expected an integer")
+        _expect(is_int(g["alexander"]), f"{gpath}/alexander", "expected an integer")
         generators.append(Generator(g["id"], g["alexander"]))
 
     arrows = []
@@ -100,7 +95,7 @@ def complex_from_dict(doc: Any, path: str = "") -> BifilteredComplex:
         for key in ("from", "to"):
             _expect(isinstance(a[key], str), f"{apath}/{key}", "expected a generator id")
         for key in ("drop_i", "drop_j"):
-            _expect(_is_int(a[key]) and a[key] >= 0, f"{apath}/{key}", "expected a nonnegative integer")
+            _expect(is_int(a[key]) and a[key] >= 0, f"{apath}/{key}", "expected a nonnegative integer")
         arrows.append(Arrow(a["from"], a["to"], a["drop_i"], a["drop_j"]))
 
     symmetry = None

@@ -25,7 +25,12 @@ each sub-plane once, by ``ChainComplexF2.restrict``, and keeps it by level:
 
 It reads the flip's columns once, for every cone's chain map and for the
 column side of the filtration.  The store lives as long as the
-``SurgeryTriple`` (or the ``profile`` call) that made it.
+``SurgeryTriple`` (or the ``profile`` call) that made it; ``check_all_lemmas``
+hands the triple's store to ``profile``, so one lemma run cuts each plane once.
+
+The window-stability check only needs the homology dimension of the cones
+just outside the window: ``cone_homology_dim`` reads it from the cone
+boundary, which it assembles as ``cone`` does.
 """
 
 from __future__ import annotations
@@ -42,10 +47,9 @@ from .homology import (
     homology,
     inclusion_columns,
     induced_by_columns,
+    require_square_zero,
 )
 from .model import BifilteredComplex, FlipMap, flip_map, require_valid
-
-INF = "inf"
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,28 @@ class PlaneStore:
 
     def cone(self, n: int, s: int) -> MappingCone:
         """Cone of i_n^s; the first summand maps by inclusion, the second by the flip."""
+        first, second, chain_map, boundary = self._cone_parts(n, s)
+        codomain = self.flip.target
+        labels = (
+            tuple(("u", lbl) for lbl in first.basis)
+            + tuple(("v", lbl) for lbl in second.basis)
+            + tuple(("w", lbl) for lbl in codomain.basis)
+        )
+        cone = ChainComplexF2(labels, boundary)
+        return MappingCone(n, s, first, second, codomain, chain_map, cone)
+
+    def cone_homology_dim(self, n: int, s: int) -> int:
+        """dim H of the cone of i_n^s, read as dim - 2 rank from its boundary
+        alone: no labels, no ``ChainComplexF2`` and no ``MappingCone``.  The
+        boundary still has to square to zero."""
+        boundary = self._cone_parts(n, s)[3]
+        require_square_zero(boundary)
+        return boundary.rows - 2 * boundary.rank()
+
+    def _cone_parts(
+        self, n: int, s: int
+    ) -> tuple[ChainComplexF2, ChainComplexF2, Gf2Matrix, Gf2Matrix]:
+        """The two summands of the cone of i_n^s, the chain map and the cone boundary."""
         if n not in (0, 1):
             raise ShapeMismatch(f"cone surgery coefficient must be 0 or 1, got {n!r}")
         first, second = self.first(s), self.second(n - s - 1)
@@ -140,12 +166,6 @@ class PlaneStore:
         dom_dim = first.dim + second.dim
         chain_map = Gf2Matrix.from_columns(
             self.include(first) + self.flip_columns(second), codomain.dim
-        )
-
-        labels = (
-            tuple(("u", lbl) for lbl in first.basis)
-            + tuple(("v", lbl) for lbl in second.basis)
-            + tuple(("w", lbl) for lbl in codomain.basis)
         )
         total = dom_dim + codomain.dim
         # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
@@ -155,19 +175,7 @@ class PlaneStore:
             m | (b << dom_dim)
             for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
         ]
-
-        cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
-        return MappingCone(n, s, first, second, codomain, chain_map, cone)
-
-
-def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None = None) -> MappingCone:
-    """Cone of i_n^s (``PlaneStore.cone`` on a store of its own)."""
-    return PlaneStore(flip_map(complex_) if flip is None else flip).cone(n, s)
-
-
-def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
-    """C{i=0, j=-s} (``PlaneStore.spot`` on a store of its own)."""
-    return PlaneStore(flip).spot(s)
+        return first, second, chain_map, Gf2Matrix(total, total, bits)
 
 
 class SurgeryTriple:
@@ -183,7 +191,7 @@ class SurgeryTriple:
         require_valid(complex_)
         self.complex = complex_
         self.flip = flip_map(complex_)
-        self._planes = PlaneStore(self.flip)
+        self.planes = PlaneStore(self.flip)
         lo, hi = complex_.grading_range()
         self.window = range(lo - 1, hi + 2)
 
@@ -194,9 +202,9 @@ class SurgeryTriple:
         self.H1: dict[int, HomologySpace] = {}
         self.Hinf: dict[int, HomologySpace] = {}
         for s in self.window:
-            self.cones0[s] = self._planes.cone(0, s)
-            self.cones1[s] = self._planes.cone(1, s)
-            self.spots[s] = self._planes.spot(s)
+            self.cones0[s] = self.planes.cone(0, s)
+            self.cones1[s] = self.planes.cone(1, s)
+            self.spots[s] = self.planes.spot(s)
             self.H0[s] = homology(self.cones0[s].cone)
             self.H1[s] = homology(self.cones1[s].cone)
             self.Hinf[s] = homology(self.spots[s])
@@ -217,9 +225,9 @@ class SurgeryTriple:
         lo, hi = self.window.start, self.window.stop - 1
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
             for n in (0, 1):
-                if self._planes.cone(n, s).cone.homology_dim():
+                if self.planes.cone_homology_dim(n, s):
                     raise WindowNotStable(f"H_{n}({s}) nonzero outside window")
-            if self._planes.spot(s).homology_dim():
+            if self.planes.spot(s).homology_dim():
                 raise WindowNotStable(f"H_inf({s}) nonzero outside window")
 
     def _build_level_maps(self, s: int) -> None:
@@ -376,33 +384,6 @@ class SurgeryTriple:
         failures = self.exactness_failures()
         if failures:
             raise NormalizationFailure("; ".join(failures))
-
-
-def surgery_homology(complex_: BifilteredComplex, n, s: int) -> HomologySpace:
-    """H_n(K, s) for n in {0, 1, "inf"}."""
-    if n == INF:
-        return homology(spot_plane(flip_map(complex_), s))
-    return homology(build_cone(complex_, n, s).cone)
-
-
-def triangle_maps(complex_: BifilteredComplex, s: int) -> dict[str, Gf2Matrix]:
-    """The six maps at level s (barred maps shift the level by one)."""
-    triple = SurgeryTriple(complex_)
-
-    def dim(spaces: dict[int, HomologySpace], level: int) -> int:
-        return spaces[level].dim if level in triple.window else 0
-
-    def get(fam: dict[int, Gf2Matrix], rows: int, cols: int) -> Gf2Matrix:
-        return fam.get(s, Gf2Matrix.zeros(rows, cols))
-
-    return {
-        "f_inf": get(triple.f_inf, dim(triple.H1, s), dim(triple.H0, s)),
-        "f0": get(triple.f0, dim(triple.Hinf, s), dim(triple.H1, s)),
-        "f1": get(triple.f1, dim(triple.H0, s), dim(triple.Hinf, s)),
-        "fbar_inf": get(triple.fbar_inf, dim(triple.H1, s), dim(triple.H0, s - 1)),
-        "fbar0": get(triple.fbar0, dim(triple.Hinf, s), dim(triple.H1, s)),
-        "fbar1": get(triple.fbar1, dim(triple.H0, s - 1), dim(triple.Hinf, s)),
-    }
 
 
 def total_package(complex_: BifilteredComplex) -> SurgeryTriple:

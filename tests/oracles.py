@@ -2,26 +2,45 @@
 
 Each reference is an earlier, plainer route to the same answer: homology
 from two solvers, level maps, duality maps and filtration sides through
-label matrices and matrix products.  The library must match them bit for
-bit.
+label matrices and matrix products, graded pieces from spans of the
+intersections, and kernel witnesses from every pair of basis tuples.  The
+library must match them bit for bit.
+
+The module also keeps the API only the tests use: single surgery groups and
+level maps, and the calibration of the graded-piece multiplicities.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Hashable
 
 from splicerank.corpus import corpus, corpus_names
+from splicerank.duality import SurgeryPackage, geometric_package, stats
+from splicerank.errors import WitnessNotInKernel
+from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
     BlockGrid,
     Gf2Matrix,
     SpanSolver,
     echelon,
+    span_dim,
     span_intersection,
     span_sum_dim,
+    xor_columns,
 )
-from splicerank.homology import ChainComplexF2, induced_matrix
-from splicerank.model import BifilteredComplex, Generator, mirror, random_complex, staircase
-from splicerank.surgery import SurgeryTriple
+from splicerank.homology import ChainComplexF2, HomologySpace, homology, induced_matrix
+from splicerank.model import (
+    BifilteredComplex,
+    FlipMap,
+    Generator,
+    flip_map,
+    mirror,
+    random_complex,
+    staircase,
+)
+from splicerank.splice import WitnessReport, _basis_tuples, assemble_witness, build_D, witness_data
+from splicerank.surgery import MappingCone, PlaneStore, SurgeryTriple
 
 
 def span_basis(vectors) -> list[int]:
@@ -232,3 +251,174 @@ def reference_build_side(
         quot[s] = len(kernels[s]) - span_sum_dim(incoming, sub_vectors[s])
     kernel_dim = {s: len(kernels[s]) for s in window}
     return (window, image, kernel_dim, bracket_sub, bracket_img, inter, quot)
+
+
+def torus_staircase(p: int, q: int) -> BifilteredComplex:
+    """The staircase of the torus knot T(p, q).
+
+    Its Alexander polynomial is (1 - t) times the series of the semigroup
+    <p, q>, so its exponents are where membership in the semigroup changes,
+    up to the degree (p-1)(q-1); the steps are the gaps between them.
+    """
+    top = (p - 1) * (q - 1)
+    semigroup = {a * p + b * q for a in range(q) for b in range(p)}
+    exponents = [k for k in range(top + 1) if (k in semigroup) != (k - 1 in semigroup)]
+    return staircase([b - a for a, b in zip(exponents, exponents[1:])], f"T({p},{q})")
+
+
+def reference_graded_pieces(prof: FiltrationProfile):
+    """A, e and the diagonal-sum E pieces of a profile's two sides, from a
+    basis of every R_p ∩ C_q and a span of the two pieces below it."""
+    row, col, hf_dim = prof.row, prof.col, prof.hf_dim
+
+    def stable_image(side, s):
+        if s < side.window.start:
+            return []
+        return side.image[min(s, side.window.stop - 1)]
+
+    def hpq(p, q):
+        return span_intersection(stable_image(row, p), stable_image(col, q), hf_dim)
+
+    a_dims = {}
+    for p in row.window:
+        for q in col.window:
+            d = len(hpq(p, q)) - span_sum_dim(hpq(p - 1, q), hpq(p, q - 1))
+            if d:
+                a_dims[(p, q)] = d
+    e_dims = {}
+    for (p, q), d in a_dims.items():
+        e_dims[p + q] = e_dims.get(p + q, 0) + d
+
+    def u(t):
+        return span_sum_dim(*[hpq(p, t - p) for p in row.window if t - p in col.window] or [[]])
+
+    diagonal = {t: u(t) - u(t - 1) for t in range(min(e_dims), max(e_dims) + 1)} if e_dims else {}
+    return a_dims, e_dims, diagonal
+
+
+def reference_kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage):
+    """``splice.kernel_witnesses`` by assembling the witness of every pair of
+    basis tuples; also the nonzero witnesses with their 1-based pair numbers."""
+    st1, st2 = stats(p1), stats(p2)
+    d = build_D(p1, p2).matrix
+    d_columns = d.transpose().row_bits
+    tuples1 = _basis_tuples(witness_data(p1), p1)
+    tuples2 = _basis_tuples(witness_data(p2), p2)
+    found = []
+    for k, (t1, t2) in enumerate(product(tuples1, tuples2), 1):
+        v = assemble_witness(t1, t2, p1, p2)
+        if v:
+            found.append((k, v))
+            if xor_columns(d_columns, v):
+                raise WitnessNotInKernel(f"witness from pair #{k} not annihilated by the splice matrix")
+    ker_bound = (
+        st1.k0 * st2.k0 + st1.k_inf * st2.k1 + st1.k1 * st2.k_inf
+        + st1.l_inf * st2.l0 + st1.l0 * st2.l_inf + st1.l1 * st2.l1
+    )
+    coker_bound = (
+        st1.c_inf * st2.c_inf + st1.c0 * st2.c1 + st1.c1 * st2.c0
+        + st1.d_inf * st2.d0 + st1.d0 * st2.d_inf + st1.d1 * st2.d1
+    )
+    rank = d.rank()
+    report = WitnessReport(
+        len(tuples1) * len(tuples2),
+        len(found),
+        ker_bound,
+        coker_bound,
+        d.cols - rank,
+        d.rows - rank,
+        span_dim(v for _, v in found),
+    )
+    return report, found
+
+
+# -- API only the tests use -----------------------------------------------------
+
+INF = "inf"
+
+
+def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None = None) -> MappingCone:
+    """Cone of i_n^s (``PlaneStore.cone`` on a store of its own)."""
+    return PlaneStore(flip_map(complex_) if flip is None else flip).cone(n, s)
+
+
+def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
+    """C{i=0, j=-s} (``PlaneStore.spot`` on a store of its own)."""
+    return PlaneStore(flip).spot(s)
+
+
+def surgery_homology(complex_: BifilteredComplex, n, s: int) -> HomologySpace:
+    """H_n(K, s) for n in {0, 1, "inf"}."""
+    if n == INF:
+        return homology(spot_plane(flip_map(complex_), s))
+    return homology(build_cone(complex_, n, s).cone)
+
+
+def triangle_maps(complex_: BifilteredComplex, s: int) -> dict[str, Gf2Matrix]:
+    """The six maps at level s (barred maps shift the level by one)."""
+    triple = SurgeryTriple(complex_)
+
+    def dim(spaces: dict[int, HomologySpace], level: int) -> int:
+        return spaces[level].dim if level in triple.window else 0
+
+    def get(fam: dict[int, Gf2Matrix], rows: int, cols: int) -> Gf2Matrix:
+        return fam.get(s, Gf2Matrix.zeros(rows, cols))
+
+    return {
+        "f_inf": get(triple.f_inf, dim(triple.H1, s), dim(triple.H0, s)),
+        "f0": get(triple.f0, dim(triple.Hinf, s), dim(triple.H1, s)),
+        "f1": get(triple.f1, dim(triple.H0, s), dim(triple.Hinf, s)),
+        "fbar_inf": get(triple.fbar_inf, dim(triple.H1, s), dim(triple.H0, s - 1)),
+        "fbar0": get(triple.fbar0, dim(triple.Hinf, s), dim(triple.H1, s)),
+        "fbar1": get(triple.fbar1, dim(triple.H0, s - 1), dim(triple.Hinf, s)),
+    }
+
+
+# Calibration of the graded-piece multiplicities: every candidate reading of
+# the printed exponents against the independently computed left-hand sides.
+
+PRINTED_EXPONENTS: dict[str, Callable[[int], int]] = {
+    "ker_b1": lambda s: max(0, abs(s) - 1),
+    "coker_b0": lambda s: max(0, -s),
+    "ker_b1b0": lambda s: max(0, s),
+    "coker_b1b0": lambda s: max(0, 1 - s),
+}
+
+
+def candidate_readings(which: str) -> dict[str, Callable[[int, int], int]]:
+    """Candidate interpretations of an E_s power for calibration runs."""
+    exp = PRINTED_EXPONENTS[which]
+    frozen = E_TERM_MULTIPLICITY[which]
+    return {
+        "printed-multiplicity": lambda s, e: exp(s) * e,
+        "printed-truncation": lambda s, e: min(e, exp(s)),
+        "printed-indicator": lambda s, e: e if exp(s) > 0 else 0,
+        "frozen": lambda s, e: frozen(s) * e,
+    }
+
+
+def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
+    """Mismatch counts of every candidate reading over the given complexes."""
+    counts: dict[str, dict[str, int]] = {
+        which: {name: 0 for name in candidate_readings(which)}
+        for which in PRINTED_EXPONENTS
+    }
+    for complex_ in complexes:
+        prof = profile(complex_)
+        package = geometric_package(complex_)
+        b0, b1 = package.blocks0.B, package.blocks1.B
+        prod = b1 @ b0
+        brackets = sum(prof.row.bracket_img.values()) + sum(prof.col.bracket_img.values())
+        lhs = {
+            "ker_b1": b1.kernel_dim() - brackets,
+            "coker_b0": b0.cokernel_dim() - brackets,
+            "ker_b1b0": prod.kernel_dim() - sum(prof.col.inter.values()),
+            "coker_b1b0": prod.cokernel_dim() - sum(prof.col.quot.values()),
+        }
+        for which, readings in counts.items():
+            for name in readings:
+                reading = candidate_readings(which)[name]
+                rhs = sum(reading(s, e) for s, e in prof.e.items())
+                if rhs != lhs[which]:
+                    readings[name] += 1
+    return counts

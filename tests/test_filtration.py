@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from splicerank import filtration, surgery
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package, stats
+from splicerank.errors import StatsInconsistent
 from splicerank.filtration import (
     SideData,
-    calibrate_e_readings,
     check_all_lemmas,
     lemma31_check,
     lemma32_check,
@@ -20,7 +21,14 @@ from splicerank.gf2 import Gf2Matrix
 from splicerank.model import flip_map, hf_hat, mirror, random_complex
 from splicerank.surgery import total_package
 
-from oracles import ReferenceHomology, oracle_models, reference_build_side
+from oracles import (
+    ReferenceHomology,
+    calibrate_e_readings,
+    oracle_models,
+    reference_build_side,
+    reference_graded_pieces,
+    torus_staircase,
+)
 
 
 def test_unknot_profile():
@@ -170,3 +178,43 @@ def test_build_side_matches_reference_on_oracle_models():
         prof = profile(c)
         assert prof.row == SideData(*row), c.name
         assert prof.col == SideData(*col), c.name
+
+
+def test_graded_pieces_match_reference():
+    for c in oracle_models() + [torus_staircase(2, 41), torus_staircase(9, 10)]:
+        prof = profile(c)
+        a_dims, e_dims, diagonal = reference_graded_pieces(prof)
+        assert list(prof.A.items()) == list(a_dims.items()), c.name
+        assert list(prof.e.items()) == list(e_dims.items()), c.name
+        assert diagonal == {t: prof.e.get(t, 0) for t in diagonal}, c.name
+
+
+def test_lemma_run_builds_one_flip_per_complex(monkeypatch):
+    built = []
+
+    def counting_flip_map(complex_):
+        built.append(complex_.name)
+        return flip_map(complex_)
+
+    monkeypatch.setattr(surgery, "flip_map", counting_flip_map)
+    monkeypatch.setattr(filtration, "flip_map", counting_flip_map)
+    for c in [corpus(name) for name in corpus_names()] + [random_complex(seed, 8) for seed in range(4)]:
+        built.clear()
+        check_all_lemmas(c)
+        assert built == [c.name]
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("span_intersection", lambda u, v, ambient: [], "graded pieces must fill the ambient rank"),
+        ("span_dim", lambda vectors: 0, "E pieces disagree with A pieces"),
+    ],
+    ids=["sum-of-A", "E-pieces"],
+)
+def test_profile_checks_raise_on_wrong_spans(monkeypatch, name, fake, message):
+    # both checks of the graded pieces still read real spans: wrong
+    # intersections break the sum of A, wrong diagonal sums the E pieces
+    monkeypatch.setattr(filtration, name, fake)
+    with pytest.raises(StatsInconsistent, match=message):
+        profile(corpus("trefoil_staircase"))

@@ -6,6 +6,7 @@ import pytest
 
 from splicerank import filtration
 from splicerank.corpus import corpus, corpus_names
+from splicerank.duality import geometric_package
 from splicerank.errors import NoFlipData, NotAComplex, NotQuasiIso, ShapeMismatch, UnknownName
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import ChainComplexF2, homology
@@ -23,9 +24,8 @@ from splicerank.model import (
     staircase,
     validate,
 )
-from splicerank.surgery import build_cone, spot_plane
 
-from oracles import oracle_models
+from oracles import build_cone, oracle_models, spot_plane
 
 
 def trefoil() -> BifilteredComplex:
@@ -290,3 +290,28 @@ def test_random_complexes_flip_quasi_iso():
         c = random_complex(seed, 8)
         f = flip_map(c)  # raises if not a chain quasi-isomorphism
         assert f.matrix.rows == f.target.dim
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BifilteredComplex("float-grading", (Generator("a", 0.0),), (), {"a": "a"}),
+        lambda: BifilteredComplex("bool-grading", (Generator("a", False),), (), {"a": "a"}),
+        lambda: BifilteredComplex(
+            "float-drop",
+            (Generator("a", -1), Generator("b", 0), Generator("c", 1)),
+            (Arrow("b", "a", 1.0, 0), Arrow("b", "c", 0, 1.0)),
+            {"a": "c", "b": "b", "c": "a"},
+        ),
+        lambda: staircase([2.0, 2.0]),
+        lambda: staircase([0, 0]),
+        lambda: staircase([True, True]),
+        lambda: staircase([1, -1, -1, 1]),
+    ],
+    ids=["float-grading", "bool-grading", "float-drop", "float-step", "zero-step", "bool-step", "negative-step"],
+)
+def test_non_integer_models_raise_shape_mismatch(make):
+    with pytest.raises(ShapeMismatch):
+        geometric_package(make())
+    with pytest.raises(ShapeMismatch):
+        filtration.profile(make())

@@ -36,6 +36,8 @@ from splicerank.splice import (
     witness_data,
 )
 
+from oracles import reference_kernel_witnesses
+
 
 def pkg(name: str):
     return geometric_package(corpus(name))
@@ -263,6 +265,17 @@ def test_rank_dimensions_match_kernel_bases(names):
     assert rank.coker == len(d.cokernel_basis())
     report = kernel_witnesses(p1, p2)
     assert (report.ker_dim, report.coker_dim) == (rank.ker, rank.coker)
+
+
+def test_kernel_witnesses_match_the_full_product_loop():
+    names = ("unknot", "trefoil_staircase", "trefoil_staircase_mirror", "fig8_box", "t25_staircase", "t34_staircase")
+    packs = [pkg(n) for n in names]
+    packs += [geometric_package(random_complex(seed, 8)) for seed in range(4)]
+    packs += [synthetic_package(seed, dims) for seed, dims in ((1, (1, 2, 2)), (2, (2, 1, 3)), (3, (3, 2, 0)))]
+    for p1, p2 in product(packs, repeat=2):
+        report, found = reference_kernel_witnesses(p1, p2)
+        assert kernel_witnesses(p1, p2) == report
+        assert splice._nonzero_witnesses(p1, p2) == (report.checked, found)
 
 
 def test_witness_outside_kernel_names_its_pair(monkeypatch):

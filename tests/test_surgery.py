@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from splicerank import surgery
 from splicerank.corpus import corpus
+from splicerank.errors import WindowNotStable
+from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import homology
 from splicerank.model import flip_map, hfk_hat_dims, hf_hat, random_complex
-from splicerank.surgery import (
+from splicerank.surgery import PlaneStore, SurgeryTriple, total_package
+
+from oracles import (
     INF,
-    PlaneStore,
-    SurgeryTriple,
+    ReferenceHomology,
     build_cone,
+    oracle_models,
+    reference_level_maps,
     surgery_homology,
-    total_package,
     triangle_maps,
 )
-
-from oracles import ReferenceHomology, oracle_models, reference_level_maps
 
 
 def test_unknot_cone_n0_acyclic():
@@ -187,3 +192,23 @@ def test_homology_dim_matches_homology_inside_and_outside_the_window():
         for s in range(lo - 4, hi + 5):
             for complex_ in (planes.cone(0, s).cone, planes.cone(1, s).cone, planes.spot(s)):
                 assert complex_.homology_dim() == homology(complex_).dim, (c.name, s)
+
+
+def test_cone_homology_dim_matches_the_full_cone():
+    for c in oracle_models():
+        planes = PlaneStore(flip_map(c))
+        lo, hi = c.grading_range()
+        # the window is lo-1 .. hi+1; three levels beyond it on each side
+        for s in range(lo - 4, hi + 5):
+            for n in (0, 1):
+                assert planes.cone_homology_dim(n, s) == planes.cone(n, s).cone.homology_dim(), (c.name, n, s)
+
+
+def test_zero_flip_is_caught_outside_the_window(monkeypatch):
+    def zero_flip(complex_):
+        flip = flip_map(complex_)
+        return replace(flip, matrix=Gf2Matrix.zeros(flip.matrix.rows, flip.matrix.cols))
+
+    monkeypatch.setattr(surgery, "flip_map", zero_flip)
+    with pytest.raises(WindowNotStable, match=r"H_0\(-4\) nonzero outside window"):
+        total_package(corpus("trefoil_staircase"))
