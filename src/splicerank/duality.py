@@ -10,11 +10,22 @@ index, with the off-diagonal B blocks driving everything downstream.
 
 Splitting convention (the unique one matching all stated block shapes):
 H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0).
+
+``geometric_package`` keeps one entry per complex for the life of the
+process: the triple's ``SurgeryTotals`` and the ``TauMaps`` that have passed
+the barred-map relations, the two things ``normalize`` reads.  It keeps no
+triple, cone, plane or homology space.  The memo is a
+``weakref.WeakKeyDictionary`` keyed on the complex itself, which is immutable
+and hashable, so an equal complex hits the same entry and an entry dies with
+its complex; nothing in an entry refers back to the complex.  ``normalize``
+and ``verify_package`` run on every call, so every caller gets a freshly
+normalised and verified package.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,8 +38,8 @@ from .errors import (
 )
 from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim
 from .homology import induced_by_columns
-from .model import BifilteredComplex
-from .surgery import SurgeryTriple, label_columns, total_package
+from .model import BifilteredComplex, require_valid
+from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,7 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
         maps = TauMaps(*geometric, "geometric")
     else:
         raise NoFlipData(f"complex {complex_.name!r} has neither symmetry nor tau override")
-    _check_tau_relations(triple, maps)
+    _check_tau_relations(triple.totals, maps)
     return maps
 
 
@@ -185,7 +196,7 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     return tau0, tau1, tau_inf
 
 
-def _check_tau_relations(triple: SurgeryTriple, maps: TauMaps) -> None:
+def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
     try:
         inv_inf = maps.tau_inf.inverse()
         inv0 = maps.tau0.inverse()
@@ -193,9 +204,9 @@ def _check_tau_relations(triple: SurgeryTriple, maps: TauMaps) -> None:
     except ShapeMismatch as exc:
         raise TauRelationFailure(f"duality map is singular: {exc}") from exc
     checks = [
-        ("fbar0", triple.total_fbar0, inv_inf @ triple.total_f0 @ maps.tau1),
-        ("fbar1", triple.total_fbar1, inv0 @ triple.total_f1 @ maps.tau_inf),
-        ("fbar_inf", triple.total_fbar_inf, inv1 @ triple.total_f_inf @ maps.tau0),
+        ("fbar0", totals.fbar0, inv_inf @ totals.f0 @ maps.tau1),
+        ("fbar1", totals.fbar1, inv0 @ totals.f1 @ maps.tau_inf),
+        ("fbar_inf", totals.fbar_inf, inv1 @ totals.f_inf @ maps.tau0),
     ]
     bad = [name for name, lhs, rhs in checks if lhs != rhs]
     if bad:
@@ -215,7 +226,7 @@ def _complement(kernel_basis: list[int], dim: int) -> list[int]:
     return out
 
 
-def normalize(triple: SurgeryTriple, maps: TauMaps, provenance: str = "geometric") -> SurgeryPackage:
+def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric") -> SurgeryPackage:
     """Simultaneous bases putting all three triangle maps in the form (0 0; I 0).
 
     Basis recipe: pick complements W of Ker f0 in H1, U of Ker f_inf in H0 and
@@ -223,8 +234,8 @@ def normalize(triple: SurgeryTriple, maps: TauMaps, provenance: str = "geometric
     Hinf, H0, H1 realizing all three normal forms at once.  Exactness of the
     unbarred triangle is exactly what makes the loop close.
     """
-    f_inf, f0, f1 = triple.total_f_inf, triple.total_f0, triple.total_f1
-    n0, n1, ninf = triple.total_dim("H0"), triple.total_dim("H1"), triple.total_dim("Hinf")
+    f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
+    n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
     w_cols = _complement(f0.kernel_basis(), n1)
     u_cols = _complement(f_inf.kernel_basis(), n0)
@@ -260,9 +271,9 @@ def normalize(triple: SurgeryTriple, maps: TauMaps, provenance: str = "geometric
     tau0 = g0_inv @ maps.tau0 @ g0
     tau1 = g1_inv @ maps.tau1 @ g1
     tau_inf = g_inf_inv @ maps.tau_inf @ g_inf
-    fbar_inf = g1_inv @ triple.total_fbar_inf @ g0
-    fbar0 = g_inf_inv @ triple.total_fbar0 @ g1
-    fbar1 = g0_inv @ triple.total_fbar1 @ g_inf
+    fbar_inf = g1_inv @ totals.fbar_inf @ g0
+    fbar0 = g_inf_inv @ totals.fbar0 @ g1
+    fbar1 = g0_inv @ totals.fbar1 @ g_inf
 
     package = _package_from_parts(
         a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1, provenance
@@ -348,12 +359,33 @@ def verify_package(p: SurgeryPackage) -> None:
             raise NormalizationFailure("barred triangle is not exact")
 
 
+_BUILT: weakref.WeakKeyDictionary[BifilteredComplex, tuple[SurgeryTotals, TauMaps]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
-    """Full pipeline: surgery triple, duality maps, normalized package."""
-    if triple is None:
-        triple = total_package(complex_)
-    maps = build_tau(complex_, triple)
-    return normalize(triple, maps, provenance=f"geometric({complex_.name})")
+    """Full pipeline: surgery triple, duality maps, normalized package.
+
+    The totals and duality maps come from the memo (see the module
+    docstring) or, on the first call for a complex, from ``triple`` or a
+    fresh ``total_package``; a triple of another complex raises
+    ``ShapeMismatch``.
+    """
+    if triple is not None and triple.complex != complex_:
+        raise ShapeMismatch(
+            f"triple of {triple.complex.name!r} handed over for {complex_.name!r}"
+        )
+    # equal complexes share an entry, and 0 == 0.0 == False, so a grading or
+    # drop that is not an int has to be caught before the lookup
+    require_valid(complex_)
+    built = _BUILT.get(complex_)
+    if built is None:
+        if triple is None:
+            triple = total_package(complex_)
+        built = _BUILT[complex_] = (triple.totals, build_tau(complex_, triple))
+    totals, maps = built
+    return normalize(totals, maps, provenance=f"geometric({complex_.name})")
 
 
 # -- statistics ---------------------------------------------------------------
@@ -525,6 +557,57 @@ def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPack
         ppi.inverse() @ p.fbar0 @ pp1,
         pp0.inverse() @ p.fbar1 @ ppi,
         p.provenance,
+    )
+    out.verify()
+    return out
+
+
+# -- direct sums ----------------------------------------------------------------
+
+
+def _block_sum(m: Gf2Matrix, n: Gf2Matrix, m_split: tuple[int, int], n_split: tuple[int, int]) -> Gf2Matrix:
+    """m and n side by side, quarter by quarter: each summand is cut at its
+    (top rows, left columns) split, and each quarter of the result is the
+    diagonal sum of m's and n's quarter there."""
+    row_dims, col_dims, blocks = [0] * 4, [0] * 4, {}
+    for k, (x, (top, left)) in enumerate(((m, m_split), (n, n_split))):
+        row_dims[k], row_dims[2 + k] = top, x.rows - top
+        col_dims[k], col_dims[2 + k] = left, x.cols - left
+        for i, rows in enumerate((range(0, top), range(top, x.rows))):
+            for j, cols in enumerate((range(0, left), range(left, x.cols))):
+                blocks[(2 * i + k, 2 * j + k)] = x.submatrix(rows, cols)
+    return BlockGrid(tuple(row_dims), tuple(col_dims), blocks).assemble()
+
+
+def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
+    """The package of p and q side by side.
+
+    Each tau and each fbar is block-summed along the splits of the f maps
+    (H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0)), so the summed f
+    maps keep the form (0 0; I 0) and the sum passes ``verify_package``.
+    """
+    top_p = {"H0": p.a_inf, "H1": p.a0, "Hinf": p.a1}
+    top_q = {"H0": q.a_inf, "H1": q.a0, "Hinf": q.a1}
+
+    def add(name: str, target: str, source: str) -> Gf2Matrix:
+        return _block_sum(
+            getattr(p, name),
+            getattr(q, name),
+            (top_p[target], top_p[source]),
+            (top_q[target], top_q[source]),
+        )
+
+    out = _package_from_parts(
+        p.a0 + q.a0,
+        p.a1 + q.a1,
+        p.a_inf + q.a_inf,
+        add("tau0", "H0", "H0"),
+        add("tau1", "H1", "H1"),
+        add("tau_inf", "Hinf", "Hinf"),
+        add("fbar_inf", "H1", "H0"),
+        add("fbar0", "Hinf", "H1"),
+        add("fbar1", "H0", "Hinf"),
+        f"{p.provenance}+{q.provenance}",
     )
     out.verify()
     return out

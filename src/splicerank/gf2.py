@@ -212,12 +212,18 @@ class Gf2Matrix:
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
         """Kronecker product; rank is multiplicative."""
+        width = other.cols
         bits = []
         for a in self.row_bits:
+            shifts = []
+            while a:
+                low = a & -a
+                shifts.append((low.bit_length() - 1) * width)
+                a ^= low
             for b in other.row_bits:
                 acc = 0
-                for c in bits_of(a):
-                    acc |= b << (c * other.cols)
+                for shift in shifts:
+                    acc |= b << shift
                 bits.append(acc)
         return Gf2Matrix._trusted(self.rows * other.rows, self.cols * other.cols, tuple(bits))
 
@@ -249,10 +255,6 @@ class Gf2Matrix:
     def cokernel_basis(self) -> list[int]:
         """Basis of the left kernel {w : wM = 0}, each a rows-bit mask."""
         return self.transpose().kernel_basis()
-
-    def h_number(self) -> int:
-        """dim Ker + dim Coker = rows + cols - 2*rank."""
-        return self.rows + self.cols - 2 * self.rank()
 
     def cancel(self, r: int, c: int) -> Gf2Matrix:
         """Gaussian cancellation at a unit pivot, deleting row r and column c.

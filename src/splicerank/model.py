@@ -7,12 +7,17 @@ in each of the two planes built from the arrows, C{j=0} (``plane_j0``, basis
 ``[x, s(x), 0]``) and C{i=0} (``plane_i0``, basis ``[x, 0, -s(x)]``).  Every
 other plane the pipeline uses is a sub-plane of one of these two, cut by
 ``ChainComplexF2.restrict`` on its labels.
+
+A ``BifilteredComplex`` is immutable and hashable: its generators and arrows
+are tuples and its symmetry a read-only copy of the mapping it was given, so
+equal complexes hash equal and a complex can key a cache.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -52,9 +57,17 @@ class BifilteredComplex:
     name: str
     generators: tuple[Generator, ...]
     arrows: tuple[Arrow, ...]
-    symmetry: Mapping[str, str] | None = None
+    # a mapping proxy has no hash, so the symmetry stays out of the hash;
+    # equality still compares it
+    symmetry: Mapping[str, str] | None = field(default=None, hash=False)
     flip: Gf2Matrix | None = None
     tau_override: TauOverride | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "arrows", tuple(self.arrows))
+        if self.symmetry is not None:
+            object.__setattr__(self, "symmetry", MappingProxyType(dict(self.symmetry)))
 
     def alexander(self, gen_id: str) -> int:
         return self._grading[gen_id]

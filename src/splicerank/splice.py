@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .duality import PackageStats, SurgeryPackage, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
-from .gf2 import BlockGrid, Gf2Matrix, bits_of, span_dim, xor_columns
+from .gf2 import BlockGrid, Gf2Matrix, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
 
 
@@ -28,8 +28,10 @@ class SpliceMatrix:
 
 def _vec_kron(v: int, w: int, w_len: int) -> int:
     out = 0
-    for i in bits_of(v):
-        out |= w << (i * w_len)
+    while v:
+        low = v & -v
+        out |= w << ((low.bit_length() - 1) * w_len)
+        v ^= low
     return out
 
 
@@ -185,7 +187,7 @@ class PairTuple:
 
 
 def _family_tuples(data: WitnessData, p: SurgeryPackage) -> dict[str, list[PairTuple]]:
-    """The basis tuples of one knot, by family, in ``_basis_tuples`` order."""
+    """The basis tuples of one knot, by family, in pair-numbering order."""
     return {
         "w0": [PairTuple(x0=x, y0=y) for x, y in (_split(w, p.a0) for w in data.w0)],
         "w1": [PairTuple(x1=x, y1=y) for x, y in (_split(w, p.a1) for w in data.w1)],
@@ -194,10 +196,6 @@ def _family_tuples(data: WitnessData, p: SurgeryPackage) -> dict[str, list[PairT
         "z1": [PairTuple(z1=z) for z in data.z1],
         "z_inf": [PairTuple(z_inf=z) for z in data.z_inf],
     }
-
-
-def _basis_tuples(data: WitnessData, p: SurgeryPackage) -> list[PairTuple]:
-    return [t for family in _family_tuples(data, p).values() for t in family]
 
 
 def assemble_witness(t1: PairTuple, t2: PairTuple, p1: SurgeryPackage, p2: SurgeryPackage) -> int:

@@ -31,13 +31,18 @@ hands the triple's store to ``profile``, so one lemma run cuts each plane once.
 The window-stability check only needs the homology dimension of the cones
 just outside the window: ``cone_homology_dim`` reads it from the cone
 boundary, which it assembles as ``cone`` does.
+
+``SurgeryTriple.totals`` is the only part of a triple that outlives the call
+that built it: a small ``SurgeryTotals`` of the six total maps and the three
+total dimensions, which ``duality`` keeps per knot.  The cones, the planes
+and the homology spaces go with the triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable
 from .gf2 import BlockGrid, Gf2Matrix, xor_columns
@@ -176,6 +181,22 @@ class PlaneStore:
             for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
         ]
         return first, second, chain_map, Gf2Matrix(total, total, bits)
+
+
+class SurgeryTotals(NamedTuple):
+    """The total triangle maps over the window, and the total dimensions of
+    H0, H1 and Hinf: all that normalization reads from a triple.  Immutable
+    like a frozen dataclass, and cheaper to define at import."""
+
+    f_inf: Gf2Matrix  # H0 -> H1
+    f0: Gf2Matrix  # H1 -> Hinf
+    f1: Gf2Matrix  # Hinf -> H0
+    fbar_inf: Gf2Matrix  # H0 -> H1
+    fbar0: Gf2Matrix  # H1 -> Hinf
+    fbar1: Gf2Matrix  # Hinf -> H0
+    n0: int
+    n1: int
+    n_inf: int
 
 
 class SurgeryTriple:
@@ -320,40 +341,30 @@ class SurgeryTriple:
         return BlockGrid(row_dims, col_dims, blocks).assemble()
 
     @cached_property
-    def total_f_inf(self) -> Gf2Matrix:
-        return self._total(self.f_inf, "H0", "H1", lambda s: s)
-
-    @cached_property
-    def total_f0(self) -> Gf2Matrix:
-        return self._total(self.f0, "H1", "Hinf", lambda s: s)
-
-    @cached_property
-    def total_f1(self) -> Gf2Matrix:
-        return self._total(self.f1, "Hinf", "H0", lambda s: s)
-
-    @cached_property
-    def total_fbar_inf(self) -> Gf2Matrix:
-        return self._total(self.fbar_inf, "H0", "H1", lambda s: s - 1)
-
-    @cached_property
-    def total_fbar0(self) -> Gf2Matrix:
-        return self._total(self.fbar0, "H1", "Hinf", lambda s: s)
-
-    @cached_property
-    def total_fbar1(self) -> Gf2Matrix:
-        return self._total(self.fbar1, "Hinf", "H0", lambda s: s, lambda s: s - 1)
+    def totals(self) -> SurgeryTotals:
+        return SurgeryTotals(
+            self._total(self.f_inf, "H0", "H1", lambda s: s),
+            self._total(self.f0, "H1", "Hinf", lambda s: s),
+            self._total(self.f1, "Hinf", "H0", lambda s: s),
+            self._total(self.fbar_inf, "H0", "H1", lambda s: s - 1),
+            self._total(self.fbar0, "H1", "Hinf", lambda s: s),
+            self._total(self.fbar1, "Hinf", "H0", lambda s: s, lambda s: s - 1),
+            self.total_dim("H0"),
+            self.total_dim("H1"),
+            self.total_dim("Hinf"),
+        )
 
     @property
     def a0(self) -> int:
-        return self.total_f0.rank()
+        return self.totals.f0.rank()
 
     @property
     def a1(self) -> int:
-        return self.total_f1.rank()
+        return self.totals.f1.rank()
 
     @property
     def a_inf(self) -> int:
-        return self.total_f_inf.rank()
+        return self.totals.f_inf.rank()
 
     # -- verification -------------------------------------------------------
 

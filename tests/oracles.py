@@ -39,7 +39,15 @@ from splicerank.model import (
     random_complex,
     staircase,
 )
-from splicerank.splice import WitnessReport, _basis_tuples, assemble_witness, build_D, witness_data
+from splicerank.splice import (
+    PairTuple,
+    WitnessData,
+    WitnessReport,
+    _family_tuples,
+    assemble_witness,
+    build_D,
+    witness_data,
+)
 from splicerank.surgery import MappingCone, PlaneStore, SurgeryTriple
 
 
@@ -296,14 +304,20 @@ def reference_graded_pieces(prof: FiltrationProfile):
     return a_dims, e_dims, diagonal
 
 
+def basis_tuples(data: WitnessData, p: SurgeryPackage) -> list[PairTuple]:
+    """The basis tuples of one knot, families concatenated: the order that
+    numbers the witness pairs."""
+    return [t for family in _family_tuples(data, p).values() for t in family]
+
+
 def reference_kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage):
     """``splice.kernel_witnesses`` by assembling the witness of every pair of
     basis tuples; also the nonzero witnesses with their 1-based pair numbers."""
     st1, st2 = stats(p1), stats(p2)
     d = build_D(p1, p2).matrix
     d_columns = d.transpose().row_bits
-    tuples1 = _basis_tuples(witness_data(p1), p1)
-    tuples2 = _basis_tuples(witness_data(p2), p2)
+    tuples1 = basis_tuples(witness_data(p1), p1)
+    tuples2 = basis_tuples(witness_data(p2), p2)
     found = []
     for k, (t1, t2) in enumerate(product(tuples1, tuples2), 1):
         v = assemble_witness(t1, t2, p1, p2)
@@ -333,6 +347,12 @@ def reference_kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage):
 
 
 # -- API only the tests use -----------------------------------------------------
+
+
+def h_number(m: Gf2Matrix) -> int:
+    """dim Ker + dim Coker = rows + cols - 2*rank."""
+    return m.rows + m.cols - 2 * m.rank()
+
 
 INF = "inf"
 

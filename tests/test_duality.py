@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+from dataclasses import fields, is_dataclass
+from itertools import product
+
 import pytest
 
+from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     PackageStats,
+    TauMaps,
     apply_admissible,
     _geometric_tau,
     build_tau,
@@ -16,10 +23,12 @@ from splicerank.duality import (
     stats,
     synthetic_package,
 )
-from splicerank.errors import TauRelationFailure
+from splicerank.errors import NotQuasiIso, ShapeMismatch, TauRelationFailure
 from splicerank.gf2 import Gf2Matrix
-from splicerank.model import TauOverride, random_complex, replace
-from splicerank.surgery import SurgeryTriple, total_package
+from splicerank.homology import HomologySpace
+from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map, random_complex, replace
+from splicerank.splice import splice_rank
+from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple, total_package
 
 from oracles import oracle_models, reference_geometric_tau
 
@@ -80,7 +89,7 @@ def test_tau_override_accepted_when_consistent():
     forced = build_tau(again, t)
     assert forced.source == "override"
     assert forced.geometric_agrees is True
-    p = normalize(t, forced)
+    p = normalize(t.totals, forced)
     p.verify()
 
 
@@ -181,3 +190,150 @@ def test_geometric_tau_matches_label_matrix_route_on_oracle_models():
         assert _geometric_tau(c, triple) == reference_geometric_tau(c, triple), c.name
         checked += 1
     assert checked >= 30
+
+
+# -- the per-complex memo of geometric_package --------------------------------
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty memo of the module's own kind for the test."""
+    fresh = type(duality._BUILT)()
+    monkeypatch.setattr(duality, "_BUILT", fresh)
+    return fresh
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    counts = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(duality, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(duality, name, counted)
+    return counts
+
+
+def test_memo_hit_equals_a_cold_build_and_still_normalizes(memo, monkeypatch):
+    c = corpus("t34_staircase")
+    cold = geometric_package(c)
+    assert len(memo) == 1
+    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normalize", "verify_package"))
+    warm = geometric_package(corpus("t34_staircase"))  # equal, but another object
+    assert warm == cold and warm is not cold
+    assert counts == {"normalize": 1, "verify_package": 1}
+
+
+def test_memo_entry_dies_with_its_complex(memo):
+    c = random_complex(5, 8)
+    geometric_package(c)
+    assert len(memo) == 1
+    del c
+    gc.collect()
+    assert len(memo) == 0
+
+
+def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo):
+    c = corpus("trefoil_staircase")
+    maps = build_tau(c, total_package(c))
+    override = TauOverride(maps.tau0, maps.tau1, maps.tau_inf)
+    flip = flip_map(c).matrix
+    variants = [
+        c,
+        replace(c, tau_override=override),
+        replace(c, flip=flip),
+        replace(c, flip=flip, tau_override=override),
+        replace(c, symmetry=None, flip=flip, tau_override=override),
+    ]
+    for v in variants:
+        geometric_package(v)
+    assert len(memo) == len(variants)
+    assert [memo[v][1].source for v in variants] == ["geometric", "override", "geometric", "override", "override"]
+    # the last two differ only in the symmetry, which the hash leaves out
+    assert hash(variants[3]) == hash(variants[4])
+    assert memo[variants[3]][1].geometric_agrees is True
+    assert memo[variants[4]][1].geometric_agrees is None
+
+
+def test_a_build_that_raises_caches_nothing(memo):
+    bad_flip = BifilteredComplex("bad-flip", (Generator("e", 0),), (), None, Gf2Matrix.zeros(1, 1))
+    c = corpus("trefoil_staircase")
+    t = total_package(c)
+    singular = TauOverride(*(Gf2Matrix.zeros(n, n) for n in (t.totals.n0, t.totals.n1, t.totals.n_inf)))
+    for _ in range(2):
+        with pytest.raises(NotQuasiIso):
+            geometric_package(bad_flip)
+        with pytest.raises(TauRelationFailure):
+            geometric_package(replace(c, tau_override=singular))
+    assert len(memo) == 0
+
+
+def test_complex_is_immutable_and_hashes_by_content():
+    c = corpus("trefoil_staircase")
+    with pytest.raises(TypeError):
+        c.symmetry["a"] = "a"
+    sigma = dict(c.symmetry)
+    d = BifilteredComplex(c.name, list(c.generators), list(c.arrows), sigma)
+    sigma["a"] = "a"  # the complex keeps its own copy
+    assert d == c and hash(d) == hash(c)
+    assert isinstance(d.generators, tuple) and isinstance(d.arrows, tuple)
+
+
+def test_a_non_int_grading_does_not_hit_an_equal_entry(memo):
+    good = BifilteredComplex("e", (Generator("e", 0),), (), {"e": "e"})
+    geometric_package(good)
+    for value in (0.0, False):
+        bad = BifilteredComplex("e", (Generator("e", value),), (), {"e": "e"})
+        assert bad == good
+        with pytest.raises(ShapeMismatch):
+            geometric_package(bad)
+
+
+def _reachable(obj):
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if is_dataclass(x):
+            stack.extend(getattr(x, f.name) for f in fields(x))
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+
+
+def test_memo_keeps_only_totals_and_tau_maps(memo):
+    knots = [corpus(name) for name in corpus_names()]
+    for c in knots:
+        geometric_package(c)
+    assert len(memo) == len(knots)
+    held = [x for value in memo.values() for x in _reachable(value)]
+    assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
+    # nothing else either: a value is made of these and the ints in Gf2Matrix rows
+    kept = {SurgeryTotals, TauMaps, Gf2Matrix, tuple, int, str, bool, type(None)}
+    assert {type(x) for x in held} <= kept
+
+
+def test_triple_of_another_complex_is_rejected(memo):
+    t = total_package(corpus("trefoil_staircase"))
+    other = corpus("t25_staircase")
+    with pytest.raises(ShapeMismatch):
+        geometric_package(other, t)
+    assert len(memo) == 0
+    same = corpus("trefoil_staircase")  # equal to the triple's complex, so accepted
+    geometric_package(same, t)
+    assert len(memo) == 1
+
+
+def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
+    knots = [corpus(name) for name in corpus_names()] + [random_complex(seed, 8) for seed in range(6)]
+
+    def one_pass():
+        return [splice_rank(geometric_package(a), geometric_package(b)).h for a, b in product(knots, repeat=2)]
+
+    first = one_pass()
+    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normalize"))
+    assert one_pass() == first
+    assert counts == {"normalize": 2 * len(knots) ** 2}

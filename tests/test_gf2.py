@@ -19,7 +19,7 @@ from splicerank.gf2 import (
     span_sum_dim,
 )
 
-from oracles import span_basis
+from oracles import h_number, span_basis
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -193,11 +193,11 @@ def test_kernel_cokernel_rank4_5x7_frozen():
 
 
 def test_h_number_cases():
-    assert Gf2Matrix.zeros(1, 0).h_number() == 1
-    assert Gf2Matrix.identity(4).h_number() == 0
+    assert h_number(Gf2Matrix.zeros(1, 0)) == 1
+    assert h_number(Gf2Matrix.identity(4)) == 0
     m = Gf2Matrix.from_dense([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     assert m.rank() == 1
-    assert m.h_number() == 4
+    assert h_number(m) == 4
 
 
 def test_kron_identity_and_empty():
@@ -231,14 +231,14 @@ def test_kron_entries():
 def test_cancel_identity():
     out = Gf2Matrix.identity(2).cancel(0, 0)
     assert out == Gf2Matrix.identity(1)
-    assert out.h_number() == 0
+    assert h_number(out) == 0
 
 
 def test_cancel_all_ones_2x2():
     m = Gf2Matrix.from_dense([[1, 1], [1, 1]])
     out = m.cancel(0, 0)
     assert out == Gf2Matrix.zeros(1, 1)
-    assert m.h_number() == 2 and out.h_number() == 2
+    assert h_number(m) == 2 and h_number(out) == 2
 
 
 def test_cancel_requires_unit_pivot():
@@ -255,7 +255,7 @@ def test_cancel_preserves_h_on_random_6x6():
         m = Gf2Matrix(6, 6, bits)
         out = m.cancel(2, 3)
         assert brute_kernel_dim(out) == brute_kernel_dim(m)
-        assert out.h_number() == m.h_number()
+        assert h_number(out) == h_number(m)
 
 
 @settings(max_examples=120, deadline=None)
@@ -277,7 +277,7 @@ def test_rank_nullity_bookkeeping(m):
     assert r <= min(m.rows, m.cols)
     assert r + len(m.kernel_basis()) == m.cols
     assert r + len(m.cokernel_basis()) == m.rows
-    assert m.h_number() == m.rows + m.cols - 2 * r
+    assert h_number(m) == m.rows + m.cols - 2 * r
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ from splicerank import splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     apply_admissible,
+    direct_sum,
     geometric_package,
     random_admissible,
     stats,
@@ -24,7 +25,6 @@ from splicerank.gf2 import Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
     SCase,
-    _basis_tuples,
     assemble_witness,
     build_D,
     classify_S,
@@ -36,7 +36,7 @@ from splicerank.splice import (
     witness_data,
 )
 
-from oracles import reference_kernel_witnesses
+from oracles import basis_tuples, reference_kernel_witnesses
 
 
 def pkg(name: str):
@@ -287,7 +287,7 @@ def test_witness_outside_kernel_names_its_pair(monkeypatch):
     witnesses = [
         assemble_witness(t1, t2, p1, p2)
         for t1, t2 in product(
-            _basis_tuples(witness_data(p1), p1), _basis_tuples(witness_data(p2), p2)
+            basis_tuples(witness_data(p1), p1), basis_tuples(witness_data(p2), p2)
         )
     ]
     first_bad = next(i for i, v in enumerate(witnesses, 1) if v and broken.mul_vec(v))
@@ -352,3 +352,17 @@ def test_splice_with_unknot_returns_hf_hat_on_random_models(seed):
 def test_h_is_mirror_invariant_on_random_models(seed1, seed2):
     verdict = mirror_invariance(random_complex(seed1, 8), random_complex(seed2, 8))
     assert verdict.equal, verdict
+
+
+# corpus, random and synthetic packages; direct sums are built from the
+# packages alone, so this does not lean on how the pipeline builds them
+every_model = st.sampled_from(corpus_names()).map(pkg) | any_models
+
+
+@settings(max_examples=40)
+@given(every_model, every_model, every_model)
+def test_h_is_additive_over_direct_sums_on_both_sides(p, q, r):
+    s = direct_sum(p, q)
+    assert s.dims == tuple(a + b for a, b in zip(p.dims, q.dims))
+    assert splice_rank(s, r).h == splice_rank(p, r).h + splice_rank(q, r).h
+    assert splice_rank(r, s).h == splice_rank(r, p).h + splice_rank(r, q).h

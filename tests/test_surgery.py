@@ -18,6 +18,7 @@ from oracles import (
     INF,
     ReferenceHomology,
     build_cone,
+    h_number,
     oracle_models,
     reference_level_maps,
     surgery_homology,
@@ -121,7 +122,7 @@ def test_rank_dimension_relations():
         assert t.total_dim("H0") == a1 + ainf
         assert t.total_dim("H1") == a0 + ainf
         assert t.total_dim("Hinf") == a0 + a1
-        assert t.total_dim("H0") == t.total_f1.rank() + t.total_f_inf.rank()
+        assert t.total_dim("H0") == t.totals.f1.rank() + t.totals.f_inf.rank()
 
 
 def test_parity_on_corpus():
@@ -141,12 +142,12 @@ def test_hinf_total_equals_hfk_sum_definitional():
 def test_barred_unbarred_independent_construction():
     # barred maps must compose exactly per the second exact sequence
     t = total_package(corpus("t34_staircase"))
-    assert (t.total_fbar0 @ t.total_fbar_inf).is_zero()
-    assert (t.total_fbar1 @ t.total_fbar0).is_zero()
-    assert (t.total_fbar_inf @ t.total_fbar1).is_zero()
-    assert t.total_fbar_inf.rank() == t.a_inf
-    assert t.total_fbar0.rank() == t.a0
-    assert t.total_fbar1.rank() == t.a1
+    assert (t.totals.fbar0 @ t.totals.fbar_inf).is_zero()
+    assert (t.totals.fbar1 @ t.totals.fbar0).is_zero()
+    assert (t.totals.fbar_inf @ t.totals.fbar1).is_zero()
+    assert t.totals.fbar_inf.rank() == t.a_inf
+    assert t.totals.fbar0.rank() == t.a0
+    assert t.totals.fbar1.rank() == t.a1
 
 
 def test_meridian_suspension_dims_vs_ambient():
@@ -155,8 +156,8 @@ def test_meridian_suspension_dims_vs_ambient():
     for name in ("unknot", "trefoil_staircase", "fig8_box", "t25_staircase", "t35_staircase"):
         c = corpus(name)
         t = total_package(c)
-        total = t.total_f_inf + t.total_fbar_inf
-        assert total.h_number() == hf_hat(c).dim, name
+        total = t.totals.f_inf + t.totals.fbar_inf
+        assert h_number(total) == hf_hat(c).dim, name
 
 
 def test_homology_and_level_maps_match_reference_on_oracle_models():
