@@ -5,8 +5,8 @@ filtration directions through the basis symmetry: the cone of the comparison
 map at level s is isomorphic to the cone at the reflected level with the two
 domain summands swapped through the symmetry, identically on the target
 plane.  After normalization every triangle map takes the block form
-(0 0; I 0) and the duality maps are stored through their four blocks per
-index, with the off-diagonal B blocks driving everything downstream.
+(0 0; I 0) and the duality maps are stored through their A, B and D blocks
+per index, with the off-diagonal B blocks driving everything downstream.
 
 Splitting convention (the unique one matching all stated block shapes):
 H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0).
@@ -55,8 +55,6 @@ class TauMaps:
 class BlockSet:
     A: Gf2Matrix
     B: Gf2Matrix
-    C: Gf2Matrix
-    Cbar: Gf2Matrix
     D: Gf2Matrix
 
 
@@ -108,11 +106,11 @@ def _canonical_f(top: int, ident: int, right: int) -> Gf2Matrix:
 
 
 def _split_blocks(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, ...]:
+    """The A, B and D blocks of tau cut at (top, bottom)."""
     a = tau.submatrix(range(0, top), range(0, top))
     b = tau.submatrix(range(0, top), range(top, top + bottom))
-    c = tau.submatrix(range(top, top + bottom), range(0, top))
     d = tau.submatrix(range(top, top + bottom), range(top, top + bottom))
-    return a, b, c, d
+    return a, b, d
 
 
 # -- geometric duality maps ---------------------------------------------------
@@ -162,7 +160,11 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
             return lbl
         return ("v" if tag == "u" else "u", (sigma[x], j, i))
 
-    def tau_for(cones, spaces, reflect):
+    def shift(s):
+        return lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
+
+    def tau_for(chains, spaces, reflect, relabel):
+        """Block (t, s) is induced by relabel(s) from chains[s] to chains[t], t = reflect(s)."""
         index = {s: k for k, s in enumerate(triple.window)}
         dims = tuple(spaces[s].dim for s in triple.window)
         blocks = {}
@@ -172,28 +174,17 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
             t = reflect(s)
             if t not in index:
                 raise NormalizationFailure(f"duality reflects level {s} outside the window")
-            chain = label_columns(cones[s].cone, cones[t].cone, swap)
+            chain = label_columns(chains[s], chains[t], relabel(s))
             blocks[(index[t], index[s])] = induced_by_columns(chain, spaces[s], spaces[t])
         return BlockGrid(dims, dims, blocks).assemble()
 
-    tau0 = tau_for(triple.cones0, triple.H0, lambda s: -s - 1)
-    tau1 = tau_for(triple.cones1, triple.H1, lambda s: -s)
-
-    index = {s: k for k, s in enumerate(triple.window)}
-    dims = tuple(triple.Hinf[s].dim for s in triple.window)
-    blocks = {}
-    for s in triple.window:
-        if triple.Hinf[s].dim == 0:
-            continue
-        t = -s
-        if t not in index:
-            raise NormalizationFailure(f"duality reflects level {s} outside the window")
-        chain = label_columns(
-            triple.spots[s], triple.spots[t], lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
-        )
-        blocks[(index[t], index[s])] = induced_by_columns(chain, triple.Hinf[s], triple.Hinf[t])
-    tau_inf = BlockGrid(dims, dims, blocks).assemble()
-    return tau0, tau1, tau_inf
+    cones0 = {s: c.cone for s, c in triple.cones0.items()}
+    cones1 = {s: c.cone for s, c in triple.cones1.items()}
+    return (
+        tau_for(cones0, triple.H0, lambda s: -s - 1, lambda s: swap),
+        tau_for(cones1, triple.H1, lambda s: -s, lambda s: swap),
+        tau_for(triple.spots, triple.Hinf, lambda s: -s, shift),
+    )
 
 
 def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
@@ -217,13 +208,9 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 
 
 def _complement(kernel_basis: list[int], dim: int) -> list[int]:
-    """Standard basis vectors completing a subspace to the whole space."""
+    """Indices of the standard basis vectors that complete a subspace."""
     solver = SpanSolver(kernel_basis)
-    out = []
-    for i in range(dim):
-        if solver.add(1 << i):
-            out.append(1 << i)
-    return out
+    return [i for i in range(dim) if solver.add(1 << i)]
 
 
 def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric") -> SurgeryPackage:
@@ -237,14 +224,16 @@ def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric
     f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
-    w_cols = _complement(f0.kernel_basis(), n1)
-    u_cols = _complement(f_inf.kernel_basis(), n0)
-    image_f0 = [f0.mul_vec(w) for w in w_cols]
-    z1_cols = _complement(image_f0, ninf)
+    # W, U and Z1 are spanned by standard basis vectors: f applied to one
+    # is a column of f
+    w = _complement(f0.kernel_basis(), n1)
+    u = _complement(f_inf.kernel_basis(), n0)
+    image_f0 = [f0.column(i) for i in w]
+    z1 = _complement(image_f0, ninf)
 
-    g_inf_cols = z1_cols + image_f0
-    g0_cols = u_cols + [f1.mul_vec(z) for z in z1_cols]
-    g1_cols = w_cols + [f_inf.mul_vec(u) for u in u_cols]
+    g_inf_cols = [1 << i for i in z1] + image_f0
+    g0_cols = [1 << i for i in u] + [f1.column(i) for i in z1]
+    g1_cols = [1 << i for i in w] + [f_inf.column(i) for i in u]
     try:
         g0 = Gf2Matrix.from_columns(g0_cols, n0)
         g1 = Gf2Matrix.from_columns(g1_cols, n1)
@@ -253,9 +242,9 @@ def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric
     except ShapeMismatch as exc:
         raise NormalizationFailure(f"normal-form basis is not a basis: {exc}") from exc
 
-    a_inf, a1 = len(u_cols), n0 - len(u_cols)
-    a0 = len(w_cols)
-    if ninf - len(z1_cols) != a0 or n1 - a0 != a_inf:
+    a_inf, a1 = len(u), n0 - len(u)
+    a0 = len(w)
+    if ninf - len(z1) != a0 or n1 - a0 != a_inf:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
 
     nf_inf = g1_inv @ f_inf @ g0
@@ -285,15 +274,9 @@ def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric
 def _package_from_parts(
     a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1, provenance
 ) -> SurgeryPackage:
-    A0, B0, C0, D0 = _split_blocks(tau0, a_inf, a1)
-    A1, B1, C1, D1 = _split_blocks(tau1, a0, a_inf)
-    Ai, Bi, Ci, Di = _split_blocks(tau_inf, a1, a0)
-    try:
-        Cbar0 = _split_blocks(tau0.inverse(), a_inf, a1)[2]
-        Cbar1 = _split_blocks(tau1.inverse(), a0, a_inf)[2]
-        Cbari = _split_blocks(tau_inf.inverse(), a1, a0)[2]
-    except ShapeMismatch as exc:
-        raise NormalizationFailure(f"duality map is singular: {exc}") from exc
+    A0, B0, D0 = _split_blocks(tau0, a_inf, a1)
+    A1, B1, D1 = _split_blocks(tau1, a0, a_inf)
+    Ai, Bi, Di = _split_blocks(tau_inf, a1, a0)
     return SurgeryPackage(
         a0,
         a1,
@@ -301,9 +284,9 @@ def _package_from_parts(
         tau0,
         tau1,
         tau_inf,
-        BlockSet(A0, B0, C0, Cbar0, D0),
-        BlockSet(A1, B1, C1, Cbar1, D1),
-        BlockSet(Ai, Bi, Ci, Cbari, Di),
+        BlockSet(A0, B0, D0),
+        BlockSet(A1, B1, D1),
+        BlockSet(Ai, Bi, Di),
         B1 @ B0 @ Bi,
         Bi @ B1 @ B0,
         B0 @ Bi @ B1,
@@ -330,12 +313,13 @@ def verify_package(p: SurgeryPackage) -> None:
         ("tau1", p.tau1, p.blocks1, p.a0, p.a_inf),
         ("tau_inf", p.tau_inf, p.blocks_inf, p.a1, p.a0),
     ]:
-        inv = inverses[name] = tau.inverse()
-        ia, ib, ic, id_ = _split_blocks(inv, top, bottom)
+        try:
+            inv = inverses[name] = tau.inverse()
+        except ShapeMismatch as exc:
+            raise NormalizationFailure(f"{name} is singular: {exc}") from exc
+        ia, ib, id_ = _split_blocks(inv, top, bottom)
         if ia != blocks.A or ib != blocks.B or id_ != blocks.D:
             raise NormalizationFailure(f"{name} inverse does not share the A, B, D blocks")
-        if ic != blocks.Cbar:
-            raise NormalizationFailure(f"{name} Cbar extraction inconsistent")
     for name, x in [("X0", p.X0), ("X1", p.X1), ("Xinf", p.Xinf)]:
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"{name} does not square to zero")
@@ -630,7 +614,7 @@ def _random_involution(rng: random.Random, n: int) -> Gf2Matrix:
 
 def _twist(rng: random.Random, tau: Gf2Matrix, top: int, bottom: int) -> Gf2Matrix:
     """Post-compose with (I 0; T I) where T B = 0 = B T, keeping A, B, D fixed."""
-    _, b, _, _ = _split_blocks(tau, top, bottom)
+    _, b, _ = _split_blocks(tau, top, bottom)
     col_space = b.kernel_basis()  # subspace of F^bottom
     row_space = b.cokernel_basis()  # subspace of F^top
     if not col_space or not row_space or rng.random() < 0.5:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StatsInconsistent
-from .gf2 import Gf2Matrix, SpanSolver, span_dim, span_intersection, span_sum_dim, xor_columns
+from .gf2 import Gf2Matrix, span_dim, span_intersection, span_sum_dim, xor_columns
 from .homology import (
     ChainComplexF2,
     HomologySpace,
@@ -106,7 +106,7 @@ def _build_side(
     image: dict[int, list[int]] = {}
     kernels: dict[int, list[int]] = {}
     spaces: dict[int, HomologySpace] = {}
-    incs: dict[int, Gf2Matrix] = {}
+    incs: dict[int, list[int]] = {}  # columns of F_{s-1} -> F_s
     prev_sub = None
     for s in window:
         sub = cut(s)
@@ -116,7 +116,8 @@ def _build_side(
         kernels[s] = iota.kernel_basis()
         spaces[s] = h
         if prev_sub is not None:
-            incs[s] = induced_by_columns(inclusion_columns(prev_sub, sub), spaces[s - 1], h)
+            inc = induced_by_columns(inclusion_columns(prev_sub, sub), spaces[s - 1], h)
+            incs[s] = inc.transpose().row_bits
         prev_sub = sub
 
     bracket_sub: dict[int, int] = {}
@@ -126,20 +127,18 @@ def _build_side(
     for s in window:
         basis = kernels[s]
         if s + 1 in incs:
-            solver = SpanSolver(kernels[s + 1])
-            cols = []
-            for k in basis:
-                img = incs[s + 1].mul_vec(k)
-                coeffs = solver.solve(img)
-                if coeffs is None:
-                    raise StatsInconsistent(f"kernel at level {s} escaped the next kernel")
-                cols.append(coeffs)
-            step_matrix = Gf2Matrix.from_columns(cols, len(kernels[s + 1]))
+            # K_s -> K_{s+1} in F_{s+1} coordinates: its kernel and rank are
+            # those of the map into K_{s+1}'s own coordinates, which differ
+            # from these by an injective map
+            step = [xor_columns(incs[s + 1], k) for k in basis]
+            if any(xor_columns(image[s + 1], v) for v in step):
+                raise StatsInconsistent(f"kernel at level {s} escaped the next kernel")
+            step_matrix = Gf2Matrix.from_columns(step, spaces[s + 1].dim)
             ker_coeff = step_matrix.kernel_basis()
             sub_vectors[s] = [xor_columns(basis, c) for c in ker_coeff]
             bracket_sub[s] = len(ker_coeff)
             bracket_img[s] = step_matrix.rank()
-            img_vectors[s + 1] = [incs[s + 1].mul_vec(k) for k in basis]
+            img_vectors[s + 1] = step
         else:
             sub_vectors[s] = list(basis)
             bracket_sub[s] = len(basis)

@@ -76,10 +76,6 @@ class BifilteredComplex:
     def _grading(self) -> dict[str, int]:
         return {g.id: g.alexander for g in self.generators}
 
-    @property
-    def ids(self) -> list[str]:
-        return [g.id for g in self.generators]
-
     def grading_range(self) -> tuple[int, int]:
         values = [g.alexander for g in self.generators]
         return (min(values), max(values)) if values else (0, 0)

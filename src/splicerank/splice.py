@@ -6,11 +6,29 @@ the hat invariant of the spliced manifold.  Column blocks follow the
 six-component witness vector of the linear-algebra argument; row blocks follow
 the printed order of the block matrix.  Identity block sizes are the unique
 shape-consistent choices and assembly hard-fails on any inconsistency.
+
+Column layout and kernel witnesses
+----------------------------------
+The six column blocks of D have the dims (left, right), in the order
+
+    (a_inf, a_inf), (a_inf, a0), (a1, a0), (a0, a_inf), (a0, a1), (a1, a1),
+
+and block k holds Kronecker products u ⊗ v, u of length p1.left and v of
+length p2.right.  ``build_D`` reads its column dims from this table
+(``_COL_BLOCKS``), the witnesses their block offsets and Kronecker widths.
+Each knot has six witness families (``WitnessData``): a vector of w0, w1 or
+w_inf has parts (x, y), split at a0, a1 or a_inf, and one of z0, z1 or z_inf
+is one part z.  The witness of a pair of vectors, one per knot, is a sum of
+terms, each a part of the first times a part of the second in one column
+block; ``_WITNESS_TERMS`` lists them for the six family pairs that have any.
+A vector has no parts of another family, so every other family pair (30 of
+the 36) gives the witness 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .duality import PackageStats, SurgeryPackage, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
@@ -24,6 +42,18 @@ class SpliceMatrix:
     matrix: Gf2Matrix
     row_block_dims: tuple[int, ...]
     col_block_dims: tuple[int, ...]
+
+
+# D's column blocks: the package dims (first knot, second knot) whose
+# product is the block's width (see the module docstring).
+_COL_BLOCKS = (
+    ("a_inf", "a_inf"),
+    ("a_inf", "a0"),
+    ("a1", "a0"),
+    ("a0", "a_inf"),
+    ("a0", "a1"),
+    ("a1", "a1"),
+)
 
 
 def _vec_kron(v: int, w: int, w_len: int) -> int:
@@ -52,14 +82,7 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     a0_1, a1_1, ai_1 = p1.a0, p1.a1, p1.a_inf
     a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
 
-    col_dims = (
-        ai_1 * ai_2,
-        ai_1 * a0_2,
-        a1_1 * a0_2,
-        a0_1 * ai_2,
-        a0_1 * a1_2,
-        a1_1 * a1_2,
-    )
+    col_dims = tuple(getattr(p1, left) * getattr(p2, right) for left, right in _COL_BLOCKS)
     row_dims = (
         a0_1 * a0_2,
         ai_1 * a1_2,
@@ -122,10 +145,12 @@ class SpliceRank:
 
 def splice_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
     """Rank of the hat invariant of the splice: dim Ker + dim Coker."""
-    m = build_D(p1, p2).matrix
-    rank = m.rank()
-    ker = m.cols - rank
-    coker = m.rows - rank
+    return _rank_of(build_D(p1, p2).matrix)
+
+
+def _rank_of(d: Gf2Matrix) -> SpliceRank:
+    rank = d.rank()
+    ker, coker = d.cols - rank, d.rows - rank
     return SpliceRank(ker + coker, ker, coker)
 
 
@@ -172,66 +197,6 @@ def _split(v: int, first: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class PairTuple:
-    """One choice of witness ingredients for a single knot."""
-
-    x0: int = 0
-    y0: int = 0
-    x1: int = 0
-    y1: int = 0
-    x_inf: int = 0
-    y_inf: int = 0
-    z0: int = 0
-    z1: int = 0
-    z_inf: int = 0
-
-
-def _family_tuples(data: WitnessData, p: SurgeryPackage) -> dict[str, list[PairTuple]]:
-    """The basis tuples of one knot, by family, in pair-numbering order."""
-    return {
-        "w0": [PairTuple(x0=x, y0=y) for x, y in (_split(w, p.a0) for w in data.w0)],
-        "w1": [PairTuple(x1=x, y1=y) for x, y in (_split(w, p.a1) for w in data.w1)],
-        "w_inf": [PairTuple(x_inf=x, y_inf=y) for x, y in (_split(w, p.a_inf) for w in data.w_inf)],
-        "z0": [PairTuple(z0=z) for z in data.z0],
-        "z1": [PairTuple(z1=z) for z in data.z1],
-        "z_inf": [PairTuple(z_inf=z) for z in data.z_inf],
-    }
-
-
-def assemble_witness(t1: PairTuple, t2: PairTuple, p1: SurgeryPackage, p2: SurgeryPackage) -> int:
-    """Six-component kernel vector from one ingredient choice per knot."""
-    a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
-    comps = [
-        _vec_kron(t1.y0, t2.x_inf, ai_2)
-        ^ _vec_kron(t1.x_inf, t2.y0, ai_2)
-        ^ _vec_kron(t1.z0, t2.z0, ai_2),
-        _vec_kron(t1.x_inf, t2.x0, a0_2),
-        _vec_kron(t1.y_inf, t2.x0, a0_2)
-        ^ _vec_kron(t1.x1, t2.y1, a0_2)
-        ^ _vec_kron(t1.z_inf, t2.z1, a0_2),
-        _vec_kron(t1.x0, t2.x_inf, ai_2),
-        _vec_kron(t1.y1, t2.x1, a1_2)
-        ^ _vec_kron(t1.x0, t2.y_inf, a1_2)
-        ^ _vec_kron(t1.z1, t2.z_inf, a1_2),
-        _vec_kron(t1.x1, t2.x1, a1_2),
-    ]
-    widths = [
-        p1.a_inf * ai_2,
-        p1.a_inf * a0_2,
-        p1.a1 * a0_2,
-        p1.a0 * ai_2,
-        p1.a0 * a1_2,
-        p1.a1 * a1_2,
-    ]
-    out = 0
-    offset = 0
-    for comp, width in zip(comps, widths):
-        out |= comp << offset
-        offset += width
-    return out
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     checked: int
     nonzero: int
@@ -246,42 +211,57 @@ class WitnessReport:
         return self.ker_dim >= self.ker_bound and self.coker_dim >= self.coker_bound
 
 
-# The family pairs (first knot, second knot) that share a term of
-# ``assemble_witness``; a witness from any other family pair is 0.
-_MEETING_FAMILIES = (
-    ("w0", "w_inf"),
-    ("w_inf", "w0"),
-    ("w1", "w1"),
-    ("z0", "z0"),
-    ("z_inf", "z1"),
-    ("z1", "z_inf"),
-)
+# The family pairs (first knot, second knot) that give a nonzero witness, with
+# their terms (column block of D, part of the first knot's vector, part of
+# the second's); see the module docstring.
+_WITNESS_TERMS = {
+    ("w0", "w_inf"): ((0, "y", "x"), (3, "x", "x"), (4, "x", "y")),
+    ("w_inf", "w0"): ((0, "x", "y"), (1, "x", "x"), (2, "y", "x")),
+    ("w1", "w1"): ((2, "x", "y"), (4, "y", "x"), (5, "x", "x")),
+    ("z0", "z0"): ((0, "z", "z"),),
+    ("z_inf", "z1"): ((2, "z", "z"),),
+    ("z1", "z_inf"): ((4, "z", "z"),),
+}
+
+
+def _family_parts(p: SurgeryPackage) -> dict[str, list[dict[str, int]]]:
+    """One knot's witness-family vectors split into their parts, by family,
+    in pair-numbering order."""
+    data = witness_data(p)
+    out = {
+        name: [dict(zip("xy", _split(w, first))) for w in getattr(data, name)]
+        for name, first in (("w0", p.a0), ("w1", p.a1), ("w_inf", p.a_inf))
+    }
+    for name in ("z0", "z1", "z_inf"):
+        out[name] = [{"z": z} for z in getattr(data, name)]
+    return out
 
 
 def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
-    """The number of basis-tuple pairs, and each nonzero witness with its pair
-    number (1-based, in the order of the product of the two tuple lists)."""
-    fam1 = _family_tuples(witness_data(p1), p1)
-    fam2 = _family_tuples(witness_data(p2), p2)
-    start1, start2 = _starts(fam1), _starts(fam2)
-    width = sum(len(f) for f in fam2.values())
+    """The number of pairs of family vectors, and each nonzero witness with
+    its pair number (1-based, in the order of the product of the two knots'
+    families concatenated)."""
+    fam1, fam2 = _family_parts(p1), _family_parts(p2)
+    start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
+    start2 = dict(zip(fam2, accumulate(map(len, fam2.values()), initial=0)))
+    width = sum(map(len, fam2.values()))
+    blocks = []  # (offset in D's columns, length of the second knot's factor)
+    at = 0
+    for left, right in _COL_BLOCKS:
+        blocks.append((at, getattr(p2, right)))
+        at += getattr(p1, left) * getattr(p2, right)
     found = []
-    for name1, name2 in _MEETING_FAMILIES:
-        for i, t1 in enumerate(fam1[name1], start1[name1]):
-            for j, t2 in enumerate(fam2[name2], start2[name2]):
-                v = assemble_witness(t1, t2, p1, p2)
-                if v:
-                    found.append((i * width + j + 1, v))
+    for (name1, name2), terms in _WITNESS_TERMS.items():
+        for i, u in enumerate(fam1[name1], start1[name1]):
+            for j, v in enumerate(fam2[name2], start2[name2]):
+                w = 0
+                for block, part1, part2 in terms:
+                    shift, v_len = blocks[block]
+                    w ^= _vec_kron(u[part1], v[part2], v_len) << shift
+                if w:
+                    found.append((i * width + j + 1, w))
     found.sort()
-    return sum(len(f) for f in fam1.values()) * width, found
-
-
-def _starts(families: dict[str, list[PairTuple]]) -> dict[str, int]:
-    out, acc = {}, 0
-    for name, family in families.items():
-        out[name] = acc
-        acc += len(family)
-    return out
+    return sum(map(len, fam1.values())) * width, found
 
 
 def kernel_witnesses(
@@ -292,13 +272,10 @@ def kernel_witnesses(
 ) -> WitnessReport:
     """Assemble every basis witness, verify annihilation, check both bounds.
 
-    Each term of ``assemble_witness`` pairs one family of the first knot's
-    basis tuples with one family of the second's, since a tuple carries only
-    its own family's components.  So only the six ``_MEETING_FAMILIES`` can
-    give a nonzero witness; the witnesses of the other 30 family pairs are 0
-    by construction and are counted in ``checked`` without being built.
-    The nonzero ones are checked in pair order, so a failure names the
-    first offending pair.
+    Only the six family pairs of ``_WITNESS_TERMS`` give a nonzero witness
+    (see the module docstring); the witnesses of the other 30 are counted in
+    ``checked`` without being built.  The nonzero ones are checked in pair
+    order, so a failure names the first offending pair.
     """
     st1 = st1 or stats(p1)
     st2 = st2 or stats(p2)
@@ -326,14 +303,14 @@ def kernel_witnesses(
         + st1.d0 * st2.d_inf
         + st1.d1 * st2.d1
     )
-    rank = d.rank()
+    rank = _rank_of(d)
     return WitnessReport(
         checked,
         len(found),
         ker_bound,
         coker_bound,
-        d.cols - rank,
-        d.rows - rank,
+        rank.ker,
+        rank.coker,
         span_dim(v for _, v in found),
     )
 
@@ -402,10 +379,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses."""
     b_1 = {"0": p1.blocks0.B, "1": p1.blocks1.B, "inf": p1.blocks_inf.B}
     b_2 = {"0": p2.blocks0.B, "1": p2.blocks1.B, "inf": p2.blocks_inf.B}
-    d = build_D(p1, p2).matrix
-    rank = d.rank()
-    ker_dim = d.cols - rank
-    coker_dim = d.rows - rank
+    rank = splice_rank(p1, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
         label = f"({circ},{bullet},{star})"
@@ -416,7 +390,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
             cb = left.cokernel_dim() * right.cokernel_dim()
             out.append(
                 SubspaceBound(
-                    f"case1 {label}", True, kb, cb, ker_dim >= kb, coker_dim >= cb
+                    f"case1 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
                 )
             )
         else:
@@ -430,7 +404,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
             cb = left_c.cokernel_dim() * right_c.cokernel_dim()
             out.append(
                 SubspaceBound(
-                    f"case2 {label}", True, kb, cb, ker_dim >= kb, coker_dim >= cb
+                    f"case2 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
                 )
             )
         else:
@@ -454,7 +428,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
             + max(c_pair, c_prime)
         )
         out.append(
-            SubspaceBound("remark", True, kb, cb, ker_dim >= kb, coker_dim >= cb)
+            SubspaceBound("remark", True, kb, cb, rank.ker >= kb, rank.coker >= cb)
         )
     else:
         out.append(SubspaceBound("remark", False))

@@ -314,14 +314,6 @@ class SurgeryTriple:
     def total_dim(self, which: str) -> int:
         return sum(self.dims(which))
 
-    def offsets(self, which: str) -> dict[int, int]:
-        out = {}
-        acc = 0
-        for s, d in zip(self.window, self.dims(which)):
-            out[s] = acc
-            acc += d
-        return out
-
     def _total(
         self,
         fam: dict[int, Gf2Matrix],

@@ -12,6 +12,7 @@ level maps, and the calibration of the graded-piece multiplicities.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable
 
@@ -40,11 +41,10 @@ from splicerank.model import (
     staircase,
 )
 from splicerank.splice import (
-    PairTuple,
     WitnessData,
     WitnessReport,
-    _family_tuples,
-    assemble_witness,
+    _split,
+    _vec_kron,
     build_D,
     witness_data,
 )
@@ -302,6 +302,59 @@ def reference_graded_pieces(prof: FiltrationProfile):
 
     diagonal = {t: u(t) - u(t - 1) for t in range(min(e_dims), max(e_dims) + 1)} if e_dims else {}
     return a_dims, e_dims, diagonal
+
+
+@dataclass(frozen=True)
+class PairTuple:
+    """One choice of witness ingredients for a single knot."""
+
+    x0: int = 0
+    y0: int = 0
+    x1: int = 0
+    y1: int = 0
+    x_inf: int = 0
+    y_inf: int = 0
+    z0: int = 0
+    z1: int = 0
+    z_inf: int = 0
+
+
+def _family_tuples(data: WitnessData, p: SurgeryPackage) -> dict[str, list[PairTuple]]:
+    """The basis tuples of one knot, by family, in pair-numbering order."""
+    return {
+        "w0": [PairTuple(x0=x, y0=y) for x, y in (_split(w, p.a0) for w in data.w0)],
+        "w1": [PairTuple(x1=x, y1=y) for x, y in (_split(w, p.a1) for w in data.w1)],
+        "w_inf": [PairTuple(x_inf=x, y_inf=y) for x, y in (_split(w, p.a_inf) for w in data.w_inf)],
+        "z0": [PairTuple(z0=z) for z in data.z0],
+        "z1": [PairTuple(z1=z) for z in data.z1],
+        "z_inf": [PairTuple(z_inf=z) for z in data.z_inf],
+    }
+
+
+def assemble_witness(t1: PairTuple, t2: PairTuple, p1: SurgeryPackage, p2: SurgeryPackage) -> int:
+    """Six-component kernel vector from one ingredient choice per knot: the
+    generic route that ``splice._WITNESS_TERMS`` condenses."""
+    a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
+    comps = [
+        _vec_kron(t1.y0, t2.x_inf, ai_2)
+        ^ _vec_kron(t1.x_inf, t2.y0, ai_2)
+        ^ _vec_kron(t1.z0, t2.z0, ai_2),
+        _vec_kron(t1.x_inf, t2.x0, a0_2),
+        _vec_kron(t1.y_inf, t2.x0, a0_2)
+        ^ _vec_kron(t1.x1, t2.y1, a0_2)
+        ^ _vec_kron(t1.z_inf, t2.z1, a0_2),
+        _vec_kron(t1.x0, t2.x_inf, ai_2),
+        _vec_kron(t1.y1, t2.x1, a1_2)
+        ^ _vec_kron(t1.x0, t2.y_inf, a1_2)
+        ^ _vec_kron(t1.z1, t2.z_inf, a1_2),
+        _vec_kron(t1.x1, t2.x1, a1_2),
+    ]
+    widths = [p1.a_inf * ai_2, p1.a_inf * a0_2, p1.a1 * a0_2, p1.a0 * ai_2, p1.a0 * a1_2, p1.a1 * a1_2]
+    out = offset = 0
+    for comp, width in zip(comps, widths):
+        out |= comp << offset
+        offset += width
+    return out
 
 
 def basis_tuples(data: WitnessData, p: SurgeryPackage) -> list[PairTuple]:

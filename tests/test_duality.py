@@ -22,8 +22,9 @@ from splicerank.duality import (
     random_admissible,
     stats,
     synthetic_package,
+    verify_package,
 )
-from splicerank.errors import NotQuasiIso, ShapeMismatch, TauRelationFailure
+from splicerank.errors import NormalizationFailure, NotQuasiIso, ShapeMismatch, TauRelationFailure
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import HomologySpace
 from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map, random_complex, replace
@@ -50,6 +51,13 @@ def test_trefoil_package_verifies():
     p.verify()
     assert p.f_inf.rank() == 2
     assert (p.X1 @ p.X1).is_zero()
+
+
+def test_singular_tau_fails_verification_as_a_normalization_failure():
+    p = geometric_package(corpus("trefoil_staircase"))
+    singular = replace(p, tau1=Gf2Matrix.zeros(p.tau1.rows, p.tau1.cols))
+    with pytest.raises(NormalizationFailure, match="tau1 is singular"):
+        verify_package(singular)
 
 
 def test_block_shapes_across_corpus():

@@ -46,3 +46,38 @@ def test_trusted_constructor_is_private_to_gf2():
         if path.name != "gf2.py" and "_trusted" in path.read_text()
     ]
     assert found == []
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name a module mentions outside a def: identifiers, attributes,
+    imported names and string constants (a lookup by name, as in getattr)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_library_definition_has_a_caller():
+    # a function, class or method nothing names is dead code; dunder methods
+    # are called by the language
+    root = PACKAGE.parent.parent
+    used = set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used |= _names_used(ast.parse(path.read_text(), str(path)))
+    defined = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert len(defined) > 100
+    assert [d for d in defined if d.rpartition(" ")[2] not in used] == []

@@ -25,7 +25,6 @@ from splicerank.gf2 import Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
     SCase,
-    assemble_witness,
     build_D,
     classify_S,
     kernel_witnesses,
@@ -36,7 +35,7 @@ from splicerank.splice import (
     witness_data,
 )
 
-from oracles import basis_tuples, reference_kernel_witnesses
+from oracles import assemble_witness, basis_tuples, reference_kernel_witnesses
 
 
 def pkg(name: str):
