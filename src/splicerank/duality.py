@@ -36,7 +36,7 @@ from .errors import (
     StatsInconsistent,
     TauRelationFailure,
 )
-from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, span_dim
+from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, lower_triangular, span_dim
 from .homology import induced_by_columns
 from .model import BifilteredComplex, require_valid
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
@@ -75,7 +75,6 @@ class SurgeryPackage:
     fbar_inf: Gf2Matrix
     fbar0: Gf2Matrix
     fbar1: Gf2Matrix
-    provenance: str
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -163,27 +162,26 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     def shift(s):
         return lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
 
-    def tau_for(chains, spaces, reflect, relabel):
+    def tau_for(chains, which, reflect, relabel):
         """Block (t, s) is induced by relabel(s) from chains[s] to chains[t], t = reflect(s)."""
-        index = {s: k for k, s in enumerate(triple.window)}
-        dims = tuple(spaces[s].dim for s in triple.window)
+        spaces = getattr(triple, which)
         blocks = {}
         for s in triple.window:
             if spaces[s].dim == 0:
                 continue
             t = reflect(s)
-            if t not in index:
+            if t not in triple.window:
                 raise NormalizationFailure(f"duality reflects level {s} outside the window")
             chain = label_columns(chains[s], chains[t], relabel(s))
-            blocks[(index[t], index[s])] = induced_by_columns(chain, spaces[s], spaces[t])
-        return BlockGrid(dims, dims, blocks).assemble()
+            blocks[(t, s)] = induced_by_columns(chain, spaces[s], spaces[t])
+        return triple.window_matrix(blocks, which, which)
 
     cones0 = {s: c.cone for s, c in triple.cones0.items()}
     cones1 = {s: c.cone for s, c in triple.cones1.items()}
     return (
-        tau_for(cones0, triple.H0, lambda s: -s - 1, lambda s: swap),
-        tau_for(cones1, triple.H1, lambda s: -s, lambda s: swap),
-        tau_for(triple.spots, triple.Hinf, lambda s: -s, shift),
+        tau_for(cones0, "H0", lambda s: -s - 1, lambda s: swap),
+        tau_for(cones1, "H1", lambda s: -s, lambda s: swap),
+        tau_for(triple.spots, "Hinf", lambda s: -s, shift),
     )
 
 
@@ -213,7 +211,7 @@ def _complement(kernel_basis: list[int], dim: int) -> list[int]:
     return [i for i in range(dim) if solver.add(1 << i)]
 
 
-def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric") -> SurgeryPackage:
+def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     """Simultaneous bases putting all three triangle maps in the form (0 0; I 0).
 
     Basis recipe: pick complements W of Ker f0 in H1, U of Ker f_inf in H0 and
@@ -264,15 +262,13 @@ def normalize(totals: SurgeryTotals, maps: TauMaps, provenance: str = "geometric
     fbar0 = g_inf_inv @ totals.fbar0 @ g1
     fbar1 = g0_inv @ totals.fbar1 @ g_inf
 
-    package = _package_from_parts(
-        a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1, provenance
-    )
+    package = _package_from_parts(a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1)
     package.verify()
     return package
 
 
 def _package_from_parts(
-    a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1, provenance
+    a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1
 ) -> SurgeryPackage:
     A0, B0, D0 = _split_blocks(tau0, a_inf, a1)
     A1, B1, D1 = _split_blocks(tau1, a0, a_inf)
@@ -293,7 +289,6 @@ def _package_from_parts(
         fbar_inf,
         fbar0,
         fbar1,
-        provenance,
     )
 
 
@@ -369,7 +364,7 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
             triple = total_package(complex_)
         built = _BUILT[complex_] = (triple.totals, build_tau(complex_, triple))
     totals, maps = built
-    return normalize(totals, maps, provenance=f"geometric({complex_.name})")
+    return normalize(totals, maps)
 
 
 # -- statistics ---------------------------------------------------------------
@@ -480,22 +475,13 @@ class AdmissibleChange:
     Qinf: Gf2Matrix  # a0 x a1
 
     def pp0(self) -> Gf2Matrix:
-        return _lower_triangular(self.Pinf, self.Q0, self.P1)
+        return lower_triangular(self.Pinf, self.Q0, self.P1)
 
     def pp1(self) -> Gf2Matrix:
-        return _lower_triangular(self.P0, self.Q1, self.Pinf)
+        return lower_triangular(self.P0, self.Q1, self.Pinf)
 
     def pp_inf(self) -> Gf2Matrix:
-        return _lower_triangular(self.P1, self.Qinf, self.P0)
-
-
-def _lower_triangular(top: Gf2Matrix, q: Gf2Matrix, bottom: Gf2Matrix) -> Gf2Matrix:
-    grid = BlockGrid(
-        (top.rows, bottom.rows),
-        (top.cols, bottom.cols),
-        {(0, 0): top, (1, 0): q, (1, 1): bottom},
-    )
-    return grid.assemble()
+        return lower_triangular(self.P1, self.Qinf, self.P0)
 
 
 def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
@@ -540,7 +526,6 @@ def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPack
         pp1.inverse() @ p.fbar_inf @ pp0,
         ppi.inverse() @ p.fbar0 @ pp1,
         pp0.inverse() @ p.fbar1 @ ppi,
-        p.provenance,
     )
     out.verify()
     return out
@@ -591,7 +576,6 @@ def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
         add("fbar_inf", "H1", "H0"),
         add("fbar0", "Hinf", "H1"),
         add("fbar1", "H0", "Hinf"),
-        f"{p.provenance}+{q.provenance}",
     )
     out.verify()
     return out
@@ -624,12 +608,7 @@ def _twist(rng: random.Random, tau: Gf2Matrix, top: int, bottom: int) -> Gf2Matr
         for w in row_space:
             if rng.getrandbits(1):
                 theta += Gf2Matrix.from_columns([u if (w >> i) & 1 else 0 for i in range(top)], bottom)
-    lower = BlockGrid(
-        (top, bottom),
-        (top, bottom),
-        {(0, 0): Gf2Matrix.identity(top), (1, 0): theta, (1, 1): Gf2Matrix.identity(bottom)},
-    ).assemble()
-    return lower @ tau
+    return lower_triangular(Gf2Matrix.identity(top), theta, Gf2Matrix.identity(bottom)) @ tau
 
 
 def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
@@ -663,7 +642,6 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
             tau1.inverse() @ f_inf @ tau0,
             tau_inf.inverse() @ f0 @ tau1,
             tau0.inverse() @ f1 @ tau_inf,
-            "synthetic",
         )
         p.verify()
         return p

@@ -247,25 +247,8 @@ class LemmaReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _context(
-    complex_: BifilteredComplex,
-    triple: SurgeryTriple | None,
-    prof: FiltrationProfile | None,
-) -> tuple[SurgeryTriple, FiltrationProfile]:
-    if triple is None:
-        triple = total_package(complex_)
-    if prof is None:
-        prof = profile(complex_)
-    return triple, prof
-
-
-def lemma31_check(
-    complex_: BifilteredComplex,
-    triple: SurgeryTriple | None = None,
-    prof: FiltrationProfile | None = None,
-) -> LemmaReport:
+def lemma31_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
     """Surgery group dimensions against the four-part filtration decomposition."""
-    triple, prof = _context(complex_, triple, prof)
     entries = []
     for n in (0, 1):
         spaces = triple.H0 if n == 0 else triple.H1
@@ -280,13 +263,8 @@ def lemma31_check(
     return LemmaReport("surgery-group decomposition", tuple(entries))
 
 
-def lemma32_check(
-    complex_: BifilteredComplex,
-    triple: SurgeryTriple | None = None,
-    prof: FiltrationProfile | None = None,
-) -> LemmaReport:
+def lemma32_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and image of the per-level inclusion maps, structurally."""
-    triple, prof = _context(complex_, triple, prof)
     entries = []
     for s in triple.window:
         f = triple.f_inf[s]
@@ -357,8 +335,8 @@ def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
     prof = profile(complex_, _planes=triple.planes)
     package = geometric_package(complex_, triple)
     return {
-        "lemma31": lemma31_check(complex_, triple, prof),
-        "lemma32": lemma32_check(complex_, triple, prof),
+        "lemma31": lemma31_check(triple, prof),
+        "lemma32": lemma32_check(triple, prof),
         "lemma33": lemma33_check(package, prof),
         "lemma37": lemma37_check(package, prof),
     }

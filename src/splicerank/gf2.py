@@ -447,6 +447,16 @@ class BlockGrid:
         return Gf2Matrix._trusted(total_rows, total_cols, tuple(bits))
 
 
+def lower_triangular(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matrix) -> Gf2Matrix:
+    """The block matrix (top 0; lower_left lower_right)."""
+    grid = BlockGrid(
+        (top.rows, lower_right.rows),
+        (top.cols, lower_right.cols),
+        {(0, 0): top, (1, 0): lower_left, (1, 1): lower_right},
+    )
+    return grid.assemble()
+
+
 def _offsets(dims: tuple[int, ...]) -> list[int]:
     out = [0]
     for d in dims:

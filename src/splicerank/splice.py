@@ -32,13 +32,12 @@ from itertools import accumulate
 
 from .duality import PackageStats, SurgeryPackage, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
-from .gf2 import BlockGrid, Gf2Matrix, span_dim, xor_columns
+from .gf2 import BlockGrid, Gf2Matrix, lower_triangular, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
 
 
 @dataclass(frozen=True)
 class SpliceMatrix:
-    grid: BlockGrid
     matrix: Gf2Matrix
     row_block_dims: tuple[int, ...]
     col_block_dims: tuple[int, ...]
@@ -132,8 +131,8 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
             raise ShapeMismatch(
                 f"splice entry {key} has shape {(block.rows, block.cols)}, needs {want}"
             )
-    grid = BlockGrid(row_dims, col_dims, entries)
-    return SpliceMatrix(grid, grid.assemble(), row_dims, col_dims)
+    matrix = BlockGrid(row_dims, col_dims, entries).assemble()
+    return SpliceMatrix(matrix, row_dims, col_dims)
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,6 @@ class WitnessData:
     w_inf: list[int]  # Ker (B1 0; D1+A0 B0), components (x_inf, y_inf)
 
 
-def _system(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matrix) -> Gf2Matrix:
-    grid = BlockGrid(
-        (top.rows, lower_left.rows),
-        (top.cols, lower_right.cols),
-        {(0, 0): top, (1, 0): lower_left, (1, 1): lower_right},
-    )
-    return grid.assemble()
-
-
 def witness_data(p: SurgeryPackage) -> WitnessData:
     b0, b1, bi = p.blocks0.B, p.blocks1.B, p.blocks_inf.B
     a0_, a1_, ai_ = p.blocks0.A, p.blocks1.A, p.blocks_inf.A
@@ -186,9 +176,9 @@ def witness_data(p: SurgeryPackage) -> WitnessData:
         z0=b1.kernel_basis(),
         z1=bi.kernel_basis(),
         z_inf=b0.kernel_basis(),
-        w0=_system(bi, di_ + a1_, b1).kernel_basis(),
-        w1=_system(b0, d0_ + ai_, bi).kernel_basis(),
-        w_inf=_system(b1, d1_ + a0_, b0).kernel_basis(),
+        w0=lower_triangular(bi, di_ + a1_, b1).kernel_basis(),
+        w1=lower_triangular(b0, d0_ + ai_, bi).kernel_basis(),
+        w_inf=lower_triangular(b1, d1_ + a0_, b0).kernel_basis(),
     )
 
 

@@ -6,10 +6,20 @@ For each spin-c level s the comparison map
     (u, v) |-> u + flip(v)
 
 has a cone whose homology is the surgery group H_n(K, s) for n in {0, 1};
-the n = infinity group is the one-spot plane C{i=0, j=-s}.  The short exact
-sequences relating the n = 0 and n = 1 cones give six maps per level:
-unbarred f_inf, f_0, f_1 and barred counterparts shifted by one level.
-Connecting maps are computed by an explicit chain-level zig-zag.
+the n = infinity group is the one-spot plane C{i=0, j=-s}.
+
+Both exact triangles H0 -> H1 -> Hinf -> H0 at level s come from one short
+exact sequence of cones: an n = 0 cone includes into the n = 1 cone at s,
+and the quotient is the spot at s.  The unbarred triangle (f_inf, f_0, f_1)
+takes the n = 0 cone at s, whose quotient is the part of summand v at
+j = -s; the barred one (fbar_inf, fbar_0, fbar_1) takes the n = 0 cone at
+s - 1, whose quotient is the part of summand u at i = s.  One routine builds
+either from the lift of a spot label into the n = 1 cone: the projection is
+its inverse on the spot basis, and the connecting map is the chain-level
+zig-zag through it.  ``_FAMILIES`` gives each of the six families its source
+and target spaces and their level shifts; the totals, the exactness check
+and the window assembly read it, and the duality maps are assembled over
+the window by the same ``window_matrix``.
 
 Every plane comes from one ``PlaneStore`` per knot, built on the flip map's
 two planes C{j=0} (``flip.target``) and C{i=0} (``flip.source``).  It cuts
@@ -183,6 +193,27 @@ class PlaneStore:
         return first, second, chain_map, Gf2Matrix(total, total, bits)
 
 
+# Each triangle family: (source, target, source shift, target shift); the
+# map at level s goes from source(s + source shift) to target(s + target
+# shift).  The order is that of ``SurgeryTotals``.
+_FAMILIES = {
+    "f_inf": ("H0", "H1", 0, 0),
+    "f0": ("H1", "Hinf", 0, 0),
+    "f1": ("Hinf", "H0", 0, 0),
+    "fbar_inf": ("H0", "H1", -1, 0),
+    "fbar0": ("H1", "Hinf", 0, 0),
+    "fbar1": ("Hinf", "H0", 0, -1),
+}
+
+# The two triangles: name, families (inclusion H0 -> H1, projection
+# H1 -> Hinf, connecting Hinf -> H0), and the lift of a spot label at level s
+# into the n = 1 cone at level s.
+_TRIANGLES = (
+    ("unbarred", ("f_inf", "f0", "f1"), lambda s, lbl: ("v", lbl)),
+    ("barred", ("fbar_inf", "fbar0", "fbar1"), lambda s, lbl: ("u", (lbl[0], s, 0))),
+)
+
+
 class SurgeryTotals(NamedTuple):
     """The total triangle maps over the window, and the total dimensions of
     H0, H1 and Hinf: all that normalization reads from a triple.  Immutable
@@ -204,8 +235,9 @@ class SurgeryTriple:
 
     Per-level maps live in the dictionaries keyed by s; ``f_inf[s]`` maps
     H0(s) -> H1(s) while the barred families carry the level shift:
-    ``fbar_inf[s]``: H0(s-1) -> H1(s) and ``fbar_1[s]``: Hinf(s) -> H0(s-1).
-    Totals are assembled over the support window in increasing s.
+    ``fbar_inf[s]``: H0(s-1) -> H1(s) and ``fbar1[s]``: Hinf(s) -> H0(s-1)
+    (see ``_FAMILIES``).  Totals are assembled over the support window in
+    increasing s.
     """
 
     def __init__(self, complex_: BifilteredComplex):
@@ -238,7 +270,8 @@ class SurgeryTriple:
         self.fbar0: dict[int, Gf2Matrix] = {}
         self.fbar1: dict[int, Gf2Matrix] = {}
         for s in self.window:
-            self._build_level_maps(s)
+            for _, names, lift in _TRIANGLES:
+                self._build_triangle(s, names, lift)
 
     # -- construction helpers --------------------------------------------
 
@@ -251,59 +284,32 @@ class SurgeryTriple:
             if self.planes.spot(s).homology_dim():
                 raise WindowNotStable(f"H_inf({s}) nonzero outside window")
 
-    def _build_level_maps(self, s: int) -> None:
-        cone0, cone1 = self.cones0[s], self.cones1[s]
-        spot = self.spots[s]
+    def _build_triangle(
+        self, s: int, names: tuple[str, str, str], lift: Callable[[int, Hashable], Hashable]
+    ) -> None:
+        """One triangle H0 -> H1 -> Hinf -> H0 at level s: the sub-cone (the
+        n = 0 cone at the level of the inclusion's source) includes into the
+        n = 1 cone, which projects onto the spot by the inverse of ``lift``,
+        and the connecting map lifts a spot cycle, applies the boundary and
+        reads the result in the sub-cone."""
+        inclusion, projection, connecting = (getattr(self, name) for name in names)
+        cone1, spot, h1, h_inf = self.cones1[s].cone, self.spots[s], self.H1[s], self.Hinf[s]
+        lifted = {lbl: lift(s, lbl) for lbl in spot.basis}
+        back = {image: lbl for lbl, image in lifted.items()}
+        projection[s] = induced_by_columns(label_columns(cone1, spot, back.get), h1, h_inf)
 
-        # unbarred: inclusion of cones, projection to the quotient spot,
-        # connecting map by zig-zag
-        inc = inclusion_columns(cone0.cone, cone1.cone)
-        self.f_inf[s] = induced_by_columns(inc, self.H0[s], self.H1[s])
-
-        def project_v(lbl):
-            tag, plane = lbl
-            if tag == "v" and plane[2] == -s:
-                return plane
-            return None
-
-        proj = label_columns(cone1.cone, spot, project_v)
-        self.f0[s] = induced_by_columns(proj, self.H1[s], self.Hinf[s])
-
+        sub = s + _FAMILIES[names[0]][2]
+        if sub not in self.window:
+            return
+        sub_cone, h_sub = self.cones0[sub].cone, self.H0[sub]
+        inclusion[s] = induced_by_columns(inclusion_columns(sub_cone, cone1), h_sub, h1)
         # the cone boundary, applied through the columns H1[s] keeps
-        d1 = self.H1[s].boundary_columns
+        d1 = h1.boundary_columns
         cols = []
-        for rep in self.Hinf[s].reps:
-            lifted = relabel_vector(rep, spot, cone1.cone, lambda lbl: ("v", lbl))
-            bd = xor_columns(d1, lifted)
-            back = relabel_vector(bd, cone1.cone, cone0.cone, lambda lbl: lbl)
-            cols.append(self.H0[s].coords(back))
-        self.f1[s] = Gf2Matrix.from_columns(cols, self.H0[s].dim)
-
-        # barred: the n = 0 cone one level down includes into the n = 1 cone
-        prev = s - 1
-        if prev in self.window:
-            inc_bar = inclusion_columns(self.cones0[prev].cone, cone1.cone)
-            self.fbar_inf[s] = induced_by_columns(inc_bar, self.H0[prev], self.H1[s])
-
-        def project_u(lbl):
-            tag, plane = lbl
-            if tag == "u" and plane[1] == s:
-                return (plane[0], 0, -s)
-            return None
-
-        proj_bar = label_columns(cone1.cone, spot, project_u)
-        self.fbar0[s] = induced_by_columns(proj_bar, self.H1[s], self.Hinf[s])
-
-        if prev in self.window:
-            cols = []
-            for rep in self.Hinf[s].reps:
-                lifted = relabel_vector(
-                    rep, spot, cone1.cone, lambda lbl: ("u", (lbl[0], s, 0))
-                )
-                bd = xor_columns(d1, lifted)
-                back = relabel_vector(bd, cone1.cone, self.cones0[prev].cone, lambda lbl: lbl)
-                cols.append(self.H0[prev].coords(back))
-            self.fbar1[s] = Gf2Matrix.from_columns(cols, self.H0[prev].dim)
+        for rep in h_inf.reps:
+            bd = xor_columns(d1, relabel_vector(rep, spot, cone1, lifted.get))
+            cols.append(h_sub.coords(relabel_vector(bd, cone1, sub_cone, lambda lbl: lbl)))
+        connecting[s] = Gf2Matrix.from_columns(cols, h_sub.dim)
 
     # -- dimensions and totals ---------------------------------------------
 
@@ -314,37 +320,26 @@ class SurgeryTriple:
     def total_dim(self, which: str) -> int:
         return sum(self.dims(which))
 
-    def _total(
-        self,
-        fam: dict[int, Gf2Matrix],
-        src: str,
-        tgt: str,
-        src_of: Callable[[int], int],
-        tgt_of: Callable[[int], int] = lambda s: s,
+    def window_matrix(
+        self, blocks: dict[tuple[int, int], Gf2Matrix], rows: str, cols: str
     ) -> Gf2Matrix:
-        row_dims = tuple(self.dims(tgt))
-        col_dims = tuple(self.dims(src))
-        index = {s: k for k, s in enumerate(self.window)}
-        blocks = {}
-        for s, m in fam.items():
-            s_src, s_tgt = src_of(s), tgt_of(s)
-            if s_src in index and s_tgt in index:
-                blocks[(index[s_tgt], index[s_src])] = m
-        return BlockGrid(row_dims, col_dims, blocks).assemble()
+        """The total map from the ``cols`` spaces to the ``rows`` spaces over
+        the window, with block (t, s) from level s to level t."""
+        lo = self.window.start
+        grid = {(t - lo, s - lo): m for (t, s), m in blocks.items()}
+        return BlockGrid(tuple(self.dims(rows)), tuple(self.dims(cols)), grid).assemble()
 
     @cached_property
     def totals(self) -> SurgeryTotals:
-        return SurgeryTotals(
-            self._total(self.f_inf, "H0", "H1", lambda s: s),
-            self._total(self.f0, "H1", "Hinf", lambda s: s),
-            self._total(self.f1, "Hinf", "H0", lambda s: s),
-            self._total(self.fbar_inf, "H0", "H1", lambda s: s - 1),
-            self._total(self.fbar0, "H1", "Hinf", lambda s: s),
-            self._total(self.fbar1, "Hinf", "H0", lambda s: s, lambda s: s - 1),
-            self.total_dim("H0"),
-            self.total_dim("H1"),
-            self.total_dim("Hinf"),
+        maps = (
+            self.window_matrix(
+                {(s + tgt_shift, s + src_shift): m for s, m in getattr(self, name).items()},
+                tgt,
+                src,
+            )
+            for name, (src, tgt, src_shift, tgt_shift) in _FAMILIES.items()
         )
+        return SurgeryTotals(*maps, *(self.total_dim(w) for w in ("H0", "H1", "Hinf")))
 
     @property
     def a0(self) -> int:
@@ -364,23 +359,17 @@ class SurgeryTriple:
         """Both triangles must be exact at every node of every level."""
         out = []
         for s in self.window:
-            prev = s - 1
-            triples = [
-                ("unbarred", s, self.f_inf[s], self.f0[s], self.H1[s].dim, "H1"),
-                ("unbarred", s, self.f0[s], self.f1[s], self.Hinf[s].dim, "Hinf"),
-                ("unbarred", s, self.f1[s], self.f_inf[s], self.H0[s].dim, "H0"),
-            ]
-            if prev in self.window:
-                triples += [
-                    ("barred", s, self.fbar_inf[s], self.fbar0[s], self.H1[s].dim, "H1"),
-                    ("barred", s, self.fbar0[s], self.fbar1[s], self.Hinf[s].dim, "Hinf"),
-                    ("barred", s, self.fbar1[s], self.fbar_inf[s], self.H0[prev].dim, "H0"),
-                ]
-            for name, level, first, second, middle_dim, node in triples:
-                if not (second @ first).is_zero():
-                    out.append(f"{name} s={level}: composite through {node} nonzero")
-                elif first.rank() + second.rank() != middle_dim:
-                    out.append(f"{name} s={level}: image/kernel gap at {node}")
+            for triangle, names, _ in _TRIANGLES:
+                maps = [getattr(self, name) for name in names]
+                if s not in maps[0]:
+                    continue
+                for k, name in enumerate(names):
+                    first, second = maps[k][s], maps[(k + 1) % 3][s]
+                    _, node, _, tgt_shift = _FAMILIES[name]
+                    if not (second @ first).is_zero():
+                        out.append(f"{triangle} s={s}: composite through {node} nonzero")
+                    elif first.rank() + second.rank() != getattr(self, node)[s + tgt_shift].dim:
+                        out.append(f"{triangle} s={s}: image/kernel gap at {node}")
         return out
 
     def require_exact(self) -> None:

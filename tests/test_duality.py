@@ -12,7 +12,6 @@ import pytest
 from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
-    PackageStats,
     TauMaps,
     apply_admissible,
     _geometric_tau,

@@ -87,14 +87,15 @@ def test_y_inf_equals_e_sum():
 
 def test_lemma31_unknot_and_trefoil():
     for name in ("unknot", "trefoil_staircase"):
-        report = lemma31_check(corpus(name))
+        c = corpus(name)
+        report = lemma31_check(total_package(c), profile(c))
         assert report.ok, report.mismatches()
 
 
 def test_lemma31_totals_on_unknot():
     c = corpus("unknot")
     triple = total_package(c)
-    report = lemma31_check(c, triple)
+    report = lemma31_check(triple, profile(c))
     n0 = sum(e.lhs for e in report.entries if e.label.startswith("H_0"))
     n1 = sum(e.lhs for e in report.entries if e.label.startswith("H_1"))
     assert n0 == 0 and n1 == 1
@@ -102,7 +103,8 @@ def test_lemma31_totals_on_unknot():
 
 def test_lemma32_on_small_corpus():
     for name in ("unknot", "trefoil_staircase", "fig8_box"):
-        report = lemma32_check(corpus(name))
+        c = corpus(name)
+        report = lemma32_check(total_package(c), profile(c))
         assert report.ok, (name, report.mismatches())
 
 

@@ -81,3 +81,23 @@ def test_every_library_definition_has_a_caller():
     ]
     assert len(defined) > 100
     assert [d for d in defined if d.rpartition(" ")[2] not in used] == []
+
+
+def test_no_unused_module_imports():
+    # a module-level import that nothing in the module names is dead weight
+    # in its header; __future__ imports switch behaviour and name nothing
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert len(paths) > 15
+    assert found == []

@@ -24,7 +24,6 @@ from splicerank.filtration import profile
 from splicerank.gf2 import Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
-    SCase,
     build_D,
     classify_S,
     kernel_witnesses,

@@ -115,6 +115,20 @@ def test_exactness_on_corpus_and_randoms():
         assert total_package(random_complex(seed, 8)).exactness_failures() == []
 
 
+def test_exactness_failures_name_the_broken_nodes():
+    # f0[1] sits in the unbarred triangle at s = 1, fbar1[0] in the barred
+    # one at s = 0, where it maps Hinf(0) -> H0(-1)
+    t = SurgeryTriple(corpus("trefoil_staircase"))
+    for family, s in ((t.f0, 1), (t.fbar1, 0)):
+        family[s] = Gf2Matrix.zeros(family[s].rows, family[s].cols)
+    assert t.exactness_failures() == [
+        "barred s=0: image/kernel gap at Hinf",
+        "barred s=0: image/kernel gap at H0",
+        "unbarred s=1: image/kernel gap at H1",
+        "unbarred s=1: image/kernel gap at Hinf",
+    ]
+
+
 def test_rank_dimension_relations():
     for name in ("unknot", "trefoil_staircase", "fig8_box", "t25_staircase"):
         t = total_package(corpus(name))
