@@ -8,8 +8,18 @@ plane.  After normalization every triangle map takes the block form
 (0 0; I 0) and the duality maps are stored through their A, B and D blocks
 per index, with the off-diagonal B blocks driving everything downstream.
 
-Splitting convention (the unique one matching all stated block shapes):
-H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0).
+Index convention.  A knot's surgery exact triangle H0 -> H1 -> Hinf -> H0
+runs its indices in the cycle 0 -> 1 -> inf -> 0, and ``CYCLE`` gives each
+index k its attribute suffix, prev(k) and next(k):
+
+- H_k splits as (a_prev(k), a_next(k)) and tau_k acts on it, so tau_k is cut
+  into its A, B and D blocks there and B_k is a_prev(k) x a_next(k);
+- f_k and fbar_k map H_next(k) -> H_prev(k), and in normal form
+  f_k = (0 0; I 0) carries the identity on a_k;
+- fbar_k = tau_prev(k)^-1 f_k tau_next(k), and X_k = B_next(k) B_k B_prev(k).
+
+A ``SurgeryPackage`` is its dims, its three tau maps and its three fbar maps;
+its blocks, X products and f maps are derived from them when it is built.
 
 ``geometric_package`` keeps one entry per complex for the life of the
 process: the triple's ``SurgeryTotals`` and the ``TauMaps`` that have passed
@@ -26,7 +36,10 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     NoFlipData,
@@ -42,6 +55,29 @@ from .model import BifilteredComplex, require_valid
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
+class Index(NamedTuple):
+    """One index of the cycle: its names and the positions of prev and next."""
+
+    suffix: str  # of tau0, a_inf, fbar1, blocks_inf, f_inf, ...
+    label: str  # of X0, Xinf, Pinf, Qinf
+    prev: int
+    next: int
+
+
+# The index cycle 0 -> 1 -> inf -> 0, in the order of ``SurgeryPackage.dims``.
+CYCLE = (Index("0", "0", 2, 1), Index("1", "1", 0, 2), Index("_inf", "inf", 1, 0))
+
+
+@cache
+def _getter(stem: str) -> attrgetter:
+    return attrgetter(*[stem + k.suffix for k in CYCLE])
+
+
+def by_index(obj, stem: str) -> tuple:
+    """obj's attributes stem0, stem1 and stem_inf, in table order."""
+    return _getter(stem)(obj)
+
+
 @dataclass(frozen=True)
 class TauMaps:
     tau0: Gf2Matrix
@@ -51,8 +87,7 @@ class TauMaps:
     geometric_agrees: bool | None = None
 
 
-@dataclass(frozen=True)
-class BlockSet:
+class BlockSet(NamedTuple):
     A: Gf2Matrix
     B: Gf2Matrix
     D: Gf2Matrix
@@ -60,56 +95,83 @@ class BlockSet:
 
 @dataclass(frozen=True)
 class SurgeryPackage:
+    """A normalised package: dims, tau maps and fbar maps.
+
+    The blocks, X products and f maps are derived at construction, so
+    ``dataclasses.replace`` derives them afresh; equality and hashing read
+    the nine defining fields.  A tau that is not square of size
+    a_prev + a_next raises ``NormalizationFailure``.
+    """
+
     a0: int
     a1: int
     a_inf: int
     tau0: Gf2Matrix
     tau1: Gf2Matrix
     tau_inf: Gf2Matrix
-    blocks0: BlockSet
-    blocks1: BlockSet
-    blocks_inf: BlockSet
-    X0: Gf2Matrix
-    X1: Gf2Matrix
-    Xinf: Gf2Matrix
     fbar_inf: Gf2Matrix
     fbar0: Gf2Matrix
     fbar1: Gf2Matrix
+    blocks0: BlockSet = field(init=False, compare=False)
+    blocks1: BlockSet = field(init=False, compare=False)
+    blocks_inf: BlockSet = field(init=False, compare=False)
+    X0: Gf2Matrix = field(init=False, compare=False)
+    X1: Gf2Matrix = field(init=False, compare=False)
+    Xinf: Gf2Matrix = field(init=False, compare=False)
+    f_inf: Gf2Matrix = field(init=False, compare=False)
+    f0: Gf2Matrix = field(init=False, compare=False)
+    f1: Gf2Matrix = field(init=False, compare=False)
+
+    def __post_init__(self):
+        blocks, xs, fs = _derive(self.dims, by_index(self, "tau"))
+        for (suffix, label, _, _), b, x, f in zip(CYCLE, blocks, xs, fs):
+            object.__setattr__(self, "blocks" + suffix, b)
+            object.__setattr__(self, "X" + label, x)
+            object.__setattr__(self, "f" + suffix, f)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a_inf)
 
-    @property
-    def f_inf(self) -> Gf2Matrix:
-        return _canonical_f(self.a0, self.a_inf, self.a1)
-
-    @property
-    def f0(self) -> Gf2Matrix:
-        return _canonical_f(self.a1, self.a0, self.a_inf)
-
-    @property
-    def f1(self) -> Gf2Matrix:
-        return _canonical_f(self.a_inf, self.a1, self.a0)
-
     def verify(self) -> None:
         verify_package(self)
 
 
-def _canonical_f(top: int, ident: int, right: int) -> Gf2Matrix:
-    """(0 0; I 0) with row split (top, ident) and column split (ident, right)."""
-    blocks = {}
-    if ident:
-        blocks[(1, 0)] = Gf2Matrix.identity(ident)
-    return BlockGrid((top, ident), (ident, right), blocks).assemble()
+def _package(dims, taus, fbars) -> SurgeryPackage:
+    """The package of dims, taus and fbars given in table order."""
+    return SurgeryPackage(*dims, *taus, fbars[2], fbars[0], fbars[1])
 
 
-def _split_blocks(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, ...]:
+def _split_blocks(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
     """The A, B and D blocks of tau cut at (top, bottom)."""
-    a = tau.submatrix(range(0, top), range(0, top))
-    b = tau.submatrix(range(0, top), range(top, top + bottom))
-    d = tau.submatrix(range(top, top + bottom), range(top, top + bottom))
-    return a, b, d
+    n = top + bottom
+    return (
+        tau.submatrix(range(top), range(top)),
+        tau.submatrix(range(top), range(top, n)),
+        tau.submatrix(range(top, n), range(top, n)),
+    )
+
+
+def _derive(dims, taus) -> tuple[list[BlockSet], list[Gf2Matrix], list[Gf2Matrix]]:
+    """The blocks, the X products and the normal-form f maps of a package with
+    these dims and taus, in table order."""
+    blocks, fs = [], []
+    for (suffix, _, prev, nxt), tau, a in zip(CYCLE, taus, dims):
+        top, bottom = dims[prev], dims[nxt]
+        n = top + bottom
+        if (tau.rows, tau.cols) != (n, n):
+            raise NormalizationFailure(f"tau{suffix} is {tau.rows}x{tau.cols}, expected {n}x{n}")
+        blocks.append(BlockSet(*_split_blocks(tau, top, bottom)))
+        # f_k maps H_next(k) = (a_k, a_prev(k)) to H_prev(k) = (a_next(k), a_k)
+        ident = {(1, 0): Gf2Matrix.identity(a)} if a else {}
+        fs.append(BlockGrid((bottom, a), (a, top), ident).assemble())
+    xs = [blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)]
+    return blocks, xs, fs
+
+
+def _barred(fs, taus, tau_inverses) -> list[Gf2Matrix]:
+    """fbar_k = tau_prev(k)^-1 f_k tau_next(k) for each index, in table order."""
+    return [tau_inverses[prev] @ f @ taus[nxt] for f, (_, _, prev, nxt) in zip(fs, CYCLE)]
 
 
 # -- geometric duality maps ---------------------------------------------------
@@ -125,23 +187,13 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
     if complex_.symmetry is not None:
         geometric = _geometric_tau(complex_, triple)
     if complex_.tau_override is not None:
-        override = complex_.tau_override
-        expected = [
-            (override.tau0, triple.total_dim("H0")),
-            (override.tau1, triple.total_dim("H1")),
-            (override.tau_inf, triple.total_dim("Hinf")),
-        ]
-        for m, n in expected:
+        override = by_index(complex_.tau_override, "tau")
+        for k, m in zip(CYCLE, override):
+            n = triple.total_dim("H" + k.label)
             if (m.rows, m.cols) != (n, n):
                 raise ShapeMismatch(f"tau override is {m.rows}x{m.cols}, expected {n}x{n}")
-        agrees = None
-        if geometric is not None:
-            agrees = (
-                geometric[0] == override.tau0
-                and geometric[1] == override.tau1
-                and geometric[2] == override.tau_inf
-            )
-        maps = TauMaps(override.tau0, override.tau1, override.tau_inf, "override", agrees)
+        agrees = None if geometric is None else geometric == override
+        maps = TauMaps(*override, "override", agrees)
     elif geometric is not None:
         maps = TauMaps(*geometric, "geometric")
     else:
@@ -186,18 +238,17 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
 
 
 def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
+    taus = by_index(maps, "tau")
     try:
-        inv_inf = maps.tau_inf.inverse()
-        inv0 = maps.tau0.inverse()
-        inv1 = maps.tau1.inverse()
+        inverses = [tau.inverse() for tau in taus]
     except ShapeMismatch as exc:
         raise TauRelationFailure(f"duality map is singular: {exc}") from exc
-    checks = [
-        ("fbar0", totals.fbar0, inv_inf @ totals.f0 @ maps.tau1),
-        ("fbar1", totals.fbar1, inv0 @ totals.f1 @ maps.tau_inf),
-        ("fbar_inf", totals.fbar_inf, inv1 @ totals.f_inf @ maps.tau0),
+    expected = _barred(by_index(totals, "f"), taus, inverses)
+    bad = [
+        "fbar" + k.suffix
+        for k, fbar, want in zip(CYCLE, by_index(totals, "fbar"), expected)
+        if fbar != want
     ]
-    bad = [name for name, lhs, rhs in checks if lhs != rhs]
     if bad:
         raise TauRelationFailure(f"barred-map relations fail for: {', '.join(bad)}")
 
@@ -233,10 +284,12 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     g0_cols = [1 << i for i in u] + [f1.column(i) for i in z1]
     g1_cols = [1 << i for i in w] + [f_inf.column(i) for i in u]
     try:
-        g0 = Gf2Matrix.from_columns(g0_cols, n0)
-        g1 = Gf2Matrix.from_columns(g1_cols, n1)
-        g_inf = Gf2Matrix.from_columns(g_inf_cols, ninf)
-        g0_inv, g1_inv, g_inf_inv = g0.inverse(), g1.inverse(), g_inf.inverse()
+        g = (
+            Gf2Matrix.from_columns(g0_cols, n0),
+            Gf2Matrix.from_columns(g1_cols, n1),
+            Gf2Matrix.from_columns(g_inf_cols, ninf),
+        )
+        g_inv = [m.inverse() for m in g]
     except ShapeMismatch as exc:
         raise NormalizationFailure(f"normal-form basis is not a basis: {exc}") from exc
 
@@ -244,97 +297,61 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     a0 = len(w)
     if ninf - len(z1) != a0 or n1 - a0 != a_inf:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
-
-    nf_inf = g1_inv @ f_inf @ g0
-    nf0 = g_inf_inv @ f0 @ g1
-    nf1 = g0_inv @ f1 @ g_inf
-    if (
-        nf_inf != _canonical_f(a0, a_inf, a1)
-        or nf0 != _canonical_f(a1, a0, a_inf)
-        or nf1 != _canonical_f(a_inf, a1, a0)
-    ):
-        raise NormalizationFailure("triangle maps do not reach the normal form")
-
-    tau0 = g0_inv @ maps.tau0 @ g0
-    tau1 = g1_inv @ maps.tau1 @ g1
-    tau_inf = g_inf_inv @ maps.tau_inf @ g_inf
-    fbar_inf = g1_inv @ totals.fbar_inf @ g0
-    fbar0 = g_inf_inv @ totals.fbar0 @ g1
-    fbar1 = g0_inv @ totals.fbar1 @ g_inf
-
-    package = _package_from_parts(a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1)
-    package.verify()
-    return package
-
-
-def _package_from_parts(
-    a0, a1, a_inf, tau0, tau1, tau_inf, fbar_inf, fbar0, fbar1
-) -> SurgeryPackage:
-    A0, B0, D0 = _split_blocks(tau0, a_inf, a1)
-    A1, B1, D1 = _split_blocks(tau1, a0, a_inf)
-    Ai, Bi, Di = _split_blocks(tau_inf, a1, a0)
-    return SurgeryPackage(
-        a0,
-        a1,
-        a_inf,
-        tau0,
-        tau1,
-        tau_inf,
-        BlockSet(A0, B0, D0),
-        BlockSet(A1, B1, D1),
-        BlockSet(Ai, Bi, Di),
-        B1 @ B0 @ Bi,
-        Bi @ B1 @ B0,
-        B0 @ Bi @ B1,
-        fbar_inf,
-        fbar0,
-        fbar1,
+    return _change_bases(
+        (a0, a1, a_inf),
+        by_index(maps, "tau"),
+        by_index(totals, "fbar"),
+        by_index(totals, "f"),
+        g,
+        g_inv,
+        "triangle maps do not reach the normal form",
     )
+
+
+def _change_bases(dims, taus, fbars, fs, g, g_inv, moved: str) -> SurgeryPackage:
+    """The verified package of these maps in the bases g_k of H_k.
+
+    tau_k becomes g_k^-1 tau_k g_k, and f_k and fbar_k, which map H_next(k)
+    to H_prev(k), become g_prev^-1 (.) g_next.  Each f_k must land on its
+    normal form, else NormalizationFailure(moved).  Every list is in table
+    order.
+    """
+    new_fs = tuple([g_inv[prev] @ f @ g[nxt] for f, (_, _, prev, nxt) in zip(fs, CYCLE)])
+    p = _package(
+        dims,
+        [h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)],
+        [g_inv[prev] @ fbar @ g[nxt] for fbar, (_, _, prev, nxt) in zip(fbars, CYCLE)],
+    )
+    if new_fs != by_index(p, "f"):
+        raise NormalizationFailure(moved)
+    verify_package(p)
+    return p
 
 
 def verify_package(p: SurgeryPackage) -> None:
     """All package axioms; raises NormalizationFailure with the first failure."""
-    expect = [
-        ("B0", p.blocks0.B, (p.a_inf, p.a1)),
-        ("B1", p.blocks1.B, (p.a0, p.a_inf)),
-        ("Binf", p.blocks_inf.B, (p.a1, p.a0)),
-    ]
-    for name, m, shape in expect:
-        if (m.rows, m.cols) != shape:
-            raise NormalizationFailure(f"{name} has shape {(m.rows, m.cols)}, expected {shape}")
-    inverses = {}
-    for name, tau, blocks, top, bottom in [
-        ("tau0", p.tau0, p.blocks0, p.a_inf, p.a1),
-        ("tau1", p.tau1, p.blocks1, p.a0, p.a_inf),
-        ("tau_inf", p.tau_inf, p.blocks_inf, p.a1, p.a0),
-    ]:
+    dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
+    inverses = []
+    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, taus, by_index(p, "blocks")):
         try:
-            inv = inverses[name] = tau.inverse()
+            inverses.append(tau.inverse())
         except ShapeMismatch as exc:
-            raise NormalizationFailure(f"{name} is singular: {exc}") from exc
-        ia, ib, id_ = _split_blocks(inv, top, bottom)
-        if ia != blocks.A or ib != blocks.B or id_ != blocks.D:
-            raise NormalizationFailure(f"{name} inverse does not share the A, B, D blocks")
-    for name, x in [("X0", p.X0), ("X1", p.X1), ("Xinf", p.Xinf)]:
+            raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
+        if _split_blocks(inverses[-1], dims[prev], dims[nxt]) != blocks:
+            raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
+    for k in CYCLE:
+        x = getattr(p, "X" + k.label)
         if not (x @ x).is_zero():
-            raise NormalizationFailure(f"{name} does not square to zero")
-    relations = [
-        ("fbar0", p.fbar0, inverses["tau_inf"] @ p.f0 @ p.tau1),
-        ("fbar1", p.fbar1, inverses["tau0"] @ p.f1 @ p.tau_inf),
-        ("fbar_inf", p.fbar_inf, inverses["tau1"] @ p.f_inf @ p.tau0),
-    ]
-    for name, lhs, rhs in relations:
-        if lhs != rhs:
-            raise NormalizationFailure(f"{name} violates its duality relation")
-    exact = [
-        (p.fbar0, p.fbar_inf, p.a0 + p.a_inf),
-        (p.fbar1, p.fbar0, p.a1 + p.a0),
-        (p.fbar_inf, p.fbar1, p.a_inf + p.a1),
-    ]
-    for second, first, middle in exact:
-        if not (second @ first).is_zero():
+            raise NormalizationFailure(f"X{k.label} does not square to zero")
+    for k, fbar, want in zip(CYCLE, fbars, _barred(by_index(p, "f"), taus, inverses)):
+        if fbar != want:
+            raise NormalizationFailure(f"fbar{k.suffix} violates its duality relation")
+    # fbar_prev(k) maps into H_next(k), which fbar_k maps out of
+    ranks = [fbar.rank() for fbar in fbars]
+    for k, (_, _, prev, nxt) in enumerate(CYCLE):
+        if not (fbars[k] @ fbars[prev]).is_zero():
             raise NormalizationFailure("barred triangle composite is nonzero")
-        if second.rank() + first.rank() != middle:
+        if ranks[k] + ranks[prev] != taus[nxt].rows:
             raise NormalizationFailure("barred triangle is not exact")
 
 
@@ -413,51 +430,30 @@ def _pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
 
 def stats(p: SurgeryPackage) -> PackageStats:
     """Direct subspace dimensions, cross-checked against the closed forms."""
-    r0 = p.blocks0.B.rank()
-    r1 = p.blocks1.B.rank()
-    r_inf = p.blocks_inf.B.rank()
-    k0, l0, c0, d0 = _pair_dims(p.f0, p.fbar0)
-    k1, l1, c1, d1 = _pair_dims(p.f1, p.fbar1)
-    k_inf, l_inf, c_inf, d_inf = _pair_dims(p.f_inf, p.fbar_inf)
+    dims = p.dims
+    r = [blocks.B.rank() for blocks in by_index(p, "blocks")]
+    k, l, c, d = zip(*map(_pair_dims, by_index(p, "f"), by_index(p, "fbar")))
 
-    closed = [
-        ("k0", k0, p.a_inf - r1),
-        ("k1", k1, p.a0 - r_inf),
-        ("k_inf", k_inf, p.a1 - r0),
-        ("c0", c0, p.a1 - r_inf),
-        ("c1", c1, p.a_inf - r0),
-        ("c_inf", c_inf, p.a0 - r1),
-    ]
-    for name, direct, formula in closed:
-        if direct != formula:
-            raise StatsInconsistent(f"{name}: direct {direct} != closed form {formula}")
-
-    delta0 = p.a0 - r_inf - l0
-    delta1 = p.a1 - r0 - l1
-    delta_inf = p.a_inf - r1 - l_inf
-    deltas = [
-        ("delta0", delta0, p.a0 - max(r1, r_inf), d0, p.a0 - r1 - delta0),
-        ("delta1", delta1, p.a1 - max(r_inf, r0), d1, p.a1 - r_inf - delta1),
-        ("delta_inf", delta_inf, p.a_inf - max(r0, r1), d_inf, p.a_inf - r0 - delta_inf),
-    ]
-    for name, value, upper, d_direct, d_formula in deltas:
-        if not 0 <= value <= upper:
-            raise StatsInconsistent(f"{name} = {value} outside [0, {upper}]")
-        if d_direct != d_formula:
-            raise StatsInconsistent(f"d mismatch at {name}: {d_direct} != {d_formula}")
-
-    return PackageStats(
-        p.a0, p.a1, p.a_inf,
-        r0, r1, r_inf,
-        delta0, delta1, delta_inf,
-        k0, k1, k_inf,
-        l0, l1, l_inf,
-        c0, c1, c_inf,
-        d0, d1, d_inf,
-        k0 + l0 + c0 + d0,
-        k1 + l1 + c1 + d1,
-        k_inf + l_inf + c_inf + d_inf,
+    closed = (
+        ("k", k, [dims[prev] - r[nxt] for _, _, prev, nxt in CYCLE]),
+        ("c", c, [dims[nxt] - r[prev] for _, _, prev, nxt in CYCLE]),
     )
+    for stem, direct, formula in closed:
+        for index, x, y in zip(CYCLE, direct, formula):
+            if x != y:
+                raise StatsInconsistent(f"{stem}{index.suffix}: direct {x} != closed form {y}")
+
+    delta = [dims[i] - r[prev] - l[i] for i, (_, _, prev, _) in enumerate(CYCLE)]
+    for i, (suffix, _, prev, nxt) in enumerate(CYCLE):
+        upper = dims[i] - max(r[nxt], r[prev])
+        if not 0 <= delta[i] <= upper:
+            raise StatsInconsistent(f"delta{suffix} = {delta[i]} outside [0, {upper}]")
+        d_formula = dims[i] - r[nxt] - delta[i]
+        if d[i] != d_formula:
+            raise StatsInconsistent(f"d mismatch at delta{suffix}: {d[i]} != {d_formula}")
+
+    y = [sum(parts) for parts in zip(k, l, c, d)]
+    return PackageStats(*dims, *r, *delta, *k, *l, *c, *d, *y)
 
 
 # -- admissible changes of basis ----------------------------------------------
@@ -470,18 +466,15 @@ class AdmissibleChange:
     P0: Gf2Matrix
     P1: Gf2Matrix
     Pinf: Gf2Matrix
-    Q0: Gf2Matrix  # a1 x a_inf
-    Q1: Gf2Matrix  # a_inf x a0
-    Qinf: Gf2Matrix  # a0 x a1
+    # Q_k is a_next(k) x a_prev(k)
+    Q0: Gf2Matrix
+    Q1: Gf2Matrix
+    Qinf: Gf2Matrix
 
-    def pp0(self) -> Gf2Matrix:
-        return lower_triangular(self.Pinf, self.Q0, self.P1)
-
-    def pp1(self) -> Gf2Matrix:
-        return lower_triangular(self.P0, self.Q1, self.Pinf)
-
-    def pp_inf(self) -> Gf2Matrix:
-        return lower_triangular(self.P1, self.Qinf, self.P0)
+    def pp(self) -> tuple[Gf2Matrix, ...]:
+        """The change of each H_k, in table order: (P_prev(k) 0; Q_k P_next(k))."""
+        ps = [getattr(self, "P" + k.label) for k in CYCLE]
+        return tuple(lower_triangular(ps[prev], getattr(self, "Q" + label), ps[nxt]) for _, label, prev, nxt in CYCLE)
 
 
 def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
@@ -492,43 +485,31 @@ def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
 
 
 def random_admissible(seed: int, dims: tuple[int, int, int]) -> AdmissibleChange:
-    a0, a1, a_inf = dims
     rng = random.Random(f"splicerank-admissible-{seed}")
-    return AdmissibleChange(
-        random_invertible(rng, a0),
-        random_invertible(rng, a1),
-        random_invertible(rng, a_inf),
-        Gf2Matrix(a1, a_inf, [rng.getrandbits(a_inf) for _ in range(a1)]),
-        Gf2Matrix(a_inf, a0, [rng.getrandbits(a0) for _ in range(a_inf)]),
-        Gf2Matrix(a0, a1, [rng.getrandbits(a1) for _ in range(a0)]),
-    )
+    ps = [random_invertible(rng, a) for a in dims]
+    qs = [
+        Gf2Matrix(dims[nxt], dims[prev], [rng.getrandbits(dims[prev]) for _ in range(dims[nxt])])
+        for _, _, prev, nxt in CYCLE
+    ]
+    return AdmissibleChange(*ps, *qs)
 
 
 def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPackage:
     """Conjugate a package; the canonical triangle forms stay bit-identical."""
-    pp0, pp1, ppi = change.pp0(), change.pp1(), change.pp_inf()
-    if not (pp0.rank() == pp0.rows and pp1.rank() == pp1.rows and ppi.rank() == ppi.rows):
-        raise ShapeMismatch("admissible change is singular")
-    for f, left, right in [
-        (p.f_inf, pp1, pp0),
-        (p.f0, ppi, pp1),
-        (p.f1, pp0, ppi),
-    ]:
-        if left.inverse() @ f @ right != f:
-            raise NormalizationFailure("admissible change moved a triangle map")
-    out = _package_from_parts(
-        p.a0,
-        p.a1,
-        p.a_inf,
-        pp0.inverse() @ p.tau0 @ pp0,
-        pp1.inverse() @ p.tau1 @ pp1,
-        ppi.inverse() @ p.tau_inf @ ppi,
-        pp1.inverse() @ p.fbar_inf @ pp0,
-        ppi.inverse() @ p.fbar0 @ pp1,
-        pp0.inverse() @ p.fbar1 @ ppi,
+    g = change.pp()
+    try:
+        g_inv = [m.inverse() for m in g]
+    except ShapeMismatch as exc:
+        raise ShapeMismatch("admissible change is singular") from exc
+    return _change_bases(
+        p.dims,
+        by_index(p, "tau"),
+        by_index(p, "fbar"),
+        by_index(p, "f"),
+        g,
+        g_inv,
+        "admissible change moved a triangle map",
     )
-    out.verify()
-    return out
 
 
 # -- direct sums ----------------------------------------------------------------
@@ -552,31 +533,17 @@ def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
     """The package of p and q side by side.
 
     Each tau and each fbar is block-summed along the splits of the f maps
-    (H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0)), so the summed f
-    maps keep the form (0 0; I 0) and the sum passes ``verify_package``.
+    (H_k = (a_prev(k), a_next(k)), see ``CYCLE``), so the summed f maps keep
+    the form (0 0; I 0) and the sum passes ``verify_package``.
     """
-    top_p = {"H0": p.a_inf, "H1": p.a0, "Hinf": p.a1}
-    top_q = {"H0": q.a_inf, "H1": q.a0, "Hinf": q.a1}
-
-    def add(name: str, target: str, source: str) -> Gf2Matrix:
-        return _block_sum(
-            getattr(p, name),
-            getattr(q, name),
-            (top_p[target], top_p[source]),
-            (top_q[target], top_q[source]),
-        )
-
-    out = _package_from_parts(
-        p.a0 + q.a0,
-        p.a1 + q.a1,
-        p.a_inf + q.a_inf,
-        add("tau0", "H0", "H0"),
-        add("tau1", "H1", "H1"),
-        add("tau_inf", "Hinf", "Hinf"),
-        add("fbar_inf", "H1", "H0"),
-        add("fbar0", "Hinf", "H1"),
-        add("fbar1", "H0", "Hinf"),
-    )
+    dp, dq = p.dims, q.dims
+    taus, fbars = [], []
+    maps = zip(CYCLE, by_index(p, "tau"), by_index(q, "tau"), by_index(p, "fbar"), by_index(q, "fbar"))
+    for k, ((_, _, prev, nxt), tau_p, tau_q, fbar_p, fbar_q) in enumerate(maps):
+        taus.append(_block_sum(tau_p, tau_q, (dp[prev], dp[prev]), (dq[prev], dq[prev])))
+        # fbar_k maps H_next(k), whose top part is a_k, to H_prev(k), whose top is a_next(k)
+        fbars.append(_block_sum(fbar_p, fbar_q, (dp[nxt], dp[k]), (dq[nxt], dq[k])))
+    out = _package([a + b for a, b in zip(dp, dq)], taus, fbars)
     out.verify()
     return out
 
@@ -598,7 +565,7 @@ def _random_involution(rng: random.Random, n: int) -> Gf2Matrix:
 
 def _twist(rng: random.Random, tau: Gf2Matrix, top: int, bottom: int) -> Gf2Matrix:
     """Post-compose with (I 0; T I) where T B = 0 = B T, keeping A, B, D fixed."""
-    _, b, _ = _split_blocks(tau, top, bottom)
+    b = _split_blocks(tau, top, bottom)[1]
     col_space = b.kernel_basis()  # subspace of F^bottom
     row_space = b.cokernel_basis()  # subspace of F^top
     if not col_space or not row_space or rng.random() < 0.5:
@@ -620,29 +587,14 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
     a0, a1, a_inf = dims
     rng = random.Random(f"splicerank-synthetic-{seed}-{a0}-{a1}-{a_inf}")
     for _ in range(SYNTHETIC_RETRY_BUDGET):
-        tau0 = _twist(rng, _random_involution(rng, a_inf + a1), a_inf, a1)
-        tau1 = _twist(rng, _random_involution(rng, a0 + a_inf), a0, a_inf)
-        tau_inf = _twist(rng, _random_involution(rng, a1 + a0), a1, a0)
-        b0 = _split_blocks(tau0, a_inf, a1)[1]
-        b1 = _split_blocks(tau1, a0, a_inf)[1]
-        bi = _split_blocks(tau_inf, a1, a0)[1]
-        x0, x1, xi = b1 @ b0 @ bi, bi @ b1 @ b0, b0 @ bi @ b1
-        if not ((x0 @ x0).is_zero() and (x1 @ x1).is_zero() and (xi @ xi).is_zero()):
+        taus = []
+        for _, _, prev, nxt in CYCLE:
+            top, bottom = dims[prev], dims[nxt]
+            taus.append(_twist(rng, _random_involution(rng, top + bottom), top, bottom))
+        _, xs, fs = _derive(dims, taus)
+        if not all((x @ x).is_zero() for x in xs):
             continue
-        f_inf = _canonical_f(a0, a_inf, a1)
-        f0 = _canonical_f(a1, a0, a_inf)
-        f1 = _canonical_f(a_inf, a1, a0)
-        p = _package_from_parts(
-            a0,
-            a1,
-            a_inf,
-            tau0,
-            tau1,
-            tau_inf,
-            tau1.inverse() @ f_inf @ tau0,
-            tau_inf.inverse() @ f0 @ tau1,
-            tau0.inverse() @ f1 @ tau_inf,
-        )
+        p = _package(dims, taus, _barred(fs, taus, [tau.inverse() for tau in taus]))
         p.verify()
         return p
     raise SamplingExhausted(

@@ -288,15 +288,17 @@ class Gf2Matrix:
         return Gf2Matrix._trusted(n, n, tuple([pivots[c] >> n for c in range(n)]))
 
     def submatrix(self, row_range: range, col_range: range) -> Gf2Matrix:
-        """The rows in row_range and the columns in col_range, both step 1."""
+        """The rows in row_range and the columns in col_range, both step 1 and
+        inside the matrix (0 <= start <= stop <= rows or cols)."""
         # a stepped column range would keep bits between its columns
         if row_range.step != 1 or col_range.step != 1:
             raise ShapeMismatch(f"submatrix ranges must have step 1, got {row_range}, {col_range}")
-        width = len(col_range)
-        mask = (1 << width) - 1
-        shift = col_range.start if width else 0
-        bits = tuple([(self.row_bits[r] >> shift) & mask for r in row_range])
-        return Gf2Matrix._trusted(len(row_range), width, bits)
+        r0, r1, c0, c1 = row_range.start, row_range.stop, col_range.start, col_range.stop
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ShapeMismatch(f"submatrix {row_range}, {col_range} leaves {self.rows}x{self.cols}")
+        mask = (1 << (c1 - c0)) - 1
+        bits = tuple([(b >> c0) & mask for b in self.row_bits[r0:r1]])
+        return Gf2Matrix._trusted(r1 - r0, c1 - c0, bits)
 
 
 # -- spans of bitmask vectors ---------------------------------------------

@@ -16,13 +16,14 @@ The six column blocks of D have the dims (left, right), in the order
 and block k holds Kronecker products u ⊗ v, u of length p1.left and v of
 length p2.right.  ``build_D`` reads its column dims from this table
 (``_COL_BLOCKS``), the witnesses their block offsets and Kronecker widths.
-Each knot has six witness families (``WitnessData``): a vector of w0, w1 or
-w_inf has parts (x, y), split at a0, a1 or a_inf, and one of z0, z1 or z_inf
-is one part z.  The witness of a pair of vectors, one per knot, is a sum of
-terms, each a part of the first times a part of the second in one column
-block; ``_WITNESS_TERMS`` lists them for the six family pairs that have any.
-A vector has no parts of another family, so every other family pair (30 of
-the 36) gives the witness 0.
+Each knot has six witness families (``WitnessData``), two per index k of the
+cycle in ``duality.CYCLE``: z_k = Ker B_next(k), and w_k, the kernel of
+(B_prev(k) 0; D_prev(k) + A_next(k) B_next(k)), whose vectors have parts
+(x, y) split at a_k; a vector of z_k is one part z.  The witness of a pair of
+vectors, one per knot, is a sum of terms, each a part of the first times a
+part of the second in one column block; ``_WITNESS_TERMS`` lists them for the
+six family pairs that have any.  A vector has no parts of another family, so
+every other family pair (30 of the 36) gives the witness 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .duality import PackageStats, SurgeryPackage, geometric_package, stats
+from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, geometric_package, stats
 from .errors import ShapeMismatch, WitnessNotInKernel
 from .gf2 import BlockGrid, Gf2Matrix, lower_triangular, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
@@ -158,28 +159,25 @@ def _rank_of(d: Gf2Matrix) -> SpliceRank:
 
 @dataclass(frozen=True)
 class WitnessData:
-    """Per-knot solution spaces feeding the assembled kernel vectors."""
+    """Per-knot solution spaces feeding the assembled kernel vectors: z_k and
+    w_k for each index k (see the module docstring)."""
 
-    z0: list[int]  # Ker B1
-    z1: list[int]  # Ker Binf
-    z_inf: list[int]  # Ker B0
-    w0: list[int]  # Ker (Binf 0; Dinf+A1 B1), components (x0, y0)
-    w1: list[int]  # Ker (B0 0; D0+Ainf Binf), components (x1, y1)
-    w_inf: list[int]  # Ker (B1 0; D1+A0 B0), components (x_inf, y_inf)
+    z0: list[int]
+    z1: list[int]
+    z_inf: list[int]
+    w0: list[int]
+    w1: list[int]
+    w_inf: list[int]
 
 
 def witness_data(p: SurgeryPackage) -> WitnessData:
-    b0, b1, bi = p.blocks0.B, p.blocks1.B, p.blocks_inf.B
-    a0_, a1_, ai_ = p.blocks0.A, p.blocks1.A, p.blocks_inf.A
-    d0_, d1_, di_ = p.blocks0.D, p.blocks1.D, p.blocks_inf.D
-    return WitnessData(
-        z0=b1.kernel_basis(),
-        z1=bi.kernel_basis(),
-        z_inf=b0.kernel_basis(),
-        w0=lower_triangular(bi, di_ + a1_, b1).kernel_basis(),
-        w1=lower_triangular(b0, d0_ + ai_, bi).kernel_basis(),
-        w_inf=lower_triangular(b1, d1_ + a0_, b0).kernel_basis(),
-    )
+    blocks = by_index(p, "blocks")
+    spaces = {}
+    for suffix, _, prev, nxt in CYCLE:
+        before, after = blocks[prev], blocks[nxt]
+        spaces["z" + suffix] = after.B.kernel_basis()
+        spaces["w" + suffix] = lower_triangular(before.B, before.D + after.A, after.B).kernel_basis()
+    return WitnessData(**spaces)
 
 
 def _split(v: int, first: int) -> tuple[int, int]:
@@ -219,11 +217,11 @@ def _family_parts(p: SurgeryPackage) -> dict[str, list[dict[str, int]]]:
     in pair-numbering order."""
     data = witness_data(p)
     out = {
-        name: [dict(zip("xy", _split(w, first))) for w in getattr(data, name)]
-        for name, first in (("w0", p.a0), ("w1", p.a1), ("w_inf", p.a_inf))
+        "w" + k.suffix: [dict(zip("xy", _split(w, a))) for w in ws]
+        for k, a, ws in zip(CYCLE, p.dims, by_index(data, "w"))
     }
-    for name in ("z0", "z1", "z_inf"):
-        out[name] = [{"z": z} for z in getattr(data, name)]
+    for k, zs in zip(CYCLE, by_index(data, "z")):
+        out["z" + k.suffix] = [{"z": z} for z in zs]
     return out
 
 
@@ -367,8 +365,7 @@ def _surj(b: Gf2Matrix) -> bool:
 
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses."""
-    b_1 = {"0": p1.blocks0.B, "1": p1.blocks1.B, "inf": p1.blocks_inf.B}
-    b_2 = {"0": p2.blocks0.B, "1": p2.blocks1.B, "inf": p2.blocks_inf.B}
+    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
     rank = splice_rank(p1, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):

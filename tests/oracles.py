@@ -205,6 +205,37 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     return tau0, tau1, tau_inf
 
 
+def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
+    """A package's blocks, X products and normal-form f maps, written out per
+    index: H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0)."""
+
+    def split(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, ...]:
+        a = tau.submatrix(range(0, top), range(0, top))
+        b = tau.submatrix(range(0, top), range(top, top + bottom))
+        d = tau.submatrix(range(top, top + bottom), range(top, top + bottom))
+        return a, b, d
+
+    def canonical_f(top: int, ident: int, right: int) -> Gf2Matrix:
+        """(0 0; I 0) with row split (top, ident) and column split (ident, right)."""
+        blocks = {(1, 0): Gf2Matrix.identity(ident)} if ident else {}
+        return BlockGrid((top, ident), (ident, right), blocks).assemble()
+
+    A0, B0, D0 = split(p.tau0, p.a_inf, p.a1)
+    A1, B1, D1 = split(p.tau1, p.a0, p.a_inf)
+    Ai, Bi, Di = split(p.tau_inf, p.a1, p.a0)
+    return {
+        "blocks0": (A0, B0, D0),
+        "blocks1": (A1, B1, D1),
+        "blocks_inf": (Ai, Bi, Di),
+        "X0": B1 @ B0 @ Bi,
+        "X1": Bi @ B1 @ B0,
+        "Xinf": B0 @ Bi @ B1,
+        "f_inf": canonical_f(p.a0, p.a_inf, p.a1),
+        "f0": canonical_f(p.a1, p.a0, p.a_inf),
+        "f1": canonical_f(p.a_inf, p.a1, p.a0),
+    }
+
+
 def reference_build_side(
     window: range,
     level: Callable[[tuple[str, int, int]], int],

@@ -8,6 +8,8 @@ from dataclasses import fields, is_dataclass
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
@@ -16,6 +18,7 @@ from splicerank.duality import (
     apply_admissible,
     _geometric_tau,
     build_tau,
+    direct_sum,
     geometric_package,
     normalize,
     random_admissible,
@@ -24,13 +27,13 @@ from splicerank.duality import (
     verify_package,
 )
 from splicerank.errors import NormalizationFailure, NotQuasiIso, ShapeMismatch, TauRelationFailure
-from splicerank.gf2 import Gf2Matrix
+from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.homology import HomologySpace
 from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map, random_complex, replace
 from splicerank.splice import splice_rank
 from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple, total_package
 
-from oracles import oracle_models, reference_geometric_tau
+from oracles import oracle_models, reference_geometric_tau, reference_package_parts
 
 
 def test_unknot_package_dims_and_blocks():
@@ -57,6 +60,64 @@ def test_singular_tau_fails_verification_as_a_normalization_failure():
     singular = replace(p, tau1=Gf2Matrix.zeros(p.tau1.rows, p.tau1.cols))
     with pytest.raises(NormalizationFailure, match="tau1 is singular"):
         verify_package(singular)
+
+
+def test_a_tau_of_the_wrong_size_fails_as_a_normalization_failure():
+    # tau1 of the trefoil is 3x3: a 2x2 one once read its blocks past the
+    # matrix's edge and failed with an IndexError
+    p = geometric_package(corpus("trefoil_staircase"))
+    with pytest.raises(NormalizationFailure, match="tau1 is 2x2, expected 3x3"):
+        verify_package(replace(p, tau1=Gf2Matrix.identity(2)))
+
+
+def test_replace_derives_blocks_and_x_products_afresh():
+    p = geometric_package(corpus("t34_staircase"))
+    q = apply_admissible(p, random_admissible(0, p.dims))
+    assert q.blocks1 != p.blocks1
+    assert replace(p, tau1=q.tau1).blocks1 == q.blocks1
+    assert replace(p, tau0=q.tau0, tau1=q.tau1, tau_inf=q.tau_inf).X1 == q.X1
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("tau0", "barred-map relations fail for: fbar1, fbar_inf"),
+        ("tau1", "barred-map relations fail for: fbar0, fbar_inf"),
+        ("tau_inf", "barred-map relations fail for: fbar0, fbar1"),
+    ],
+)
+def test_each_barred_relation_reads_its_own_taus(name, message):
+    # fbar_k = tau_prev(k)^-1 f_k tau_next(k): a wrong prev or next in the
+    # index cycle changes which relations a replaced tau breaks
+    c = corpus("trefoil_staircase")
+    t = total_package(c)
+    maps = build_tau(c, t)
+    taus = {"tau0": maps.tau0, "tau1": maps.tau1, "tau_inf": maps.tau_inf}
+    taus[name] = Gf2Matrix.identity(taus[name].rows)
+    with pytest.raises(TauRelationFailure) as failure:
+        build_tau(replace(c, tau_override=TauOverride(**taus)), t)
+    assert str(failure.value) == message
+
+
+geometric_packages = st.sampled_from(
+    [c for c in oracle_models() if c.symmetry is not None or c.tau_override is not None]
+).map(geometric_package)
+synthetic_packages = st.tuples(
+    st.integers(0, 100), st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+).map(lambda args: synthetic_package(*args))
+base_packages = geometric_packages | synthetic_packages
+packages = (
+    base_packages
+    | st.builds(direct_sum, base_packages, base_packages)
+    | st.builds(lambda p, seed: apply_admissible(p, random_admissible(seed, p.dims)), base_packages, st.integers(0, 1000))
+)
+
+
+@settings(max_examples=60)
+@given(packages)
+def test_derived_fields_match_the_per_index_reference(p):
+    want = reference_package_parts(p)
+    assert {name: getattr(p, name) for name in want} == want
 
 
 def test_block_shapes_across_corpus():
@@ -344,3 +405,24 @@ def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
     counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normalize"))
     assert one_pass() == first
     assert counts == {"normalize": 2 * len(knots) ** 2}
+
+
+def test_warm_geometric_package_operation_budget(memo, monkeypatch):
+    # a warm call normalises and verifies one package: its three f maps are
+    # assembled once, and no other operation may exceed these counts
+    ceiling = {"__matmul__": 36, "inverse": 6, "rank": 6, "kernel_basis": 2, "submatrix": 18, "assemble": 3}
+    knots = [corpus(name) for name in ("trefoil_staircase", "t34_staircase", "fig8_box")]
+    for c in knots:
+        geometric_package(c)
+    counts = Counter()
+    counted_ops = [(Gf2Matrix, name) for name in ceiling if name != "assemble"] + [(BlockGrid, "assemble")]
+    for owner, name in counted_ops:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for c in knots:
+        counts.clear()
+        geometric_package(c)
+        assert {name: n for name, n in counts.items() if n > ceiling[name]} == {}, c.name
+        assert counts["__matmul__"] > 0, c.name  # the wrappers count

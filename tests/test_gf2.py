@@ -441,3 +441,19 @@ def test_submatrix_rejects_a_stepped_range():
         m.submatrix(range(4), range(0, 4, 2))
     with pytest.raises(ShapeMismatch, match="step 1"):
         m.submatrix(range(3, -1, -1), range(4))
+
+
+def test_submatrix_rejects_a_range_outside_the_matrix():
+    m = Gf2Matrix.identity(2)
+    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
+        m.submatrix(range(1, 3), range(2))  # rows past the last row
+    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
+        m.submatrix(range(2), range(1, 3))  # columns past the last column
+    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
+        m.submatrix(range(-1, 1), range(2))
+    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
+        m.submatrix(range(2), range(2, 1))
+    # empty ranges inside the matrix, at either edge, stay legal
+    assert m.submatrix(range(2, 2), range(0)) == Gf2Matrix.zeros(0, 0)
+    assert m.submatrix(range(0), range(2)) == Gf2Matrix.zeros(0, 2)
+    assert m.submatrix(range(2), range(2, 2)) == Gf2Matrix.zeros(2, 0)
