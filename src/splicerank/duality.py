@@ -23,8 +23,9 @@ its blocks, X products and f maps are derived from them when it is built.
 
 ``geometric_package`` keeps one entry per complex for the life of the
 process: the triple's ``SurgeryTotals`` and the ``TauMaps`` that have passed
-the barred-map relations, the two things ``normalize`` reads.  It keeps no
-triple, cone, plane or homology space.  The memo is a
+the barred-map relations.  ``normalize`` reads both, and the lemma suite
+reads the totals through ``known_totals``.  The memo keeps no triple, cone,
+plane or homology space.  It is a
 ``weakref.WeakKeyDictionary`` keyed on the complex itself, which is immutable
 and hashable, so an equal complex hits the same entry and an entry dies with
 its complex; nothing in an entry refers back to the complex.  ``normalize``
@@ -360,6 +361,19 @@ _BUILT: weakref.WeakKeyDictionary[BifilteredComplex, tuple[SurgeryTotals, TauMap
 )
 
 
+def _lookup(complex_: BifilteredComplex) -> tuple[SurgeryTotals, TauMaps] | None:
+    # equal complexes share an entry, and 0 == 0.0 == False, so a grading or
+    # drop that is not an int has to be caught before the lookup
+    require_valid(complex_)
+    return _BUILT.get(complex_)
+
+
+def known_totals(complex_: BifilteredComplex) -> SurgeryTotals | None:
+    """The memo's totals of complex_, or None before its first package."""
+    built = _lookup(complex_)
+    return None if built is None else built[0]
+
+
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
     """Full pipeline: surgery triple, duality maps, normalized package.
 
@@ -372,10 +386,7 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
         raise ShapeMismatch(
             f"triple of {triple.complex.name!r} handed over for {complex_.name!r}"
         )
-    # equal complexes share an entry, and 0 == 0.0 == False, so a grading or
-    # drop that is not an int has to be caught before the lookup
-    require_valid(complex_)
-    built = _BUILT.get(complex_)
+    built = _lookup(complex_)
     if built is None:
         if triple is None:
             triple = total_package(complex_)

@@ -4,9 +4,17 @@ Both filtration directions of the ambient invariant are realized inside the
 homology of the j = 0 plane: the row side by its sub-planes C{i<=s, j=0}
 directly, the column side by the sub-planes C{i=0, j<=s} of the i = 0 plane
 mapped through the flip.  Both come from one ``surgery.PlaneStore``:
-``profile`` makes its own, and ``check_all_lemmas`` hands it the store of the
-``SurgeryTriple`` it has already built.  All comparisons with the surgery and
-duality pipelines are made at the level of dimensions.
+``profile`` makes its own, unless ``check_all_lemmas`` has just built a
+``SurgeryTriple`` and hands it that triple's store.  All comparisons with the
+surgery and duality pipelines are made at the level of dimensions.
+
+The lemma suite reads a knot's surgery side from its ``SurgeryTotals``: the
+per-level dimensions of H0 and H1, and the per-level maps f_inf(s), which
+are the diagonal blocks of the total f_inf because f_inf keeps the level.
+``check_all_lemmas`` builds a triple only for a knot the ``duality`` memo
+does not hold yet; its exactness, window stability and duality relations
+are checked then, once per knot.  The profile and every lemma entry are
+computed on every call.
 
 Graded pieces by a diagonal sweep
 ---------------------------------
@@ -52,8 +60,8 @@ from .homology import (
     induced_by_columns,
 )
 from .model import BifilteredComplex, flip_map, require_valid
-from .surgery import PlaneStore, SurgeryTriple, total_package
-from .duality import SurgeryPackage, geometric_package
+from .surgery import PlaneStore, SurgeryTotals, total_package
+from .duality import SurgeryPackage, geometric_package, known_totals
 
 E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
     "ker_b1": lambda s: max(0, abs(s) - 1),
@@ -247,27 +255,29 @@ class LemmaReport:
         return [e for e in self.entries if not e.ok]
 
 
-def lemma31_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
+def lemma31_check(totals: SurgeryTotals, prof: FiltrationProfile) -> LemmaReport:
     """Surgery group dimensions against the four-part filtration decomposition."""
     entries = []
-    for n in (0, 1):
-        spaces = triple.H0 if n == 0 else triple.H1
-        for s in triple.window:
+    for n, dims in enumerate((totals.h0_dims, totals.h1_dims)):
+        for s, dim in zip(totals.window, dims):
             rhs = (
                 prof.row.kernel_dim.get(s, 0)
                 + prof.col.kernel_dim.get(n - s - 1, 0)
                 + prof.a_sum(lambda p, q: p <= s < n - q)
                 + prof.a_sum(lambda p, q: p > s >= n - q)
             )
-            entries.append(LemmaEntry(f"H_{n}({s})", spaces[s].dim, rhs))
+            entries.append(LemmaEntry(f"H_{n}({s})", dim, rhs))
     return LemmaReport("surgery-group decomposition", tuple(entries))
 
 
-def lemma32_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
+def lemma32_check(totals: SurgeryTotals, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and image of the per-level inclusion maps, structurally."""
     entries = []
-    for s in triple.window:
-        f = triple.f_inf[s]
+    row = col = 0
+    for s, d0, d1 in zip(totals.window, totals.h0_dims, totals.h1_dims):
+        # f_inf(s): H0(s) -> H1(s) is the diagonal block of the total at (s, s)
+        f = totals.f_inf.submatrix(range(row, row + d1), range(col, col + d0))
+        row, col = row + d1, col + d0
         ker_rhs = prof.col.bracket_sub.get(-s - 1, 0) + prof.a_sum(
             lambda p, q: p > s and q == -s
         )
@@ -330,13 +340,23 @@ def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 
 
 def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
-    """Run the full lemma suite on one complex (shared intermediate data)."""
-    triple = total_package(complex_)
-    prof = profile(complex_, _planes=triple.planes)
-    package = geometric_package(complex_, triple)
+    """Run the full lemma suite on one complex (shared intermediate data).
+
+    A knot the ``duality`` memo already holds is read from its totals; any
+    other is built once, as a triple whose plane store ``profile`` shares.
+    """
+    totals = known_totals(complex_)
+    if totals is None:
+        triple = total_package(complex_)
+        prof = profile(complex_, _planes=triple.planes)
+        package = geometric_package(complex_, triple)
+        totals = triple.totals
+    else:
+        prof = profile(complex_)
+        package = geometric_package(complex_)
     return {
-        "lemma31": lemma31_check(triple, prof),
-        "lemma32": lemma32_check(triple, prof),
+        "lemma31": lemma31_check(totals, prof),
+        "lemma32": lemma32_check(totals, prof),
         "lemma33": lemma33_check(package, prof),
         "lemma37": lemma37_check(package, prof),
     }

@@ -137,12 +137,12 @@ class Gf2Matrix:
 
     def entry(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r},{c}) outside {self.rows}x{self.cols}")
+            raise ShapeMismatch(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
         return (self.row_bits[r] >> c) & 1
 
     def column(self, c: int) -> int:
         if not 0 <= c < self.cols:
-            raise IndexError(c)
+            raise ShapeMismatch(f"column {c} outside {self.rows}x{self.cols}")
         out = 0
         for r, b in enumerate(self.row_bits):
             out |= ((b >> c) & 1) << r
@@ -190,15 +190,6 @@ class Gf2Matrix:
                 b ^= low
             out.append(acc)
         return Gf2Matrix._trusted(self.rows, other.cols, tuple(out))
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector (bitmask of length cols)."""
-        if v >> self.cols:
-            raise ShapeMismatch(f"vector has bits beyond {self.cols}")
-        out = 0
-        for r, b in enumerate(self.row_bits):
-            out |= ((b & v).bit_count() & 1) << r
-        return out
 
     def transpose(self) -> Gf2Matrix:
         bits = [0] * self.cols
@@ -263,7 +254,7 @@ class Gf2Matrix:
         dimensions are preserved.
         """
         if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r},{c}) outside {self.rows}x{self.cols}")
+            raise ShapeMismatch(f"pivot ({r},{c}) outside {self.rows}x{self.cols}")
         if not (self.row_bits[r] >> c) & 1:
             raise PivotZero(f"entry ({r},{c}) is zero")
         pivot_row = self.row_bits[r]

@@ -18,7 +18,7 @@ from typing import Callable, Hashable
 
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import SurgeryPackage, geometric_package, stats
-from splicerank.errors import WitnessNotInKernel
+from splicerank.errors import ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
     BlockGrid,
@@ -55,6 +55,16 @@ def span_basis(vectors) -> list[int]:
     """Canonical basis of the span: the reduced echelon rows, by pivot."""
     pivots = echelon(vectors)
     return [pivots[p] for p in sorted(pivots)]
+
+
+def mul_vec(m: Gf2Matrix, v: int) -> int:
+    """m times the column vector v (a bitmask of length m.cols), row by row."""
+    if v >> m.cols:
+        raise ShapeMismatch(f"vector has bits beyond {m.cols}")
+    out = 0
+    for r, b in enumerate(m.row_bits):
+        out |= ((b & v).bit_count() & 1) << r
+    return out
 
 
 def oracle_models() -> list[BifilteredComplex]:
@@ -121,7 +131,7 @@ def reference_relabel_vector(
 
 
 def reference_induced(chain_map: Gf2Matrix, source, target) -> Gf2Matrix:
-    cols = [target.coords(chain_map.mul_vec(rep)) for rep in source.reps]
+    cols = [target.coords(mul_vec(chain_map, rep)) for rep in source.reps]
     return Gf2Matrix.from_columns(cols, target.dim)
 
 
@@ -143,7 +153,7 @@ def reference_level_maps(triple: SurgeryTriple) -> dict[str, dict[int, Gf2Matrix
         for rep in Hinf[s].reps:
             lifted = reference_relabel_vector(rep, spot, cone1, lift)
             back = reference_relabel_vector(
-                cone1.boundary.mul_vec(lifted), cone1, triple.cones0[low].cone, same
+                mul_vec(cone1.boundary, lifted), cone1, triple.cones0[low].cone, same
             )
             cols.append(H0[low].coords(back))
         return Gf2Matrix.from_columns(cols, H0[low].dim)
@@ -252,7 +262,7 @@ def reference_build_side(
         h = ReferenceHomology(sub)
         to_plane = reference_label_matrix(sub, own_plane, lambda lbl: lbl)
         iota = reference_induced(to_ambient_chain @ to_plane, h, ambient_h)
-        image[s] = [iota.mul_vec(1 << i) for i in range(h.dim)]
+        image[s] = [mul_vec(iota, 1 << i) for i in range(h.dim)]
         kernels[s] = iota.kernel_basis()
         spaces[s] = h
         if prev_sub is not None:
@@ -272,13 +282,13 @@ def reference_build_side(
         basis = kernels[s]
         if s + 1 in incs:
             solver = SpanSolver(kernels[s + 1])
-            cols = [solver.solve(incs[s + 1].mul_vec(k)) for k in basis]
+            cols = [solver.solve(mul_vec(incs[s + 1], k)) for k in basis]
             step_matrix = Gf2Matrix.from_columns(cols, len(kernels[s + 1]))
             ker_coeff = step_matrix.kernel_basis()
             sub_vectors[s] = [combine(basis, c) for c in ker_coeff]
             bracket_sub[s] = len(ker_coeff)
             bracket_img[s] = step_matrix.rank()
-            img_vectors[s + 1] = [incs[s + 1].mul_vec(k) for k in basis]
+            img_vectors[s + 1] = [mul_vec(incs[s + 1], k) for k in basis]
         else:
             sub_vectors[s] = list(basis)
             bracket_sub[s] = len(basis)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from splicerank import filtration, surgery
+from splicerank import duality, filtration, surgery
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package, stats
 from splicerank.errors import StatsInconsistent
@@ -88,14 +88,14 @@ def test_y_inf_equals_e_sum():
 def test_lemma31_unknot_and_trefoil():
     for name in ("unknot", "trefoil_staircase"):
         c = corpus(name)
-        report = lemma31_check(total_package(c), profile(c))
+        report = lemma31_check(total_package(c).totals, profile(c))
         assert report.ok, report.mismatches()
 
 
 def test_lemma31_totals_on_unknot():
     c = corpus("unknot")
     triple = total_package(c)
-    report = lemma31_check(triple, profile(c))
+    report = lemma31_check(triple.totals, profile(c))
     n0 = sum(e.lhs for e in report.entries if e.label.startswith("H_0"))
     n1 = sum(e.lhs for e in report.entries if e.label.startswith("H_1"))
     assert n0 == 0 and n1 == 1
@@ -104,7 +104,7 @@ def test_lemma31_totals_on_unknot():
 def test_lemma32_on_small_corpus():
     for name in ("unknot", "trefoil_staircase", "fig8_box"):
         c = corpus(name)
-        report = lemma32_check(total_package(c), profile(c))
+        report = lemma32_check(total_package(c).totals, profile(c))
         assert report.ok, (name, report.mismatches())
 
 
@@ -204,6 +204,60 @@ def test_lemma_run_builds_one_flip_per_complex(monkeypatch):
         built.clear()
         check_all_lemmas(c)
         assert built == [c.name]
+
+
+def test_totals_hold_each_level_of_the_triple():
+    # the lemma suite reads dim H0(s), dim H1(s) and f_inf(s) from the totals:
+    # f_inf keeps the level, so f_inf(s) is the total's diagonal block at the
+    # level offsets, and nothing lies outside those blocks
+    for c in oracle_models():
+        triple = total_package(c)
+        totals = triple.totals
+        assert totals.window == triple.window, c.name
+        assert totals.h0_dims == tuple(triple.H0[s].dim for s in triple.window), c.name
+        assert totals.h1_dims == tuple(triple.H1[s].dim for s in triple.window), c.name
+        row = col = ones = 0
+        for s in triple.window:
+            f = triple.f_inf[s]
+            block = totals.f_inf.submatrix(range(row, row + f.rows), range(col, col + f.cols))
+            assert block == f, (c.name, s)
+            row, col = row + f.rows, col + f.cols
+            ones += sum(b.bit_count() for b in f.row_bits)
+        assert (row, col) == (totals.f_inf.rows, totals.f_inf.cols), c.name
+        assert ones == sum(b.bit_count() for b in totals.f_inf.row_bits), c.name
+
+
+def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(monkeypatch):
+    monkeypatch.setattr(duality, "_BUILT", type(duality._BUILT)())
+    built = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(complex_):
+            built.append(name)
+            return original(complex_)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(filtration, "total_package")
+    counting(surgery, "flip_map")
+    counting(filtration, "flip_map")
+    makers = [lambda name=name: corpus(name) for name in corpus_names()]
+    makers += [lambda seed=seed: random_complex(seed, 8) for seed in range(6)]
+    makers += [lambda pq=pq: torus_staircase(*pq) for pq in ((2, 9), (3, 7), (4, 5))]
+    for make in makers:
+        first, second = make(), make()
+        assert first == second and first is not second
+        built.clear()
+        cold = check_all_lemmas(first)
+        assert built == ["total_package", "flip_map"], first.name
+        # an equal complex hits the memo entry the cold run made
+        built.clear()
+        warm = check_all_lemmas(second)
+        assert built == ["flip_map"], first.name
+        assert warm == cold, first.name
+        assert all(report.ok for report in warm.values()), first.name
 
 
 @pytest.mark.parametrize(

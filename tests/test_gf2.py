@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicerank.errors import PivotZero, ShapeMismatch
+from splicerank.errors import PivotZero, ShapeMismatch, SpliceRankError
 from splicerank.gf2 import (
     BlockGrid,
     Gf2Matrix,
@@ -19,12 +19,12 @@ from splicerank.gf2 import (
     span_sum_dim,
 )
 
-from oracles import h_number, span_basis
+from oracles import h_number, mul_vec, span_basis
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
     """Oracle: enumerate all 2^cols inputs and count kernel elements."""
-    count = sum(1 for v in range(1 << m.cols) if m.mul_vec(v) == 0)
+    count = sum(1 for v in range(1 << m.cols) if mul_vec(m, v) == 0)
     assert count & (count - 1) == 0
     return count.bit_length() - 1
 
@@ -284,9 +284,9 @@ def test_rank_nullity_bookkeeping(m):
 @given(matrices)
 def test_kernel_vectors_annihilate(m):
     for v in m.kernel_basis():
-        assert m.mul_vec(v) == 0
+        assert mul_vec(m, v) == 0
     for w in m.cokernel_basis():
-        assert m.transpose().mul_vec(w) == 0
+        assert mul_vec(m.transpose(), w) == 0
 
 
 def test_assemble_degenerate_and_diagonal():
@@ -326,7 +326,7 @@ def test_matmul_and_transpose_consistency():
     ab = a @ b
     assert ab.transpose() == b.transpose() @ a.transpose()
     v = rng.getrandbits(5)
-    assert ab.mul_vec(v) == a.mul_vec(b.mul_vec(v))
+    assert mul_vec(ab, v) == mul_vec(a, mul_vec(b, v))
 
 
 def test_span_helpers():
@@ -457,3 +457,27 @@ def test_submatrix_rejects_a_range_outside_the_matrix():
     assert m.submatrix(range(2, 2), range(0)) == Gf2Matrix.zeros(0, 0)
     assert m.submatrix(range(0), range(2)) == Gf2Matrix.zeros(0, 2)
     assert m.submatrix(range(2), range(2, 2)) == Gf2Matrix.zeros(2, 0)
+
+
+# a position outside the matrix is bad input: a typed error, as in submatrix,
+# not the IndexError of a tuple lookup
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: m.entry(0, 3), r"entry \(0,3\) outside 2x2"),
+        (lambda m: m.entry(2, 0), r"entry \(2,0\) outside 2x2"),
+        (lambda m: m.entry(-1, 0), r"entry \(-1,0\) outside 2x2"),
+        (lambda m: m.column(2), r"column 2 outside 2x2"),
+        (lambda m: m.column(-1), r"column -1 outside 2x2"),
+        (lambda m: m.cancel(2, 0), r"pivot \(2,0\) outside 2x2"),
+        (lambda m: m.cancel(0, -1), r"pivot \(0,-1\) outside 2x2"),
+    ],
+    ids=["entry-col", "entry-row", "entry-negative", "column", "column-negative", "cancel-row", "cancel-negative"],
+)
+def test_a_position_outside_the_matrix_is_a_typed_error(call, message):
+    m = Gf2Matrix.from_dense([[1, 1], [0, 1]])
+    with pytest.raises(SpliceRankError, match=message) as info:
+        call(m)
+    assert info.type is ShapeMismatch
+    # the corner itself is still inside
+    assert (m.entry(1, 1), m.column(1), m.cancel(1, 1)) == (1, 0b11, Gf2Matrix.from_dense([[1]]))

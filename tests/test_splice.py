@@ -34,7 +34,7 @@ from splicerank.splice import (
     witness_data,
 )
 
-from oracles import assemble_witness, basis_tuples, reference_kernel_witnesses
+from oracles import assemble_witness, basis_tuples, mul_vec, reference_kernel_witnesses
 
 
 def pkg(name: str):
@@ -288,7 +288,7 @@ def test_witness_outside_kernel_names_its_pair(monkeypatch):
             basis_tuples(witness_data(p1), p1), basis_tuples(witness_data(p2), p2)
         )
     ]
-    first_bad = next(i for i, v in enumerate(witnesses, 1) if v and broken.mul_vec(v))
+    first_bad = next(i for i, v in enumerate(witnesses, 1) if v and mul_vec(broken, v))
     assert first_bad > 1
     with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
         kernel_witnesses(p1, p2)
