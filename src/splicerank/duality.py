@@ -21,16 +21,14 @@ index k its attribute suffix, prev(k) and next(k):
 A ``SurgeryPackage`` is its dims, its three tau maps and its three fbar maps;
 its blocks, X products and f maps are derived from them when it is built.
 
-``geometric_package`` keeps one entry per complex for the life of the
-process: the triple's ``SurgeryTotals`` and the ``TauMaps`` that have passed
-the barred-map relations.  ``normalize`` reads both, and the lemma suite
-reads the totals through ``known_totals``.  The memo keeps no triple, cone,
-plane or homology space.  It is a
-``weakref.WeakKeyDictionary`` keyed on the complex itself, which is immutable
-and hashable, so an equal complex hits the same entry and an entry dies with
-its complex; nothing in an entry refers back to the complex.  ``normalize``
-and ``verify_package`` run on every call, so every caller gets a freshly
-normalised and verified package.
+``geometric_package`` keeps one entry per complex: the triple's
+``SurgeryTotals`` and the ``TauMaps`` that have passed the barred-map
+relations, the two things ``normalize`` reads.  It keeps no triple, cone,
+plane or homology space.  The memo is a ``weakref.WeakKeyDictionary`` keyed
+on the complex itself, which is immutable and hashable, so an equal complex
+hits the same entry and an entry dies with its complex; nothing in an entry
+refers back to the complex.  ``normalize`` and ``verify_package`` run on
+every call, so every caller gets a freshly normalised and verified package.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from .errors import (
 )
 from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, lower_triangular, span_dim
 from .homology import induced_by_columns
-from .model import BifilteredComplex, require_valid
+from .model import BifilteredComplex, valid_lookup
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
@@ -275,15 +273,16 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
     # W, U and Z1 are spanned by standard basis vectors: f applied to one
-    # is a column of f
+    # is a column of f, read from the rows of its transpose
     w = _complement(f0.kernel_basis(), n1)
     u = _complement(f_inf.kernel_basis(), n0)
-    image_f0 = [f0.column(i) for i in w]
+    cols_inf, cols0, cols1 = (f.transpose().row_bits for f in (f_inf, f0, f1))
+    image_f0 = [cols0[i] for i in w]
     z1 = _complement(image_f0, ninf)
 
     g_inf_cols = [1 << i for i in z1] + image_f0
-    g0_cols = [1 << i for i in u] + [f1.column(i) for i in z1]
-    g1_cols = [1 << i for i in w] + [f_inf.column(i) for i in u]
+    g0_cols = [1 << i for i in u] + [cols1[i] for i in z1]
+    g1_cols = [1 << i for i in w] + [cols_inf[i] for i in u]
     try:
         g = (
             Gf2Matrix.from_columns(g0_cols, n0),
@@ -361,19 +360,6 @@ _BUILT: weakref.WeakKeyDictionary[BifilteredComplex, tuple[SurgeryTotals, TauMap
 )
 
 
-def _lookup(complex_: BifilteredComplex) -> tuple[SurgeryTotals, TauMaps] | None:
-    # equal complexes share an entry, and 0 == 0.0 == False, so a grading or
-    # drop that is not an int has to be caught before the lookup
-    require_valid(complex_)
-    return _BUILT.get(complex_)
-
-
-def known_totals(complex_: BifilteredComplex) -> SurgeryTotals | None:
-    """The memo's totals of complex_, or None before its first package."""
-    built = _lookup(complex_)
-    return None if built is None else built[0]
-
-
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
     """Full pipeline: surgery triple, duality maps, normalized package.
 
@@ -386,7 +372,7 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
         raise ShapeMismatch(
             f"triple of {triple.complex.name!r} handed over for {complex_.name!r}"
         )
-    built = _lookup(complex_)
+    built = valid_lookup(_BUILT, complex_)
     if built is None:
         if triple is None:
             triple = total_package(complex_)

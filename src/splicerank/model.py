@@ -181,6 +181,13 @@ def require_valid(complex_: BifilteredComplex) -> None:
         )
 
 
+def valid_lookup(memo: Mapping, complex_: BifilteredComplex):
+    """complex_'s entry in a per-knot memo, or None.  Equal complexes share
+    an entry, and 0 == 0.0 == False, so an invalid complex raises first."""
+    require_valid(complex_)
+    return memo.get(complex_)
+
+
 def _plane(complex_: BifilteredComplex, place: Callable[[Generator], tuple[str, int, int]]) -> ChainComplexF2:
     """The plane holding one label place(g) per generator, with the arrows inside it."""
     basis = tuple(place(g) for g in complex_.generators)

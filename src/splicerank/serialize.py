@@ -167,7 +167,8 @@ def load_complex(path: str) -> BifilteredComplex:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so a file that does not decode is not JSON
         raise InputFormatError("/", f"not valid JSON: {exc}") from exc
     return complex_from_dict(doc)
 

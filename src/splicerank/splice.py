@@ -435,29 +435,23 @@ class TheoremVerdict:
     witness_bounds_hold: bool
 
 
-def theorem_check(
-    p1: SurgeryPackage,
-    p2: SurgeryPackage,
-    profile1=None,
-) -> TheoremVerdict:
+def theorem_check(p1: SurgeryPackage, p2: SurgeryPackage) -> TheoremVerdict:
     """Main rank inequality when the right-hand knot sits in a minimal-rank sphere.
 
-    ``profile1`` supplies the independently computed ambient rank of the first
-    knot through its graded-piece total; without it the package statistic is
-    used (the two are cross-checked elsewhere).
+    The first knot's ambient rank is its package statistic y_inf, which
+    equals the graded-piece total of its ``filtration.profile``.
     """
     st1, st2 = stats(p1), stats(p2)
-    y_inf_1 = profile1.e_total() if profile1 is not None else st1.y_inf
     witness = kernel_witnesses(p1, p2, st1, st2)
     h = witness.ker_dim + witness.coker_dim
     applicable = st2.y_inf == 1
-    holds = h >= y_inf_1 if applicable else None
+    holds = h >= st1.y_inf if applicable else None
     return TheoremVerdict(
         applicable,
         holds,
         h,
-        y_inf_1 if applicable else None,
-        h - y_inf_1 if applicable else None,
+        st1.y_inf if applicable else None,
+        h - st1.y_inf if applicable else None,
         witness.bounds_hold,
     )
 

@@ -35,20 +35,18 @@ each sub-plane once, by ``ChainComplexF2.restrict``, and keeps it by level:
 
 It reads the flip's columns once, for every cone's chain map and for the
 column side of the filtration.  The store lives as long as the
-``SurgeryTriple`` (or the ``profile`` call) that made it; a lemma run that
-builds a triple hands its store to ``profile``, so it cuts each plane once.
+``SurgeryTriple`` (or the ``profile`` call) that made it; ``check_all_lemmas``
+hands the triple's store to ``profile``, so one lemma run cuts each plane once.
 
 The window-stability check only needs the homology dimension of the cones
 just outside the window: ``cone_homology_dim`` reads it from the cone
 boundary, which it assembles as ``cone`` does.
 
 ``SurgeryTriple.totals`` is the only part of a triple that outlives the call
-that built it: a small ``SurgeryTotals`` of the six total maps, the three
-total dimensions, the window's first level and the per-level dimensions of
-H0 and H1, which ``duality`` keeps per knot.  The cones, the planes and the
-homology spaces go with the triple.  ``f_inf`` keeps the level, so its map
-at level s is the diagonal block (s, s) of the total, and the lemma suite
-reads the per-level maps and dimensions from the totals alone.
+that built it: a small ``SurgeryTotals`` of the six total maps and the three
+total dimensions, all that ``duality.normalize`` reads, which ``duality``
+keeps per knot.  The cones, the planes and the homology spaces go with the
+triple.
 """
 
 from __future__ import annotations
@@ -218,11 +216,9 @@ _TRIANGLES = (
 
 
 class SurgeryTotals(NamedTuple):
-    """The total triangle maps over the window, the total dimensions of H0,
-    H1 and Hinf, and the per-level dimensions of H0 and H1 from the window's
-    first level on: all that normalization and the lemma suite read from a
-    triple.  Immutable like a frozen dataclass, and cheaper to define at
-    import."""
+    """The total triangle maps over the window, and the total dimensions of
+    H0, H1 and Hinf: all that normalization reads from a triple.  Immutable
+    like a frozen dataclass, and cheaper to define at import."""
 
     f_inf: Gf2Matrix  # H0 -> H1
     f0: Gf2Matrix  # H1 -> Hinf
@@ -233,13 +229,6 @@ class SurgeryTotals(NamedTuple):
     n0: int
     n1: int
     n_inf: int
-    lo: int  # the window's first level
-    h0_dims: tuple[int, ...]  # dim H0(s) for s in the window
-    h1_dims: tuple[int, ...]  # dim H1(s) for s in the window
-
-    @property
-    def window(self) -> range:
-        return range(self.lo, self.lo + len(self.h0_dims))
 
 
 class SurgeryTriple:
@@ -351,13 +340,7 @@ class SurgeryTriple:
             )
             for name, (src, tgt, src_shift, tgt_shift) in _FAMILIES.items()
         )
-        return SurgeryTotals(
-            *maps,
-            *(self.total_dim(w) for w in ("H0", "H1", "Hinf")),
-            self.window.start,
-            tuple(self.dims("H0")),
-            tuple(self.dims("H1")),
-        )
+        return SurgeryTotals(*maps, *(self.total_dim(w) for w in ("H0", "H1", "Hinf")))
 
     @property
     def a0(self) -> int:

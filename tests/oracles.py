@@ -12,7 +12,7 @@ level maps, and the calibration of the graded-piece multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import product
 from typing import Callable, Hashable
 
@@ -55,6 +55,24 @@ def span_basis(vectors) -> list[int]:
     """Canonical basis of the span: the reduced echelon rows, by pivot."""
     pivots = echelon(vectors)
     return [pivots[p] for p in sorted(pivots)]
+
+
+def reachable(obj):
+    """Every object obj holds through dataclass fields, tuples, lists and
+    dict values, obj included, each once."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if is_dataclass(x):
+            stack.extend(getattr(x, f.name) for f in fields(x))
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
 
 
 def mul_vec(m: Gf2Matrix, v: int) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import fields, is_dataclass
 from itertools import product
 
 import pytest
@@ -33,7 +32,7 @@ from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map
 from splicerank.splice import splice_rank
 from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple, total_package
 
-from oracles import oracle_models, reference_geometric_tau, reference_package_parts
+from oracles import oracle_models, reachable, reference_geometric_tau, reference_package_parts
 
 
 def test_unknot_package_dims_and_blocks():
@@ -356,28 +355,12 @@ def test_a_non_int_grading_does_not_hit_an_equal_entry(memo):
             geometric_package(bad)
 
 
-def _reachable(obj):
-    seen, stack = set(), [obj]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        yield x
-        if is_dataclass(x):
-            stack.extend(getattr(x, f.name) for f in fields(x))
-        elif isinstance(x, (tuple, list)):
-            stack.extend(x)
-        elif isinstance(x, dict):
-            stack.extend(x.values())
-
-
 def test_memo_keeps_only_totals_and_tau_maps(memo):
     knots = [corpus(name) for name in corpus_names()]
     for c in knots:
         geometric_package(c)
     assert len(memo) == len(knots)
-    held = [x for value in memo.values() for x in _reachable(value)]
+    held = [x for value in memo.values() for x in reachable(value)]
     assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
     # nothing else either: a value is made of these and the ints in Gf2Matrix rows
     kept = {SurgeryTotals, TauMaps, Gf2Matrix, tuple, int, str, bool, type(None)}

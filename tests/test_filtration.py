@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from splicerank import duality, filtration, surgery
+from splicerank import filtration, surgery
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package, stats
-from splicerank.errors import StatsInconsistent
+from splicerank.errors import ShapeMismatch, StatsInconsistent
 from splicerank.filtration import (
+    FiltrationProfile,
+    LemmaEntry,
+    LemmaReport,
     SideData,
     check_all_lemmas,
     lemma31_check,
@@ -18,13 +23,15 @@ from splicerank.filtration import (
     profile,
 )
 from splicerank.gf2 import Gf2Matrix
-from splicerank.model import flip_map, hf_hat, mirror, random_complex
-from splicerank.surgery import total_package
+from splicerank.homology import HomologySpace
+from splicerank.model import BifilteredComplex, Generator, flip_map, hf_hat, mirror, random_complex
+from splicerank.surgery import MappingCone, SurgeryTriple, total_package
 
 from oracles import (
     ReferenceHomology,
     calibrate_e_readings,
     oracle_models,
+    reachable,
     reference_build_side,
     reference_graded_pieces,
     torus_staircase,
@@ -88,14 +95,14 @@ def test_y_inf_equals_e_sum():
 def test_lemma31_unknot_and_trefoil():
     for name in ("unknot", "trefoil_staircase"):
         c = corpus(name)
-        report = lemma31_check(total_package(c).totals, profile(c))
+        report = lemma31_check(total_package(c), profile(c))
         assert report.ok, report.mismatches()
 
 
 def test_lemma31_totals_on_unknot():
     c = corpus("unknot")
     triple = total_package(c)
-    report = lemma31_check(triple.totals, profile(c))
+    report = lemma31_check(triple, profile(c))
     n0 = sum(e.lhs for e in report.entries if e.label.startswith("H_0"))
     n1 = sum(e.lhs for e in report.entries if e.label.startswith("H_1"))
     assert n0 == 0 and n1 == 1
@@ -104,7 +111,7 @@ def test_lemma31_totals_on_unknot():
 def test_lemma32_on_small_corpus():
     for name in ("unknot", "trefoil_staircase", "fig8_box"):
         c = corpus(name)
-        report = lemma32_check(total_package(c).totals, profile(c))
+        report = lemma32_check(total_package(c), profile(c))
         assert report.ok, (name, report.mismatches())
 
 
@@ -206,43 +213,33 @@ def test_lemma_run_builds_one_flip_per_complex(monkeypatch):
         assert built == [c.name]
 
 
-def test_totals_hold_each_level_of_the_triple():
-    # the lemma suite reads dim H0(s), dim H1(s) and f_inf(s) from the totals:
-    # f_inf keeps the level, so f_inf(s) is the total's diagonal block at the
-    # level offsets, and nothing lies outside those blocks
-    for c in oracle_models():
-        triple = total_package(c)
-        totals = triple.totals
-        assert totals.window == triple.window, c.name
-        assert totals.h0_dims == tuple(triple.H0[s].dim for s in triple.window), c.name
-        assert totals.h1_dims == tuple(triple.H1[s].dim for s in triple.window), c.name
-        row = col = ones = 0
-        for s in triple.window:
-            f = triple.f_inf[s]
-            block = totals.f_inf.submatrix(range(row, row + f.rows), range(col, col + f.cols))
-            assert block == f, (c.name, s)
-            row, col = row + f.rows, col + f.cols
-            ones += sum(b.bit_count() for b in f.row_bits)
-        assert (row, col) == (totals.f_inf.rows, totals.f_inf.cols), c.name
-        assert ones == sum(b.bit_count() for b in totals.f_inf.row_bits), c.name
+# -- the per-complex memo of check_all_lemmas ---------------------------------
 
 
-def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(monkeypatch):
-    monkeypatch.setattr(duality, "_BUILT", type(duality._BUILT)())
+@pytest.fixture
+def reports(monkeypatch):
+    """A fresh, empty report memo for the test."""
+    fresh = type(filtration._REPORTS)()
+    monkeypatch.setattr(filtration, "_REPORTS", fresh)
+    return fresh
+
+
+def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(reports, monkeypatch):
     built = []
 
     def counting(module, name):
         original = getattr(module, name)
 
-        def counted(complex_):
+        def counted(complex_, **kwargs):
             built.append(name)
-            return original(complex_)
+            return original(complex_, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     counting(filtration, "total_package")
     counting(surgery, "flip_map")
     counting(filtration, "flip_map")
+    counting(filtration, "profile")
     makers = [lambda name=name: corpus(name) for name in corpus_names()]
     makers += [lambda seed=seed: random_complex(seed, 8) for seed in range(6)]
     makers += [lambda pq=pq: torus_staircase(*pq) for pq in ((2, 9), (3, 7), (4, 5))]
@@ -251,13 +248,62 @@ def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(monkeypatch):
         assert first == second and first is not second
         built.clear()
         cold = check_all_lemmas(first)
-        assert built == ["total_package", "flip_map"], first.name
+        assert built == ["total_package", "flip_map", "profile"], first.name
         # an equal complex hits the memo entry the cold run made
         built.clear()
         warm = check_all_lemmas(second)
-        assert built == ["flip_map"], first.name
+        assert built == [], first.name
         assert warm == cold, first.name
         assert all(report.ok for report in warm.values()), first.name
+
+
+def test_report_entry_dies_with_its_complex(reports):
+    c = random_complex(5, 8)
+    check_all_lemmas(c)
+    assert len(reports) == 1
+    del c
+    gc.collect()
+    assert len(reports) == 0
+
+
+def test_report_memo_keeps_only_reports(reports):
+    knots = [corpus(name) for name in corpus_names()]
+    for c in knots:
+        check_all_lemmas(c)
+    assert len(reports) == len(knots)
+    held = [x for value in reports.values() for x in reachable(value)]
+    big = (SurgeryTriple, MappingCone, HomologySpace, FiltrationProfile, BifilteredComplex)
+    assert not [x for x in held if isinstance(x, big)]
+    # nothing else either: a value is a dict of reports, made of labels and dims
+    assert {type(x) for x in held} <= {dict, LemmaReport, LemmaEntry, tuple, str, int}
+
+
+def test_a_lemma_run_that_raises_caches_nothing(reports, monkeypatch):
+    monkeypatch.setattr(filtration, "span_dim", lambda vectors: 0)
+    for _ in range(2):
+        with pytest.raises(StatsInconsistent):
+            check_all_lemmas(corpus("trefoil_staircase"))
+    assert len(reports) == 0
+
+
+def test_a_non_int_grading_does_not_hit_an_equal_report_entry(reports):
+    good = BifilteredComplex("e", (Generator("e", 0),), (), {"e": "e"})
+    assert all(report.ok for report in check_all_lemmas(good).values())
+    for value in (0.0, False):
+        bad = BifilteredComplex("e", (Generator("e", value),), (), {"e": "e"})
+        assert bad == good
+        with pytest.raises(ShapeMismatch):
+            check_all_lemmas(bad)
+    assert list(reports) == [good]
+
+
+def test_changing_the_returned_reports_leaves_the_memo(reports):
+    c = corpus("trefoil_staircase")
+    first = check_all_lemmas(c)
+    kept = dict(first)
+    first.pop("lemma31")
+    first["lemma32"] = first["lemma33"]
+    assert check_all_lemmas(c) == kept
 
 
 @pytest.mark.parametrize(

@@ -68,3 +68,16 @@ def test_flip_model_round_trips(tmp_path):
     path = tmp_path / "model.json"
     dump_complex(c, str(path))
     assert load_complex(str(path)) == c
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b"\xff\xfe{\x00}\x00", b'{"name": "\xe9"}'],
+    ids=["bad-json", "utf16-bom", "latin1-byte"],
+)
+def test_file_that_is_not_utf8_json_raises_input_format_error(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(InputFormatError, match="not valid JSON") as err:
+        load_complex(str(path))
+    assert err.value.pointer == "/"

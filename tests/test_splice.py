@@ -20,7 +20,6 @@ from splicerank.duality import (
     synthetic_package,
 )
 from splicerank.errors import WitnessNotInKernel
-from splicerank.filtration import profile
 from splicerank.gf2 import Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
@@ -199,9 +198,7 @@ def test_subspace_bounds_synthetic_case2():
 
 
 def test_theorem_trefoil_pair():
-    verdict = theorem_check(
-        pkg("trefoil_staircase"), pkg("trefoil_staircase"), profile(corpus("trefoil_staircase"))
-    )
+    verdict = theorem_check(pkg("trefoil_staircase"), pkg("trefoil_staircase"))
     assert verdict.applicable
     assert verdict.holds
     assert verdict.h >= 1
