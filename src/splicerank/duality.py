@@ -255,9 +255,9 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 # -- normalization ------------------------------------------------------------
 
 
-def _complement(kernel_basis: list[int], dim: int) -> list[int]:
+def _complement(vectors: list[int], dim: int) -> list[int]:
     """Indices of the standard basis vectors that complete a subspace."""
-    solver = SpanSolver(kernel_basis)
+    solver = SpanSolver(vectors)
     return [i for i in range(dim) if solver.add(1 << i)]
 
 
@@ -273,9 +273,11 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
     # W, U and Z1 are spanned by standard basis vectors: f applied to one
-    # is a column of f, read from the rows of its transpose
-    w = _complement(f0.kernel_basis(), n1)
-    u = _complement(f_inf.kernel_basis(), n0)
+    # is a column of f, read from the rows of its transpose.  The complement
+    # of a kernel is the pivot columns: free column c's kernel vector has
+    # highest bit c, so completing the kernel accepts exactly the pivots.
+    w = f0.pivot_columns()
+    u = f_inf.pivot_columns()
     cols_inf, cols0, cols1 = (f.transpose().row_bits for f in (f_inf, f0, f1))
     image_f0 = [cols0[i] for i in w]
     z1 = _complement(image_f0, ninf)
@@ -579,8 +581,12 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
     """Random package with the stated dims; barred maps defined by the relations.
 
     Rejection-samples duality maps until the three cyclic B products square to
-    zero; raises SamplingExhausted after a documented retry budget.
+    zero; raises SamplingExhausted after a documented retry budget, and
+    ShapeMismatch for dims that are not three nonnegative ints (a bool would
+    seed another draw than the int it equals).
     """
+    if not (isinstance(dims, tuple) and len(dims) == 3 and all(type(d) is int and d >= 0 for d in dims)):
+        raise ShapeMismatch(f"synthetic package dims {dims!r} are not three nonnegative ints")
     a0, a1, a_inf = dims
     rng = random.Random(f"splicerank-synthetic-{seed}-{a0}-{a1}-{a_inf}")
     for _ in range(SYNTHETIC_RETRY_BUDGET):

@@ -6,12 +6,13 @@ coordinate ``i``.  Zero-dimensional matrices are legal values throughout.
 
 Who validates what: rows from outside this module enter through the public
 constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
-``from_columns``), which reject a shape that does not fit and any bit beyond
-it.  A result of this module's own operations (``@``, ``+``, ``transpose``,
-``kron``, ``inverse``, ``submatrix``, ``from_columns`` after its range check
-and ``BlockGrid.assemble``) is in range by construction, so it is built by
-``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
-module calls that.
+``from_columns``), which reject a negative shape, a row, column or entry
+that is not an int, and any bit beyond the shape.  A result of this module's
+own operations (``identity``, ``zeros``, ``@``, ``+``, ``transpose``,
+``inverse``, ``submatrix``, ``from_columns`` after its range check,
+``BlockGrid.assemble`` and ``kron_blocks``) is in range by construction, so
+it is built by ``Gf2Matrix._trusted``, with no scan and no copy; nothing
+outside this module calls that.
 
 Elimination has one core, ``echelon``: a dict from pivot column (the lowest
 set bit of a row) to its row, reduced so that no row has a bit at another
@@ -56,13 +57,14 @@ class Gf2Matrix:
     __slots__ = ("rows", "cols", "row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits: Iterable[int] = ()):
+        _check_dims(rows, cols)
         bits = tuple(row_bits) if row_bits else (0,) * rows
-        if rows < 0 or cols < 0:
-            raise ShapeMismatch(f"negative shape {rows}x{cols}")
         if len(bits) != rows:
             raise ShapeMismatch(f"{len(bits)} rows given for a {rows}x{cols} matrix")
         mask = (1 << cols) - 1
         for r, b in enumerate(bits):
+            if not isinstance(b, int):
+                raise ShapeMismatch(f"row {r} is {b!r}, not an int")
             if b & ~mask:
                 raise ShapeMismatch(f"row {r} has bits beyond column {cols}")
         self.rows = rows
@@ -86,16 +88,21 @@ class Gf2Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Gf2Matrix:
-        return cls(rows, cols, (0,) * rows)
+        _check_dims(rows, cols)
+        return cls._trusted(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        _check_dims(n)
+        return cls._trusted(n, n, tuple([1 << i for i in range(n)]))
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> Gf2Matrix:
+        _check_dims(rows, cols)
         bits = [0] * rows
         for r, c in entries:
+            if not (isinstance(r, int) and isinstance(c, int)):
+                raise ShapeMismatch(f"entry ({r!r},{c!r}) is not at int indices")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
             bits[r] ^= 1 << c
@@ -107,11 +114,13 @@ class Gf2Matrix:
         if cols is None:
             cols = len(dense[0]) if dense else 0
         bits = []
-        for row in dense:
+        for r, row in enumerate(dense):
             if len(row) != cols:
                 raise ShapeMismatch("ragged dense matrix")
             m = 0
             for c, v in enumerate(row):
+                if not isinstance(v, int):
+                    raise ShapeMismatch(f"entry ({r},{c}) is {v!r}, not an int")
                 if v & 1:
                     m |= 1 << c
             bits.append(m)
@@ -120,8 +129,11 @@ class Gf2Matrix:
     @classmethod
     def from_columns(cls, columns: list[int], rows: int) -> Gf2Matrix:
         """Matrix whose c-th column is the bitmask columns[c]."""
+        _check_dims(rows)
         bits = [0] * rows
         for c, col in enumerate(columns):
+            if not isinstance(col, int):
+                raise ShapeMismatch(f"column {c} is {col!r}, not an int")
             high = col >> rows
             if high:
                 r = rows + (high & -high).bit_length() - 1
@@ -201,23 +213,6 @@ class Gf2Matrix:
                 b ^= low
         return Gf2Matrix._trusted(self.cols, self.rows, tuple(bits))
 
-    def kron(self, other: Gf2Matrix) -> Gf2Matrix:
-        """Kronecker product; rank is multiplicative."""
-        width = other.cols
-        bits = []
-        for a in self.row_bits:
-            shifts = []
-            while a:
-                low = a & -a
-                shifts.append((low.bit_length() - 1) * width)
-                a ^= low
-            for b in other.row_bits:
-                acc = 0
-                for shift in shifts:
-                    acc |= b << shift
-                bits.append(acc)
-        return Gf2Matrix._trusted(self.rows * other.rows, self.cols * other.cols, tuple(bits))
-
     # -- elimination --------------------------------------------------------
 
     def rank(self) -> int:
@@ -236,6 +231,10 @@ class Gf2Matrix:
             for c in bits_of(row & free):
                 basis[c] |= 1 << p
         return list(basis.values())
+
+    def pivot_columns(self) -> list[int]:
+        """The pivot columns of the echelon form, in increasing order."""
+        return sorted(_forward(self.row_bits))
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -418,6 +417,7 @@ class BlockGrid:
     blocks: dict[tuple[int, int], Gf2Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_dims(*self.row_dims, *self.col_dims)
         for (i, j), b in self.blocks.items():
             if not (0 <= i < len(self.row_dims) and 0 <= j < len(self.col_dims)):
                 raise ShapeMismatch(f"block ({i},{j}) outside grid")
@@ -448,6 +448,66 @@ def lower_triangular(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matr
         {(0, 0): top, (1, 0): lower_left, (1, 1): lower_right},
     )
     return grid.assemble()
+
+
+def kron_blocks(
+    row_dims: Sequence[tuple[int, int]],
+    col_dims: Sequence[tuple[int, int]],
+    terms: dict[tuple[int, int], Sequence[tuple[Gf2Matrix, Gf2Matrix]]],
+) -> Gf2Matrix:
+    """The block matrix whose block (i, j) is the sum of the Kronecker
+    products L ⊗ R over the factor pairs (L, R) of terms[i, j]; a block with
+    no terms is zero.
+
+    Row block i has row_dims[i] = (rows of L, rows of R) and column block j
+    col_dims[j] = (cols of L, cols of R), for every term in it.  Row
+    (r1, r2) of row block i is written straight into the result: the XOR,
+    over the row block's terms, of R's row r2 shifted to the column block's
+    offset plus c * R.cols for each set bit c of L's row r1.  No Kronecker
+    product or block is built on the way.  A negative dim, or a term whose
+    factors do not fit its slot, raises ShapeMismatch naming the block.
+    """
+    _check_dims(*[d for pair in (*row_dims, *col_dims) for d in pair])
+    col_off = _offsets(tuple([left * right for left, right in col_dims]))
+    row_terms: list[list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in row_dims]
+    for (i, j), pairs in terms.items():
+        if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
+            raise ShapeMismatch(f"block ({i},{j}) outside grid")
+        (lr, rr), (lc, rc) = row_dims[i], col_dims[j]
+        for left, right in pairs:
+            if (left.rows, left.cols, right.rows, right.cols) != (lr, lc, rr, rc):
+                raise ShapeMismatch(
+                    f"block ({i},{j}) has a term {left.rows}x{left.cols} ⊗ "
+                    f"{right.rows}x{right.cols}, slot needs {lr}x{lc} ⊗ {rr}x{rc}"
+                )
+            row_terms[i].append((col_off[j], rc, left.row_bits, right.row_bits))
+    bits: list[int] = []
+    for (lr, rr), block_terms in zip(row_dims, row_terms):
+        for r1 in range(lr):
+            active = []  # (shift, rows of R) for each set bit of row r1 of each L
+            for offset, width, left_bits, right_bits in block_terms:
+                a = left_bits[r1]
+                while a:
+                    low = a & -a
+                    active.append((offset + (low.bit_length() - 1) * width, right_bits))
+                    a ^= low
+            if not active:
+                bits.extend([0] * rr)
+                continue
+            for r2 in range(rr):
+                acc = 0
+                for shift, right_bits in active:
+                    b = right_bits[r2]
+                    if b:
+                        acc ^= b << shift
+                bits.append(acc)
+    return Gf2Matrix._trusted(len(bits), col_off[-1], tuple(bits))
+
+
+def _check_dims(*dims: int) -> None:
+    for d in dims:
+        if not isinstance(d, int) or d < 0:
+            raise ShapeMismatch(f"dims {dims!r}: {d!r} is not a nonnegative int")
 
 
 def _offsets(dims: tuple[int, ...]) -> list[int]:

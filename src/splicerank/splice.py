@@ -7,6 +7,15 @@ six-component witness vector of the linear-algebra argument; row blocks follow
 the printed order of the block matrix.  Identity block sizes are the unique
 shape-consistent choices and assembly hard-fails on any inconsistency.
 
+D is assembled in one pass from the term table ``_TERMS``: each of its 24
+nonzero blocks is a sum of Kronecker products (factor of the first knot) ⊗
+(factor of the second knot), and a factor is an identity on one of the
+knot's dims or a product of two of its A, B, D and X1 matrices.  ``build_D``
+makes each knot's 14 products once and ``gf2.kron_blocks`` writes every row
+of D straight from the factors, with no Kronecker product or block built on
+the way.  ``tests/oracles.reference_build_D`` keeps the block-by-block
+assembly as the reference.
+
 Column layout and kernel witnesses
 ----------------------------------
 The six column blocks of D have the dims (left, right), in the order
@@ -32,8 +41,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, geometric_package, stats
-from .errors import ShapeMismatch, WitnessNotInKernel
-from .gf2 import BlockGrid, Gf2Matrix, lower_triangular, span_dim, xor_columns
+from .errors import WitnessNotInKernel
+from .gf2 import Gf2Matrix, kron_blocks, lower_triangular, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
 
 
@@ -56,6 +65,53 @@ _COL_BLOCKS = (
 )
 
 
+# D's row blocks, in the printed order of the block matrix, in the same form.
+_ROW_BLOCKS = (
+    ("a0", "a0"),
+    ("a_inf", "a1"),
+    ("a_inf", "a0"),
+    ("a1", "a_inf"),
+    ("a0", "a_inf"),
+    ("a1", "a1"),
+)
+
+_DIMS = frozenset(("a0", "a1", "a_inf"))
+
+# D's nonzero blocks (row block, column block), each a sum of Kronecker
+# products (first knot's factor) ⊗ (second knot's factor).  A factor is a
+# dim, standing for the identity on it, or a product of two of the knot's
+# matrices in the printed order: "Dinf B1" is blocks_inf.D @ blocks1.B, and
+# "X1" is the package's X1.
+_TERMS = {
+    (0, 0): (("Dinf B1", "B1 A0"),),
+    (0, 1): (("B1 A0", "a0"),),
+    (0, 2): (("B1 B0", "a0"),),
+    (0, 3): (("Dinf A1", "B1 A0"),),
+    (0, 4): (("a0", "B1 B0"),),
+    (1, 0): (("a_inf", "Binf B1"),),
+    (1, 1): (("D1 A0", "Binf A1"),),
+    (1, 2): (("D1 B0", "Binf A1"),),
+    (1, 4): (("B0 Binf", "a1"),),
+    (1, 5): (("B0 Ainf", "a1"),),
+    (2, 0): (("a_inf", "Dinf B1"),),
+    (2, 1): (("a_inf", "a0"), ("D1 A0", "Dinf A1")),
+    (2, 2): (("D1 B0", "Dinf A1"),),
+    (3, 0): (("Binf B1", "a_inf"),),
+    (3, 2): (("a1", "B0 Binf"),),
+    (3, 3): (("Binf A1", "a_inf"),),
+    (3, 4): (("D0 Binf", "B0 Ainf"), ("X1 Binf", "B0 X1")),
+    (3, 5): (("D0 Ainf", "B0 Ainf"), ("X1 Ainf", "B0 X1")),
+    (4, 0): (("Dinf B1", "D1 A0"),),
+    (4, 3): (("a0", "a_inf"), ("Dinf A1", "D1 A0")),
+    (4, 4): (("a0", "D1 B0"),),
+    (5, 2): (("a1", "D0 Binf"),),
+    (5, 4): (("D0 Binf", "D0 Ainf"), ("X1 Binf", "D0 X1")),
+    (5, 5): (("a1", "a1"), ("D0 Ainf", "D0 Ainf"), ("X1 Ainf", "D0 X1")),
+}
+_LEFT_FACTORS = frozenset(a for pairs in _TERMS.values() for a, _ in pairs)
+_RIGHT_FACTORS = frozenset(b for pairs in _TERMS.values() for _, b in pairs)
+
+
 def _vec_kron(v: int, w: int, w_len: int) -> int:
     out = 0
     while v:
@@ -65,75 +121,35 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
     return out
 
 
+def _factors(p: SurgeryPackage, names: frozenset[str]) -> dict[str, Gf2Matrix]:
+    """One knot's splice factors by name (see ``_TERMS``), each made once."""
+    mats = {"X1": p.X1}
+    for k, blocks in zip(CYCLE, by_index(p, "blocks")):
+        mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
+    out = {}
+    for name in names:
+        if name in _DIMS:
+            out[name] = Gf2Matrix.identity(getattr(p, name))
+        else:
+            first, second = name.split()
+            out[name] = mats[first] @ mats[second]
+    return out
+
+
 def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
-    """Assemble the splice matrix of a package pair.
-
-    The dressed entries take their square factors in the printed order:
-    X1 A_inf on the left knot, D0 X1 on the right knot.
-    """
-    A0_1, B0_1, D0_1 = p1.blocks0.A, p1.blocks0.B, p1.blocks0.D
-    A1_1, B1_1, D1_1 = p1.blocks1.A, p1.blocks1.B, p1.blocks1.D
-    Ai_1, Bi_1, Di_1 = p1.blocks_inf.A, p1.blocks_inf.B, p1.blocks_inf.D
-    A0_2, B0_2, D0_2 = p2.blocks0.A, p2.blocks0.B, p2.blocks0.D
-    A1_2, B1_2, D1_2 = p2.blocks1.A, p2.blocks1.B, p2.blocks1.D
-    Ai_2, Bi_2, Di_2 = p2.blocks_inf.A, p2.blocks_inf.B, p2.blocks_inf.D
-    X1_1, X1_2 = p1.X1, p2.X1
-
-    a0_1, a1_1, ai_1 = p1.a0, p1.a1, p1.a_inf
-    a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
-
-    col_dims = tuple(getattr(p1, left) * getattr(p2, right) for left, right in _COL_BLOCKS)
-    row_dims = (
-        a0_1 * a0_2,
-        ai_1 * a1_2,
-        ai_1 * a0_2,
-        a1_1 * ai_2,
-        a0_1 * ai_2,
-        a1_1 * a1_2,
+    """Assemble the splice matrix of a package pair in one pass from
+    ``_TERMS``: each knot's factors are made once, and each row of D is
+    written straight from them."""
+    left = _factors(p1, _LEFT_FACTORS)
+    right = _factors(p2, _RIGHT_FACTORS)
+    row_pairs, col_pairs = (
+        tuple((getattr(p1, a), getattr(p2, b)) for a, b in table) for table in (_ROW_BLOCKS, _COL_BLOCKS)
     )
-
-    ident = Gf2Matrix.identity
-    x1a_1 = X1_1 @ Ai_1
-    d0x_2 = D0_2 @ X1_2
-    x1b_1 = X1_1 @ Bi_1
-    b0x_2 = B0_2 @ X1_2
-
-    entries: dict[tuple[int, int], Gf2Matrix] = {
-        (0, 0): (Di_1 @ B1_1).kron(B1_2 @ A0_2),
-        (0, 1): (B1_1 @ A0_1).kron(ident(a0_2)),
-        (0, 2): (B1_1 @ B0_1).kron(ident(a0_2)),
-        (0, 3): (Di_1 @ A1_1).kron(B1_2 @ A0_2),
-        (0, 4): ident(a0_1).kron(B1_2 @ B0_2),
-        (1, 0): ident(ai_1).kron(Bi_2 @ B1_2),
-        (1, 1): (D1_1 @ A0_1).kron(Bi_2 @ A1_2),
-        (1, 2): (D1_1 @ B0_1).kron(Bi_2 @ A1_2),
-        (1, 4): (B0_1 @ Bi_1).kron(ident(a1_2)),
-        (1, 5): (B0_1 @ Ai_1).kron(ident(a1_2)),
-        (2, 0): ident(ai_1).kron(Di_2 @ B1_2),
-        (2, 1): ident(ai_1).kron(ident(a0_2)) + (D1_1 @ A0_1).kron(Di_2 @ A1_2),
-        (2, 2): (D1_1 @ B0_1).kron(Di_2 @ A1_2),
-        (3, 0): (Bi_1 @ B1_1).kron(ident(ai_2)),
-        (3, 2): ident(a1_1).kron(B0_2 @ Bi_2),
-        (3, 3): (Bi_1 @ A1_1).kron(ident(ai_2)),
-        (3, 4): (D0_1 @ Bi_1).kron(B0_2 @ Ai_2) + x1b_1.kron(b0x_2),
-        (3, 5): (D0_1 @ Ai_1).kron(B0_2 @ Ai_2) + x1a_1.kron(b0x_2),
-        (4, 0): (Di_1 @ B1_1).kron(D1_2 @ A0_2),
-        (4, 3): ident(a0_1).kron(ident(ai_2)) + (Di_1 @ A1_1).kron(D1_2 @ A0_2),
-        (4, 4): ident(a0_1).kron(D1_2 @ B0_2),
-        (5, 2): ident(a1_1).kron(D0_2 @ Bi_2),
-        (5, 4): (D0_1 @ Bi_1).kron(D0_2 @ Ai_2) + x1b_1.kron(d0x_2),
-        (5, 5): ident(a1_1).kron(ident(a1_2))
-        + (D0_1 @ Ai_1).kron(D0_2 @ Ai_2)
-        + x1a_1.kron(d0x_2),
-    }
-    for key, block in entries.items():
-        want = (row_dims[key[0]], col_dims[key[1]])
-        if (block.rows, block.cols) != want:
-            raise ShapeMismatch(
-                f"splice entry {key} has shape {(block.rows, block.cols)}, needs {want}"
-            )
-    matrix = BlockGrid(row_dims, col_dims, entries).assemble()
-    return SpliceMatrix(matrix, row_dims, col_dims)
+    terms = {key: [(left[a], right[b]) for a, b in pairs] for key, pairs in _TERMS.items()}
+    matrix = kron_blocks(row_pairs, col_pairs, terms)
+    return SpliceMatrix(
+        matrix, tuple(a * b for a, b in row_pairs), tuple(a * b for a, b in col_pairs)
+    )
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Each reference is an earlier, plainer route to the same answer: homology
 from two solvers, level maps, duality maps and filtration sides through
 label matrices and matrix products, graded pieces from spans of the
-intersections, and kernel witnesses from every pair of basis tuples.  The
-library must match them bit for bit.
+intersections, the splice matrix block by block from written-out Kronecker
+products, and kernel witnesses from every pair of basis tuples.  The library
+must match them bit for bit.
 
 The module also keeps the API only the tests use: single surgery groups and
 level maps, and the calibration of the graded-piece multiplicities.
@@ -41,6 +42,7 @@ from splicerank.model import (
     staircase,
 )
 from splicerank.splice import (
+    SpliceMatrix,
     WitnessData,
     WitnessReport,
     _split,
@@ -262,6 +264,66 @@ def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
         "f0": canonical_f(p.a1, p.a0, p.a_inf),
         "f1": canonical_f(p.a_inf, p.a1, p.a0),
     }
+
+
+def kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """Kronecker product, row (i, p) = row i of a spread over copies of row p of b."""
+    bits = []
+    for ra in a.row_bits:
+        for rb in b.row_bits:
+            bits.append(sum(rb << (c * b.cols) for c in range(a.cols) if (ra >> c) & 1))
+    return Gf2Matrix(a.rows * b.rows, a.cols * b.cols, bits)
+
+
+def reference_build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
+    """The splice matrix block by block: every product and Kronecker product
+    written out, the blocks summed and placed by ``BlockGrid``."""
+    A0_1, B0_1, D0_1 = p1.blocks0
+    A1_1, B1_1, D1_1 = p1.blocks1
+    Ai_1, Bi_1, Di_1 = p1.blocks_inf
+    A0_2, B0_2, D0_2 = p2.blocks0
+    A1_2, B1_2, D1_2 = p2.blocks1
+    Ai_2, Bi_2, Di_2 = p2.blocks_inf
+    X1_1, X1_2 = p1.X1, p2.X1
+    a0_1, a1_1, ai_1 = p1.a0, p1.a1, p1.a_inf
+    a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
+
+    col_dims = (ai_1 * ai_2, ai_1 * a0_2, a1_1 * a0_2, a0_1 * ai_2, a0_1 * a1_2, a1_1 * a1_2)
+    row_dims = (a0_1 * a0_2, ai_1 * a1_2, ai_1 * a0_2, a1_1 * ai_2, a0_1 * ai_2, a1_1 * a1_2)
+    ident = Gf2Matrix.identity
+    x1a_1 = X1_1 @ Ai_1
+    d0x_2 = D0_2 @ X1_2
+    x1b_1 = X1_1 @ Bi_1
+    b0x_2 = B0_2 @ X1_2
+    entries = {
+        (0, 0): kron(Di_1 @ B1_1, B1_2 @ A0_2),
+        (0, 1): kron(B1_1 @ A0_1, ident(a0_2)),
+        (0, 2): kron(B1_1 @ B0_1, ident(a0_2)),
+        (0, 3): kron(Di_1 @ A1_1, B1_2 @ A0_2),
+        (0, 4): kron(ident(a0_1), B1_2 @ B0_2),
+        (1, 0): kron(ident(ai_1), Bi_2 @ B1_2),
+        (1, 1): kron(D1_1 @ A0_1, Bi_2 @ A1_2),
+        (1, 2): kron(D1_1 @ B0_1, Bi_2 @ A1_2),
+        (1, 4): kron(B0_1 @ Bi_1, ident(a1_2)),
+        (1, 5): kron(B0_1 @ Ai_1, ident(a1_2)),
+        (2, 0): kron(ident(ai_1), Di_2 @ B1_2),
+        (2, 1): kron(ident(ai_1), ident(a0_2)) + kron(D1_1 @ A0_1, Di_2 @ A1_2),
+        (2, 2): kron(D1_1 @ B0_1, Di_2 @ A1_2),
+        (3, 0): kron(Bi_1 @ B1_1, ident(ai_2)),
+        (3, 2): kron(ident(a1_1), B0_2 @ Bi_2),
+        (3, 3): kron(Bi_1 @ A1_1, ident(ai_2)),
+        (3, 4): kron(D0_1 @ Bi_1, B0_2 @ Ai_2) + kron(x1b_1, b0x_2),
+        (3, 5): kron(D0_1 @ Ai_1, B0_2 @ Ai_2) + kron(x1a_1, b0x_2),
+        (4, 0): kron(Di_1 @ B1_1, D1_2 @ A0_2),
+        (4, 3): kron(ident(a0_1), ident(ai_2)) + kron(Di_1 @ A1_1, D1_2 @ A0_2),
+        (4, 4): kron(ident(a0_1), D1_2 @ B0_2),
+        (5, 2): kron(ident(a1_1), D0_2 @ Bi_2),
+        (5, 4): kron(D0_1 @ Bi_1, D0_2 @ Ai_2) + kron(x1b_1, d0x_2),
+        (5, 5): kron(ident(a1_1), ident(a1_2))
+        + kron(D0_1 @ Ai_1, D0_2 @ Ai_2)
+        + kron(x1a_1, d0x_2),
+    }
+    return SpliceMatrix(BlockGrid(row_dims, col_dims, entries).assemble(), row_dims, col_dims)
 
 
 def reference_build_side(

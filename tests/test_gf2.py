@@ -14,12 +14,13 @@ from splicerank.gf2 import (
     Gf2Matrix,
     SpanSolver,
     bits_of,
+    kron_blocks,
     span_dim,
     span_intersection,
     span_sum_dim,
 )
 
-from oracles import h_number, mul_vec, span_basis
+from oracles import h_number, kron, mul_vec, span_basis
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -200,11 +201,19 @@ def test_h_number_cases():
     assert h_number(m) == 4
 
 
+def _one_kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """a ⊗ b as kron_blocks' only block."""
+    return kron_blocks([(a.rows, b.rows)], [(a.cols, b.cols)], {(0, 0): [(a, b)]})
+
+
 def test_kron_identity_and_empty():
-    assert Gf2Matrix.identity(2).kron(Gf2Matrix.identity(3)) == Gf2Matrix.identity(6)
+    assert kron(Gf2Matrix.identity(2), Gf2Matrix.identity(3)) == Gf2Matrix.identity(6)
+    assert _one_kron(Gf2Matrix.identity(2), Gf2Matrix.identity(3)) == Gf2Matrix.identity(6)
     empty = Gf2Matrix.zeros(0, 0)
-    prod = random_matrix(random.Random(5), 3, 2).kron(empty)
-    assert (prod.rows, prod.cols) == (0, 0)
+    a = random_matrix(random.Random(5), 3, 2)
+    for prod in (kron(a, empty), _one_kron(a, empty), _one_kron(empty, a)):
+        assert (prod.rows, prod.cols) == (0, 0)
+    assert _one_kron(a, Gf2Matrix.zeros(2, 0)) == Gf2Matrix.zeros(6, 0)
 
 
 def test_kron_rank_multiplicative_against_oracle():
@@ -212,20 +221,85 @@ def test_kron_rank_multiplicative_against_oracle():
     for _ in range(25):
         a = random_matrix(rng, 3, 3)
         b = random_matrix(rng, 3, 3)
-        k = a.kron(b)
+        k = kron(a, b)
         assert brute_rank(k) == brute_rank(a) * brute_rank(b)
         assert k.rank() == a.rank() * b.rank()
+        assert _one_kron(a, b) == k
 
 
 def test_kron_entries():
     a = Gf2Matrix.from_dense([[1, 0], [1, 1]])
     b = Gf2Matrix.from_dense([[0, 1], [1, 0]])
-    k = a.kron(b)
-    for i in range(2):
-        for j in range(2):
-            for p in range(2):
-                for q in range(2):
-                    assert k.entry(2 * i + p, 2 * j + q) == a.entry(i, j) * b.entry(p, q)
+    for k in (kron(a, b), _one_kron(a, b)):
+        for i in range(2):
+            for j in range(2):
+                for p in range(2):
+                    for q in range(2):
+                        assert k.entry(2 * i + p, 2 * j + q) == a.entry(i, j) * b.entry(p, q)
+
+
+@st.composite
+def kron_block_grids(draw):
+    """(row_dims, col_dims, terms) of a random grid of Kronecker sums: up to
+    three factor pairs per block, dims 0 to 3."""
+    dims = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    row_dims = draw(st.lists(dims, max_size=3))
+    col_dims = draw(st.lists(dims, max_size=3))
+    terms = {}
+    for i, (lr, rr) in enumerate(row_dims):
+        for j, (lc, rc) in enumerate(col_dims):
+            pairs = [
+                (Gf2Matrix(lr, lc, _bits(draw, lr, lc)), Gf2Matrix(rr, rc, _bits(draw, rr, rc)))
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+            if pairs:
+                terms[i, j] = pairs
+    return row_dims, col_dims, terms
+
+
+@settings(max_examples=300)
+@given(kron_block_grids())
+def test_kron_blocks_is_the_grid_of_summed_kron_products(grid):
+    row_dims, col_dims, terms = grid
+    blocks = {}
+    for (i, j), pairs in terms.items():
+        block = Gf2Matrix.zeros(row_dims[i][0] * row_dims[i][1], col_dims[j][0] * col_dims[j][1])
+        for a, b in pairs:
+            block = block + kron(a, b)
+        blocks[i, j] = block
+    want = BlockGrid(
+        tuple(a * b for a, b in row_dims), tuple(a * b for a, b in col_dims), blocks
+    ).assemble()
+    assert kron_blocks(row_dims, col_dims, terms) == want
+
+
+def test_kron_blocks_shape_mismatch_names_the_block():
+    i2, i3 = Gf2Matrix.identity(2), Gf2Matrix.identity(3)
+    # the products fit a 6x6 slot, but the factors do not fit (3, 2) x (3, 2)
+    with pytest.raises(ShapeMismatch, match=r"block \(1,0\)"):
+        kron_blocks([(1, 1), (3, 2)], [(3, 2)], {(1, 0): [(i2, i3)]})
+    with pytest.raises(ShapeMismatch, match=r"block \(0,2\) outside grid"):
+        kron_blocks([(1, 1)], [(1, 1)], {(0, 2): [(Gf2Matrix.identity(1),) * 2]})
+
+
+@pytest.mark.parametrize(
+    "row_dims, col_dims",
+    [([(-1, 1)], [(1, 1)]), ([(1, 1)], [(1, -2)]), ([(1.0, 1)], [(1, 1)])],
+    ids=["negative-row", "negative-col", "float"],
+)
+def test_kron_blocks_rejects_a_bad_dim(row_dims, col_dims):
+    with pytest.raises(ShapeMismatch, match="not a nonnegative int"):
+        kron_blocks(row_dims, col_dims, {})
+
+
+@pytest.mark.parametrize(
+    "row_dims, col_dims",
+    [((-1,), (1,)), ((1,), (-1,)), ((2, -1), (1,)), ((1,), (1.5,))],
+    ids=["negative-row", "negative-col", "second-row", "float"],
+)
+def test_block_grid_rejects_a_bad_dim(row_dims, col_dims):
+    with pytest.raises(ShapeMismatch, match="not a nonnegative int"):
+        BlockGrid(row_dims, col_dims).assemble()
 
 
 def test_cancel_identity():
@@ -278,6 +352,16 @@ def test_rank_nullity_bookkeeping(m):
     assert r + len(m.kernel_basis()) == m.cols
     assert r + len(m.cokernel_basis()) == m.rows
     assert h_number(m) == m.rows + m.cols - 2 * r
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_pivot_columns_complete_the_kernel(m):
+    # free column c's kernel vector has highest bit c, so completing the
+    # kernel with standard basis vectors in increasing order takes the pivots
+    solver = SpanSolver(m.kernel_basis())
+    assert m.pivot_columns() == [i for i in range(m.cols) if solver.add(1 << i)]
+    assert len(m.pivot_columns()) == m.rank()
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,7 +464,7 @@ def trusted_results(draw):
     b = Gf2Matrix(k, c, _bits(draw, k, c))
     name = draw(
         st.sampled_from(
-            ["matmul", "add", "transpose", "kron", "inverse", "submatrix", "from_columns", "assemble"]
+            ["matmul", "add", "transpose", "kron_blocks", "inverse", "submatrix", "from_columns", "assemble"]
         )
     )
     if name == "matmul":
@@ -389,8 +473,10 @@ def trusted_results(draw):
         return name, a + Gf2Matrix(r, k, _bits(draw, r, k))
     if name == "transpose":
         return name, a.transpose()
-    if name == "kron":
-        return name, a.kron(b)
+    if name == "kron_blocks":
+        a2 = Gf2Matrix(r, k, _bits(draw, r, k))
+        # a sum of two products in one block, beside a block with no terms
+        return name, kron_blocks([(r, k)], [(1, 1), (k, c)], {(0, 1): [(a, b), (a2, b)]})
     if name == "inverse":
         square = Gf2Matrix(r, r, _bits(draw, r, r))
         if reference_inverse(square) is None:
@@ -432,6 +518,43 @@ def test_public_constructors_still_reject_bits_out_of_range():
         Gf2Matrix.from_columns([0b01, 0b1110], 2)
     with pytest.raises(ShapeMismatch, match="column 0 has bit 0 beyond row 0"):
         Gf2Matrix.from_columns([0b1], 0)
+
+
+# a value that is not an int is bad input: a typed error, never a TypeError
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gf2Matrix(1, 2, [1.0]), "row 0 is 1.0, not an int"),
+        (lambda: Gf2Matrix(2, 2, [1, None]), "row 1 is None, not an int"),
+        (lambda: Gf2Matrix(1.0, 2), r"dims \(1.0, 2\): 1.0 is not a nonnegative int"),
+        (lambda: Gf2Matrix.from_columns([1.0], 2), "column 0 is 1.0, not an int"),
+        (lambda: Gf2Matrix.from_columns([1], 2.0), "not a nonnegative int"),
+        (lambda: Gf2Matrix.from_dense([[None]]), r"entry \(0,0\) is None, not an int"),
+        (lambda: Gf2Matrix.from_dense([[0, 1], [1, "1"]]), r"entry \(1,1\) is '1', not an int"),
+        (lambda: Gf2Matrix.from_entries(2, 2, [(0, 1.0)]), "not at int indices"),
+        (lambda: Gf2Matrix.identity(2.0), "not a nonnegative int"),
+        (lambda: Gf2Matrix.identity(-1), "-1 is not a nonnegative int"),
+        (lambda: Gf2Matrix.zeros(0, -2), r"dims \(0, -2\): -2 is not a nonnegative int"),
+        (lambda: Gf2Matrix.zeros(None, 0), "not a nonnegative int"),
+    ],
+    ids=[
+        "row-float",
+        "row-none",
+        "shape-float",
+        "column-float",
+        "columns-rows-float",
+        "dense-none",
+        "dense-str",
+        "entries-float",
+        "identity-float",
+        "identity-negative",
+        "zeros-negative",
+        "zeros-none",
+    ],
+)
+def test_public_constructors_reject_a_value_that_is_not_an_int(build, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        build()
 
 
 def test_submatrix_rejects_a_stepped_range():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -20,7 +21,7 @@ from splicerank.duality import (
     synthetic_package,
 )
 from splicerank.errors import WitnessNotInKernel
-from splicerank.gf2 import Gf2Matrix
+from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
     build_D,
@@ -33,7 +34,14 @@ from splicerank.splice import (
     witness_data,
 )
 
-from oracles import assemble_witness, basis_tuples, mul_vec, reference_kernel_witnesses
+from oracles import (
+    assemble_witness,
+    basis_tuples,
+    mul_vec,
+    reference_build_D,
+    reference_kernel_witnesses,
+    torus_staircase,
+)
 
 
 def pkg(name: str):
@@ -45,6 +53,62 @@ def test_unknot_pair_gives_one_by_zero_matrix():
     assert (d.matrix.rows, d.matrix.cols) == (1, 0)
     assert d.col_block_dims == (0, 0, 0, 0, 0, 0)
     assert sum(d.row_block_dims) == 1
+
+
+def _oracle_pairs():
+    corpus_packs = [pkg(n) for n in corpus_names()]
+    yield from product(corpus_packs, repeat=2)
+    randoms = [geometric_package(random_complex(seed, 8)) for seed in range(6)]
+    yield from zip(randoms, randoms[1:] + randoms[:1])
+    zero_dims = [(1, 0, 0), (1, 0, 2), (2, 3, 0), (1, 2, 2), (3, 0, 1), (0, 1, 1)]
+    synthetic = [synthetic_package(seed, dims) for seed, dims in enumerate(zero_dims)]
+    # X1 Binf, D0 X1 and B0 X1 are zero on every knot above: these three
+    # packages make every X1 term of D nonzero on some pair
+    synthetic += [synthetic_package(seed, dims) for seed, dims in ((14, (1, 3, 3)), (28, (2, 3, 2)), (22, (2, 3, 3)))]
+    yield from product(synthetic, repeat=2)
+    summed = direct_sum(pkg("trefoil_staircase"), synthetic[3])
+    yield summed, pkg("fig8_box")
+    yield pkg("t25_staircase"), summed
+    torus = {pq: geometric_package(torus_staircase(*pq)) for pq in ((2, 21), (4, 7), (5, 6), (6, 7))}
+    yield torus[2, 21], torus[2, 21]
+    yield torus[4, 7], torus[5, 6]
+    yield torus[6, 7], torus[6, 7]
+
+
+def test_build_D_matches_the_block_by_block_reference():
+    count = 0
+    for p1, p2 in _oracle_pairs():
+        got, want = build_D(p1, p2), reference_build_D(p1, p2)
+        assert got.matrix == want.matrix, (p1.dims, p2.dims)
+        assert (got.row_block_dims, got.col_block_dims) == (want.row_block_dims, want.col_block_dims)
+        count += 1
+    assert count == 100 + 6 + 81 + 2 + 3
+
+
+def test_build_D_operation_budget(monkeypatch):
+    # each knot's 14 products are made once and the rows of D are written
+    # straight from them: no sum, no block grid, and no matrix built besides
+    # the 28 products, the 6 identity factors and D itself
+    ceiling = {"__matmul__": 28, "_trusted": 28 + 6 + 1, "__add__": 0, "__init__": 0, "assemble": 0}
+    pairs = [
+        (pkg("t34_staircase"), pkg("fig8_box")),
+        (pkg("trefoil_staircase"), pkg("trefoil_staircase")),
+        (synthetic_package(1, (2, 3, 1)), pkg("t25_staircase")),
+    ]
+    counts = Counter()
+    counted_ops = [(Gf2Matrix, name) for name in ceiling if name != "assemble"] + [(BlockGrid, "assemble")]
+    for owner, name in counted_ops:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for p1, p2 in pairs:
+        counts.clear()
+        d = build_D(p1, p2)
+        assert {name: n for name, n in counts.items() if n > ceiling[name]} == {}, (p1.dims, p2.dims)
+        assert counts["__matmul__"] == 28, (p1.dims, p2.dims)  # the wrappers count
+    monkeypatch.undo()
+    assert d == reference_build_D(p1, p2)
 
 
 def test_unknot_identity_h():
