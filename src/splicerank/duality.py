@@ -48,7 +48,7 @@ from .errors import (
     StatsInconsistent,
     TauRelationFailure,
 )
-from .gf2 import BlockGrid, Gf2Matrix, SpanSolver, lower_triangular, span_dim
+from .gf2 import BlockGrid, Gf2Matrix, high_pivots, lower_triangular, span_dim
 from .homology import induced_by_columns
 from .model import BifilteredComplex, valid_lookup
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
@@ -131,9 +131,6 @@ class SurgeryPackage:
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a_inf)
-
-    def verify(self) -> None:
-        verify_package(self)
 
 
 def _package(dims, taus, fbars) -> SurgeryPackage:
@@ -255,12 +252,6 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 # -- normalization ------------------------------------------------------------
 
 
-def _complement(vectors: list[int], dim: int) -> list[int]:
-    """Indices of the standard basis vectors that complete a subspace."""
-    solver = SpanSolver(vectors)
-    return [i for i in range(dim) if solver.add(1 << i)]
-
-
 def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     """Simultaneous bases putting all three triangle maps in the form (0 0; I 0).
 
@@ -280,7 +271,11 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     u = f_inf.pivot_columns()
     cols_inf, cols0, cols1 = (f.transpose().row_bits for f in (f_inf, f0, f1))
     image_f0 = [cols0[i] for i in w]
-    z1 = _complement(image_f0, ninf)
+    # Z1 completes Im f0 greedily, e_0 first: e_i joins exactly when no
+    # vector of Im f0 has highest bit i, which is when i is not a key of the
+    # highest-bit pivot dict.
+    taken = high_pivots(image_f0)
+    z1 = [i for i in range(ninf) if i not in taken]
 
     g_inf_cols = [1 << i for i in z1] + image_f0
     g0_cols = [1 << i for i in u] + [cols1[i] for i in z1]
@@ -543,7 +538,7 @@ def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
         # fbar_k maps H_next(k), whose top part is a_k, to H_prev(k), whose top is a_next(k)
         fbars.append(_block_sum(fbar_p, fbar_q, (dp[nxt], dp[k]), (dq[nxt], dq[k])))
     out = _package([a + b for a, b in zip(dp, dq)], taus, fbars)
-    out.verify()
+    verify_package(out)
     return out
 
 
@@ -598,7 +593,7 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
         if not all((x @ x).is_zero() for x in xs):
             continue
         p = _package(dims, taus, _barred(fs, taus, [tau.inverse() for tau in taus]))
-        p.verify()
+        verify_package(p)
         return p
     raise SamplingExhausted(
         f"no synthetic package at dims {dims} after {SYNTHETIC_RETRY_BUDGET} draws"

@@ -11,10 +11,6 @@ class ShapeMismatch(SpliceRankError):
     """A matrix or block has a shape incompatible with its slot."""
 
 
-class PivotZero(SpliceRankError):
-    """Cancellation was requested at a zero entry."""
-
-
 class NotAComplex(SpliceRankError):
     """A boundary matrix does not square to zero."""
 

@@ -6,30 +6,41 @@ coordinate ``i``.  Zero-dimensional matrices are legal values throughout.
 
 Who validates what: rows from outside this module enter through the public
 constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
-``from_columns``), which reject a negative shape, a row, column or entry
-that is not an int, and any bit beyond the shape.  A result of this module's
+``from_columns``), which reject a negative shape, a container of rows,
+entries or columns of the wrong kind, a row, column or entry that is not an
+int, and any bit beyond the shape; ``BlockGrid`` and ``kron_blocks`` reject
+a block or factor that is not a matrix.  A result of this module's
 own operations (``identity``, ``zeros``, ``@``, ``+``, ``transpose``,
 ``inverse``, ``submatrix``, ``from_columns`` after its range check,
 ``BlockGrid.assemble`` and ``kron_blocks``) is in range by construction, so
 it is built by ``Gf2Matrix._trusted``, with no scan and no copy; nothing
 outside this module calls that.
 
-Elimination has one core, ``echelon``: a dict from pivot column (the lowest
-set bit of a row) to its row, reduced so that no row has a bit at another
-row's pivot.  That is the reduced row echelon form, which is unique, so
-``kernel_basis``, ``cokernel_basis`` and ``inverse`` return the same vectors
-however the rows are ordered.  ``span_intersection`` needs only its forward
-pass.  Dimensions come from ``rank`` (``span_dim``), a forward pass keyed on
-the highest bit, which is cheaper to find: this is why ``kernel_dim`` and
-``cokernel_dim`` never build a basis.
+Elimination has one core, the dict of ``low_pivots``: each row keyed on its
+lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
+so that no row has a bit at another row's pivot.  That is the reduced row
+echelon form, which is unique, so ``kernel_basis``, ``cokernel_basis`` and
+``inverse`` return the same vectors however the rows are ordered.
+``span_intersection`` and ``pivot_columns`` need only the forward pass, and
+``reduce`` tests a vector against the dict: ``homology.HomologySpace`` finds
+its representatives and coordinates that way.
+
+``high_pivots`` runs the same forward pass keyed on the highest bit, for the
+two questions whose answer is the set of keys.  A dimension (``rank``,
+``span_dim``) is their number, and the highest bit costs one
+``bit_length`` where the lowest costs a ``v & -v`` more, so ``kernel_dim``
+and ``cokernel_dim`` never build a basis.  The keys are also the highest
+bits of the span's vectors, so e_i completes a span (added in increasing i)
+exactly when i is not a key; a lowest-bit dict would have to be fully
+reduced to tell.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
 
-from .errors import PivotZero, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -56,9 +67,13 @@ class Gf2Matrix:
 
     __slots__ = ("rows", "cols", "row_bits")
 
-    def __init__(self, rows: int, cols: int, row_bits: Iterable[int] = ()):
+    def __init__(self, rows: int, cols: int, row_bits: Iterable[int] | None = None):
+        """The rows x cols matrix on row_bits, or the zero matrix without them."""
         _check_dims(rows, cols)
-        bits = tuple(row_bits) if row_bits else (0,) * rows
+        if row_bits is None:
+            row_bits = (0,) * rows
+        _check_iterable(row_bits, "row bits")
+        bits = tuple(row_bits)
         if len(bits) != rows:
             raise ShapeMismatch(f"{len(bits)} rows given for a {rows}x{cols} matrix")
         mask = (1 << cols) - 1
@@ -99,8 +114,12 @@ class Gf2Matrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> Gf2Matrix:
         _check_dims(rows, cols)
+        _check_iterable(entries, "entries")
         bits = [0] * rows
-        for r, c in entries:
+        for entry in entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ShapeMismatch(f"entry {entry!r} is not a (row, col) pair")
+            r, c = entry
             if not (isinstance(r, int) and isinstance(c, int)):
                 raise ShapeMismatch(f"entry ({r!r},{c!r}) is not at int indices")
             if not (0 <= r < rows and 0 <= c < cols):
@@ -110,11 +129,15 @@ class Gf2Matrix:
 
     @classmethod
     def from_dense(cls, dense: list[list[int]], cols: int | None = None) -> Gf2Matrix:
+        if not isinstance(dense, (list, tuple)):
+            raise ShapeMismatch(f"dense matrix {dense!r} is not a list of rows")
         rows = len(dense)
-        if cols is None:
-            cols = len(dense[0]) if dense else 0
         bits = []
         for r, row in enumerate(dense):
+            if not isinstance(row, (list, tuple)):
+                raise ShapeMismatch(f"row {r} is {row!r}, not a list of entries")
+            if cols is None:
+                cols = len(row)
             if len(row) != cols:
                 raise ShapeMismatch("ragged dense matrix")
             m = 0
@@ -124,12 +147,14 @@ class Gf2Matrix:
                 if v & 1:
                     m |= 1 << c
             bits.append(m)
-        return cls(rows, cols, bits)
+        return cls(rows, 0 if cols is None else cols, bits)
 
     @classmethod
     def from_columns(cls, columns: list[int], rows: int) -> Gf2Matrix:
         """Matrix whose c-th column is the bitmask columns[c]."""
         _check_dims(rows)
+        if not isinstance(columns, (list, tuple)):
+            raise ShapeMismatch(f"columns {columns!r} are not a list")
         bits = [0] * rows
         for c, col in enumerate(columns):
             if not isinstance(col, int):
@@ -234,7 +259,7 @@ class Gf2Matrix:
 
     def pivot_columns(self) -> list[int]:
         """The pivot columns of the echelon form, in increasing order."""
-        return sorted(_forward(self.row_bits))
+        return sorted(low_pivots(self.row_bits))
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -245,27 +270,6 @@ class Gf2Matrix:
     def cokernel_basis(self) -> list[int]:
         """Basis of the left kernel {w : wM = 0}, each a rows-bit mask."""
         return self.transpose().kernel_basis()
-
-    def cancel(self, r: int, c: int) -> Gf2Matrix:
-        """Gaussian cancellation at a unit pivot, deleting row r and column c.
-
-        The result is equivalent to the input: both kernel and cokernel
-        dimensions are preserved.
-        """
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ShapeMismatch(f"pivot ({r},{c}) outside {self.rows}x{self.cols}")
-        if not (self.row_bits[r] >> c) & 1:
-            raise PivotZero(f"entry ({r},{c}) is zero")
-        pivot_row = self.row_bits[r]
-        low = (1 << c) - 1
-        bits = []
-        for i, b in enumerate(self.row_bits):
-            if i == r:
-                continue
-            if (b >> c) & 1:
-                b ^= pivot_row
-            bits.append((b & low) | ((b >> (c + 1)) << c))
-        return Gf2Matrix(self.rows - 1, self.cols - 1, bits)
 
     def inverse(self) -> Gf2Matrix:
         """Inverse of a square invertible matrix: reduce (M | I) to (I | M^-1)."""
@@ -301,7 +305,7 @@ def echelon(vectors: Iterable[int]) -> dict[int, int]:
     a pivot; back-substitution, from the highest pivot down, then clears
     every other pivot bit from each row.
     """
-    pivots = _forward(vectors)
+    pivots = low_pivots(vectors)
     mask = _mask(pivots)
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
@@ -311,7 +315,10 @@ def echelon(vectors: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _forward(vectors: Iterable[int]) -> dict[int, int]:
+def low_pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """The forward pass: each vector is reduced until its lowest bit is not a
+    pivot and kept under that bit; one in the span so far reduces to zero
+    and is dropped."""
     pivots: dict[int, int] = {}
     for v in vectors:
         while v:
@@ -331,18 +338,34 @@ def _mask(pivots: dict[int, int]) -> int:
     return out
 
 
-def span_dim(vectors: Iterable[int]) -> int:
-    """Dimension of the span: a forward pass keyed on the highest bit."""
-    basis: dict[int, int] = {}
+def reduce(pivots: dict[int, int], v: int) -> int:
+    """v with pivot rows of a ``low_pivots`` dict XORed in until it is zero or
+    its lowest bit is not a pivot: zero exactly when v is in their span."""
+    while v:
+        row = pivots.get((v & -v).bit_length() - 1)
+        if row is None:
+            break
+        v ^= row
+    return v
+
+
+def high_pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """The forward pass keyed on each vector's highest bit.  Its keys are the
+    highest bits of the span's nonzero vectors."""
+    pivots: dict[int, int] = {}
     for v in vectors:
         while v:
             p = v.bit_length() - 1
-            row = basis.get(p)
+            row = pivots.get(p)
             if row is None:
-                basis[p] = v
+                pivots[p] = v
                 break
             v ^= row
-    return len(basis)
+    return pivots
+
+
+def span_dim(vectors: Iterable[int]) -> int:
+    return len(high_pivots(vectors))
 
 
 def span_sum_dim(*vector_sets: Iterable[int]) -> int:
@@ -359,50 +382,8 @@ def span_intersection(u_vectors: list[int], v_vectors: list[int], ambient: int) 
     rows whose low part vanishes carry a basis of the intersection above it.
     """
     rows = [u | (u << ambient) for u in u_vectors] + list(v_vectors)
-    pivots = _forward(rows)
+    pivots = low_pivots(rows)
     return [pivots[p] >> ambient for p in sorted(pivots) if p >= ambient]
-
-
-class SpanSolver:
-    """Online span with coordinate solving over the accepted generators.
-
-    ``add`` inserts a vector and reports whether it was outside the span so
-    far; only an accepted vector becomes a generator, and generators are
-    indexed 0, 1, ... in the order they were accepted.  ``solve`` expresses a
-    vector as a combination of the generators (a mask over their indices) or
-    returns None if the vector is outside the span.
-    """
-
-    def __init__(self, vectors: Iterable[int] = ()):
-        self._pivots: dict[int, tuple[int, int]] = {}
-        for v in vectors:
-            self.add(v)
-
-    def add(self, v: int) -> bool:
-        v, coeff = self._reduce_with_coeffs(v)
-        if v == 0:
-            return False
-        self._pivots[v.bit_length() - 1] = (v, coeff | (1 << len(self._pivots)))
-        return True
-
-    def _reduce_with_coeffs(self, v: int) -> tuple[int, int]:
-        coeff = 0
-        while v:
-            p = v.bit_length() - 1
-            if p not in self._pivots:
-                return v, coeff
-            pv, pc = self._pivots[p]
-            v ^= pv
-            coeff ^= pc
-        return 0, coeff
-
-    def solve(self, v: int) -> int | None:
-        v, coeff = self._reduce_with_coeffs(v)
-        return coeff if v == 0 else None
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
 
 
 # -- block assembly ---------------------------------------------------------
@@ -417,10 +398,16 @@ class BlockGrid:
     blocks: dict[tuple[int, int], Gf2Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_iterable(self.row_dims, "row dims")
+        _check_iterable(self.col_dims, "column dims")
         _check_dims(*self.row_dims, *self.col_dims)
+        if not isinstance(self.blocks, dict):
+            raise ShapeMismatch(f"blocks {self.blocks!r} are not a dict")
         for (i, j), b in self.blocks.items():
             if not (0 <= i < len(self.row_dims) and 0 <= j < len(self.col_dims)):
                 raise ShapeMismatch(f"block ({i},{j}) outside grid")
+            if not isinstance(b, Gf2Matrix):
+                raise ShapeMismatch(f"block ({i},{j}) is {b!r}, not a Gf2Matrix")
             if (b.rows, b.cols) != (self.row_dims[i], self.col_dims[j]):
                 raise ShapeMismatch(
                     f"block ({i},{j}) is {b.rows}x{b.cols}, slot needs "
@@ -475,6 +462,8 @@ def kron_blocks(
             raise ShapeMismatch(f"block ({i},{j}) outside grid")
         (lr, rr), (lc, rc) = row_dims[i], col_dims[j]
         for left, right in pairs:
+            if not (isinstance(left, Gf2Matrix) and isinstance(right, Gf2Matrix)):
+                raise ShapeMismatch(f"block ({i},{j}) has a term {left!r} ⊗ {right!r}, not two matrices")
             if (left.rows, left.cols, right.rows, right.cols) != (lr, lc, rr, rc):
                 raise ShapeMismatch(
                     f"block ({i},{j}) has a term {left.rows}x{left.cols} ⊗ "
@@ -502,6 +491,11 @@ def kron_blocks(
                         acc ^= b << shift
                 bits.append(acc)
     return Gf2Matrix._trusted(len(bits), col_off[-1], tuple(bits))
+
+
+def _check_iterable(value: object, what: str) -> None:
+    if not isinstance(value, Iterable):
+        raise ShapeMismatch(f"{what} {value!r} are not iterable")
 
 
 def _check_dims(*dims: int) -> None:

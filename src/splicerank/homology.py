@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .errors import NotAComplex, ShapeMismatch
-from .gf2 import Gf2Matrix, SpanSolver, bits_of, xor_columns
+from .gf2 import Gf2Matrix, bits_of, low_pivots, reduce, xor_columns
 
 
 def require_square_zero(boundary: Gf2Matrix) -> None:
@@ -74,25 +74,38 @@ class ChainComplexF2:
 class HomologySpace:
     """Homology of a ChainComplexF2 with a distinguished cycle-representative basis.
 
-    One SpanSolver holds a basis of the boundaries (the boundary columns that
-    add, in column order) and then the representatives: the kernel basis
-    vectors that add, in kernel-basis order.  So the solver indexes the
-    boundaries 0 .. b-1 and the representatives b, b+1, ...; ``coords``
-    rewrites any cycle as a combination of the representatives modulo
-    boundaries, as a bitmask over the representative indices.
+    One ``gf2.low_pivots`` dict holds the boundary columns, and then the
+    representatives: the kernel basis vectors, in kernel-basis order, that
+    are not in the span of the boundaries and the representatives before
+    them.  A vector of the n-dimensional complex carries tag bits above bit
+    n: candidate k is the kernel vector with tag bit n + k, where k counts
+    the representatives accepted so far, and the boundaries carry none.
+    ``gf2.reduce`` XORs pivot rows into the candidate, tags and all, and it
+    becomes representative k if any of its low n bits survive.  So the low
+    n bits of every row in the dict are, modulo boundaries, the sum of the
+    representatives its tag bits name, and no coefficients are kept for the
+    boundaries.  ``coords`` reduces a cycle the same way: its low n bits
+    vanish, and the bits above n that are left are its class, as a bitmask
+    over the representative indices.
 
-    ``boundary_columns`` keeps the boundary's columns, read once for the
-    solver: ``coords`` tests "is a cycle" on them, and callers apply the
-    boundary to a chain with ``xor_columns``.
+    ``boundary_columns`` keeps the boundary's columns: ``coords`` tests "is
+    a cycle" on them, and callers apply the boundary to a chain with
+    ``xor_columns``.
     """
 
     def __init__(self, complex_: ChainComplexF2):
         self.complex = complex_
         boundary = complex_.boundary
+        n = complex_.dim
+        low = (1 << n) - 1
         self.boundary_columns: tuple[int, ...] = boundary.transpose().row_bits
-        self._solver = SpanSolver(self.boundary_columns)
-        self._n_boundaries = self._solver.dim
-        self.reps: list[int] = [z for z in boundary.kernel_basis() if self._solver.add(z)]
+        self._pivots = low_pivots(self.boundary_columns)
+        self.reps: list[int] = []
+        for z in boundary.kernel_basis():
+            v = reduce(self._pivots, z | (1 << (n + len(self.reps))))
+            if v & low:
+                self._pivots[(v & -v).bit_length() - 1] = v
+                self.reps.append(z)
 
     @property
     def dim(self) -> int:
@@ -100,14 +113,15 @@ class HomologySpace:
 
     def coords(self, cycle: int) -> int:
         """Class of a cycle in the representative basis (a dim-bit mask)."""
-        if cycle >> self.complex.dim:
-            raise ShapeMismatch(f"vector has bits beyond {self.complex.dim}")
+        n = self.complex.dim
+        if cycle >> n:
+            raise ShapeMismatch(f"vector has bits beyond {n}")
         if xor_columns(self.boundary_columns, cycle):
             raise NotAComplex("coords() called on a non-cycle")
-        coeffs = self._solver.solve(cycle)
-        if coeffs is None:
+        v = reduce(self._pivots, cycle)
+        if v & ((1 << n) - 1):
             raise NotAComplex("cycle escaped its own homology; internal error")
-        return coeffs >> self._n_boundaries
+        return v >> n
 
 
 def homology(complex_: ChainComplexF2) -> HomologySpace:

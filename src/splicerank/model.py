@@ -16,9 +16,9 @@ equal complexes hash equal and a complex can key a cache.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 from .errors import (
     NoFlipData,
@@ -68,13 +68,6 @@ class BifilteredComplex:
         object.__setattr__(self, "arrows", tuple(self.arrows))
         if self.symmetry is not None:
             object.__setattr__(self, "symmetry", MappingProxyType(dict(self.symmetry)))
-
-    def alexander(self, gen_id: str) -> int:
-        return self._grading[gen_id]
-
-    @property
-    def _grading(self) -> dict[str, int]:
-        return {g.id: g.alexander for g in self.generators}
 
     def grading_range(self) -> tuple[int, int]:
         values = [g.alexander for g in self.generators]
@@ -304,6 +297,8 @@ def staircase(steps: Iterable[int], name: str = "staircase") -> BifilteredComple
     Steps must form a palindrome of even length; odd-position generators
     carry the differentials onto their two neighbours.
     """
+    if not isinstance(steps, Iterable):
+        raise ShapeMismatch(f"staircase steps {steps!r} are not iterable")
     steps = list(steps)
     bad = [step for step in steps if not (is_int(step) and step > 0)]
     if bad:
@@ -328,17 +323,21 @@ def staircase(steps: Iterable[int], name: str = "staircase") -> BifilteredComple
     return BifilteredComplex(name, generators, tuple(arrows), sigma)
 
 
-def random_complex(seed: int, max_generators: int = 8) -> BifilteredComplex:
+MAX_GENERATORS = 8
+
+
+def random_complex(seed: int) -> BifilteredComplex:
     """Deterministic random valid symmetric model with odd ambient rank.
 
-    Drawn as a two-layer complex (killers mapping onto cycles, so d^2 = 0
-    holds by construction), then closed under the symmetry.  Rejection keeps
-    drawing until validation passes and the j = 0 plane has odd homology
-    rank, matching the homology-sphere setting of the geometric inputs.
+    Drawn as a two-layer complex of at most ``MAX_GENERATORS`` generators
+    (killers mapping onto cycles, so d^2 = 0 holds by construction), then
+    closed under the symmetry.  Rejection keeps drawing until validation
+    passes and the j = 0 plane has odd homology rank, matching the
+    homology-sphere setting of the geometric inputs.
     """
     rng = random.Random(f"splicerank-complex-{seed}")
     for _ in range(400):
-        candidate = _draw_two_layer(rng, max_generators, seed)
+        candidate = _draw_two_layer(rng, seed)
         if not validate(candidate).valid:
             continue
         if hf_hat(candidate).dim % 2 == 1:
@@ -346,14 +345,13 @@ def random_complex(seed: int, max_generators: int = 8) -> BifilteredComplex:
     raise SamplingExhausted(f"no valid random complex after 400 draws (seed {seed})")
 
 
-def _draw_two_layer(rng: random.Random, max_generators: int, seed: int) -> BifilteredComplex:
-    budget = max(1, max_generators)
+def _draw_two_layer(rng: random.Random, seed: int) -> BifilteredComplex:
     generators: list[Generator] = []
     sigma: dict[str, str] = {}
     layer: dict[str, str] = {}
 
     def room(extra: int) -> bool:
-        return len(generators) + extra <= budget
+        return len(generators) + extra <= MAX_GENERATORS
 
     def add_pair(kind: str) -> list[str]:
         s = rng.randint(-3, 3)

@@ -1,30 +1,33 @@
 """Reference implementations and model sets shared by the oracle tests.
 
 Each reference is an earlier, plainer route to the same answer: homology
-from two solvers, level maps, duality maps and filtration sides through
-label matrices and matrix products, graded pieces from spans of the
-intersections, the splice matrix block by block from written-out Kronecker
-products, and kernel witnesses from every pair of basis tuples.  The library
-must match them bit for bit.
+from two ``SpanSolver``s, which key pivots on the highest bit and carry a
+coefficient mask for every generator (the library reduces against one
+lowest-bit pivot dict with tag bits); level maps, duality maps and
+filtration sides through label matrices and matrix products; the normal
+form from complements taken one standard vector at a time; graded pieces
+from spans of the intersections; the splice matrix block by block from
+written-out Kronecker products; and kernel witnesses from every pair of
+basis tuples.  The library must match them bit for bit.
 
-The module also keeps the API only the tests use: single surgery groups and
-level maps, and the calibration of the graded-piece multiplicities.
+The module also keeps the API only the tests use: Gaussian ``cancel``,
+single surgery groups and level maps, and the calibration of the
+graded-piece multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import product
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import SurgeryPackage, geometric_package, stats
+from splicerank.duality import SurgeryPackage, TauMaps, geometric_package, stats
 from splicerank.errors import ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
     BlockGrid,
     Gf2Matrix,
-    SpanSolver,
     echelon,
     span_dim,
     span_intersection,
@@ -50,7 +53,7 @@ from splicerank.splice import (
     build_D,
     witness_data,
 )
-from splicerank.surgery import MappingCone, PlaneStore, SurgeryTriple
+from splicerank.surgery import MappingCone, PlaneStore, SurgeryTotals, SurgeryTriple
 
 
 def span_basis(vectors) -> list[int]:
@@ -90,12 +93,76 @@ def mul_vec(m: Gf2Matrix, v: int) -> int:
 def oracle_models() -> list[BifilteredComplex]:
     out = [corpus(name) for name in corpus_names()]
     out += [mirror(corpus(name)) for name in corpus_names()]
-    out += [random_complex(seed, 8) for seed in range(12)]
+    out += [random_complex(seed) for seed in range(12)]
     for steps in ([], [1, 1], [1, 2, 2, 1], [2, 1, 1, 2], [3, 1, 1, 3], [1, 1, 2, 2, 1, 1]):
         out.append(staircase(steps, f"staircase{steps}"))
     # gradings not symmetric about 0, so the two filtration windows differ
     out.append(BifilteredComplex("shifted", (Generator("e", 1),), (), None, Gf2Matrix.identity(1)))
     return out
+
+
+class SpanSolver:
+    """Online span with coordinate solving over the accepted generators.
+
+    ``add`` inserts a vector and reports whether it was outside the span so
+    far; only an accepted vector becomes a generator, and generators are
+    indexed 0, 1, ... in the order they were accepted.  ``solve`` expresses a
+    vector as a combination of the generators (a mask over their indices) or
+    returns None if the vector is outside the span.
+    """
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self._pivots: dict[int, tuple[int, int]] = {}
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: int) -> bool:
+        v, coeff = self._reduce_with_coeffs(v)
+        if v == 0:
+            return False
+        self._pivots[v.bit_length() - 1] = (v, coeff | (1 << len(self._pivots)))
+        return True
+
+    def _reduce_with_coeffs(self, v: int) -> tuple[int, int]:
+        coeff = 0
+        while v:
+            p = v.bit_length() - 1
+            if p not in self._pivots:
+                return v, coeff
+            pv, pc = self._pivots[p]
+            v ^= pv
+            coeff ^= pc
+        return 0, coeff
+
+    def solve(self, v: int) -> int | None:
+        v, coeff = self._reduce_with_coeffs(v)
+        return coeff if v == 0 else None
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
+
+
+def cancel(m: Gf2Matrix, r: int, c: int) -> Gf2Matrix:
+    """Gaussian cancellation at a unit pivot, deleting row r and column c.
+
+    The result is equivalent to the input: both kernel and cokernel
+    dimensions are preserved.
+    """
+    if not (0 <= r < m.rows and 0 <= c < m.cols):
+        raise ShapeMismatch(f"pivot ({r},{c}) outside {m.rows}x{m.cols}")
+    if not (m.row_bits[r] >> c) & 1:
+        raise ValueError(f"entry ({r},{c}) is zero")
+    pivot_row = m.row_bits[r]
+    low = (1 << c) - 1
+    bits = []
+    for i, b in enumerate(m.row_bits):
+        if i == r:
+            continue
+        if (b >> c) & 1:
+            b ^= pivot_row
+        bits.append((b & low) | ((b >> (c + 1)) << c))
+    return Gf2Matrix(m.rows - 1, m.cols - 1, bits)
 
 
 class ReferenceHomology:
@@ -233,6 +300,37 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
         lambda s: lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s),
     )
     return tau0, tau1, tau_inf
+
+
+def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
+    """``duality.normalize`` with each complement taken greedily by a
+    ``SpanSolver``: W of Ker f0 in H1, U of Ker f_inf in H0 and Z1 of Im f0
+    in Hinf, and every map conjugated by the inverse of a basis change."""
+
+    def complement(vectors: list[int], dim: int) -> list[int]:
+        solver = SpanSolver(vectors)
+        return [i for i in range(dim) if solver.add(1 << i)]
+
+    f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
+    w = complement(f0.kernel_basis(), totals.n1)
+    u = complement(f_inf.kernel_basis(), totals.n0)
+    image_f0 = [mul_vec(f0, 1 << i) for i in w]
+    z1 = complement(image_f0, totals.n_inf)
+    g0 = Gf2Matrix.from_columns([1 << i for i in u] + [mul_vec(f1, 1 << i) for i in z1], totals.n0)
+    g1 = Gf2Matrix.from_columns([1 << i for i in w] + [mul_vec(f_inf, 1 << i) for i in u], totals.n1)
+    g_inf = Gf2Matrix.from_columns([1 << i for i in z1] + image_f0, totals.n_inf)
+    i0, i1, i_inf = g0.inverse(), g1.inverse(), g_inf.inverse()
+    return SurgeryPackage(
+        len(w),
+        totals.n0 - len(u),
+        len(u),
+        i0 @ maps.tau0 @ g0,
+        i1 @ maps.tau1 @ g1,
+        i_inf @ maps.tau_inf @ g_inf,
+        i1 @ totals.fbar_inf @ g0,
+        i_inf @ totals.fbar0 @ g1,
+        i0 @ totals.fbar1 @ g_inf,
+    )
 
 
 def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:

@@ -32,7 +32,14 @@ from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map
 from splicerank.splice import splice_rank
 from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple, total_package
 
-from oracles import oracle_models, reachable, reference_geometric_tau, reference_package_parts
+from oracles import (
+    oracle_models,
+    reachable,
+    reference_geometric_tau,
+    reference_normalize,
+    reference_package_parts,
+    torus_staircase,
+)
 
 
 def test_unknot_package_dims_and_blocks():
@@ -49,7 +56,7 @@ def test_unknot_package_dims_and_blocks():
 def test_trefoil_package_verifies():
     p = geometric_package(corpus("trefoil_staircase"))
     assert p.dims == (1, 2, 2)
-    p.verify()
+    verify_package(p)
     assert p.f_inf.rank() == 2
     assert (p.X1 @ p.X1).is_zero()
 
@@ -157,7 +164,7 @@ def test_tau_override_accepted_when_consistent():
     assert forced.source == "override"
     assert forced.geometric_agrees is True
     p = normalize(t.totals, forced)
-    p.verify()
+    verify_package(p)
 
 
 def test_stats_formula_instance_and_unknot():
@@ -234,7 +241,7 @@ def test_synthetic_samples_pass_invariants():
     for seed in range(60):
         dims = (1 + seed % 3, (seed // 3) % 4, (seed // 12) % 4)
         p = synthetic_package(seed, dims)
-        p.verify()
+        verify_package(p)
         st = stats(p)
         assert st.y_inf == st.k_inf + st.l_inf + st.c_inf + st.d_inf
         count += 1
@@ -243,9 +250,9 @@ def test_synthetic_samples_pass_invariants():
 
 def test_random_complex_packages_verify():
     for seed in range(6):
-        c = random_complex(seed, 8)
+        c = random_complex(seed)
         p = geometric_package(c)
-        p.verify()
+        verify_package(p)
         stats(p)
 
 
@@ -268,6 +275,20 @@ def test_geometric_tau_matches_label_matrix_route_on_oracle_models():
         assert _geometric_tau(c, triple) == reference_geometric_tau(c, triple), c.name
         checked += 1
     assert checked >= 30
+
+
+def test_normalize_matches_the_greedy_complement_reference():
+    # another complement of Im f0 or of a kernel gives another valid normal
+    # form with the same h, so only a bit-for-bit reference pins the choice.
+    # Seeds 24 and 84 are the random models below 200 whose Im f0 is
+    # completed differently by its lowest bits than by its highest.
+    knots = [c for c in oracle_models() if c.symmetry is not None or c.tau_override is not None]
+    knots += [torus_staircase(4, 7), torus_staircase(5, 6), random_complex(24), random_complex(84)]
+    for c in knots:
+        triple = total_package(c)
+        totals, maps = triple.totals, build_tau(c, triple)
+        assert normalize(totals, maps) == reference_normalize(totals, maps), c.name
+    assert len(knots) >= 42
 
 
 # -- the per-complex memo of geometric_package --------------------------------
@@ -302,7 +323,7 @@ def test_memo_hit_equals_a_cold_build_and_still_normalizes(memo, monkeypatch):
 
 
 def test_memo_entry_dies_with_its_complex(memo):
-    c = random_complex(5, 8)
+    c = random_complex(5)
     geometric_package(c)
     assert len(memo) == 1
     del c
@@ -390,7 +411,7 @@ def test_triple_of_another_complex_is_rejected(memo):
 
 
 def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
-    knots = [corpus(name) for name in corpus_names()] + [random_complex(seed, 8) for seed in range(6)]
+    knots = [corpus(name) for name in corpus_names()] + [random_complex(seed) for seed in range(6)]
 
     def one_pass():
         return [splice_rank(geometric_package(a), geometric_package(b)).h for a, b in product(knots, repeat=2)]

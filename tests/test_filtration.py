@@ -88,7 +88,7 @@ def test_y_inf_equals_e_sum():
         st = stats(geometric_package(c))
         assert st.y_inf == profile(c).e_total(), name
     for seed in range(6):
-        c = random_complex(seed, 8)
+        c = random_complex(seed)
         assert stats(geometric_package(c)).y_inf == profile(c).e_total()
 
 
@@ -152,14 +152,14 @@ def test_lemma_suite_entire_corpus():
 
 def test_lemma_suite_random_models():
     for seed in range(25):
-        c = random_complex(seed, 8)
+        c = random_complex(seed)
         reports = check_all_lemmas(c)
         for key, report in reports.items():
             assert report.ok, (seed, key, report.mismatches())
 
 
 def test_calibration_singles_out_frozen_reading():
-    pool = [corpus(n) for n in corpus_names()] + [random_complex(s, 8) for s in range(10)]
+    pool = [corpus(n) for n in corpus_names()] + [random_complex(s) for s in range(10)]
     counts = calibrate_e_readings(pool)
     for which, readings in counts.items():
         assert readings["frozen"] == 0, (which, readings)
@@ -207,7 +207,7 @@ def test_lemma_run_builds_one_flip_per_complex(monkeypatch):
 
     monkeypatch.setattr(surgery, "flip_map", counting_flip_map)
     monkeypatch.setattr(filtration, "flip_map", counting_flip_map)
-    for c in [corpus(name) for name in corpus_names()] + [random_complex(seed, 8) for seed in range(4)]:
+    for c in [corpus(name) for name in corpus_names()] + [random_complex(seed) for seed in range(4)]:
         built.clear()
         check_all_lemmas(c)
         assert built == [c.name]
@@ -241,7 +241,7 @@ def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(reports, monkeypatc
     counting(filtration, "flip_map")
     counting(filtration, "profile")
     makers = [lambda name=name: corpus(name) for name in corpus_names()]
-    makers += [lambda seed=seed: random_complex(seed, 8) for seed in range(6)]
+    makers += [lambda seed=seed: random_complex(seed) for seed in range(6)]
     makers += [lambda pq=pq: torus_staircase(*pq) for pq in ((2, 9), (3, 7), (4, 5))]
     for make in makers:
         first, second = make(), make()
@@ -258,7 +258,7 @@ def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(reports, monkeypatc
 
 
 def test_report_entry_dies_with_its_complex(reports):
-    c = random_complex(5, 8)
+    c = random_complex(5)
     check_all_lemmas(c)
     assert len(reports) == 1
     del c

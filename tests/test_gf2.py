@@ -5,22 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicerank.errors import PivotZero, ShapeMismatch, SpliceRankError
+from splicerank.errors import ShapeMismatch, SpliceRankError
 from splicerank.gf2 import (
     BlockGrid,
     Gf2Matrix,
-    SpanSolver,
     bits_of,
+    high_pivots,
     kron_blocks,
     span_dim,
     span_intersection,
     span_sum_dim,
 )
 
-from oracles import h_number, kron, mul_vec, span_basis
+from oracles import SpanSolver, cancel, h_number, kron, mul_vec, span_basis
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -303,21 +303,21 @@ def test_block_grid_rejects_a_bad_dim(row_dims, col_dims):
 
 
 def test_cancel_identity():
-    out = Gf2Matrix.identity(2).cancel(0, 0)
+    out = cancel(Gf2Matrix.identity(2), 0, 0)
     assert out == Gf2Matrix.identity(1)
     assert h_number(out) == 0
 
 
 def test_cancel_all_ones_2x2():
     m = Gf2Matrix.from_dense([[1, 1], [1, 1]])
-    out = m.cancel(0, 0)
+    out = cancel(m, 0, 0)
     assert out == Gf2Matrix.zeros(1, 1)
     assert h_number(m) == 2 and h_number(out) == 2
 
 
 def test_cancel_requires_unit_pivot():
-    with pytest.raises(PivotZero):
-        Gf2Matrix.zeros(2, 2).cancel(0, 0)
+    with pytest.raises(ValueError, match=r"entry \(0,0\) is zero"):
+        cancel(Gf2Matrix.zeros(2, 2), 0, 0)
 
 
 def test_cancel_preserves_h_on_random_6x6():
@@ -327,7 +327,7 @@ def test_cancel_preserves_h_on_random_6x6():
         bits = list(m.row_bits)
         bits[2] |= 1 << 3
         m = Gf2Matrix(6, 6, bits)
-        out = m.cancel(2, 3)
+        out = cancel(m, 2, 3)
         assert brute_kernel_dim(out) == brute_kernel_dim(m)
         assert h_number(out) == h_number(m)
 
@@ -339,7 +339,7 @@ def test_cancel_preserves_kernel_and_cokernel_dims(m, data):
     if not pivots:
         return
     r, c = data.draw(st.sampled_from(pivots))
-    out = m.cancel(r, c)
+    out = cancel(m, r, c)
     assert len(out.kernel_basis()) == len(m.kernel_basis())
     assert len(out.cokernel_basis()) == len(m.cokernel_basis())
 
@@ -362,6 +362,23 @@ def test_pivot_columns_complete_the_kernel(m):
     solver = SpanSolver(m.kernel_basis())
     assert m.pivot_columns() == [i for i in range(m.cols) if solver.add(1 << i)]
     assert len(m.pivot_columns()) == m.rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
+@example((0, []))
+@example((5, []))
+@example((4, [0b0001, 0b0011, 0b0111, 0b1111]))
+@example((4, [0b1000, 0b0100, 0b0010, 0b0001, 0b1111]))
+@example((3, [0b110, 0b110, 0, 0b011]))
+def test_high_pivots_complete_a_span_as_the_greedy_solver_does(case):
+    # normalize takes Z1 as the i that are not keys of high_pivots(image)
+    n, vectors = case
+    solver = SpanSolver(vectors)
+    taken = high_pivots(vectors)
+    assert [i for i in range(n) if i not in taken] == [i for i in range(n) if solver.add(1 << i)]
+    assert len(taken) == span_dim(vectors)
+    assert solver.dim == n
 
 
 @settings(max_examples=80, deadline=None)
@@ -510,6 +527,10 @@ def test_public_constructors_still_reject_bits_out_of_range():
         Gf2Matrix(2, 2, [0b01, 0b100])
     with pytest.raises(ShapeMismatch):
         Gf2Matrix(2, 2, [0b01])
+    # an empty row list is a matrix with no rows, not the zero matrix
+    with pytest.raises(ShapeMismatch, match="0 rows given for a 2x2 matrix"):
+        Gf2Matrix(2, 2, [])
+    assert Gf2Matrix(2, 2) == Gf2Matrix.zeros(2, 2)
     with pytest.raises(ShapeMismatch, match=r"entry \(0,3\) outside 2x3"):
         Gf2Matrix.from_entries(2, 3, [(0, 3)])
     with pytest.raises(ShapeMismatch, match=r"entry \(2,0\) outside 2x3"):
@@ -536,6 +557,20 @@ def test_public_constructors_still_reject_bits_out_of_range():
         (lambda: Gf2Matrix.identity(-1), "-1 is not a nonnegative int"),
         (lambda: Gf2Matrix.zeros(0, -2), r"dims \(0, -2\): -2 is not a nonnegative int"),
         (lambda: Gf2Matrix.zeros(None, 0), "not a nonnegative int"),
+        (lambda: Gf2Matrix.from_dense([None]), "row 0 is None, not a list of entries"),
+        (lambda: Gf2Matrix.from_dense([[1], 3]), "row 1 is 3, not a list of entries"),
+        (lambda: Gf2Matrix(2, 2, 5), "row bits 5 are not iterable"),
+        (lambda: Gf2Matrix.from_columns(None, 2), "columns None are not a list"),
+        (lambda: Gf2Matrix.from_entries(2, 2, [(0,)]), r"entry \(0,\) is not a \(row, col\) pair"),
+        (lambda: BlockGrid((1,), (1,), {(0, 0): "x"}), r"block \(0,0\) is 'x', not a Gf2Matrix"),
+        (
+            lambda: kron_blocks([(1, 1)], [(1, 1)], {(0, 0): [(Gf2Matrix.identity(1), "x")]}),
+            r"block \(0,0\) has a term .* not two matrices",
+        ),
+        (lambda: Gf2Matrix.from_dense(None), "dense matrix None is not a list of rows"),
+        (lambda: Gf2Matrix.from_entries(2, 2, None), "entries None are not iterable"),
+        (lambda: BlockGrid(None, (1,)), "row dims None are not iterable"),
+        (lambda: BlockGrid((1,), (1,), None), "blocks None are not a dict"),
     ],
     ids=[
         "row-float",
@@ -550,6 +585,17 @@ def test_public_constructors_still_reject_bits_out_of_range():
         "identity-negative",
         "zeros-negative",
         "zeros-none",
+        "dense-row-none",
+        "dense-row-int",
+        "rows-int",
+        "columns-none",
+        "entry-short",
+        "block-str",
+        "kron-factor-str",
+        "dense-matrix-none",
+        "entries-none",
+        "grid-dims-none",
+        "grid-blocks-none",
     ],
 )
 def test_public_constructors_reject_a_value_that_is_not_an_int(build, message):
@@ -592,8 +638,8 @@ def test_submatrix_rejects_a_range_outside_the_matrix():
         (lambda m: m.entry(-1, 0), r"entry \(-1,0\) outside 2x2"),
         (lambda m: m.column(2), r"column 2 outside 2x2"),
         (lambda m: m.column(-1), r"column -1 outside 2x2"),
-        (lambda m: m.cancel(2, 0), r"pivot \(2,0\) outside 2x2"),
-        (lambda m: m.cancel(0, -1), r"pivot \(0,-1\) outside 2x2"),
+        (lambda m: cancel(m, 2, 0), r"pivot \(2,0\) outside 2x2"),
+        (lambda m: cancel(m, 0, -1), r"pivot \(0,-1\) outside 2x2"),
     ],
     ids=["entry-col", "entry-row", "entry-negative", "column", "column-negative", "cancel-row", "cancel-negative"],
 )
@@ -603,4 +649,4 @@ def test_a_position_outside_the_matrix_is_a_typed_error(call, message):
         call(m)
     assert info.type is ShapeMismatch
     # the corner itself is still inside
-    assert (m.entry(1, 1), m.column(1), m.cancel(1, 1)) == (1, 0b11, Gf2Matrix.from_dense([[1]]))
+    assert (m.entry(1, 1), m.column(1), cancel(m, 1, 1)) == (1, 0b11, Gf2Matrix.from_dense([[1]]))

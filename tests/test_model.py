@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splicerank import filtration
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package
 from splicerank.errors import NoFlipData, NotAComplex, NotQuasiIso, ShapeMismatch, UnknownName
-from splicerank.gf2 import Gf2Matrix
-from splicerank.homology import ChainComplexF2, homology
+from splicerank.gf2 import Gf2Matrix, xor_columns
+from splicerank.homology import ChainComplexF2, HomologySpace, homology
 from splicerank.model import (
     Arrow,
     BifilteredComplex,
@@ -25,7 +27,7 @@ from splicerank.model import (
     validate,
 )
 
-from oracles import build_cone, oracle_models, spot_plane
+from oracles import ReferenceHomology, build_cone, oracle_models, spot_plane
 
 
 def trefoil() -> BifilteredComplex:
@@ -162,6 +164,43 @@ def test_coords_rejects_non_cycles_and_too_wide_vectors():
         h.coords(-1)
 
 
+@st.composite
+def square_zero_boundaries(draw):
+    """g N g^-1 on up to 9 generators, where N sends e_(r+i) to e_i for i < r,
+    so N @ N = 0, and g = L U is a unit lower times a unit upper triangular
+    matrix, so invertible.  The n columns span only r dimensions, so they
+    depend on each other, and some kernel basis vectors are boundaries."""
+    n = draw(st.integers(0, 9))
+    r = draw(st.integers(0, n // 2))
+    low = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
+    up = [(1 << i) | (draw(st.integers(0, (1 << n) - 1)) >> (i + 1) << (i + 1)) for i in range(n)]
+    g = Gf2Matrix(n, n, low) @ Gf2Matrix(n, n, up)
+    nil = Gf2Matrix.from_entries(n, n, [(i, r + i) for i in range(r)])
+    return g @ nil @ g.inverse()
+
+
+masks = st.lists(st.tuples(st.integers(0, 511), st.integers(0, 511)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_zero_boundaries(), masks)
+# d(b) = d(c) = a: two equal columns, and the kernel vector a is a boundary
+@example(Gf2Matrix.from_entries(4, 4, [(0, 1), (0, 2)]), [(0b1, 0b10), (0b111, 0b110)])
+def test_homology_space_matches_the_reference_solver(boundary, pairs):
+    # each pair picks a cycle among the kernel basis vectors and a chain whose
+    # boundary moves it
+    n = boundary.rows
+    complex_ = ChainComplexF2(tuple(range(n)), boundary)
+    h, ref = HomologySpace(complex_), ReferenceHomology(complex_)
+    assert h.reps == ref.reps
+    kernel = boundary.kernel_basis()
+    for pick, chain in pairs:
+        cycle = xor_columns(kernel, pick & ((1 << len(kernel)) - 1))
+        moved = cycle ^ xor_columns(h.boundary_columns, chain & ((1 << n) - 1))
+        assert h.coords(cycle) == ref.coords(cycle)
+        assert h.coords(moved) == ref.coords(moved) == ref.coords(cycle)
+
+
 def test_planes_match_reference_on_oracle_models():
     for c in oracle_models():
         assert plane_j0(c) == reference_subquotient(c, j_eq=0), c.name
@@ -278,8 +317,8 @@ def test_corpus_all_valid_and_hf_matches_planes():
 
 
 def test_random_complex_deterministic_and_valid():
-    a = random_complex(7, 8)
-    b = random_complex(7, 8)
+    a = random_complex(7)
+    b = random_complex(7)
     assert a == b
     assert validate(a).valid
     assert hf_hat(a).dim % 2 == 1
@@ -287,7 +326,7 @@ def test_random_complex_deterministic_and_valid():
 
 def test_random_complexes_flip_quasi_iso():
     for seed in range(12):
-        c = random_complex(seed, 8)
+        c = random_complex(seed)
         f = flip_map(c)  # raises if not a chain quasi-isomorphism
         assert f.matrix.rows == f.target.dim
 
@@ -307,8 +346,18 @@ def test_random_complexes_flip_quasi_iso():
         lambda: staircase([0, 0]),
         lambda: staircase([True, True]),
         lambda: staircase([1, -1, -1, 1]),
+        lambda: staircase(None),
     ],
-    ids=["float-grading", "bool-grading", "float-drop", "float-step", "zero-step", "bool-step", "negative-step"],
+    ids=[
+        "float-grading",
+        "bool-grading",
+        "float-drop",
+        "float-step",
+        "zero-step",
+        "bool-step",
+        "negative-step",
+        "none-steps",
+    ],
 )
 def test_non_integer_models_raise_shape_mismatch(make):
     with pytest.raises(ShapeMismatch):

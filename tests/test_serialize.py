@@ -56,7 +56,7 @@ def test_malformed_field_raises_input_format_error_at_its_pointer(doc, path, val
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 300))
 def test_random_models_round_trip(tmp_path, seed):
-    c = random_complex(seed, 8)
+    c = random_complex(seed)
     assert complex_from_dict(complex_to_dict(c)) == c
     path = tmp_path / "model.json"
     dump_complex(c, str(path))

@@ -58,7 +58,7 @@ def test_unknot_pair_gives_one_by_zero_matrix():
 def _oracle_pairs():
     corpus_packs = [pkg(n) for n in corpus_names()]
     yield from product(corpus_packs, repeat=2)
-    randoms = [geometric_package(random_complex(seed, 8)) for seed in range(6)]
+    randoms = [geometric_package(random_complex(seed)) for seed in range(6)]
     yield from zip(randoms, randoms[1:] + randoms[:1])
     zero_dims = [(1, 0, 0), (1, 0, 2), (2, 3, 0), (1, 2, 2), (3, 0, 1), (0, 1, 1)]
     synthetic = [synthetic_package(seed, dims) for seed, dims in enumerate(zero_dims)]
@@ -300,7 +300,7 @@ def test_mirror_invariance_pairs():
 
 
 def test_random_complex_pairs_witness_bounds():
-    packs = [geometric_package(random_complex(seed, 7)) for seed in range(5)]
+    packs = [geometric_package(random_complex(seed)) for seed in range(5)]
     for p1 in packs:
         for p2 in packs:
             assert kernel_witnesses(p1, p2).bounds_hold
@@ -329,7 +329,7 @@ def test_rank_dimensions_match_kernel_bases(names):
 def test_kernel_witnesses_match_the_full_product_loop():
     names = ("unknot", "trefoil_staircase", "trefoil_staircase_mirror", "fig8_box", "t25_staircase", "t34_staircase")
     packs = [pkg(n) for n in names]
-    packs += [geometric_package(random_complex(seed, 8)) for seed in range(4)]
+    packs += [geometric_package(random_complex(seed)) for seed in range(4)]
     packs += [synthetic_package(seed, dims) for seed, dims in ((1, (1, 2, 2)), (2, (2, 1, 3)), (3, (3, 2, 0)))]
     for p1, p2 in product(packs, repeat=2):
         report, found = reference_kernel_witnesses(p1, p2)
@@ -355,7 +355,7 @@ def test_witness_outside_kernel_names_its_pair(monkeypatch):
         kernel_witnesses(p1, p2)
 
 
-random_models = st.integers(0, 300).map(lambda seed: geometric_package(random_complex(seed, 8)))
+random_models = st.integers(0, 300).map(lambda seed: geometric_package(random_complex(seed)))
 
 
 @settings(max_examples=30)
@@ -401,7 +401,7 @@ def test_splice_with_unknot_returns_y_inf(p):
 @settings(max_examples=30)
 @given(st.integers(0, 300))
 def test_splice_with_unknot_returns_hf_hat_on_random_models(seed):
-    c = random_complex(seed, 8)
+    c = random_complex(seed)
     p = geometric_package(c)
     assert splice_rank(p, pkg("unknot")).h == stats(p).y_inf == hf_hat(c).dim
 
@@ -409,7 +409,7 @@ def test_splice_with_unknot_returns_hf_hat_on_random_models(seed):
 @settings(max_examples=20)
 @given(st.integers(0, 300), st.integers(0, 300))
 def test_h_is_mirror_invariant_on_random_models(seed1, seed2):
-    verdict = mirror_invariance(random_complex(seed1, 8), random_complex(seed2, 8))
+    verdict = mirror_invariance(random_complex(seed1), random_complex(seed2))
     assert verdict.equal, verdict
 
 

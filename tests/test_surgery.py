@@ -112,7 +112,7 @@ def test_exactness_on_corpus_and_randoms():
     for name in corpus_names():
         assert total_package(corpus(name)).exactness_failures() == []
     for seed in range(8):
-        assert total_package(random_complex(seed, 8)).exactness_failures() == []
+        assert total_package(random_complex(seed)).exactness_failures() == []
 
 
 def test_exactness_failures_name_the_broken_nodes():
@@ -148,7 +148,7 @@ def test_parity_on_corpus():
 
 
 def test_hinf_total_equals_hfk_sum_definitional():
-    c = random_complex(3, 8)
+    c = random_complex(3)
     t = total_package(c)
     assert t.total_dim("Hinf") == sum(hfk_hat_dims(c).values())
 
