@@ -20,6 +20,9 @@ index k its attribute suffix, prev(k) and next(k):
 
 A ``SurgeryPackage`` is its dims, its three tau maps and its three fbar maps;
 its blocks, X products and f maps are derived from them when it is built.
+An f map in normal form depends on the dims alone, so packages of one shape
+share it (``_normal_form``), and the checks that multiply by one read the
+product off the other factor's rows.
 
 ``geometric_package`` keeps one entry per complex: the triple's
 ``SurgeryTotals`` and the ``TauMaps`` that have passed the barred-map
@@ -158,16 +161,35 @@ def _derive(dims, taus) -> tuple[list[BlockSet], list[Gf2Matrix], list[Gf2Matrix
         if (tau.rows, tau.cols) != (n, n):
             raise NormalizationFailure(f"tau{suffix} is {tau.rows}x{tau.cols}, expected {n}x{n}")
         blocks.append(BlockSet(*_split_blocks(tau, top, bottom)))
-        # f_k maps H_next(k) = (a_k, a_prev(k)) to H_prev(k) = (a_next(k), a_k)
-        ident = {(1, 0): Gf2Matrix.identity(a)} if a else {}
-        fs.append(BlockGrid((bottom, a), (a, top), ident).assemble())
+        fs.append(_normal_form(bottom, a, top))
     xs = [blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)]
     return blocks, xs, fs
 
 
+@cache
+def _normal_form(bottom: int, a: int, top: int) -> Gf2Matrix:
+    """f_k in normal form, (0 0; I 0) from H_next(k) = (a_k, a_prev(k)) to
+    H_prev(k) = (a_next(k), a_k): one matrix per shape, which every package
+    of that shape shares."""
+    return Gf2Matrix(bottom + a, a + top, [0] * bottom + [1 << i for i in range(a)])
+
+
+def _normal_form_times(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
+    """The rows of _normal_form(bottom, a, top) @ m: bottom zero rows, then
+    m's first a rows."""
+    return (0,) * bottom + m.row_bits[:a]
+
+
+def _times_normal_form(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
+    """The rows of m @ _normal_form(bottom, a, top): m's a columns from
+    column bottom on, then top zero columns."""
+    mask = (1 << a) - 1
+    return tuple([(row >> bottom) & mask for row in m.row_bits])
+
+
 def _barred(fs, taus, tau_inverses) -> list[Gf2Matrix]:
     """fbar_k = tau_prev(k)^-1 f_k tau_next(k) for each index, in table order."""
-    return [tau_inverses[prev] @ f @ taus[nxt] for f, (_, _, prev, nxt) in zip(fs, CYCLE)]
+    return [tau_inverses[prev] @ (f @ taus[nxt]) for f, (_, _, prev, nxt) in zip(fs, CYCLE)]
 
 
 # -- geometric duality maps ---------------------------------------------------
@@ -310,39 +332,54 @@ def _change_bases(dims, taus, fbars, fs, g, g_inv, moved: str) -> SurgeryPackage
 
     tau_k becomes g_k^-1 tau_k g_k, and f_k and fbar_k, which map H_next(k)
     to H_prev(k), become g_prev^-1 (.) g_next.  Each f_k must land on its
-    normal form, else NormalizationFailure(moved).  Every list is in table
-    order.
+    normal form nf_k, else NormalizationFailure(moved).  Every g_prev has
+    been inverted, so g_prev^-1 f_k g_next = nf_k exactly when
+    f_k g_next = g_prev nf_k; that is checked instead, with no product by
+    g_prev^-1 and g_prev nf_k read off g_prev's columns.  Every list is in
+    table order.
     """
-    new_fs = tuple([g_inv[prev] @ f @ g[nxt] for f, (_, _, prev, nxt) in zip(fs, CYCLE)])
     p = _package(
         dims,
         [h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)],
         [g_inv[prev] @ fbar @ g[nxt] for fbar, (_, _, prev, nxt) in zip(fbars, CYCLE)],
     )
-    if new_fs != by_index(p, "f"):
-        raise NormalizationFailure(moved)
+    for f, a, (_, _, prev, nxt) in zip(fs, dims, CYCLE):
+        if (f @ g[nxt]).row_bits != _times_normal_form(g[prev], dims[nxt], a):
+            raise NormalizationFailure(moved)
     verify_package(p)
     return p
 
 
 def verify_package(p: SurgeryPackage) -> None:
-    """All package axioms; raises NormalizationFailure with the first failure."""
+    """All package axioms; raises NormalizationFailure with the first failure.
+
+    Two axioms are checked in an equivalent, cheaper form:
+
+    - tau_k^-1 shares tau_k's A, B and D blocks exactly when
+      tau_k^-1 + tau_k is zero outside the C block (rows from a_prev(k) on,
+      columns below a_prev(k)): one pass over the rows, and no block cut;
+    - fbar_k = tau_prev^-1 f_k tau_next holds exactly when
+      tau_prev fbar_k = f_k tau_next, as tau_prev is invertible (checked
+      first), and f_k tau_next, f_k in normal form, is tau_next's first a_k
+      rows below a_next(k) zero rows.
+    """
     dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
-    inverses = []
-    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, taus, by_index(p, "blocks")):
+    for (suffix, _, prev, _), tau in zip(CYCLE, taus):
         try:
-            inverses.append(tau.inverse())
+            inverse = tau.inverse().row_bits
         except ShapeMismatch as exc:
             raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
-        if _split_blocks(inverses[-1], dims[prev], dims[nxt]) != blocks:
+        top, rows = dims[prev], tau.row_bits
+        if inverse[:top] != rows[:top] or any((x ^ y) >> top for x, y in zip(inverse[top:], rows[top:])):
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
     for k in CYCLE:
         x = getattr(p, "X" + k.label)
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"X{k.label} does not square to zero")
-    for k, fbar, want in zip(CYCLE, fbars, _barred(by_index(p, "f"), taus, inverses)):
-        if fbar != want:
-            raise NormalizationFailure(f"fbar{k.suffix} violates its duality relation")
+    for (suffix, _, prev, nxt), fbar, a in zip(CYCLE, fbars, dims):
+        want = _normal_form_times(taus[nxt], dims[nxt], a)
+        if (fbar.rows, fbar.cols) != (taus[prev].rows, taus[nxt].rows) or (taus[prev] @ fbar).row_bits != want:
+            raise NormalizationFailure(f"fbar{suffix} violates its duality relation")
     # fbar_prev(k) maps into H_next(k), which fbar_k maps out of
     ranks = [fbar.rank() for fbar in fbars]
     for k, (_, _, prev, nxt) in enumerate(CYCLE):

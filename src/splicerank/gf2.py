@@ -14,7 +14,16 @@ own operations (``identity``, ``zeros``, ``@``, ``+``, ``transpose``,
 ``inverse``, ``submatrix``, ``from_columns`` after its range check,
 ``BlockGrid.assemble`` and ``kron_blocks``) is in range by construction, so
 it is built by ``Gf2Matrix._trusted``, with no scan and no copy; nothing
-outside this module calls that.
+outside this module calls that.  An operand, position or range of the wrong
+kind (``m @ 3``, ``entry("a", 0)``, ``submatrix([0], [0])``) is one
+``isinstance`` away from a ``ShapeMismatch``; no row is scanned for it.
+
+``@`` copies the right operand's row for a left row with at most one set
+bit, the rows of a permutation, an identity or a normal form (0 0; I 0),
+and XORs rows together only for the others.  ``kron_blocks`` writes a
+Kronecker sum from the factors' nonzeros: one XOR per set bit of a left
+factor and nonzero row of its right factor, so a sparse ``D`` costs its
+number of nonzeros, not its rows times its terms.
 
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
@@ -173,13 +182,13 @@ class Gf2Matrix:
     # -- access -----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ShapeMismatch(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
+        if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < self.rows and 0 <= c < self.cols):
+            raise ShapeMismatch(f"entry ({r!r},{c!r}) outside {self.rows}x{self.cols}")
         return (self.row_bits[r] >> c) & 1
 
     def column(self, c: int) -> int:
-        if not 0 <= c < self.cols:
-            raise ShapeMismatch(f"column {c} outside {self.rows}x{self.cols}")
+        if not (isinstance(c, int) and 0 <= c < self.cols):
+            raise ShapeMismatch(f"column {c!r} outside {self.rows}x{self.cols}")
         out = 0
         for r, b in enumerate(self.row_bits):
             out |= ((b >> c) & 1) << r
@@ -208,18 +217,21 @@ class Gf2Matrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Gf2Matrix) -> Gf2Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(f"add {self.rows}x{self.cols} to {other.rows}x{other.cols}")
+        if not (isinstance(other, Gf2Matrix) and (self.rows, self.cols) == (other.rows, other.cols)):
+            raise _operand_error("add", self, "to", other)
         return Gf2Matrix._trusted(
             self.rows, self.cols, tuple([a ^ b for a, b in zip(self.row_bits, other.row_bits)])
         )
 
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not (isinstance(other, Gf2Matrix) and self.cols == other.rows):
+            raise _operand_error("mul", self, "by", other)
         rows = other.row_bits
         out = []
         for b in self.row_bits:
+            if not b & (b - 1):  # no set bit or one: 0, or one row of other
+                out.append(rows[b.bit_length() - 1] if b else 0)
+                continue
             acc = 0
             while b:
                 low = b & -b
@@ -284,6 +296,8 @@ class Gf2Matrix:
     def submatrix(self, row_range: range, col_range: range) -> Gf2Matrix:
         """The rows in row_range and the columns in col_range, both step 1 and
         inside the matrix (0 <= start <= stop <= rows or cols)."""
+        if not (isinstance(row_range, range) and isinstance(col_range, range)):
+            raise ShapeMismatch(f"submatrix of {row_range!r}, {col_range!r}: both must be ranges")
         # a stepped column range would keep bits between its columns
         if row_range.step != 1 or col_range.step != 1:
             raise ShapeMismatch(f"submatrix ranges must have step 1, got {row_range}, {col_range}")
@@ -447,16 +461,18 @@ def kron_blocks(
     no terms is zero.
 
     Row block i has row_dims[i] = (rows of L, rows of R) and column block j
-    col_dims[j] = (cols of L, cols of R), for every term in it.  Row
-    (r1, r2) of row block i is written straight into the result: the XOR,
-    over the row block's terms, of R's row r2 shifted to the column block's
-    offset plus c * R.cols for each set bit c of L's row r1.  No Kronecker
-    product or block is built on the way.  A negative dim, or a term whose
-    factors do not fit its slot, raises ShapeMismatch naming the block.
+    col_dims[j] = (cols of L, cols of R), for every term in it.  Each term
+    is written from its nonzeros: for each set bit c of L's row r1 and each
+    nonzero row r2 of R, R's row r2, shifted to the column block's offset
+    plus c * R.cols, is XORed into row (r1, r2) of the row block.  No
+    Kronecker product or block is built on the way, and a zero row of either
+    factor costs nothing.  A negative dim, or a term whose factors do not
+    fit its slot, raises ShapeMismatch naming the block.
     """
     _check_dims(*[d for pair in (*row_dims, *col_dims) for d in pair])
     col_off = _offsets(tuple([left * right for left, right in col_dims]))
-    row_terms: list[list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in row_dims]
+    row_off = _offsets(tuple([left * right for left, right in row_dims]))
+    checked: list[tuple[int, int, int, Gf2Matrix, Gf2Matrix]] = []
     for (i, j), pairs in terms.items():
         if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
             raise ShapeMismatch(f"block ({i},{j}) outside grid")
@@ -469,33 +485,33 @@ def kron_blocks(
                     f"block ({i},{j}) has a term {left.rows}x{left.cols} ⊗ "
                     f"{right.rows}x{right.cols}, slot needs {lr}x{lc} ⊗ {rr}x{rc}"
                 )
-            row_terms[i].append((col_off[j], rc, left.row_bits, right.row_bits))
-    bits: list[int] = []
-    for (lr, rr), block_terms in zip(row_dims, row_terms):
-        for r1 in range(lr):
-            active = []  # (shift, rows of R) for each set bit of row r1 of each L
-            for offset, width, left_bits, right_bits in block_terms:
-                a = left_bits[r1]
-                while a:
-                    low = a & -a
-                    active.append((offset + (low.bit_length() - 1) * width, right_bits))
-                    a ^= low
-            if not active:
-                bits.extend([0] * rr)
-                continue
-            for r2 in range(rr):
-                acc = 0
-                for shift, right_bits in active:
-                    b = right_bits[r2]
-                    if b:
-                        acc ^= b << shift
-                bits.append(acc)
+            checked.append((row_off[i], col_off[j], rc, left, right))
+    bits = [0] * row_off[-1]
+    for row0, col0, width, left, right in checked:
+        nonzero = [(r2, b) for r2, b in enumerate(right.row_bits) if b]
+        if not nonzero:
+            continue
+        height = right.rows
+        for r1, a in enumerate(left.row_bits):
+            base = row0 + r1 * height
+            while a:
+                low = a & -a
+                shift = col0 + (low.bit_length() - 1) * width
+                for r2, b in nonzero:
+                    bits[base + r2] ^= b << shift
+                a ^= low
     return Gf2Matrix._trusted(len(bits), col_off[-1], tuple(bits))
 
 
 def _check_iterable(value: object, what: str) -> None:
     if not isinstance(value, Iterable):
         raise ShapeMismatch(f"{what} {value!r} are not iterable")
+
+
+def _operand_error(op: str, m: Gf2Matrix, joiner: str, other: object) -> ShapeMismatch:
+    if not isinstance(other, Gf2Matrix):
+        return ShapeMismatch(f"{op} {m.rows}x{m.cols} {joiner} {other!r}, not a Gf2Matrix")
+    return ShapeMismatch(f"{op} {m.rows}x{m.cols} {joiner} {other.rows}x{other.cols}")
 
 
 def _check_dims(*dims: int) -> None:

@@ -175,10 +175,26 @@ def require_valid(complex_: BifilteredComplex) -> None:
 
 
 def valid_lookup(memo: Mapping, complex_: BifilteredComplex):
-    """complex_'s entry in a per-knot memo, or None.  Equal complexes share
-    an entry, and 0 == 0.0 == False, so an invalid complex raises first."""
-    require_valid(complex_)
-    return memo.get(complex_)
+    """complex_'s entry in a per-knot memo, or None; an invalid complex
+    raises ``ShapeMismatch``.
+
+    A hit whose gradings and drops are all ints skips ``require_valid``.
+    That is sound: an entry is stored only after its key passed validation,
+    and once every value is an int, ``validate``'s verdict depends only on
+    fields that equality compares, so an equal complex gets the key's
+    verdict.  Equal is not enough without the ints, as 0 == 0.0 == False:
+    a complex with a value of another kind is validated in full without a
+    lookup, and so is a miss.
+    """
+    if not isinstance(complex_, BifilteredComplex):
+        raise ShapeMismatch(f"{complex_!r} is not a BifilteredComplex")
+    ints = all(is_int(g.alexander) for g in complex_.generators) and all(
+        is_int(a.drop_i) and is_int(a.drop_j) for a in complex_.arrows
+    )
+    entry = memo.get(complex_) if ints else None
+    if entry is None:
+        require_valid(complex_)
+    return entry
 
 
 def _plane(complex_: BifilteredComplex, place: Callable[[Generator], tuple[str, int, int]]) -> ChainComplexF2:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, geometric_package, stats
-from .errors import WitnessNotInKernel
+from .errors import ShapeMismatch, WitnessNotInKernel
 from .gf2 import Gf2Matrix, kron_blocks, lower_triangular, span_dim, xor_columns
 from .model import BifilteredComplex, mirror
 
@@ -140,6 +140,8 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair in one pass from
     ``_TERMS``: each knot's factors are made once, and each row of D is
     written straight from them."""
+    if not (isinstance(p1, SurgeryPackage) and isinstance(p2, SurgeryPackage)):
+        raise ShapeMismatch(f"splice of {p1!r} and {p2!r}: both must be SurgeryPackages")
     left = _factors(p1, _LEFT_FACTORS)
     right = _factors(p2, _RIGHT_FACTORS)
     row_pairs, col_pairs = (

@@ -5,10 +5,11 @@ from two ``SpanSolver``s, which key pivots on the highest bit and carry a
 coefficient mask for every generator (the library reduces against one
 lowest-bit pivot dict with tag bits); level maps, duality maps and
 filtration sides through label matrices and matrix products; the normal
-form from complements taken one standard vector at a time; graded pieces
-from spans of the intersections; the splice matrix block by block from
-written-out Kronecker products; and kernel witnesses from every pair of
-basis tuples.  The library must match them bit for bit.
+form from complements taken one standard vector at a time; the package
+axioms with every block cut out; graded pieces from spans of the
+intersections; the splice matrix block by block from written-out Kronecker
+products; and kernel witnesses from every pair of basis tuples.  The
+library must match them bit for bit.
 
 The module also keeps the API only the tests use: Gaussian ``cancel``,
 single surgery groups and level maps, and the calibration of the
@@ -22,8 +23,8 @@ from itertools import product
 from typing import Callable, Hashable, Iterable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import SurgeryPackage, TauMaps, geometric_package, stats
-from splicerank.errors import ShapeMismatch, WitnessNotInKernel
+from splicerank.duality import CYCLE, SurgeryPackage, TauMaps, _split_blocks, by_index, geometric_package, stats
+from splicerank.errors import NormalizationFailure, ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
     BlockGrid,
@@ -362,6 +363,36 @@ def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
         "f0": canonical_f(p.a1, p.a0, p.a_inf),
         "f1": canonical_f(p.a_inf, p.a1, p.a0),
     }
+
+
+def reference_verify_package(p: SurgeryPackage) -> None:
+    """``duality.verify_package`` as it first was: the inverse's A, B and D
+    blocks cut out and compared with tau's, and each fbar_k compared with
+    tau_prev^-1 f_k tau_next."""
+    dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
+    inverses = []
+    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, taus, by_index(p, "blocks")):
+        try:
+            inverses.append(tau.inverse())
+        except ShapeMismatch as exc:
+            raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
+        if _split_blocks(inverses[-1], dims[prev], dims[nxt]) != blocks:
+            raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
+    for k in CYCLE:
+        x = getattr(p, "X" + k.label)
+        if not (x @ x).is_zero():
+            raise NormalizationFailure(f"X{k.label} does not square to zero")
+    barred = [inverses[prev] @ f @ taus[nxt] for f, (_, _, prev, nxt) in zip(by_index(p, "f"), CYCLE)]
+    for k, fbar, want in zip(CYCLE, fbars, barred):
+        if fbar != want:
+            raise NormalizationFailure(f"fbar{k.suffix} violates its duality relation")
+    # fbar_prev(k) maps into H_next(k), which fbar_k maps out of
+    ranks = [fbar.rank() for fbar in fbars]
+    for k, (_, _, prev, nxt) in enumerate(CYCLE):
+        if not (fbars[k] @ fbars[prev]).is_zero():
+            raise NormalizationFailure("barred triangle composite is nonzero")
+        if ranks[k] + ranks[prev] != taus[nxt].rows:
+            raise NormalizationFailure("barred triangle is not exact")
 
 
 def kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

@@ -273,6 +273,29 @@ def test_kron_blocks_is_the_grid_of_summed_kron_products(grid):
     assert kron_blocks(row_dims, col_dims, terms) == want
 
 
+def test_kron_blocks_edge_cases():
+    one, z22 = Gf2Matrix.identity(1), Gf2Matrix.zeros(2, 2)
+    m = Gf2Matrix.from_dense([[1, 1], [0, 1]])
+    # zero factors, and a block whose two equal terms cancel bit for bit
+    assert kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(z22, m), (m, z22)]}) == Gf2Matrix.zeros(4, 4)
+    assert kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(m, m), (m, m)]}) == Gf2Matrix.zeros(4, 4)
+    # factors with zero rows: the row block is empty, the column block stays
+    terms = {(0, 0): [(Gf2Matrix.zeros(0, 2), m)], (1, 1): [(one, one)]}
+    assert kron_blocks([(0, 2), (1, 1)], [(2, 2), (1, 1)], terms) == Gf2Matrix.from_entries(1, 5, [(0, 4)])
+    assert kron_blocks([(2, 0)], [(2, 3)], {(0, 0): [(m, Gf2Matrix.zeros(0, 3))]}) == Gf2Matrix.zeros(0, 6)
+    # all-zero blocks beside a nonzero one, and a term cancelling part of another
+    terms = {
+        (0, 0): [(one, m), (one, Gf2Matrix.from_dense([[0, 1], [0, 1]]))],
+        (0, 1): [(one, Gf2Matrix.zeros(2, 1))],
+        (1, 1): [],
+    }
+    got = kron_blocks([(1, 2), (1, 1)], [(1, 2), (1, 1)], terms)
+    assert got == Gf2Matrix.from_dense([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    # nothing at all
+    assert kron_blocks([], [], {}) == Gf2Matrix.zeros(0, 0)
+    assert kron_blocks([(2, 1)], [(1, 3)], {}) == Gf2Matrix.zeros(2, 3)
+
+
 def test_kron_blocks_shape_mismatch_names_the_block():
     i2, i3 = Gf2Matrix.identity(2), Gf2Matrix.identity(3)
     # the products fit a 6x6 slot, but the factors do not fit (3, 2) x (3, 2)
@@ -640,8 +663,28 @@ def test_submatrix_rejects_a_range_outside_the_matrix():
         (lambda m: m.column(-1), r"column -1 outside 2x2"),
         (lambda m: cancel(m, 2, 0), r"pivot \(2,0\) outside 2x2"),
         (lambda m: cancel(m, 0, -1), r"pivot \(0,-1\) outside 2x2"),
+        (lambda m: m.entry("a", 0), r"entry \('a',0\) outside 2x2"),
+        (lambda m: m.entry(0.0, 0), r"entry \(0.0,0\) outside 2x2"),
+        (lambda m: m.column("x"), r"column 'x' outside 2x2"),
+        (lambda m: m.submatrix([0], [0]), r"submatrix of \[0\], \[0\]: both must be ranges"),
+        (lambda m: m @ 3, "mul 2x2 by 3, not a Gf2Matrix"),
+        (lambda m: m + 3, "add 2x2 to 3, not a Gf2Matrix"),
     ],
-    ids=["entry-col", "entry-row", "entry-negative", "column", "column-negative", "cancel-row", "cancel-negative"],
+    ids=[
+        "entry-col",
+        "entry-row",
+        "entry-negative",
+        "column",
+        "column-negative",
+        "cancel-row",
+        "cancel-negative",
+        "entry-str",
+        "entry-float",
+        "column-str",
+        "submatrix-lists",
+        "mul-int",
+        "add-int",
+    ],
 )
 def test_a_position_outside_the_matrix_is_a_typed_error(call, message):
     m = Gf2Matrix.from_dense([[1, 1], [0, 1]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splicerank import filtration
+from splicerank import duality, filtration, model
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import geometric_package
 from splicerank.errors import NoFlipData, NotAComplex, NotQuasiIso, ShapeMismatch, UnknownName
@@ -364,3 +364,46 @@ def test_non_integer_models_raise_shape_mismatch(make):
         geometric_package(make())
     with pytest.raises(ShapeMismatch):
         filtration.profile(make())
+
+
+# -- the per-knot memos look up through valid_lookup ---------------------------
+
+_MEMOS = [(duality, "_BUILT", geometric_package), (filtration, "_REPORTS", filtration.check_all_lemmas)]
+
+
+@pytest.mark.parametrize("module, memo, call", _MEMOS, ids=["packages", "reports"])
+def test_a_warm_memo_hit_runs_no_validation(monkeypatch, module, memo, call):
+    monkeypatch.setattr(module, memo, type(getattr(module, memo))())
+    validated = []
+
+    def counted(complex_):
+        validated.append(complex_.name)
+        return validate(complex_)
+
+    monkeypatch.setattr(model, "validate", counted)
+    cold, warm = ([trefoil(), random_complex(3)] for _ in range(2))  # equal, other objects
+    validated.clear()  # making a corpus or random complex validates it
+    for c in cold:
+        call(c)
+    assert set(validated) == {"trefoil_staircase", "random-3"}  # each miss validates
+    validated.clear()
+    for c in warm:
+        call(c)
+    assert validated == []
+
+
+@pytest.mark.parametrize("module, memo, call", _MEMOS, ids=["packages", "reports"])
+@pytest.mark.parametrize("drop", [1.0, True], ids=["float", "bool"])
+def test_a_drop_that_is_not_an_int_misses_an_equal_entry(monkeypatch, module, memo, call, drop):
+    monkeypatch.setattr(module, memo, type(getattr(module, memo))())
+    good = trefoil()
+    call(good)
+    first, *rest = good.arrows
+    assert first.drop_i == 1
+    bad = BifilteredComplex(
+        good.name, good.generators, (Arrow(first.src, first.dst, drop, first.drop_j), *rest), good.symmetry
+    )
+    assert bad == good and hash(bad) == hash(good)
+    with pytest.raises(ShapeMismatch, match="not an int") as info:
+        call(bad)
+    assert info.type is ShapeMismatch

@@ -20,7 +20,7 @@ from splicerank.duality import (
     stats,
     synthetic_package,
 )
-from splicerank.errors import WitnessNotInKernel
+from splicerank.errors import ShapeMismatch, WitnessNotInKernel
 from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.model import hf_hat, random_complex
 from splicerank.splice import (
@@ -83,6 +83,22 @@ def test_build_D_matches_the_block_by_block_reference():
         assert (got.row_block_dims, got.col_block_dims) == (want.row_block_dims, want.col_block_dims)
         count += 1
     assert count == 100 + 6 + 81 + 2 + 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: splice_rank(None, None),
+        lambda p: splice_rank(p, None),
+        lambda p: splice_rank("trefoil_staircase", p),
+        lambda p: build_D(p, corpus("trefoil_staircase")),
+    ],
+    ids=["none", "second-none", "first-name", "second-complex"],
+)
+def test_a_splice_of_something_else_is_a_typed_error(call):
+    with pytest.raises(ShapeMismatch, match="both must be SurgeryPackages") as info:
+        call(pkg("trefoil_staircase"))
+    assert info.type is ShapeMismatch
 
 
 def test_build_D_operation_budget(monkeypatch):
