@@ -28,7 +28,8 @@ product off the other factor's rows.
 ``SurgeryTotals`` and the ``TauMaps`` that have passed the barred-map
 relations, the two things ``normalize`` reads.  It keeps no triple, cone,
 plane or homology space.  The memo is a ``weakref.WeakKeyDictionary`` keyed
-on the complex itself, which is immutable and hashable, so an equal complex
+on the complex itself, which is immutable, hashable and valid by
+construction, so a lookup checks only the argument's type, an equal complex
 hits the same entry and an entry dies with its complex; nothing in an entry
 refers back to the complex.  ``normalize`` and ``verify_package`` run on
 every call, so every caller gets a freshly normalised and verified package.
@@ -50,10 +51,11 @@ from .errors import (
     ShapeMismatch,
     StatsInconsistent,
     TauRelationFailure,
+    require_type,
 )
 from .gf2 import BlockGrid, Gf2Matrix, high_pivots, lower_triangular, span_dim
 from .homology import induced_by_columns
-from .model import BifilteredComplex, valid_lookup
+from .model import BifilteredComplex
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
@@ -201,6 +203,8 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
     Prefers an explicit override from the input; otherwise requires the basis
     symmetry.  The three barred-map relations are verified in either case.
     """
+    require_type(BifilteredComplex, complex_)
+    require_type(SurgeryTriple, triple)
     geometric = None
     if complex_.symmetry is not None:
         geometric = _geometric_tau(complex_, triple)
@@ -363,6 +367,7 @@ def verify_package(p: SurgeryPackage) -> None:
       first), and f_k tau_next, f_k in normal form, is tau_next's first a_k
       rows below a_next(k) zero rows.
     """
+    require_type(SurgeryPackage, p)
     dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
     for (suffix, _, prev, _), tau in zip(CYCLE, taus):
         try:
@@ -402,11 +407,12 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
     fresh ``total_package``; a triple of another complex raises
     ``ShapeMismatch``.
     """
+    require_type(BifilteredComplex, complex_)
     if triple is not None and triple.complex != complex_:
         raise ShapeMismatch(
             f"triple of {triple.complex.name!r} handed over for {complex_.name!r}"
         )
-    built = valid_lookup(_BUILT, complex_)
+    built = _BUILT.get(complex_)
     if built is None:
         if triple is None:
             triple = total_package(complex_)
@@ -461,6 +467,7 @@ def _pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
 
 def stats(p: SurgeryPackage) -> PackageStats:
     """Direct subspace dimensions, cross-checked against the closed forms."""
+    require_type(SurgeryPackage, p)
     dims = p.dims
     r = [blocks.B.rank() for blocks in by_index(p, "blocks")]
     k, l, c, d = zip(*map(_pair_dims, by_index(p, "f"), by_index(p, "fbar")))
@@ -527,6 +534,8 @@ def random_admissible(seed: int, dims: tuple[int, int, int]) -> AdmissibleChange
 
 def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPackage:
     """Conjugate a package; the canonical triangle forms stay bit-identical."""
+    require_type(SurgeryPackage, p)
+    require_type(AdmissibleChange, change)
     g = change.pp()
     try:
         g_inv = [m.inverse() for m in g]
@@ -567,6 +576,7 @@ def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
     (H_k = (a_prev(k), a_next(k)), see ``CYCLE``), so the summed f maps keep
     the form (0 0; I 0) and the sum passes ``verify_package``.
     """
+    require_type(SurgeryPackage, p, q)
     dp, dq = p.dims, q.dims
     taus, fbars = [], []
     maps = zip(CYCLE, by_index(p, "tau"), by_index(q, "tau"), by_index(p, "fbar"), by_index(q, "fbar"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type guard on arguments."""
 
 from __future__ import annotations
 
@@ -61,3 +61,12 @@ class InputFormatError(SpliceRankError):
     def __init__(self, path: str, message: str):
         self.pointer = path
         super().__init__(f"{path}: {message}")
+
+
+def require_type(kind: type, *values: object, message: str = "") -> None:
+    """Raise ``ShapeMismatch`` unless every value is a ``kind``.  ``message``
+    is formatted with the values, and only on failure; by default the error
+    names the first value of another type."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise ShapeMismatch(message.format(*values) if message else f"{value!r} is not a {kind.__name__}")

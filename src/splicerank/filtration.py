@@ -9,8 +9,10 @@ mapped through the flip.  Both come from one ``surgery.PlaneStore``:
 duality pipelines are made at the level of dimensions.
 
 ``check_all_lemmas`` keeps each knot's reports, and nothing else, in a
-``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo,
-so an equal complex hits the same entry and an entry dies with its complex.
+``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo:
+a complex is valid by construction, so a lookup checks only the argument's
+type, an equal complex hits the same entry and an entry dies with its
+complex.
 
 Graded pieces by a diagonal sweep
 ---------------------------------
@@ -47,7 +49,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import StatsInconsistent
+from .errors import StatsInconsistent, require_type
 from .gf2 import Gf2Matrix, span_dim, span_intersection, span_sum_dim, xor_columns
 from .homology import (
     ChainComplexF2,
@@ -56,7 +58,7 @@ from .homology import (
     inclusion_columns,
     induced_by_columns,
 )
-from .model import BifilteredComplex, flip_map, require_valid, valid_lookup
+from .model import BifilteredComplex, flip_map
 from .surgery import PlaneStore, SurgeryTriple, total_package
 from .duality import SurgeryPackage, geometric_package
 
@@ -89,9 +91,6 @@ class FiltrationProfile:
     A: dict[tuple[int, int], int]
     row: SideData  # first filtration index
     col: SideData  # second filtration index
-
-    def e_total(self) -> int:
-        return sum(self.e.values())
 
     def a_sum(self, keep: Callable[[int, int], bool]) -> int:
         return sum(d for (p, q), d in self.A.items() if keep(p, q))
@@ -172,11 +171,11 @@ def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -
     """All double-filtration invariants of one complex.
 
     ``_planes`` is the plane store of a ``SurgeryTriple`` already built on
-    this complex, which has validated it and checked its flip map; only
-    ``check_all_lemmas`` passes one.
+    this complex, which has checked its flip map; only ``check_all_lemmas``
+    passes one.
     """
+    require_type(BifilteredComplex, complex_)
     if _planes is None:
-        require_valid(complex_)
         _planes = PlaneStore(flip_map(complex_))
     ambient_h = homology(_planes.flip.target)
 
@@ -298,6 +297,7 @@ def _brackets_img_total(prof: FiltrationProfile) -> int:
 
 def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """The four B-block kernel/cokernel formulas at dimension level."""
+    require_type(SurgeryPackage, package)
     b0, b1 = package.blocks0.B, package.blocks1.B
     entries = [
         LemmaEntry("ker B0 = e_1", b0.kernel_dim(), prof.e.get(1, 0)),
@@ -318,6 +318,7 @@ def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 
 def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and cokernel of B1 B0 against the column-side bracket spaces."""
+    require_type(SurgeryPackage, package)
     prod = package.blocks1.B @ package.blocks0.B
     entries = [
         LemmaEntry(
@@ -342,7 +343,8 @@ _REPORTS: weakref.WeakKeyDictionary[BifilteredComplex, dict[str, LemmaReport]] =
 def check_all_lemmas(complex_: BifilteredComplex) -> dict[str, LemmaReport]:
     """The lemma suite on one complex: a knot's first call builds one triple,
     whose plane store ``profile`` shares, and every call gets its own dict."""
-    reports = valid_lookup(_REPORTS, complex_)
+    require_type(BifilteredComplex, complex_)
+    reports = _REPORTS.get(complex_)
     if reports is None:
         triple = total_package(complex_)
         prof = profile(complex_, _planes=triple.planes)

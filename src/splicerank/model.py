@@ -8,9 +8,15 @@ in each of the two planes built from the arrows, C{j=0} (``plane_j0``, basis
 other plane the pipeline uses is a sub-plane of one of these two, cut by
 ``ChainComplexF2.restrict`` on its labels.
 
-A ``BifilteredComplex`` is immutable and hashable: its generators and arrows
-are tuples and its symmetry a read-only copy of the mapping it was given, so
-equal complexes hash equal and a complex can key a cache.
+A ``BifilteredComplex`` is valid by construction: making one, by its
+constructor, ``dataclasses.replace`` or ``mirror``, checks integer gradings
+and drops, grading compatibility, d^2 = 0 and the symmetry axioms, and raises
+``ShapeMismatch`` listing every violation.  No later stage checks again.  A
+complex is also immutable and hashable: its generators and arrows are tuples
+and its symmetry a read-only copy of the mapping it was given, so equal
+complexes hash equal and a complex can key a cache.  Every grading and drop
+of a complex is an int, so equality cannot pair it with an invalid one, as
+0 == 0.0 == False otherwise would.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
     NotQuasiIso,
     SamplingExhausted,
     ShapeMismatch,
+    require_type,
 )
 from .gf2 import Gf2Matrix
 from .homology import ChainComplexF2, HomologySpace, chain_map_commutes, homology, induced_matrix
@@ -68,19 +75,13 @@ class BifilteredComplex:
         object.__setattr__(self, "arrows", tuple(self.arrows))
         if self.symmetry is not None:
             object.__setattr__(self, "symmetry", MappingProxyType(dict(self.symmetry)))
+        violations = _violations(self)
+        if violations:
+            raise ShapeMismatch(f"invalid complex {self.name!r}: " + "; ".join(violations))
 
     def grading_range(self) -> tuple[int, int]:
         values = [g.alexander for g in self.generators]
         return (min(values), max(values)) if values else (0, 0)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
 
 
 def is_int(value: object) -> bool:
@@ -88,9 +89,9 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate(complex_: BifilteredComplex) -> ValidationReport:
-    """Check integer gradings and drops, grading compatibility, d^2 = 0 and
-    the symmetry axioms."""
+def _violations(complex_: BifilteredComplex) -> list[str]:
+    """Every way complex_ breaks integer gradings and drops, grading
+    compatibility, d^2 = 0 or the symmetry axioms."""
     # the other checks do arithmetic on gradings and drops, so a value that
     # is not an int ends the validation here
     out = [
@@ -104,7 +105,7 @@ def validate(complex_: BifilteredComplex) -> ValidationReport:
         if not (is_int(a.drop_i) and is_int(a.drop_j))
     ]
     if out:
-        return ValidationReport(tuple(out))
+        return out
     grading: dict[str, int] = {}
     for g in complex_.generators:
         if g.id in grading:
@@ -163,42 +164,12 @@ def validate(complex_: BifilteredComplex) -> ValidationReport:
                         f"(expected {image[0]}->{image[1]} with drop "
                         f"({a.drop_j},{a.drop_i})) is missing"
                     )
-    return ValidationReport(tuple(out))
-
-
-def require_valid(complex_: BifilteredComplex) -> None:
-    report = validate(complex_)
-    if not report.valid:
-        raise ShapeMismatch(
-            f"invalid complex {complex_.name!r}: " + "; ".join(report.violations)
-        )
-
-
-def valid_lookup(memo: Mapping, complex_: BifilteredComplex):
-    """complex_'s entry in a per-knot memo, or None; an invalid complex
-    raises ``ShapeMismatch``.
-
-    A hit whose gradings and drops are all ints skips ``require_valid``.
-    That is sound: an entry is stored only after its key passed validation,
-    and once every value is an int, ``validate``'s verdict depends only on
-    fields that equality compares, so an equal complex gets the key's
-    verdict.  Equal is not enough without the ints, as 0 == 0.0 == False:
-    a complex with a value of another kind is validated in full without a
-    lookup, and so is a miss.
-    """
-    if not isinstance(complex_, BifilteredComplex):
-        raise ShapeMismatch(f"{complex_!r} is not a BifilteredComplex")
-    ints = all(is_int(g.alexander) for g in complex_.generators) and all(
-        is_int(a.drop_i) and is_int(a.drop_j) for a in complex_.arrows
-    )
-    entry = memo.get(complex_) if ints else None
-    if entry is None:
-        require_valid(complex_)
-    return entry
+    return out
 
 
 def _plane(complex_: BifilteredComplex, place: Callable[[Generator], tuple[str, int, int]]) -> ChainComplexF2:
     """The plane holding one label place(g) per generator, with the arrows inside it."""
+    require_type(BifilteredComplex, complex_)
     basis = tuple(place(g) for g in complex_.generators)
     index = {label: k for k, label in enumerate(basis)}
     at = {label[0]: label for label in basis}
@@ -228,8 +199,8 @@ def hf_hat(complex_: BifilteredComplex) -> HomologySpace:
 
 def hfk_hat_dims(complex_: BifilteredComplex) -> dict[int, int]:
     """Knot Floer ranks per Alexander grading (homology of one-spot planes)."""
-    lo, hi = complex_.grading_range()
     plane = plane_i0(complex_)
+    lo, hi = complex_.grading_range()
     out = {}
     for s in range(lo, hi + 1):
         h = homology(plane.restrict(lambda lbl: lbl[2] == -s))
@@ -240,6 +211,7 @@ def hfk_hat_dims(complex_: BifilteredComplex) -> dict[int, int]:
 
 def mirror(complex_: BifilteredComplex) -> BifilteredComplex:
     """Dual complex: arrows reversed, gradings negated, drops kept."""
+    require_type(BifilteredComplex, complex_)
     return replace(
         complex_,
         name=complex_.name + "-mirror",
@@ -254,6 +226,7 @@ def sigma_chain_map(
     complex_: BifilteredComplex, source: ChainComplexF2, target: ChainComplexF2
 ) -> Gf2Matrix:
     """Matrix of [x,i,j] -> [sigma x, j, i] between two plane complexes."""
+    require_type(BifilteredComplex, complex_)
     sigma = complex_.symmetry
     if sigma is None:
         raise NoFlipData(f"complex {complex_.name!r} has no basis symmetry")
@@ -347,14 +320,15 @@ def random_complex(seed: int) -> BifilteredComplex:
 
     Drawn as a two-layer complex of at most ``MAX_GENERATORS`` generators
     (killers mapping onto cycles, so d^2 = 0 holds by construction), then
-    closed under the symmetry.  Rejection keeps drawing until validation
-    passes and the j = 0 plane has odd homology rank, matching the
-    homology-sphere setting of the geometric inputs.
+    closed under the symmetry.  Rejection keeps drawing until a draw builds
+    (the constructor validates it) and the j = 0 plane has odd homology
+    rank, matching the homology-sphere setting of the geometric inputs.
     """
     rng = random.Random(f"splicerank-complex-{seed}")
     for _ in range(400):
-        candidate = _draw_two_layer(rng, seed)
-        if not validate(candidate).valid:
+        try:
+            candidate = _draw_two_layer(rng, seed)
+        except ShapeMismatch:
             continue
         if hf_hat(candidate).dim % 2 == 1:
             return candidate

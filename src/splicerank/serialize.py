@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import InputFormatError
+from .errors import InputFormatError, require_type
 from .gf2 import Gf2Matrix
 from .model import Arrow, BifilteredComplex, Generator, TauOverride, is_int
 
@@ -133,6 +133,7 @@ def complex_from_dict(doc: Any, path: str = "") -> BifilteredComplex:
 
 
 def complex_to_dict(complex_: BifilteredComplex) -> dict:
+    require_type(BifilteredComplex, complex_)
     doc: dict[str, Any] = {
         "format": FORMAT_VERSION,
         "name": complex_.name,

@@ -40,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, geometric_package, stats
-from .errors import ShapeMismatch, WitnessNotInKernel
+from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, stats
+from .errors import WitnessNotInKernel, require_type
 from .gf2 import Gf2Matrix, kron_blocks, lower_triangular, span_dim, xor_columns
-from .model import BifilteredComplex, mirror
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,7 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair in one pass from
     ``_TERMS``: each knot's factors are made once, and each row of D is
     written straight from them."""
-    if not (isinstance(p1, SurgeryPackage) and isinstance(p2, SurgeryPackage)):
-        raise ShapeMismatch(f"splice of {p1!r} and {p2!r}: both must be SurgeryPackages")
+    require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
     left = _factors(p1, _LEFT_FACTORS)
     right = _factors(p2, _RIGHT_FACTORS)
     row_pairs, col_pairs = (
@@ -189,6 +187,7 @@ class WitnessData:
 
 
 def witness_data(p: SurgeryPackage) -> WitnessData:
+    require_type(SurgeryPackage, p)
     blocks = by_index(p, "blocks")
     spaces = {}
     for suffix, _, prev, nxt in CYCLE:
@@ -383,6 +382,7 @@ def _surj(b: Gf2Matrix) -> bool:
 
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses."""
+    require_type(SurgeryPackage, p1, p2)
     b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
     rank = splice_rank(p1, p2)
     out = []
@@ -440,7 +440,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
     return out
 
 
-# -- theorem verdict and mirror invariance -------------------------------------
+# -- theorem verdict ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -473,21 +473,3 @@ def theorem_check(p1: SurgeryPackage, p2: SurgeryPackage) -> TheoremVerdict:
         witness.bounds_hold,
     )
 
-
-@dataclass(frozen=True)
-class MirrorVerdict:
-    h: int
-    h_mirrored: int
-
-    @property
-    def equal(self) -> bool:
-        return self.h == self.h_mirrored
-
-
-def mirror_invariance(c1: BifilteredComplex, c2: BifilteredComplex) -> MirrorVerdict:
-    """The splice rank is unchanged by mirroring both knots simultaneously."""
-    h = splice_rank(geometric_package(c1), geometric_package(c2)).h
-    h_m = splice_rank(
-        geometric_package(mirror(c1)), geometric_package(mirror(c2))
-    ).h
-    return MirrorVerdict(h, h_m)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, NamedTuple
 
-from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable
+from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable, require_type
 from .gf2 import BlockGrid, Gf2Matrix, xor_columns
 from .homology import (
     ChainComplexF2,
@@ -65,7 +65,7 @@ from .homology import (
     induced_by_columns,
     require_square_zero,
 )
-from .model import BifilteredComplex, FlipMap, flip_map, require_valid
+from .model import BifilteredComplex, FlipMap, flip_map
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ class SurgeryTriple:
     """
 
     def __init__(self, complex_: BifilteredComplex):
-        require_valid(complex_)
+        require_type(BifilteredComplex, complex_)
         self.complex = complex_
         self.flip = flip_map(complex_)
         self.planes = PlaneStore(self.flip)
@@ -341,18 +341,6 @@ class SurgeryTriple:
             for name, (src, tgt, src_shift, tgt_shift) in _FAMILIES.items()
         )
         return SurgeryTotals(*maps, *(self.total_dim(w) for w in ("H0", "H1", "Hinf")))
-
-    @property
-    def a0(self) -> int:
-        return self.totals.f0.rank()
-
-    @property
-    def a1(self) -> int:
-        return self.totals.f1.rank()
-
-    @property
-    def a_inf(self) -> int:
-        return self.totals.f_inf.rank()
 
     # -- verification -------------------------------------------------------
 

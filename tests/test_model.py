@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,6 @@ from splicerank.model import (
     plane_j0,
     random_complex,
     staircase,
-    validate,
 )
 
 from oracles import ReferenceHomology, build_cone, oracle_models, spot_plane
@@ -71,48 +72,113 @@ def reference_subquotient(
     return ChainComplexF2(tuple(basis), Gf2Matrix.from_entries(n, n, entries))
 
 
+def _rebuilt(complex_: BifilteredComplex, **changes) -> list:
+    """How each way of making a complex fares on complex_ with changes: the
+    constructor and ``dataclasses.replace``, each the complex or the error."""
+    out = []
+    kept = {f.name: getattr(complex_, f.name) for f in fields(complex_)}
+    for make in (lambda: BifilteredComplex(**{**kept, **changes}), lambda: replace(complex_, **changes)):
+        try:
+            out.append(make())
+        except ShapeMismatch as exc:
+            out.append(exc)
+    return out
+
+
+def _raises_both_ways(complex_: BifilteredComplex, match: str, **changes) -> None:
+    for result in _rebuilt(complex_, **changes):
+        assert type(result) is ShapeMismatch and match in str(result), result
+
+
 def test_validate_unknot():
-    assert validate(corpus("unknot")).valid
+    u = corpus("unknot")
+    assert _rebuilt(u) == [u, u]
 
 
 def test_validate_trefoil_by_hand():
     c = trefoil()
     # s(b)-s(a) = 1 = 1-0 and s(b)-s(c) = -1 = 0-1
-    assert validate(c).valid
+    assert [(a.src, a.dst, a.drop_i, a.drop_j) for a in c.arrows] == [("b", "a", 1, 0), ("b", "c", 0, 1)]
+    assert _rebuilt(c) == [c, c]
 
 
 def test_validate_flags_grading_violation():
-    bad = BifilteredComplex(
-        "bad",
-        (Generator("a", -1), Generator("b", 0), Generator("c", 1)),
-        (Arrow("b", "a", 0, 1), Arrow("b", "c", 0, 1)),
-        {"a": "c", "c": "a", "b": "b"},
+    _raises_both_ways(
+        trefoil(), "violates grading", arrows=(Arrow("b", "a", 0, 1), Arrow("b", "c", 1, 0))
     )
-    report = validate(bad)
-    assert not report.valid
-    assert any("grading" in v for v in report.violations)
 
 
 def test_validate_flags_broken_symmetry():
-    bad = BifilteredComplex(
-        "bad-sigma",
-        (Generator("a", -1), Generator("b", 0), Generator("c", 1)),
-        (Arrow("b", "a", 1, 0), Arrow("b", "c", 0, 1)),
-        {"a": "a", "b": "b", "c": "c"},  # fails s(sigma x) = -s(x)
-    )
-    report = validate(bad)
-    assert any("negate" in v for v in report.violations)
+    # fails s(sigma x) = -s(x)
+    _raises_both_ways(trefoil(), "does not negate the grading", symmetry={"a": "a", "b": "b", "c": "c"})
 
 
 def test_validate_flags_d_squared():
-    bad = BifilteredComplex(
-        "bad-d2",
-        (Generator("a", 0), Generator("b", 1), Generator("c", 2)),
-        (Arrow("c", "b", 1, 0), Arrow("b", "a", 1, 0)),
-        None,
+    _raises_both_ways(
+        trefoil(),
+        "d^2 != 0",
+        generators=(Generator("a", 0), Generator("b", 1), Generator("c", 2)),
+        arrows=(Arrow("c", "b", 1, 0), Arrow("b", "a", 1, 0)),
+        symmetry=None,
     )
-    report = validate(bad)
-    assert any("d^2" in v for v in report.violations)
+
+
+_ABC = (Generator("a", -1), Generator("b", 0), Generator("c", 1))
+
+
+@pytest.mark.parametrize(
+    "match, changes",
+    [
+        ("is not an int: -1.0", {"generators": (Generator("a", -1.0), *_ABC[1:])}),
+        ("is not an int: True", {"generators": (_ABC[0], Generator("b", True), _ABC[2])}),
+        ("drop that is not an int", {"arrows": (Arrow("b", "a", 1.0, 0), Arrow("b", "c", 0, 1))}),
+        ("drop that is not an int", {"arrows": (Arrow("b", "a", True, 0), Arrow("b", "c", 0, 1))}),
+        ("duplicate generator id 'a'", {"generators": (*_ABC, Generator("a", -1))}),
+        ("duplicate arrow", {"arrows": (Arrow("b", "a", 1, 0), Arrow("b", "a", 1, 0), Arrow("b", "c", 0, 1))}),
+        ("references a missing generator", {"arrows": (Arrow("b", "z", 1, 0), Arrow("b", "c", 0, 1))}),
+        ("negative drop", {"arrows": (Arrow("b", "a", 2, 1), Arrow("b", "c", -1, 0))}),
+        ("violates grading", {"arrows": (Arrow("b", "a", 0, 0), Arrow("b", "c", 0, 0))}),
+        (
+            "d^2 != 0",
+            {
+                "generators": (*_ABC, Generator("d", 2)),
+                "arrows": (Arrow("d", "b", 2, 0), Arrow("b", "a", 1, 0)),
+                "symmetry": None,
+            },
+        ),
+        ("does not cover generator 'b'", {"symmetry": {"a": "c", "c": "a"}}),
+        ("maps through missing generator", {"symmetry": {"a": "c", "c": "a", "b": "b", "z": "z"}}),
+        ("not an involution at 'a'", {"symmetry": {"a": "c", "c": "b", "b": "b"}}),
+        ("does not negate the grading", {"symmetry": {"a": "a", "b": "b", "c": "c"}}),
+        ("symmetry image of arrow b->a", {"arrows": (Arrow("b", "a", 1, 0),)}),
+    ],
+    ids=[
+        "float-grading",
+        "bool-grading",
+        "float-drop",
+        "bool-drop",
+        "duplicate-generator",
+        "duplicate-arrow",
+        "missing-generator",
+        "negative-drop",
+        "grading-mismatch",
+        "d-squared",
+        "symmetry-cover",
+        "symmetry-missing",
+        "symmetry-involution",
+        "symmetry-grading",
+        "symmetry-arrow",
+    ],
+)
+def test_every_violation_raises_at_construction(match, changes):
+    _raises_both_ways(trefoil(), match, **changes)
+
+
+def test_a_violation_message_lists_every_violation():
+    with pytest.raises(ShapeMismatch) as info:
+        replace(trefoil(), name="two-faults", arrows=(Arrow("b", "a", 0, 0), Arrow("b", "z", 1, 0)))
+    assert str(info.value).startswith("invalid complex 'two-faults': ")
+    assert "violates grading" in str(info.value) and "missing generator" in str(info.value)
 
 
 def test_subquotient_unknot_j0():
@@ -312,7 +378,7 @@ def test_fig8_hfk_ranks():
 def test_corpus_all_valid_and_hf_matches_planes():
     for name in corpus_names():
         c = corpus(name)
-        assert validate(c).valid, name
+        assert replace(c) == c, name  # building validates, and a rebuild passes again
         assert homology(plane_j0(c)).dim == homology(plane_i0(c)).dim, name
 
 
@@ -320,7 +386,7 @@ def test_random_complex_deterministic_and_valid():
     a = random_complex(7)
     b = random_complex(7)
     assert a == b
-    assert validate(a).valid
+    assert replace(a) == a
     assert hf_hat(a).dim % 2 == 1
 
 
@@ -366,44 +432,61 @@ def test_non_integer_models_raise_shape_mismatch(make):
         filtration.profile(make())
 
 
-# -- the per-knot memos look up through valid_lookup ---------------------------
+# -- a complex is validated once, when it is built ------------------------------
 
 _MEMOS = [(duality, "_BUILT", geometric_package), (filtration, "_REPORTS", filtration.check_all_lemmas)]
 
 
-@pytest.mark.parametrize("module, memo, call", _MEMOS, ids=["packages", "reports"])
-def test_a_warm_memo_hit_runs_no_validation(monkeypatch, module, memo, call):
-    monkeypatch.setattr(module, memo, type(getattr(module, memo))())
-    validated = []
+@pytest.fixture
+def validated(monkeypatch):
+    """The names of the complexes validated from here on."""
+    names = []
+    check = model._violations
 
     def counted(complex_):
-        validated.append(complex_.name)
-        return validate(complex_)
+        names.append(complex_.name)
+        return check(complex_)
 
-    monkeypatch.setattr(model, "validate", counted)
+    monkeypatch.setattr(model, "_violations", counted)
+    return names
+
+
+def test_replace_and_mirror_validate_what_they_build(validated):
+    c = trefoil()
+    replace(c, name="renamed")
+    mirror(c)
+    assert validated == ["trefoil_staircase", "renamed", "trefoil_staircase-mirror"]
+
+
+@pytest.mark.parametrize("module, memo, call", _MEMOS, ids=["packages", "reports"])
+def test_a_warm_memo_hit_runs_no_validation(monkeypatch, validated, module, memo, call):
+    # neither a cold call nor a warm one validates: the complex was
+    # validated when it was built
+    monkeypatch.setattr(module, memo, type(getattr(module, memo))())
     cold, warm = ([trefoil(), random_complex(3)] for _ in range(2))  # equal, other objects
-    validated.clear()  # making a corpus or random complex validates it
-    for c in cold:
-        call(c)
-    assert set(validated) == {"trefoil_staircase", "random-3"}  # each miss validates
+    assert "trefoil_staircase" in validated and "random-3" in validated
     validated.clear()
-    for c in warm:
+    for c in cold + warm:
         call(c)
     assert validated == []
+    assert len(getattr(module, memo)) == 2
 
 
 @pytest.mark.parametrize("module, memo, call", _MEMOS, ids=["packages", "reports"])
 @pytest.mark.parametrize("drop", [1.0, True], ids=["float", "bool"])
 def test_a_drop_that_is_not_an_int_misses_an_equal_entry(monkeypatch, module, memo, call, drop):
-    monkeypatch.setattr(module, memo, type(getattr(module, memo))())
+    # a complex with such a drop would equal and hash like a valid one
+    # (1 == 1.0 == True), so it must never reach a memo: it cannot be built
+    entries = type(getattr(module, memo))()
+    monkeypatch.setattr(module, memo, entries)
     good = trefoil()
     call(good)
     first, *rest = good.arrows
-    assert first.drop_i == 1
-    bad = BifilteredComplex(
-        good.name, good.generators, (Arrow(first.src, first.dst, drop, first.drop_j), *rest), good.symmetry
-    )
-    assert bad == good and hash(bad) == hash(good)
+    assert first.drop_i == 1 and Arrow(first.src, first.dst, drop, first.drop_j) == first
+    arrows = (Arrow(first.src, first.dst, drop, first.drop_j), *rest)
     with pytest.raises(ShapeMismatch, match="not an int") as info:
-        call(bad)
+        BifilteredComplex(good.name, good.generators, arrows, good.symmetry)
     assert info.type is ShapeMismatch
+    with pytest.raises(ShapeMismatch, match="not an int"):
+        replace(good, arrows=arrows)
+    assert list(entries) == [good]

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splicerank.corpus import corpus
-from splicerank.errors import InputFormatError
+from splicerank.errors import InputFormatError, ShapeMismatch
 from splicerank.gf2 import Gf2Matrix
 from splicerank.model import BifilteredComplex, Generator, random_complex
 from splicerank.serialize import complex_from_dict, complex_to_dict, dump_complex, load_complex
@@ -51,6 +51,22 @@ def test_malformed_field_raises_input_format_error_at_its_pointer(doc, path, val
     with pytest.raises(InputFormatError) as err:
         complex_from_dict(_set(doc, path, value))
     assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("generators", 0, "alexander"), 5, "violates grading"),
+        (("differential", 0, "to"), "z", "references a missing generator"),
+        (("symmetry",), [["a"], ["b"], ["c"]], "does not negate the grading"),
+    ],
+    ids=["grading", "missing-generator", "symmetry"],
+)
+def test_a_document_of_an_invalid_complex_raises_shape_mismatch(path, value, message):
+    # the document is well formed, so the constructor is what rejects it
+    with pytest.raises(ShapeMismatch, match=message) as info:
+        complex_from_dict(_set(TREFOIL, path, value))
+    assert info.type is ShapeMismatch
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -101,3 +101,24 @@ def test_no_unused_module_imports():
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert len(paths) > 15
     assert found == []
+
+
+def test_a_complex_is_validated_only_when_it_is_built():
+    # model._violations is named once, in BifilteredComplex.__post_init__:
+    # a complex is valid by construction, so no later stage validates
+    model = ast.parse((PACKAGE / "model.py").read_text())
+    cls = next(n for n in model.body if isinstance(n, ast.ClassDef) and n.name == "BifilteredComplex")
+    post_init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+    assert any(isinstance(n, ast.FunctionDef) and n.name == "_violations" for n in model.body)
+    mentions = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "_violations" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert len(mentions) == 1
+    (name, line), = mentions
+    assert name == "model.py" and post_init.lineno <= line <= post_init.end_lineno
+    # nor does the library keep any of the checks that ran after construction
+    used = set().union(*(_names_used(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
+    assert used.isdisjoint({"validate", "require_valid", "valid_lookup", "ValidationReport"})

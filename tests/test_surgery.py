@@ -132,7 +132,7 @@ def test_exactness_failures_name_the_broken_nodes():
 def test_rank_dimension_relations():
     for name in ("unknot", "trefoil_staircase", "fig8_box", "t25_staircase"):
         t = total_package(corpus(name))
-        a0, a1, ainf = t.a0, t.a1, t.a_inf
+        a0, a1, ainf = t.totals.f0.rank(), t.totals.f1.rank(), t.totals.f_inf.rank()
         assert t.total_dim("H0") == a1 + ainf
         assert t.total_dim("H1") == a0 + ainf
         assert t.total_dim("Hinf") == a0 + a1
@@ -143,8 +143,9 @@ def test_parity_on_corpus():
     from splicerank.corpus import corpus_names
 
     for name in corpus_names():
-        t = total_package(corpus(name))
-        assert t.a1 % 2 == t.a_inf % 2 == (t.a0 + 1) % 2, name
+        totals = total_package(corpus(name)).totals
+        a0, a1, a_inf = totals.f0.rank(), totals.f1.rank(), totals.f_inf.rank()
+        assert a1 % 2 == a_inf % 2 == (a0 + 1) % 2, name
 
 
 def test_hinf_total_equals_hfk_sum_definitional():
@@ -159,9 +160,9 @@ def test_barred_unbarred_independent_construction():
     assert (t.totals.fbar0 @ t.totals.fbar_inf).is_zero()
     assert (t.totals.fbar1 @ t.totals.fbar0).is_zero()
     assert (t.totals.fbar_inf @ t.totals.fbar1).is_zero()
-    assert t.totals.fbar_inf.rank() == t.a_inf
-    assert t.totals.fbar0.rank() == t.a0
-    assert t.totals.fbar1.rank() == t.a1
+    assert t.totals.fbar_inf.rank() == t.totals.f_inf.rank()
+    assert t.totals.fbar0.rank() == t.totals.f0.rank()
+    assert t.totals.fbar1.rank() == t.totals.f1.rank()
 
 
 def test_meridian_suspension_dims_vs_ambient():
