@@ -50,11 +50,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StatsInconsistent, require_type
-from .gf2 import Gf2Matrix, span_dim, span_intersection, span_sum_dim, xor_columns
+from .gf2 import Gf2Matrix, span_dim, span_intersection, xor_columns
 from .homology import (
     ChainComplexF2,
     HomologySpace,
-    homology,
     inclusion_columns,
     induced_by_columns,
 )
@@ -114,7 +113,7 @@ def _build_side(
     prev_sub = None
     for s in window:
         sub = cut(s)
-        h = homology(sub)
+        h = HomologySpace(sub)
         iota = induced_by_columns(to_ambient(sub), h, ambient_h)
         image[s] = list(iota.transpose().row_bits)
         kernels[s] = iota.kernel_basis()
@@ -154,7 +153,7 @@ def _build_side(
         ambient_dim = spaces[s].dim
         incoming = img_vectors.get(s, [])
         inter[s] = len(span_intersection(sub_vectors[s], incoming, ambient_dim))
-        quot[s] = len(kernels[s]) - span_sum_dim(incoming, sub_vectors[s])
+        quot[s] = len(kernels[s]) - span_dim(incoming + sub_vectors[s])
 
     return SideData(
         window,
@@ -177,7 +176,7 @@ def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -
     require_type(BifilteredComplex, complex_)
     if _planes is None:
         _planes = PlaneStore(flip_map(complex_))
-    ambient_h = homology(_planes.flip.target)
+    ambient_h = HomologySpace(_planes.flip.target)
 
     lo, hi = complex_.grading_range()
     row = _build_side(range(lo - 1, hi + 2), _planes.first, _planes.include, ambient_h)
@@ -247,12 +246,11 @@ class LemmaReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def mismatches(self) -> list[LemmaEntry]:
-        return [e for e in self.entries if not e.ok]
-
 
 def lemma31_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
     """Surgery group dimensions against the four-part filtration decomposition."""
+    require_type(SurgeryTriple, triple)
+    require_type(FiltrationProfile, prof)
     entries = []
     for n in (0, 1):
         spaces = triple.H0 if n == 0 else triple.H1
@@ -269,6 +267,8 @@ def lemma31_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport
 
 def lemma32_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and image of the per-level inclusion maps, structurally."""
+    require_type(SurgeryTriple, triple)
+    require_type(FiltrationProfile, prof)
     entries = []
     for s in triple.window:
         f = triple.f_inf[s]
@@ -298,6 +298,7 @@ def _brackets_img_total(prof: FiltrationProfile) -> int:
 def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """The four B-block kernel/cokernel formulas at dimension level."""
     require_type(SurgeryPackage, package)
+    require_type(FiltrationProfile, prof)
     b0, b1 = package.blocks0.B, package.blocks1.B
     entries = [
         LemmaEntry("ker B0 = e_1", b0.kernel_dim(), prof.e.get(1, 0)),
@@ -319,6 +320,7 @@ def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and cokernel of B1 B0 against the column-side bracket spaces."""
     require_type(SurgeryPackage, package)
+    require_type(FiltrationProfile, prof)
     prod = package.blocks1.B @ package.blocks0.B
     entries = [
         LemmaEntry(

@@ -10,7 +10,7 @@ constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
 entries or columns of the wrong kind, a row, column or entry that is not an
 int, and any bit beyond the shape; ``BlockGrid`` and ``kron_blocks`` reject
 a block or factor that is not a matrix.  A result of this module's
-own operations (``identity``, ``zeros``, ``@``, ``+``, ``transpose``,
+own operations (``identity``, ``@``, ``+``, ``transpose``,
 ``inverse``, ``submatrix``, ``from_columns`` after its range check,
 ``BlockGrid.assemble`` and ``kron_blocks``) is in range by construction, so
 it is built by ``Gf2Matrix._trusted``, with no scan and no copy; nothing
@@ -28,8 +28,8 @@ number of nonzeros, not its rows times its terms.
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
 so that no row has a bit at another row's pivot.  That is the reduced row
-echelon form, which is unique, so ``kernel_basis``, ``cokernel_basis`` and
-``inverse`` return the same vectors however the rows are ordered.
+echelon form, which is unique, so ``kernel_basis`` and ``inverse`` return
+the same vectors however the rows are ordered.
 ``span_intersection`` and ``pivot_columns`` need only the forward pass, and
 ``reduce`` tests a vector against the dict: ``homology.HomologySpace`` finds
 its representatives and coordinates that way.
@@ -111,11 +111,6 @@ class Gf2Matrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> Gf2Matrix:
-        _check_dims(rows, cols)
-        return cls._trusted(rows, cols, (0,) * rows)
-
-    @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
         _check_dims(n)
         return cls._trusted(n, n, tuple([1 << i for i in range(n)]))
@@ -185,14 +180,6 @@ class Gf2Matrix:
         if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < self.rows and 0 <= c < self.cols):
             raise ShapeMismatch(f"entry ({r!r},{c!r}) outside {self.rows}x{self.cols}")
         return (self.row_bits[r] >> c) & 1
-
-    def column(self, c: int) -> int:
-        if not (isinstance(c, int) and 0 <= c < self.cols):
-            raise ShapeMismatch(f"column {c!r} outside {self.rows}x{self.cols}")
-        out = 0
-        for r, b in enumerate(self.row_bits):
-            out |= ((b >> c) & 1) << r
-        return out
 
     def dense(self) -> list[list[int]]:
         return [[(b >> c) & 1 for c in range(self.cols)] for b in self.row_bits]
@@ -278,10 +265,6 @@ class Gf2Matrix:
 
     def cokernel_dim(self) -> int:
         return self.rows - self.rank()
-
-    def cokernel_basis(self) -> list[int]:
-        """Basis of the left kernel {w : wM = 0}, each a rows-bit mask."""
-        return self.transpose().kernel_basis()
 
     def inverse(self) -> Gf2Matrix:
         """Inverse of a square invertible matrix: reduce (M | I) to (I | M^-1)."""
@@ -380,13 +363,6 @@ def high_pivots(vectors: Iterable[int]) -> dict[int, int]:
 
 def span_dim(vectors: Iterable[int]) -> int:
     return len(high_pivots(vectors))
-
-
-def span_sum_dim(*vector_sets: Iterable[int]) -> int:
-    all_vecs: list[int] = []
-    for vs in vector_sets:
-        all_vecs.extend(vs)
-    return span_dim(all_vecs)
 
 
 def span_intersection(u_vectors: list[int], v_vectors: list[int], ambient: int) -> list[int]:

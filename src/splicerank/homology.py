@@ -124,21 +124,13 @@ class HomologySpace:
         return v >> n
 
 
-def homology(complex_: ChainComplexF2) -> HomologySpace:
-    return HomologySpace(complex_)
-
-
-def induced_matrix(chain_map: Gf2Matrix, source: HomologySpace, target: HomologySpace) -> Gf2Matrix:
-    """Matrix of the map induced on homology by a chain map.
+def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: HomologySpace) -> Gf2Matrix:
+    """Matrix of the map induced on homology by the chain map whose column c
+    is columns[c].
 
     The chain map is not re-verified here; callers check commutation where
     the map is not one by construction.
     """
-    return induced_by_columns(chain_map.transpose().row_bits, source, target)
-
-
-def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: HomologySpace) -> Gf2Matrix:
-    """``induced_matrix`` of the chain map whose column c is columns[c]."""
     cols = [target.coords(xor_columns(columns, rep)) for rep in source.reps]
     return Gf2Matrix.from_columns(cols, target.dim)
 
@@ -146,7 +138,3 @@ def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: Ho
 def inclusion_columns(sub: ChainComplexF2, parent: ChainComplexF2) -> list[int]:
     """Columns of the inclusion of a sub-complex: each label to its position in parent."""
     return [1 << parent.index[label] for label in sub.basis]
-
-
-def chain_map_commutes(chain_map: Gf2Matrix, source: ChainComplexF2, target: ChainComplexF2) -> bool:
-    return (chain_map @ source.boundary) == (target.boundary @ chain_map)

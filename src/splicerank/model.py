@@ -9,14 +9,15 @@ other plane the pipeline uses is a sub-plane of one of these two, cut by
 ``ChainComplexF2.restrict`` on its labels.
 
 A ``BifilteredComplex`` is valid by construction: making one, by its
-constructor, ``dataclasses.replace`` or ``mirror``, checks integer gradings
-and drops, grading compatibility, d^2 = 0 and the symmetry axioms, and raises
-``ShapeMismatch`` listing every violation.  No later stage checks again.  A
-complex is also immutable and hashable: its generators and arrows are tuples
-and its symmetry a read-only copy of the mapping it was given, so equal
-complexes hash equal and a complex can key a cache.  Every grading and drop
-of a complex is an int, so equality cannot pair it with an invalid one, as
-0 == 0.0 == False otherwise would.
+constructor, ``dataclasses.replace`` or ``mirror``, checks the types of its
+fields and items, integer gradings and drops, grading compatibility, d^2 = 0
+and the symmetry axioms, and raises ``ShapeMismatch`` listing every
+violation.  No later stage checks again.  A complex is also immutable and
+hashable: its generators and arrows are tuples and its symmetry a read-only
+copy of the mapping it was given, so equal complexes hash equal and a
+complex can key a cache.  Every grading and drop of a complex is an int, so
+equality cannot pair it with an invalid one, as 0 == 0.0 == False otherwise
+would.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     require_type,
 )
 from .gf2 import Gf2Matrix
-from .homology import ChainComplexF2, HomologySpace, chain_map_commutes, homology, induced_matrix
+from .homology import ChainComplexF2, HomologySpace, induced_by_columns
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,14 @@ class BifilteredComplex:
     tau_override: TauOverride | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+        for name in ("generators", "arrows"):
+            items = getattr(self, name)
+            if not isinstance(items, Iterable):
+                raise ShapeMismatch(f"invalid complex {self.name!r}: {name} {items!r} is not iterable")
+            object.__setattr__(self, name, tuple(items))
         if self.symmetry is not None:
+            if not isinstance(self.symmetry, Mapping):
+                raise ShapeMismatch(f"invalid complex {self.name!r}: symmetry {self.symmetry!r} is not a mapping")
             object.__setattr__(self, "symmetry", MappingProxyType(dict(self.symmetry)))
         violations = _violations(self)
         if violations:
@@ -90,8 +96,32 @@ def is_int(value: object) -> bool:
 
 
 def _violations(complex_: BifilteredComplex) -> list[str]:
-    """Every way complex_ breaks integer gradings and drops, grading
-    compatibility, d^2 = 0 or the symmetry axioms."""
+    """Every way complex_ breaks the field types, integer gradings and drops,
+    grading compatibility, d^2 = 0 or the symmetry axioms."""
+    # the other checks read the fields as the types they are declared with,
+    # so a field or item of another type ends the validation here
+    sigma, flip, tau = complex_.symmetry, complex_.flip, complex_.tau_override
+    out = [] if isinstance(complex_.name, str) else [f"name {complex_.name!r} is not a str"]
+    out += [
+        f"generator {g!r} is not a Generator with a str id"
+        for g in complex_.generators
+        if not (isinstance(g, Generator) and isinstance(g.id, str))
+    ]
+    out += [
+        f"arrow {a!r} is not an Arrow between str ids"
+        for a in complex_.arrows
+        if not (isinstance(a, Arrow) and isinstance(a.src, str) and isinstance(a.dst, str))
+    ]
+    if sigma is not None and not all(isinstance(x, str) for pair in sigma.items() for x in pair):
+        out.append("symmetry maps something other than str ids")
+    if flip is not None and not isinstance(flip, Gf2Matrix):
+        out.append(f"flip {flip!r} is not a Gf2Matrix")
+    if tau is not None and not (
+        isinstance(tau, TauOverride) and all(isinstance(m, Gf2Matrix) for m in (tau.tau0, tau.tau1, tau.tau_inf))
+    ):
+        out.append(f"tau override {tau!r} is not a TauOverride of three Gf2Matrix")
+    if out:
+        return out
     # the other checks do arithmetic on gradings and drops, so a value that
     # is not an int ends the validation here
     out = [
@@ -142,7 +172,6 @@ def _violations(complex_: BifilteredComplex) -> list[str]:
         if coeff:
             out.append(f"d^2 != 0: composite {src}->{dst} with total drop ({di},{dj})")
 
-    sigma = complex_.symmetry
     if sigma is not None:
         for x in grading:
             if x not in sigma:
@@ -194,19 +223,7 @@ def plane_i0(complex_: BifilteredComplex) -> ChainComplexF2:
 
 def hf_hat(complex_: BifilteredComplex) -> HomologySpace:
     """Homology of the j = 0 plane: the ambient manifold's invariant."""
-    return homology(plane_j0(complex_))
-
-
-def hfk_hat_dims(complex_: BifilteredComplex) -> dict[int, int]:
-    """Knot Floer ranks per Alexander grading (homology of one-spot planes)."""
-    plane = plane_i0(complex_)
-    lo, hi = complex_.grading_range()
-    out = {}
-    for s in range(lo, hi + 1):
-        h = homology(plane.restrict(lambda lbl: lbl[2] == -s))
-        if h.dim:
-            out[s] = h.dim
-    return out
+    return HomologySpace(plane_j0(complex_))
 
 
 def mirror(complex_: BifilteredComplex) -> BifilteredComplex:
@@ -267,11 +284,11 @@ def flip_map(complex_: BifilteredComplex) -> FlipMap:
         matrix = sigma_chain_map(complex_, source, target)
     else:
         raise NoFlipData(f"complex {complex_.name!r} has neither symmetry nor flip")
-    if not chain_map_commutes(matrix, source, target):
+    if (matrix @ source.boundary) != (target.boundary @ matrix):
         raise NotChainMap("flip map does not commute with the differentials")
-    h_src = homology(source)
-    h_tgt = homology(target)
-    induced = induced_matrix(matrix, h_src, h_tgt)
+    h_src = HomologySpace(source)
+    h_tgt = HomologySpace(target)
+    induced = induced_by_columns(matrix.transpose().row_bits, h_src, h_tgt)
     if h_src.dim != h_tgt.dim or induced.rank() != h_src.dim:
         raise NotQuasiIso("flip map is not a quasi-isomorphism")
     return FlipMap(source, target, matrix)

@@ -320,46 +320,10 @@ def kernel_witnesses(
     )
 
 
-# -- the five violation cases -------------------------------------------------
-
-INVOLUTION = {"0": "inf", "1": "1", "inf": "0"}
-
-
-@dataclass(frozen=True)
-class SCase:
-    s1: bool
-    s2: bool
-    s3: bool
-    s4: bool
-    s5: bool
-
-    @property
-    def satisfied(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, flag in zip(("S1", "S2", "S3", "S4", "S5"), (self.s1, self.s2, self.s3, self.s4, self.s5))
-            if flag
-        )
-
-    @property
-    def any(self) -> bool:
-        return bool(self.satisfied)
-
-
-def classify_S(st: PackageStats) -> SCase:
-    """Evaluate the five rank conditions on the second knot's statistics."""
-    a0, a1, ai = st.a0, st.a1, st.a_inf
-    r0, r1, ri = st.r0, st.r1, st.r_inf
-    return SCase(
-        s1=r0 <= r1 == ri == a1 == ai < a0,
-        s2=r0 == r1 == ai <= ri and ai < a1 and ai < a0,
-        s3=r0 == ri == a1 <= r1 and a1 < ai and a1 < a0,
-        s4=r0 == ai and ri == a0 and a1 >= a0 and a1 >= ai,
-        s5=r0 == a1 and r1 == a0 and ai >= a0 and ai >= a1,
-    )
-
-
 # -- subspace bounds (cyclic-triple and remark variants) -----------------------
+
+# The index involution 0 <-> inf, with 1 fixed.
+INVOLUTION = {"0": "inf", "1": "1", "inf": "0"}
 
 
 @dataclass(frozen=True)

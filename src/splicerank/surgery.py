@@ -38,6 +38,11 @@ column side of the filtration.  The store lives as long as the
 ``SurgeryTriple`` (or the ``profile`` call) that made it; ``check_all_lemmas``
 hands the triple's store to ``profile``, so one lemma run cuts each plane once.
 
+A ``SurgeryTriple`` is exact and window-stable once built: its constructor
+raises ``WindowNotStable`` if a surgery group outside the window is nonzero,
+and ``NormalizationFailure`` naming every node (``exactness_failures``)
+where either triangle is not exact.  ``total_package`` only builds one.
+
 The window-stability check only needs the homology dimension of the cones
 just outside the window: ``cone_homology_dim`` reads it from the cone
 boundary, which it assembles as ``cone`` does.
@@ -60,7 +65,6 @@ from .gf2 import BlockGrid, Gf2Matrix, xor_columns
 from .homology import (
     ChainComplexF2,
     HomologySpace,
-    homology,
     inclusion_columns,
     induced_by_columns,
     require_square_zero,
@@ -238,7 +242,8 @@ class SurgeryTriple:
     H0(s) -> H1(s) while the barred families carry the level shift:
     ``fbar_inf[s]``: H0(s-1) -> H1(s) and ``fbar1[s]``: Hinf(s) -> H0(s-1)
     (see ``_FAMILIES``).  Totals are assembled over the support window in
-    increasing s.
+    increasing s.  Construction checks window stability and exactness (see
+    the module docstring).
     """
 
     def __init__(self, complex_: BifilteredComplex):
@@ -259,9 +264,9 @@ class SurgeryTriple:
             self.cones0[s] = self.planes.cone(0, s)
             self.cones1[s] = self.planes.cone(1, s)
             self.spots[s] = self.planes.spot(s)
-            self.H0[s] = homology(self.cones0[s].cone)
-            self.H1[s] = homology(self.cones1[s].cone)
-            self.Hinf[s] = homology(self.spots[s])
+            self.H0[s] = HomologySpace(self.cones0[s].cone)
+            self.H1[s] = HomologySpace(self.cones1[s].cone)
+            self.Hinf[s] = HomologySpace(self.spots[s])
         self._check_window_stability()
 
         self.f_inf: dict[int, Gf2Matrix] = {}
@@ -273,6 +278,9 @@ class SurgeryTriple:
         for s in self.window:
             for _, names, lift in _TRIANGLES:
                 self._build_triangle(s, names, lift)
+        failures = self.exactness_failures()
+        if failures:
+            raise NormalizationFailure("; ".join(failures))
 
     # -- construction helpers --------------------------------------------
 
@@ -361,13 +369,6 @@ class SurgeryTriple:
                         out.append(f"{triangle} s={s}: image/kernel gap at {node}")
         return out
 
-    def require_exact(self) -> None:
-        failures = self.exactness_failures()
-        if failures:
-            raise NormalizationFailure("; ".join(failures))
-
 
 def total_package(complex_: BifilteredComplex) -> SurgeryTriple:
-    triple = SurgeryTriple(complex_)
-    triple.require_exact()
-    return triple
+    return SurgeryTriple(complex_)

@@ -12,8 +12,9 @@ products; and kernel witnesses from every pair of basis tuples.  The
 library must match them bit for bit.
 
 The module also keeps the API only the tests use: Gaussian ``cancel``,
-single surgery groups and level maps, and the calibration of the
-graded-piece multiplicities.
+the dimension of a sum of spans, single surgery groups and level maps, the
+knot Floer ranks ``hfk_hat_dims``, and the calibration of the graded-piece
+multiplicities.
 """
 
 from __future__ import annotations
@@ -32,16 +33,16 @@ from splicerank.gf2 import (
     echelon,
     span_dim,
     span_intersection,
-    span_sum_dim,
     xor_columns,
 )
-from splicerank.homology import ChainComplexF2, HomologySpace, homology, induced_matrix
+from splicerank.homology import ChainComplexF2, HomologySpace, induced_by_columns
 from splicerank.model import (
     BifilteredComplex,
     FlipMap,
     Generator,
     flip_map,
     mirror,
+    plane_i0,
     random_complex,
     staircase,
 )
@@ -61,6 +62,11 @@ def span_basis(vectors) -> list[int]:
     """Canonical basis of the span: the reduced echelon rows, by pivot."""
     pivots = echelon(vectors)
     return [pivots[p] for p in sorted(pivots)]
+
+
+def span_sum_dim(*vector_sets: Iterable[int]) -> int:
+    """The dimension of the sum of the spans of the vector sets."""
+    return span_dim([v for vs in vector_sets for v in vs])
 
 
 def reachable(obj):
@@ -270,7 +276,7 @@ def reference_level_maps(triple: SurgeryTriple) -> dict[str, dict[int, Gf2Matrix
 
 def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     """tau0, tau1, tau_inf of ``duality._geometric_tau``, each block the
-    induced map of a label matrix (``homology.induced_matrix``)."""
+    induced map of a label matrix."""
     sigma = complex_.symmetry
     index = {s: k for k, s in enumerate(triple.window)}
 
@@ -287,7 +293,7 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
             if spaces[s].dim:
                 t = reflect(s)
                 chain = reference_label_matrix(planes[s], planes[t], fn(s))
-                blocks[(index[t], index[s])] = induced_matrix(chain, spaces[s], spaces[t])
+                blocks[(index[t], index[s])] = induced_by_columns(chain.transpose().row_bits, spaces[s], spaces[t])
         return BlockGrid(dims, dims, blocks).assemble()
 
     cones0 = {s: c.cone for s, c in triple.cones0.items()}
@@ -673,8 +679,20 @@ def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
 def surgery_homology(complex_: BifilteredComplex, n, s: int) -> HomologySpace:
     """H_n(K, s) for n in {0, 1, "inf"}."""
     if n == INF:
-        return homology(spot_plane(flip_map(complex_), s))
-    return homology(build_cone(complex_, n, s).cone)
+        return HomologySpace(spot_plane(flip_map(complex_), s))
+    return HomologySpace(build_cone(complex_, n, s).cone)
+
+
+def hfk_hat_dims(complex_: BifilteredComplex) -> dict[int, int]:
+    """Knot Floer ranks per Alexander grading (homology of one-spot planes)."""
+    plane = plane_i0(complex_)
+    lo, hi = complex_.grading_range()
+    out = {}
+    for s in range(lo, hi + 1):
+        h = HomologySpace(plane.restrict(lambda lbl: lbl[2] == -s))
+        if h.dim:
+            out[s] = h.dim
+    return out
 
 
 def triangle_maps(complex_: BifilteredComplex, s: int) -> dict[str, Gf2Matrix]:
@@ -685,7 +703,7 @@ def triangle_maps(complex_: BifilteredComplex, s: int) -> dict[str, Gf2Matrix]:
         return spaces[level].dim if level in triple.window else 0
 
     def get(fam: dict[int, Gf2Matrix], rows: int, cols: int) -> Gf2Matrix:
-        return fam.get(s, Gf2Matrix.zeros(rows, cols))
+        return fam.get(s, Gf2Matrix(rows, cols))
 
     return {
         "f_inf": get(triple.f_inf, dim(triple.H1, s), dim(triple.H0, s)),

@@ -14,15 +14,11 @@ from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     TauMaps,
-    apply_admissible,
     _geometric_tau,
     build_tau,
-    direct_sum,
     geometric_package,
     normalize,
-    random_admissible,
     stats,
-    synthetic_package,
     verify_package,
 )
 from splicerank.errors import NormalizationFailure, NotQuasiIso, ShapeMismatch, TauRelationFailure
@@ -41,6 +37,7 @@ from oracles import (
     reference_verify_package,
     torus_staircase,
 )
+from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
 
 
 def test_unknot_package_dims_and_blocks():
@@ -64,7 +61,7 @@ def test_trefoil_package_verifies():
 
 def test_singular_tau_fails_verification_as_a_normalization_failure():
     p = geometric_package(corpus("trefoil_staircase"))
-    singular = replace(p, tau1=Gf2Matrix.zeros(p.tau1.rows, p.tau1.cols))
+    singular = replace(p, tau1=Gf2Matrix(p.tau1.rows, p.tau1.cols))
     with pytest.raises(NormalizationFailure, match="tau1 is singular"):
         verify_package(singular)
 
@@ -198,7 +195,7 @@ def test_nontrivial_knots_have_nontrivial_x_kernel():
             continue
         p = geometric_package(corpus(name))
         assert len(p.X1.kernel_basis()) > 0, name
-        assert len(p.X1.cokernel_basis()) > 0, name
+        assert len(p.X1.transpose().kernel_basis()) > 0, name
 
 
 def test_tau_override_rejected_when_inconsistent():
@@ -420,10 +417,10 @@ def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo
 
 
 def test_a_build_that_raises_caches_nothing(memo):
-    bad_flip = BifilteredComplex("bad-flip", (Generator("e", 0),), (), None, Gf2Matrix.zeros(1, 1))
+    bad_flip = BifilteredComplex("bad-flip", (Generator("e", 0),), (), None, Gf2Matrix(1, 1))
     c = corpus("trefoil_staircase")
     t = total_package(c)
-    singular = TauOverride(*(Gf2Matrix.zeros(n, n) for n in (t.totals.n0, t.totals.n1, t.totals.n_inf)))
+    singular = TauOverride(*(Gf2Matrix(n, n) for n in (t.totals.n0, t.totals.n1, t.totals.n_inf)))
     for _ in range(2):
         with pytest.raises(NotQuasiIso):
             geometric_package(bad_flip)

@@ -2,76 +2,153 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import splicerank
-from splicerank import duality, filtration, model, serialize, splice, surgery
+from splicerank import duality, filtration, model, surgery
 from splicerank.corpus import corpus
+from splicerank.duality import SurgeryPackage
 from splicerank.errors import ShapeMismatch
+from splicerank.filtration import FiltrationProfile
+from splicerank.homology import ChainComplexF2
+from splicerank.model import BifilteredComplex
+from splicerank.surgery import SurgeryTriple
+
+
+# The pipeline's stage objects: a public function or constructor that takes
+# one is an entry point, and each argument of one of these types is a slot
+# the surface test fills with a bad value.  The GF(2), chain-complex and
+# label helpers underneath take matrices and plain values; test_gf2 covers
+# the matrix operands.
+LIBRARY_TYPES = (BifilteredComplex, SurgeryTriple, SurgeryPackage, FiltrationProfile)
+
+# Values of the wrong kind for every slot, and "other-kind": a package where a
+# complex belongs and a complex anywhere else.  None is a good value for an
+# optional slot, so it is not tried there.
+BAD = {"none": None, "int": 3, "str": "x", "float": 1.5}
+
+
+def public_callables() -> list[tuple[str, object]]:
+    """(name, function or class) for every public function the library's
+    modules define, and every public class whose constructor is written in
+    Python (not inherited from ``Exception``, ``tuple`` or ``object``), in
+    module and source order."""
+    out = []
+    for info in pkgutil.iter_modules(splicerank.__path__):
+        module = importlib.import_module(f"splicerank.{info.name}")
+        out += [
+            (name, obj)
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj) and inspect.isfunction(obj.__init__))
+            and obj.__module__ == module.__name__
+        ]
+    return out
+
+
+def _hints(obj) -> dict:
+    """The parameter type hints of a function, or of a class's constructor."""
+    return typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj)
+
+
+def _kinds(hint) -> tuple[type, ...]:
+    """The library types a hint admits: the hint itself, or a member of a union."""
+    return tuple(t for t in typing.get_args(hint) or (hint,) if t in LIBRARY_TYPES)
+
+
+def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
+    """(label, callable, parameter, its library types, whether None is good)
+    for every slot of every entry point.  The label is the callable's name for
+    its first slot; a later slot adds "-second" if it has the first's type
+    and its parameter name if not."""
+    out = []
+    for name, obj in public_callables():
+        hints = _hints(obj)
+        slots = [
+            (param, _kinds(hints.get(param)), type(None) in typing.get_args(hints.get(param)))
+            for param in inspect.signature(obj).parameters
+            if not param.startswith("_") and _kinds(hints.get(param))
+        ]
+        for k, (param, kinds, optional) in enumerate(slots):
+            label = name if k == 0 else f"{name}-{'second' if kinds == slots[0][1] else param}"
+            out.append((label, obj, param, kinds, optional))
+    return out
+
+
+SURFACE = surface()
+CASES = [
+    pytest.param(obj, slot, kinds, bad, id=f"{label}-{bad}")
+    for label, obj, slot, kinds, optional in SURFACE
+    for bad in (*BAD, "other-kind")
+    if not (optional and bad == "none")
+]
 
 
 @pytest.fixture(scope="module")
-def good() -> dict:
-    """A valid object of each kind, for the arguments not under test."""
+def good(tmp_path_factory) -> dict:
+    """A valid value for each parameter type, and a path to write to."""
     c = corpus("trefoil_staircase")
     return {
-        "complex": c,
-        "flip": model.flip_map(c),
-        "triple": surgery.total_package(c),
-        "package": duality.geometric_package(c),
-        "profile": filtration.profile(c),
+        BifilteredComplex: c,
+        SurgeryTriple: surgery.total_package(c),
+        SurgeryPackage: duality.geometric_package(c),
+        FiltrationProfile: filtration.profile(c),
+        ChainComplexF2: model.plane_i0(c),
+        str: str(tmp_path_factory.mktemp("dump") / "out.json"),
     }
 
 
-# each call puts the bad value where a complex, a package or another argument
-# of the library's own types belongs
-CALLS = {
-    "plane_j0": lambda x, g: model.plane_j0(x),
-    "plane_i0": lambda x, g: model.plane_i0(x),
-    "hf_hat": lambda x, g: model.hf_hat(x),
-    "hfk_hat_dims": lambda x, g: model.hfk_hat_dims(x),
-    "mirror": lambda x, g: model.mirror(x),
-    "flip_map": lambda x, g: model.flip_map(x),
-    "sigma_chain_map": lambda x, g: model.sigma_chain_map(x, g["flip"].source, g["flip"].target),
-    "complex_to_dict": lambda x, g: serialize.complex_to_dict(x),
-    "SurgeryTriple": lambda x, g: surgery.SurgeryTriple(x),
-    "total_package": lambda x, g: surgery.total_package(x),
-    "build_tau": lambda x, g: duality.build_tau(x, g["triple"]),
-    "build_tau-triple": lambda x, g: duality.build_tau(g["complex"], x),
-    "geometric_package": lambda x, g: duality.geometric_package(x),
-    "stats": lambda x, g: duality.stats(x),
-    "verify_package": lambda x, g: duality.verify_package(x),
-    "direct_sum": lambda x, g: duality.direct_sum(x, g["package"]),
-    "direct_sum-second": lambda x, g: duality.direct_sum(g["package"], x),
-    "apply_admissible": lambda x, g: duality.apply_admissible(x, duality.random_admissible(0, g["package"].dims)),
-    "apply_admissible-change": lambda x, g: duality.apply_admissible(g["package"], x),
-    "profile": lambda x, g: filtration.profile(x),
-    "check_all_lemmas": lambda x, g: filtration.check_all_lemmas(x),
-    "lemma33_check": lambda x, g: filtration.lemma33_check(x, g["profile"]),
-    "lemma37_check": lambda x, g: filtration.lemma37_check(x, g["profile"]),
-    "build_D": lambda x, g: splice.build_D(x, g["package"]),
-    "splice_rank": lambda x, g: splice.splice_rank(g["package"], x),
-    "witness_data": lambda x, g: splice.witness_data(x),
-    "kernel_witnesses": lambda x, g: splice.kernel_witnesses(x, g["package"]),
-    "kernel_witnesses-second": lambda x, g: splice.kernel_witnesses(g["package"], x),
-    "subspace_bounds": lambda x, g: splice.subspace_bounds(x, g["package"]),
-    "subspace_bounds-second": lambda x, g: splice.subspace_bounds(g["package"], x),
-    "theorem_check": lambda x, g: splice.theorem_check(x, g["package"]),
-    "theorem_check-second": lambda x, g: splice.theorem_check(g["package"], x),
-}
-
-
-@pytest.mark.parametrize("bad", [None, 3, "x"], ids=["none", "int", "str"])
-@pytest.mark.parametrize("call", list(CALLS.values()), ids=list(CALLS))
-def test_an_argument_of_another_type_is_a_shape_mismatch(good, call, bad):
+@pytest.mark.parametrize("obj, slot, kinds, bad", CASES)
+def test_an_argument_of_another_type_is_a_shape_mismatch(good, obj, slot, kinds, bad):
+    if bad in BAD:
+        value = BAD[bad]
+    else:
+        value = good[SurgeryPackage] if BifilteredComplex in kinds else good[BifilteredComplex]
+    hints = _hints(obj)
+    args = {
+        param: good[hints[param]]
+        for param, p in inspect.signature(obj).parameters.items()
+        if param != slot and p.default is inspect.Parameter.empty
+    }
     with pytest.raises(ShapeMismatch) as info:
-        call(bad, good)
+        obj(**args, **{slot: value})
     assert info.type is ShapeMismatch
+
+
+def test_the_surface_covers_every_entry_point():
+    # every public callable's parameters are annotated, so none hides from
+    # the enumeration, and the enumeration finds the pipeline's entry points
+    unhinted = [
+        f"{name}({param})"
+        for name, obj in public_callables()
+        for param in inspect.signature(obj).parameters
+        if param not in _hints(obj)
+    ]
+    assert unhinted == []
+    labels = {label for label, *_ in SURFACE}
+    assert {
+        "SurgeryTriple",
+        "total_package",
+        "geometric_package",
+        "geometric_package-triple",
+        "build_tau-triple",
+        "check_all_lemmas",
+        "lemma31_check-prof",
+        "splice_rank-second",
+        "theorem_check-second",
+        "complex_to_dict",
+        "dump_complex",
+    } <= labels
+    assert len(labels) >= 35
 
 
 # python -O strips assert statements, so the script reports by its exit code

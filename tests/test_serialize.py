@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splicerank.corpus import corpus
-from splicerank.errors import InputFormatError, ShapeMismatch
+from splicerank.errors import InputFormatError, ShapeMismatch, SpliceRankError
 from splicerank.gf2 import Gf2Matrix
 from splicerank.model import BifilteredComplex, Generator, random_complex
 from splicerank.serialize import complex_from_dict, complex_to_dict, dump_complex, load_complex
@@ -97,3 +97,59 @@ def test_file_that_is_not_utf8_json_raises_input_format_error(tmp_path, content)
     with pytest.raises(InputFormatError, match="not valid JSON") as err:
         load_complex(str(path))
     assert err.value.pointer == "/"
+
+
+# Any JSON value, and documents shaped like the format in which one field in
+# ten is any JSON value instead, so that the fuzz reaches past the first check.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+
+
+def _or_any(strategy):
+    return st.integers(0, 9).flatmap(lambda k: json_values if k == 0 else strategy)
+
+
+_ids = _or_any(st.sampled_from(["a", "b", "c"]))
+_grading = _or_any(st.integers(-2, 2))
+_drop = _or_any(st.integers(0, 2))
+_matrix = _or_any(
+    st.fixed_dictionaries(
+        {
+            "rows": _or_any(st.integers(0, 2)),
+            "cols": _or_any(st.integers(0, 2)),
+            "data": _or_any(st.lists(st.lists(_or_any(st.integers(0, 1)), max_size=3), max_size=3)),
+        }
+    )
+)
+documents = st.fixed_dictionaries(
+    {
+        "format": _or_any(st.just(1)),
+        "name": _or_any(st.text(max_size=4)),
+        "generators": _or_any(st.lists(_or_any(st.fixed_dictionaries({"id": _ids, "alexander": _grading})), max_size=4)),
+        "differential": _or_any(
+            st.lists(
+                _or_any(st.fixed_dictionaries({"from": _ids, "to": _ids, "drop_i": _drop, "drop_j": _drop})),
+                max_size=4,
+            )
+        ),
+    },
+    optional={
+        "symmetry": _or_any(st.lists(_or_any(st.lists(_ids, max_size=3)), max_size=3)),
+        "flip": _matrix,
+        "tau_override": _or_any(st.fixed_dictionaries({"tau0": _matrix, "tau1": _matrix, "tau_inf": _matrix})),
+    },
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(json_values | documents)
+def test_any_json_document_builds_a_complex_or_raises_a_typed_error(doc):
+    try:
+        out = complex_from_dict(doc)
+    except SpliceRankError:
+        return
+    assert isinstance(out, BifilteredComplex)
+

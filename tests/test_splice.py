@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
@@ -12,20 +12,12 @@ from hypothesis import strategies as st
 
 from splicerank import splice
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import (
-    apply_admissible,
-    direct_sum,
-    geometric_package,
-    random_admissible,
-    stats,
-    synthetic_package,
-)
+from splicerank.duality import PackageStats, geometric_package, stats
 from splicerank.errors import ShapeMismatch, WitnessNotInKernel
 from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.model import BifilteredComplex, hf_hat, mirror, random_complex
 from splicerank.splice import (
     build_D,
-    classify_S,
     kernel_witnesses,
     splice_rank,
     subspace_bounds,
@@ -41,6 +33,7 @@ from oracles import (
     reference_kernel_witnesses,
     torus_staircase,
 )
+from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
 
 
 def pkg(name: str):
@@ -213,9 +206,40 @@ def test_witness_bounds_synthetic_pairs():
         assert kernel_witnesses(p1, p2).bounds_hold
 
 
-def test_classify_S_paper_instances():
-    from splicerank.duality import PackageStats
+# -- the five violation cases ---------------------------------------------------
 
+
+@dataclass(frozen=True)
+class SCase:
+    s1: bool
+    s2: bool
+    s3: bool
+    s4: bool
+    s5: bool
+
+    @property
+    def satisfied(self) -> tuple[str, ...]:
+        return tuple(
+            name
+            for name, flag in zip(("S1", "S2", "S3", "S4", "S5"), (self.s1, self.s2, self.s3, self.s4, self.s5))
+            if flag
+        )
+
+
+def classify_S(st: PackageStats) -> SCase:
+    """Evaluate the five rank conditions on the second knot's statistics."""
+    a0, a1, ai = st.a0, st.a1, st.a_inf
+    r0, r1, ri = st.r0, st.r1, st.r_inf
+    return SCase(
+        s1=r0 <= r1 == ri == a1 == ai < a0,
+        s2=r0 == r1 == ai <= ri and ai < a1 and ai < a0,
+        s3=r0 == ri == a1 <= r1 and a1 < ai and a1 < a0,
+        s4=r0 == ai and ri == a0 and a1 >= a0 and a1 >= ai,
+        s5=r0 == a1 and r1 == a0 and ai >= a0 and ai >= a1,
+    )
+
+
+def test_classify_S_paper_instances():
     def fake_stats(a, r):
         return PackageStats(
             a[0], a[1], a[2], r[0], r[1], r[2],
@@ -241,12 +265,8 @@ def test_classify_S_matches_bruteforce_predicates():
             r0 == a1 and r1 == a0 and ai >= a0 and ai >= a1,
         )
 
-    from splicerank.duality import PackageStats
-
-    import itertools
-
-    for a0, a1, ai in itertools.product(range(4), repeat=3):
-        for r0, r1, ri in itertools.product(range(4), repeat=3):
+    for a0, a1, ai in product(range(4), repeat=3):
+        for r0, r1, ri in product(range(4), repeat=3):
             st = PackageStats(
                 a0, a1, ai, r0, r1, ri,
                 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
@@ -344,7 +364,7 @@ def test_rank_dimensions_match_kernel_bases(names):
     d = build_D(p1, p2).matrix
     rank = splice_rank(p1, p2)
     assert rank.ker == len(d.kernel_basis())
-    assert rank.coker == len(d.cokernel_basis())
+    assert rank.coker == len(d.transpose().kernel_basis())
     report = kernel_witnesses(p1, p2)
     assert (report.ker_dim, report.coker_dim) == (rank.ker, rank.coker)
 

@@ -8,10 +8,10 @@ import pytest
 
 from splicerank import surgery
 from splicerank.corpus import corpus
-from splicerank.errors import WindowNotStable
+from splicerank.errors import NormalizationFailure, WindowNotStable
 from splicerank.gf2 import Gf2Matrix
-from splicerank.homology import homology
-from splicerank.model import flip_map, hfk_hat_dims, hf_hat, random_complex
+from splicerank.homology import HomologySpace
+from splicerank.model import flip_map, hf_hat, random_complex
 from splicerank.surgery import PlaneStore, SurgeryTriple, total_package
 
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     ReferenceHomology,
     build_cone,
     h_number,
+    hfk_hat_dims,
     oracle_models,
     reference_level_maps,
     surgery_homology,
@@ -30,17 +31,17 @@ def test_unknot_cone_n0_acyclic():
     cone = build_cone(corpus("unknot"), 0, 0)
     assert cone.first.dim == 1 and cone.second.dim == 0
     assert cone.chain_map.dense() == [[1]]
-    from splicerank.homology import homology
+    from splicerank.homology import HomologySpace
 
-    assert homology(cone.cone).dim == 0
+    assert HomologySpace(cone.cone).dim == 0
 
 
 def test_unknot_cone_n1_rank_one():
     cone = build_cone(corpus("unknot"), 1, 0)
     assert cone.first.dim + cone.second.dim == 2
-    from splicerank.homology import homology
+    from splicerank.homology import HomologySpace
 
-    assert homology(cone.cone).dim == 1
+    assert HomologySpace(cone.cone).dim == 1
 
 
 def test_unknot_surgery_dims():
@@ -120,13 +121,38 @@ def test_exactness_failures_name_the_broken_nodes():
     # one at s = 0, where it maps Hinf(0) -> H0(-1)
     t = SurgeryTriple(corpus("trefoil_staircase"))
     for family, s in ((t.f0, 1), (t.fbar1, 0)):
-        family[s] = Gf2Matrix.zeros(family[s].rows, family[s].cols)
+        family[s] = Gf2Matrix(family[s].rows, family[s].cols)
     assert t.exactness_failures() == [
         "barred s=0: image/kernel gap at Hinf",
         "barred s=0: image/kernel gap at H0",
         "unbarred s=1: image/kernel gap at H1",
         "unbarred s=1: image/kernel gap at Hinf",
     ]
+
+
+def test_a_triple_that_is_not_exact_is_not_built(monkeypatch):
+    # the same two maps broken while the triple is built: construction
+    # raises with every broken node named, and total_package builds nothing
+    real = SurgeryTriple._build_triangle
+
+    def broken(self, s, names, lift):
+        real(self, s, names, lift)
+        for family, level in ((self.f0, 1), (self.fbar1, 0)):
+            if s == level and s in family:
+                family[s] = Gf2Matrix(family[s].rows, family[s].cols)
+
+    monkeypatch.setattr(SurgeryTriple, "_build_triangle", broken)
+    for build in (SurgeryTriple, total_package):
+        with pytest.raises(NormalizationFailure) as info:
+            build(corpus("trefoil_staircase"))
+        assert str(info.value) == "; ".join(
+            [
+                "barred s=0: image/kernel gap at Hinf",
+                "barred s=0: image/kernel gap at H0",
+                "unbarred s=1: image/kernel gap at H1",
+                "unbarred s=1: image/kernel gap at Hinf",
+            ]
+        )
 
 
 def test_rank_dimension_relations():
@@ -207,7 +233,7 @@ def test_homology_dim_matches_homology_inside_and_outside_the_window():
         lo, hi = c.grading_range()
         for s in range(lo - 4, hi + 5):
             for complex_ in (planes.cone(0, s).cone, planes.cone(1, s).cone, planes.spot(s)):
-                assert complex_.homology_dim() == homology(complex_).dim, (c.name, s)
+                assert complex_.homology_dim() == HomologySpace(complex_).dim, (c.name, s)
 
 
 def test_cone_homology_dim_matches_the_full_cone():
@@ -223,7 +249,7 @@ def test_cone_homology_dim_matches_the_full_cone():
 def test_zero_flip_is_caught_outside_the_window(monkeypatch):
     def zero_flip(complex_):
         flip = flip_map(complex_)
-        return replace(flip, matrix=Gf2Matrix.zeros(flip.matrix.rows, flip.matrix.cols))
+        return replace(flip, matrix=Gf2Matrix(flip.matrix.rows, flip.matrix.cols))
 
     monkeypatch.setattr(surgery, "flip_map", zero_flip)
     with pytest.raises(WindowNotStable, match=r"H_0\(-4\) nonzero outside window"):
