@@ -18,11 +18,13 @@ index k its attribute suffix, prev(k) and next(k):
   f_k = (0 0; I 0) carries the identity on a_k;
 - fbar_k = tau_prev(k)^-1 f_k tau_next(k), and X_k = B_next(k) B_k B_prev(k).
 
-A ``SurgeryPackage`` is its dims, its three tau maps and its three fbar maps;
-its blocks, X products and f maps are derived from them when it is built.
-An f map in normal form depends on the dims alone, so packages of one shape
-share it (``_normal_form``), and the checks that multiply by one read the
-product off the other factor's rows.
+A ``SurgeryPackage`` is its dims and its three tau maps; its blocks, X
+products and f maps are derived from them when it is built.  An f map in
+normal form depends on the dims alone, so packages of one shape share it
+(``_normal_form``), and the checks that multiply by one read the product off
+the other factor's rows.  The fbar maps are fixed by the relation above, so
+no package stores them; ``stats``, their only reader, reads each through
+its taus (see ``_pair_dims``).
 
 ``geometric_package`` keeps one entry per complex: the triple's
 ``SurgeryTotals`` and the ``TauMaps`` that have passed the barred-map
@@ -97,11 +99,12 @@ class BlockSet(NamedTuple):
 
 @dataclass(frozen=True)
 class SurgeryPackage:
-    """A normalised package: dims, tau maps and fbar maps.
+    """A normalised package: its dims and its tau maps, six defining fields.
 
     The blocks, X products and f maps are derived at construction, so
     ``dataclasses.replace`` derives them afresh; equality and hashing read
-    the nine defining fields.  A tau that is not square of size
+    the six defining fields.  fbar_k = tau_prev(k)^-1 f_k tau_next(k) is not
+    stored (see the module docstring).  A tau that is not square of size
     a_prev + a_next raises ``NormalizationFailure``.
     """
 
@@ -111,9 +114,6 @@ class SurgeryPackage:
     tau0: Gf2Matrix
     tau1: Gf2Matrix
     tau_inf: Gf2Matrix
-    fbar_inf: Gf2Matrix
-    fbar0: Gf2Matrix
-    fbar1: Gf2Matrix
     blocks0: BlockSet = field(init=False, compare=False)
     blocks1: BlockSet = field(init=False, compare=False)
     blocks_inf: BlockSet = field(init=False, compare=False)
@@ -134,11 +134,6 @@ class SurgeryPackage:
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a_inf)
-
-
-def _package(dims, taus, fbars) -> SurgeryPackage:
-    """The package of dims, taus and fbars given in table order."""
-    return SurgeryPackage(*dims, *taus, fbars[2], fbars[0], fbars[1])
 
 
 def _split_blocks(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
@@ -172,12 +167,6 @@ def _normal_form(bottom: int, a: int, top: int) -> Gf2Matrix:
     H_prev(k) = (a_next(k), a_k): one matrix per shape, which every package
     of that shape shares."""
     return Gf2Matrix(bottom + a, a + top, [0] * bottom + [1 << i for i in range(a)])
-
-
-def _normal_form_times(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
-    """The rows of _normal_form(bottom, a, top) @ m: bottom zero rows, then
-    m's first a rows."""
-    return (0,) * bottom + m.row_bits[:a]
 
 
 def _times_normal_form(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
@@ -282,8 +271,13 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     Basis recipe: pick complements W of Ker f0 in H1, U of Ker f_inf in H0 and
     Z1 of Im f0 in Hinf; then (Z1, f0 W), (U, f1 Z1), (W, f_inf U) are bases of
     Hinf, H0, H1 realizing all three normal forms at once.  Exactness of the
-    unbarred triangle is exactly what makes the loop close.
+    unbarred triangle is exactly what makes the loop close.  The totals'
+    fbar maps are not read: ``maps`` must already meet the barred-map
+    relations with these totals, as ``build_tau`` checks, and the package
+    derives its own fbar maps.
     """
+    require_type(SurgeryTotals, totals)
+    require_type(TauMaps, maps)
     f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
@@ -321,7 +315,6 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     return _change_bases(
         (a0, a1, a_inf),
         by_index(maps, "tau"),
-        by_index(totals, "fbar"),
         by_index(totals, "f"),
         g,
         g_inv,
@@ -329,22 +322,18 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     )
 
 
-def _change_bases(dims, taus, fbars, fs, g, g_inv, moved: str) -> SurgeryPackage:
+def _change_bases(dims, taus, fs, g, g_inv, moved: str) -> SurgeryPackage:
     """The verified package of these maps in the bases g_k of H_k.
 
-    tau_k becomes g_k^-1 tau_k g_k, and f_k and fbar_k, which map H_next(k)
-    to H_prev(k), become g_prev^-1 (.) g_next.  Each f_k must land on its
-    normal form nf_k, else NormalizationFailure(moved).  Every g_prev has
-    been inverted, so g_prev^-1 f_k g_next = nf_k exactly when
-    f_k g_next = g_prev nf_k; that is checked instead, with no product by
-    g_prev^-1 and g_prev nf_k read off g_prev's columns.  Every list is in
-    table order.
+    tau_k becomes g_k^-1 tau_k g_k, and f_k, which maps H_next(k) to
+    H_prev(k), must become its normal form nf_k = g_prev^-1 f_k g_next, else
+    NormalizationFailure(moved).  Every g_prev has been inverted, so that
+    holds exactly when f_k g_next = g_prev nf_k; that is checked instead,
+    with no product by g_prev^-1 and g_prev nf_k read off g_prev's columns.
+    The package derives its fbar maps from its taus and normal forms, so
+    no fbar map needs a base change.  Every list is in table order.
     """
-    p = _package(
-        dims,
-        [h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)],
-        [g_inv[prev] @ fbar @ g[nxt] for fbar, (_, _, prev, nxt) in zip(fbars, CYCLE)],
-    )
+    p = SurgeryPackage(*dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
     for f, a, (_, _, prev, nxt) in zip(fs, dims, CYCLE):
         if (f @ g[nxt]).row_bits != _times_normal_form(g[prev], dims[nxt], a):
             raise NormalizationFailure(moved)
@@ -355,18 +344,23 @@ def _change_bases(dims, taus, fbars, fs, g, g_inv, moved: str) -> SurgeryPackage
 def verify_package(p: SurgeryPackage) -> None:
     """All package axioms; raises NormalizationFailure with the first failure.
 
-    Two axioms are checked in an equivalent, cheaper form:
+    Each tau_k must be invertible, and tau_k^-1 must share tau_k's A, B and
+    D blocks.  That is checked in an equivalent, cheaper form: tau_k^-1 +
+    tau_k is zero outside the C block (rows from a_prev(k) on, columns below
+    a_prev(k)), one pass over the rows with no block cut.  Each X_k must
+    square to zero.
 
-    - tau_k^-1 shares tau_k's A, B and D blocks exactly when
-      tau_k^-1 + tau_k is zero outside the C block (rows from a_prev(k) on,
-      columns below a_prev(k)): one pass over the rows, and no block cut;
-    - fbar_k = tau_prev^-1 f_k tau_next holds exactly when
-      tau_prev fbar_k = f_k tau_next, as tau_prev is invertible (checked
-      first), and f_k tau_next, f_k in normal form, is tau_next's first a_k
-      rows below a_next(k) zero rows.
+    The barred maps need no check.  fbar_k = tau_prev(k)^-1 nf_k tau_next(k)
+    is derived, so its duality relation holds by definition.  For any dims,
+    nf_k nf_prev(k) = 0, as nf_prev(k) lands in the a_prev(k) rows of
+    H_next(k), which nf_k sends to zero; and rank nf_k + rank nf_prev(k) =
+    a_k + a_prev(k) = dim H_next(k).  As prev(prev(k)) = next(k),
+    fbar_k fbar_prev(k) = tau_prev(k)^-1 nf_k nf_prev(k) tau_k, and
+    conjugating by invertible taus keeps both the zero composite and the
+    ranks, so the barred triangle is exact.
     """
     require_type(SurgeryPackage, p)
-    dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
+    dims, taus = p.dims, by_index(p, "tau")
     for (suffix, _, prev, _), tau in zip(CYCLE, taus):
         try:
             inverse = tau.inverse().row_bits
@@ -379,17 +373,6 @@ def verify_package(p: SurgeryPackage) -> None:
         x = getattr(p, "X" + k.label)
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"X{k.label} does not square to zero")
-    for (suffix, _, prev, nxt), fbar, a in zip(CYCLE, fbars, dims):
-        want = _normal_form_times(taus[nxt], dims[nxt], a)
-        if (fbar.rows, fbar.cols) != (taus[prev].rows, taus[nxt].rows) or (taus[prev] @ fbar).row_bits != want:
-            raise NormalizationFailure(f"fbar{suffix} violates its duality relation")
-    # fbar_prev(k) maps into H_next(k), which fbar_k maps out of
-    ranks = [fbar.rank() for fbar in fbars]
-    for k, (_, _, prev, nxt) in enumerate(CYCLE):
-        if not (fbars[k] @ fbars[prev]).is_zero():
-            raise NormalizationFailure("barred triangle composite is nonzero")
-        if ranks[k] + ranks[prev] != taus[nxt].rows:
-            raise NormalizationFailure("barred triangle is not exact")
 
 
 _BUILT: weakref.WeakKeyDictionary[BifilteredComplex, tuple[SurgeryTotals, TauMaps]] = (
@@ -450,13 +433,18 @@ class PackageStats:
     y_inf: int
 
 
-def _pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
-    """(k, l, c, d) for one map pair, straight from the definitions."""
+def _pair_dims(f: Gf2Matrix, tau_f: tuple[int, ...], f_tau: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(k, l, c, d) for f_k and fbar_k = tau_prev^-1 f_k tau_next, given the
+    rows of tau_prev f_k and of f_k tau_next."""
     # Ker f ∩ Ker fbar is the kernel of f stacked on fbar, and Im f + Im fbar
-    # the column space of f beside fbar: all four come from ranks.
-    sum_rank = (f + fbar).rank()
-    k = f.cols - span_dim(f.row_bits + fbar.row_bits)
-    im_sum = span_dim(a | (b << f.cols) for a, b in zip(f.row_bits, fbar.row_bits))
+    # the column space of f beside fbar: all four come from ranks.  No rank
+    # changes when fbar, f + fbar or (f | fbar) is multiplied on the left by
+    # the invertible tau_prev, which makes them f tau_next,
+    # tau_prev f + f tau_next and (tau_prev f | f tau_next): no inverse and
+    # no dense product is needed.
+    sum_rank = span_dim(a ^ b for a, b in zip(tau_f, f_tau))
+    k = f.cols - span_dim(f.row_bits + f_tau)
+    im_sum = span_dim(a | (b << f.cols) for a, b in zip(tau_f, f_tau))
     l = f.cols - sum_rank - k
     c = f.rows - im_sum
     d = im_sum - sum_rank
@@ -464,11 +452,21 @@ def _pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
 
 
 def stats(p: SurgeryPackage) -> PackageStats:
-    """Direct subspace dimensions, cross-checked against the closed forms."""
+    """Direct subspace dimensions, cross-checked against the closed forms.
+
+    The pair dims read each fbar_k = tau_prev(k)^-1 f_k tau_next(k) through
+    tau_prev(k) f_k and f_k tau_next(k) (see ``_pair_dims``), so no fbar map
+    is formed.
+    """
     require_type(SurgeryPackage, p)
-    dims = p.dims
+    dims, taus = p.dims, by_index(p, "tau")
     r = [blocks.B.rank() for blocks in by_index(p, "blocks")]
-    k, l, c, d = zip(*map(_pair_dims, by_index(p, "f"), by_index(p, "fbar")))
+    k, l, c, d = zip(
+        *(
+            _pair_dims(f, _times_normal_form(taus[prev], dims[nxt], a), (f @ taus[nxt]).row_bits)
+            for f, a, (_, _, prev, nxt) in zip(by_index(p, "f"), dims, CYCLE)
+        )
+    )
 
     closed = (
         ("k", k, [dims[prev] - r[nxt] for _, _, prev, nxt in CYCLE]),

@@ -16,12 +16,7 @@ def require_square_zero(boundary: Gf2Matrix) -> None:
     # bits of row r
     rows = boundary.row_bits
     for b in rows:
-        acc = 0
-        while b:
-            low = b & -b
-            acc ^= rows[low.bit_length() - 1]
-            b ^= low
-        if acc:
+        if xor_columns(rows, b):
             raise NotAComplex("boundary does not square to zero")
 
 

@@ -247,7 +247,7 @@ def sigma_chain_map(
     sigma = complex_.symmetry
     if sigma is None:
         raise NoFlipData(f"complex {complex_.name!r} has no basis symmetry")
-    target_index = {label: k for k, label in enumerate(target.basis)}
+    target_index = target.index
     entries = []
     for col, (x, i, j) in enumerate(source.basis):
         image = (sigma[x], j, i)

@@ -282,6 +282,7 @@ def kernel_witnesses(
     ``checked`` without being built.  The nonzero ones are checked in pair
     order, so a failure names the first offending pair.
     """
+    require_type(PackageStats, *(st for st in (st1, st2) if st is not None))
     st1 = st1 or stats(p1)
     st2 = st2 or stats(p2)
     d = build_D(p1, p2).matrix

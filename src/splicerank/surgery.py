@@ -49,9 +49,10 @@ boundary, which it assembles as ``cone`` does.
 
 ``SurgeryTriple.totals`` is the only part of a triple that outlives the call
 that built it: a small ``SurgeryTotals`` of the six total maps and the three
-total dimensions, all that ``duality.normalize`` reads, which ``duality``
-keeps per knot.  The cones, the planes and the homology spaces go with the
-triple.
+total dimensions, which ``duality`` keeps per knot.  ``duality.normalize``
+reads the three f maps and the dimensions; the three fbar maps are read only
+by ``duality._check_tau_relations``, once per knot, to check the duality
+maps.  The cones, the planes and the homology spaces go with the triple.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ _TRIANGLES = (
 
 class SurgeryTotals(NamedTuple):
     """The total triangle maps over the window, and the total dimensions of
-    H0, H1 and Hinf: all that normalization reads from a triple.  Immutable
+    H0, H1 and Hinf: all that the duality maps and normalization read from a
+    triple.  Normalization reads the f maps and the dimensions; the fbar maps
+    are read only to check the duality maps' barred-map relations.  Immutable
     like a frozen dataclass, and cheaper to define at import."""
 
     f_inf: Gf2Matrix  # H0 -> H1

@@ -309,10 +309,14 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     return tau0, tau1, tau_inf
 
 
-def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
+def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> tuple[SurgeryPackage, tuple[Gf2Matrix, ...]]:
     """``duality.normalize`` with each complement taken greedily by a
     ``SpanSolver``: W of Ker f0 in H1, U of Ker f_inf in H0 and Z1 of Im f0
-    in Hinf, and every map conjugated by the inverse of a basis change."""
+    in Hinf, and every map conjugated by the inverse of a basis change.
+
+    Returns the package and, beside it, the totals' fbar maps conjugated as
+    g_prev^-1 fbar_k g_next, in table order (fbar0, fbar1, fbar_inf), which
+    the package's derived fbar maps must equal."""
 
     def complement(vectors: list[int], dim: int) -> list[int]:
         solver = SpanSolver(vectors)
@@ -327,17 +331,15 @@ def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     g1 = Gf2Matrix.from_columns([1 << i for i in w] + [mul_vec(f_inf, 1 << i) for i in u], totals.n1)
     g_inf = Gf2Matrix.from_columns([1 << i for i in z1] + image_f0, totals.n_inf)
     i0, i1, i_inf = g0.inverse(), g1.inverse(), g_inf.inverse()
-    return SurgeryPackage(
+    package = SurgeryPackage(
         len(w),
         totals.n0 - len(u),
         len(u),
         i0 @ maps.tau0 @ g0,
         i1 @ maps.tau1 @ g1,
         i_inf @ maps.tau_inf @ g_inf,
-        i1 @ totals.fbar_inf @ g0,
-        i_inf @ totals.fbar0 @ g1,
-        i0 @ totals.fbar1 @ g_inf,
     )
+    return package, (i_inf @ totals.fbar0 @ g1, i0 @ totals.fbar1 @ g_inf, i1 @ totals.fbar_inf @ g0)
 
 
 def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
@@ -373,32 +375,29 @@ def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
 
 def reference_verify_package(p: SurgeryPackage) -> None:
     """``duality.verify_package`` as it first was: the inverse's A, B and D
-    blocks cut out and compared with tau's, and each fbar_k compared with
-    tau_prev^-1 f_k tau_next."""
-    dims, taus, fbars = p.dims, by_index(p, "tau"), by_index(p, "fbar")
-    inverses = []
-    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, taus, by_index(p, "blocks")):
+    blocks cut out and compared with tau's."""
+    dims = p.dims
+    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, by_index(p, "tau"), by_index(p, "blocks")):
         try:
-            inverses.append(tau.inverse())
+            inverse = tau.inverse()
         except ShapeMismatch as exc:
             raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
-        if _split_blocks(inverses[-1], dims[prev], dims[nxt]) != blocks:
+        if _split_blocks(inverse, dims[prev], dims[nxt]) != blocks:
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
     for k in CYCLE:
         x = getattr(p, "X" + k.label)
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"X{k.label} does not square to zero")
-    barred = [inverses[prev] @ f @ taus[nxt] for f, (_, _, prev, nxt) in zip(by_index(p, "f"), CYCLE)]
-    for k, fbar, want in zip(CYCLE, fbars, barred):
-        if fbar != want:
-            raise NormalizationFailure(f"fbar{k.suffix} violates its duality relation")
-    # fbar_prev(k) maps into H_next(k), which fbar_k maps out of
-    ranks = [fbar.rank() for fbar in fbars]
-    for k, (_, _, prev, nxt) in enumerate(CYCLE):
-        if not (fbars[k] @ fbars[prev]).is_zero():
-            raise NormalizationFailure("barred triangle composite is nonzero")
-        if ranks[k] + ranks[prev] != taus[nxt].rows:
-            raise NormalizationFailure("barred triangle is not exact")
+
+
+def reference_pair_dims(f: Gf2Matrix, fbar: Gf2Matrix) -> tuple[int, int, int, int]:
+    """(k, l, c, d) of ``duality.stats`` for one map pair, straight from the
+    definitions on fbar itself: k = dim(Ker f ∩ Ker fbar), l = dim Ker(f + fbar)
+    - k, c = codim(Im f + Im fbar) and d = dim(Im f + Im fbar) - rank(f + fbar)."""
+    sum_rank = (f + fbar).rank()
+    k = len(BlockGrid((f.rows, fbar.rows), (f.cols,), {(0, 0): f, (1, 0): fbar}).assemble().kernel_basis())
+    im_sum = BlockGrid((f.rows,), (f.cols, fbar.cols), {(0, 0): f, (0, 1): fbar}).assemble().rank()
+    return k, f.cols - sum_rank - k, f.rows - im_sum, im_sum - sum_rank
 
 
 def kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

@@ -10,6 +10,9 @@ string, seed and draw order is kept, and
 ``test_packages.py::test_moved_generators_draw_what_the_library_drew``
 pins the packages with a digest taken from the library code.  They reach
 into ``duality`` for the private helpers a package is built with.
+
+A package is its dims and its three tau maps; ``derived_fbars`` gives its
+fbar maps, which no package stores.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from splicerank.duality import (
     _barred,
     _change_bases,
     _derive,
-    _package,
     _split_blocks,
     by_index,
     verify_package,
@@ -81,7 +83,6 @@ def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPack
     return _change_bases(
         p.dims,
         by_index(p, "tau"),
-        by_index(p, "fbar"),
         by_index(p, "f"),
         g,
         g_inv,
@@ -109,19 +110,18 @@ def _block_sum(m: Gf2Matrix, n: Gf2Matrix, m_split: tuple[int, int], n_split: tu
 def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
     """The package of p and q side by side.
 
-    Each tau and each fbar is block-summed along the splits of the f maps
+    Each tau is block-summed along the splits of the f maps
     (H_k = (a_prev(k), a_next(k)), see ``CYCLE``), so the summed f maps keep
-    the form (0 0; I 0) and the sum passes ``verify_package``.
+    the form (0 0; I 0) and the sum passes ``verify_package``.  The derived
+    fbar maps of the sum are then the block sums of p's and q's.
     """
     require_type(SurgeryPackage, p, q)
     dp, dq = p.dims, q.dims
-    taus, fbars = [], []
-    maps = zip(CYCLE, by_index(p, "tau"), by_index(q, "tau"), by_index(p, "fbar"), by_index(q, "fbar"))
-    for k, ((_, _, prev, nxt), tau_p, tau_q, fbar_p, fbar_q) in enumerate(maps):
-        taus.append(_block_sum(tau_p, tau_q, (dp[prev], dp[prev]), (dq[prev], dq[prev])))
-        # fbar_k maps H_next(k), whose top part is a_k, to H_prev(k), whose top is a_next(k)
-        fbars.append(_block_sum(fbar_p, fbar_q, (dp[nxt], dp[k]), (dq[nxt], dq[k])))
-    out = _package([a + b for a, b in zip(dp, dq)], taus, fbars)
+    taus = [
+        _block_sum(tau_p, tau_q, (dp[prev], dp[prev]), (dq[prev], dq[prev]))
+        for (_, _, prev, _), tau_p, tau_q in zip(CYCLE, by_index(p, "tau"), by_index(q, "tau"))
+    ]
+    out = SurgeryPackage(*(a + b for a, b in zip(dp, dq)), *taus)
     verify_package(out)
     return out
 
@@ -157,7 +157,7 @@ def _twist(rng: random.Random, tau: Gf2Matrix, top: int, bottom: int) -> Gf2Matr
 
 
 def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
-    """Random package with the stated dims; barred maps defined by the relations.
+    """Random package with the stated dims, made of its dims and taus alone.
 
     Rejection-samples duality maps until the three cyclic B products square to
     zero; raises SamplingExhausted after a documented retry budget, and
@@ -173,12 +173,19 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
         for _, _, prev, nxt in CYCLE:
             top, bottom = dims[prev], dims[nxt]
             taus.append(_twist(rng, _random_involution(rng, top + bottom), top, bottom))
-        _, xs, fs = _derive(dims, taus)
+        _, xs, _ = _derive(dims, taus)
         if not all((x @ x).is_zero() for x in xs):
             continue
-        p = _package(dims, taus, _barred(fs, taus, [tau.inverse() for tau in taus]))
+        p = SurgeryPackage(*dims, *taus)
         verify_package(p)
         return p
     raise SamplingExhausted(
         f"no synthetic package at dims {dims} after {SYNTHETIC_RETRY_BUDGET} draws"
     )
+
+
+def derived_fbars(p: SurgeryPackage) -> list[Gf2Matrix]:
+    """p's fbar maps, fbar_k = tau_prev(k)^-1 f_k tau_next(k), in table order,
+    derived as ``duality._check_tau_relations`` derives the expected ones."""
+    taus = by_index(p, "tau")
+    return _barred(by_index(p, "f"), taus, [tau.inverse() for tau in taus])

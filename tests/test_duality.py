@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
+    CYCLE,
     TauMaps,
     _geometric_tau,
     build_tau,
+    by_index,
     geometric_package,
     normalize,
     stats,
@@ -34,10 +36,11 @@ from oracles import (
     reference_geometric_tau,
     reference_normalize,
     reference_package_parts,
+    reference_pair_dims,
     reference_verify_package,
     torus_staircase,
 )
-from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
+from packages import apply_admissible, derived_fbars, direct_sum, random_admissible, synthetic_package
 
 
 def test_unknot_package_dims_and_blocks():
@@ -124,6 +127,30 @@ def test_derived_fields_match_the_per_index_reference(p):
     assert {name: getattr(p, name) for name in want} == want
 
 
+@settings(max_examples=60)
+@given(packages)
+def test_derived_fbars_satisfy_the_relations_verify_package_leaves_out(p):
+    # verify_package does not check the barred maps: the derived fbar_k
+    # meets its duality relation, and the barred triangle is exact, for
+    # every package (see its docstring)
+    taus, fs, fbars = by_index(p, "tau"), by_index(p, "f"), derived_fbars(p)
+    ranks = [fbar.rank() for fbar in fbars]
+    for k, (_, _, prev, nxt) in enumerate(CYCLE):
+        assert taus[prev] @ fbars[k] == fs[k] @ taus[nxt]
+        assert (fbars[k] @ fbars[prev]).is_zero()
+        assert ranks[k] + ranks[prev] == taus[nxt].rows
+
+
+@settings(max_examples=60)
+@given(packages)
+def test_stats_reads_the_derived_fbars_through_the_taus(p):
+    # stats never forms fbar_k; its k, l, c and d are those of f_k and the
+    # derived fbar_k themselves
+    want = zip(*map(reference_pair_dims, by_index(p, "f"), derived_fbars(p)))
+    st = stats(p)
+    assert [by_index(st, stem) for stem in "klcd"] == list(want)
+
+
 def _verdict(verify, p) -> str | None:
     """The first failure verify reports for p, or None if p passes."""
     try:
@@ -147,8 +174,8 @@ def test_verify_package_agrees_with_the_reference(p):
 
 
 def test_verify_package_rejects_each_bit_flip_as_the_reference_does():
-    # every single-bit change to a tau or an fbar of a small package: the
-    # leaner checks accept and reject the same packages, with the same first
+    # every single-bit change to a tau of a small package: the leaner
+    # checks accept and reject the same packages, with the same first
     # failure, as the ones that cut every block out
     small = [geometric_package(corpus(name)) for name in ("trefoil_staircase", "trefoil_staircase_mirror", "fig8_box")]
     small += [geometric_package(random_complex(2))]
@@ -156,29 +183,44 @@ def test_verify_package_rejects_each_bit_flip_as_the_reference_does():
     small += [direct_sum(small[0], small[4]), apply_admissible(small[2], random_admissible(3, small[2].dims))]
     seen = Counter()
     for p in small:
-        for name in ("tau0", "tau1", "tau_inf", "fbar0", "fbar1", "fbar_inf"):
+        for name in ("tau0", "tau1", "tau_inf"):
             m = getattr(p, name)
             for r, c in product(range(m.rows), range(m.cols)):
                 q = replace(p, **{name: _flipped(m, r, c)})
                 got = _verdict(verify_package, q)
                 assert got == _verdict(reference_verify_package, q), (p.dims, name, r, c)
                 seen[" ".join(got.split()[1:3]) if got else None] += 1
-    # the flips reach a singular tau, an inverse with other blocks, an X and
-    # a broken duality relation, and some keep a valid package; a barred
-    # triangle that is not exact cannot follow from one flip once the
-    # relations hold
-    assert set(seen) == {"is singular:", "inverse does", "does not", "violates its", None}
+    # the flips reach a singular tau, an inverse with other blocks and an X
+    # that does not square to zero, and some keep a valid package
+    assert set(seen) == {"is singular:", "inverse does", "does not", None}
+
+
+def _unbarred_exact(totals: SurgeryTotals) -> bool:
+    """Whether f_k f_prev(k) = 0 and rank f_k + rank f_prev(k) = dim H_next(k)
+    at every index."""
+    fs, ns = by_index(totals, "f"), by_index(totals, "n")
+    return all(
+        (fs[k] @ fs[prev]).is_zero() and fs[k].rank() + fs[prev].rank() == ns[nxt]
+        for k, (_, _, prev, nxt) in enumerate(CYCLE)
+    )
 
 
 def test_a_one_bit_change_to_a_total_f_fails_normalization():
+    # a flipped f breaks the barred-map relations, which build_tau checks
+    # once per knot before any normalize.  normalize itself reads no fbar:
+    # it rejects every flip that leaves the unbarred triangle inexact
     for c in [corpus(name) for name in ("trefoil_staircase", "fig8_box", "t25_staircase")] + [random_complex(2)]:
         triple = total_package(c)
         totals, maps = triple.totals, build_tau(c, triple)
         for name in ("f0", "f1", "f_inf"):
             m = getattr(totals, name)
             for r, col in product(range(m.rows), range(m.cols)):
-                with pytest.raises(NormalizationFailure):
-                    normalize(totals._replace(**{name: _flipped(m, r, col)}), maps)
+                bad = totals._replace(**{name: _flipped(m, r, col)})
+                with pytest.raises(TauRelationFailure):
+                    duality._check_tau_relations(bad, maps)
+                if not _unbarred_exact(bad):
+                    with pytest.raises(NormalizationFailure):
+                        normalize(bad, maps)
 
 
 def test_block_shapes_across_corpus():
@@ -342,7 +384,11 @@ def test_normalize_matches_the_greedy_complement_reference():
     for c in knots:
         triple = total_package(c)
         totals, maps = triple.totals, build_tau(c, triple)
-        assert normalize(totals, maps) == reference_normalize(totals, maps), c.name
+        p = normalize(totals, maps)
+        want, fbars = reference_normalize(totals, maps)
+        assert p == want, c.name
+        # fbar_k derived from the normal form is the conjugated total fbar_k
+        assert tuple(derived_fbars(p)) == fbars, c.name
     assert len(knots) >= 42
 
 
@@ -490,8 +536,10 @@ def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
 def test_warm_geometric_package_operation_budget(memo, monkeypatch):
     # a warm call normalises and verifies one package: its normal-form f
     # maps come from the per-shape cache, the inverse's blocks are compared
-    # without a cut, and no other operation may exceed these counts
-    ceiling = {"__matmul__": 30, "inverse": 6, "rank": 6, "kernel_basis": 0, "submatrix": 9, "assemble": 0}
+    # without a cut, no fbar map is built, and no operation may exceed these
+    # counts.  @: 6 for the tau conjugations, 3 f g checks, 6 for the X
+    # products and 3 for X^2; inverse: 3 basis changes and 3 taus
+    ceiling = {"__matmul__": 18, "inverse": 6, "rank": 0, "kernel_basis": 0, "submatrix": 9, "assemble": 0}
     knots = [corpus(name) for name in ("trefoil_staircase", "t34_staircase", "fig8_box")]
     for c in knots:
         geometric_package(c)

@@ -16,12 +16,12 @@ import pytest
 import splicerank
 from splicerank import duality, filtration, model, surgery
 from splicerank.corpus import corpus
-from splicerank.duality import SurgeryPackage
+from splicerank.duality import PackageStats, SurgeryPackage, TauMaps
 from splicerank.errors import ShapeMismatch
 from splicerank.filtration import FiltrationProfile
 from splicerank.homology import ChainComplexF2
 from splicerank.model import BifilteredComplex
-from splicerank.surgery import SurgeryTriple
+from splicerank.surgery import SurgeryTotals, SurgeryTriple
 
 
 # The pipeline's stage objects: a public function or constructor that takes
@@ -29,7 +29,15 @@ from splicerank.surgery import SurgeryTriple
 # the surface test fills with a bad value.  The GF(2), chain-complex and
 # label helpers underneath take matrices and plain values; test_gf2 covers
 # the matrix operands.
-LIBRARY_TYPES = (BifilteredComplex, SurgeryTriple, SurgeryPackage, FiltrationProfile)
+LIBRARY_TYPES = (
+    BifilteredComplex,
+    SurgeryTriple,
+    SurgeryTotals,
+    TauMaps,
+    SurgeryPackage,
+    PackageStats,
+    FiltrationProfile,
+)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -97,10 +105,15 @@ CASES = [
 def good(tmp_path_factory) -> dict:
     """A valid value for each parameter type, and a path to write to."""
     c = corpus("trefoil_staircase")
+    triple = surgery.total_package(c)
+    package = duality.geometric_package(c, triple)
     return {
         BifilteredComplex: c,
-        SurgeryTriple: surgery.total_package(c),
-        SurgeryPackage: duality.geometric_package(c),
+        SurgeryTriple: triple,
+        SurgeryTotals: triple.totals,
+        TauMaps: duality.build_tau(c, triple),
+        SurgeryPackage: package,
+        PackageStats: duality.stats(package),
         FiltrationProfile: filtration.profile(c),
         ChainComplexF2: model.plane_i0(c),
         str: str(tmp_path_factory.mktemp("dump") / "out.json"),
@@ -143,6 +156,10 @@ def test_the_surface_covers_every_entry_point():
         "build_tau-triple",
         "check_all_lemmas",
         "lemma31_check-prof",
+        "normalize",
+        "normalize-maps",
+        "kernel_witnesses-st1",
+        "kernel_witnesses-st2",
         "splice_rank-second",
         "theorem_check-second",
         "complex_to_dict",

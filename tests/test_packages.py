@@ -11,7 +11,7 @@ from splicerank.corpus import corpus
 from splicerank.duality import SurgeryPackage, geometric_package
 from splicerank.errors import ShapeMismatch
 
-from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
+from packages import apply_admissible, derived_fbars, direct_sum, random_admissible, synthetic_package
 
 # Named, not listed from the data directory, so the digest stays put when the
 # corpus grows.
@@ -27,16 +27,19 @@ KNOTS = (
     "trefoil_staircase_mirror",
     "unknot",
 )
-MAPS = ("tau0", "tau1", "tau_inf", "fbar_inf", "fbar0", "fbar1")
-
 # sha256 of ``drawn()``, taken when the generators were still library code
 # (splicerank.duality), before they moved to tests/packages.py.
 DRAWN_DIGEST = "b8a813e213c273f3287a357476d5cb135561f65050523d3a50510ff9217df89a"
 
 
 def _key(p: SurgeryPackage) -> tuple:
-    """A package's defining fields, as plain tuples of ints."""
-    return (p.dims, tuple((m.rows, m.cols, m.row_bits) for m in (getattr(p, name) for name in MAPS)))
+    """A package's dims, tau maps and fbar maps, as plain tuples of ints.
+
+    The fbar maps are derived, and listed in the digest's order: fbar_inf,
+    fbar0, fbar1."""
+    fbar0, fbar1, fbar_inf = derived_fbars(p)
+    maps = (p.tau0, p.tau1, p.tau_inf, fbar_inf, fbar0, fbar1)
+    return (p.dims, tuple((m.rows, m.cols, m.row_bits) for m in maps))
 
 
 def drawn() -> list[tuple]:
