@@ -26,15 +26,20 @@ the other factor's rows.  The fbar maps are fixed by the relation above, so
 no package stores them; ``stats``, their only reader, reads each through
 its taus (see ``_pair_dims``).
 
-``geometric_package`` keeps one entry per complex: the triple's
-``SurgeryTotals`` and the ``TauMaps`` that have passed the barred-map
-relations, the two things ``normalize`` reads.  It keeps no triple, cone,
-plane or homology space.  The memo is a ``weakref.WeakKeyDictionary`` keyed
-on the complex itself, which is immutable, hashable and valid by
-construction, so a lookup checks only the argument's type, an equal complex
-hits the same entry and an entry dies with its complex; nothing in an entry
-refers back to the complex.  ``normalize`` and ``verify_package`` run on
-every call, so every caller gets a freshly normalised and verified package.
+``geometric_package`` keeps one entry per complex: its ``NormalBasis``,
+the duality maps that have passed the barred-map relations beside the
+bases g_k that put the triangle maps in normal form and their inverses.
+All the work that reads the totals is done once, in ``normal_basis``: the
+pivots and complements, the basis matrices and their inverses, the rank
+bookkeeping and the check that each f_k reaches its normal form.  The memo
+keeps no totals, triple, cone, plane or homology space.  It is a
+``weakref.WeakKeyDictionary`` keyed on the complex itself, which is
+immutable, hashable and valid by construction, so a lookup checks only the
+argument's type, an equal complex hits the same entry and an entry dies
+with its complex; nothing in an entry refers back to the complex.  Every
+call runs ``normalize``, which conjugates the taus into the bases, builds
+the package (its blocks and X products) and runs ``verify_package``, so
+every caller gets a freshly normalised and verified package.
 """
 
 from __future__ import annotations
@@ -188,7 +193,8 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
     """Duality maps on the raw total surgery homologies.
 
     Prefers an explicit override from the input; otherwise requires the basis
-    symmetry.  The three barred-map relations are verified in either case.
+    symmetry.  ``normal_basis`` checks the three barred-map relations in
+    either case.
     """
     require_type(BifilteredComplex, complex_)
     require_type(SurgeryTriple, triple)
@@ -207,7 +213,6 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
         maps = TauMaps(*geometric, "geometric")
     else:
         raise NoFlipData(f"complex {complex_.name!r} has neither symmetry nor tau override")
-    _check_tau_relations(triple.totals, maps)
     return maps
 
 
@@ -265,19 +270,33 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 # -- normalization ------------------------------------------------------------
 
 
-def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
+class NormalBasis(NamedTuple):
+    """One knot's checked duality maps and the bases that put its triangle
+    maps in normal form: g_k, whose columns are a basis of H_k, and g_k^-1,
+    in table order, with the dims (a0, a1, a_inf).  ``normal_basis`` builds
+    one from totals that the maps meet the barred-map relations with.  A
+    NamedTuple, like ``SurgeryTotals``, as it is cheaper to define at import."""
+
+    maps: TauMaps
+    dims: tuple[int, int, int]
+    g: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+    g_inv: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+
+
+def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
     """Simultaneous bases putting all three triangle maps in the form (0 0; I 0).
+
+    The maps must meet the barred-map relations with these totals, and are
+    checked here, so no basis holds maps of other totals.
 
     Basis recipe: pick complements W of Ker f0 in H1, U of Ker f_inf in H0 and
     Z1 of Im f0 in Hinf; then (Z1, f0 W), (U, f1 Z1), (W, f_inf U) are bases of
     Hinf, H0, H1 realizing all three normal forms at once.  Exactness of the
-    unbarred triangle is exactly what makes the loop close.  The totals'
-    fbar maps are not read: ``maps`` must already meet the barred-map
-    relations with these totals, as ``build_tau`` checks, and the package
-    derives its own fbar maps.
+    unbarred triangle is exactly what makes the loop close.
     """
     require_type(SurgeryTotals, totals)
     require_type(TauMaps, maps)
+    _check_tau_relations(totals, maps)
     f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
@@ -304,7 +323,7 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
             Gf2Matrix.from_columns(g1_cols, n1),
             Gf2Matrix.from_columns(g_inf_cols, ninf),
         )
-        g_inv = [m.inverse() for m in g]
+        g_inv = tuple([m.inverse() for m in g])
     except ShapeMismatch as exc:
         raise NormalizationFailure(f"normal-form basis is not a basis: {exc}") from exc
 
@@ -312,31 +331,30 @@ def normalize(totals: SurgeryTotals, maps: TauMaps) -> SurgeryPackage:
     a0 = len(w)
     if ninf - len(z1) != a0 or n1 - a0 != a_inf:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
-    return _change_bases(
-        (a0, a1, a_inf),
-        by_index(maps, "tau"),
-        by_index(totals, "f"),
-        g,
-        g_inv,
-        "triangle maps do not reach the normal form",
-    )
+    dims = (a0, a1, a_inf)
+    _check_normal_form(dims, by_index(totals, "f"), g, "triangle maps do not reach the normal form")
+    return NormalBasis(maps, dims, g, g_inv)
 
 
-def _change_bases(dims, taus, fs, g, g_inv, moved: str) -> SurgeryPackage:
-    """The verified package of these maps in the bases g_k of H_k.
-
-    tau_k becomes g_k^-1 tau_k g_k, and f_k, which maps H_next(k) to
-    H_prev(k), must become its normal form nf_k = g_prev^-1 f_k g_next, else
-    NormalizationFailure(moved).  Every g_prev has been inverted, so that
-    holds exactly when f_k g_next = g_prev nf_k; that is checked instead,
-    with no product by g_prev^-1 and g_prev nf_k read off g_prev's columns.
-    The package derives its fbar maps from its taus and normal forms, so
-    no fbar map needs a base change.  Every list is in table order.
-    """
-    p = SurgeryPackage(*dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
+def _check_normal_form(dims, fs, g, moved: str) -> None:
+    """f_k, which maps H_next(k) to H_prev(k), must become its normal form
+    nf_k = g_prev^-1 f_k g_next in the bases g_k of H_k, else
+    NormalizationFailure(moved).  Every g_prev is invertible, so that holds
+    exactly when f_k g_next = g_prev nf_k; that is checked instead, with no
+    product by g_prev^-1 and g_prev nf_k read off g_prev's columns.  Every
+    list is in table order."""
     for f, a, (_, _, prev, nxt) in zip(fs, dims, CYCLE):
         if (f @ g[nxt]).row_bits != _times_normal_form(g[prev], dims[nxt], a):
             raise NormalizationFailure(moved)
+
+
+def normalize(basis: NormalBasis) -> SurgeryPackage:
+    """The knot's package, built and verified afresh on every call: tau_k
+    becomes g_k^-1 tau_k g_k.  The package derives its fbar maps from its
+    taus and normal forms, so no fbar map needs a base change."""
+    require_type(NormalBasis, basis)
+    taus = by_index(basis.maps, "tau")
+    p = SurgeryPackage(*basis.dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(taus, basis.g, basis.g_inv)])
     verify_package(p)
     return p
 
@@ -344,11 +362,19 @@ def _change_bases(dims, taus, fs, g, g_inv, moved: str) -> SurgeryPackage:
 def verify_package(p: SurgeryPackage) -> None:
     """All package axioms; raises NormalizationFailure with the first failure.
 
-    Each tau_k must be invertible, and tau_k^-1 must share tau_k's A, B and
-    D blocks.  That is checked in an equivalent, cheaper form: tau_k^-1 +
-    tau_k is zero outside the C block (rows from a_prev(k) on, columns below
-    a_prev(k)), one pass over the rows with no block cut.  Each X_k must
-    square to zero.
+    Each tau_k = (A B; C D), cut at a_prev(k), must be invertible with an
+    inverse (A B; C' D) that shares its A, B and D blocks.  That holds
+    exactly when tau_k^2 + I is zero outside its C block (rows from
+    a_prev(k) on, columns below a_prev(k)), so no inverse is formed unless
+    that test fails, and then only to tell a singular tau_k from one whose
+    inverse has other blocks.  Proof: if tau^-1 = tau + N with
+    N = (0 0; E 0), then tau^2 + I = tau N = (B E 0; D E 0) and also
+    = N tau = (0 0; E A E B), so it is (0 0; D E 0).  Conversely, let
+    tau^2 + I = M = (0 0; F 0).  Then M^2 = 0, so tau^2 = I + M is its own
+    inverse and tau^-1 = tau (I + M) = tau + tau M.  As tau commutes with
+    tau^2, tau M = M tau, which reads (B F 0; D F 0) = (0 0; F A F B); so
+    B F = 0, and tau^-1 differs from tau in the C block alone.  (The test
+    B F = 0 is thus implied, not checked.)  Each X_k must square to zero.
 
     The barred maps need no check.  fbar_k = tau_prev(k)^-1 nf_k tau_next(k)
     is derived, so its duality relation holds by definition.  For any dims,
@@ -362,12 +388,13 @@ def verify_package(p: SurgeryPackage) -> None:
     require_type(SurgeryPackage, p)
     dims, taus = p.dims, by_index(p, "tau")
     for (suffix, _, prev, _), tau in zip(CYCLE, taus):
-        try:
-            inverse = tau.inverse().row_bits
-        except ShapeMismatch as exc:
-            raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
-        top, rows = dims[prev], tau.row_bits
-        if inverse[:top] != rows[:top] or any((x ^ y) >> top for x, y in zip(inverse[top:], rows[top:])):
+        top = dims[prev]
+        s = [row ^ (1 << i) for i, row in enumerate((tau @ tau).row_bits)]
+        if any(s[:top]) or any(row >> top for row in s[top:]):
+            try:
+                tau.inverse()
+            except ShapeMismatch as exc:
+                raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
     for k in CYCLE:
         x = getattr(p, "X" + k.label)
@@ -375,18 +402,15 @@ def verify_package(p: SurgeryPackage) -> None:
             raise NormalizationFailure(f"X{k.label} does not square to zero")
 
 
-_BUILT: weakref.WeakKeyDictionary[BifilteredComplex, tuple[SurgeryTotals, TauMaps]] = (
-    weakref.WeakKeyDictionary()
-)
+_BUILT: weakref.WeakKeyDictionary[BifilteredComplex, NormalBasis] = weakref.WeakKeyDictionary()
 
 
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
     """Full pipeline: surgery triple, duality maps, normalized package.
 
-    The totals and duality maps come from the memo (see the module
-    docstring) or, on the first call for a complex, from ``triple`` or a
-    fresh ``total_package``; a triple of another complex raises
-    ``ShapeMismatch``.
+    The normal-form basis comes from the memo (see the module docstring)
+    or, on the first call for a complex, from ``triple`` or a fresh
+    ``total_package``; a triple of another complex raises ``ShapeMismatch``.
     """
     require_type(BifilteredComplex, complex_)
     if triple is not None:
@@ -397,9 +421,8 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
     if built is None:
         if triple is None:
             triple = total_package(complex_)
-        built = _BUILT[complex_] = (triple.totals, build_tau(complex_, triple))
-    totals, maps = built
-    return normalize(totals, maps)
+        built = _BUILT[complex_] = normal_basis(triple.totals, build_tau(complex_, triple))
+    return normalize(built)
 
 
 # -- statistics ---------------------------------------------------------------

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
-from .errors import NotAComplex, ShapeMismatch
+from .errors import NotAComplex, ShapeMismatch, require_type
 from .gf2 import Gf2Matrix, bits_of, low_pivots, reduce, xor_columns
 
 
 def require_square_zero(boundary: Gf2Matrix) -> None:
     """Raise ``NotAComplex`` unless boundary @ boundary = 0."""
+    require_type(Gf2Matrix, boundary)
     # one row at a time: row r of d @ d is the XOR of the rows of d at the
     # bits of row r
     rows = boundary.row_bits
@@ -126,10 +127,12 @@ def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: Ho
     The chain map is not re-verified here; callers check commutation where
     the map is not one by construction.
     """
+    require_type(HomologySpace, source, target)
     cols = [target.coords(xor_columns(columns, rep)) for rep in source.reps]
     return Gf2Matrix.from_columns(cols, target.dim)
 
 
 def inclusion_columns(sub: ChainComplexF2, parent: ChainComplexF2) -> list[int]:
     """Columns of the inclusion of a sub-complex: each label to its position in parent."""
+    require_type(ChainComplexF2, sub, parent)
     return [1 << parent.index[label] for label in sub.basis]

@@ -244,6 +244,7 @@ def sigma_chain_map(
 ) -> Gf2Matrix:
     """Matrix of [x,i,j] -> [sigma x, j, i] between two plane complexes."""
     require_type(BifilteredComplex, complex_)
+    require_type(ChainComplexF2, source, target)
     sigma = complex_.symmetry
     if sigma is None:
         raise NoFlipData(f"complex {complex_.name!r} has no basis symmetry")

@@ -47,12 +47,12 @@ The window-stability check only needs the homology dimension of the cones
 just outside the window: ``cone_homology_dim`` reads it from the cone
 boundary, which it assembles as ``cone`` does.
 
-``SurgeryTriple.totals`` is the only part of a triple that outlives the call
-that built it: a small ``SurgeryTotals`` of the six total maps and the three
-total dimensions, which ``duality`` keeps per knot.  ``duality.normalize``
-reads the three f maps and the dimensions; the three fbar maps are read only
-by ``duality._check_tau_relations``, once per knot, to check the duality
-maps.  The cones, the planes and the homology spaces go with the triple.
+``SurgeryTriple.totals`` is a small ``SurgeryTotals`` of the six total maps
+and the three total dimensions.  ``duality.normal_basis`` reads it once per
+knot: the three f maps and the dimensions to build the normal-form basis,
+and the three fbar maps, through ``duality._check_tau_relations``, to check
+the duality maps.  ``duality`` keeps the basis, not the totals; the cones,
+the planes and the homology spaces go with the triple.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ def label_columns(
     fn: Callable[[Hashable], Hashable | None],
 ) -> list[int]:
     """Columns of the linear map sending each basis label through fn (None kills)."""
+    require_type(ChainComplexF2, source, target)
     tgt = target.index
     out = []
     for lbl in source.basis:
@@ -104,6 +105,9 @@ def relabel_vector(
     target: ChainComplexF2,
     fn: Callable[[Hashable], Hashable | None],
 ) -> int:
+    """vec, a mask over source's basis, with each label sent through fn
+    (None kills), as a mask over target's basis."""
+    require_type(ChainComplexF2, source, target)
     tgt = target.index
     out = 0
     v = vec

@@ -310,9 +310,10 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
 
 
 def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> tuple[SurgeryPackage, tuple[Gf2Matrix, ...]]:
-    """``duality.normalize`` with each complement taken greedily by a
-    ``SpanSolver``: W of Ker f0 in H1, U of Ker f_inf in H0 and Z1 of Im f0
-    in Hinf, and every map conjugated by the inverse of a basis change.
+    """``normalize(normal_basis(totals, maps))`` with each complement taken
+    greedily by a ``SpanSolver``: W of Ker f0 in H1, U of Ker f_inf in H0
+    and Z1 of Im f0 in Hinf, and every map conjugated by the inverse of a
+    basis change.
 
     Returns the package and, beside it, the totals' fbar maps conjugated as
     g_prev^-1 fbar_k g_next, in table order (fbar0, fbar1, fbar_inf), which

@@ -24,7 +24,7 @@ from splicerank.duality import (
     CYCLE,
     SurgeryPackage,
     _barred,
-    _change_bases,
+    _check_normal_form,
     _derive,
     _split_blocks,
     by_index,
@@ -80,14 +80,10 @@ def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPack
         g_inv = [m.inverse() for m in g]
     except ShapeMismatch as exc:
         raise ShapeMismatch("admissible change is singular") from exc
-    return _change_bases(
-        p.dims,
-        by_index(p, "tau"),
-        by_index(p, "f"),
-        g,
-        g_inv,
-        "admissible change moved a triangle map",
-    )
+    _check_normal_form(p.dims, by_index(p, "f"), g, "admissible change moved a triangle map")
+    q = SurgeryPackage(*p.dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(by_index(p, "tau"), g, g_inv)])
+    verify_package(q)
+    return q
 
 
 # -- direct sums ----------------------------------------------------------------

@@ -14,11 +14,14 @@ from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     CYCLE,
+    NormalBasis,
+    SurgeryPackage,
     TauMaps,
     _geometric_tau,
     build_tau,
     by_index,
     geometric_package,
+    normal_basis,
     normalize,
     stats,
     verify_package,
@@ -28,7 +31,7 @@ from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.homology import HomologySpace
 from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map, random_complex, replace
 from splicerank.splice import splice_rank
-from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple, total_package
+from splicerank.surgery import MappingCone, SurgeryTriple, total_package
 
 from oracles import (
     oracle_models,
@@ -102,7 +105,7 @@ def test_each_barred_relation_reads_its_own_taus(name, message):
     taus = {"tau0": maps.tau0, "tau1": maps.tau1, "tau_inf": maps.tau_inf}
     taus[name] = Gf2Matrix.identity(taus[name].rows)
     with pytest.raises(TauRelationFailure) as failure:
-        build_tau(replace(c, tau_override=TauOverride(**taus)), t)
+        normal_basis(t.totals, build_tau(replace(c, tau_override=TauOverride(**taus)), t))
     assert str(failure.value) == message
 
 
@@ -174,13 +177,15 @@ def test_verify_package_agrees_with_the_reference(p):
 
 
 def test_verify_package_rejects_each_bit_flip_as_the_reference_does():
-    # every single-bit change to a tau of a small package: the leaner
-    # checks accept and reject the same packages, with the same first
-    # failure, as the ones that cut every block out
+    # every single-bit change to a tau of a small package and of every
+    # corpus package: the tau^2 + I test accepts and rejects the same
+    # packages, with the same first failure, as the reference, which
+    # inverts each tau and cuts every block out
     small = [geometric_package(corpus(name)) for name in ("trefoil_staircase", "trefoil_staircase_mirror", "fig8_box")]
     small += [geometric_package(random_complex(2))]
     small += [synthetic_package(seed, dims) for seed, dims in enumerate([(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 1)])]
     small += [direct_sum(small[0], small[4]), apply_admissible(small[2], random_admissible(3, small[2].dims))]
+    small += [geometric_package(corpus(name)) for name in corpus_names()]
     seen = Counter()
     for p in small:
         for name in ("tau0", "tau1", "tau_inf"):
@@ -195,20 +200,47 @@ def test_verify_package_rejects_each_bit_flip_as_the_reference_does():
     assert set(seen) == {"is singular:", "inverse does", "does not", None}
 
 
-def _unbarred_exact(totals: SurgeryTotals) -> bool:
-    """Whether f_k f_prev(k) = 0 and rank f_k + rank f_prev(k) = dim H_next(k)
-    at every index."""
-    fs, ns = by_index(totals, "f"), by_index(totals, "n")
-    return all(
-        (fs[k] @ fs[prev]).is_zero() and fs[k].rank() + fs[prev].rank() == ns[nxt]
-        for k, (_, _, prev, nxt) in enumerate(CYCLE)
-    )
+@st.composite
+def random_tau_packages(draw):
+    """A package of random dims whose taus are random square matrices:
+    dense (mostly singular or with other inverse blocks), the identity
+    plus random C-block bits (always valid), or the identity plus bits
+    anywhere."""
+    dims = draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+    taus = []
+    for _, _, prev, nxt in CYCLE:
+        top, n = dims[prev], dims[prev] + dims[nxt]
+        kind = draw(st.sampled_from(["dense", "c-block", "near-identity"]))
+        rows = []
+        for i in range(n):
+            if kind == "dense":
+                rows.append(draw(st.integers(0, (1 << n) - 1)))
+            elif kind == "c-block":
+                rows.append((1 << i) ^ (draw(st.integers(0, (1 << top) - 1)) if i >= top else 0))
+            else:
+                rows.append((1 << i) ^ ((1 << draw(st.integers(0, n - 1))) if draw(st.booleans()) else 0))
+        taus.append(Gf2Matrix(n, n, rows))
+    return SurgeryPackage(*dims, *taus)
+
+
+@settings(max_examples=300)
+@given(random_tau_packages())
+def test_tau_squared_criterion_agrees_with_the_reference_on_random_taus(p):
+    assert _verdict(verify_package, p) == _verdict(reference_verify_package, p)
+    # verify_package leaves B F = 0 out: tau commutes with tau^2, so it
+    # holds whenever tau^2 + I is (0 0; F 0)
+    for (_, _, prev, _), tau in zip(CYCLE, by_index(p, "tau")):
+        top, n = p.dims[prev], tau.rows
+        s = tau @ tau + Gf2Matrix.identity(n)
+        if s.submatrix(range(n), range(top, n)).is_zero() and s.submatrix(range(top), range(n)).is_zero():
+            assert (tau.submatrix(range(top), range(top, n)) @ s.submatrix(range(top, n), range(top))).is_zero()
 
 
 def test_a_one_bit_change_to_a_total_f_fails_normalization():
-    # a flipped f breaks the barred-map relations, which build_tau checks
-    # once per knot before any normalize.  normalize itself reads no fbar:
-    # it rejects every flip that leaves the unbarred triangle inexact
+    # a flipped f breaks the barred-map relations, which normal_basis checks
+    # against the very totals it builds the basis from: every flip is
+    # rejected there, so no basis exists to build a package from
+    flips = 0
     for c in [corpus(name) for name in ("trefoil_staircase", "fig8_box", "t25_staircase")] + [random_complex(2)]:
         triple = total_package(c)
         totals, maps = triple.totals, build_tau(c, triple)
@@ -216,11 +248,10 @@ def test_a_one_bit_change_to_a_total_f_fails_normalization():
             m = getattr(totals, name)
             for r, col in product(range(m.rows), range(m.cols)):
                 bad = totals._replace(**{name: _flipped(m, r, col)})
-                with pytest.raises(TauRelationFailure):
-                    duality._check_tau_relations(bad, maps)
-                if not _unbarred_exact(bad):
-                    with pytest.raises(NormalizationFailure):
-                        normalize(bad, maps)
+                with pytest.raises(TauRelationFailure, match="barred-map relations fail"):
+                    normal_basis(bad, maps)
+                flips += 1
+    assert flips == 276
 
 
 def test_block_shapes_across_corpus():
@@ -249,7 +280,7 @@ def test_tau_override_rejected_when_inconsistent():
         Gf2Matrix.identity(t.total_dim("Hinf")),
     )
     with pytest.raises(TauRelationFailure):
-        build_tau(replace(c, tau_override=bad), t)
+        normal_basis(t.totals, build_tau(replace(c, tau_override=bad), t))
 
 
 def test_tau_override_accepted_when_consistent():
@@ -260,7 +291,7 @@ def test_tau_override_accepted_when_consistent():
     forced = build_tau(again, t)
     assert forced.source == "override"
     assert forced.geometric_agrees is True
-    p = normalize(t.totals, forced)
+    p = normalize(normal_basis(t.totals, forced))
     verify_package(p)
 
 
@@ -384,7 +415,7 @@ def test_normalize_matches_the_greedy_complement_reference():
     for c in knots:
         triple = total_package(c)
         totals, maps = triple.totals, build_tau(c, triple)
-        p = normalize(totals, maps)
+        p = normalize(normal_basis(totals, maps))
         want, fbars = reference_normalize(totals, maps)
         assert p == want, c.name
         # fbar_k derived from the normal form is the conjugated total fbar_k
@@ -417,7 +448,7 @@ def test_memo_hit_equals_a_cold_build_and_still_normalizes(memo, monkeypatch):
     c = corpus("t34_staircase")
     cold = geometric_package(c)
     assert len(memo) == 1
-    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normalize", "verify_package"))
+    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normal_basis", "normalize", "verify_package"))
     warm = geometric_package(corpus("t34_staircase"))  # equal, but another object
     assert warm == cold and warm is not cold
     assert counts == {"normalize": 1, "verify_package": 1}
@@ -455,11 +486,11 @@ def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo
     for v in variants:
         geometric_package(v)
     assert len(memo) == len(variants)
-    assert [memo[v][1].source for v in variants] == ["geometric", "override", "geometric", "override", "override"]
+    assert [memo[v].maps.source for v in variants] == ["geometric", "override", "geometric", "override", "override"]
     # the last two differ only in the symmetry, which the hash leaves out
     assert hash(variants[3]) == hash(variants[4])
-    assert memo[variants[3]][1].geometric_agrees is True
-    assert memo[variants[4]][1].geometric_agrees is None
+    assert memo[variants[3]].maps.geometric_agrees is True
+    assert memo[variants[4]].maps.geometric_agrees is None
 
 
 def test_a_build_that_raises_caches_nothing(memo):
@@ -505,8 +536,9 @@ def test_memo_keeps_only_totals_and_tau_maps(memo):
     assert len(memo) == len(knots)
     held = [x for value in memo.values() for x in reachable(value)]
     assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
-    # nothing else either: a value is made of these and the ints in Gf2Matrix rows
-    kept = {SurgeryTotals, TauMaps, Gf2Matrix, tuple, int, str, bool, type(None)}
+    # nothing else either: a value is the checked tau maps and the bases,
+    # made of these and the ints in Gf2Matrix rows; the totals are not kept
+    kept = {NormalBasis, TauMaps, Gf2Matrix, tuple, int, str, bool, type(None)}
     assert {type(x) for x in held} <= kept
 
 
@@ -528,18 +560,28 @@ def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
         return [splice_rank(geometric_package(a), geometric_package(b)).h for a, b in product(knots, repeat=2)]
 
     first = one_pass()
-    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normalize"))
+    counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normal_basis", "normalize"))
     assert one_pass() == first
-    assert counts == {"normalize": 2 * len(knots) ** 2}
+    assert counts == {"normalize": 2 * len(knots) ** 2} == {"normalize": 512}
 
 
 def test_warm_geometric_package_operation_budget(memo, monkeypatch):
-    # a warm call normalises and verifies one package: its normal-form f
-    # maps come from the per-shape cache, the inverse's blocks are compared
-    # without a cut, no fbar map is built, and no operation may exceed these
-    # counts.  @: 6 for the tau conjugations, 3 f g checks, 6 for the X
-    # products and 3 for X^2; inverse: 3 basis changes and 3 taus
-    ceiling = {"__matmul__": 18, "inverse": 6, "rank": 0, "kernel_basis": 0, "submatrix": 9, "assemble": 0}
+    # a warm call normalises and verifies one package in the memo's bases:
+    # its normal-form f maps come from the per-shape cache, no basis is
+    # built or inverted, no tau is inverted, no fbar map is built, and no
+    # operation may exceed these counts.  @: 6 for the tau conjugations, 6
+    # for the X products, 3 for tau^2 and 3 for X^2
+    ceiling = {
+        "__matmul__": 18,
+        "inverse": 0,
+        "transpose": 0,
+        "from_columns": 0,
+        "pivot_columns": 0,
+        "rank": 0,
+        "kernel_basis": 0,
+        "submatrix": 9,
+        "assemble": 0,
+    }
     knots = [corpus(name) for name in ("trefoil_staircase", "t34_staircase", "fig8_box")]
     for c in knots:
         geometric_package(c)

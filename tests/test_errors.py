@@ -14,30 +14,38 @@ from pathlib import Path
 import pytest
 
 import splicerank
-from splicerank import duality, filtration, model, surgery
+from splicerank import duality, filtration, homology, model, surgery
 from splicerank.corpus import corpus
-from splicerank.duality import PackageStats, SurgeryPackage, TauMaps
+from splicerank.duality import NormalBasis, PackageStats, SurgeryPackage, TauMaps
 from splicerank.errors import ShapeMismatch
 from splicerank.filtration import FiltrationProfile
-from splicerank.homology import ChainComplexF2
+from splicerank.gf2 import Gf2Matrix
+from splicerank.homology import ChainComplexF2, HomologySpace
 from splicerank.model import BifilteredComplex
 from splicerank.surgery import SurgeryTotals, SurgeryTriple
 
 
 # The pipeline's stage objects: a public function or constructor that takes
 # one is an entry point, and each argument of one of these types is a slot
-# the surface test fills with a bad value.  The GF(2), chain-complex and
-# label helpers underneath take matrices and plain values; test_gf2 covers
-# the matrix operands.
+# the surface test fills with a bad value.
 LIBRARY_TYPES = (
     BifilteredComplex,
     SurgeryTriple,
     SurgeryTotals,
     TauMaps,
+    NormalBasis,
     SurgeryPackage,
     PackageStats,
     FiltrationProfile,
 )
+
+# The chain-complex and label helpers underneath take matrices, complexes
+# and homology spaces: an argument of one of these types is a slot too, in
+# a public function of the modules that build the complexes.  The records
+# that only hold such values (MappingCone, FlipMap) are left out, and
+# test_gf2 covers the GF(2) module's own matrix operands.
+HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
+HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -68,9 +76,9 @@ def _hints(obj) -> dict:
     return typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj)
 
 
-def _kinds(hint) -> tuple[type, ...]:
-    """The library types a hint admits: the hint itself, or a member of a union."""
-    return tuple(t for t in typing.get_args(hint) or (hint,) if t in LIBRARY_TYPES)
+def _kinds(hint, types: tuple[type, ...]) -> tuple[type, ...]:
+    """The types a hint admits: the hint itself, or a member of a union."""
+    return tuple(t for t in typing.get_args(hint) or (hint,) if t in types)
 
 
 def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
@@ -81,10 +89,12 @@ def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
     out = []
     for name, obj in public_callables():
         hints = _hints(obj)
+        helper = inspect.isfunction(obj) and obj.__module__ in HELPER_MODULES
+        types = LIBRARY_TYPES + HELPER_TYPES if helper else LIBRARY_TYPES
         slots = [
-            (param, _kinds(hints.get(param)), type(None) in typing.get_args(hints.get(param)))
+            (param, _kinds(hints.get(param), types), type(None) in typing.get_args(hints.get(param)))
             for param in inspect.signature(obj).parameters
-            if not param.startswith("_") and _kinds(hints.get(param))
+            if not param.startswith("_") and _kinds(hints.get(param), types)
         ]
         for k, (param, kinds, optional) in enumerate(slots):
             label = name if k == 0 else f"{name}-{'second' if kinds == slots[0][1] else param}"
@@ -107,16 +117,26 @@ def good(tmp_path_factory) -> dict:
     c = corpus("trefoil_staircase")
     triple = surgery.total_package(c)
     package = duality.geometric_package(c, triple)
+    maps = duality.build_tau(c, triple)
+    plane = model.plane_i0(c)
+    helper_hints = typing.get_type_hints(surgery.relabel_vector) | typing.get_type_hints(homology.induced_by_columns)
     return {
         BifilteredComplex: c,
         SurgeryTriple: triple,
         SurgeryTotals: triple.totals,
-        TauMaps: duality.build_tau(c, triple),
+        TauMaps: maps,
+        NormalBasis: duality.normal_basis(triple.totals, maps),
         SurgeryPackage: package,
         PackageStats: duality.stats(package),
         FiltrationProfile: filtration.profile(c),
-        ChainComplexF2: model.plane_i0(c),
+        ChainComplexF2: plane,
+        HomologySpace: HomologySpace(plane),
+        Gf2Matrix: plane.boundary,
         str: str(tmp_path_factory.mktemp("dump") / "out.json"),
+        # the plain arguments of the helpers: a vector, a label map, columns
+        helper_hints["vec"]: 0,
+        helper_hints["fn"]: lambda label: label,
+        helper_hints["columns"]: [],
     }
 
 
@@ -156,8 +176,16 @@ def test_the_surface_covers_every_entry_point():
         "build_tau-triple",
         "check_all_lemmas",
         "lemma31_check-prof",
+        "normal_basis",
+        "normal_basis-maps",
         "normalize",
-        "normalize-maps",
+        "require_square_zero",
+        "induced_by_columns",
+        "induced_by_columns-second",
+        "inclusion_columns-second",
+        "sigma_chain_map-target",
+        "label_columns-second",
+        "relabel_vector-second",
         "kernel_witnesses-st1",
         "kernel_witnesses-st2",
         "splice_rank-second",
