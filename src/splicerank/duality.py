@@ -28,25 +28,34 @@ its taus (see ``_pair_dims``).
 
 ``geometric_package`` keeps one entry per complex: its ``NormalBasis``,
 the duality maps that have passed the barred-map relations beside the
-bases g_k that put the triangle maps in normal form and their inverses.
-All the work that reads the totals is done once, in ``normal_basis``: the
-pivots and complements, the basis matrices and their inverses, the rank
-bookkeeping and the check that each f_k reaches its normal form.  The memo
-keeps no totals, triple, cone, plane or homology space.  It is a
+dims and the normalized taus g_k^-1 tau_k g_k, in the bases g_k that put
+the triangle maps in normal form.  All the work that reads the totals is
+done once, in ``normal_basis``: the pivots and complements, the basis
+matrices and their inverses, the rank bookkeeping, the check that each f_k
+reaches its normal form and the conjugation of the taus.  The memo keeps
+no totals, triple, cone, plane, homology space or basis.  It is a
 ``weakref.WeakKeyDictionary`` keyed on the complex itself, which is
 immutable, hashable and valid by construction, so a lookup checks only the
 argument's type, an equal complex hits the same entry and an entry dies
 with its complex; nothing in an entry refers back to the complex.  Every
-call runs ``normalize``, which conjugates the taus into the bases, builds
-the package (its blocks and X products) and runs ``verify_package``, so
-every caller gets a freshly normalised and verified package.
+call runs ``normalize``, which builds the package from the normalized taus
+(its blocks and X products) and runs ``verify_package``, so every caller
+gets a freshly built and verified package.
+
+``stats`` depends on a package's value alone, so it is memoised on it: a
+``SurgeryPackage`` is frozen and hashes its six defining fields, which it
+type-checks when it is built, and an equal package built again hits the
+same entry.  The memo is a ``functools.lru_cache`` of at most
+``PACKAGE_MEMO_SIZE`` entries, the bound ``splice`` uses for its
+per-package memos too; ``stats`` checks its argument's type before the
+lookup, so an unhashable argument is a ``ShapeMismatch``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -60,7 +69,7 @@ from .errors import (
 )
 from .gf2 import Gf2Matrix, high_pivots, span_dim
 from .homology import induced_by_columns
-from .model import BifilteredComplex
+from .model import BifilteredComplex, is_int
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
@@ -87,6 +96,12 @@ def by_index(obj: object, stem: str) -> tuple:
     return _getter(stem)(obj)
 
 
+# The most entries each per-package memo (``stats`` here, the splice
+# factors and witness families in ``splice``) keeps, one per package (per
+# package and side for the factors); the least recently used goes first.
+PACKAGE_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class TauMaps:
     tau0: Gf2Matrix
@@ -94,6 +109,9 @@ class TauMaps:
     tau_inf: Gf2Matrix
     source: str  # "geometric" or "override"
     geometric_agrees: bool | None = None
+
+    def __post_init__(self):
+        require_type(Gf2Matrix, *by_index(self, "tau"))
 
 
 class BlockSet(NamedTuple):
@@ -109,8 +127,10 @@ class SurgeryPackage:
     The blocks, X products and f maps are derived at construction, so
     ``dataclasses.replace`` derives them afresh; equality and hashing read
     the six defining fields.  fbar_k = tau_prev(k)^-1 f_k tau_next(k) is not
-    stored (see the module docstring).  A tau that is not square of size
-    a_prev + a_next raises ``NormalizationFailure``.
+    stored (see the module docstring).  A dim that is not a nonnegative int
+    (a bool is refused, as it would equal and hash like the int) or a tau
+    that is not a ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not
+    square of size a_prev + a_next raises ``NormalizationFailure``.
     """
 
     a0: int
@@ -130,6 +150,10 @@ class SurgeryPackage:
     f1: Gf2Matrix = field(init=False, compare=False)
 
     def __post_init__(self):
+        for k, a in zip(CYCLE, self.dims):
+            if not is_int(a) or a < 0:
+                raise ShapeMismatch(f"package dim a{k.suffix} = {a!r} is not a nonnegative int")
+        require_type(Gf2Matrix, *by_index(self, "tau"))
         blocks, xs, fs = _derive(self.dims, by_index(self, "tau"))
         for (suffix, label, _, _), b, x, f in zip(CYCLE, blocks, xs, fs):
             object.__setattr__(self, "blocks" + suffix, b)
@@ -271,16 +295,17 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 
 
 class NormalBasis(NamedTuple):
-    """One knot's checked duality maps and the bases that put its triangle
-    maps in normal form: g_k, whose columns are a basis of H_k, and g_k^-1,
-    in table order, with the dims (a0, a1, a_inf).  ``normal_basis`` builds
-    one from totals that the maps meet the barred-map relations with.  A
-    NamedTuple, like ``SurgeryTotals``, as it is cheaper to define at import."""
+    """One knot's checked duality maps, the dims (a0, a1, a_inf) and the
+    normalized taus g_k^-1 tau_k g_k, in table order, where the columns of
+    g_k are the basis of H_k that puts the triangle maps in normal form.
+    ``normal_basis`` builds one from totals that the maps meet the
+    barred-map relations with, and conjugates the taus there, once per
+    knot; the bases themselves are not kept.  A NamedTuple, like
+    ``SurgeryTotals``, as it is cheaper to define at import."""
 
     maps: TauMaps
     dims: tuple[int, int, int]
-    g: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
-    g_inv: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+    taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
 
 
 def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
@@ -333,7 +358,8 @@ def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
     dims = (a0, a1, a_inf)
     _check_normal_form(dims, by_index(totals, "f"), g, "triangle maps do not reach the normal form")
-    return NormalBasis(maps, dims, g, g_inv)
+    taus = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(by_index(maps, "tau"), g, g_inv)])
+    return NormalBasis(maps, dims, taus)
 
 
 def _check_normal_form(dims, fs, g, moved: str) -> None:
@@ -349,12 +375,11 @@ def _check_normal_form(dims, fs, g, moved: str) -> None:
 
 
 def normalize(basis: NormalBasis) -> SurgeryPackage:
-    """The knot's package, built and verified afresh on every call: tau_k
-    becomes g_k^-1 tau_k g_k.  The package derives its fbar maps from its
-    taus and normal forms, so no fbar map needs a base change."""
+    """The knot's package, built from the basis's normalized taus and
+    verified afresh on every call.  The package derives its fbar maps from
+    its taus and normal forms, so no fbar map needs a base change."""
     require_type(NormalBasis, basis)
-    taus = by_index(basis.maps, "tau")
-    p = SurgeryPackage(*basis.dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(taus, basis.g, basis.g_inv)])
+    p = SurgeryPackage(*basis.dims, *basis.taus)
     verify_package(p)
     return p
 
@@ -479,9 +504,14 @@ def stats(p: SurgeryPackage) -> PackageStats:
 
     The pair dims read each fbar_k = tau_prev(k)^-1 f_k tau_next(k) through
     tau_prev(k) f_k and f_k tau_next(k) (see ``_pair_dims``), so no fbar map
-    is formed.
+    is formed.  Memoised on the package's value (see the module docstring).
     """
     require_type(SurgeryPackage, p)
+    return _stats(p)
+
+
+@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
+def _stats(p: SurgeryPackage) -> PackageStats:
     dims, taus = p.dims, by_index(p, "tau")
     r = [blocks.B.rank() for blocks in by_index(p, "blocks")]
     k, l, c, d = zip(

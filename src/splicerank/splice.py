@@ -11,10 +11,24 @@ D is assembled in one pass from the term table ``_TERMS``: each of its 24
 nonzero blocks is a sum of Kronecker products (factor of the first knot) ⊗
 (factor of the second knot), and a factor is an identity on one of the
 knot's dims or a product of two of its A, B, D and X1 matrices.  ``build_D``
-makes each knot's 14 products once and ``gf2.kron_blocks`` writes every row
-of D straight from the factors, with no Kronecker product or block built on
-the way.  ``tests/oracles.reference_build_D`` keeps the block-by-block
-assembly as the reference.
+takes each knot's 14 factors from ``_factors`` and ``gf2.kron_blocks``
+writes every row of D straight from them, with no Kronecker product or
+block built on the way.  ``tests/oracles.reference_build_D`` keeps the
+block-by-block assembly as the reference.
+
+Per-package memo
+----------------
+Only the Kronecker products and the witnesses join the two knots; a knot's
+factors and its witness families depend on its package alone.  So
+``_factors`` (keyed on the package and its side's factor names, so a cold
+``build_D`` makes 28 products even for a self-splice) and ``_family_parts``
+are memoised on the package's value, as ``duality.stats`` is: each is a
+``functools.lru_cache`` of at most ``duality.PACKAGE_MEMO_SIZE`` entries,
+the least recently used going first.  An equal package built again, as
+``geometric_package`` builds one on every call, hits the same entry, and a
+warm ``build_D`` makes no product.  Their values are immutable (mapping
+proxies and tuples), so no caller can change what the next one reads.
+Every public entry point checks its arguments' types before a lookup.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -37,10 +51,13 @@ every other family pair (30 of the 36) gives the witness 0.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
-from .duality import CYCLE, PackageStats, SurgeryPackage, by_index, stats
+from .duality import CYCLE, PACKAGE_MEMO_SIZE, PackageStats, SurgeryPackage, by_index, stats
 from .errors import WitnessNotInKernel, require_type
 from .gf2 import Gf2Matrix, kron_blocks, lower_triangular, span_dim, xor_columns
 
@@ -120,8 +137,10 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
     return out
 
 
-def _factors(p: SurgeryPackage, names: frozenset[str]) -> dict[str, Gf2Matrix]:
-    """One knot's splice factors by name (see ``_TERMS``), each made once."""
+@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
+def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, Gf2Matrix]:
+    """One knot's splice factors by name (see ``_TERMS``), made once per
+    package value and side (see the module docstring)."""
     mats = {"X1": p.X1}
     for k, blocks in zip(CYCLE, by_index(p, "blocks")):
         mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
@@ -132,13 +151,13 @@ def _factors(p: SurgeryPackage, names: frozenset[str]) -> dict[str, Gf2Matrix]:
         else:
             first, second = name.split()
             out[name] = mats[first] @ mats[second]
-    return out
+    return MappingProxyType(out)
 
 
 def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair in one pass from
-    ``_TERMS``: each knot's factors are made once, and each row of D is
-    written straight from them."""
+    ``_TERMS``: each knot's factors come from the per-package memo, and each
+    row of D is written straight from them."""
     require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
     left = _factors(p1, _LEFT_FACTORS)
     right = _factors(p2, _RIGHT_FACTORS)
@@ -229,17 +248,19 @@ _WITNESS_TERMS = {
 }
 
 
-def _family_parts(p: SurgeryPackage) -> dict[str, list[dict[str, int]]]:
+@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
+def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ...]]:
     """One knot's witness-family vectors split into their parts, by family,
-    in pair-numbering order."""
+    in pair-numbering order; made once per package value (see the module
+    docstring)."""
     data = witness_data(p)
     out = {
-        "w" + k.suffix: [dict(zip("xy", _split(w, a))) for w in ws]
+        "w" + k.suffix: tuple([MappingProxyType(dict(zip("xy", _split(w, a)))) for w in ws])
         for k, a, ws in zip(CYCLE, p.dims, by_index(data, "w"))
     }
     for k, zs in zip(CYCLE, by_index(data, "z")):
-        out["z" + k.suffix] = [{"z": z} for z in zs]
-    return out
+        out["z" + k.suffix] = tuple([MappingProxyType({"z": z}) for z in zs])
+    return MappingProxyType(out)
 
 
 def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
@@ -282,6 +303,7 @@ def kernel_witnesses(
     ``checked`` without being built.  The nonzero ones are checked in pair
     order, so a failure names the first offending pair.
     """
+    require_type(SurgeryPackage, p1, p2)
     require_type(PackageStats, *(st for st in (st1, st2) if st is not None))
     st1 = st1 or stats(p1)
     st2 = st2 or stats(p2)
@@ -424,6 +446,7 @@ def theorem_check(p1: SurgeryPackage, p2: SurgeryPackage) -> TheoremVerdict:
     The first knot's ambient rank is its package statistic y_inf, which
     equals the graded-piece total of its ``filtration.profile``.
     """
+    require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
     witness = kernel_witnesses(p1, p2, st1, st2)
     h = witness.ker_dim + witness.coker_dim

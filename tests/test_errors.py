@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -41,11 +42,14 @@ LIBRARY_TYPES = (
 
 # The chain-complex and label helpers underneath take matrices, complexes
 # and homology spaces: an argument of one of these types is a slot too, in
-# a public function of the modules that build the complexes.  The records
-# that only hold such values (MappingCone, FlipMap) are left out, and
-# test_gf2 covers the GF(2) module's own matrix operands.
+# a public function of the modules that build the complexes, and in the
+# constructors of the records that check their matrices when built: the
+# duality maps and the package, whose value keys the per-package memos.
+# The records built once per cone on the cold path (MappingCone, FlipMap)
+# are left out, and test_gf2 covers the GF(2) module's own matrix operands.
 HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
 HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
+CHECKED_RECORDS = (TauMaps, SurgeryPackage)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -84,12 +88,12 @@ def _kinds(hint, types: tuple[type, ...]) -> tuple[type, ...]:
 def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
     """(label, callable, parameter, its library types, whether None is good)
     for every slot of every entry point.  The label is the callable's name for
-    its first slot; a later slot adds "-second" if it has the first's type
-    and its parameter name if not."""
+    its first slot; the second slot adds "-second" if it has the first's
+    type, and any other slot its parameter name."""
     out = []
     for name, obj in public_callables():
         hints = _hints(obj)
-        helper = inspect.isfunction(obj) and obj.__module__ in HELPER_MODULES
+        helper = inspect.isfunction(obj) and obj.__module__ in HELPER_MODULES or obj in CHECKED_RECORDS
         types = LIBRARY_TYPES + HELPER_TYPES if helper else LIBRARY_TYPES
         slots = [
             (param, _kinds(hints.get(param), types), type(None) in typing.get_args(hints.get(param)))
@@ -97,7 +101,7 @@ def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
             if not param.startswith("_") and _kinds(hints.get(param), types)
         ]
         for k, (param, kinds, optional) in enumerate(slots):
-            label = name if k == 0 else f"{name}-{'second' if kinds == slots[0][1] else param}"
+            label = name if k == 0 else f"{name}-{'second' if k == 1 and kinds == slots[0][1] else param}"
             out.append((label, obj, param, kinds, optional))
     return out
 
@@ -192,8 +196,25 @@ def test_the_surface_covers_every_entry_point():
         "theorem_check-second",
         "complex_to_dict",
         "dump_complex",
+        "TauMaps",
+        "TauMaps-second",
+        "TauMaps-tau_inf",
+        "SurgeryPackage",
+        "SurgeryPackage-second",
+        "SurgeryPackage-tau_inf",
     } <= labels
     assert len(labels) >= 35
+
+
+@pytest.mark.parametrize("dim", ["a0", "a1", "a_inf"])
+@pytest.mark.parametrize("bad", [None, 1.0, True, -1, "x"], ids=["none", "float", "bool", "negative", "str"])
+def test_a_package_dim_that_is_not_a_nonnegative_int_is_a_shape_mismatch(good, dim, bad):
+    # True == 1 == 1.0, so a package with such a dim would equal and hash
+    # like a valid one and be served its memo entries: it cannot be built
+    package = good[SurgeryPackage]
+    with pytest.raises(ShapeMismatch, match=f"package dim {dim} = ") as info:
+        dataclasses.replace(package, **{dim: bad})
+    assert info.type is ShapeMismatch
 
 
 # python -O strips assert statements, so the script reports by its exit code

@@ -1,0 +1,162 @@
+"""The per-package memos: each knot's splice factors, witness families and
+stats are made once per package value, and a hit is what a cold call makes."""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from splicerank import duality, splice
+from splicerank.corpus import corpus, corpus_names
+from splicerank.duality import PACKAGE_MEMO_SIZE, SurgeryPackage, by_index, geometric_package, stats
+from splicerank.errors import NoFlipData, ShapeMismatch
+from splicerank.gf2 import Gf2Matrix
+from splicerank.splice import (
+    build_D,
+    kernel_witnesses,
+    splice_rank,
+    subspace_bounds,
+    theorem_check,
+    witness_data,
+)
+
+from oracles import oracle_models
+from packages import synthetic_package
+
+SIDES = (splice._LEFT_FACTORS, splice._RIGHT_FACTORS)
+
+# Each memo, and its value for a package through the memo and cold (the
+# function under the cache); the factors are keyed per side.
+MEMOS = {
+    "factors-left": (splice._factors, lambda f, p: f(p, SIDES[0])),
+    "factors-right": (splice._factors, lambda f, p: f(p, SIDES[1])),
+    "families": (splice._family_parts, lambda f, p: f(p)),
+    "stats": (duality._stats, lambda f, p: f(p)),
+}
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    for memo, _ in MEMOS.values():
+        memo.cache_clear()
+
+
+def _packages() -> list[SurgeryPackage]:
+    """The package of every oracle model that has flip data, and synthetic
+    packages of seeds 0-3."""
+    out = []
+    for c in oracle_models():
+        try:
+            out.append(geometric_package(c))
+        except NoFlipData:
+            pass
+    out += [synthetic_package(seed, dims) for seed in range(4) for dims in ((1, 2, 2), (2, 3, 1), (3, 2, 0))]
+    return out
+
+
+def _rebuilt(p: SurgeryPackage) -> SurgeryPackage:
+    """An equal package, another object: what a warm geometric_package gives."""
+    return SurgeryPackage(*p.dims, *by_index(p, "tau"))
+
+
+@pytest.mark.parametrize("name", MEMOS)
+def test_a_hit_equals_a_cold_computation(name):
+    memo, value = MEMOS[name]
+    packages = _packages()
+    assert len(packages) > 40
+    for p in packages:
+        first = value(memo, p)
+        info = memo.cache_info()
+        again = value(memo, _rebuilt(p))
+        assert memo.cache_info().hits == info.hits + 1, p.dims
+        assert again is first
+        assert again == value(memo.__wrapped__, p), p.dims
+
+
+def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
+    p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
+    cold = kernel_witnesses(p, q)
+    assert kernel_witnesses(_rebuilt(p), _rebuilt(q)) == cold
+    # one hit per knot in each memo: the factors of p's side and of q's
+    assert {memo.cache_info().hits for memo, _ in MEMOS.values()} == {2}
+
+
+def test_a_caller_cannot_change_a_memo_value():
+    p = geometric_package(corpus("t34_staircase"))
+    cold = [value(memo.__wrapped__, p) for memo, value in MEMOS.values()]
+    factors = splice._factors(p, SIDES[0])
+    with pytest.raises(TypeError):
+        factors["B1 A0"] = Gf2Matrix.identity(0)
+    with pytest.raises(TypeError):
+        del factors["B1 A0"]
+    families = splice._family_parts(p)
+    with pytest.raises(TypeError):
+        families["w0"] = ()
+    with pytest.raises(AttributeError):
+        families["w0"].append({"x": 0, "y": 0})
+    vector = next(v for family in families.values() for v in family)
+    with pytest.raises(TypeError):
+        vector[next(iter(vector))] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats(p).a0 = 0
+    assert [value(memo, p) for memo, value in MEMOS.values()] == cold
+
+
+@pytest.mark.parametrize("name", MEMOS)
+def test_one_package_past_the_bound_evicts_the_oldest(name):
+    memo, value = MEMOS[name]
+    packages = list(dict.fromkeys(synthetic_package(seed, (2, 3, 2)) for seed in range(PACKAGE_MEMO_SIZE + 1)))
+    assert len(packages) == PACKAGE_MEMO_SIZE + 1
+    values = [value(memo, p) for p in packages]
+    info = memo.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (PACKAGE_MEMO_SIZE + 1, PACKAGE_MEMO_SIZE, PACKAGE_MEMO_SIZE)
+    assert value(memo, packages[1]) is values[1]  # the second oldest is kept
+    assert memo.cache_info().hits == info.hits + 1
+    again = value(memo, packages[0])  # the oldest was evicted
+    assert memo.cache_info().misses == info.misses + 1
+    assert again == values[0] and again is not values[0]
+
+
+ENTRY_POINTS = {
+    "stats": lambda p, bad: stats(bad),
+    "witness_data": lambda p, bad: witness_data(bad),
+    "build_D": lambda p, bad: build_D(bad, p),
+    "build_D-second": lambda p, bad: build_D(p, bad),
+    "splice_rank-second": lambda p, bad: splice_rank(p, bad),
+    "kernel_witnesses": lambda p, bad: kernel_witnesses(bad, p),
+    "kernel_witnesses-second": lambda p, bad: kernel_witnesses(p, bad),
+    "subspace_bounds": lambda p, bad: subspace_bounds(bad, p),
+    "theorem_check": lambda p, bad: theorem_check(bad, p),
+    "theorem_check-second": lambda p, bad: theorem_check(p, bad),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [[1, 2], None, 1j], ids=["list", "none", "complex"])
+def test_an_argument_of_another_type_fails_before_any_lookup(call, bad):
+    p = geometric_package(corpus("trefoil_staircase"))
+    before = [memo.cache_info() for memo, _ in MEMOS.values()]
+    with pytest.raises(ShapeMismatch) as info:
+        call(p, bad)
+    assert info.type is ShapeMismatch
+    assert [memo.cache_info() for memo, _ in MEMOS.values()] == before
+
+
+def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
+    knots = [corpus(name) for name in corpus_names()]
+    first = {(a.name, b.name): build_D(geometric_package(a), geometric_package(b)) for a in knots for b in knots}
+    packages = {c.name: geometric_package(c) for c in knots}  # equal packages, other objects
+    counts = Counter()
+    real = Gf2Matrix.__matmul__
+
+    def counted(*args):
+        counts["@"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(Gf2Matrix, "__matmul__", counted)
+    for (n1, n2), d in first.items():
+        assert build_D(packages[n1], packages[n2]) == d
+    assert counts == Counter()
+    assert splice._factors.cache_info().currsize == 2 * len(knots)

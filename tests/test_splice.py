@@ -102,15 +102,17 @@ def test_a_splice_of_something_else_is_a_typed_error(call):
 
 
 def test_build_D_operation_budget(monkeypatch):
-    # each knot's 14 products are made once and the rows of D are written
-    # straight from them: no sum, no block grid, and no matrix built besides
-    # the 28 products, the 6 identity factors and D itself
+    # cold, each knot's 14 products are made once and the rows of D are
+    # written straight from them: no sum, no block grid, and no matrix built
+    # besides the 28 products, the 6 identity factors and D itself.  Warm,
+    # the factors come from the memo, so D is the only matrix built
     ceiling = {"__matmul__": 28, "_trusted": 28 + 6 + 1, "__add__": 0, "__init__": 0, "assemble": 0}
     pairs = [
         (pkg("t34_staircase"), pkg("fig8_box")),
         (pkg("trefoil_staircase"), pkg("trefoil_staircase")),
         (synthetic_package(1, (2, 3, 1)), pkg("t25_staircase")),
     ]
+    splice._factors.cache_clear()
     counts = Counter()
     counted_ops = [(Gf2Matrix, name) for name in ceiling if name != "assemble"] + [(BlockGrid, "assemble")]
     for owner, name in counted_ops:
@@ -123,6 +125,9 @@ def test_build_D_operation_budget(monkeypatch):
         d = build_D(p1, p2)
         assert {name: n for name, n in counts.items() if n > ceiling[name]} == {}, (p1.dims, p2.dims)
         assert counts["__matmul__"] == 28, (p1.dims, p2.dims)  # the wrappers count
+        counts.clear()
+        assert build_D(p1, p2) == d
+        assert counts == {"_trusted": 1}, (p1.dims, p2.dims)
     monkeypatch.undo()
     assert d == reference_build_D(p1, p2)
 
