@@ -19,7 +19,8 @@ index k its attribute suffix, prev(k) and next(k):
 - fbar_k = tau_prev(k)^-1 f_k tau_next(k), and X_k = B_next(k) B_k B_prev(k).
 
 A ``SurgeryPackage`` is its dims and its three tau maps; its blocks, X
-products and f maps are derived from them when it is built.  An f map in
+products and f maps are derived from them when it is built, each tau cut
+into its A, B and D blocks in one pass (``gf2.cut_blocks``).  An f map in
 normal form depends on the dims alone, so packages of one shape share it
 (``_normal_form``), and the checks that multiply by one read the product off
 the other factor's rows.  The fbar maps are fixed by the relation above, so
@@ -38,14 +39,23 @@ no totals, triple, cone, plane, homology space or basis.  It is a
 immutable, hashable and valid by construction, so a lookup checks only the
 argument's type, an equal complex hits the same entry and an entry dies
 with its complex; nothing in an entry refers back to the complex.  Every
-call runs ``normalize``, which builds the package from the normalized taus
-(its blocks and X products) and runs ``verify_package``, so every caller
-gets a freshly built and verified package.
+call runs ``normalize``, which builds a package from the normalized taus
+and runs ``verify_package`` on it, so every caller gets a freshly built and
+verified package.
+
+What a package derives depends on its dims and taus alone, so the
+derivation is memoised on them (``_derive``): the blocks, the X products
+and the f maps of a value are made once, and an equal package built again
+takes the same immutable matrices.  A package checks the types of its dims
+and taus before that lookup, and a tau of the wrong size raises on every
+build.  What still runs per call is the package's own verification:
+``verify_package`` squares each tau and each X of the package it is given,
+6 products, and no memo answers for it.
 
 ``stats`` depends on a package's value alone, so it is memoised on it: a
 ``SurgeryPackage`` is frozen and hashes its six defining fields, which it
 type-checks when it is built, and an equal package built again hits the
-same entry.  The memo is a ``functools.lru_cache`` of at most
+same entry.  Both memos are ``functools.lru_cache``s of at most
 ``PACKAGE_MEMO_SIZE`` entries, the bound ``splice`` uses for its
 per-package memos too; ``stats`` checks its argument's type before the
 lookup, so an unhashable argument is a ``ShapeMismatch``.
@@ -67,7 +77,7 @@ from .errors import (
     TauRelationFailure,
     require_type,
 )
-from .gf2 import Gf2Matrix, high_pivots, span_dim
+from .gf2 import Gf2Matrix, cut_blocks, high_pivots, span_dim
 from .homology import induced_by_columns
 from .model import BifilteredComplex, is_int
 from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
@@ -96,9 +106,10 @@ def by_index(obj: object, stem: str) -> tuple:
     return _getter(stem)(obj)
 
 
-# The most entries each per-package memo (``stats`` here, the splice
-# factors and witness families in ``splice``) keeps, one per package (per
-# package and side for the factors); the least recently used goes first.
+# The most entries each per-package memo (the derivations and ``stats``
+# here, the splice factors and witness families in ``splice``) keeps, one
+# per package (per package and side for the factors); the least recently
+# used goes first.
 PACKAGE_MEMO_SIZE = 64
 
 
@@ -124,10 +135,11 @@ class BlockSet(NamedTuple):
 class SurgeryPackage:
     """A normalised package: its dims and its tau maps, six defining fields.
 
-    The blocks, X products and f maps are derived at construction, so
-    ``dataclasses.replace`` derives them afresh; equality and hashing read
-    the six defining fields.  fbar_k = tau_prev(k)^-1 f_k tau_next(k) is not
-    stored (see the module docstring).  A dim that is not a nonnegative int
+    The blocks, X products and f maps are derived at construction, through
+    the memo of derivations (see the module docstring), so
+    ``dataclasses.replace`` derives them for its own value; equality and
+    hashing read the six defining fields.  fbar_k = tau_prev(k)^-1 f_k
+    tau_next(k) is not stored (see the module docstring).  A dim that is not a nonnegative int
     (a bool is refused, as it would equal and hash like the int) or a tau
     that is not a ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not
     square of size a_prev + a_next raises ``NormalizationFailure``.
@@ -165,29 +177,24 @@ class SurgeryPackage:
         return (self.a0, self.a1, self.a_inf)
 
 
-def _split_blocks(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
-    """The A, B and D blocks of tau cut at (top, bottom)."""
-    n = top + bottom
-    return (
-        tau.submatrix(range(top), range(top)),
-        tau.submatrix(range(top), range(top, n)),
-        tau.submatrix(range(top, n), range(top, n)),
-    )
-
-
-def _derive(dims, taus) -> tuple[list[BlockSet], list[Gf2Matrix], list[Gf2Matrix]]:
+@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
+def _derive(
+    dims: tuple[int, int, int], taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+) -> tuple[tuple[BlockSet, ...], tuple[Gf2Matrix, ...], tuple[Gf2Matrix, ...]]:
     """The blocks, the X products and the normal-form f maps of a package with
-    these dims and taus, in table order."""
+    these dims and taus, in table order; made once per value (see the module
+    docstring).  A tau of the wrong size raises on every call, as a failed
+    call is not kept."""
     blocks, fs = [], []
     for (suffix, _, prev, nxt), tau, a in zip(CYCLE, taus, dims):
         top, bottom = dims[prev], dims[nxt]
         n = top + bottom
         if (tau.rows, tau.cols) != (n, n):
             raise NormalizationFailure(f"tau{suffix} is {tau.rows}x{tau.cols}, expected {n}x{n}")
-        blocks.append(BlockSet(*_split_blocks(tau, top, bottom)))
+        blocks.append(BlockSet(*cut_blocks(tau, top)))
         fs.append(_normal_form(bottom, a, top))
-    xs = [blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)]
-    return blocks, xs, fs
+    xs = tuple([blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)])
+    return tuple(blocks), xs, tuple(fs)
 
 
 @cache

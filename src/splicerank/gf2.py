@@ -8,22 +8,32 @@ Who validates what: rows from outside this module enter through the public
 constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
 ``from_columns``), which reject a negative shape, a container of rows,
 entries or columns of the wrong kind, a row, column or entry that is not an
-int, and any bit beyond the shape; ``BlockGrid`` and ``kron_blocks`` reject
-a block or factor that is not a matrix.  A result of this module's
-own operations (``identity``, ``@``, ``+``, ``transpose``,
-``inverse``, ``submatrix``, ``from_columns`` after its range check,
-``BlockGrid.assemble`` and ``kron_blocks``) is in range by construction, so
-it is built by ``Gf2Matrix._trusted``, with no scan and no copy; nothing
-outside this module calls that.  An operand, position or range of the wrong
-kind (``m @ 3``, ``entry("a", 0)``, ``submatrix([0], [0])``) is one
+int, and any bit beyond the shape; ``BlockGrid`` rejects a block that is
+not a matrix, and ``kron_blocks`` a term that is not two ``KronFactor``s.
+A result of this module's own operations (``identity``, ``@``, ``+``,
+``transpose``, ``inverse``, ``cut_blocks``, ``from_columns``
+after its range check, ``BlockGrid.assemble`` and ``kron_blocks``) is in
+range by construction, so it is built by ``Gf2Matrix._trusted``, with no
+scan and no copy; nothing outside this module calls that.  A matrix, and a
+``KronFactor``, refuse assignment and deletion of their attributes with a
+``ShapeMismatch``: the memos downstream hand one value to every caller, so
+none may change it for the next.  An operand, position or range of the wrong
+kind (``m @ 3``, ``entry("a", 0)``, ``cut_blocks(m, "a")``) is one
 ``isinstance`` away from a ``ShapeMismatch``; no row is scanned for it.
 
 ``@`` copies the right operand's row for a left row with at most one set
 bit, the rows of a permutation, an identity or a normal form (0 0; I 0),
-and XORs rows together only for the others.  ``kron_blocks`` writes a
-Kronecker sum from the factors' nonzeros: one XOR per set bit of a left
-factor and nonzero row of its right factor, so a sparse ``D`` costs its
-number of nonzeros, not its rows times its terms.
+and XORs rows together only for the others.  ``cut_blocks`` cuts the A, B
+and D blocks of a square matrix in one pass over its rows, where cutting
+each block by its ranges would make three.
+
+``kron_blocks`` writes a Kronecker sum from plans of its factors, one
+``KronFactor`` per matrix, made once by ``kron_factor``: the nonzero rows
+with their set-bit positions and the nonzero rows as ints.  A call then
+costs one XOR per set bit of a left factor and nonzero row of its right
+factor, plus one type and shape check per term: a sparse ``D`` costs its
+number of nonzeros, not its rows times its terms, and no factor's rows are
+scanned again however often the plan is reused.
 
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
@@ -71,8 +81,14 @@ def xor_columns(columns: Sequence[int], mask: int) -> int:
     return out
 
 
+# Sets a slot of an immutable record, past the __setattr__ that refuses it.
+_set = object.__setattr__
+
+
 class Gf2Matrix:
-    """Immutable dense GF(2) matrix."""
+    """Immutable dense GF(2) matrix: assigning or deleting an attribute
+    raises ``ShapeMismatch``, so a matrix kept in a memo or a package reads
+    the same to every caller."""
 
     __slots__ = ("rows", "cols", "row_bits")
 
@@ -91,9 +107,9 @@ class Gf2Matrix:
                 raise ShapeMismatch(f"row {r} is {b!r}, not an int")
             if b & ~mask:
                 raise ShapeMismatch(f"row {r} has bits beyond column {cols}")
-        self.rows = rows
-        self.cols = cols
-        self.row_bits = bits
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "row_bits", bits)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> Gf2Matrix:
@@ -103,10 +119,20 @@ class Gf2Matrix:
         range; input from outside goes through the public constructors.
         """
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.row_bits = row_bits
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "row_bits", row_bits)
         return m
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise ShapeMismatch(f"a Gf2Matrix is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise ShapeMismatch(f"a Gf2Matrix is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by assignment
+        return Gf2Matrix, (self.rows, self.cols, self.row_bits)
 
     # -- construction -----------------------------------------------------
 
@@ -276,21 +302,6 @@ class Gf2Matrix:
             raise ShapeMismatch("matrix is singular")
         return Gf2Matrix._trusted(n, n, tuple([pivots[c] >> n for c in range(n)]))
 
-    def submatrix(self, row_range: range, col_range: range) -> Gf2Matrix:
-        """The rows in row_range and the columns in col_range, both step 1 and
-        inside the matrix (0 <= start <= stop <= rows or cols)."""
-        if not (isinstance(row_range, range) and isinstance(col_range, range)):
-            raise ShapeMismatch(f"submatrix of {row_range!r}, {col_range!r}: both must be ranges")
-        # a stepped column range would keep bits between its columns
-        if row_range.step != 1 or col_range.step != 1:
-            raise ShapeMismatch(f"submatrix ranges must have step 1, got {row_range}, {col_range}")
-        r0, r1, c0, c1 = row_range.start, row_range.stop, col_range.start, col_range.stop
-        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
-            raise ShapeMismatch(f"submatrix {row_range}, {col_range} leaves {self.rows}x{self.cols}")
-        mask = (1 << (c1 - c0)) - 1
-        bits = tuple([(b >> c0) & mask for b in self.row_bits[r0:r1]])
-        return Gf2Matrix._trusted(r1 - r0, c1 - c0, bits)
-
 
 # -- spans of bitmask vectors ---------------------------------------------
 
@@ -427,55 +438,113 @@ def lower_triangular(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matr
     return grid.assemble()
 
 
+def cut_blocks(m: Gf2Matrix, top: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
+    """The blocks A, B and D of a square m = (A B; C D) whose A is top x top,
+    cut in one pass over m's rows; C is not cut."""
+    if not (isinstance(m, Gf2Matrix) and isinstance(top, int) and m.rows == m.cols and 0 <= top <= m.rows):
+        raise ShapeMismatch(f"cannot cut {m!r} at {top!r}: it must be a square matrix of size at least {top!r}")
+    mask = (1 << top) - 1
+    a, b, d = [], [], []
+    for r, row in enumerate(m.row_bits):
+        if r < top:
+            a.append(row & mask)
+            b.append(row >> top)
+        else:
+            d.append(row >> top)
+    bottom = m.rows - top
+    return (
+        Gf2Matrix._trusted(top, top, tuple(a)),
+        Gf2Matrix._trusted(top, bottom, tuple(b)),
+        Gf2Matrix._trusted(bottom, bottom, tuple(d)),
+    )
+
+
+class KronFactor:
+    """A matrix laid out for ``kron_blocks``, made by ``kron_factor`` alone:
+    its shape, its nonzero rows each with its set-bit positions (read when
+    it is a left factor), and its nonzero rows each as an int (read when it
+    is a right factor), both as (row index, ...) pairs in row order.  Like a
+    matrix, it is immutable, and two are equal when their matrices are."""
+
+    __slots__ = ("rows", "cols", "set_bits", "nonzero_rows")
+
+    def __new__(cls, *args, **kwargs):
+        raise ShapeMismatch("a KronFactor is made by kron_factor")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise ShapeMismatch(f"a KronFactor is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise ShapeMismatch(f"a KronFactor is immutable: cannot delete {name}")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, KronFactor)
+            and (self.rows, self.cols, self.nonzero_rows) == (other.rows, other.cols, other.nonzero_rows)
+        )
+
+    def __repr__(self) -> str:
+        return f"KronFactor({self.rows}x{self.cols})"
+
+
+def kron_factor(m: Gf2Matrix) -> KronFactor:
+    """m laid out for ``kron_blocks`` (see ``KronFactor``)."""
+    if not isinstance(m, Gf2Matrix):
+        raise ShapeMismatch(f"kron factor {m!r} is not a Gf2Matrix")
+    nonzero = tuple([(r, b) for r, b in enumerate(m.row_bits) if b])
+    f = object.__new__(KronFactor)
+    _set(f, "rows", m.rows)
+    _set(f, "cols", m.cols)
+    _set(f, "set_bits", tuple([(r, tuple(bits_of(b))) for r, b in nonzero]))
+    _set(f, "nonzero_rows", nonzero)
+    return f
+
+
 def kron_blocks(
     row_dims: Sequence[tuple[int, int]],
     col_dims: Sequence[tuple[int, int]],
-    terms: dict[tuple[int, int], Sequence[tuple[Gf2Matrix, Gf2Matrix]]],
+    terms: dict[tuple[int, int], Sequence[tuple[KronFactor, KronFactor]]],
 ) -> Gf2Matrix:
     """The block matrix whose block (i, j) is the sum of the Kronecker
-    products L ⊗ R over the factor pairs (L, R) of terms[i, j]; a block with
-    no terms is zero.
+    products L ⊗ R over the factor pairs (L, R) of terms[i, j], each given
+    by ``kron_factor``; a block with no terms is zero.
 
     Row block i has row_dims[i] = (rows of L, rows of R) and column block j
     col_dims[j] = (cols of L, cols of R), for every term in it.  Each term
-    is written from its nonzeros: for each set bit c of L's row r1 and each
-    nonzero row r2 of R, R's row r2, shifted to the column block's offset
-    plus c * R.cols, is XORed into row (r1, r2) of the row block.  No
-    Kronecker product or block is built on the way, and a zero row of either
-    factor costs nothing.  A negative dim, or a term whose factors do not
-    fit its slot, raises ShapeMismatch naming the block.
+    is written from its factors' nonzeros, which the factors hold: for each
+    set bit c of L's row r1 and each nonzero row r2 of R, R's row r2,
+    shifted to the column block's offset plus c * R.cols, is XORed into row
+    (r1, r2) of the row block.  No Kronecker product or block is built on
+    the way, and no row of a factor is scanned.  A negative dim, a term
+    that is not two ``KronFactor``s, or one whose factors do not fit its
+    slot, raises ShapeMismatch naming the block.
     """
     _check_dims(*[d for pair in (*row_dims, *col_dims) for d in pair])
     col_off = _offsets(tuple([left * right for left, right in col_dims]))
     row_off = _offsets(tuple([left * right for left, right in row_dims]))
-    checked: list[tuple[int, int, int, Gf2Matrix, Gf2Matrix]] = []
+    bits = [0] * row_off[-1]
     for (i, j), pairs in terms.items():
         if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
             raise ShapeMismatch(f"block ({i},{j}) outside grid")
         (lr, rr), (lc, rc) = row_dims[i], col_dims[j]
+        row0, col0 = row_off[i], col_off[j]
         for left, right in pairs:
-            if not (isinstance(left, Gf2Matrix) and isinstance(right, Gf2Matrix)):
-                raise ShapeMismatch(f"block ({i},{j}) has a term {left!r} ⊗ {right!r}, not two matrices")
+            if not (isinstance(left, KronFactor) and isinstance(right, KronFactor)):
+                raise ShapeMismatch(f"block ({i},{j}) has a term {left!r} ⊗ {right!r}, not two KronFactors")
             if (left.rows, left.cols, right.rows, right.cols) != (lr, lc, rr, rc):
                 raise ShapeMismatch(
                     f"block ({i},{j}) has a term {left.rows}x{left.cols} ⊗ "
                     f"{right.rows}x{right.cols}, slot needs {lr}x{lc} ⊗ {rr}x{rc}"
                 )
-            checked.append((row_off[i], col_off[j], rc, left, right))
-    bits = [0] * row_off[-1]
-    for row0, col0, width, left, right in checked:
-        nonzero = [(r2, b) for r2, b in enumerate(right.row_bits) if b]
-        if not nonzero:
-            continue
-        height = right.rows
-        for r1, a in enumerate(left.row_bits):
-            base = row0 + r1 * height
-            while a:
-                low = a & -a
-                shift = col0 + (low.bit_length() - 1) * width
-                for r2, b in nonzero:
-                    bits[base + r2] ^= b << shift
-                a ^= low
+            nonzero = right.nonzero_rows
+            if not nonzero:
+                continue
+            for r1, positions in left.set_bits:
+                base = row0 + r1 * rr
+                for c in positions:
+                    shift = col0 + c * rc
+                    for r2, b in nonzero:
+                        bits[base + r2] ^= b << shift
     return Gf2Matrix._trusted(len(bits), col_off[-1], tuple(bits))
 
 

@@ -264,6 +264,10 @@ class FlipMap:
     target: ChainComplexF2
     matrix: Gf2Matrix
 
+    def __post_init__(self):
+        require_type(ChainComplexF2, self.source, self.target)
+        require_type(Gf2Matrix, self.matrix)
+
 
 def flip_map(complex_: BifilteredComplex) -> FlipMap:
     """Chain homotopy equivalence from the i = 0 plane to the j = 0 plane.

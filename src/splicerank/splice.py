@@ -11,9 +11,10 @@ D is assembled in one pass from the term table ``_TERMS``: each of its 24
 nonzero blocks is a sum of Kronecker products (factor of the first knot) ⊗
 (factor of the second knot), and a factor is an identity on one of the
 knot's dims or a product of two of its A, B, D and X1 matrices.  ``build_D``
-takes each knot's 14 factors from ``_factors`` and ``gf2.kron_blocks``
-writes every row of D straight from them, with no Kronecker product or
-block built on the way.  ``tests/oracles.reference_build_D`` keeps the
+takes each knot's 14 factors from ``_factors``, each laid out once by
+``gf2.kron_factor``, and ``gf2.kron_blocks`` writes every row of D straight
+from their nonzeros, with no Kronecker product or block built and no row of
+a factor scanned on the way.  ``tests/oracles.reference_build_D`` keeps the
 block-by-block assembly as the reference.
 
 Per-package memo
@@ -24,11 +25,16 @@ factors and its witness families depend on its package alone.  So
 ``build_D`` makes 28 products even for a self-splice) and ``_family_parts``
 are memoised on the package's value, as ``duality.stats`` is: each is a
 ``functools.lru_cache`` of at most ``duality.PACKAGE_MEMO_SIZE`` entries,
-the least recently used going first.  An equal package built again, as
-``geometric_package`` builds one on every call, hits the same entry, and a
-warm ``build_D`` makes no product.  Their values are immutable (mapping
-proxies and tuples), so no caller can change what the next one reads.
-Every public entry point checks its arguments' types before a lookup.
+the least recently used going first.  A factor is kept as its
+``gf2.KronFactor``, the plan ``kron_blocks`` writes from, so the nonzeros
+of every factor are found once per package value too.  An equal package
+built again, as ``geometric_package`` builds one on every call, hits the
+same entry, and a warm ``build_D`` builds no matrix but D: no product, no
+identity and no scan of a factor, only the type and shape check of each
+of the 31 terms.  Their values are immutable (mapping proxies, tuples and
+``KronFactor``s, which refuse assignment), so no caller can change what
+the next one reads.  Every public entry point checks its arguments' types
+before a lookup.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -59,7 +65,7 @@ from types import MappingProxyType
 
 from .duality import CYCLE, PACKAGE_MEMO_SIZE, PackageStats, SurgeryPackage, by_index, stats
 from .errors import WitnessNotInKernel, require_type
-from .gf2 import Gf2Matrix, kron_blocks, lower_triangular, span_dim, xor_columns
+from .gf2 import Gf2Matrix, KronFactor, kron_blocks, kron_factor, lower_triangular, span_dim, xor_columns
 
 
 @dataclass(frozen=True)
@@ -138,19 +144,20 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
 
 
 @lru_cache(maxsize=PACKAGE_MEMO_SIZE)
-def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, Gf2Matrix]:
-    """One knot's splice factors by name (see ``_TERMS``), made once per
-    package value and side (see the module docstring)."""
+def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, KronFactor]:
+    """One knot's splice factors by name (see ``_TERMS``), each laid out by
+    ``kron_factor``, made once per package value and side (see the module
+    docstring)."""
     mats = {"X1": p.X1}
     for k, blocks in zip(CYCLE, by_index(p, "blocks")):
         mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
     out = {}
     for name in names:
         if name in _DIMS:
-            out[name] = Gf2Matrix.identity(getattr(p, name))
+            out[name] = kron_factor(Gf2Matrix.identity(getattr(p, name)))
         else:
             first, second = name.split()
-            out[name] = mats[first] @ mats[second]
+            out[name] = kron_factor(mats[first] @ mats[second])
     return MappingProxyType(out)
 
 
@@ -359,23 +366,34 @@ class SubspaceBound:
     coker_ok: bool | None = None
 
 
-def _inj(b: Gf2Matrix) -> bool:
-    return b.rank() == b.cols
-
-
-def _surj(b: Gf2Matrix) -> bool:
-    return b.rank() == b.rows
+def _b_nullities(p: SurgeryPackage) -> tuple[dict[str, int], dict[str, int]]:
+    """The kernel and the cokernel dims of each B_k of p, by label: B_k is
+    a_prev(k) x a_next(k) of rank r_k, read from the memoised ``stats``, so
+    no B block is eliminated again.  B_k is injective when its kernel is 0,
+    and surjective when its cokernel is."""
+    st, dims = stats(p), p.dims
+    ranks = by_index(st, "r")
+    return (
+        {k.label: dims[k.next] - r for k, r in zip(CYCLE, ranks)},
+        {k.label: dims[k.prev] - r for k, r in zip(CYCLE, ranks)},
+    )
 
 
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
-    """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses."""
+    """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses.
+
+    Whether a B block is injective or surjective, and the kernel and cokernel
+    dims of a single one, come from its rank in ``stats`` (``_b_nullities``);
+    only the products of two B blocks are eliminated here.
+    """
     require_type(SurgeryPackage, p1, p2)
     b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
+    (ker_1, coker_1), (ker_2, coker_2) = _b_nullities(p1), _b_nullities(p2)
     rank = splice_rank(p1, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
         label = f"({circ},{bullet},{star})"
-        if _inj(b_2[circ]) and _surj(b_2[bullet]):
+        if ker_2[circ] == 0 and coker_2[bullet] == 0:
             left = b_1[INVOLUTION[circ]] @ b_1[INVOLUTION[bullet]]
             right = b_2[bullet] @ b_2[circ]
             kb = left.kernel_dim() * right.kernel_dim()
@@ -387,7 +405,7 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
             )
         else:
             out.append(SubspaceBound(f"case1 {label}", False))
-        if _surj(b_2[circ]) and _inj(b_2[bullet]):
+        if coker_2[circ] == 0 and ker_2[bullet] == 0:
             left_k = b_1[INVOLUTION[bullet]] @ b_1[INVOLUTION[star]]
             right_k = b_2[star] @ b_2[bullet]
             kb = left_k.kernel_dim() * right_k.kernel_dim()
@@ -404,19 +422,19 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
 
     # combined variant when B0 of the right knot is injective and Binf surjective;
     # the joined pair of overlapping subspaces is counted by the larger one
-    if _inj(b_2["0"]) and _surj(b_2["inf"]):
+    if ker_2["0"] == 0 and coker_2["inf"] == 0:
         k_pair = (b_1["inf"] @ b_1["1"]).kernel_dim() * (b_2["1"] @ b_2["0"]).kernel_dim()
-        k_prime = b_1["1"].kernel_dim() * b_2["1"].kernel_dim()
+        k_prime = ker_1["1"] * ker_2["1"]
         kb = (
-            b_1["0"].kernel_dim() * b_2["inf"].kernel_dim()
-            + b_1["inf"].kernel_dim() * b_2["0"].kernel_dim()
+            ker_1["0"] * ker_2["inf"]
+            + ker_1["inf"] * ker_2["0"]
             + max(k_pair, k_prime)
         )
         c_pair = (b_1["1"] @ b_1["0"]).cokernel_dim() * (b_2["inf"] @ b_2["1"]).cokernel_dim()
-        c_prime = b_1["1"].cokernel_dim() * b_2["1"].cokernel_dim()
+        c_prime = coker_1["1"] * coker_2["1"]
         cb = (
-            b_1["0"].cokernel_dim() * b_2["inf"].cokernel_dim()
-            + b_1["inf"].cokernel_dim() * b_2["0"].cokernel_dim()
+            coker_1["0"] * coker_2["inf"]
+            + coker_1["inf"] * coker_2["0"]
             + max(c_pair, c_prime)
         )
         out.append(

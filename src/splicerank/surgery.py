@@ -83,6 +83,11 @@ class MappingCone:
     chain_map: Gf2Matrix    # i_n^s on the concatenated domain
     cone: ChainComplexF2    # labels ("u",lbl) | ("v",lbl) | ("w",lbl)
 
+    def __post_init__(self):
+        require_type(int, self.n, self.s)
+        require_type(ChainComplexF2, self.first, self.second, self.codomain, self.cone)
+        require_type(Gf2Matrix, self.chain_map)
+
 
 def label_columns(
     source: ChainComplexF2,

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import CYCLE, SurgeryPackage, TauMaps, _split_blocks, by_index, geometric_package, stats
+from splicerank.duality import CYCLE, SurgeryPackage, TauMaps, by_index, geometric_package, stats
 from splicerank.errors import NormalizationFailure, ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
@@ -47,12 +47,15 @@ from splicerank.model import (
     staircase,
 )
 from splicerank.splice import (
+    INVOLUTION,
     SpliceMatrix,
+    SubspaceBound,
     WitnessData,
     WitnessReport,
     _split,
     _vec_kron,
     build_D,
+    splice_rank,
     witness_data,
 )
 from splicerank.surgery import MappingCone, PlaneStore, SurgeryTotals, SurgeryTriple
@@ -85,6 +88,18 @@ def reachable(obj):
             stack.extend(x)
         elif isinstance(x, dict):
             stack.extend(x.values())
+
+
+def submatrix(m: Gf2Matrix, rows: range, cols: range) -> Gf2Matrix:
+    """The block of m in the rows and the columns of two step-1 ranges inside
+    it, cut by itself: the reference for ``gf2.cut_blocks``, which cuts
+    three in one pass."""
+    if rows.step != 1 or cols.step != 1 or not (
+        0 <= rows.start <= rows.stop <= m.rows and 0 <= cols.start <= cols.stop <= m.cols
+    ):
+        raise ShapeMismatch(f"submatrix {rows}, {cols} leaves {m.rows}x{m.cols}")
+    mask = (1 << len(cols)) - 1
+    return Gf2Matrix(len(rows), len(cols), [(m.row_bits[r] >> cols.start) & mask for r in rows])
 
 
 def mul_vec(m: Gf2Matrix, v: int) -> int:
@@ -348,9 +363,9 @@ def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
     index: H0 = (a_inf, a1), H1 = (a0, a_inf), Hinf = (a1, a0)."""
 
     def split(tau: Gf2Matrix, top: int, bottom: int) -> tuple[Gf2Matrix, ...]:
-        a = tau.submatrix(range(0, top), range(0, top))
-        b = tau.submatrix(range(0, top), range(top, top + bottom))
-        d = tau.submatrix(range(top, top + bottom), range(top, top + bottom))
+        a = submatrix(tau, range(0, top), range(0, top))
+        b = submatrix(tau, range(0, top), range(top, top + bottom))
+        d = submatrix(tau, range(top, top + bottom), range(top, top + bottom))
         return a, b, d
 
     def canonical_f(top: int, ident: int, right: int) -> Gf2Matrix:
@@ -383,7 +398,13 @@ def reference_verify_package(p: SurgeryPackage) -> None:
             inverse = tau.inverse()
         except ShapeMismatch as exc:
             raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
-        if _split_blocks(inverse, dims[prev], dims[nxt]) != blocks:
+        top, n = dims[prev], dims[prev] + dims[nxt]
+        cut = (
+            submatrix(inverse, range(top), range(top)),
+            submatrix(inverse, range(top), range(top, n)),
+            submatrix(inverse, range(top, n), range(top, n)),
+        )
+        if cut != blocks:
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
     for k in CYCLE:
         x = getattr(p, "X" + k.label)
@@ -763,3 +784,72 @@ def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
                 if rhs != lhs[which]:
                     readings[name] += 1
     return counts
+
+
+def _injective(b: Gf2Matrix) -> bool:
+    return b.rank() == b.cols
+
+
+def _surjective(b: Gf2Matrix) -> bool:
+    return b.rank() == b.rows
+
+
+def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
+    """``splice.subspace_bounds`` as it was before it read the B ranks from
+    ``stats``: every B block's injectivity, surjectivity, kernel and
+    cokernel found by eliminating it."""
+    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
+    rank = splice_rank(p1, p2)
+    out = []
+    for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
+        label = f"({circ},{bullet},{star})"
+        if _injective(b_2[circ]) and _surjective(b_2[bullet]):
+            left = b_1[INVOLUTION[circ]] @ b_1[INVOLUTION[bullet]]
+            right = b_2[bullet] @ b_2[circ]
+            kb = left.kernel_dim() * right.kernel_dim()
+            cb = left.cokernel_dim() * right.cokernel_dim()
+            out.append(
+                SubspaceBound(
+                    f"case1 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
+                )
+            )
+        else:
+            out.append(SubspaceBound(f"case1 {label}", False))
+        if _surjective(b_2[circ]) and _injective(b_2[bullet]):
+            left_k = b_1[INVOLUTION[bullet]] @ b_1[INVOLUTION[star]]
+            right_k = b_2[star] @ b_2[bullet]
+            kb = left_k.kernel_dim() * right_k.kernel_dim()
+            left_c = b_1[INVOLUTION[star]] @ b_1[INVOLUTION[circ]]
+            right_c = b_2[circ] @ b_2[star]
+            cb = left_c.cokernel_dim() * right_c.cokernel_dim()
+            out.append(
+                SubspaceBound(
+                    f"case2 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
+                )
+            )
+        else:
+            out.append(SubspaceBound(f"case2 {label}", False))
+
+    # combined variant when B0 of the right knot is injective and Binf surjective;
+    # the joined pair of overlapping subspaces is counted by the larger one
+    if _injective(b_2["0"]) and _surjective(b_2["inf"]):
+        k_pair = (b_1["inf"] @ b_1["1"]).kernel_dim() * (b_2["1"] @ b_2["0"]).kernel_dim()
+        k_prime = b_1["1"].kernel_dim() * b_2["1"].kernel_dim()
+        kb = (
+            b_1["0"].kernel_dim() * b_2["inf"].kernel_dim()
+            + b_1["inf"].kernel_dim() * b_2["0"].kernel_dim()
+            + max(k_pair, k_prime)
+        )
+        c_pair = (b_1["1"] @ b_1["0"]).cokernel_dim() * (b_2["inf"] @ b_2["1"]).cokernel_dim()
+        c_prime = b_1["1"].cokernel_dim() * b_2["1"].cokernel_dim()
+        cb = (
+            b_1["0"].cokernel_dim() * b_2["inf"].cokernel_dim()
+            + b_1["inf"].cokernel_dim() * b_2["0"].cokernel_dim()
+            + max(c_pair, c_prime)
+        )
+        out.append(
+            SubspaceBound("remark", True, kb, cb, rank.ker >= kb, rank.coker >= cb)
+        )
+    else:
+        out.append(SubspaceBound("remark", False))
+    return out

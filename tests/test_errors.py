@@ -22,8 +22,8 @@ from splicerank.errors import ShapeMismatch
 from splicerank.filtration import FiltrationProfile
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import ChainComplexF2, HomologySpace
-from splicerank.model import BifilteredComplex
-from splicerank.surgery import SurgeryTotals, SurgeryTriple
+from splicerank.model import BifilteredComplex, FlipMap
+from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple
 
 
 # The pipeline's stage objects: a public function or constructor that takes
@@ -44,12 +44,12 @@ LIBRARY_TYPES = (
 # and homology spaces: an argument of one of these types is a slot too, in
 # a public function of the modules that build the complexes, and in the
 # constructors of the records that check their matrices when built: the
-# duality maps and the package, whose value keys the per-package memos.
-# The records built once per cone on the cold path (MappingCone, FlipMap)
-# are left out, and test_gf2 covers the GF(2) module's own matrix operands.
+# duality maps and the package, whose value keys the per-package memos, and
+# the cone and flip records of the cold path.  test_gf2 covers the GF(2)
+# module's own matrix operands.
 HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
 HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
-CHECKED_RECORDS = (TauMaps, SurgeryPackage)
+CHECKED_RECORDS = (TauMaps, SurgeryPackage, MappingCone, FlipMap)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -202,6 +202,12 @@ def test_the_surface_covers_every_entry_point():
         "SurgeryPackage",
         "SurgeryPackage-second",
         "SurgeryPackage-tau_inf",
+        "MappingCone",
+        "MappingCone-chain_map",
+        "MappingCone-cone",
+        "FlipMap",
+        "FlipMap-second",
+        "FlipMap-matrix",
     } <= labels
     assert len(labels) >= 35
 

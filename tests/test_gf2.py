@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,13 +15,15 @@ from splicerank.gf2 import (
     BlockGrid,
     Gf2Matrix,
     bits_of,
+    cut_blocks,
     high_pivots,
     kron_blocks,
+    kron_factor,
     span_dim,
     span_intersection,
 )
 
-from oracles import SpanSolver, cancel, h_number, kron, mul_vec, span_basis, span_sum_dim
+from oracles import SpanSolver, cancel, h_number, kron, mul_vec, span_basis, span_sum_dim, submatrix
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -202,7 +206,12 @@ def test_h_number_cases():
 
 def _one_kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     """a ⊗ b as kron_blocks' only block."""
-    return kron_blocks([(a.rows, b.rows)], [(a.cols, b.cols)], {(0, 0): [(a, b)]})
+    return kron_blocks([(a.rows, b.rows)], [(a.cols, b.cols)], {(0, 0): [(kron_factor(a), kron_factor(b))]})
+
+
+def _kron_terms(terms: dict) -> dict:
+    """terms with each matrix laid out by kron_factor."""
+    return {key: [(kron_factor(a), kron_factor(b)) for a, b in pairs] for key, pairs in terms.items()}
 
 
 def test_kron_identity_and_empty():
@@ -269,26 +278,26 @@ def test_kron_blocks_is_the_grid_of_summed_kron_products(grid):
     want = BlockGrid(
         tuple(a * b for a, b in row_dims), tuple(a * b for a, b in col_dims), blocks
     ).assemble()
-    assert kron_blocks(row_dims, col_dims, terms) == want
+    assert kron_blocks(row_dims, col_dims, _kron_terms(terms)) == want
 
 
 def test_kron_blocks_edge_cases():
     one, z22 = Gf2Matrix.identity(1), Gf2Matrix(2, 2)
     m = Gf2Matrix.from_dense([[1, 1], [0, 1]])
     # zero factors, and a block whose two equal terms cancel bit for bit
-    assert kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(z22, m), (m, z22)]}) == Gf2Matrix(4, 4)
-    assert kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(m, m), (m, m)]}) == Gf2Matrix(4, 4)
+    assert kron_blocks([(2, 2)], [(2, 2)], _kron_terms({(0, 0): [(z22, m), (m, z22)]})) == Gf2Matrix(4, 4)
+    assert kron_blocks([(2, 2)], [(2, 2)], _kron_terms({(0, 0): [(m, m), (m, m)]})) == Gf2Matrix(4, 4)
     # factors with zero rows: the row block is empty, the column block stays
     terms = {(0, 0): [(Gf2Matrix(0, 2), m)], (1, 1): [(one, one)]}
-    assert kron_blocks([(0, 2), (1, 1)], [(2, 2), (1, 1)], terms) == Gf2Matrix.from_entries(1, 5, [(0, 4)])
-    assert kron_blocks([(2, 0)], [(2, 3)], {(0, 0): [(m, Gf2Matrix(0, 3))]}) == Gf2Matrix(0, 6)
+    assert kron_blocks([(0, 2), (1, 1)], [(2, 2), (1, 1)], _kron_terms(terms)) == Gf2Matrix.from_entries(1, 5, [(0, 4)])
+    assert kron_blocks([(2, 0)], [(2, 3)], _kron_terms({(0, 0): [(m, Gf2Matrix(0, 3))]})) == Gf2Matrix(0, 6)
     # all-zero blocks beside a nonzero one, and a term cancelling part of another
     terms = {
         (0, 0): [(one, m), (one, Gf2Matrix.from_dense([[0, 1], [0, 1]]))],
         (0, 1): [(one, Gf2Matrix(2, 1))],
         (1, 1): [],
     }
-    got = kron_blocks([(1, 2), (1, 1)], [(1, 2), (1, 1)], terms)
+    got = kron_blocks([(1, 2), (1, 1)], [(1, 2), (1, 1)], _kron_terms(terms))
     assert got == Gf2Matrix.from_dense([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     # nothing at all
     assert kron_blocks([], [], {}) == Gf2Matrix(0, 0)
@@ -296,12 +305,12 @@ def test_kron_blocks_edge_cases():
 
 
 def test_kron_blocks_shape_mismatch_names_the_block():
-    i2, i3 = Gf2Matrix.identity(2), Gf2Matrix.identity(3)
+    i2, i3 = kron_factor(Gf2Matrix.identity(2)), kron_factor(Gf2Matrix.identity(3))
     # the products fit a 6x6 slot, but the factors do not fit (3, 2) x (3, 2)
     with pytest.raises(ShapeMismatch, match=r"block \(1,0\)"):
         kron_blocks([(1, 1), (3, 2)], [(3, 2)], {(1, 0): [(i2, i3)]})
     with pytest.raises(ShapeMismatch, match=r"block \(0,2\) outside grid"):
-        kron_blocks([(1, 1)], [(1, 1)], {(0, 2): [(Gf2Matrix.identity(1),) * 2]})
+        kron_blocks([(1, 1)], [(1, 1)], {(0, 2): [(kron_factor(Gf2Matrix.identity(1)),) * 2]})
 
 
 @pytest.mark.parametrize(
@@ -439,7 +448,7 @@ def test_assemble_then_slice_roundtrip():
     for (i, j), b in blocks.items():
         rows = range(row_off[i], row_off[i + 1])
         cols = range(col_off[j], col_off[j + 1])
-        assert m.submatrix(rows, cols) == b
+        assert submatrix(m, rows, cols) == b
 
 
 def test_matmul_and_transpose_consistency():
@@ -489,11 +498,6 @@ def _bits(draw, rows: int, cols: int) -> list[int]:
     return draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
 
 
-def _sub_range(draw, n: int) -> range:
-    start = draw(st.integers(0, n))
-    return range(start, draw(st.integers(start, n)))
-
-
 @st.composite
 def trusted_results(draw):
     """(name, result) for one of gf2's own operations on random shapes,
@@ -503,7 +507,7 @@ def trusted_results(draw):
     b = Gf2Matrix(k, c, _bits(draw, k, c))
     name = draw(
         st.sampled_from(
-            ["matmul", "add", "transpose", "kron_blocks", "inverse", "submatrix", "from_columns", "assemble"]
+            ["matmul", "add", "transpose", "kron_blocks", "inverse", "cut_blocks", "from_columns", "assemble"]
         )
     )
     if name == "matmul":
@@ -515,14 +519,15 @@ def trusted_results(draw):
     if name == "kron_blocks":
         a2 = Gf2Matrix(r, k, _bits(draw, r, k))
         # a sum of two products in one block, beside a block with no terms
-        return name, kron_blocks([(r, k)], [(1, 1), (k, c)], {(0, 1): [(a, b), (a2, b)]})
+        return name, kron_blocks([(r, k)], [(1, 1), (k, c)], _kron_terms({(0, 1): [(a, b), (a2, b)]}))
     if name == "inverse":
         square = Gf2Matrix(r, r, _bits(draw, r, r))
         if reference_inverse(square) is None:
             square = Gf2Matrix.identity(r)
         return name, square.inverse()
-    if name == "submatrix":
-        return name, a.submatrix(_sub_range(draw, r), _sub_range(draw, k))
+    if name == "cut_blocks":
+        blocks = cut_blocks(Gf2Matrix(c, c, _bits(draw, c, c)), draw(st.integers(0, c)))
+        return name, blocks[draw(st.integers(0, 2))]
     if name == "from_columns":
         return name, Gf2Matrix.from_columns(_bits(draw, c, r), r)
     row_dims = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
@@ -542,6 +547,24 @@ def test_trusted_results_pass_the_public_constructor(case):
     name, m = case
     assert type(m.row_bits) is tuple, name
     assert Gf2Matrix(m.rows, m.cols, m.row_bits) == m, name
+
+
+@pytest.mark.parametrize("name", ["rows", "cols", "row_bits", "other"])
+def test_a_matrix_refuses_assignment_and_deletion(name):
+    # memos and packages hand one matrix to every caller, so none may change it
+    for m in (Gf2Matrix.identity(2), Gf2Matrix.identity(2) @ Gf2Matrix.identity(2)):
+        with pytest.raises(ShapeMismatch, match=f"immutable: cannot set {name}"):
+            setattr(m, name, (0, 0))
+        with pytest.raises(ShapeMismatch, match=f"immutable: cannot delete {name}"):
+            delattr(m, name)
+        assert m == Gf2Matrix.identity(2) and m.row_bits == (1, 2)
+
+
+def test_a_matrix_survives_copy_and_pickle():
+    # they rebuild a matrix through its constructor, as assignment is refused
+    m = Gf2Matrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    for again in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert again == m and type(again.row_bits) is tuple
 
 
 def test_public_constructors_still_reject_bits_out_of_range():
@@ -587,8 +610,8 @@ def test_public_constructors_still_reject_bits_out_of_range():
         (lambda: Gf2Matrix.from_entries(2, 2, [(0,)]), r"entry \(0,\) is not a \(row, col\) pair"),
         (lambda: BlockGrid((1,), (1,), {(0, 0): "x"}), r"block \(0,0\) is 'x', not a Gf2Matrix"),
         (
-            lambda: kron_blocks([(1, 1)], [(1, 1)], {(0, 0): [(Gf2Matrix.identity(1), "x")]}),
-            r"block \(0,0\) has a term .* not two matrices",
+            lambda: kron_blocks([(1, 1)], [(1, 1)], {(0, 0): [(kron_factor(Gf2Matrix.identity(1)), "x")]}),
+            r"block \(0,0\) has a term .* not two KronFactors",
         ),
         (lambda: Gf2Matrix.from_dense(None), "dense matrix None is not a list of rows"),
         (lambda: Gf2Matrix.from_entries(2, 2, None), "entries None are not iterable"),
@@ -626,32 +649,42 @@ def test_public_constructors_reject_a_value_that_is_not_an_int(build, message):
         build()
 
 
-def test_submatrix_rejects_a_stepped_range():
-    m = Gf2Matrix.identity(4)
-    assert m.submatrix(range(1, 3), range(1, 3)) == Gf2Matrix.identity(2)
-    with pytest.raises(ShapeMismatch, match="step 1"):
-        m.submatrix(range(4), range(0, 4, 2))
-    with pytest.raises(ShapeMismatch, match="step 1"):
-        m.submatrix(range(3, -1, -1), range(4))
+def test_cut_blocks_is_the_three_blocks_cut_one_by_one():
+    rng = random.Random(11)
+    for n in range(6):
+        for _ in range(4):
+            m = random_matrix(rng, n, n)
+            for top in range(n + 1):
+                want = (
+                    submatrix(m, range(top), range(top)),
+                    submatrix(m, range(top), range(top, n)),
+                    submatrix(m, range(top, n), range(top, n)),
+                )
+                assert cut_blocks(m, top) == want, (n, top)
+    # empty blocks at either edge
+    assert cut_blocks(Gf2Matrix.identity(2), 0) == (Gf2Matrix(0, 0), Gf2Matrix(0, 2), Gf2Matrix.identity(2))
+    assert cut_blocks(Gf2Matrix.identity(2), 2) == (Gf2Matrix.identity(2), Gf2Matrix(2, 0), Gf2Matrix(0, 0))
 
 
-def test_submatrix_rejects_a_range_outside_the_matrix():
-    m = Gf2Matrix.identity(2)
-    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
-        m.submatrix(range(1, 3), range(2))  # rows past the last row
-    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
-        m.submatrix(range(2), range(1, 3))  # columns past the last column
-    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
-        m.submatrix(range(-1, 1), range(2))
-    with pytest.raises(ShapeMismatch, match="leaves 2x2"):
-        m.submatrix(range(2), range(2, 1))
-    # empty ranges inside the matrix, at either edge, stay legal
-    assert m.submatrix(range(2, 2), range(0)) == Gf2Matrix(0, 0)
-    assert m.submatrix(range(0), range(2)) == Gf2Matrix(0, 2)
-    assert m.submatrix(range(2), range(2, 2)) == Gf2Matrix(2, 0)
+@pytest.mark.parametrize(
+    "m, top",
+    [
+        (Gf2Matrix.identity(2), 3),
+        (Gf2Matrix.identity(2), -1),
+        (Gf2Matrix(2, 3), 1),
+        (Gf2Matrix(3, 2), 1),
+        (Gf2Matrix.identity(2), 1.0),
+        ("x", 0),
+    ],
+    ids=["past-the-last-row", "negative", "wide", "tall", "float", "not-a-matrix"],
+)
+def test_cut_blocks_rejects_a_cut_outside_a_square(m, top):
+    with pytest.raises(ShapeMismatch, match="cannot cut") as info:
+        cut_blocks(m, top)
+    assert info.type is ShapeMismatch
 
 
-# a position outside the matrix is bad input: a typed error, as in submatrix,
+# a position outside the matrix is bad input: a typed error, as in cut_blocks,
 # not the IndexError of a tuple lookup
 @pytest.mark.parametrize(
     "call, message",
@@ -663,7 +696,7 @@ def test_submatrix_rejects_a_range_outside_the_matrix():
         (lambda m: cancel(m, 0, -1), r"pivot \(0,-1\) outside 2x2"),
         (lambda m: m.entry("a", 0), r"entry \('a',0\) outside 2x2"),
         (lambda m: m.entry(0.0, 0), r"entry \(0.0,0\) outside 2x2"),
-        (lambda m: m.submatrix([0], [0]), r"submatrix of \[0\], \[0\]: both must be ranges"),
+        (lambda m: cut_blocks(m, "a"), r"cannot cut Gf2Matrix\(2x2\) at 'a'"),
         (lambda m: m @ 3, "mul 2x2 by 3, not a Gf2Matrix"),
         (lambda m: m + 3, "add 2x2 to 3, not a Gf2Matrix"),
     ],
@@ -675,7 +708,7 @@ def test_submatrix_rejects_a_range_outside_the_matrix():
         "cancel-negative",
         "entry-str",
         "entry-float",
-        "submatrix-lists",
+        "cut-blocks-str",
         "mul-int",
         "add-int",
     ],

@@ -1,5 +1,6 @@
-"""The per-package memos: each knot's splice factors, witness families and
-stats are made once per package value, and a hit is what a cold call makes."""
+"""The per-package memos: each package's derived blocks and X products, and
+each knot's splice factors, witness families and stats, are made once per
+package value, and a hit is what a cold call makes."""
 
 from __future__ import annotations
 
@@ -10,9 +11,18 @@ import pytest
 
 from splicerank import duality, splice
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import PACKAGE_MEMO_SIZE, SurgeryPackage, by_index, geometric_package, stats
-from splicerank.errors import NoFlipData, ShapeMismatch
-from splicerank.gf2 import Gf2Matrix
+from splicerank.duality import (
+    PACKAGE_MEMO_SIZE,
+    SurgeryPackage,
+    build_tau,
+    by_index,
+    geometric_package,
+    normal_basis,
+    normalize,
+    stats,
+)
+from splicerank.errors import NoFlipData, NormalizationFailure, ShapeMismatch
+from splicerank.gf2 import Gf2Matrix, kron_factor
 from splicerank.splice import (
     build_D,
     kernel_witnesses,
@@ -21,6 +31,7 @@ from splicerank.splice import (
     theorem_check,
     witness_data,
 )
+from splicerank.surgery import total_package
 
 from oracles import oracle_models
 from packages import synthetic_package
@@ -28,8 +39,10 @@ from packages import synthetic_package
 SIDES = (splice._LEFT_FACTORS, splice._RIGHT_FACTORS)
 
 # Each memo, and its value for a package through the memo and cold (the
-# function under the cache); the factors are keyed per side.
+# function under the cache); the factors are keyed per side, and the
+# derivations on the package's dims and taus.
 MEMOS = {
+    "derivations": (duality._derive, lambda f, p: f(p.dims, by_index(p, "tau"))),
     "factors-left": (splice._factors, lambda f, p: f(p, SIDES[0])),
     "factors-right": (splice._factors, lambda f, p: f(p, SIDES[1])),
     "families": (splice._family_parts, lambda f, p: f(p)),
@@ -68,8 +81,9 @@ def test_a_hit_equals_a_cold_computation(name):
     assert len(packages) > 40
     for p in packages:
         first = value(memo, p)
+        rebuilt = _rebuilt(p)  # itself a hit of the derivations
         info = memo.cache_info()
-        again = value(memo, _rebuilt(p))
+        again = value(memo, rebuilt)
         assert memo.cache_info().hits == info.hits + 1, p.dims
         assert again is first
         assert again == value(memo.__wrapped__, p), p.dims
@@ -101,6 +115,16 @@ def test_a_caller_cannot_change_a_memo_value():
         vector[next(iter(vector))] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
+    blocks, xs, fs = duality._derive(p.dims, by_index(p, "tau"))
+    with pytest.raises(TypeError):
+        blocks[0] = blocks[1]
+    with pytest.raises(AttributeError):
+        blocks[0].A = blocks[0].D
+    for m in (blocks[1].B, xs[1], fs[0], factors["B1 A0"]):
+        with pytest.raises(ShapeMismatch):
+            m.rows = 0
+        with pytest.raises(ShapeMismatch):
+            del m.cols
     assert [value(memo, p) for memo, value in MEMOS.values()] == cold
 
 
@@ -109,6 +133,7 @@ def test_one_package_past_the_bound_evicts_the_oldest(name):
     memo, value = MEMOS[name]
     packages = list(dict.fromkeys(synthetic_package(seed, (2, 3, 2)) for seed in range(PACKAGE_MEMO_SIZE + 1)))
     assert len(packages) == PACKAGE_MEMO_SIZE + 1
+    memo.cache_clear()  # building the packages filled the derivations
     values = [value(memo, p) for p in packages]
     info = memo.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (PACKAGE_MEMO_SIZE + 1, PACKAGE_MEMO_SIZE, PACKAGE_MEMO_SIZE)
@@ -117,6 +142,57 @@ def test_one_package_past_the_bound_evicts_the_oldest(name):
     again = value(memo, packages[0])  # the oldest was evicted
     assert memo.cache_info().misses == info.misses + 1
     assert again == values[0] and again is not values[0]
+
+
+def test_a_memoised_matrix_cannot_be_changed_in_place():
+    # assigning row_bits on a memoised factor once made every later splice
+    # of T(3,4) with fig8 read h = 27: the factor, a package's taus and its
+    # derived matrices now refuse it, and h stays 25
+    p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
+    assert splice_rank(p, q).h == 25
+    factor = splice._factors(p, splice._LEFT_FACTORS)["B1 A0"]
+    with pytest.raises(ShapeMismatch, match="immutable"):
+        factor.row_bits = (0,) * factor.rows
+    for name in ("rows", "cols", "set_bits", "nonzero_rows"):
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            setattr(factor, name, ())
+    for m in (*by_index(p, "tau"), p.blocks1.B, p.X1, p.f0):
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            m.row_bits = (0,) * m.rows
+    assert splice_rank(_rebuilt(p), q).h == 25
+    assert splice_rank(geometric_package(corpus("t34_staircase")), q).h == 25
+
+
+def test_a_kron_factor_is_made_only_from_a_matrix():
+    with pytest.raises(ShapeMismatch, match="made by kron_factor"):
+        type(kron_factor(Gf2Matrix.identity(1)))()
+    with pytest.raises(ShapeMismatch, match="not a Gf2Matrix"):
+        kron_factor([[1]])
+    m = Gf2Matrix.from_dense([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
+    f = kron_factor(m)
+    assert (f.rows, f.cols, f.set_bits, f.nonzero_rows) == (3, 3, ((0, (1, 2)), (2, (0,))), ((0, 0b110), (2, 0b1)))
+    assert f == kron_factor(Gf2Matrix.from_dense(m.dense()))
+    assert f != kron_factor(Gf2Matrix(3, 3)) and f != m
+
+
+def test_a_bad_tau_fails_verification_on_every_build():
+    # the derivations serve the second build, and verify_package still runs
+    c = corpus("t34_staircase")
+    triple = total_package(c)
+    basis = normal_basis(triple.totals, build_tau(c, triple))
+    tau0 = basis.taus[0]
+    flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
+    forged = basis._replace(taus=(flipped, *basis.taus[1:]))
+    for build in range(2):
+        info = duality._derive.cache_info()
+        with pytest.raises(NormalizationFailure, match="tau0"):
+            normalize(forged)
+        assert duality._derive.cache_info().hits == info.hits + build, build
+    # a tau of the wrong size fails before the lookup can keep anything
+    short = basis._replace(taus=(Gf2Matrix.identity(tau0.rows - 1), *basis.taus[1:]))
+    for _ in range(2):
+        with pytest.raises(NormalizationFailure, match="expected"):
+            normalize(short)
 
 
 ENTRY_POINTS = {

@@ -29,8 +29,10 @@ from oracles import (
     assemble_witness,
     basis_tuples,
     mul_vec,
+    oracle_models,
     reference_build_D,
     reference_kernel_witnesses,
+    reference_subspace_bounds,
     torus_staircase,
 )
 from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
@@ -290,6 +292,15 @@ def test_subspace_bounds_on_pairs():
                 if record.hypothesis_met:
                     assert record.ker_ok, record
                     assert record.coker_ok, record
+
+
+def test_subspace_bounds_read_from_stats_equal_the_eliminated_ones():
+    packages = [geometric_package(c) for c in oracle_models() if c.symmetry is not None or c.tau_override is not None]
+    packages += [synthetic_package(seed, dims) for seed in range(4) for dims in ((1, 2, 2), (2, 3, 1), (3, 2, 0))]
+    assert len(packages) > 40
+    for p1 in packages:
+        for p2 in packages:
+            assert subspace_bounds(p1, p2) == reference_subspace_bounds(p1, p2), (p1.dims, p2.dims)
 
 
 def test_subspace_bounds_reports_skips():
