@@ -25,8 +25,8 @@ def corpus_names() -> list[str]:
 
 
 def corpus(name: str) -> BifilteredComplex:
-    """Load a named corpus entry; raises UnknownName for anything else."""
-    entry = _data_dir() / f"{name}.json"
-    if not entry.is_file():
-        raise UnknownName(f"no corpus entry {name!r}; known: {', '.join(corpus_names())}")
-    return complex_from_dict(json.loads(entry.read_text(encoding="utf-8")))
+    """Load a named corpus entry; raises UnknownName for any other name."""
+    names = corpus_names()
+    if name not in names:
+        raise UnknownName(f"no corpus entry {name!r}; known: {', '.join(names)}")
+    return complex_from_dict(json.loads((_data_dir() / f"{name}.json").read_text(encoding="utf-8")))

@@ -43,27 +43,23 @@ call runs ``normalize``, which builds a package from the normalized taus
 and runs ``verify_package`` on it, so every caller gets a freshly built and
 verified package.
 
-What a package derives depends on its dims and taus alone, so the
-derivation is memoised on them (``_derive``): the blocks, the X products
-and the f maps of a value are made once, and an equal package built again
-takes the same immutable matrices.  A package checks the types of its dims
-and taus before that lookup, and a tau of the wrong size raises on every
-build.  What still runs per call is the package's own verification:
-``verify_package`` squares each tau and each X of the package it is given,
-6 products, and no memo answers for it.
-
-``stats`` depends on a package's value alone, so it is memoised on it: a
-``SurgeryPackage`` is frozen and hashes its six defining fields, which it
-type-checks when it is built, and an equal package built again hits the
-same entry.  Both memos are ``functools.lru_cache``s of at most
-``PACKAGE_MEMO_SIZE`` entries, the bound ``splice`` uses for its
-per-package memos too; ``stats`` checks its argument's type before the
-lookup, so an unhashable argument is a ``ShapeMismatch``.
+Everything read from a package depends on its dims and taus alone, so
+each value has one entry, made by ``_derive`` when the value is first built
+and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
+holds the blocks, X products and f maps, and a store of what is read from
+the value later: ``stats`` here, the splice factors of each side and the
+witness families in ``splice``.  Each package keeps its entry, so all equal
+packages share one, and ``_from_entry`` reads the store: it checks the
+argument's type, computes a value on a miss and stores nothing when the
+computation raises.  An evicted entry takes its values with it: an equal
+package built later derives them afresh.  A tau of the wrong size raises
+on every build, and ``verify_package`` (6 products) runs on every build.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from operator import attrgetter
@@ -106,10 +102,8 @@ def by_index(obj: object, stem: str) -> tuple:
     return _getter(stem)(obj)
 
 
-# The most entries each per-package memo (the derivations and ``stats``
-# here, the splice factors and witness families in ``splice``) keeps, one
-# per package (per package and side for the factors); the least recently
-# used goes first.
+# The most package values whose entries ``_derive`` keeps (see the module
+# docstring); the least recently used goes first.
 PACKAGE_MEMO_SIZE = 64
 
 
@@ -135,8 +129,8 @@ class BlockSet(NamedTuple):
 class SurgeryPackage:
     """A normalised package: its dims and its tau maps, six defining fields.
 
-    The blocks, X products and f maps are derived at construction, through
-    the memo of derivations (see the module docstring), so
+    The blocks, X products and f maps are read at construction from the
+    entry of the package's value (see the module docstring), so
     ``dataclasses.replace`` derives them for its own value; equality and
     hashing read the six defining fields.  fbar_k = tau_prev(k)^-1 f_k
     tau_next(k) is not stored (see the module docstring).  A dim that is not a nonnegative int
@@ -160,14 +154,16 @@ class SurgeryPackage:
     f_inf: Gf2Matrix = field(init=False, compare=False)
     f0: Gf2Matrix = field(init=False, compare=False)
     f1: Gf2Matrix = field(init=False, compare=False)
+    _entry: _Entry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for k, a in zip(CYCLE, self.dims):
             if not is_int(a) or a < 0:
                 raise ShapeMismatch(f"package dim a{k.suffix} = {a!r} is not a nonnegative int")
         require_type(Gf2Matrix, *by_index(self, "tau"))
-        blocks, xs, fs = _derive(self.dims, by_index(self, "tau"))
-        for (suffix, label, _, _), b, x, f in zip(CYCLE, blocks, xs, fs):
+        entry = _derive(self.dims, by_index(self, "tau"))
+        object.__setattr__(self, "_entry", entry)
+        for (suffix, label, _, _), b, x, f in zip(CYCLE, entry.blocks, entry.xs, entry.fs):
             object.__setattr__(self, "blocks" + suffix, b)
             object.__setattr__(self, "X" + label, x)
             object.__setattr__(self, "f" + suffix, f)
@@ -176,15 +172,26 @@ class SurgeryPackage:
     def dims(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a_inf)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the entry
+        return SurgeryPackage, (*self.dims, *by_index(self, "tau"))
+
+
+class _Entry(NamedTuple):
+    """One package value's blocks, X products and f maps, in table order,
+    and its store (see ``_from_entry``)."""
+
+    blocks: tuple[BlockSet, ...]
+    xs: tuple[Gf2Matrix, ...]
+    fs: tuple[Gf2Matrix, ...]
+    store: dict
+
 
 @lru_cache(maxsize=PACKAGE_MEMO_SIZE)
-def _derive(
-    dims: tuple[int, int, int], taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
-) -> tuple[tuple[BlockSet, ...], tuple[Gf2Matrix, ...], tuple[Gf2Matrix, ...]]:
-    """The blocks, the X products and the normal-form f maps of a package with
-    these dims and taus, in table order; made once per value (see the module
-    docstring).  A tau of the wrong size raises on every call, as a failed
-    call is not kept."""
+def _derive(dims: tuple[int, int, int], taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]) -> _Entry:
+    """The entry of the package with these dims and taus, made once per
+    value (see the module docstring), its store empty.  A tau of the wrong
+    size raises on every call, as a failed call is not kept."""
     blocks, fs = [], []
     for (suffix, _, prev, nxt), tau, a in zip(CYCLE, taus, dims):
         top, bottom = dims[prev], dims[nxt]
@@ -194,7 +201,18 @@ def _derive(
         blocks.append(BlockSet(*cut_blocks(tau, top)))
         fs.append(_normal_form(bottom, a, top))
     xs = tuple([blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)])
-    return tuple(blocks), xs, tuple(fs)
+    return _Entry(tuple(blocks), xs, tuple(fs), {})
+
+
+def _from_entry(p: SurgeryPackage, make: Callable[..., object], *args: Hashable) -> object:
+    """make(p, *args), kept in the store of p's entry under (make, *args)
+    if it returns (see the module docstring)."""
+    require_type(SurgeryPackage, p)
+    store, key = p._entry.store, (make, *args)
+    value = store.get(key)
+    if value is None:
+        value = store[key] = make(p, *args)
+    return value
 
 
 @cache
@@ -511,13 +529,11 @@ def stats(p: SurgeryPackage) -> PackageStats:
 
     The pair dims read each fbar_k = tau_prev(k)^-1 f_k tau_next(k) through
     tau_prev(k) f_k and f_k tau_next(k) (see ``_pair_dims``), so no fbar map
-    is formed.  Memoised on the package's value (see the module docstring).
+    is formed.  Kept per package value (see the module docstring).
     """
-    require_type(SurgeryPackage, p)
-    return _stats(p)
+    return _from_entry(p, _stats)
 
 
-@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
 def _stats(p: SurgeryPackage) -> PackageStats:
     dims, taus = p.dims, by_index(p, "tau")
     r = [blocks.B.rank() for blocks in by_index(p, "blocks")]

@@ -17,24 +17,17 @@ from their nonzeros, with no Kronecker product or block built and no row of
 a factor scanned on the way.  ``tests/oracles.reference_build_D`` keeps the
 block-by-block assembly as the reference.
 
-Per-package memo
-----------------
+Per-package values
+------------------
 Only the Kronecker products and the witnesses join the two knots; a knot's
-factors and its witness families depend on its package alone.  So
-``_factors`` (keyed on the package and its side's factor names, so a cold
-``build_D`` makes 28 products even for a self-splice) and ``_family_parts``
-are memoised on the package's value, as ``duality.stats`` is: each is a
-``functools.lru_cache`` of at most ``duality.PACKAGE_MEMO_SIZE`` entries,
-the least recently used going first.  A factor is kept as its
-``gf2.KronFactor``, the plan ``kron_blocks`` writes from, so the nonzeros
-of every factor are found once per package value too.  An equal package
-built again, as ``geometric_package`` builds one on every call, hits the
-same entry, and a warm ``build_D`` builds no matrix but D: no product, no
-identity and no scan of a factor, only the type and shape check of each
-of the 31 terms.  Their values are immutable (mapping proxies, tuples and
-``KronFactor``s, which refuse assignment), so no caller can change what
-the next one reads.  Every public entry point checks its arguments' types
-before a lookup.
+factors and witness families depend on its package's value alone, so they
+are kept in that value's entry, as ``duality.stats`` is (see ``duality``).
+The left and the right factors are two keys of the store, so a cold
+``build_D`` makes 28 products even for a self-splice.  A factor is kept as
+its ``gf2.KronFactor``, the plan ``kron_blocks`` writes from, so a warm
+``build_D`` builds no matrix but D, and checks only the type and shape of
+each of the 31 terms.  The values are immutable (mapping proxies, tuples
+and ``KronFactor``s), so no caller can change what the next one reads.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -59,11 +52,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 
-from .duality import CYCLE, PACKAGE_MEMO_SIZE, PackageStats, SurgeryPackage, by_index, stats
+from .duality import CYCLE, SurgeryPackage, _from_entry, by_index, stats
 from .errors import WitnessNotInKernel, require_type
 from .gf2 import Gf2Matrix, KronFactor, kron_blocks, kron_factor, lower_triangular, span_dim, xor_columns
 
@@ -143,10 +135,9 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
     return out
 
 
-@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
 def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, KronFactor]:
     """One knot's splice factors by name (see ``_TERMS``), each laid out by
-    ``kron_factor``, made once per package value and side (see the module
+    ``kron_factor``; kept per package value and side (see the module
     docstring)."""
     mats = {"X1": p.X1}
     for k, blocks in zip(CYCLE, by_index(p, "blocks")):
@@ -163,11 +154,11 @@ def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, KronFacto
 
 def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair in one pass from
-    ``_TERMS``: each knot's factors come from the per-package memo, and each
-    row of D is written straight from them."""
+    ``_TERMS``: each knot's factors come from the entry of its package's
+    value, and each row of D is written straight from them."""
     require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
-    left = _factors(p1, _LEFT_FACTORS)
-    right = _factors(p2, _RIGHT_FACTORS)
+    left = _from_entry(p1, _factors, _LEFT_FACTORS)
+    right = _from_entry(p2, _factors, _RIGHT_FACTORS)
     row_pairs, col_pairs = (
         tuple((getattr(p1, a), getattr(p2, b)) for a, b in table) for table in (_ROW_BLOCKS, _COL_BLOCKS)
     )
@@ -255,10 +246,9 @@ _WITNESS_TERMS = {
 }
 
 
-@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
 def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ...]]:
     """One knot's witness-family vectors split into their parts, by family,
-    in pair-numbering order; made once per package value (see the module
+    in pair-numbering order; kept per package value (see the module
     docstring)."""
     data = witness_data(p)
     out = {
@@ -274,7 +264,7 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
     """The number of pairs of family vectors, and each nonzero witness with
     its pair number (1-based, in the order of the product of the two knots'
     families concatenated)."""
-    fam1, fam2 = _family_parts(p1), _family_parts(p2)
+    fam1, fam2 = _from_entry(p1, _family_parts), _from_entry(p2, _family_parts)
     start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
     start2 = dict(zip(fam2, accumulate(map(len, fam2.values()), initial=0)))
     width = sum(map(len, fam2.values()))
@@ -297,12 +287,7 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
     return sum(map(len, fam1.values())) * width, found
 
 
-def kernel_witnesses(
-    p1: SurgeryPackage,
-    p2: SurgeryPackage,
-    st1: PackageStats | None = None,
-    st2: PackageStats | None = None,
-) -> WitnessReport:
+def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
     """Assemble every basis witness, verify annihilation, check both bounds.
 
     Only the six family pairs of ``_WITNESS_TERMS`` give a nonzero witness
@@ -311,9 +296,7 @@ def kernel_witnesses(
     order, so a failure names the first offending pair.
     """
     require_type(SurgeryPackage, p1, p2)
-    require_type(PackageStats, *(st for st in (st1, st2) if st is not None))
-    st1 = st1 or stats(p1)
-    st2 = st2 or stats(p2)
+    st1, st2 = stats(p1), stats(p2)
     d = build_D(p1, p2).matrix
     d_columns = d.transpose().row_bits
     checked, found = _nonzero_witnesses(p1, p2)
@@ -466,7 +449,7 @@ def theorem_check(p1: SurgeryPackage, p2: SurgeryPackage) -> TheoremVerdict:
     """
     require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
-    witness = kernel_witnesses(p1, p2, st1, st2)
+    witness = kernel_witnesses(p1, p2)
     h = witness.ker_dim + witness.coker_dim
     applicable = st2.y_inf == 1
     holds = h >= st1.y_inf if applicable else None

@@ -171,8 +171,7 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
             top, bottom = dims[prev], dims[nxt]
             taus.append(_twist(rng, _random_involution(rng, top + bottom), top, bottom))
         # the uncached derivation: a rejected draw takes no memo entry
-        _, xs, _ = _derive.__wrapped__(dims, tuple(taus))
-        if not all((x @ x).is_zero() for x in xs):
+        if not all((x @ x).is_zero() for x in _derive.__wrapped__(dims, tuple(taus)).xs):
             continue
         p = SurgeryPackage(*dims, *taus)
         verify_package(p)

@@ -190,8 +190,7 @@ def test_the_surface_covers_every_entry_point():
         "sigma_chain_map-target",
         "label_columns-second",
         "relabel_vector-second",
-        "kernel_witnesses-st1",
-        "kernel_witnesses-st2",
+        "kernel_witnesses-second",
         "splice_rank-second",
         "theorem_check-second",
         "complex_to_dict",

@@ -1,10 +1,17 @@
-"""The per-package memos: each package's derived blocks and X products, and
-each knot's splice factors, witness families and stats, are made once per
-package value, and a hit is what a cold call makes."""
+"""The one per-value memo: ``duality._derive`` keeps, for each package
+value, one entry of at most ``PACKAGE_MEMO_SIZE``.  An entry holds the
+value's blocks, X products and f maps, and a store of what is read from
+the value later: its stats, its splice factors of either side and its
+witness families.  Every equal package shares the entry, so each of these
+is made once per value; a hit is what a cold computation makes, evicting
+an entry drops what it holds, and a computation that raises stores
+nothing."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
@@ -14,6 +21,7 @@ from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     PACKAGE_MEMO_SIZE,
     SurgeryPackage,
+    _from_entry,
     build_tau,
     by_index,
     geometric_package,
@@ -38,22 +46,33 @@ from packages import synthetic_package
 
 SIDES = (splice._LEFT_FACTORS, splice._RIGHT_FACTORS)
 
-# Each memo, and its value for a package through the memo and cold (the
-# function under the cache); the factors are keyed per side, and the
-# derivations on the package's dims and taus.
-MEMOS = {
-    "derivations": (duality._derive, lambda f, p: f(p.dims, by_index(p, "tau"))),
-    "factors-left": (splice._factors, lambda f, p: f(p, SIDES[0])),
-    "factors-right": (splice._factors, lambda f, p: f(p, SIDES[1])),
-    "families": (splice._family_parts, lambda f, p: f(p)),
-    "stats": (duality._stats, lambda f, p: f(p)),
+
+# What the memo keeps of a package value, each read through the package's
+# entry and computed cold (by the function whose result the entry keeps);
+# the factors are two keys of the store, one per side.
+VALUES = {
+    "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, by_index(p, "tau"))),
+    "factors-left": (lambda p: _from_entry(p, splice._factors, SIDES[0]), lambda p: splice._factors(p, SIDES[0])),
+    "factors-right": (lambda p: _from_entry(p, splice._factors, SIDES[1]), lambda p: splice._factors(p, SIDES[1])),
+    "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
+    "stats": (stats, duality._stats),
 }
 
 
+def _kept(value):
+    """What a memo value is compared by: an entry's blocks, X products and f
+    maps, without its store; any other value itself."""
+    return value[:3] if isinstance(value, duality._Entry) else value
+
+
+def _store(p: SurgeryPackage) -> dict:
+    """A copy of the store of p's entry."""
+    return dict(p._entry.store)
+
+
 @pytest.fixture(autouse=True)
-def empty_memos():
-    for memo, _ in MEMOS.values():
-        memo.cache_clear()
+def empty_memo():
+    duality._derive.cache_clear()
 
 
 def _packages() -> list[SurgeryPackage]:
@@ -74,38 +93,46 @@ def _rebuilt(p: SurgeryPackage) -> SurgeryPackage:
     return SurgeryPackage(*p.dims, *by_index(p, "tau"))
 
 
-@pytest.mark.parametrize("name", MEMOS)
+@pytest.mark.parametrize("name", VALUES)
 def test_a_hit_equals_a_cold_computation(name):
-    memo, value = MEMOS[name]
+    read, cold = VALUES[name]
     packages = _packages()
     assert len(packages) > 40
     for p in packages:
-        first = value(memo, p)
-        rebuilt = _rebuilt(p)  # itself a hit of the derivations
-        info = memo.cache_info()
-        again = value(memo, rebuilt)
-        assert memo.cache_info().hits == info.hits + 1, p.dims
+        first = read(p)
+        info = duality._derive.cache_info()
+        rebuilt = _rebuilt(p)
+        assert duality._derive.cache_info().hits == info.hits + 1, p.dims
+        assert rebuilt._entry is p._entry
+        again = read(rebuilt)
         assert again is first
-        assert again == value(memo.__wrapped__, p), p.dims
+        assert _kept(again) == _kept(cold(p)), p.dims
 
 
 def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     cold = kernel_witnesses(p, q)
-    assert kernel_witnesses(_rebuilt(p), _rebuilt(q)) == cold
-    # one hit per knot in each memo: the factors of p's side and of q's
-    assert {memo.cache_info().hits for memo, _ in MEMOS.values()} == {2}
+    # each knot's entry keeps its stats, its families and its side's factors
+    assert set(_store(p)) == {(duality._stats,), (splice._family_parts,), (splice._factors, SIDES[0])}
+    assert set(_store(q)) == {(duality._stats,), (splice._family_parts,), (splice._factors, SIDES[1])}
+    stores = _store(p), _store(q)
+    rebuilt = _rebuilt(p), _rebuilt(q)
+    assert kernel_witnesses(*rebuilt) == cold
+    # the warm report read every value from the entries and added none
+    for store, r in zip(stores, rebuilt):
+        assert r._entry.store.keys() == store.keys()
+        assert all(r._entry.store[key] is value for key, value in store.items())
 
 
 def test_a_caller_cannot_change_a_memo_value():
     p = geometric_package(corpus("t34_staircase"))
-    cold = [value(memo.__wrapped__, p) for memo, value in MEMOS.values()]
-    factors = splice._factors(p, SIDES[0])
+    cold = [_kept(cold(p)) for _, cold in VALUES.values()]
+    factors = _from_entry(p, splice._factors, SIDES[0])
     with pytest.raises(TypeError):
         factors["B1 A0"] = Gf2Matrix.identity(0)
     with pytest.raises(TypeError):
         del factors["B1 A0"]
-    families = splice._family_parts(p)
+    families = _from_entry(p, splice._family_parts)
     with pytest.raises(TypeError):
         families["w0"] = ()
     with pytest.raises(AttributeError):
@@ -115,7 +142,15 @@ def test_a_caller_cannot_change_a_memo_value():
         vector[next(iter(vector))] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
-    blocks, xs, fs = duality._derive(p.dims, by_index(p, "tau"))
+    entry = duality._derive(p.dims, by_index(p, "tau"))
+    assert entry is p._entry
+    with pytest.raises(TypeError):
+        entry[0] = entry[1]
+    with pytest.raises(AttributeError):
+        entry.blocks = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p._entry = None
+    blocks, xs, fs = entry[:3]
     with pytest.raises(TypeError):
         blocks[0] = blocks[1]
     with pytest.raises(AttributeError):
@@ -125,23 +160,53 @@ def test_a_caller_cannot_change_a_memo_value():
             m.rows = 0
         with pytest.raises(ShapeMismatch):
             del m.cols
-    assert [value(memo, p) for memo, value in MEMOS.values()] == cold
+    assert [_kept(read(p)) for read, _ in VALUES.values()] == cold
 
 
-@pytest.mark.parametrize("name", MEMOS)
+@pytest.mark.parametrize("name", VALUES)
 def test_one_package_past_the_bound_evicts_the_oldest(name):
-    memo, value = MEMOS[name]
+    read, _ = VALUES[name]
     packages = list(dict.fromkeys(synthetic_package(seed, (2, 3, 2)) for seed in range(PACKAGE_MEMO_SIZE + 1)))
     assert len(packages) == PACKAGE_MEMO_SIZE + 1
-    memo.cache_clear()  # building the packages filled the derivations
-    values = [value(memo, p) for p in packages]
-    info = memo.cache_info()
+    info = duality._derive.cache_info()
+    # building the packages made their entries; the first was evicted
     assert (info.misses, info.currsize, info.maxsize) == (PACKAGE_MEMO_SIZE + 1, PACKAGE_MEMO_SIZE, PACKAGE_MEMO_SIZE)
-    assert value(memo, packages[1]) is values[1]  # the second oldest is kept
-    assert memo.cache_info().hits == info.hits + 1
-    again = value(memo, packages[0])  # the oldest was evicted
-    assert memo.cache_info().misses == info.misses + 1
-    assert again == values[0] and again is not values[0]
+    values = [read(p) for p in packages]
+    kept = _rebuilt(packages[1])  # the second oldest is kept: its values with it
+    assert kept._entry is packages[1]._entry and read(kept) is values[1]
+    info = duality._derive.cache_info()
+    again = _rebuilt(packages[0])  # the oldest was evicted: its values with it
+    assert duality._derive.cache_info().misses == info.misses + 1
+    assert again._entry is not packages[0]._entry and again._entry.store == {}
+    value = read(again)
+    assert _kept(value) == _kept(values[0]) and value is not values[0]
+
+
+def test_a_package_survives_copy_and_pickle_after_its_values_are_read():
+    # the store holds mapping proxies, which cannot be copied: a copy is
+    # rebuilt from the six defining fields, and so shares the entry
+    p = geometric_package(corpus("t34_staircase"))
+    report = kernel_witnesses(p, p)
+    for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert again == p and again is not p
+        assert again._entry is p._entry
+        assert kernel_witnesses(again, again) == report
+
+
+def test_a_read_that_raises_stores_nothing():
+    p = geometric_package(corpus("t34_staircase"))
+    calls = []
+
+    def failing(q):
+        calls.append(q)
+        raise NormalizationFailure("no value")
+
+    before = _store(p)
+    for _ in range(2):
+        with pytest.raises(NormalizationFailure, match="no value"):
+            _from_entry(p, failing)
+        assert _store(p) == before
+    assert calls == [p, p]  # computed afresh on every read
 
 
 def test_a_memoised_matrix_cannot_be_changed_in_place():
@@ -150,7 +215,7 @@ def test_a_memoised_matrix_cannot_be_changed_in_place():
     # derived matrices now refuse it, and h stays 25
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     assert splice_rank(p, q).h == 25
-    factor = splice._factors(p, splice._LEFT_FACTORS)["B1 A0"]
+    factor = _from_entry(p, splice._factors, SIDES[0])["B1 A0"]
     with pytest.raises(ShapeMismatch, match="immutable"):
         factor.row_bits = (0,) * factor.rows
     for name in ("rows", "cols", "set_bits", "nonzero_rows"):
@@ -196,6 +261,7 @@ def test_a_bad_tau_fails_verification_on_every_build():
 
 
 ENTRY_POINTS = {
+    "from_entry": lambda p, bad: _from_entry(bad, duality._stats),
     "stats": lambda p, bad: stats(bad),
     "witness_data": lambda p, bad: witness_data(bad),
     "build_D": lambda p, bad: build_D(bad, p),
@@ -213,11 +279,11 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", [[1, 2], None, 1j], ids=["list", "none", "complex"])
 def test_an_argument_of_another_type_fails_before_any_lookup(call, bad):
     p = geometric_package(corpus("trefoil_staircase"))
-    before = [memo.cache_info() for memo, _ in MEMOS.values()]
+    before = duality._derive.cache_info(), _store(p)
     with pytest.raises(ShapeMismatch) as info:
         call(p, bad)
     assert info.type is ShapeMismatch
-    assert [memo.cache_info() for memo, _ in MEMOS.values()] == before
+    assert (duality._derive.cache_info(), _store(p)) == before
 
 
 def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
@@ -235,4 +301,6 @@ def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
     for (n1, n2), d in first.items():
         assert build_D(packages[n1], packages[n2]) == d
     assert counts == Counter()
-    assert splice._factors.cache_info().currsize == 2 * len(knots)
+    # each knot's entry holds the factors of both sides, made once each
+    for p in packages.values():
+        assert {key for key in p._entry.store if key[0] is splice._factors} == {(splice._factors, side) for side in SIDES}

@@ -388,8 +388,9 @@ def test_corpus_catalog():
     names = corpus_names()
     assert "unknot" in names and "trefoil_staircase" in names and "fig8_box" in names
     assert len(names) >= 10
-    with pytest.raises(UnknownName):
-        corpus("granny")
+    for name in ("granny", "./unknot", "../data/unknot"):
+        with pytest.raises(UnknownName):
+            corpus(name)
     u = corpus("unknot")
     assert len(u.generators) == 1 and not u.arrows
 

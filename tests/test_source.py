@@ -165,3 +165,19 @@ def test_a_complex_is_validated_only_when_it_is_built():
     # nor does the library keep any of the checks that ran after construction
     used = set().union(*(_names_used(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
     assert used.isdisjoint({"validate", "require_valid", "valid_lookup", "ValidationReport"})
+
+
+def test_one_memo_per_package_value():
+    # everything read from a package value lives in the entry that
+    # duality._derive makes: no other module keeps a bounded memo of its own,
+    # and the bound is named in duality alone
+    decorated = [
+        f"{path.name} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any("lru_cache" in _names_used(decorator) for decorator in node.decorator_list)
+    ]
+    assert decorated == ["duality.py _derive"]
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py")) if "PACKAGE_MEMO_SIZE" in path.read_text()]
+    assert naming == ["duality.py"]

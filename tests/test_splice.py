@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicerank import splice
+from splicerank import duality, splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import PackageStats, geometric_package, stats
 from splicerank.errors import ShapeMismatch, WitnessNotInKernel
 from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.model import BifilteredComplex, hf_hat, mirror, random_complex
 from splicerank.splice import (
+    TheoremVerdict,
     build_D,
     kernel_witnesses,
     splice_rank,
@@ -109,12 +110,13 @@ def test_build_D_operation_budget(monkeypatch):
     # besides the 28 products, the 6 identity factors and D itself.  Warm,
     # the factors come from the memo, so D is the only matrix built
     ceiling = {"__matmul__": 28, "_trusted": 28 + 6 + 1, "__add__": 0, "__init__": 0, "assemble": 0}
+    # packages built after the clear take fresh entries, with no factors
+    duality._derive.cache_clear()
     pairs = [
         (pkg("t34_staircase"), pkg("fig8_box")),
         (pkg("trefoil_staircase"), pkg("trefoil_staircase")),
         (synthetic_package(1, (2, 3, 1)), pkg("t25_staircase")),
     ]
-    splice._factors.cache_clear()
     counts = Counter()
     counted_ops = [(Gf2Matrix, name) for name in ceiling if name != "assemble"] + [(BlockGrid, "assemble")]
     for owner, name in counted_ops:
@@ -326,6 +328,46 @@ def test_theorem_trefoil_pair():
     assert verdict.holds
     assert verdict.h >= 1
     assert verdict.witness_bounds_hold
+
+
+@pytest.fixture(scope="module")
+def geometric_verdicts() -> dict[tuple[str, str], tuple[TheoremVerdict, int]]:
+    """theorem_check on every ordered pair of the corpus, its mirrors and
+    random_complex seeds 0-11 (32 knots, 1,024 pairs), by name, each with
+    the first knot's y_inf."""
+    knots = [corpus(name) for name in corpus_names()]
+    knots += [mirror(c) for c in knots] + [random_complex(seed) for seed in range(12)]
+    packages = {c.name: geometric_package(c) for c in knots}
+    return {
+        (a, b): (theorem_check(packages[a], packages[b]), stats(packages[a]).y_inf)
+        for a, b in product(packages, repeat=2)
+    }
+
+
+def test_the_theorem_holds_on_every_pair_of_geometric_knots(geometric_verdicts):
+    # the six-term witness bounds hold on every pair, and h >= y_inf(K1) on
+    # every pair whose second knot sits in a sphere of rank 1: the 20
+    # corpus knots and mirrors, and random-7
+    assert len(geometric_verdicts) == 1024
+    assert all(v.witness_bounds_hold for v, _ in geometric_verdicts.values())
+    applicable = {pair: (v, y) for pair, (v, y) in geometric_verdicts.items() if v.applicable}
+    assert len({b for _, b in applicable}) == 21 and "random-7" in {b for _, b in applicable}
+    assert len(applicable) == 21 * 32 == 672
+    # the bound is the first knot's y_inf: the second's is 1 on every such pair
+    assert all(v.holds and v.lower_bound == y and v.margin == v.h - y for v, y in applicable.values())
+
+
+def test_the_theorem_is_tight_exactly_on_the_unknot_pairs(geometric_verdicts):
+    # margin 0 when either knot is the unknot or its mirror: 64 pairs with
+    # it second and 38 with it first (the other 19 applicable second knots),
+    # and at least 6 on every other applicable pair
+    unknots = {"unknot", "unknot-mirror"}
+    margins = {pair: v.margin for pair, (v, _) in geometric_verdicts.items() if v.applicable}
+    tight = {pair for pair, margin in margins.items() if margin == 0}
+    assert tight == {pair for pair in margins if unknots & set(pair)}
+    assert len(tight) == 102
+    assert sum(b in unknots for _, b in tight) == 64
+    assert min(margin for pair, margin in margins.items() if pair not in tight) == 6
 
 
 def test_theorem_not_applicable_for_large_rank_companion():
