@@ -19,13 +19,13 @@ index k its attribute suffix, prev(k) and next(k):
 - fbar_k = tau_prev(k)^-1 f_k tau_next(k), and X_k = B_next(k) B_k B_prev(k).
 
 A ``SurgeryPackage`` is its dims and its three tau maps; its blocks, X
-products and f maps are derived from them when it is built, each tau cut
-into its A, B and D blocks in one pass (``gf2.cut_blocks``).  An f map in
-normal form depends on the dims alone, so packages of one shape share it
-(``_normal_form``), and the checks that multiply by one read the product off
-the other factor's rows.  The fbar maps are fixed by the relation above, so
-no package stores them; ``stats``, their only reader, reads each through
-its taus (see ``_pair_dims``).
+products and f maps are derived from them once per value (see below),
+each tau cut into its A, B and D blocks in one pass (``gf2.cut_blocks``).
+An f map in normal form depends on the dims alone, so packages of one
+shape share it (``_normal_form``), and the checks that multiply by one read
+the product off the other factor's rows.  The fbar maps are fixed by the
+relation above, so no package stores them; ``stats``, their only reader,
+reads each through its taus (see ``_pair_dims``).
 
 ``geometric_package`` keeps one entry per complex: its ``NormalBasis``,
 the duality maps that have passed the barred-map relations beside the
@@ -39,21 +39,25 @@ no totals, triple, cone, plane, homology space or basis.  It is a
 immutable, hashable and valid by construction, so a lookup checks only the
 argument's type, an equal complex hits the same entry and an entry dies
 with its complex; nothing in an entry refers back to the complex.  Every
-call runs ``normalize``, which builds a package from the normalized taus
-and runs ``verify_package`` on it, so every caller gets a freshly built and
-verified package.
+call runs ``normalize``, which builds a fresh package from the normalized
+taus and reads its value's verdict (below), so every caller gets a new
+package of a verified value.
 
 Everything read from a package depends on its dims and taus alone, so
 each value has one entry, made by ``_derive`` when the value is first built
 and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
 holds the blocks, X products and f maps, and a store of what is read from
-the value later: ``stats`` here, the splice factors of each side and the
-witness families in ``splice``.  Each package keeps its entry, so all equal
-packages share one, and ``_from_entry`` reads the store: it checks the
-argument's type, computes a value on a miss and stores nothing when the
-computation raises.  An evicted entry takes its values with it: an equal
-package built later derives them afresh.  A tau of the wrong size raises
-on every build, and ``verify_package`` (6 products) runs on every build.
+the value later: the verdict of ``verify_package`` that ``normalize`` reads
+and ``stats`` here, the splice factors of each side, the witness families
+and the B-block nullities in ``splice``.  Each package keeps its entry, so
+all equal packages share one, and ``_from_entry`` reads the store: it
+checks the argument's type, computes a value on a miss (a kept None is a
+hit) and stores nothing when the computation raises.  So ``verify_package``
+(6 products) runs once per value, when ``normalize`` first builds it, and
+a value that fails it fails on every build.  An evicted entry takes its
+values with it, the verdict too: an equal package built later derives and
+verifies them afresh.  A tau of the wrong size raises on every build.  A
+direct call of ``verify_package`` checks in full every time.
 """
 
 from __future__ import annotations
@@ -129,14 +133,15 @@ class BlockSet(NamedTuple):
 class SurgeryPackage:
     """A normalised package: its dims and its tau maps, six defining fields.
 
-    The blocks, X products and f maps are read at construction from the
-    entry of the package's value (see the module docstring), so
-    ``dataclasses.replace`` derives them for its own value; equality and
-    hashing read the six defining fields.  fbar_k = tau_prev(k)^-1 f_k
-    tau_next(k) is not stored (see the module docstring).  A dim that is not a nonnegative int
-    (a bool is refused, as it would equal and hash like the int) or a tau
-    that is not a ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not
-    square of size a_prev + a_next raises ``NormalizationFailure``.
+    Construction sets one more attribute, the entry of the package's value
+    (see the module docstring), and the blocks, X products and f maps are
+    read-only properties that read it, so ``dataclasses.replace`` derives
+    them for its own value; equality and hashing read the six defining
+    fields.  fbar_k = tau_prev(k)^-1 f_k tau_next(k) is not stored (see the
+    module docstring).  A dim that is not a nonnegative int (a bool is
+    refused, as it would equal and hash like the int) or a tau that is not a
+    ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not square of size
+    a_prev + a_next raises ``NormalizationFailure``.
     """
 
     a0: int
@@ -145,28 +150,24 @@ class SurgeryPackage:
     tau0: Gf2Matrix
     tau1: Gf2Matrix
     tau_inf: Gf2Matrix
-    blocks0: BlockSet = field(init=False, compare=False)
-    blocks1: BlockSet = field(init=False, compare=False)
-    blocks_inf: BlockSet = field(init=False, compare=False)
-    X0: Gf2Matrix = field(init=False, compare=False)
-    X1: Gf2Matrix = field(init=False, compare=False)
-    Xinf: Gf2Matrix = field(init=False, compare=False)
-    f_inf: Gf2Matrix = field(init=False, compare=False)
-    f0: Gf2Matrix = field(init=False, compare=False)
-    f1: Gf2Matrix = field(init=False, compare=False)
     _entry: _Entry = field(init=False, compare=False, repr=False)
+
+    blocks0 = property(lambda p: p._entry.blocks[0])
+    blocks1 = property(lambda p: p._entry.blocks[1])
+    blocks_inf = property(lambda p: p._entry.blocks[2])
+    X0 = property(lambda p: p._entry.xs[0])
+    X1 = property(lambda p: p._entry.xs[1])
+    Xinf = property(lambda p: p._entry.xs[2])
+    f0 = property(lambda p: p._entry.fs[0])
+    f1 = property(lambda p: p._entry.fs[1])
+    f_inf = property(lambda p: p._entry.fs[2])
 
     def __post_init__(self):
         for k, a in zip(CYCLE, self.dims):
             if not is_int(a) or a < 0:
                 raise ShapeMismatch(f"package dim a{k.suffix} = {a!r} is not a nonnegative int")
         require_type(Gf2Matrix, *by_index(self, "tau"))
-        entry = _derive(self.dims, by_index(self, "tau"))
-        object.__setattr__(self, "_entry", entry)
-        for (suffix, label, _, _), b, x, f in zip(CYCLE, entry.blocks, entry.xs, entry.fs):
-            object.__setattr__(self, "blocks" + suffix, b)
-            object.__setattr__(self, "X" + label, x)
-            object.__setattr__(self, "f" + suffix, f)
+        object.__setattr__(self, "_entry", _derive(self.dims, by_index(self, "tau")))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -204,13 +205,17 @@ def _derive(dims: tuple[int, int, int], taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
     return _Entry(tuple(blocks), xs, tuple(fs), {})
 
 
+# What the store gives for a key it does not hold: no value make can return.
+_MISSING = object()
+
+
 def _from_entry(p: SurgeryPackage, make: Callable[..., object], *args: Hashable) -> object:
     """make(p, *args), kept in the store of p's entry under (make, *args)
-    if it returns (see the module docstring)."""
+    if it returns (see the module docstring); a kept None is a hit too."""
     require_type(SurgeryPackage, p)
     store, key = p._entry.store, (make, *args)
-    value = store.get(key)
-    if value is None:
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
         value = store[key] = make(p, *args)
     return value
 
@@ -400,13 +405,22 @@ def _check_normal_form(dims, fs, g, moved: str) -> None:
 
 
 def normalize(basis: NormalBasis) -> SurgeryPackage:
-    """The knot's package, built from the basis's normalized taus and
-    verified afresh on every call.  The package derives its fbar maps from
-    its taus and normal forms, so no fbar map needs a base change."""
+    """The knot's package, built afresh from the basis's normalized taus on
+    every call; its value passed ``verify_package`` once, when its entry
+    was made (see the module docstring).  The package derives its fbar maps
+    from its taus and normal forms, so no fbar map needs a base change."""
     require_type(NormalBasis, basis)
     p = SurgeryPackage(*basis.dims, *basis.taus)
-    verify_package(p)
+    _from_entry(p, _verified)
     return p
+
+
+def _verified(p: SurgeryPackage) -> None:
+    """The verdict that ``normalize`` keeps per package value: None once
+    ``verify_package`` passes on p.  The store's key is this function, not
+    ``verify_package``, so a wrapper put on that name (a trace, say) runs
+    on a miss and changes no key."""
+    verify_package(p)
 
 
 def verify_package(p: SurgeryPackage) -> None:

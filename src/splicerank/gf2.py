@@ -90,7 +90,8 @@ class Gf2Matrix:
     raises ``ShapeMismatch``, so a matrix kept in a memo or a package reads
     the same to every caller."""
 
-    __slots__ = ("rows", "cols", "row_bits")
+    # _hash is set on the first hash (see __hash__)
+    __slots__ = ("rows", "cols", "row_bits", "_hash")
 
     def __init__(self, rows: int, cols: int, row_bits: Iterable[int] | None = None):
         """The rows x cols matrix on row_bits, or the zero matrix without them."""
@@ -222,7 +223,13 @@ class Gf2Matrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_bits))
+        # computed once per matrix; __reduce__ does not carry it
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rows, self.cols, self.row_bits))
+            _set(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.rows}x{self.cols})"

@@ -15,16 +15,18 @@ and the symmetry axioms, and raises ``ShapeMismatch`` listing every
 violation.  No later stage checks again.  A complex is also immutable and
 hashable: its generators and arrows are tuples and its symmetry a read-only
 copy of the mapping it was given, so equal complexes hash equal and a
-complex can key a cache.  Every grading and drop of a complex is an int, so
-equality cannot pair it with an invalid one, as 0 == 0.0 == False otherwise
-would.
+complex can key a cache.  A complex computes its hash once and keeps it;
+copy and pickle rebuild it through its constructor, so the hash never
+travels to another process, where a str hashes otherwise.  Every grading
+and drop of a complex is an int, so equality cannot pair it with an
+invalid one, as 0 == 0.0 == False otherwise would.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .errors import (
@@ -65,9 +67,9 @@ class BifilteredComplex:
     name: str
     generators: tuple[Generator, ...]
     arrows: tuple[Arrow, ...]
-    # a mapping proxy has no hash, so the symmetry stays out of the hash;
-    # equality still compares it
-    symmetry: Mapping[str, str] | None = field(default=None, hash=False)
+    # a mapping proxy has no hash, so the symmetry stays out of the hash
+    # (see __hash__); equality still compares it
+    symmetry: Mapping[str, str] | None = None
     flip: Gf2Matrix | None = None
     tau_override: TauOverride | None = None
 
@@ -84,6 +86,21 @@ class BifilteredComplex:
         violations = _violations(self)
         if violations:
             raise ShapeMismatch(f"invalid complex {self.name!r}: " + "; ".join(violations))
+
+    def __hash__(self) -> int:
+        # computed once per complex, over every field but the symmetry, and
+        # kept outside the fields; __reduce__ does not carry it, as a str
+        # hashes differently in another process
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.name, self.generators, self.arrows, self.flip, self.tau_override))
+        return h
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which copies the
+        # symmetry into a new mapping proxy (a proxy cannot be pickled)
+        sigma = None if self.symmetry is None else dict(self.symmetry)
+        return BifilteredComplex, (self.name, self.generators, self.arrows, sigma, self.flip, self.tau_override)
 
     def grading_range(self) -> tuple[int, int]:
         values = [g.alexander for g in self.generators]

@@ -20,8 +20,9 @@ block-by-block assembly as the reference.
 Per-package values
 ------------------
 Only the Kronecker products and the witnesses join the two knots; a knot's
-factors and witness families depend on its package's value alone, so they
-are kept in that value's entry, as ``duality.stats`` is (see ``duality``).
+factors, witness families and B-block nullities (``_b_nullities``, which
+``subspace_bounds`` reads) depend on its package's value alone, so they are
+kept in that value's entry, as ``duality.stats`` is (see ``duality``).
 The left and the right factors are two keys of the store, so a cold
 ``build_D`` makes 28 products even for a self-splice.  A factor is kept as
 its ``gf2.KronFactor``, the plan ``kron_blocks`` writes from, so a warm
@@ -349,38 +350,44 @@ class SubspaceBound:
     coker_ok: bool | None = None
 
 
-def _b_nullities(p: SurgeryPackage) -> tuple[dict[str, int], dict[str, int]]:
-    """The kernel and the cokernel dims of each B_k of p, by label: B_k is
-    a_prev(k) x a_next(k) of rank r_k, read from the memoised ``stats``, so
-    no B block is eliminated again.  B_k is injective when its kernel is 0,
-    and surjective when its cokernel is."""
-    st, dims = stats(p), p.dims
-    ranks = by_index(st, "r")
-    return (
-        {k.label: dims[k.next] - r for k, r in zip(CYCLE, ranks)},
-        {k.label: dims[k.prev] - r for k, r in zip(CYCLE, ranks)},
-    )
+def _b_nullities(p: SurgeryPackage) -> tuple[Mapping[str, int], Mapping[str, int]]:
+    """The kernel and the cokernel dims of p's B blocks and of their
+    products of two, by name as in ``_TERMS``: "B1" is blocks1.B and
+    "B1 B0" is blocks1.B @ blocks0.B; kept per package value (see the
+    module docstring).  B_k is a_prev(k) x a_next(k) of rank r_k, read from
+    the memoised ``stats``, so no B block is eliminated again; the only
+    products of two that fit are B_k B_prev(k), each eliminated once.  B_k
+    is injective when its kernel is 0, and surjective when its cokernel is."""
+    dims, blocks = p.dims, by_index(p, "blocks")
+    ker, coker = {}, {}
+    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, by_index(stats(p), "r")):
+        ker["B" + label], coker["B" + label] = dims[nxt] - r, dims[prev] - r
+        product = b.B @ blocks[prev].B
+        rank = product.rank()
+        name = f"B{label} B{CYCLE[prev].label}"
+        ker[name], coker[name] = product.cols - rank, product.rows - rank
+    return MappingProxyType(ker), MappingProxyType(coker)
 
 
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses.
 
-    Whether a B block is injective or surjective, and the kernel and cokernel
-    dims of a single one, come from its rank in ``stats`` (``_b_nullities``);
-    only the products of two B blocks are eliminated here.
+    Whether a B block is injective or surjective, and the kernel and
+    cokernel dims of a B block or of a product of two, come from each
+    knot's ``_b_nullities``, so a warm call eliminates only D.  The first
+    knot's blocks are read through the involution 0 <-> inf.
     """
     require_type(SurgeryPackage, p1, p2)
-    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
-    (ker_1, coker_1), (ker_2, coker_2) = _b_nullities(p1), _b_nullities(p2)
+    (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)
     rank = splice_rank(p1, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
         label = f"({circ},{bullet},{star})"
-        if ker_2[circ] == 0 and coker_2[bullet] == 0:
-            left = b_1[INVOLUTION[circ]] @ b_1[INVOLUTION[bullet]]
-            right = b_2[bullet] @ b_2[circ]
-            kb = left.kernel_dim() * right.kernel_dim()
-            cb = left.cokernel_dim() * right.cokernel_dim()
+        circ_1, bullet_1, star_1 = (INVOLUTION[x] for x in (circ, bullet, star))
+        if ker_2["B" + circ] == 0 and coker_2["B" + bullet] == 0:
+            left, right = f"B{circ_1} B{bullet_1}", f"B{bullet} B{circ}"
+            kb = ker_1[left] * ker_2[right]
+            cb = coker_1[left] * coker_2[right]
             out.append(
                 SubspaceBound(
                     f"case1 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
@@ -388,13 +395,9 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
             )
         else:
             out.append(SubspaceBound(f"case1 {label}", False))
-        if coker_2[circ] == 0 and ker_2[bullet] == 0:
-            left_k = b_1[INVOLUTION[bullet]] @ b_1[INVOLUTION[star]]
-            right_k = b_2[star] @ b_2[bullet]
-            kb = left_k.kernel_dim() * right_k.kernel_dim()
-            left_c = b_1[INVOLUTION[star]] @ b_1[INVOLUTION[circ]]
-            right_c = b_2[circ] @ b_2[star]
-            cb = left_c.cokernel_dim() * right_c.cokernel_dim()
+        if coker_2["B" + circ] == 0 and ker_2["B" + bullet] == 0:
+            kb = ker_1[f"B{bullet_1} B{star_1}"] * ker_2[f"B{star} B{bullet}"]
+            cb = coker_1[f"B{star_1} B{circ_1}"] * coker_2[f"B{circ} B{star}"]
             out.append(
                 SubspaceBound(
                     f"case2 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
@@ -405,19 +408,19 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
 
     # combined variant when B0 of the right knot is injective and Binf surjective;
     # the joined pair of overlapping subspaces is counted by the larger one
-    if ker_2["0"] == 0 and coker_2["inf"] == 0:
-        k_pair = (b_1["inf"] @ b_1["1"]).kernel_dim() * (b_2["1"] @ b_2["0"]).kernel_dim()
-        k_prime = ker_1["1"] * ker_2["1"]
+    if ker_2["B0"] == 0 and coker_2["Binf"] == 0:
+        k_pair = ker_1["Binf B1"] * ker_2["B1 B0"]
+        k_prime = ker_1["B1"] * ker_2["B1"]
         kb = (
-            ker_1["0"] * ker_2["inf"]
-            + ker_1["inf"] * ker_2["0"]
+            ker_1["B0"] * ker_2["Binf"]
+            + ker_1["Binf"] * ker_2["B0"]
             + max(k_pair, k_prime)
         )
-        c_pair = (b_1["1"] @ b_1["0"]).cokernel_dim() * (b_2["inf"] @ b_2["1"]).cokernel_dim()
-        c_prime = coker_1["1"] * coker_2["1"]
+        c_pair = coker_1["B1 B0"] * coker_2["Binf B1"]
+        c_prime = coker_1["B1"] * coker_2["B1"]
         cb = (
-            coker_1["0"] * coker_2["inf"]
-            + coker_1["inf"] * coker_2["0"]
+            coker_1["B0"] * coker_2["Binf"]
+            + coker_1["Binf"] * coker_2["B0"]
             + max(c_pair, c_prime)
         )
         out.append(

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -452,7 +458,8 @@ def test_memo_hit_equals_a_cold_build_and_still_normalizes(memo, monkeypatch):
     counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normal_basis", "normalize", "verify_package"))
     warm = geometric_package(corpus("t34_staircase"))  # equal, but another object
     assert warm == cold and warm is not cold
-    assert counts == {"normalize": 1, "verify_package": 1}
+    # the value's entry keeps its verdict, so verify_package does not run
+    assert counts == {"normalize": 1}
 
 
 @pytest.mark.parametrize("bad", [None, "t34_staircase", Gf2Matrix.identity(1)], ids=["none", "name", "matrix"])
@@ -518,6 +525,56 @@ def test_complex_is_immutable_and_hashes_by_content():
     assert isinstance(d.generators, tuple) and isinstance(d.arrows, tuple)
 
 
+def test_a_complex_keeps_its_hash_and_a_copy_does_not():
+    c = corpus("trefoil_staircase")
+    h = hash(c)
+    assert c.__dict__["_hash"] == h == hash(c)
+    for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert again == c and "_hash" not in again.__dict__
+        assert hash(again) == h and again.symmetry == c.symmetry
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from splicerank import duality
+from splicerank.corpus import corpus
+
+path = sys.argv[1]
+if sys.argv[2] == "dump":
+    c = corpus("t34_staircase")
+    duality.geometric_package(c)  # hashes c, into the memo
+    with open(path, "wb") as f:
+        pickle.dump((hash(c), c), f)
+else:
+    equal = corpus("t34_staircase")
+    p = duality.geometric_package(equal)
+    with open(path, "rb") as f:
+        old_hash, c = pickle.load(f)
+    if old_hash == hash(equal):
+        sys.exit("the two processes hash a complex alike")
+    if duality._BUILT.get(c) is not duality._BUILT[equal]:
+        sys.exit("the loaded complex misses the entry of an equal one")
+    if duality.geometric_package(c) != p or len(duality._BUILT) != 1:
+        sys.exit("the loaded complex made an entry of its own")
+    print("ok")
+"""
+
+
+def test_a_complex_pickled_in_another_process_hits_an_equal_entry(tmp_path):
+    # a str hashes differently in another process, so a complex's hash must
+    # not travel with it
+    src = str(Path(duality.__file__).parent.parent)
+    path = str(tmp_path / "complex.pickle")
+    for seed, step in (("1", "dump"), ("2", "load")):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, path, step], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
 def test_a_non_int_grading_does_not_hit_an_equal_entry(memo):
     # a grading of 0.0 or False would make a complex equal to good: it
     # cannot be built, so it never reaches the memo
@@ -567,14 +624,13 @@ def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
 
 
 def test_warm_geometric_package_operation_budget(memo, monkeypatch):
-    # a warm call builds and verifies one package from the memo's normalized
-    # taus: its blocks, X products and normal-form f maps come from the
-    # memo of derivations, no basis is built or inverted, no tau is cut,
-    # inverted or conjugated, no fbar map is built, and no operation may
-    # exceed these counts.  @: 3 for tau^2 and 3 for X^2, as verify_package
-    # runs in full on the package it is given
+    # a warm call builds one package from the memo's normalized taus: its
+    # blocks, X products, normal-form f maps and verdict come from the entry
+    # of its value, no basis is built or inverted, no tau is cut, inverted,
+    # conjugated or squared, no fbar map is built, and no operation may
+    # exceed these counts
     ceiling = {
-        "__matmul__": 6,
+        "__matmul__": 0,
         "inverse": 0,
         "transpose": 0,
         "from_columns": 0,
@@ -599,4 +655,10 @@ def test_warm_geometric_package_operation_budget(memo, monkeypatch):
         counts.clear()
         geometric_package(c)
         assert {name: n for name, n in counts.items() if n > ceiling[name]} == {}, c.name
-        assert counts["__matmul__"] == 6, c.name  # the wrappers count
+        assert counts["__matmul__"] == 0, c.name
+    # the wrappers count: with the entries gone, a build derives its value
+    # afresh, 2 products per X, and verifies it, 3 for tau^2 and 3 for X^2
+    duality._derive.cache_clear()
+    counts.clear()
+    geometric_package(knots[1])
+    assert counts["__matmul__"] == 12

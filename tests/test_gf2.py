@@ -549,7 +549,7 @@ def test_trusted_results_pass_the_public_constructor(case):
     assert Gf2Matrix(m.rows, m.cols, m.row_bits) == m, name
 
 
-@pytest.mark.parametrize("name", ["rows", "cols", "row_bits", "other"])
+@pytest.mark.parametrize("name", ["rows", "cols", "row_bits", "_hash", "other"])
 def test_a_matrix_refuses_assignment_and_deletion(name):
     # memos and packages hand one matrix to every caller, so none may change it
     for m in (Gf2Matrix.identity(2), Gf2Matrix.identity(2) @ Gf2Matrix.identity(2)):
@@ -565,6 +565,17 @@ def test_a_matrix_survives_copy_and_pickle():
     m = Gf2Matrix.from_dense([[1, 0, 1], [0, 1, 1]])
     for again in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert again == m and type(again.row_bits) is tuple
+
+
+def test_a_matrix_keeps_its_hash_and_a_copy_does_not():
+    # a matrix is hashed once; copy and pickle rebuild it unhashed, so a
+    # hash never outlives the process that computed it
+    m = Gf2Matrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    assert not hasattr(m, "_hash")
+    h = hash(m)
+    assert m._hash == h == hash(m) == hash(Gf2Matrix(2, 3, m.row_bits))
+    for again in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert not hasattr(again, "_hash") and hash(again) == h
 
 
 def test_public_constructors_still_reject_bits_out_of_range():

@@ -1,11 +1,12 @@
 """The one per-value memo: ``duality._derive`` keeps, for each package
 value, one entry of at most ``PACKAGE_MEMO_SIZE``.  An entry holds the
 value's blocks, X products and f maps, and a store of what is read from
-the value later: its stats, its splice factors of either side and its
-witness families.  Every equal package shares the entry, so each of these
-is made once per value; a hit is what a cold computation makes, evicting
-an entry drops what it holds, and a computation that raises stores
-nothing."""
+the value later: its verdict, its stats, its splice factors of either side,
+its witness families and its B-block nullities.  Every equal package
+shares the entry, so each of these is made once per value, and
+``verify_package`` runs once per value; a hit is what a cold computation
+makes, a kept None is a hit too, evicting an entry drops what it holds,
+and a computation that raises stores nothing."""
 
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ VALUES = {
     "factors-right": (lambda p: _from_entry(p, splice._factors, SIDES[1]), lambda p: splice._factors(p, SIDES[1])),
     "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
     "stats": (stats, duality._stats),
+    "b-nullities": (lambda p: _from_entry(p, splice._b_nullities), splice._b_nullities),
 }
 
 
@@ -112,9 +114,11 @@ def test_a_hit_equals_a_cold_computation(name):
 def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     cold = kernel_witnesses(p, q)
-    # each knot's entry keeps its stats, its families and its side's factors
-    assert set(_store(p)) == {(duality._stats,), (splice._family_parts,), (splice._factors, SIDES[0])}
-    assert set(_store(q)) == {(duality._stats,), (splice._family_parts,), (splice._factors, SIDES[1])}
+    # each knot's entry keeps its verdict, its stats, its families and its
+    # side's factors
+    kept = {(duality._verified,), (duality._stats,), (splice._family_parts,)}
+    assert set(_store(p)) == kept | {(splice._factors, SIDES[0])}
+    assert set(_store(q)) == kept | {(splice._factors, SIDES[1])}
     stores = _store(p), _store(q)
     rebuilt = _rebuilt(p), _rebuilt(q)
     assert kernel_witnesses(*rebuilt) == cold
@@ -142,6 +146,9 @@ def test_a_caller_cannot_change_a_memo_value():
         vector[next(iter(vector))] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
+    kernel_dims, _ = _from_entry(p, splice._b_nullities)
+    with pytest.raises(TypeError):
+        kernel_dims["B0"] = 0
     entry = duality._derive(p.dims, by_index(p, "tau"))
     assert entry is p._entry
     with pytest.raises(TypeError):
@@ -207,6 +214,61 @@ def test_a_read_that_raises_stores_nothing():
             _from_entry(p, failing)
         assert _store(p) == before
     assert calls == [p, p]  # computed afresh on every read
+
+
+def test_a_read_that_returns_none_runs_once_per_entry():
+    p = geometric_package(corpus("t34_staircase"))
+    calls = []
+
+    def returns_none(q):
+        calls.append(q)
+
+    for q in (p, _rebuilt(p), p):
+        assert _from_entry(q, returns_none) is None
+    assert calls == [p]  # a kept None is a hit
+    assert _store(p)[(returns_none,)] is None
+    duality._derive.cache_clear()
+    again = _rebuilt(p)
+    assert _from_entry(again, returns_none) is None
+    assert calls == [p, again]  # a fresh entry computes it afresh
+
+
+def test_verify_package_runs_once_per_value(monkeypatch):
+    runs = []
+    verify = duality.verify_package
+
+    def counted(p):
+        runs.append(p)
+        verify(p)
+
+    monkeypatch.setattr(duality, "verify_package", counted)
+    c = corpus("t34_staircase")
+    p = geometric_package(c)
+    assert runs == [p]
+    # an equal complex, another object, reads the verdict of p's value
+    assert geometric_package(corpus("t34_staircase")) == p
+    # so does an equal package built by hand, from taus that are other objects
+    taus = [Gf2Matrix(t.rows, t.cols, t.row_bits) for t in by_index(p, "tau")]
+    q = SurgeryPackage(*p.dims, *taus)
+    assert q._entry is p._entry and _from_entry(q, duality._verified) is None
+    assert normalize(duality._BUILT[c]._replace(taus=tuple(taus))) == p
+    assert runs == [p]
+    # an evicted entry takes the verdict with it
+    duality._derive.cache_clear()
+    assert geometric_package(c) == p
+    assert runs == [p, p]
+    # a direct call checks in full every time: 3 products for tau^2, 3 for X^2
+    products = Counter()
+    matmul = Gf2Matrix.__matmul__
+
+    def counted_matmul(*args):
+        products["@"] += 1
+        return matmul(*args)
+
+    monkeypatch.setattr(Gf2Matrix, "__matmul__", counted_matmul)
+    for n in (1, 2):
+        verify(q)
+        assert products["@"] == 6 * n
 
 
 def test_a_memoised_matrix_cannot_be_changed_in_place():

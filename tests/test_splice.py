@@ -305,6 +305,29 @@ def test_subspace_bounds_read_from_stats_equal_the_eliminated_ones():
             assert subspace_bounds(p1, p2) == reference_subspace_bounds(p1, p2), (p1.dims, p2.dims)
 
 
+def test_a_warm_subspace_bounds_makes_no_product(monkeypatch):
+    # the kernel and cokernel dims of each knot's B blocks and of their
+    # products of two are kept per package value, as are the factors of D
+    packages = [pkg(name) for name in corpus_names()]
+    pairs = list(product(packages, repeat=2))
+    pairs += [(synthetic_package(seed, (2, 1, 2)), synthetic_package(seed + 500, (2, 1, 2))) for seed in (0, 13)]
+    cold = [subspace_bounds(p1, p2) for p1, p2 in pairs]
+    met = {r.label.split()[0] for records in cold for r in records if r.hypothesis_met}
+    assert met == {"case1", "case2", "remark"}
+    counts = Counter()
+    matmul = Gf2Matrix.__matmul__
+
+    def counted(*args):
+        counts["@"] += 1
+        return matmul(*args)
+
+    monkeypatch.setattr(Gf2Matrix, "__matmul__", counted)
+    assert [subspace_bounds(p1, p2) for p1, p2 in pairs] == cold
+    assert counts == Counter()
+    monkeypatch.undo()
+    assert cold == [reference_subspace_bounds(p1, p2) for p1, p2 in pairs]
+
+
 def test_subspace_bounds_reports_skips():
     records = subspace_bounds(pkg("unknot"), pkg("unknot"))
     assert any(not r.hypothesis_met for r in records)
