@@ -33,7 +33,10 @@ dims and the normalized taus g_k^-1 tau_k g_k, in the bases g_k that put
 the triangle maps in normal form.  All the work that reads the totals is
 done once, in ``normal_basis``: the pivots and complements, the basis
 matrices and their inverses, the rank bookkeeping, the check that each f_k
-reaches its normal form and the conjugation of the taus.  The memo keeps
+reaches its normal form and the conjugation of the taus.  Only
+``normal_basis`` makes a ``NormalBasis`` (built anywhere else, one raises
+``ShapeMismatch``), so ``normalize`` checks a basis by its type alone and
+no hand-built one skips those checks.  The memo keeps
 no totals, triple, cone, plane, homology space or basis.  It is a
 ``weakref.WeakKeyDictionary`` keyed on the complex itself, which is
 immutable, hashable and valid by construction, so a lookup checks only the
@@ -47,10 +50,11 @@ Everything read from a package depends on its dims and taus alone, so
 each value has one entry, made by ``_derive`` when the value is first built
 and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
 holds the blocks, X products and f maps, and a store of what is read from
-the value later: the verdict of ``verify_package`` that ``normalize`` reads
-and ``stats`` here, the splice factors of each side, the witness families
-and the B-block nullities in ``splice``.  Each package keeps its entry, so
-all equal packages share one, and ``_from_entry`` reads the store: it
+the value later: the verdict of ``verify_package`` that ``normalize`` reads,
+``stats`` and the B-block nullities (``_b_nullities``, which the lemma
+checks and ``splice.subspace_bounds`` read) here, and the splice side of
+either knot and the witness families in ``splice``.  Each package keeps its
+entry, so all equal packages share one, and ``_from_entry`` reads the store: it
 checks the argument's type, computes a value on a miss (a kept None is a
 hit) and stores nothing when the computation raises.  So ``verify_package``
 (6 products) runs once per value, when ``normalize`` first builds it, and
@@ -63,10 +67,11 @@ direct call of ``verify_package`` checks in full every time.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -324,18 +329,42 @@ def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
 # -- normalization ------------------------------------------------------------
 
 
-class NormalBasis(NamedTuple):
+# What normal_basis hands NormalBasis to show where the basis was made.
+_MADE_HERE = object()
+
+
+class NormalBasis:
     """One knot's checked duality maps, the dims (a0, a1, a_inf) and the
     normalized taus g_k^-1 tau_k g_k, in table order, where the columns of
     g_k are the basis of H_k that puts the triangle maps in normal form.
-    ``normal_basis`` builds one from totals that the maps meet the
+    Only ``normal_basis`` makes one, from totals that the maps meet the
     barred-map relations with, and conjugates the taus there, once per
-    knot; the bases themselves are not kept.  A NamedTuple, like
-    ``SurgeryTotals``, as it is cheaper to define at import."""
+    knot; the bases themselves are not kept.  Built anywhere else, it
+    raises ``ShapeMismatch``, and so does assigning or deleting a field, so
+    a basis that ``normalize`` accepts by its type is one whose maps were
+    checked.  A plain class with slots, as it is cheaper to define at
+    import than a dataclass."""
 
-    maps: TauMaps
-    dims: tuple[int, int, int]
-    taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+    __slots__ = ("maps", "dims", "taus")
+
+    def __init__(
+        self,
+        maps: TauMaps,
+        dims: tuple[int, int, int],
+        taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix],
+        _made_by: object = None,
+    ) -> None:
+        if _made_by is not _MADE_HERE:
+            raise ShapeMismatch("a NormalBasis is made by normal_basis")
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "taus", taus)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise ShapeMismatch(f"a NormalBasis is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise ShapeMismatch(f"a NormalBasis is immutable: cannot delete {name}")
 
 
 def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
@@ -389,7 +418,7 @@ def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
     dims = (a0, a1, a_inf)
     _check_normal_form(dims, by_index(totals, "f"), g, "triangle maps do not reach the normal form")
     taus = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(by_index(maps, "tau"), g, g_inv)])
-    return NormalBasis(maps, dims, taus)
+    return NormalBasis(maps, dims, taus, _MADE_HERE)
 
 
 def _check_normal_form(dims, fs, g, moved: str) -> None:
@@ -578,3 +607,24 @@ def _stats(p: SurgeryPackage) -> PackageStats:
 
     y = [sum(parts) for parts in zip(k, l, c, d)]
     return PackageStats(*dims, *r, *delta, *k, *l, *c, *d, *y)
+
+
+def _b_nullities(p: SurgeryPackage) -> tuple[Mapping[str, int], Mapping[str, int]]:
+    """The kernel and the cokernel dims of p's B blocks and of their
+    products of two, by name: "B1" is blocks1.B and "B1 B0" is
+    blocks1.B @ blocks0.B; kept per package value (see the module
+    docstring), and read by the lemma 3.3 and 3.7 checks and
+    ``splice.subspace_bounds``.  B_k is a_prev(k) x a_next(k) of rank r_k,
+    read from the memoised ``stats``, so no B block is eliminated again; the
+    only products of two that fit are B_k B_prev(k), each eliminated once.
+    B_k is injective when its kernel is 0, and surjective when its cokernel
+    is."""
+    dims, blocks = p.dims, by_index(p, "blocks")
+    ker, coker = {}, {}
+    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, by_index(stats(p), "r")):
+        ker["B" + label], coker["B" + label] = dims[nxt] - r, dims[prev] - r
+        product = b.B @ blocks[prev].B
+        rank = product.rank()
+        name = f"B{label} B{CYCLE[prev].label}"
+        ker[name], coker[name] = product.cols - rank, product.rows - rank
+    return MappingProxyType(ker), MappingProxyType(coker)

@@ -12,7 +12,10 @@ duality pipelines are made at the level of dimensions.
 ``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo:
 a complex is valid by construction, so a lookup checks only the argument's
 type, an equal complex hits the same entry and an entry dies with its
-complex.
+complex.  The lemma 3.3 and 3.7 checks read the kernel and cokernel dims of
+the B blocks and of B1 B0 from the package value's entry
+(``duality._b_nullities``, which ``splice.subspace_bounds`` reads too), so
+they eliminate no B block or product of their own.
 
 Graded pieces by a diagonal sweep
 ---------------------------------
@@ -59,7 +62,7 @@ from .homology import (
 )
 from .model import BifilteredComplex, flip_map
 from .surgery import PlaneStore, SurgeryTriple, total_package
-from .duality import SurgeryPackage, geometric_package
+from .duality import SurgeryPackage, _b_nullities, _from_entry, geometric_package
 
 E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
     "ker_b1": lambda s: max(0, abs(s) - 1),
@@ -296,21 +299,22 @@ def _brackets_img_total(prof: FiltrationProfile) -> int:
 
 
 def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
-    """The four B-block kernel/cokernel formulas at dimension level."""
+    """The four B-block kernel/cokernel formulas at dimension level; the
+    dims are the package value's kept B-block nullities."""
     require_type(SurgeryPackage, package)
     require_type(FiltrationProfile, prof)
-    b0, b1 = package.blocks0.B, package.blocks1.B
+    ker, coker = _from_entry(package, _b_nullities)
     entries = [
-        LemmaEntry("ker B0 = e_1", b0.kernel_dim(), prof.e.get(1, 0)),
-        LemmaEntry("coker B1 = e_0", b1.cokernel_dim(), prof.e.get(0, 0)),
+        LemmaEntry("ker B0 = e_1", ker["B0"], prof.e.get(1, 0)),
+        LemmaEntry("coker B1 = e_0", coker["B1"], prof.e.get(0, 0)),
         LemmaEntry(
             "ker B1",
-            b1.kernel_dim(),
+            ker["B1"],
             _brackets_img_total(prof) + _e_term(prof, "ker_b1"),
         ),
         LemmaEntry(
             "coker B0",
-            b0.cokernel_dim(),
+            coker["B0"],
             _brackets_img_total(prof) + _e_term(prof, "coker_b0"),
         ),
     ]
@@ -318,19 +322,20 @@ def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 
 
 def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
-    """Kernel and cokernel of B1 B0 against the column-side bracket spaces."""
+    """Kernel and cokernel of B1 B0 against the column-side bracket spaces;
+    the dims are the package value's kept B-block nullities."""
     require_type(SurgeryPackage, package)
     require_type(FiltrationProfile, prof)
-    prod = package.blocks1.B @ package.blocks0.B
+    ker, coker = _from_entry(package, _b_nullities)
     entries = [
         LemmaEntry(
             "ker B1B0",
-            prod.kernel_dim(),
+            ker["B1 B0"],
             sum(prof.col.inter.values()) + _e_term(prof, "ker_b1b0"),
         ),
         LemmaEntry(
             "coker B1B0",
-            prod.cokernel_dim(),
+            coker["B1 B0"],
             sum(prof.col.quot.values()) + _e_term(prof, "coker_b1b0"),
         ),
     ]

@@ -9,17 +9,18 @@ constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
 ``from_columns``), which reject a negative shape, a container of rows,
 entries or columns of the wrong kind, a row, column or entry that is not an
 int, and any bit beyond the shape; ``BlockGrid`` rejects a block that is
-not a matrix, and ``kron_blocks`` a term that is not two ``KronFactor``s.
-A result of this module's own operations (``identity``, ``@``, ``+``,
-``transpose``, ``inverse``, ``cut_blocks``, ``from_columns``
-after its range check, ``BlockGrid.assemble`` and ``kron_blocks``) is in
-range by construction, so it is built by ``Gf2Matrix._trusted``, with no
-scan and no copy; nothing outside this module calls that.  A matrix, and a
-``KronFactor``, refuse assignment and deletion of their attributes with a
-``ShapeMismatch``: the memos downstream hand one value to every caller, so
-none may change it for the next.  An operand, position or range of the wrong
-kind (``m @ 3``, ``entry("a", 0)``, ``cut_blocks(m, "a")``) is one
-``isinstance`` away from a ``ShapeMismatch``; no row is scanned for it.
+not a matrix, and ``kron_side`` a factor that is not a ``KronFactor`` or
+does not fit its block.  A result of this module's own operations
+(``identity``, ``@``, ``+``, ``transpose``, ``inverse``, ``cut_blocks``,
+``from_columns`` after its range check, ``BlockGrid.assemble`` and
+``kron_blocks``) is in range by construction, so it is built by
+``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
+module calls that.  A matrix, a ``KronFactor`` and a ``KronSide`` refuse
+assignment and deletion of their attributes with a ``ShapeMismatch``: the
+memos downstream hand one value to every caller, so none may change it for
+the next.  An operand, position or range of the wrong kind (``m @ 3``,
+``entry("a", 0)``, ``cut_blocks(m, "a")``) is one ``isinstance`` away from
+a ``ShapeMismatch``; no row is scanned for it.
 
 ``@`` copies the right operand's row for a left row with at most one set
 bit, the rows of a permutation, an identity or a normal form (0 0; I 0),
@@ -27,13 +28,16 @@ and XORs rows together only for the others.  ``cut_blocks`` cuts the A, B
 and D blocks of a square matrix in one pass over its rows, where cutting
 each block by its ranges would make three.
 
-``kron_blocks`` writes a Kronecker sum from plans of its factors, one
-``KronFactor`` per matrix, made once by ``kron_factor``: the nonzero rows
-with their set-bit positions and the nonzero rows as ints.  A call then
-costs one XOR per set bit of a left factor and nonzero row of its right
-factor, plus one type and shape check per term: a sparse ``D`` costs its
-number of nonzeros, not its rows times its terms, and no factor's rows are
-scanned again however often the plan is reused.
+``kron_blocks`` writes a Kronecker sum of terms L ⊗ R from its two sides,
+each made once by ``kron_side``: a side holds its factor of every term,
+laid out by ``kron_factor`` (the nonzero rows with their set-bit positions
+and the nonzero rows as ints), and the mask of its terms whose factor is
+nonzero.  ``kron_side`` checks every factor's shape against its block, so
+a call checks only that the two sides lay out the same terms, visits only
+the terms nonzero on both, and costs one XOR per set bit of a left factor
+and nonzero row of its right factor: a sparse ``D`` costs its number of
+nonzeros, not its rows times its terms, and no factor's rows are scanned
+or checked again however often a side is reused.
 
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
@@ -48,16 +52,17 @@ its representatives and coordinates that way.
 two questions whose answer is the set of keys.  A dimension (``rank``,
 ``span_dim``) is their number, and the highest bit costs one
 ``bit_length`` where the lowest costs a ``v & -v`` more, so ``kernel_dim``
-and ``cokernel_dim`` never build a basis.  The keys are also the highest
-bits of the span's vectors, so e_i completes a span (added in increasing i)
-exactly when i is not a key; a lowest-bit dict would have to be fully
-reduced to tell.
+never builds a basis.  The keys are also the highest bits of the span's
+vectors, so e_i completes a span (added in increasing i) exactly when i is
+not a key; a lowest-bit dict would have to be fully reduced to tell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from .errors import ShapeMismatch
 
@@ -296,9 +301,6 @@ class Gf2Matrix:
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
 
-    def cokernel_dim(self) -> int:
-        return self.rows - self.rank()
-
     def inverse(self) -> Gf2Matrix:
         """Inverse of a square invertible matrix: reduce (M | I) to (I | M^-1)."""
         if self.rows != self.cols:
@@ -466,23 +468,33 @@ def cut_blocks(m: Gf2Matrix, top: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
     )
 
 
-class KronFactor:
-    """A matrix laid out for ``kron_blocks``, made by ``kron_factor`` alone:
-    its shape, its nonzero rows each with its set-bit positions (read when
-    it is a left factor), and its nonzero rows each as an int (read when it
-    is a right factor), both as (row index, ...) pairs in row order.  Like a
-    matrix, it is immutable, and two are equal when their matrices are."""
+class _Plan:
+    """An immutable record of this module laid out for ``kron_blocks``, made
+    by one function alone (its ``_maker``): like a matrix, it refuses
+    assignment and deletion of its attributes with a ``ShapeMismatch``."""
 
-    __slots__ = ("rows", "cols", "set_bits", "nonzero_rows")
+    __slots__ = ()
+    _maker = ""
 
     def __new__(cls, *args, **kwargs):
-        raise ShapeMismatch("a KronFactor is made by kron_factor")
+        raise ShapeMismatch(f"a {cls.__name__} is made by {cls._maker}")
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise ShapeMismatch(f"a KronFactor is immutable: cannot set {name}")
+        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot set {name}")
 
     def __delattr__(self, name: str) -> None:
-        raise ShapeMismatch(f"a KronFactor is immutable: cannot delete {name}")
+        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot delete {name}")
+
+
+class KronFactor(_Plan):
+    """A matrix laid out by ``kron_factor``: its shape, its nonzero rows each
+    with its set-bit positions (read when it is a left factor), and its
+    nonzero rows each as an int (read when it is a right factor), both as
+    (row index, ...) pairs in row order.  Two are equal when their matrices
+    are."""
+
+    __slots__ = ("rows", "cols", "set_bits", "nonzero_rows")
+    _maker = "kron_factor"
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -507,51 +519,110 @@ def kron_factor(m: Gf2Matrix) -> KronFactor:
     return f
 
 
-def kron_blocks(
-    row_dims: Sequence[tuple[int, int]],
-    col_dims: Sequence[tuple[int, int]],
-    terms: dict[tuple[int, int], Sequence[tuple[KronFactor, KronFactor]]],
-) -> Gf2Matrix:
-    """The block matrix whose block (i, j) is the sum of the Kronecker
-    products L ⊗ R over the factor pairs (L, R) of terms[i, j], each given
-    by ``kron_factor``; a block with no terms is zero.
+class KronSide(_Plan):
+    """One side of a Kronecker sum, made by ``kron_side``: the side's dims of
+    each row block and each column block, the block (i, j) of each term, the
+    side's factor of each term, a ``KronFactor`` of shape row_dims[i] x
+    col_dims[j], and the mask of the terms whose factor is nonzero (bit t
+    for term t).  Two are equal when their dims, blocks and factors are."""
 
-    Row block i has row_dims[i] = (rows of L, rows of R) and column block j
-    col_dims[j] = (cols of L, cols of R), for every term in it.  Each term
-    is written from its factors' nonzeros, which the factors hold: for each
-    set bit c of L's row r1 and each nonzero row r2 of R, R's row r2,
-    shifted to the column block's offset plus c * R.cols, is XORed into row
-    (r1, r2) of the row block.  No Kronecker product or block is built on
-    the way, and no row of a factor is scanned.  A negative dim, a term
-    that is not two ``KronFactor``s, or one whose factors do not fit its
-    slot, raises ShapeMismatch naming the block.
-    """
-    _check_dims(*[d for pair in (*row_dims, *col_dims) for d in pair])
-    col_off = _offsets(tuple([left * right for left, right in col_dims]))
-    row_off = _offsets(tuple([left * right for left, right in row_dims]))
-    bits = [0] * row_off[-1]
-    for (i, j), pairs in terms.items():
+    __slots__ = ("row_dims", "col_dims", "blocks", "factors", "mask")
+    _maker = "kron_side"
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, KronSide)
+            and (self.row_dims, self.col_dims, self.blocks, self.factors)
+            == (other.row_dims, other.col_dims, other.blocks, other.factors)
+        )
+
+    def __repr__(self) -> str:
+        return f"KronSide({len(self.row_dims)}x{len(self.col_dims)} blocks, {len(self.blocks)} terms)"
+
+
+def kron_side(
+    row_dims: Sequence[int],
+    col_dims: Sequence[int],
+    blocks: Sequence[tuple[int, int]],
+    factors: Sequence[KronFactor],
+) -> KronSide:
+    """One side of a Kronecker sum laid out for ``kron_blocks`` (see
+    ``KronSide``): factors[t] is the side's factor of term t, which sits in
+    block blocks[t].  Every factor's shape is checked here, once, so
+    ``kron_blocks`` checks none.  A negative dim, a block outside the grid,
+    a factor that is not a ``KronFactor`` or one that does not fit its
+    block raises ShapeMismatch naming the block."""
+    for value, what in ((row_dims, "row dims"), (col_dims, "column dims"), (blocks, "blocks"), (factors, "factors")):
+        _check_iterable(value, what)
+    row_dims, col_dims, blocks, factors = tuple(row_dims), tuple(col_dims), tuple(blocks), tuple(factors)
+    _check_dims(*row_dims, *col_dims)
+    if len(blocks) != len(factors):
+        raise ShapeMismatch(f"{len(factors)} factors given for {len(blocks)} terms")
+    mask = 0
+    for t, (block, f) in enumerate(zip(blocks, factors)):
+        if not (isinstance(block, tuple) and len(block) == 2 and all(isinstance(x, int) for x in block)):
+            raise ShapeMismatch(f"term {t} has the block {block!r}, not a pair of ints")
+        i, j = block
         if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
             raise ShapeMismatch(f"block ({i},{j}) outside grid")
-        (lr, rr), (lc, rc) = row_dims[i], col_dims[j]
+        if not isinstance(f, KronFactor):
+            raise ShapeMismatch(f"block ({i},{j}) has a factor {f!r}, not a KronFactor")
+        if (f.rows, f.cols) != (row_dims[i], col_dims[j]):
+            raise ShapeMismatch(
+                f"block ({i},{j}) has a factor {f.rows}x{f.cols}, slot needs {row_dims[i]}x{col_dims[j]}"
+            )
+        if f.nonzero_rows:
+            mask |= 1 << t
+    side = object.__new__(KronSide)
+    _set(side, "row_dims", row_dims)
+    _set(side, "col_dims", col_dims)
+    _set(side, "blocks", blocks)
+    _set(side, "factors", factors)
+    _set(side, "mask", mask)
+    return side
+
+
+def kron_blocks(left: KronSide, right: KronSide) -> Gf2Matrix:
+    """The block matrix whose block (i, j) is the sum of the Kronecker
+    products L ⊗ R over the terms in it, L the left side's factor of the
+    term and R the right side's (see ``kron_side``); a block with no
+    terms is zero.
+
+    Row block i has left.row_dims[i] * right.row_dims[i] rows, and column
+    block j left.col_dims[j] * right.col_dims[j] columns.  Only the terms
+    nonzero on both sides (left.mask & right.mask) are visited, and each is
+    written from its factors' nonzeros: for each set bit c of L's row r1
+    and each nonzero row r2 of R, R's row r2, shifted to the column block's
+    offset plus c * R.cols, is XORed into row (r1, r2) of the row block.
+    No Kronecker product or block is built on the way, no row of a factor
+    is scanned, and no factor is checked again.  Sides of different terms
+    or grids, or an argument that is not a ``KronSide``, raise
+    ShapeMismatch.
+    """
+    if not (isinstance(left, KronSide) and isinstance(right, KronSide)):
+        raise ShapeMismatch(f"kron_blocks of {left!r} and {right!r}: both must be KronSides")
+    row_r, col_r = right.row_dims, right.col_dims
+    if left.blocks != right.blocks or len(left.row_dims) != len(row_r) or len(left.col_dims) != len(col_r):
+        raise ShapeMismatch(f"{left!r} and {right!r} lay out different terms")
+    row_off = _offsets(map(mul, left.row_dims, row_r))
+    col_off = _offsets(map(mul, left.col_dims, col_r))
+    bits = [0] * row_off[-1]
+    blocks, lefts, rights = left.blocks, left.factors, right.factors
+    mask = left.mask & right.mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        t = low.bit_length() - 1
+        i, j = blocks[t]
+        rr, rc = row_r[i], col_r[j]
         row0, col0 = row_off[i], col_off[j]
-        for left, right in pairs:
-            if not (isinstance(left, KronFactor) and isinstance(right, KronFactor)):
-                raise ShapeMismatch(f"block ({i},{j}) has a term {left!r} ⊗ {right!r}, not two KronFactors")
-            if (left.rows, left.cols, right.rows, right.cols) != (lr, lc, rr, rc):
-                raise ShapeMismatch(
-                    f"block ({i},{j}) has a term {left.rows}x{left.cols} ⊗ "
-                    f"{right.rows}x{right.cols}, slot needs {lr}x{lc} ⊗ {rr}x{rc}"
-                )
-            nonzero = right.nonzero_rows
-            if not nonzero:
-                continue
-            for r1, positions in left.set_bits:
-                base = row0 + r1 * rr
-                for c in positions:
-                    shift = col0 + c * rc
-                    for r2, b in nonzero:
-                        bits[base + r2] ^= b << shift
+        nonzero = rights[t].nonzero_rows
+        for r1, positions in lefts[t].set_bits:
+            base = row0 + r1 * rr
+            for c in positions:
+                shift = col0 + c * rc
+                for r2, b in nonzero:
+                    bits[base + r2] ^= b << shift
     return Gf2Matrix._trusted(len(bits), col_off[-1], tuple(bits))
 
 
@@ -572,9 +643,5 @@ def _check_dims(*dims: int) -> None:
             raise ShapeMismatch(f"dims {dims!r}: {d!r} is not a nonnegative int")
 
 
-def _offsets(dims: tuple[int, ...]) -> list[int]:
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
-
+def _offsets(dims: Iterable[int]) -> list[int]:
+    return list(accumulate(dims, initial=0))

@@ -9,26 +9,32 @@ shape-consistent choices and assembly hard-fails on any inconsistency.
 
 D is assembled in one pass from the term table ``_TERMS``: each of its 24
 nonzero blocks is a sum of Kronecker products (factor of the first knot) ⊗
-(factor of the second knot), and a factor is an identity on one of the
-knot's dims or a product of two of its A, B, D and X1 matrices.  ``build_D``
-takes each knot's 14 factors from ``_factors``, each laid out once by
-``gf2.kron_factor``, and ``gf2.kron_blocks`` writes every row of D straight
-from their nonzeros, with no Kronecker product or block built and no row of
-a factor scanned on the way.  ``tests/oracles.reference_build_D`` keeps the
-block-by-block assembly as the reference.
+(factor of the second knot), 31 terms in all, and a factor is an identity
+on one of the knot's dims or a product of two of its A, B, D and X1
+matrices.  ``build_D`` reads each knot's side (``_side``, a
+``gf2.KronSide``): its factor of every term, in ``_TERMS`` order, laid out
+by ``gf2.kron_factor``, and the mask of the terms whose factor is nonzero.
+``gf2.kron_blocks`` takes the block offsets from the products of the two
+sides' dims and writes the rows of D straight from the factors' nonzeros,
+visiting only the terms nonzero on both sides: no Kronecker product or
+block is built, no row of a factor is scanned and no factor is checked on
+the way.  ``tests/oracles.reference_build_D`` keeps the block-by-block
+assembly as the reference.
 
 Per-package values
 ------------------
 Only the Kronecker products and the witnesses join the two knots; a knot's
-factors, witness families and B-block nullities (``_b_nullities``, which
-``subspace_bounds`` reads) depend on its package's value alone, so they are
-kept in that value's entry, as ``duality.stats`` is (see ``duality``).
-The left and the right factors are two keys of the store, so a cold
-``build_D`` makes 28 products even for a self-splice.  A factor is kept as
-its ``gf2.KronFactor``, the plan ``kron_blocks`` writes from, so a warm
-``build_D`` builds no matrix but D, and checks only the type and shape of
-each of the 31 terms.  The values are immutable (mapping proxies, tuples
-and ``KronFactor``s), so no caller can change what the next one reads.
+splice sides and witness families depend on its package's value alone, so
+they are kept in that value's entry, as ``duality.stats`` and the B-block
+nullities that ``subspace_bounds`` reads are (see ``duality``).  The first
+and the second knot's sides are two keys of the store, so a cold
+``build_D`` makes 28 products even for a self-splice.  Each of a side's 17
+distinct factors (14 products, 3 identities) is laid out once, and
+``gf2.kron_side`` checks every factor's shape against the dims that
+``_ROW_BLOCKS`` and ``_COL_BLOCKS`` name for its block when the side is
+made, once per value; a warm ``build_D`` builds no matrix but D and checks
+no term.  The values are immutable (``KronSide``s, mapping proxies and
+tuples), so no caller can change what the next one reads.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -54,11 +60,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 
-from .duality import CYCLE, SurgeryPackage, _from_entry, by_index, stats
+from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, by_index, stats
 from .errors import WitnessNotInKernel, require_type
-from .gf2 import Gf2Matrix, KronFactor, kron_blocks, kron_factor, lower_triangular, span_dim, xor_columns
+from .gf2 import Gf2Matrix, KronSide, kron_blocks, kron_factor, kron_side, lower_triangular, span_dim, xor_columns
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,9 @@ _TERMS = {
     (5, 4): (("D0 Binf", "D0 Ainf"), ("X1 Binf", "D0 X1")),
     (5, 5): (("a1", "a1"), ("D0 Ainf", "D0 Ainf"), ("X1 Ainf", "D0 X1")),
 }
-_LEFT_FACTORS = frozenset(a for pairs in _TERMS.values() for a, _ in pairs)
-_RIGHT_FACTORS = frozenset(b for pairs in _TERMS.values() for _, b in pairs)
+# Each term of D in _TERMS order: its block and its two factors' names.
+_TERM_LIST = tuple((block, pair) for block, pairs in _TERMS.items() for pair in pairs)
+_TERM_BLOCKS = tuple([block for block, _ in _TERM_LIST])
 
 
 def _vec_kron(v: int, w: int, w_len: int) -> int:
@@ -136,37 +144,43 @@ def _vec_kron(v: int, w: int, w_len: int) -> int:
     return out
 
 
-def _factors(p: SurgeryPackage, names: frozenset[str]) -> Mapping[str, KronFactor]:
-    """One knot's splice factors by name (see ``_TERMS``), each laid out by
-    ``kron_factor``; kept per package value and side (see the module
-    docstring)."""
+def _side(p: SurgeryPackage, side: int) -> KronSide:
+    """One knot's splice side, as the first knot (side 0) or the second (1):
+    its factor of each term of D (see ``_TERMS``), each distinct factor laid
+    out once by ``kron_factor``, and each checked by ``kron_side`` against
+    the dims that ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` name for its block;
+    kept per package value and side (see the module docstring)."""
     mats = {"X1": p.X1}
     for k, blocks in zip(CYCLE, by_index(p, "blocks")):
         mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
-    out = {}
-    for name in names:
-        if name in _DIMS:
-            out[name] = kron_factor(Gf2Matrix.identity(getattr(p, name)))
-        else:
-            first, second = name.split()
-            out[name] = kron_factor(mats[first] @ mats[second])
-    return MappingProxyType(out)
+    laid = {}
+    for _, pair in _TERM_LIST:
+        name = pair[side]
+        if name not in laid:
+            if name in _DIMS:
+                m = Gf2Matrix.identity(getattr(p, name))
+            else:
+                first, second = name.split()
+                m = mats[first] @ mats[second]
+            laid[name] = kron_factor(m)
+    return kron_side(
+        [getattr(p, dims[side]) for dims in _ROW_BLOCKS],
+        [getattr(p, dims[side]) for dims in _COL_BLOCKS],
+        _TERM_BLOCKS,
+        [laid[pair[side]] for _, pair in _TERM_LIST],
+    )
 
 
 def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
-    """Assemble the splice matrix of a package pair in one pass from
-    ``_TERMS``: each knot's factors come from the entry of its package's
-    value, and each row of D is written straight from them."""
+    """Assemble the splice matrix of a package pair in one pass from the
+    two knots' sides, read from the entries of their packages' values:
+    only the terms nonzero on both sides are written."""
     require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
-    left = _from_entry(p1, _factors, _LEFT_FACTORS)
-    right = _from_entry(p2, _factors, _RIGHT_FACTORS)
-    row_pairs, col_pairs = (
-        tuple((getattr(p1, a), getattr(p2, b)) for a, b in table) for table in (_ROW_BLOCKS, _COL_BLOCKS)
-    )
-    terms = {key: [(left[a], right[b]) for a, b in pairs] for key, pairs in _TERMS.items()}
-    matrix = kron_blocks(row_pairs, col_pairs, terms)
+    left, right = _from_entry(p1, _side, 0), _from_entry(p2, _side, 1)
     return SpliceMatrix(
-        matrix, tuple(a * b for a, b in row_pairs), tuple(a * b for a, b in col_pairs)
+        kron_blocks(left, right),
+        tuple(map(mul, left.row_dims, right.row_dims)),
+        tuple(map(mul, left.col_dims, right.col_dims)),
     )
 
 
@@ -350,32 +364,13 @@ class SubspaceBound:
     coker_ok: bool | None = None
 
 
-def _b_nullities(p: SurgeryPackage) -> tuple[Mapping[str, int], Mapping[str, int]]:
-    """The kernel and the cokernel dims of p's B blocks and of their
-    products of two, by name as in ``_TERMS``: "B1" is blocks1.B and
-    "B1 B0" is blocks1.B @ blocks0.B; kept per package value (see the
-    module docstring).  B_k is a_prev(k) x a_next(k) of rank r_k, read from
-    the memoised ``stats``, so no B block is eliminated again; the only
-    products of two that fit are B_k B_prev(k), each eliminated once.  B_k
-    is injective when its kernel is 0, and surjective when its cokernel is."""
-    dims, blocks = p.dims, by_index(p, "blocks")
-    ker, coker = {}, {}
-    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, by_index(stats(p), "r")):
-        ker["B" + label], coker["B" + label] = dims[nxt] - r, dims[prev] - r
-        product = b.B @ blocks[prev].B
-        rank = product.rank()
-        name = f"B{label} B{CYCLE[prev].label}"
-        ker[name], coker[name] = product.cols - rank, product.rows - rank
-    return MappingProxyType(ker), MappingProxyType(coker)
-
-
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses.
 
     Whether a B block is injective or surjective, and the kernel and
     cokernel dims of a B block or of a product of two, come from each
-    knot's ``_b_nullities``, so a warm call eliminates only D.  The first
-    knot's blocks are read through the involution 0 <-> inf.
+    knot's ``duality._b_nullities``, so a warm call eliminates only D.  The
+    first knot's blocks are read through the involution 0 <-> inf.
     """
     require_type(SurgeryPackage, p1, p2)
     (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)

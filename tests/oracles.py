@@ -73,8 +73,8 @@ def span_sum_dim(*vector_sets: Iterable[int]) -> int:
 
 
 def reachable(obj):
-    """Every object obj holds through dataclass fields, tuples, lists and
-    dict values, obj included, each once."""
+    """Every object obj holds through dataclass fields, slots, tuples, lists
+    and dict values, obj included, each once."""
     seen, stack = set(), [obj]
     while stack:
         x = stack.pop()
@@ -84,10 +84,17 @@ def reachable(obj):
         yield x
         if is_dataclass(x):
             stack.extend(getattr(x, f.name) for f in fields(x))
+        elif getattr(type(x), "__slots__", ()):
+            stack.extend(getattr(x, name, None) for name in type(x).__slots__)
         elif isinstance(x, (tuple, list)):
             stack.extend(x)
         elif isinstance(x, dict):
             stack.extend(x.values())
+
+
+def cokernel_dim(m: Gf2Matrix) -> int:
+    """dim Coker m, by rank-nullity on the rows."""
+    return m.rows - m.rank()
 
 
 def submatrix(m: Gf2Matrix, rows: range, cols: range) -> Gf2Matrix:
@@ -773,9 +780,9 @@ def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
         brackets = sum(prof.row.bracket_img.values()) + sum(prof.col.bracket_img.values())
         lhs = {
             "ker_b1": b1.kernel_dim() - brackets,
-            "coker_b0": b0.cokernel_dim() - brackets,
+            "coker_b0": cokernel_dim(b0) - brackets,
             "ker_b1b0": prod.kernel_dim() - sum(prof.col.inter.values()),
-            "coker_b1b0": prod.cokernel_dim() - sum(prof.col.quot.values()),
+            "coker_b1b0": cokernel_dim(prod) - sum(prof.col.quot.values()),
         }
         for which, readings in counts.items():
             for name in readings:
@@ -807,7 +814,7 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
             left = b_1[INVOLUTION[circ]] @ b_1[INVOLUTION[bullet]]
             right = b_2[bullet] @ b_2[circ]
             kb = left.kernel_dim() * right.kernel_dim()
-            cb = left.cokernel_dim() * right.cokernel_dim()
+            cb = cokernel_dim(left) * cokernel_dim(right)
             out.append(
                 SubspaceBound(
                     f"case1 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
@@ -821,7 +828,7 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
             kb = left_k.kernel_dim() * right_k.kernel_dim()
             left_c = b_1[INVOLUTION[star]] @ b_1[INVOLUTION[circ]]
             right_c = b_2[circ] @ b_2[star]
-            cb = left_c.cokernel_dim() * right_c.cokernel_dim()
+            cb = cokernel_dim(left_c) * cokernel_dim(right_c)
             out.append(
                 SubspaceBound(
                     f"case2 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
@@ -840,11 +847,11 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
             + b_1["inf"].kernel_dim() * b_2["0"].kernel_dim()
             + max(k_pair, k_prime)
         )
-        c_pair = (b_1["1"] @ b_1["0"]).cokernel_dim() * (b_2["inf"] @ b_2["1"]).cokernel_dim()
-        c_prime = b_1["1"].cokernel_dim() * b_2["1"].cokernel_dim()
+        c_pair = cokernel_dim(b_1["1"] @ b_1["0"]) * cokernel_dim(b_2["inf"] @ b_2["1"])
+        c_prime = cokernel_dim(b_1["1"]) * cokernel_dim(b_2["1"])
         cb = (
-            b_1["0"].cokernel_dim() * b_2["inf"].cokernel_dim()
-            + b_1["inf"].cokernel_dim() * b_2["0"].cokernel_dim()
+            cokernel_dim(b_1["0"]) * cokernel_dim(b_2["inf"])
+            + cokernel_dim(b_1["inf"]) * cokernel_dim(b_2["0"])
             + max(c_pair, c_prime)
         )
         out.append(

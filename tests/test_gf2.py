@@ -19,6 +19,7 @@ from splicerank.gf2 import (
     high_pivots,
     kron_blocks,
     kron_factor,
+    kron_side,
     span_dim,
     span_intersection,
 )
@@ -117,7 +118,7 @@ def test_echelon_core_matches_dense_gauss_jordan(m):
     assert m.kernel_basis() == reference_kernel_basis(m)
     assert m.transpose().kernel_basis() == reference_kernel_basis(m.transpose())
     assert m.kernel_dim() == len(m.kernel_basis())
-    assert m.cokernel_dim() == len(m.transpose().kernel_basis())
+    assert m.rows - m.rank() == len(m.transpose().kernel_basis())
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,14 +205,30 @@ def test_h_number_cases():
     assert h_number(m) == 4
 
 
+def _sides(row_dims, col_dims, terms: dict) -> tuple:
+    """The left and the right ``kron_side`` of a grid of Kronecker sums:
+    row_dims[i] and col_dims[j] are (left, right) pairs of dims, and
+    terms[i, j] lists the (left, right) matrix pairs of block (i, j)."""
+    blocks = [key for key, pairs in terms.items() for _ in pairs]
+    return tuple(
+        kron_side(
+            [dims[s] for dims in row_dims],
+            [dims[s] for dims in col_dims],
+            blocks,
+            [kron_factor(pair[s]) for pairs in terms.values() for pair in pairs],
+        )
+        for s in (0, 1)
+    )
+
+
+def _kron_blocks(row_dims, col_dims, terms: dict) -> Gf2Matrix:
+    """kron_blocks of the two sides of a grid (see ``_sides``)."""
+    return kron_blocks(*_sides(row_dims, col_dims, terms))
+
+
 def _one_kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     """a ⊗ b as kron_blocks' only block."""
-    return kron_blocks([(a.rows, b.rows)], [(a.cols, b.cols)], {(0, 0): [(kron_factor(a), kron_factor(b))]})
-
-
-def _kron_terms(terms: dict) -> dict:
-    """terms with each matrix laid out by kron_factor."""
-    return {key: [(kron_factor(a), kron_factor(b)) for a, b in pairs] for key, pairs in terms.items()}
+    return _kron_blocks([(a.rows, b.rows)], [(a.cols, b.cols)], {(0, 0): [(a, b)]})
 
 
 def test_kron_identity_and_empty():
@@ -278,39 +295,69 @@ def test_kron_blocks_is_the_grid_of_summed_kron_products(grid):
     want = BlockGrid(
         tuple(a * b for a, b in row_dims), tuple(a * b for a, b in col_dims), blocks
     ).assemble()
-    assert kron_blocks(row_dims, col_dims, _kron_terms(terms)) == want
+    assert _kron_blocks(row_dims, col_dims, terms) == want
 
 
 def test_kron_blocks_edge_cases():
     one, z22 = Gf2Matrix.identity(1), Gf2Matrix(2, 2)
     m = Gf2Matrix.from_dense([[1, 1], [0, 1]])
     # zero factors, and a block whose two equal terms cancel bit for bit
-    assert kron_blocks([(2, 2)], [(2, 2)], _kron_terms({(0, 0): [(z22, m), (m, z22)]})) == Gf2Matrix(4, 4)
-    assert kron_blocks([(2, 2)], [(2, 2)], _kron_terms({(0, 0): [(m, m), (m, m)]})) == Gf2Matrix(4, 4)
+    assert _kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(z22, m), (m, z22)]}) == Gf2Matrix(4, 4)
+    assert _kron_blocks([(2, 2)], [(2, 2)], {(0, 0): [(m, m), (m, m)]}) == Gf2Matrix(4, 4)
     # factors with zero rows: the row block is empty, the column block stays
     terms = {(0, 0): [(Gf2Matrix(0, 2), m)], (1, 1): [(one, one)]}
-    assert kron_blocks([(0, 2), (1, 1)], [(2, 2), (1, 1)], _kron_terms(terms)) == Gf2Matrix.from_entries(1, 5, [(0, 4)])
-    assert kron_blocks([(2, 0)], [(2, 3)], _kron_terms({(0, 0): [(m, Gf2Matrix(0, 3))]})) == Gf2Matrix(0, 6)
+    assert _kron_blocks([(0, 2), (1, 1)], [(2, 2), (1, 1)], terms) == Gf2Matrix.from_entries(1, 5, [(0, 4)])
+    assert _kron_blocks([(2, 0)], [(2, 3)], {(0, 0): [(m, Gf2Matrix(0, 3))]}) == Gf2Matrix(0, 6)
     # all-zero blocks beside a nonzero one, and a term cancelling part of another
     terms = {
         (0, 0): [(one, m), (one, Gf2Matrix.from_dense([[0, 1], [0, 1]]))],
         (0, 1): [(one, Gf2Matrix(2, 1))],
         (1, 1): [],
     }
-    got = kron_blocks([(1, 2), (1, 1)], [(1, 2), (1, 1)], _kron_terms(terms))
+    got = _kron_blocks([(1, 2), (1, 1)], [(1, 2), (1, 1)], terms)
     assert got == Gf2Matrix.from_dense([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     # nothing at all
-    assert kron_blocks([], [], {}) == Gf2Matrix(0, 0)
-    assert kron_blocks([(2, 1)], [(1, 3)], {}) == Gf2Matrix(2, 3)
+    assert _kron_blocks([], [], {}) == Gf2Matrix(0, 0)
+    assert _kron_blocks([(2, 1)], [(1, 3)], {}) == Gf2Matrix(2, 3)
+
+
+def test_a_side_masks_exactly_its_nonzero_factors():
+    one, z22 = Gf2Matrix.identity(1), Gf2Matrix(2, 2)
+    m = Gf2Matrix.from_dense([[1, 1], [0, 1]])
+    row = Gf2Matrix.from_dense([[0, 1]])
+    # a zero factor, a 1 x 0 matrix and a zero row are all zero
+    terms = {(0, 0): [(z22, m), (m, m), (m, z22)], (1, 1): [(one, Gf2Matrix(1, 0))], (1, 0): [(Gf2Matrix(1, 2), row)]}
+    left, right = _sides([(2, 2), (1, 1)], [(2, 2), (1, 0)], terms)
+    assert (left.mask, right.mask) == (0b01110, 0b10011)
+    assert left.factors[1] == right.factors[1] == kron_factor(m)
+    # a side whose mask is 0, against any other, writes nothing
+    empty, _ = _sides([(2, 2)], [(2, 2)], {(0, 0): [(z22, m)]})
+    _, full = _sides([(2, 2)], [(2, 2)], {(0, 0): [(m, m)]})
+    assert empty.mask == 0 and full.mask == 1
+    assert kron_blocks(empty, full) == Gf2Matrix(4, 4)
 
 
 def test_kron_blocks_shape_mismatch_names_the_block():
-    i2, i3 = kron_factor(Gf2Matrix.identity(2)), kron_factor(Gf2Matrix.identity(3))
-    # the products fit a 6x6 slot, but the factors do not fit (3, 2) x (3, 2)
-    with pytest.raises(ShapeMismatch, match=r"block \(1,0\)"):
-        kron_blocks([(1, 1), (3, 2)], [(3, 2)], {(1, 0): [(i2, i3)]})
+    i1, i2, i3 = (kron_factor(Gf2Matrix.identity(n)) for n in (1, 2, 3))
+    # the products fit a 6x6 slot, but the factors do not fit (3, 2) x (3, 2):
+    # each side fails when it is made, naming the block
+    with pytest.raises(ShapeMismatch, match=r"block \(1,0\) has a factor 2x2, slot needs 3x3"):
+        kron_side([1, 3], [3], [(1, 0)], [i2])
+    with pytest.raises(ShapeMismatch, match=r"block \(1,0\) has a factor 3x3, slot needs 2x2"):
+        kron_side([1, 2], [2], [(1, 0)], [i3])
     with pytest.raises(ShapeMismatch, match=r"block \(0,2\) outside grid"):
-        kron_blocks([(1, 1)], [(1, 1)], {(0, 2): [(kron_factor(Gf2Matrix.identity(1)),) * 2]})
+        kron_side([1], [1], [(0, 2)], [i1])
+    with pytest.raises(ShapeMismatch, match="not a pair of ints"):
+        kron_side([1], [1], [(0, 0.0)], [i1])
+    with pytest.raises(ShapeMismatch, match="2 factors given for 1 terms"):
+        kron_side([1], [1], [(0, 0)], [i1, i1])
+    # sides that lay out other terms, or other grids, do not pair
+    one = kron_side([1], [1], [(0, 0)], [i1])
+    for other in (kron_side([1], [1], [], []), kron_side([1, 1], [1], [(0, 0)], [i1])):
+        with pytest.raises(ShapeMismatch, match="lay out different terms"):
+            kron_blocks(one, other)
+    with pytest.raises(ShapeMismatch, match="both must be KronSides"):
+        kron_blocks(one, i1)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +367,7 @@ def test_kron_blocks_shape_mismatch_names_the_block():
 )
 def test_kron_blocks_rejects_a_bad_dim(row_dims, col_dims):
     with pytest.raises(ShapeMismatch, match="not a nonnegative int"):
-        kron_blocks(row_dims, col_dims, {})
+        _sides(row_dims, col_dims, {})
 
 
 @pytest.mark.parametrize(
@@ -519,7 +566,7 @@ def trusted_results(draw):
     if name == "kron_blocks":
         a2 = Gf2Matrix(r, k, _bits(draw, r, k))
         # a sum of two products in one block, beside a block with no terms
-        return name, kron_blocks([(r, k)], [(1, 1), (k, c)], _kron_terms({(0, 1): [(a, b), (a2, b)]}))
+        return name, _kron_blocks([(r, k)], [(1, 1), (k, c)], {(0, 1): [(a, b), (a2, b)]})
     if name == "inverse":
         square = Gf2Matrix(r, r, _bits(draw, r, r))
         if reference_inverse(square) is None:
@@ -621,8 +668,8 @@ def test_public_constructors_still_reject_bits_out_of_range():
         (lambda: Gf2Matrix.from_entries(2, 2, [(0,)]), r"entry \(0,\) is not a \(row, col\) pair"),
         (lambda: BlockGrid((1,), (1,), {(0, 0): "x"}), r"block \(0,0\) is 'x', not a Gf2Matrix"),
         (
-            lambda: kron_blocks([(1, 1)], [(1, 1)], {(0, 0): [(kron_factor(Gf2Matrix.identity(1)), "x")]}),
-            r"block \(0,0\) has a term .* not two KronFactors",
+            lambda: kron_side([1], [1], [(0, 0)], ["x"]),
+            r"block \(0,0\) has a factor 'x', not a KronFactor",
         ),
         (lambda: Gf2Matrix.from_dense(None), "dense matrix None is not a list of rows"),
         (lambda: Gf2Matrix.from_entries(2, 2, None), "entries None are not iterable"),

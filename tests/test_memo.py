@@ -1,7 +1,7 @@
 """The one per-value memo: ``duality._derive`` keeps, for each package
 value, one entry of at most ``PACKAGE_MEMO_SIZE``.  An entry holds the
 value's blocks, X products and f maps, and a store of what is read from
-the value later: its verdict, its stats, its splice factors of either side,
+the value later: its verdict, its stats, its splice side as either knot,
 its witness families and its B-block nullities.  Every equal package
 shares the entry, so each of these is made once per value, and
 ``verify_package`` runs once per value; a hit is what a cold computation
@@ -30,7 +30,7 @@ from splicerank.duality import (
     normalize,
     stats,
 )
-from splicerank.errors import NoFlipData, NormalizationFailure, ShapeMismatch
+from splicerank.errors import NoFlipData, NormalizationFailure, ShapeMismatch, SpliceRankError
 from splicerank.gf2 import Gf2Matrix, kron_factor
 from splicerank.splice import (
     build_D,
@@ -45,19 +45,19 @@ from splicerank.surgery import total_package
 from oracles import oracle_models
 from packages import synthetic_package
 
-SIDES = (splice._LEFT_FACTORS, splice._RIGHT_FACTORS)
+SIDES = (0, 1)  # the first and the second knot of a splice
 
 
 # What the memo keeps of a package value, each read through the package's
 # entry and computed cold (by the function whose result the entry keeps);
-# the factors are two keys of the store, one per side.
+# the splice sides are two keys of the store, one per side.
 VALUES = {
     "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, by_index(p, "tau"))),
-    "factors-left": (lambda p: _from_entry(p, splice._factors, SIDES[0]), lambda p: splice._factors(p, SIDES[0])),
-    "factors-right": (lambda p: _from_entry(p, splice._factors, SIDES[1]), lambda p: splice._factors(p, SIDES[1])),
+    "factors-left": (lambda p: _from_entry(p, splice._side, SIDES[0]), lambda p: splice._side(p, SIDES[0])),
+    "factors-right": (lambda p: _from_entry(p, splice._side, SIDES[1]), lambda p: splice._side(p, SIDES[1])),
     "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
     "stats": (stats, duality._stats),
-    "b-nullities": (lambda p: _from_entry(p, splice._b_nullities), splice._b_nullities),
+    "b-nullities": (lambda p: _from_entry(p, duality._b_nullities), duality._b_nullities),
 }
 
 
@@ -115,10 +115,10 @@ def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     cold = kernel_witnesses(p, q)
     # each knot's entry keeps its verdict, its stats, its families and its
-    # side's factors
+    # splice side
     kept = {(duality._verified,), (duality._stats,), (splice._family_parts,)}
-    assert set(_store(p)) == kept | {(splice._factors, SIDES[0])}
-    assert set(_store(q)) == kept | {(splice._factors, SIDES[1])}
+    assert set(_store(p)) == kept | {(splice._side, SIDES[0])}
+    assert set(_store(q)) == kept | {(splice._side, SIDES[1])}
     stores = _store(p), _store(q)
     rebuilt = _rebuilt(p), _rebuilt(q)
     assert kernel_witnesses(*rebuilt) == cold
@@ -131,11 +131,14 @@ def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
 def test_a_caller_cannot_change_a_memo_value():
     p = geometric_package(corpus("t34_staircase"))
     cold = [_kept(cold(p)) for _, cold in VALUES.values()]
-    factors = _from_entry(p, splice._factors, SIDES[0])
+    side = _from_entry(p, splice._side, SIDES[0])
+    for name in ("row_dims", "col_dims", "blocks", "factors", "mask"):
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            setattr(side, name, getattr(side, name))
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            delattr(side, name)
     with pytest.raises(TypeError):
-        factors["B1 A0"] = Gf2Matrix.identity(0)
-    with pytest.raises(TypeError):
-        del factors["B1 A0"]
+        side.factors[0] = side.factors[1]
     families = _from_entry(p, splice._family_parts)
     with pytest.raises(TypeError):
         families["w0"] = ()
@@ -146,7 +149,7 @@ def test_a_caller_cannot_change_a_memo_value():
         vector[next(iter(vector))] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
-    kernel_dims, _ = _from_entry(p, splice._b_nullities)
+    kernel_dims, _ = _from_entry(p, duality._b_nullities)
     with pytest.raises(TypeError):
         kernel_dims["B0"] = 0
     entry = duality._derive(p.dims, by_index(p, "tau"))
@@ -162,7 +165,7 @@ def test_a_caller_cannot_change_a_memo_value():
         blocks[0] = blocks[1]
     with pytest.raises(AttributeError):
         blocks[0].A = blocks[0].D
-    for m in (blocks[1].B, xs[1], fs[0], factors["B1 A0"]):
+    for m in (blocks[1].B, xs[1], fs[0], side.factors[0]):
         with pytest.raises(ShapeMismatch):
             m.rows = 0
         with pytest.raises(ShapeMismatch):
@@ -251,7 +254,12 @@ def test_verify_package_runs_once_per_value(monkeypatch):
     taus = [Gf2Matrix(t.rows, t.cols, t.row_bits) for t in by_index(p, "tau")]
     q = SurgeryPackage(*p.dims, *taus)
     assert q._entry is p._entry and _from_entry(q, duality._verified) is None
-    assert normalize(duality._BUILT[c]._replace(taus=tuple(taus))) == p
+    # and so does normalize of another basis of that knot, whose taus are
+    # other objects
+    triple = total_package(c)
+    basis = normal_basis(triple.totals, build_tau(c, triple))
+    assert basis is not duality._BUILT[c] and basis.taus[0] is not p.tau0
+    assert normalize(basis) == p
     assert runs == [p]
     # an evicted entry takes the verdict with it
     duality._derive.cache_clear()
@@ -277,7 +285,7 @@ def test_a_memoised_matrix_cannot_be_changed_in_place():
     # derived matrices now refuse it, and h stays 25
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     assert splice_rank(p, q).h == 25
-    factor = _from_entry(p, splice._factors, SIDES[0])["B1 A0"]
+    factor = _from_entry(p, splice._side, SIDES[0]).factors[1]  # B1 A0 of block (0, 1)
     with pytest.raises(ShapeMismatch, match="immutable"):
         factor.row_bits = (0,) * factor.rows
     for name in ("rows", "cols", "set_bits", "nonzero_rows"):
@@ -303,23 +311,58 @@ def test_a_kron_factor_is_made_only_from_a_matrix():
 
 
 def test_a_bad_tau_fails_verification_on_every_build():
-    # the derivations serve the second build, and verify_package still runs
+    # the derivations serve the second build, and verify_package still runs.
+    # No basis can carry a bad tau to normalize (see
+    # test_a_forged_normal_basis_cannot_reach_normalize), so the package is
+    # built and its verdict read as normalize builds and reads them
     c = corpus("t34_staircase")
     triple = total_package(c)
     basis = normal_basis(triple.totals, build_tau(c, triple))
     tau0 = basis.taus[0]
     flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
-    forged = basis._replace(taus=(flipped, *basis.taus[1:]))
     for build in range(2):
         info = duality._derive.cache_info()
-        with pytest.raises(NormalizationFailure, match="tau0"):
-            normalize(forged)
+        p = SurgeryPackage(*basis.dims, flipped, *basis.taus[1:])
         assert duality._derive.cache_info().hits == info.hits + build, build
+        with pytest.raises(NormalizationFailure, match="tau0"):
+            _from_entry(p, duality._verified)
     # a tau of the wrong size fails before the lookup can keep anything
-    short = basis._replace(taus=(Gf2Matrix.identity(tau0.rows - 1), *basis.taus[1:]))
     for _ in range(2):
         with pytest.raises(NormalizationFailure, match="expected"):
-            normalize(short)
+            SurgeryPackage(*basis.dims, Gf2Matrix.identity(tau0.rows - 1), *basis.taus[1:])
+
+
+def test_a_forged_normal_basis_cannot_reach_normalize():
+    # only normal_basis makes a NormalBasis, after checking the tau
+    # relations, so normalize checks a basis by its type alone
+    c = corpus("t34_staircase")
+    p = geometric_package(c)
+    basis = duality._BUILT[c]
+    tau0 = basis.taus[0]
+    flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
+    forgeries = {
+        "constructor": lambda: duality.NormalBasis(basis.maps, basis.dims, (flipped, *basis.taus[1:])),
+        "keywords": lambda: duality.NormalBasis(maps=basis.maps, dims=basis.dims, taus=basis.taus),
+        "token": lambda: duality.NormalBasis(basis.maps, basis.dims, basis.taus, object()),
+    }
+    for name, forge in forgeries.items():
+        with pytest.raises(SpliceRankError, match="made by normal_basis") as info:
+            forge()
+        assert info.type is ShapeMismatch, name
+    for bad in (basis.taus, (basis.maps, basis.dims, basis.taus)):
+        with pytest.raises(ShapeMismatch):
+            normalize(bad)
+    # nor can a basis that normal_basis made be changed, or copied field by
+    # field past its constructor
+    for name in ("maps", "dims", "taus"):
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            setattr(basis, name, getattr(basis, name))
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            delattr(basis, name)
+    with pytest.raises(ShapeMismatch, match="immutable"):
+        copy.copy(basis)
+    assert duality._BUILT[c] is basis and basis.taus[0] is tau0
+    assert normalize(basis) == p
 
 
 ENTRY_POINTS = {
@@ -363,6 +406,6 @@ def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
     for (n1, n2), d in first.items():
         assert build_D(packages[n1], packages[n2]) == d
     assert counts == Counter()
-    # each knot's entry holds the factors of both sides, made once each
+    # each knot's entry holds its side as either knot, made once each
     for p in packages.values():
-        assert {key for key in p._entry.store if key[0] is splice._factors} == {(splice._factors, side) for side in SIDES}
+        assert {key for key in p._entry.store if key[0] is splice._side} == {(splice._side, side) for side in SIDES}

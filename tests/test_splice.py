@@ -7,14 +7,14 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splicerank import duality, splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import PackageStats, geometric_package, stats
 from splicerank.errors import ShapeMismatch, WitnessNotInKernel
-from splicerank.gf2 import BlockGrid, Gf2Matrix
+from splicerank.gf2 import BlockGrid, Gf2Matrix, kron_factor
 from splicerank.model import BifilteredComplex, hf_hat, mirror, random_complex
 from splicerank.splice import (
     TheoremVerdict,
@@ -86,6 +86,69 @@ def test_build_D_matches_the_block_by_block_reference():
         assert (got.row_block_dims, got.col_block_dims) == (want.row_block_dims, want.col_block_dims)
         count += 1
     assert count == 100 + 6 + 81 + 2 + 3
+
+
+_SMALL_DIMS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), _SMALL_DIMS, st.integers(0, 3), _SMALL_DIMS)
+@example(0, (0, 0, 0), 1, (2, 3, 1))
+@example(1, (2, 3, 1), 0, (0, 0, 0))
+@example(2, (1, 0, 0), 2, (0, 4, 0))
+def test_build_D_is_the_reference_on_synthetic_pairs(seed1, dims1, seed2, dims2):
+    # dims 0 to 4 on each index: empty blocks, all-zero factors and sides
+    # whose mask is 0 (dims (0, 0, 0)) all occur
+    p1, p2 = synthetic_package(seed1, dims1), synthetic_package(seed2, dims2)
+    assert build_D(p1, p2) == reference_build_D(p1, p2)
+
+
+def _factor_matrix(p, name: str) -> Gf2Matrix:
+    """The factor of ``_TERMS`` of that name, from p's blocks: an identity on
+    a dim, or a product of two of its A, B, D and X1 matrices."""
+    if name in ("a0", "a1", "a_inf"):
+        return Gf2Matrix.identity(getattr(p, name))
+    mats = {"X1": p.X1}
+    for label, blocks in zip(("0", "1", "inf"), (p.blocks0, p.blocks1, p.blocks_inf)):
+        mats.update({letter + label: m for letter, m in zip("ABD", blocks)})
+    first, second = name.split()
+    return mats[first] @ mats[second]
+
+
+def test_a_side_masks_exactly_the_terms_whose_factor_is_nonzero():
+    packages = list({id(p): p for pair in _oracle_pairs() for p in pair}.values())
+    packages += [synthetic_package(0, (0, 0, 0)), synthetic_package(0, (0, 2, 1))]
+    terms = [pair for pairs in splice._TERMS.values() for pair in pairs]
+    seen = set()
+    for p in packages:
+        for side in (0, 1):
+            made = duality._from_entry(p, splice._side, side)
+            assert len(made.factors) == len(terms) == 31
+            for t, pair in enumerate(terms):
+                m = _factor_matrix(p, pair[side])
+                assert made.factors[t] == kron_factor(m), (p.dims, side, pair)
+                nonzero = not m.is_zero()
+                assert bool(made.mask >> t & 1) == nonzero, (p.dims, side, pair)
+                seen.add(nonzero)
+            assert made.mask >> len(terms) == 0
+    assert seen == {True, False}
+    assert duality._from_entry(synthetic_package(0, (0, 0, 0)), splice._side, 0).mask == 0
+
+
+def test_a_factor_of_the_wrong_shape_fails_when_its_side_is_made(monkeypatch):
+    duality._derive.cache_clear()
+    p = synthetic_package(0, (1, 2, 3))
+    # row blocks 0 and 1 swapped: block (0,0)'s factors no longer fit
+    rows = splice._ROW_BLOCKS
+    monkeypatch.setattr(splice, "_ROW_BLOCKS", (rows[1], rows[0], *rows[2:]))
+    for side, slot in ((0, "3x3"), (1, "2x3")):
+        with pytest.raises(ShapeMismatch, match=rf"block \(0,0\) has a factor 1x3, slot needs {slot}"):
+            duality._from_entry(p, splice._side, side)
+    with pytest.raises(ShapeMismatch, match=r"block \(0,0\)"):
+        build_D(p, p)
+    assert not [key for key in p._entry.store if key[0] is splice._side]
+    monkeypatch.undo()
+    assert build_D(p, p) == reference_build_D(p, p)
 
 
 @pytest.mark.parametrize(
