@@ -52,8 +52,8 @@ and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
 holds the blocks, X products and f maps, and a store of what is read from
 the value later: the verdict of ``verify_package`` that ``normalize`` reads,
 ``stats`` and the B-block nullities (``_b_nullities``, which the lemma
-checks and ``splice.subspace_bounds`` read) here, and the splice side of
-either knot and the witness families in ``splice``.  Each package keeps its
+checks and ``splice.subspace_bounds`` read) here, and the splice side and
+the witness images of either knot and the witness families in ``splice``.  Each package keeps its
 entry, so all equal packages share one, and ``_from_entry`` reads the store: it
 checks the argument's type, computes a value on a miss (a kept None is a
 hit) and stores nothing when the computation raises.  So ``verify_package``

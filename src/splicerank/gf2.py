@@ -39,6 +39,12 @@ and nonzero row of its right factor: a sparse ``D`` costs its number of
 nonzeros, not its rows times its terms, and no factor's rows are scanned
 or checked again however often a side is reused.
 
+Two helpers serve Kronecker products of vectors.  ``spread`` lays a vector
+u out so that one multiplication by v < 2**n gives u ⊗ v.
+``outer_sum_is_zero`` tests a short sum of outer products p qᵀ for zero by
+eliminating the qs, in a few big-int operations and without writing the
+sum out.
+
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
 so that no row has a bit at another row's pivot.  That is the reduced row
@@ -84,6 +90,44 @@ def xor_columns(columns: Sequence[int], mask: int) -> int:
         out ^= columns[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def spread(u: int, n: int) -> int:
+    """u with its bit a moved to bit a * n.  For v < 2**n, v * spread(u, n)
+    is the Kronecker product u ⊗ v, with bit a * n + b for each set bit a
+    of u and b of v: the shifted copies of v lie in disjoint n-bit slots,
+    so the product carries nothing."""
+    out = 0
+    while u:
+        low = u & -u
+        out |= 1 << ((low.bit_length() - 1) * n)
+        u ^= low
+    return out
+
+
+def outer_sum_is_zero(pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the sum of the outer products p qᵀ over the pairs (p, q) is
+    the zero matrix.
+
+    The qs are eliminated on their highest bit.  Reducing q by a pivot q'
+    keeps the sum when p is carried onto the pivot's p':
+    p qᵀ + p' q'ᵀ = p (q + q')ᵀ + (p' + p) q'ᵀ.  A q that reduces to 0
+    drops out, and the pivots' qs are independent, so the sum is zero
+    exactly when every pivot's p is 0."""
+    ps: dict[int, int] = {}
+    qs: dict[int, int] = {}
+    for p, q in pairs:
+        if not p:
+            continue
+        while q:
+            top = q.bit_length() - 1
+            pivot = qs.get(top)
+            if pivot is None:
+                qs[top], ps[top] = q, p
+                break
+            ps[top] ^= p
+            q ^= pivot
+    return not any(ps.values())
 
 
 # Sets a slot of an immutable record, past the __setattr__ that refuses it.

@@ -23,12 +23,13 @@ assembly as the reference.
 
 Per-package values
 ------------------
-Only the Kronecker products and the witnesses join the two knots; a knot's
-splice sides and witness families depend on its package's value alone, so
-they are kept in that value's entry, as ``duality.stats`` and the B-block
-nullities that ``subspace_bounds`` reads are (see ``duality``).  The first
-and the second knot's sides are two keys of the store, so a cold
-``build_D`` makes 28 products even for a self-splice.  Each of a side's 17
+Only the Kronecker products, the witnesses and their check join the two
+knots; a knot's splice sides, witness families and witness images depend
+on its package's value alone, so they are kept in that value's entry, as
+``duality.stats`` and the B-block nullities that ``subspace_bounds`` reads
+are (see ``duality``).  The first and the second knot's sides are two keys
+of the store, so a cold ``build_D`` makes 28 products even for a
+self-splice, and so are its witness images (below).  Each of a side's 17
 distinct factors (14 products, 3 identities) is laid out once, and
 ``gf2.kron_side`` checks every factor's shape against the dims that
 ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` name for its block when the side is
@@ -43,16 +44,38 @@ The six column blocks of D have the dims (left, right), in the order
     (a_inf, a_inf), (a_inf, a0), (a1, a0), (a0, a_inf), (a0, a1), (a1, a1),
 
 and block k holds Kronecker products u ⊗ v, u of length p1.left and v of
-length p2.right.  ``build_D`` reads its column dims from this table
+length p2.right, bit a * n + b of u ⊗ v for bits a of u and b of v, n =
+p2.right.  ``build_D`` reads its column dims from this table
 (``_COL_BLOCKS``), the witnesses their block offsets and Kronecker widths.
 Each knot has six witness families (``WitnessData``), two per index k of the
 cycle in ``duality.CYCLE``: z_k = Ker B_next(k), and w_k, the kernel of
 (B_prev(k) 0; D_prev(k) + A_next(k) B_next(k)), whose vectors have parts
-(x, y) split at a_k; a vector of z_k is one part z.  The witness of a pair of
-vectors, one per knot, is a sum of terms, each a part of the first times a
-part of the second in one column block; ``_WITNESS_TERMS`` lists them for the
-six family pairs that have any.  A vector has no parts of another family, so
-every other family pair (30 of the 36) gives the witness 0.
+(x, y) split at a_k; a vector of z_k is one part z.  The witness W(u, v) of
+a pair of vectors, one per knot, is a sum of terms, each a part of the
+first times a part of the second in one column block; ``_WITNESS_TERMS``
+lists them for the six family pairs that have any.  A vector has no parts
+of another family, so every other family pair (30 of the 36) gives the
+witness 0.  A nonzero witness is built by multiplication: for v < 2**n,
+``gf2.spread(x, n)`` puts bit a of x at bit a * n, so v * spread(x, n) is
+x ⊗ v, as the shifted copies of v lie in disjoint n-bit slots and carry
+nothing.  Each first-knot part is spread once per vector, not once per pair.
+
+The check that D annihilates every witness is made per knot, without D.
+The terms of D that meet the witnesses of a family pair are those whose
+column block the pair's terms hit (``_WITNESS_CHECKS``, grouped by row
+block), and term t, L_t ⊗ R_t, sends x ⊗ y to (L_t x) ⊗ (R_t y).  So row
+block i of D·W(u_a, v_b) is the sum over those terms s in row block i of
+(L_s x_a) ⊗ (R_s y_b), x_a the term's part of u_a and y_b of v_b.  Each
+knot keeps, per package value and side (``_witness_images``), every such
+image of all of its family's vectors flattened into one int,
+P_s = Σ_a (L_s x_a) << (a * L_s.rows), and Q_s likewise on the other side.
+Entry ((r1, a), (r2, b)) of the matrix Σ_s P_s Q_sᵀ is then row (r1, r2)
+of row block i of D·W(u_a, v_b), so the sum is zero, which
+``gf2.outer_sum_is_zero`` tests, exactly when D annihilates every witness
+of the pair in that row block.  The test is exact, not a sufficient
+condition: a failure means some witness is outside Ker D.  D is still
+built, for its rank; when the check fails, it names the first nonzero
+witness, in pair order, that it does not annihilate.
 """
 
 from __future__ import annotations
@@ -65,7 +88,19 @@ from types import MappingProxyType
 
 from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, by_index, stats
 from .errors import WitnessNotInKernel, require_type
-from .gf2 import Gf2Matrix, KronSide, kron_blocks, kron_factor, kron_side, lower_triangular, span_dim, xor_columns
+from .gf2 import (
+    Gf2Matrix,
+    KronFactor,
+    KronSide,
+    kron_blocks,
+    kron_factor,
+    kron_side,
+    lower_triangular,
+    outer_sum_is_zero,
+    span_dim,
+    spread,
+    xor_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -133,15 +168,6 @@ _TERMS = {
 # Each term of D in _TERMS order: its block and its two factors' names.
 _TERM_LIST = tuple((block, pair) for block, pairs in _TERMS.items() for pair in pairs)
 _TERM_BLOCKS = tuple([block for block, _ in _TERM_LIST])
-
-
-def _vec_kron(v: int, w: int, w_len: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out |= w << ((low.bit_length() - 1) * w_len)
-        v ^= low
-    return out
 
 
 def _side(p: SurgeryPackage, side: int) -> KronSide:
@@ -250,7 +276,7 @@ class WitnessReport:
 
 # The family pairs (first knot, second knot) that give a nonzero witness, with
 # their terms (column block of D, part of the first knot's vector, part of
-# the second's); see the module docstring.
+# the second's); see the module docstring.  No pair hits a column block twice.
 _WITNESS_TERMS = {
     ("w0", "w_inf"): ((0, "y", "x"), (3, "x", "x"), (4, "x", "y")),
     ("w_inf", "w0"): ((0, "x", "y"), (1, "x", "x"), (2, "y", "x")),
@@ -259,6 +285,26 @@ _WITNESS_TERMS = {
     ("z_inf", "z1"): ((2, "z", "z"),),
     ("z1", "z_inf"): ((4, "z", "z"),),
 }
+
+# The checks of the witnesses, one per family pair of _WITNESS_TERMS and row
+# block of D that its witnesses meet: the pair, and each term of D in the
+# row block whose column block the pair hits, as its index in _TERM_LIST
+# with the pair's parts (first knot's, second knot's) in that column block.
+_WITNESS_CHECKS = tuple(
+    (pair, group)
+    for pair, terms in _WITNESS_TERMS.items()
+    for group in (
+        tuple(
+            (t, (part1, part2))
+            for t, ((i, j), _) in enumerate(_TERM_LIST)
+            if i == row
+            for block, part1, part2 in terms
+            if block == j
+        )
+        for row in range(len(_ROW_BLOCKS))
+    )
+    if group
+)
 
 
 def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ...]]:
@@ -273,6 +319,31 @@ def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ..
     for k, zs in zip(CYCLE, by_index(data, "z")):
         out["z" + k.suffix] = tuple([MappingProxyType({"z": z}) for z in zs])
     return MappingProxyType(out)
+
+
+def _stacked(f: KronFactor, vectors: list[int]) -> int:
+    """Σ_a (F·vectors[a]) << (a·F.rows), F the matrix laid out in f."""
+    out = 0
+    for a, x in enumerate(vectors):
+        shift = a * f.rows
+        for r, b in f.nonzero_rows:
+            if (b & x).bit_count() & 1:
+                out |= 1 << (shift + r)
+    return out
+
+
+def _witness_images(p: SurgeryPackage, side: int) -> tuple[tuple[int, ...], ...]:
+    """One knot's witness images as the first knot (side 0) or the second
+    (1): for each check of ``_WITNESS_CHECKS`` and each of its terms, the
+    side's factor of the term applied to the term's part of every vector of
+    the side's family, stacked by ``_stacked``; kept per package value and
+    side (see the module docstring)."""
+    factors = _from_entry(p, _side, side).factors
+    families = _from_entry(p, _family_parts)
+    return tuple(
+        tuple(_stacked(factors[t], [u[parts[side]] for u in families[pair[side]]]) for t, parts in group)
+        for pair, group in _WITNESS_CHECKS
+    )
 
 
 def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
@@ -290,16 +361,43 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
         at += getattr(p1, left) * getattr(p2, right)
     found = []
     for (name1, name2), terms in _WITNESS_TERMS.items():
+        seconds = [tuple([v[part2] for _, _, part2 in terms]) for v in fam2[name2]]
         for i, u in enumerate(fam1[name1], start1[name1]):
-            for j, v in enumerate(fam2[name2], start2[name2]):
+            # u's nonzero part of each term spread once, at its column
+            # block's offset: y * spread is then that part ⊗ y (see
+            # gf2.spread)
+            spreads = [
+                (k, spread(u[part1], blocks[block][1]) << blocks[block][0])
+                for k, (block, part1, _) in enumerate(terms)
+                if u[part1]
+            ]
+            first = i * width + start2[name2] + 1
+            if len(spreads) == 1:
+                (k, s), = spreads
+                found += [(j, ys[k] * s) for j, ys in enumerate(seconds, first) if ys[k]]
+                continue
+            for j, ys in enumerate(seconds, first):
                 w = 0
-                for block, part1, part2 in terms:
-                    shift, v_len = blocks[block]
-                    w ^= _vec_kron(u[part1], v[part2], v_len) << shift
+                for k, s in spreads:
+                    w ^= ys[k] * s
                 if w:
-                    found.append((i * width + j + 1, w))
+                    found.append((j, w))
     found.sort()
     return sum(map(len, fam1.values())) * width, found
+
+
+def _outside_kernel(d: Gf2Matrix, found: list[tuple[int, int]]) -> WitnessNotInKernel:
+    """The error of a failed per-knot check: it names the first nonzero
+    witness that d does not annihilate, or says that d annihilates them
+    all and so disagrees with the check."""
+    columns = d.transpose().row_bits
+    for k, v in found:
+        if xor_columns(columns, v):
+            return WitnessNotInKernel(f"witness from pair #{k} not annihilated by the splice matrix")
+    return WitnessNotInKernel(
+        "the per-knot check finds a witness outside Ker D, but D annihilates "
+        "every nonzero witness: the check and D disagree"
+    )
 
 
 def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
@@ -307,19 +405,18 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
 
     Only the six family pairs of ``_WITNESS_TERMS`` give a nonzero witness
     (see the module docstring); the witnesses of the other 30 are counted in
-    ``checked`` without being built.  The nonzero ones are checked in pair
-    order, so a failure names the first offending pair.
+    ``checked`` without being built.  Annihilation is checked per knot, from
+    the two knots' witness images, with no product of D and a witness; D is
+    built once, for its rank.  When the check fails, D names the first
+    nonzero witness, in pair order, that it does not annihilate.
     """
     require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
     d = build_D(p1, p2).matrix
-    d_columns = d.transpose().row_bits
     checked, found = _nonzero_witnesses(p1, p2)
-    for k, v in found:
-        if xor_columns(d_columns, v):
-            raise WitnessNotInKernel(
-                f"witness from pair #{k} not annihilated by the splice matrix"
-            )
+    left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
+    if not all(outer_sum_is_zero(zip(ps, qs)) for ps, qs in zip(left, right)):
+        raise _outside_kernel(d, found)
     ker_bound = (
         st1.k0 * st2.k0
         + st1.k_inf * st2.k1

@@ -53,7 +53,6 @@ from splicerank.splice import (
     WitnessData,
     WitnessReport,
     _split,
-    _vec_kron,
     build_D,
     splice_rank,
     witness_data,
@@ -116,6 +115,17 @@ def mul_vec(m: Gf2Matrix, v: int) -> int:
     out = 0
     for r, b in enumerate(m.row_bits):
         out |= ((b & v).bit_count() & 1) << r
+    return out
+
+
+def _vec_kron(v: int, w: int, w_len: int) -> int:
+    """The Kronecker product v ⊗ w of two vectors, w of length w_len: a
+    copy of w at bit k * w_len for each set bit k of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= w << ((low.bit_length() - 1) * w_len)
+        v ^= low
     return out
 
 

@@ -20,11 +20,13 @@ from splicerank.gf2 import (
     kron_blocks,
     kron_factor,
     kron_side,
+    outer_sum_is_zero,
     span_dim,
     span_intersection,
+    spread,
 )
 
-from oracles import SpanSolver, cancel, h_number, kron, mul_vec, span_basis, span_sum_dim, submatrix
+from oracles import SpanSolver, _vec_kron, cancel, h_number, kron, mul_vec, span_basis, span_sum_dim, submatrix
 
 
 def brute_kernel_dim(m: Gf2Matrix) -> int:
@@ -378,6 +380,51 @@ def test_kron_blocks_rejects_a_bad_dim(row_dims, col_dims):
 def test_block_grid_rejects_a_bad_dim(row_dims, col_dims):
     with pytest.raises(ShapeMismatch, match="not a nonnegative int"):
         BlockGrid(row_dims, col_dims).assemble()
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**12 - 1), st.integers(0, 6))
+@example(0, 3)
+@example(0b1011, 0)
+@example(2**12 - 1, 6)
+def test_a_product_with_a_spread_vector_is_the_kronecker_product(u, n):
+    # v < 2**n fills at most one n-bit slot per set bit of u: no carries
+    s = spread(u, n)
+    assert [v * s for v in range(2**n)] == [_vec_kron(u, v, n) for v in range(2**n)]
+
+
+def _dense_outer_sum(pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Σ p qᵀ written out entry by entry."""
+    rows = max((p.bit_length() for p, _ in pairs), default=0)
+    cols = max((q.bit_length() for _, q in pairs), default=0)
+    return [[sum((p >> r) & (q >> c) & 1 for p, q in pairs) % 2 for c in range(cols)] for r in range(rows)]
+
+
+@st.composite
+def outer_sums(draw) -> list[tuple[int, int]]:
+    """Pairs (p, q); half the time joined by pairs that cancel them, (p, q ^ x)
+    and (p, x) for each, and shuffled, so that both verdicts occur."""
+    small = st.integers(0, 63)
+    pairs = draw(st.lists(st.tuples(small, small), max_size=6))
+    if draw(st.booleans()):
+        xs = draw(st.lists(small, min_size=len(pairs), max_size=len(pairs)))
+        pairs = draw(st.permutations(pairs + [pair for (p, q), x in zip(pairs, xs) for pair in ((p, q ^ x), (p, x))]))
+    return pairs
+
+
+@settings(max_examples=300)
+@given(outer_sums())
+@example([])  # empty
+@example([(5, 0)])  # a zero q
+@example([(0, 5)])  # a zero p
+@example([(3, 5), (3, 5)])  # a pair and its copy cancel
+@example([(1, 6), (2, 6), (3, 6)])  # a duplicated q whose ps cancel
+@example([(1, 6), (2, 6)])  # a duplicated q whose ps do not: 3 6ᵀ
+@example([(1, 3), (1, 5), (1, 6)])  # dependent qs that cancel
+@example([(1, 3), (2, 5), (3, 6)])  # dependent qs that do not
+def test_outer_sum_is_zero_is_the_dense_sum(pairs):
+    dense = _dense_outer_sum(pairs)
+    assert outer_sum_is_zero(iter(pairs)) == (not any(map(any, dense)))
 
 
 def test_cancel_identity():

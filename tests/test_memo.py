@@ -2,7 +2,8 @@
 value, one entry of at most ``PACKAGE_MEMO_SIZE``.  An entry holds the
 value's blocks, X products and f maps, and a store of what is read from
 the value later: its verdict, its stats, its splice side as either knot,
-its witness families and its B-block nullities.  Every equal package
+its witness families, its witness images as either knot and its B-block
+nullities.  Every equal package
 shares the entry, so each of these is made once per value, and
 ``verify_package`` runs once per value; a hit is what a cold computation
 makes, a kept None is a hit too, evicting an entry drops what it holds,
@@ -50,12 +51,21 @@ SIDES = (0, 1)  # the first and the second knot of a splice
 
 # What the memo keeps of a package value, each read through the package's
 # entry and computed cold (by the function whose result the entry keeps);
-# the splice sides are two keys of the store, one per side.
+# the splice sides and the witness images are two keys of the store each,
+# one per side.
 VALUES = {
     "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, by_index(p, "tau"))),
     "factors-left": (lambda p: _from_entry(p, splice._side, SIDES[0]), lambda p: splice._side(p, SIDES[0])),
     "factors-right": (lambda p: _from_entry(p, splice._side, SIDES[1]), lambda p: splice._side(p, SIDES[1])),
     "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
+    "images-left": (
+        lambda p: _from_entry(p, splice._witness_images, SIDES[0]),
+        lambda p: splice._witness_images(p, SIDES[0]),
+    ),
+    "images-right": (
+        lambda p: _from_entry(p, splice._witness_images, SIDES[1]),
+        lambda p: splice._witness_images(p, SIDES[1]),
+    ),
     "stats": (stats, duality._stats),
     "b-nullities": (lambda p: _from_entry(p, duality._b_nullities), duality._b_nullities),
 }
@@ -114,11 +124,11 @@ def test_a_hit_equals_a_cold_computation(name):
 def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     cold = kernel_witnesses(p, q)
-    # each knot's entry keeps its verdict, its stats, its families and its
-    # splice side
+    # each knot's entry keeps its verdict, its stats, its families, and its
+    # splice side and its witness images as its knot of the splice
     kept = {(duality._verified,), (duality._stats,), (splice._family_parts,)}
-    assert set(_store(p)) == kept | {(splice._side, SIDES[0])}
-    assert set(_store(q)) == kept | {(splice._side, SIDES[1])}
+    for r, side in ((p, SIDES[0]), (q, SIDES[1])):
+        assert set(_store(r)) == kept | {(splice._side, side), (splice._witness_images, side)}
     stores = _store(p), _store(q)
     rebuilt = _rebuilt(p), _rebuilt(q)
     assert kernel_witnesses(*rebuilt) == cold
@@ -147,6 +157,11 @@ def test_a_caller_cannot_change_a_memo_value():
     vector = next(v for family in families.values() for v in family)
     with pytest.raises(TypeError):
         vector[next(iter(vector))] = 0
+    images = _from_entry(p, splice._witness_images, SIDES[0])
+    with pytest.raises(TypeError):
+        images[0] = ()
+    with pytest.raises(TypeError):
+        images[0][0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
     kernel_dims, _ = _from_entry(p, duality._b_nullities)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from splicerank import duality, splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import PackageStats, geometric_package, stats
 from splicerank.errors import ShapeMismatch, WitnessNotInKernel
-from splicerank.gf2 import BlockGrid, Gf2Matrix, kron_factor
+from splicerank.gf2 import BlockGrid, Gf2Matrix, KronSide, kron_blocks, kron_factor, kron_side
 from splicerank.model import BifilteredComplex, hf_hat, mirror, random_complex
 from splicerank.splice import (
     TheoremVerdict,
@@ -524,22 +525,148 @@ def test_kernel_witnesses_match_the_full_product_loop():
         assert splice._nonzero_witnesses(p1, p2) == (report.checked, found)
 
 
-def test_witness_outside_kernel_names_its_pair(monkeypatch):
-    p1 = p2 = pkg("trefoil_staircase")
-    real = build_D(p1, p2)
-    ones = (1 << real.matrix.cols) - 1
-    broken = Gf2Matrix(real.matrix.rows, real.matrix.cols, [0] * (real.matrix.rows - 1) + [ones])
-    monkeypatch.setattr(splice, "build_D", lambda *args: replace(real, matrix=broken))
-    witnesses = [
-        assemble_witness(t1, t2, p1, p2)
-        for t1, t2 in product(
-            basis_tuples(witness_data(p1), p1), basis_tuples(witness_data(p2), p2)
-        )
-    ]
-    first_bad = next(i for i, v in enumerate(witnesses, 1) if v and mul_vec(broken, v))
-    assert first_bad > 1
-    with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
+def _flipped(side: KronSide, t: int, r: int, c: int) -> KronSide:
+    """side with bit (r, c) of its factor of term t flipped: a fault in
+    one knot's splice side, which D and the per-knot check both read."""
+    f = side.factors[t]
+    rows = dict(f.nonzero_rows)
+    m = Gf2Matrix(f.rows, f.cols, [rows.get(i, 0) ^ ((i == r) << c) for i in range(f.rows)])
+    factors = list(side.factors)
+    factors[t] = kron_factor(m)
+    return kron_side(side.row_dims, side.col_dims, side.blocks, factors)
+
+
+def _inject(p, side: int, t: int, r: int, c: int) -> KronSide:
+    """Put into the store of p's entry its splice side ``side`` with bit
+    (r, c) of term t's factor flipped, before anything reads it; the entry
+    must be fresh (see ``_fresh_entries``)."""
+    faulty = _flipped(duality._from_entry(p, splice._side, side), t, r, c)
+    p._entry.store[(splice._side, side)] = faulty
+    return faulty
+
+
+def _fresh_entries():
+    """Empties the package memo, so packages built next take entries that no
+    other test's packages share: a fault put into one dies with it once the
+    memo is emptied again."""
+    duality._derive.cache_clear()
+
+
+def _named_pair(check, p1, p2) -> int | None:
+    """The pair number that check's WitnessNotInKernel names, or None when
+    it does not raise; an error that names no pair fails the test."""
+    try:
+        check(p1, p2)
+    except WitnessNotInKernel as error:
+        found = re.search(r"pair #(\d+) ", str(error))
+        assert found, str(error)
+        return int(found.group(1))
+    return None
+
+
+def test_witness_outside_kernel_names_its_pair():
+    # bit (0, 1) of the first knot's Binf B1 in block (3, 0) flipped: D, as
+    # kron_blocks assembles it from the faulty sides, fails a witness that
+    # is not the first, and so must the per-knot check, naming it
+    _fresh_entries()
+    try:
+        p1 = p2 = pkg("trefoil_staircase")
+        t = splice._TERM_LIST.index(((3, 0), ("Binf B1", "a_inf")))
+        faulty = _inject(p1, 0, t, 0, 1)
+        broken = kron_blocks(faulty, duality._from_entry(p2, splice._side, 1))
+        witnesses = [
+            assemble_witness(t1, t2, p1, p2)
+            for t1, t2 in product(
+                basis_tuples(witness_data(p1), p1), basis_tuples(witness_data(p2), p2)
+            )
+        ]
+        first_bad = next(i for i, v in enumerate(witnesses, 1) if v and mul_vec(broken, v))
+        assert first_bad > 1
+        assert build_D(p1, p2).matrix == broken
+        with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
+            kernel_witnesses(p1, p2)
+    finally:
+        _fresh_entries()
+
+
+def test_a_check_that_disagrees_with_D_still_raises(monkeypatch):
+    # were the per-knot check ever to fail where D annihilates every
+    # witness, kernel_witnesses says so rather than return a report
+    p1, p2 = pkg("t34_staircase"), pkg("fig8_box")
+    monkeypatch.setattr(splice, "outer_sum_is_zero", lambda pairs: False)
+    with pytest.raises(WitnessNotInKernel, match="the check and D disagree"):
         kernel_witnesses(p1, p2)
+
+
+# The knots of the fault property, each (kind, how to build it): corpus,
+# random and synthetic models.
+_FAULT_KNOTS = (
+    *(("corpus", name) for name in ("unknot", "trefoil_staircase", "fig8_box", "t25_staircase", "t34_staircase")),
+    *(("random", seed) for seed in range(4)),
+    *(("synthetic", seed, dims) for seed, dims in ((1, (1, 2, 2)), (2, (2, 1, 3)), (3, (3, 2, 0)), (14, (1, 3, 3)))),
+)
+
+
+def _fault_knot(knot):
+    kind, *args = knot
+    if kind == "corpus":
+        return pkg(*args)
+    if kind == "random":
+        return geometric_package(random_complex(*args))
+    return synthetic_package(*args)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(_FAULT_KNOTS),
+    st.sampled_from(_FAULT_KNOTS),
+    st.sampled_from((0, 1)),
+    st.integers(0, 10**6),
+)
+@example(("corpus", "trefoil_staircase"), ("corpus", "trefoil_staircase"), 0, 0)  # passes
+@example(("corpus", "trefoil_staircase"), ("corpus", "trefoil_staircase"), 0, 43)  # fails at pair 2
+@example(("corpus", "t34_staircase"), ("random", 2), 1, 23)  # fails at pair 74
+@example(("synthetic", 14, (1, 3, 3)), ("corpus", "fig8_box"), 0, 5)  # fails at pair 19
+def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, knot2, side, pick):
+    # one bit of one factor flipped in either knot's side: the per-knot
+    # check fails exactly when the D of the faulty sides leaves some witness
+    # outside its kernel, and then names the same pair as the reference
+    _fresh_entries()
+    try:
+        p1, p2 = _fault_knot(knot1), _fault_knot(knot2)
+        p = (p1, p2)[side]
+        bits = [
+            (t, r, c)
+            for t, f in enumerate(duality._from_entry(p, splice._side, side).factors)
+            for r in range(f.rows)
+            for c in range(f.cols)
+        ]
+        if bits:
+            _inject(p, side, *bits[pick % len(bits)])
+        want = _named_pair(reference_kernel_witnesses, p1, p2)
+        assert _named_pair(kernel_witnesses, p1, p2) == want
+        if want is None:
+            assert kernel_witnesses(p1, p2) == reference_kernel_witnesses(p1, p2)[0]
+    finally:
+        _fresh_entries()
+
+
+def test_kernel_witnesses_operation_budget(monkeypatch):
+    # warm, the witnesses are checked per knot from the kept images: no
+    # transpose of D, no product of D with a witness and no matrix product
+    p1 = geometric_package(torus_staircase(4, 7))
+    p2 = geometric_package(torus_staircase(5, 6))
+    pairs = [(p1, p2), (pkg("t34_staircase"), pkg("fig8_box")), (pkg("trefoil_staircase"),) * 2]
+    reports = [kernel_witnesses(*pair) for pair in pairs]
+    counts = Counter()
+    for owner, name in ((Gf2Matrix, "transpose"), (Gf2Matrix, "__matmul__"), (splice, "xor_columns")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert [kernel_witnesses(*pair) for pair in pairs] == reports
+    assert counts == Counter()
+    assert reports[0].nonzero == 838
 
 
 random_models = st.integers(0, 300).map(lambda seed: geometric_package(random_complex(seed)))
