@@ -52,11 +52,15 @@ and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
 holds the blocks, X products and f maps, and a store of what is read from
 the value later: the verdict of ``verify_package`` that ``normalize`` reads,
 ``stats`` and the B-block nullities (``_b_nullities``, which the lemma
-checks and ``splice.subspace_bounds`` read) here, and the splice side and
-the witness images of either knot and the witness families in ``splice``.  Each package keeps its
-entry, so all equal packages share one, and ``_from_entry`` reads the store: it
-checks the argument's type, computes a value on a miss (a kept None is a
-hit) and stores nothing when the computation raises.  So ``verify_package``
+checks and ``splice.subspace_bounds`` read) here; and in ``splice``, the
+splice side and the witness images of either knot, the witness families,
+and two values per pair the package is the first knot of: the pair's
+``SpliceRank`` and its checked witness counts and span.  A pair value is
+keyed on the second package's value, its dims and taus, so a store keeps no
+other package's entry alive.  Each package keeps its entry, so all equal
+packages share one, and ``_from_entry`` reads the store: it checks the
+argument's type, computes a value on a miss (a kept None is a hit) and
+stores nothing when the computation raises.  So ``verify_package``
 (6 products) runs once per value, when ``normalize`` first builds it, and
 a value that fails it fails on every build.  An evicted entry takes its
 values with it, the verdict too: an equal package built later derives and
@@ -146,7 +150,8 @@ class SurgeryPackage:
     module docstring).  A dim that is not a nonnegative int (a bool is
     refused, as it would equal and hash like the int) or a tau that is not a
     ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not square of size
-    a_prev + a_next raises ``NormalizationFailure``.
+    a_prev + a_next raises ``NormalizationFailure``.  Assigning or deleting
+    an attribute raises ``ShapeMismatch``, as it does on a ``Gf2Matrix``.
     """
 
     a0: int
@@ -183,6 +188,21 @@ class SurgeryPackage:
         return SurgeryPackage, (*self.dims, *by_index(self, "tau"))
 
 
+def _refuse_set(p: SurgeryPackage, name: str, value: object) -> None:
+    raise ShapeMismatch(f"a SurgeryPackage is immutable: cannot set {name}")
+
+
+def _refuse_delete(p: SurgeryPackage, name: str) -> None:
+    raise ShapeMismatch(f"a SurgeryPackage is immutable: cannot delete {name}")
+
+
+# A frozen dataclass may not define these in its body, so they are set here,
+# over the ones raising FrozenInstanceError; its constructor and
+# __post_init__ set the fields past them, through object.__setattr__.
+SurgeryPackage.__setattr__ = _refuse_set
+SurgeryPackage.__delattr__ = _refuse_delete
+
+
 class _Entry(NamedTuple):
     """One package value's blocks, X products and f maps, in table order,
     and its store (see ``_from_entry``)."""
@@ -216,9 +236,14 @@ _MISSING = object()
 
 def _from_entry(p: SurgeryPackage, make: Callable[..., object], *args: Hashable) -> object:
     """make(p, *args), kept in the store of p's entry under (make, *args)
-    if it returns (see the module docstring); a kept None is a hit too."""
+    if it returns (see the module docstring); a kept None is a hit too.  A
+    package first among args, the other package of a pair value, is keyed
+    by its value, its dims and taus, not by itself, so a store keeps no
+    other package's entry alive."""
     require_type(SurgeryPackage, p)
     store, key = p._entry.store, (make, *args)
+    if args and isinstance(args[0], SurgeryPackage):
+        key = (make, args[0].dims, by_index(args[0], "tau"), *args[1:])
     value = store.get(key, _MISSING)
     if value is _MISSING:
         value = store[key] = make(p, *args)

@@ -23,9 +23,8 @@ assembly as the reference.
 
 Per-package values
 ------------------
-Only the Kronecker products, the witnesses and their check join the two
-knots; a knot's splice sides, witness families and witness images depend
-on its package's value alone, so they are kept in that value's entry, as
+A knot's splice sides, witness families and witness images depend on its
+package's value alone, so they are kept in that value's entry, as
 ``duality.stats`` and the B-block nullities that ``subspace_bounds`` reads
 are (see ``duality``).  The first and the second knot's sides are two keys
 of the store, so a cold ``build_D`` makes 28 products even for a
@@ -36,6 +35,20 @@ distinct factors (14 products, 3 identities) is laid out once, and
 made, once per value; a warm ``build_D`` builds no matrix but D and checks
 no term.  The values are immutable (``KronSide``s, mapping proxies and
 tuples), so no caller can change what the next one reads.
+
+What joins the two knots, the rank of D and the witnesses, depends on the
+pair's two values alone.  The check path keeps two values per pair in the
+first package's entry, keyed on the second package's value (its dims and
+taus, not the package, so the entry keeps no other entry alive), and they
+die with that entry: ``_pair_rank``, the pair's ``SpliceRank`` from one
+``splice_rank`` call, and ``_pair_witnesses``, the witness count, the
+nonzero count and the witness span, kept once the per-knot check below
+has passed.  Both hold ints only, no D and no witness.  ``kernel_witnesses``
+reads both and ``subspace_bounds`` only the rank, so a ``theorem_check``
+and a ``subspace_bounds`` of one pair build D once between them, a warm
+one builds none, and a lone ``subspace_bounds`` builds no witness.  A
+failed check keeps nothing, so it raises on every call.  ``splice_rank``
+itself keeps nothing: each call builds and eliminates D.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -73,9 +86,10 @@ Entry ((r1, a), (r2, b)) of the matrix Σ_s P_s Q_sᵀ is then row (r1, r2)
 of row block i of D·W(u_a, v_b), so the sum is zero, which
 ``gf2.outer_sum_is_zero`` tests, exactly when D annihilates every witness
 of the pair in that row block.  The test is exact, not a sufficient
-condition: a failure means some witness is outside Ker D.  D is still
-built, for its rank; when the check fails, it names the first nonzero
-witness, in pair order, that it does not annihilate.
+condition: a failure means some witness is outside Ker D.  When a check
+fails, its sum, made from the same images, names the witnesses outside
+Ker D: a nonzero entry ((r1, a), (r2, b)) is one for the pair (u_a, v_b),
+and the error names the first in pair order.  No D is read.
 """
 
 from __future__ import annotations
@@ -92,6 +106,7 @@ from .gf2 import (
     Gf2Matrix,
     KronFactor,
     KronSide,
+    bits_of,
     kron_blocks,
     kron_factor,
     kron_side,
@@ -99,7 +114,6 @@ from .gf2 import (
     outer_sum_is_zero,
     span_dim,
     spread,
-    xor_columns,
 )
 
 
@@ -218,14 +232,21 @@ class SpliceRank:
 
 
 def splice_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
-    """Rank of the hat invariant of the splice: dim Ker + dim Coker."""
-    return _rank_of(build_D(p1, p2).matrix)
-
-
-def _rank_of(d: Gf2Matrix) -> SpliceRank:
+    """Rank of the hat invariant of the splice: dim Ker + dim Coker.  Each
+    call builds and eliminates D; the check path reads it once per pair
+    (``_pair_rank``)."""
+    d = build_D(p1, p2).matrix
     rank = d.rank()
     ker, coker = d.cols - rank, d.rows - rank
     return SpliceRank(ker + coker, ker, coker)
+
+
+def _pair_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
+    """The pair's ``splice_rank``, the value the check path keeps in the
+    first package's entry (see the module docstring).  The store's key is
+    this function, not ``splice_rank``, so a wrapper put on that name (a
+    trace, say) runs on a miss and changes no key."""
+    return splice_rank(p1, p2)
 
 
 # -- kernel witnesses and the six-term bounds --------------------------------
@@ -346,14 +367,21 @@ def _witness_images(p: SurgeryPackage, side: int) -> tuple[tuple[int, ...], ...]
     )
 
 
-def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
-    """The number of pairs of family vectors, and each nonzero witness with
-    its pair number (1-based, in the order of the product of the two knots'
-    families concatenated)."""
+def _numbering(p1: SurgeryPackage, p2: SurgeryPackage):
+    """The two knots' witness families, the start of each family in its
+    knot's families concatenated, and the second knot's vector count: the
+    pair of the i-th vector of the first knot and the j-th of the second
+    is pair number i * width + j + 1."""
     fam1, fam2 = _from_entry(p1, _family_parts), _from_entry(p2, _family_parts)
     start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
     start2 = dict(zip(fam2, accumulate(map(len, fam2.values()), initial=0)))
-    width = sum(map(len, fam2.values()))
+    return fam1, fam2, start1, start2, sum(map(len, fam2.values()))
+
+
+def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
+    """The number of pairs of family vectors, and each nonzero witness with
+    its pair number (see ``_numbering``)."""
+    fam1, fam2, start1, start2, width = _numbering(p1, p2)
     blocks = []  # (offset in D's columns, length of the second knot's factor)
     at = 0
     for left, right in _COL_BLOCKS:
@@ -386,18 +414,49 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
     return sum(map(len, fam1.values())) * width, found
 
 
-def _outside_kernel(d: Gf2Matrix, found: list[tuple[int, int]]) -> WitnessNotInKernel:
-    """The error of a failed per-knot check: it names the first nonzero
-    witness that d does not annihilate, or says that d annihilates them
-    all and so disagrees with the check."""
-    columns = d.transpose().row_bits
-    for k, v in found:
-        if xor_columns(columns, v):
-            return WitnessNotInKernel(f"witness from pair #{k} not annihilated by the splice matrix")
+def _outside_kernel(p1: SurgeryPackage, p2: SurgeryPackage, failed: list[int]) -> WitnessNotInKernel:
+    """The error of the checks ``failed`` (indices into ``_WITNESS_CHECKS``)
+    that found a witness outside Ker D.  Entry ((r1, a), (r2, b)) of a
+    check's sum Σ_s P_s Q_sᵀ is row (r1, r2) of D·W(u_a, v_b) in the
+    check's row block, so the sums, made from the two knots' witness
+    images and no D, name every such witness: the error names the first,
+    in pair order."""
+    left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
+    _, _, start1, start2, width = _numbering(p1, p2)
+    numbers = []
+    for c in failed:
+        (name1, name2), group = _WITNESS_CHECKS[c]
+        dim1, dim2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
+        rows1, rows2 = getattr(p1, dim1), getattr(p2, dim2)
+        sums = {}  # row (r1, a) of the sum, at bit a * rows1 + r1 of each P_s
+        for p, q in zip(left[c], right[c]):
+            for at in bits_of(p):
+                sums[at] = sums.get(at, 0) ^ q
+        # the lowest bit b * rows2 + r2 of a nonzero row is its first pair
+        numbers += [
+            (start1[name1] + at // rows1) * width + start2[name2] + ((q & -q).bit_length() - 1) // rows2 + 1
+            for at, q in sums.items()
+            if q
+        ]
+    if numbers:
+        return WitnessNotInKernel(f"witness from pair #{min(numbers)} not annihilated by the splice matrix")
     return WitnessNotInKernel(
-        "the per-knot check finds a witness outside Ker D, but D annihilates "
-        "every nonzero witness: the check and D disagree"
+        "the per-knot check fails, but its sums put every witness of the failed checks "
+        "in Ker D: the check and D disagree"
     )
+
+
+def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, int]:
+    """The pair's witness count, nonzero witness count and witness span,
+    once the per-knot check has found every witness in Ker D: the value the
+    check path keeps in the first package's entry (see the module
+    docstring).  A failed check raises, so nothing is kept."""
+    left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
+    failed = [c for c, (ps, qs) in enumerate(zip(left, right)) if not outer_sum_is_zero(zip(ps, qs))]
+    if failed:
+        raise _outside_kernel(p1, p2, failed)
+    checked, found = _nonzero_witnesses(p1, p2)
+    return checked, len(found), span_dim(v for _, v in found)
 
 
 def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
@@ -406,17 +465,15 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
     Only the six family pairs of ``_WITNESS_TERMS`` give a nonzero witness
     (see the module docstring); the witnesses of the other 30 are counted in
     ``checked`` without being built.  Annihilation is checked per knot, from
-    the two knots' witness images, with no product of D and a witness; D is
-    built once, for its rank.  When the check fails, D names the first
-    nonzero witness, in pair order, that it does not annihilate.
+    the two knots' witness images, with no D; a failed check names the
+    first witness, in pair order, outside Ker D.  The witness counts and
+    span, and the rank of D, are read from the pair's values in the first
+    package's entry, so a warm call builds no witness and no D.
     """
     require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
-    d = build_D(p1, p2).matrix
-    checked, found = _nonzero_witnesses(p1, p2)
-    left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
-    if not all(outer_sum_is_zero(zip(ps, qs)) for ps, qs in zip(left, right)):
-        raise _outside_kernel(d, found)
+    checked, nonzero, span = _from_entry(p1, _pair_witnesses, p2)
+    rank = _from_entry(p1, _pair_rank, p2)
     ker_bound = (
         st1.k0 * st2.k0
         + st1.k_inf * st2.k1
@@ -433,16 +490,7 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
         + st1.d0 * st2.d_inf
         + st1.d1 * st2.d1
     )
-    rank = _rank_of(d)
-    return WitnessReport(
-        checked,
-        len(found),
-        ker_bound,
-        coker_bound,
-        rank.ker,
-        rank.coker,
-        span_dim(v for _, v in found),
-    )
+    return WitnessReport(checked, nonzero, ker_bound, coker_bound, rank.ker, rank.coker, span)
 
 
 # -- subspace bounds (cyclic-triple and remark variants) -----------------------
@@ -466,12 +514,14 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
 
     Whether a B block is injective or surjective, and the kernel and
     cokernel dims of a B block or of a product of two, come from each
-    knot's ``duality._b_nullities``, so a warm call eliminates only D.  The
-    first knot's blocks are read through the involution 0 <-> inf.
+    knot's ``duality._b_nullities``, and the rank of D from the pair's
+    ``_pair_rank``, so a warm call eliminates nothing and a cold one builds
+    no witness.  The first knot's blocks are read through the involution
+    0 <-> inf.
     """
     require_type(SurgeryPackage, p1, p2)
     (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)
-    rank = splice_rank(p1, p2)
+    rank = _from_entry(p1, _pair_rank, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
         label = f"({circ},{bullet},{star})"

@@ -264,3 +264,17 @@ def test_checks_hold_under_python_O():
         [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr
+
+
+@pytest.mark.parametrize("name", ["a0", "a1", "a_inf", "tau0", "tau1", "tau_inf", "_entry", "blocks0", "new"])
+def test_changing_a_package_is_a_shape_mismatch(good, name):
+    # a package keys the per-value memo by its fields: it refuses assignment
+    # and deletion with the typed error, as Gf2Matrix and KronSide do
+    package = good[SurgeryPackage]
+    before = (hash(package), package.dims, package.tau0, package._entry)
+    for change in (lambda: setattr(package, name, 0), lambda: delattr(package, name)):
+        with pytest.raises(ShapeMismatch, match="a SurgeryPackage is immutable") as info:
+            change()
+        assert info.type is ShapeMismatch
+    assert (hash(package), package.dims, package.tau0, package._entry) == before
+

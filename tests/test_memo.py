@@ -125,10 +125,14 @@ def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
     cold = kernel_witnesses(p, q)
     # each knot's entry keeps its verdict, its stats, its families, and its
-    # splice side and its witness images as its knot of the splice
+    # splice side and its witness images as its knot of the splice; the
+    # first knot's keeps the pair's rank and witness values too, keyed on
+    # the second knot's value, not on the second package
     kept = {(duality._verified,), (duality._stats,), (splice._family_parts,)}
-    for r, side in ((p, SIDES[0]), (q, SIDES[1])):
-        assert set(_store(r)) == kept | {(splice._side, side), (splice._witness_images, side)}
+    value = (q.dims, by_index(q, "tau"))
+    pair = {(splice._pair_witnesses, *value), (splice._pair_rank, *value)}
+    for r, side, extra in ((p, SIDES[0], pair), (q, SIDES[1], set())):
+        assert set(_store(r)) == kept | {(splice._side, side), (splice._witness_images, side)} | extra
     stores = _store(p), _store(q)
     rebuilt = _rebuilt(p), _rebuilt(q)
     assert kernel_witnesses(*rebuilt) == cold
@@ -173,7 +177,7 @@ def test_a_caller_cannot_change_a_memo_value():
         entry[0] = entry[1]
     with pytest.raises(AttributeError):
         entry.blocks = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(ShapeMismatch, match="immutable"):
         p._entry = None
     blocks, xs, fs = entry[:3]
     with pytest.raises(TypeError):

@@ -72,7 +72,6 @@ def _names_used(tree: ast.AST, skip: frozenset[ast.AST] = frozenset()) -> set[st
 
 # Library definitions kept with no caller in src/ or bench/, each for a reason.
 PUBLIC_API = {
-    "load_complex": "reads a knot from its JSON file, for the command line's input",
     "dump_complex": "writes a knot to its JSON file, the inverse of load_complex",
     "mirror": "the mirror knot, the model a user builds to test mirror invariance",
 }

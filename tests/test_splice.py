@@ -32,6 +32,7 @@ from oracles import (
     basis_tuples,
     mul_vec,
     oracle_models,
+    reachable,
     reference_build_D,
     reference_kernel_witnesses,
     reference_subspace_bounds,
@@ -590,12 +591,19 @@ def test_witness_outside_kernel_names_its_pair():
 
 
 def test_a_check_that_disagrees_with_D_still_raises(monkeypatch):
-    # were the per-knot check ever to fail where D annihilates every
-    # witness, kernel_witnesses says so rather than return a report
-    p1, p2 = pkg("t34_staircase"), pkg("fig8_box")
-    monkeypatch.setattr(splice, "outer_sum_is_zero", lambda pairs: False)
-    with pytest.raises(WitnessNotInKernel, match="the check and D disagree"):
-        kernel_witnesses(p1, p2)
+    # were the per-knot check ever to fail where its sums, the rows of D
+    # times the witnesses, are all zero, kernel_witnesses says so rather
+    # than return a report, on every call, and keeps no pair value
+    _fresh_entries()
+    try:
+        p1, p2 = pkg("t34_staircase"), pkg("fig8_box")
+        monkeypatch.setattr(splice, "outer_sum_is_zero", lambda pairs: False)
+        for check in (kernel_witnesses, kernel_witnesses, theorem_check):
+            with pytest.raises(WitnessNotInKernel, match="the check and D disagree"):
+                check(p1, p2)
+        assert not _pair_keys(p1) and not _pair_keys(p2)
+    finally:
+        _fresh_entries()
 
 
 # The knots of the fault property, each (kind, how to build it): corpus,
@@ -647,26 +655,132 @@ def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, 
         assert _named_pair(kernel_witnesses, p1, p2) == want
         if want is None:
             assert kernel_witnesses(p1, p2) == reference_kernel_witnesses(p1, p2)[0]
+        else:
+            # a failed check keeps nothing, so it raises again, warm or not
+            assert (splice._pair_witnesses, p2.dims, duality.by_index(p2, "tau")) not in p1._entry.store
+            assert _named_pair(kernel_witnesses, p1, p2) == want
+            assert _named_pair(theorem_check, p1, p2) == want
     finally:
         _fresh_entries()
 
 
+def _pair_keys(p) -> list:
+    """The keys of the pair values in the store of p's entry."""
+    return [key for key in p._entry.store if key[0] in (splice._pair_rank, splice._pair_witnesses)]
+
+
+def _counting(monkeypatch, counts: Counter) -> None:
+    """Counts, in ``counts``, each call of what a check call would redo
+    without its pair values: D built, the witnesses built and their span,
+    the per-knot images and families, and any transpose or product."""
+    for owner, name in (
+        (Gf2Matrix, "transpose"),
+        (Gf2Matrix, "__matmul__"),
+        (splice, "build_D"),
+        (splice, "_nonzero_witnesses"),
+        (splice, "span_dim"),
+        (splice, "_witness_images"),
+        (splice, "_family_parts"),
+    ):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _made(counts: Counter) -> dict:
+    """The counts of ``_counting`` but for transposes and products, which a
+    cold call makes for each knot's per-value values."""
+    return {name: n for name, n in counts.items() if name not in ("transpose", "__matmul__")}
+
+
 def test_kernel_witnesses_operation_budget(monkeypatch):
-    # warm, the witnesses are checked per knot from the kept images: no
-    # transpose of D, no product of D with a witness and no matrix product
+    # warm, the witness report is read from the pair values: no witness
+    # built, no span taken, no D built, no transpose and no matrix product
     p1 = geometric_package(torus_staircase(4, 7))
     p2 = geometric_package(torus_staircase(5, 6))
     pairs = [(p1, p2), (pkg("t34_staircase"), pkg("fig8_box")), (pkg("trefoil_staircase"),) * 2]
     reports = [kernel_witnesses(*pair) for pair in pairs]
     counts = Counter()
-    for owner, name in ((Gf2Matrix, "transpose"), (Gf2Matrix, "__matmul__"), (splice, "xor_columns")):
-        def counted(*args, _real=getattr(owner, name), _name=name):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(owner, name, counted)
+    _counting(monkeypatch, counts)
     assert [kernel_witnesses(*pair) for pair in pairs] == reports
     assert counts == Counter()
     assert reports[0].nonzero == 838
+
+
+def test_a_check_call_builds_D_at_most_once(monkeypatch):
+    # cold, theorem_check and subspace_bounds of one pair build D once
+    # between them and the witnesses once; warm, neither builds anything.
+    # A cold subspace_bounds alone builds D once and no witness
+    _fresh_entries()
+    counts = Counter()
+    _counting(monkeypatch, counts)
+    p1, p2 = pkg("t34_staircase"), pkg("fig8_box")
+    verdict, bounds = theorem_check(p1, p2), subspace_bounds(p1, p2)
+    # cold, each knot's images and families are made once, with products
+    assert _made(counts) == {
+        "build_D": 1,
+        "_nonzero_witnesses": 1,
+        "span_dim": 1,
+        "_witness_images": 2,
+        "_family_parts": 2,
+    }
+    for q1, q2 in ((p1, p2), (pkg("t34_staircase"), pkg("fig8_box"))):
+        counts.clear()
+        assert (theorem_check(q1, q2), subspace_bounds(q1, q2)) == (verdict, bounds)
+        assert counts == Counter()
+    counts.clear()
+    q1, q2 = pkg("trefoil_staircase"), pkg("t25_staircase")
+    alone = subspace_bounds(q1, q2)
+    assert _made(counts) == {"build_D": 1}
+    # the other order is another pair, kept in the other package's entry
+    counts.clear()
+    subspace_bounds(q2, q1)
+    assert _made(counts) == {"build_D": 1}
+    counts.clear()
+    assert subspace_bounds(q1, q2) == alone and counts == Counter()
+    monkeypatch.undo()
+    _fresh_entries()
+
+
+def test_a_pair_value_holds_ints_and_no_other_entry():
+    # the pair values are a SpliceRank and three ints, keyed on the second
+    # package's dims and taus: no D, no witness list, no package or entry
+    _fresh_entries()
+    p1, p2 = geometric_package(torus_staircase(4, 7)), geometric_package(torus_staircase(5, 6))
+    report = kernel_witnesses(p1, p2)
+    value = (p2.dims, duality.by_index(p2, "tau"))
+    assert sorted(_pair_keys(p1), key=repr) == sorted(
+        [(splice._pair_rank, *value), (splice._pair_witnesses, *value)], key=repr
+    )
+    assert _pair_keys(p2) == []
+    for key in _pair_keys(p1):
+        held = list(reachable(p1._entry.store[key]))
+        assert all(type(x) in (int, tuple, splice.SpliceRank) for x in held), key
+        assert {type(x) for x in reachable(key[1:])} <= {int, tuple, Gf2Matrix}
+    rank = splice_rank(p1, p2)
+    assert p1._entry.store[(splice._pair_rank, *value)] == rank
+    assert p1._entry.store[(splice._pair_witnesses, *value)] == (report.checked, report.nonzero, report.witness_span)
+    _fresh_entries()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FAULT_KNOTS), st.sampled_from(_FAULT_KNOTS))
+@example(("corpus", "t34_staircase"), ("corpus", "fig8_box"))
+@example(("synthetic", 14, (1, 3, 3)), ("random", 2))
+def test_warm_check_reports_equal_cold_ones_and_the_reference(knot1, knot2):
+    # in both orders: the cold reports, the warm ones read from the pair
+    # values by equal packages built afresh, and the reference all agree
+    _fresh_entries()
+    for first, second in ((knot1, knot2), (knot2, knot1)):
+        p1, p2 = _fault_knot(first), _fault_knot(second)
+        cold = kernel_witnesses(p1, p2), subspace_bounds(p1, p2), theorem_check(p1, p2)
+        q1, q2 = _fault_knot(first), _fault_knot(second)
+        assert q1._entry is p1._entry
+        assert (kernel_witnesses(q1, q2), subspace_bounds(q1, q2), theorem_check(q1, q2)) == cold
+        assert cold[0] == reference_kernel_witnesses(p1, p2)[0]
+        assert cold[1] == reference_subspace_bounds(p1, p2)
+        assert cold[2].h == splice_rank(p1, p2).h == cold[0].ker_dim + cold[0].coker_dim
 
 
 random_models = st.integers(0, 300).map(lambda seed: geometric_package(random_complex(seed)))
