@@ -9,7 +9,8 @@ the spliced manifold, with its two terms; ``--json`` prints them as one
 JSON object with the two knots' names.  ``python -m splicerank`` runs the
 same command.  An input the library refuses (a ``SpliceRankError``) or a
 file that cannot be read exits with status 1 and a one-line message on
-standard error; bad usage exits with status 2.
+standard error, which starts with the file's path when the error came
+from reading that file or building its knot; bad usage exits with status 2.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rank(args: argparse.Namespace) -> str:
-    knots = [load_complex(path) for path in (args.first, args.second)]
-    result = splice_rank(*[geometric_package(k) for k in knots])
-    if args.json:
+def _rank(knots: list, packages: list, as_json: bool) -> str:
+    result = splice_rank(*packages)
+    if as_json:
         return json.dumps({"knots": [k.name for k in knots], **asdict(result)})
     return f"h={result.h} ker={result.ker} coker={result.coker}"
 
@@ -51,11 +51,21 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command on argv (the process's arguments by default) and
     return its exit status."""
     args = _parser().parse_args(argv)
+    source = None  # the file whose knot is being read and built, if any
     try:
-        out = _rank(args) if args.command == "rank" else "\n".join(corpus_names())
+        if args.command == "rank":
+            knots, packages = [], []
+            for source in (args.first, args.second):
+                knots.append(load_complex(source))
+                packages.append(geometric_package(knots[-1]))
+            source = None
+            out = _rank(knots, packages, args.json)
+        else:
+            out = "\n".join(corpus_names())
     except (SpliceRankError, OSError) as exc:
         message = " ".join(str(exc).split())
-        print(f"splicerank: error: {type(exc).__name__}: {message}", file=sys.stderr)
+        where = "" if source is None else f"{source}: "
+        print(f"splicerank: error: {where}{type(exc).__name__}: {message}", file=sys.stderr)
         return 1
     print(out)
     return 0

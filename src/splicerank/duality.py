@@ -27,21 +27,24 @@ the product off the other factor's rows.  The fbar maps are fixed by the
 relation above, so no package stores them; ``stats``, their only reader,
 reads each through its taus (see ``_pair_dims``).
 
-``geometric_package`` keeps one entry per complex: its ``NormalBasis``,
-the duality maps that have passed the barred-map relations beside the
-dims and the normalized taus g_k^-1 tau_k g_k, in the bases g_k that put
-the triangle maps in normal form.  All the work that reads the totals is
-done once, in ``normal_basis``: the pivots and complements, the basis
-matrices and their inverses, the rank bookkeeping, the check that each f_k
-reaches its normal form and the conjugation of the taus.  Only
-``normal_basis`` makes a ``NormalBasis`` (built anywhere else, one raises
-``ShapeMismatch``), so ``normalize`` checks a basis by its type alone and
-no hand-built one skips those checks.  The memo keeps
-no totals, triple, cone, plane, homology space or basis.  It is a
-``weakref.WeakKeyDictionary`` keyed on the complex itself, which is
-immutable, hashable and valid by construction, so a lookup checks only the
-argument's type, an equal complex hits the same entry and an entry dies
-with its complex; nothing in an entry refers back to the complex.  Every
+The duality maps are a plain triple (tau0, tau1, tau_inf), as
+``build_tau`` returns them: an override from the input, taken as given,
+or else the maps built from the basis symmetry.  ``geometric_package``
+keeps one entry per complex: its ``NormalBasis``, the dims and the
+normalized taus g_k^-1 tau_k g_k, in the bases g_k that put the triangle
+maps in normal form.  All the work that reads the totals is done once, in
+``normal_basis``: the check of the maps against the barred-map relations,
+the pivots and complements, the basis matrices and their inverses, the
+rank bookkeeping, the check that each f_k reaches its normal form and the
+conjugation of the taus.  Only ``normal_basis`` makes a ``NormalBasis``
+(built anywhere else, one raises ``ShapeMismatch``), so ``normalize``
+checks a basis by its type alone and no hand-built one skips those checks.
+The memo keeps no totals, triple, cone, plane, homology space, basis or
+raw duality map.  It is a ``weakref.WeakKeyDictionary`` keyed on the
+complex itself, which is immutable, hashable and valid by construction, so
+a lookup checks only the argument's type, an equal complex hits the same
+entry and an entry dies with its complex; nothing in an entry refers back
+to the complex.  Every
 call runs ``normalize``, which builds a fresh package from the normalized
 taus and reads its value's verdict (below), so every caller gets a new
 package of a verified value.
@@ -118,18 +121,6 @@ def by_index(obj: object, stem: str) -> tuple:
 # The most package values whose entries ``_derive`` keeps (see the module
 # docstring); the least recently used goes first.
 PACKAGE_MEMO_SIZE = 64
-
-
-@dataclass(frozen=True)
-class TauMaps:
-    tau0: Gf2Matrix
-    tau1: Gf2Matrix
-    tau_inf: Gf2Matrix
-    source: str  # "geometric" or "override"
-    geometric_agrees: bool | None = None
-
-    def __post_init__(self):
-        require_type(Gf2Matrix, *by_index(self, "tau"))
 
 
 class BlockSet(NamedTuple):
@@ -273,31 +264,25 @@ def _barred(fs, taus, tau_inverses) -> list[Gf2Matrix]:
 # -- geometric duality maps ---------------------------------------------------
 
 
-def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> TauMaps:
-    """Duality maps on the raw total surgery homologies.
+def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
+    """Duality maps on the raw total surgery homologies, in table order.
 
-    Prefers an explicit override from the input; otherwise requires the basis
-    symmetry.  ``normal_basis`` checks the three barred-map relations in
-    either case.
+    An explicit override from the input is taken as given, checked for its
+    shape alone; otherwise the maps are built from the basis symmetry.
+    ``normal_basis`` checks the three barred-map relations in either case.
     """
     require_type(BifilteredComplex, complex_)
     require_type(SurgeryTriple, triple)
-    geometric = None
-    if complex_.symmetry is not None:
-        geometric = _geometric_tau(complex_, triple)
     if complex_.tau_override is not None:
-        override = by_index(complex_.tau_override, "tau")
-        for k, m in zip(CYCLE, override):
+        taus = by_index(complex_.tau_override, "tau")
+        for k, m in zip(CYCLE, taus):
             n = triple.total_dim("H" + k.label)
             if (m.rows, m.cols) != (n, n):
                 raise ShapeMismatch(f"tau override is {m.rows}x{m.cols}, expected {n}x{n}")
-        agrees = None if geometric is None else geometric == override
-        maps = TauMaps(*override, "override", agrees)
-    elif geometric is not None:
-        maps = TauMaps(*geometric, "geometric")
-    else:
+        return taus
+    if complex_.symmetry is None:
         raise NoFlipData(f"complex {complex_.name!r} has neither symmetry nor tau override")
-    return maps
+    return _geometric_tau(complex_, triple)
 
 
 def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
@@ -335,8 +320,7 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     )
 
 
-def _check_tau_relations(totals: SurgeryTotals, maps: TauMaps) -> None:
-    taus = by_index(maps, "tau")
+def _check_tau_relations(totals: SurgeryTotals, taus: tuple[Gf2Matrix, ...]) -> None:
     try:
         inverses = [tau.inverse() for tau in taus]
     except ShapeMismatch as exc:
@@ -359,29 +343,26 @@ _MADE_HERE = object()
 
 
 class NormalBasis:
-    """One knot's checked duality maps, the dims (a0, a1, a_inf) and the
-    normalized taus g_k^-1 tau_k g_k, in table order, where the columns of
-    g_k are the basis of H_k that puts the triangle maps in normal form.
-    Only ``normal_basis`` makes one, from totals that the maps meet the
-    barred-map relations with, and conjugates the taus there, once per
-    knot; the bases themselves are not kept.  Built anywhere else, it
-    raises ``ShapeMismatch``, and so does assigning or deleting a field, so
-    a basis that ``normalize`` accepts by its type is one whose maps were
-    checked.  A plain class with slots, as it is cheaper to define at
-    import than a dataclass."""
+    """One knot's dims (a0, a1, a_inf) and normalized taus g_k^-1 tau_k g_k,
+    in table order, where the columns of g_k are the basis of H_k that puts
+    the triangle maps in normal form.  Only ``normal_basis`` makes one,
+    from duality maps that meet the barred-map relations with the totals,
+    and conjugates the taus there, once per knot; neither the maps nor the
+    bases are kept.  Built anywhere else, it raises ``ShapeMismatch``, and
+    so does assigning or deleting a field, so a basis that ``normalize``
+    accepts by its type is one whose taus were checked.  A plain class with
+    slots, as it is cheaper to define at import than a dataclass."""
 
-    __slots__ = ("maps", "dims", "taus")
+    __slots__ = ("dims", "taus")
 
     def __init__(
         self,
-        maps: TauMaps,
         dims: tuple[int, int, int],
         taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix],
         _made_by: object = None,
     ) -> None:
         if _made_by is not _MADE_HERE:
             raise ShapeMismatch("a NormalBasis is made by normal_basis")
-        object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "taus", taus)
 
@@ -392,11 +373,13 @@ class NormalBasis:
         raise ShapeMismatch(f"a NormalBasis is immutable: cannot delete {name}")
 
 
-def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
+def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]) -> NormalBasis:
     """Simultaneous bases putting all three triangle maps in the form (0 0; I 0).
 
-    The maps must meet the barred-map relations with these totals, and are
-    checked here, so no basis holds maps of other totals.
+    ``taus`` are the duality maps tau0, tau1 and tau_inf, as ``build_tau``
+    returns them: anything but a tuple of three ``Gf2Matrix`` raises
+    ``ShapeMismatch``.  They must meet the barred-map relations with these
+    totals, and are checked here, so no basis holds taus of other totals.
 
     Basis recipe: pick complements W of Ker f0 in H1, U of Ker f_inf in H0 and
     Z1 of Im f0 in Hinf; then (Z1, f0 W), (U, f1 Z1), (W, f_inf U) are bases of
@@ -404,8 +387,10 @@ def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
     unbarred triangle is exactly what makes the loop close.
     """
     require_type(SurgeryTotals, totals)
-    require_type(TauMaps, maps)
-    _check_tau_relations(totals, maps)
+    if not (isinstance(taus, tuple) and len(taus) == 3):
+        raise ShapeMismatch(f"duality maps {taus!r} are not a triple")
+    require_type(Gf2Matrix, *taus)
+    _check_tau_relations(totals, taus)
     f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
@@ -442,8 +427,8 @@ def normal_basis(totals: SurgeryTotals, maps: TauMaps) -> NormalBasis:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
     dims = (a0, a1, a_inf)
     _check_normal_form(dims, by_index(totals, "f"), g, "triangle maps do not reach the normal form")
-    taus = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(by_index(maps, "tau"), g, g_inv)])
-    return NormalBasis(maps, dims, taus, _MADE_HERE)
+    normalized = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
+    return NormalBasis(dims, normalized, _MADE_HERE)
 
 
 def _check_normal_form(dims, fs, g, moved: str) -> None:

@@ -41,9 +41,9 @@ or checked again however often a side is reused.
 
 Two helpers serve Kronecker products of vectors.  ``spread`` lays a vector
 u out so that one multiplication by v < 2**n gives u ⊗ v.
-``outer_sum_is_zero`` tests a short sum of outer products p qᵀ for zero by
-eliminating the qs, in a few big-int operations and without writing the
-sum out.
+``outer_sum_rows`` writes a short sum of outer products p qᵀ out by its
+nonzero rows, by XOR alone: the sum is zero exactly when there are none,
+and the rows show where it is not.
 
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
 lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
@@ -105,29 +105,14 @@ def spread(u: int, n: int) -> int:
     return out
 
 
-def outer_sum_is_zero(pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the sum of the outer products p qᵀ over the pairs (p, q) is
-    the zero matrix.
-
-    The qs are eliminated on their highest bit.  Reducing q by a pivot q'
-    keeps the sum when p is carried onto the pivot's p':
-    p qᵀ + p' q'ᵀ = p (q + q')ᵀ + (p' + p) q'ᵀ.  A q that reduces to 0
-    drops out, and the pivots' qs are independent, so the sum is zero
-    exactly when every pivot's p is 0."""
-    ps: dict[int, int] = {}
-    qs: dict[int, int] = {}
+def outer_sum_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The nonzero rows of the sum of the outer products p qᵀ over the
+    pairs (p, q), by row: row r is the XOR of the qs whose p has bit r."""
+    rows: dict[int, int] = {}
     for p, q in pairs:
-        if not p:
-            continue
-        while q:
-            top = q.bit_length() - 1
-            pivot = qs.get(top)
-            if pivot is None:
-                qs[top], ps[top] = q, p
-                break
-            ps[top] ^= p
-            q ^= pivot
-    return not any(ps.values())
+        for r in bits_of(p):
+            rows[r] = rows.get(r, 0) ^ q
+    return {r: q for r, q in rows.items() if q}
 
 
 # Sets a slot of an immutable record, past the __setattr__ that refuses it.
@@ -479,16 +464,6 @@ class BlockGrid:
             for r, rb in enumerate(b.row_bits):
                 bits[r0 + r] |= rb << c0
         return Gf2Matrix._trusted(total_rows, total_cols, tuple(bits))
-
-
-def lower_triangular(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matrix) -> Gf2Matrix:
-    """The block matrix (top 0; lower_left lower_right)."""
-    grid = BlockGrid(
-        (top.rows, lower_right.rows),
-        (top.cols, lower_right.cols),
-        {(0, 0): top, (1, 0): lower_left, (1, 1): lower_right},
-    )
-    return grid.assemble()
 
 
 def cut_blocks(m: Gf2Matrix, top: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:

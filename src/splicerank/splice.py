@@ -60,8 +60,8 @@ and block k holds Kronecker products u ⊗ v, u of length p1.left and v of
 length p2.right, bit a * n + b of u ⊗ v for bits a of u and b of v, n =
 p2.right.  ``build_D`` reads its column dims from this table
 (``_COL_BLOCKS``), the witnesses their block offsets and Kronecker widths.
-Each knot has six witness families (``WitnessData``), two per index k of the
-cycle in ``duality.CYCLE``: z_k = Ker B_next(k), and w_k, the kernel of
+Each knot has six witness families (``_family_parts``), two per index k of
+the cycle in ``duality.CYCLE``: z_k = Ker B_next(k), and w_k, the kernel of
 (B_prev(k) 0; D_prev(k) + A_next(k) B_next(k)), whose vectors have parts
 (x, y) split at a_k; a vector of z_k is one part z.  The witness W(u, v) of
 a pair of vectors, one per knot, is a sum of terms, each a part of the
@@ -83,13 +83,12 @@ knot keeps, per package value and side (``_witness_images``), every such
 image of all of its family's vectors flattened into one int,
 P_s = Σ_a (L_s x_a) << (a * L_s.rows), and Q_s likewise on the other side.
 Entry ((r1, a), (r2, b)) of the matrix Σ_s P_s Q_sᵀ is then row (r1, r2)
-of row block i of D·W(u_a, v_b), so the sum is zero, which
-``gf2.outer_sum_is_zero`` tests, exactly when D annihilates every witness
-of the pair in that row block.  The test is exact, not a sufficient
-condition: a failure means some witness is outside Ker D.  When a check
-fails, its sum, made from the same images, names the witnesses outside
-Ker D: a nonzero entry ((r1, a), (r2, b)) is one for the pair (u_a, v_b),
-and the error names the first in pair order.  No D is read.
+of row block i of D·W(u_a, v_b), so D annihilates every witness of the
+pair in that row block exactly when the sum is zero.  ``gf2.outer_sum_rows``
+writes the sum out by its nonzero rows, in one pass of XORs: the check
+passes when there are none, and otherwise the same rows name the witnesses
+outside Ker D, as a nonzero entry ((r1, a), (r2, b)) is one for the pair
+(u_a, v_b); the error names the first in pair order.  No D is read.
 """
 
 from __future__ import annotations
@@ -103,15 +102,14 @@ from types import MappingProxyType
 from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, by_index, stats
 from .errors import WitnessNotInKernel, require_type
 from .gf2 import (
+    BlockGrid,
     Gf2Matrix,
     KronFactor,
     KronSide,
-    bits_of,
     kron_blocks,
     kron_factor,
     kron_side,
-    lower_triangular,
-    outer_sum_is_zero,
+    outer_sum_rows,
     span_dim,
     spread,
 )
@@ -253,34 +251,6 @@ def _pair_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
 
 
 @dataclass(frozen=True)
-class WitnessData:
-    """Per-knot solution spaces feeding the assembled kernel vectors: z_k and
-    w_k for each index k (see the module docstring)."""
-
-    z0: list[int]
-    z1: list[int]
-    z_inf: list[int]
-    w0: list[int]
-    w1: list[int]
-    w_inf: list[int]
-
-
-def witness_data(p: SurgeryPackage) -> WitnessData:
-    require_type(SurgeryPackage, p)
-    blocks = by_index(p, "blocks")
-    spaces = {}
-    for suffix, _, prev, nxt in CYCLE:
-        before, after = blocks[prev], blocks[nxt]
-        spaces["z" + suffix] = after.B.kernel_basis()
-        spaces["w" + suffix] = lower_triangular(before.B, before.D + after.A, after.B).kernel_basis()
-    return WitnessData(**spaces)
-
-
-def _split(v: int, first: int) -> tuple[int, int]:
-    return v & ((1 << first) - 1), v >> first
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     checked: int
     nonzero: int
@@ -329,16 +299,23 @@ _WITNESS_CHECKS = tuple(
 
 
 def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ...]]:
-    """One knot's witness-family vectors split into their parts, by family,
-    in pair-numbering order; kept per package value (see the module
-    docstring)."""
-    data = witness_data(p)
-    out = {
-        "w" + k.suffix: tuple([MappingProxyType(dict(zip("xy", _split(w, a)))) for w in ws])
-        for k, a, ws in zip(CYCLE, p.dims, by_index(data, "w"))
-    }
-    for k, zs in zip(CYCLE, by_index(data, "z")):
-        out["z" + k.suffix] = tuple([MappingProxyType({"z": z}) for z in zs])
+    """One knot's witness families, w_k and z_k for each index k, their
+    vectors split into their parts, by family, in pair-numbering order;
+    kept per package value (see the module docstring)."""
+    blocks = by_index(p, "blocks")
+    out = {}
+    for (suffix, _, prev, nxt), a in zip(CYCLE, p.dims):
+        before, after = blocks[prev], blocks[nxt]
+        grid = BlockGrid(
+            (before.B.rows, after.B.rows),
+            (a, after.B.cols),
+            {(0, 0): before.B, (1, 0): before.D + after.A, (1, 1): after.B},
+        )
+        out["w" + suffix] = tuple(
+            [MappingProxyType({"x": w & ((1 << a) - 1), "y": w >> a}) for w in grid.assemble().kernel_basis()]
+        )
+    for k in CYCLE:
+        out["z" + k.suffix] = tuple([MappingProxyType({"z": z}) for z in blocks[k.next].B.kernel_basis()])
     return MappingProxyType(out)
 
 
@@ -414,47 +391,26 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
     return sum(map(len, fam1.values())) * width, found
 
 
-def _outside_kernel(p1: SurgeryPackage, p2: SurgeryPackage, failed: list[int]) -> WitnessNotInKernel:
-    """The error of the checks ``failed`` (indices into ``_WITNESS_CHECKS``)
-    that found a witness outside Ker D.  Entry ((r1, a), (r2, b)) of a
-    check's sum Σ_s P_s Q_sᵀ is row (r1, r2) of D·W(u_a, v_b) in the
-    check's row block, so the sums, made from the two knots' witness
-    images and no D, name every such witness: the error names the first,
-    in pair order."""
-    left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
-    _, _, start1, start2, width = _numbering(p1, p2)
-    numbers = []
-    for c in failed:
-        (name1, name2), group = _WITNESS_CHECKS[c]
-        dim1, dim2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
-        rows1, rows2 = getattr(p1, dim1), getattr(p2, dim2)
-        sums = {}  # row (r1, a) of the sum, at bit a * rows1 + r1 of each P_s
-        for p, q in zip(left[c], right[c]):
-            for at in bits_of(p):
-                sums[at] = sums.get(at, 0) ^ q
-        # the lowest bit b * rows2 + r2 of a nonzero row is its first pair
-        numbers += [
-            (start1[name1] + at // rows1) * width + start2[name2] + ((q & -q).bit_length() - 1) // rows2 + 1
-            for at, q in sums.items()
-            if q
-        ]
-    if numbers:
-        return WitnessNotInKernel(f"witness from pair #{min(numbers)} not annihilated by the splice matrix")
-    return WitnessNotInKernel(
-        "the per-knot check fails, but its sums put every witness of the failed checks "
-        "in Ker D: the check and D disagree"
-    )
-
-
 def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, int]:
     """The pair's witness count, nonzero witness count and witness span,
     once the per-knot check has found every witness in Ker D: the value the
     check path keeps in the first package's entry (see the module
-    docstring).  A failed check raises, so nothing is kept."""
+    docstring).  A failed check raises, naming the first witness outside
+    Ker D in pair order, so nothing is kept."""
     left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
-    failed = [c for c, (ps, qs) in enumerate(zip(left, right)) if not outer_sum_is_zero(zip(ps, qs))]
-    if failed:
-        raise _outside_kernel(p1, p2, failed)
+    _, _, start1, start2, width = _numbering(p1, p2)
+    outside = []  # the pair number of each witness found outside Ker D
+    for ((name1, name2), group), ps, qs in zip(_WITNESS_CHECKS, left, right):
+        dim1, dim2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
+        rows1, rows2 = getattr(p1, dim1), getattr(p2, dim2)
+        # a nonzero row (r1, a), at bit a * rows1 + r1, is one of u_a's: its
+        # lowest bit b * rows2 + r2 names its first pair (u_a, v_b)
+        outside += [
+            (start1[name1] + at // rows1) * width + start2[name2] + ((q & -q).bit_length() - 1) // rows2 + 1
+            for at, q in outer_sum_rows(zip(ps, qs)).items()
+        ]
+    if outside:
+        raise WitnessNotInKernel(f"witness from pair #{min(outside)} not annihilated by the splice matrix")
     checked, found = _nonzero_witnesses(p1, p2)
     return checked, len(found), span_dim(v for _, v in found)
 

@@ -8,8 +8,9 @@ filtration sides through label matrices and matrix products; the normal
 form from complements taken one standard vector at a time; the package
 axioms with every block cut out; graded pieces from spans of the
 intersections; the splice matrix block by block from written-out Kronecker
-products; and kernel witnesses from every pair of basis tuples.  The
-library must match them bit for bit.
+products; and kernel witnesses from every pair of basis tuples, whose
+families are assembled here from the package's blocks.  The library must
+match them bit for bit.
 
 The module also keeps the API only the tests use: Gaussian ``cancel``,
 the dimension of a sum of spans, single surgery groups and level maps, the
@@ -24,7 +25,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import CYCLE, SurgeryPackage, TauMaps, by_index, geometric_package, stats
+from splicerank.duality import CYCLE, SurgeryPackage, by_index, geometric_package, stats
 from splicerank.errors import NormalizationFailure, ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
@@ -50,12 +51,9 @@ from splicerank.splice import (
     INVOLUTION,
     SpliceMatrix,
     SubspaceBound,
-    WitnessData,
     WitnessReport,
-    _split,
     build_D,
     splice_rank,
-    witness_data,
 )
 from splicerank.surgery import MappingCone, PlaneStore, SurgeryTotals, SurgeryTriple
 
@@ -106,6 +104,16 @@ def submatrix(m: Gf2Matrix, rows: range, cols: range) -> Gf2Matrix:
         raise ShapeMismatch(f"submatrix {rows}, {cols} leaves {m.rows}x{m.cols}")
     mask = (1 << len(cols)) - 1
     return Gf2Matrix(len(rows), len(cols), [(m.row_bits[r] >> cols.start) & mask for r in rows])
+
+
+def lower_triangular(top: Gf2Matrix, lower_left: Gf2Matrix, lower_right: Gf2Matrix) -> Gf2Matrix:
+    """The block matrix (top 0; lower_left lower_right)."""
+    grid = BlockGrid(
+        (top.rows, lower_right.rows),
+        (top.cols, lower_right.cols),
+        {(0, 0): top, (1, 0): lower_left, (1, 1): lower_right},
+    )
+    return grid.assemble()
 
 
 def mul_vec(m: Gf2Matrix, v: int) -> int:
@@ -341,8 +349,10 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     return tau0, tau1, tau_inf
 
 
-def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> tuple[SurgeryPackage, tuple[Gf2Matrix, ...]]:
-    """``normalize(normal_basis(totals, maps))`` with each complement taken
+def reference_normalize(
+    totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
+) -> tuple[SurgeryPackage, tuple[Gf2Matrix, ...]]:
+    """``normalize(normal_basis(totals, taus))`` with each complement taken
     greedily by a ``SpanSolver``: W of Ker f0 in H1, U of Ker f_inf in H0
     and Z1 of Im f0 in Hinf, and every map conjugated by the inverse of a
     basis change.
@@ -368,9 +378,9 @@ def reference_normalize(totals: SurgeryTotals, maps: TauMaps) -> tuple[SurgeryPa
         len(w),
         totals.n0 - len(u),
         len(u),
-        i0 @ maps.tau0 @ g0,
-        i1 @ maps.tau1 @ g1,
-        i_inf @ maps.tau_inf @ g_inf,
+        i0 @ taus[0] @ g0,
+        i1 @ taus[1] @ g1,
+        i_inf @ taus[2] @ g_inf,
     )
     return package, (i_inf @ totals.fbar0 @ g1, i0 @ totals.fbar1 @ g_inf, i1 @ totals.fbar_inf @ g0)
 
@@ -613,16 +623,34 @@ class PairTuple:
     z_inf: int = 0
 
 
-def _family_tuples(data: WitnessData, p: SurgeryPackage) -> dict[str, list[PairTuple]]:
-    """The basis tuples of one knot, by family, in pair-numbering order."""
-    return {
-        "w0": [PairTuple(x0=x, y0=y) for x, y in (_split(w, p.a0) for w in data.w0)],
-        "w1": [PairTuple(x1=x, y1=y) for x, y in (_split(w, p.a1) for w in data.w1)],
-        "w_inf": [PairTuple(x_inf=x, y_inf=y) for x, y in (_split(w, p.a_inf) for w in data.w_inf)],
-        "z0": [PairTuple(z0=z) for z in data.z0],
-        "z1": [PairTuple(z1=z) for z in data.z1],
-        "z_inf": [PairTuple(z_inf=z) for z in data.z_inf],
-    }
+# Each index k of the cycle 0 -> 1 -> inf -> 0 with prev(k) and next(k), by
+# the labels of the package's attributes (blocks0, blocks_inf, a_inf, ...).
+_NEIGHBOURS = {"0": ("_inf", "1"), "1": ("0", "_inf"), "_inf": ("1", "0")}
+
+
+def reference_witness_families(p: SurgeryPackage) -> dict[str, list[int]]:
+    """One knot's witness families from its blocks, written out per index k:
+    z_k = Ker B_next(k), and w_k = Ker (B_prev(k) 0; D_prev(k) + A_next(k)
+    B_next(k)), assembled by ``BlockGrid``."""
+    out = {}
+    for k, (prev, nxt) in _NEIGHBOURS.items():
+        before, after = getattr(p, "blocks" + prev), getattr(p, "blocks" + nxt)
+        out["z" + k] = after.B.kernel_basis()
+        out["w" + k] = lower_triangular(before.B, before.D + after.A, after.B).kernel_basis()
+    return out
+
+
+def _family_tuples(p: SurgeryPackage) -> dict[str, list[PairTuple]]:
+    """The basis tuples of one knot, by family, in pair-numbering order: a
+    vector of w_k split into (x, y) at a_k."""
+    families = reference_witness_families(p)
+    out = {}
+    for k in _NEIGHBOURS:
+        a = getattr(p, "a" + k)
+        out["w" + k] = [PairTuple(**{"x" + k: w & ((1 << a) - 1), "y" + k: w >> a}) for w in families["w" + k]]
+    for k in _NEIGHBOURS:
+        out["z" + k] = [PairTuple(**{"z" + k: z}) for z in families["z" + k]]
+    return out
 
 
 def assemble_witness(t1: PairTuple, t2: PairTuple, p1: SurgeryPackage, p2: SurgeryPackage) -> int:
@@ -651,10 +679,10 @@ def assemble_witness(t1: PairTuple, t2: PairTuple, p1: SurgeryPackage, p2: Surge
     return out
 
 
-def basis_tuples(data: WitnessData, p: SurgeryPackage) -> list[PairTuple]:
+def basis_tuples(p: SurgeryPackage) -> list[PairTuple]:
     """The basis tuples of one knot, families concatenated: the order that
     numbers the witness pairs."""
-    return [t for family in _family_tuples(data, p).values() for t in family]
+    return [t for family in _family_tuples(p).values() for t in family]
 
 
 def reference_kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage):
@@ -663,8 +691,8 @@ def reference_kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage):
     st1, st2 = stats(p1), stats(p2)
     d = build_D(p1, p2).matrix
     d_columns = d.transpose().row_bits
-    tuples1 = basis_tuples(witness_data(p1), p1)
-    tuples2 = basis_tuples(witness_data(p2), p2)
+    tuples1 = basis_tuples(p1)
+    tuples2 = basis_tuples(p2)
     found = []
     for k, (t1, t2) in enumerate(product(tuples1, tuples2), 1):
         v = assemble_witness(t1, t2, p1, p2)

@@ -30,9 +30,9 @@ from splicerank.duality import (
     verify_package,
 )
 from splicerank.errors import SamplingExhausted, ShapeMismatch, require_type
-from splicerank.gf2 import BlockGrid, Gf2Matrix, lower_triangular
+from splicerank.gf2 import BlockGrid, Gf2Matrix
 
-from oracles import submatrix
+from oracles import lower_triangular, submatrix
 
 # -- admissible changes of basis ----------------------------------------------
 

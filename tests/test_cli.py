@@ -80,8 +80,41 @@ def test_a_bad_input_exits_1_with_one_line(tmp_path, content, error):
         path.write_text(content, encoding="utf-8")
     done = _run("rank", str(path), str(DATA / "unknot.json"))
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr.startswith(f"splicerank: error: {error}: ")
+    assert done.stderr.startswith(f"splicerank: error: {path}: {error}: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (
+            {"format": 1, "name": "bad", "differential": []},
+            "InputFormatError: /: missing required field 'generators'",
+        ),
+        (
+            {
+                "format": 1,
+                "name": "loop",
+                "generators": [{"id": "a", "alexander": 0}, {"id": "b", "alexander": 0}],
+                "differential": [{"from": "a", "to": "b", "drop_i": 1, "drop_j": 0}],
+            },
+            "ShapeMismatch: invalid complex 'loop': arrow a->b violates grading",
+        ),
+        (
+            {"format": 1, "name": "plain", "generators": [{"id": "e", "alexander": 0}], "differential": []},
+            "NoFlipData: complex 'plain' has neither symmetry nor flip",
+        ),
+    ],
+    ids=["no-generators", "invalid-complex", "no-flip-data"],
+)
+def test_an_error_names_the_file_it_came_from(tmp_path, doc, error):
+    # the bad knot is the second: the message names its file, not the first
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    done = _run("rank", str(DATA / "unknot.json"), str(bad))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"splicerank: error: {bad}: {error}")
+    assert done.stderr.count("\n") == 1 and str(DATA / "unknot.json") not in done.stderr
 
 
 def test_bad_usage_exits_2():

@@ -22,7 +22,6 @@ from splicerank.duality import (
     CYCLE,
     NormalBasis,
     SurgeryPackage,
-    TauMaps,
     _geometric_tau,
     build_tau,
     by_index,
@@ -108,8 +107,7 @@ def test_each_barred_relation_reads_its_own_taus(name, message):
     # index cycle changes which relations a replaced tau breaks
     c = corpus("trefoil_staircase")
     t = total_package(c)
-    maps = build_tau(c, t)
-    taus = {"tau0": maps.tau0, "tau1": maps.tau1, "tau_inf": maps.tau_inf}
+    taus = dict(zip(("tau0", "tau1", "tau_inf"), build_tau(c, t)))
     taus[name] = Gf2Matrix.identity(taus[name].rows)
     with pytest.raises(TauRelationFailure) as failure:
         normal_basis(t.totals, build_tau(replace(c, tau_override=TauOverride(**taus)), t))
@@ -294,12 +292,33 @@ def test_tau_override_accepted_when_consistent():
     c = corpus("trefoil_staircase")
     t = total_package(c)
     maps = build_tau(c, t)
-    again = replace(c, tau_override=TauOverride(maps.tau0, maps.tau1, maps.tau_inf))
+    again = replace(c, tau_override=TauOverride(*maps))
     forced = build_tau(again, t)
-    assert forced.source == "override"
-    assert forced.geometric_agrees is True
+    assert forced == maps and forced[0] is again.tau_override.tau0
     p = normalize(normal_basis(t.totals, forced))
     verify_package(p)
+
+
+def test_build_tau_takes_an_override_as_given(monkeypatch):
+    # with an override, the maps are not built from the symmetry as well:
+    # no level map is induced, where the geometric maps induce one per level
+    c = corpus("t34_staircase")
+    t = total_package(c)
+    maps = build_tau(c, t)
+    both = replace(c, tau_override=TauOverride(*maps))
+    assert both.symmetry is not None
+    counts = Counter()
+    real = duality.induced_by_columns
+
+    def counted(*args):
+        counts["induced_by_columns"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(duality, "induced_by_columns", counted)
+    assert build_tau(both, t) == maps
+    assert counts["induced_by_columns"] == 0
+    assert build_tau(c, t) == maps
+    assert counts["induced_by_columns"] > 0
 
 
 def test_stats_formula_instance_and_unknot():
@@ -396,8 +415,7 @@ def test_geometric_tau_is_involution():
     for name in ("trefoil_staircase", "fig8_box", "t35_staircase"):
         c = corpus(name)
         t = total_package(c)
-        maps = build_tau(c, t)
-        for m in (maps.tau0, maps.tau1, maps.tau_inf):
+        for m in build_tau(c, t):
             assert m @ m == Gf2Matrix.identity(m.rows), name
 
 
@@ -481,8 +499,7 @@ def test_memo_entry_dies_with_its_complex(memo):
 
 def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo):
     c = corpus("trefoil_staircase")
-    maps = build_tau(c, total_package(c))
-    override = TauOverride(maps.tau0, maps.tau1, maps.tau_inf)
+    override = TauOverride(*build_tau(c, total_package(c)))
     flip = flip_map(c).matrix
     variants = [
         c,
@@ -494,11 +511,9 @@ def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo
     for v in variants:
         geometric_package(v)
     assert len(memo) == len(variants)
-    assert [memo[v].maps.source for v in variants] == ["geometric", "override", "geometric", "override", "override"]
     # the last two differ only in the symmetry, which the hash leaves out
     assert hash(variants[3]) == hash(variants[4])
-    assert memo[variants[3]].maps.geometric_agrees is True
-    assert memo[variants[4]].maps.geometric_agrees is None
+    assert memo[variants[3]] is not memo[variants[4]]
 
 
 def test_a_build_that_raises_caches_nothing(memo):
@@ -594,9 +609,10 @@ def test_memo_keeps_only_totals_and_tau_maps(memo):
     assert len(memo) == len(knots)
     held = [x for value in memo.values() for x in reachable(value)]
     assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
-    # nothing else either: a value is the checked tau maps and the bases,
-    # made of these and the ints in Gf2Matrix rows; the totals are not kept
-    kept = {NormalBasis, TauMaps, Gf2Matrix, tuple, int, str, bool, type(None)}
+    # nothing else either: a value is the dims and the normalized taus,
+    # made of these and the ints in Gf2Matrix rows; neither the totals nor
+    # the raw duality maps are kept
+    kept = {NormalBasis, Gf2Matrix, tuple, int}
     assert {type(x) for x in held} <= kept
 
 

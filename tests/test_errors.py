@@ -17,7 +17,7 @@ import pytest
 import splicerank
 from splicerank import duality, filtration, homology, model, surgery
 from splicerank.corpus import corpus
-from splicerank.duality import NormalBasis, PackageStats, SurgeryPackage, TauMaps
+from splicerank.duality import NormalBasis, PackageStats, SurgeryPackage
 from splicerank.errors import ShapeMismatch
 from splicerank.filtration import FiltrationProfile
 from splicerank.gf2 import Gf2Matrix
@@ -26,6 +26,9 @@ from splicerank.model import BifilteredComplex, FlipMap
 from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple
 
 
+# The duality maps tau0, tau1 and tau_inf, a plain triple.
+TAUS = typing.get_type_hints(duality.normal_basis)["taus"]
+
 # The pipeline's stage objects: a public function or constructor that takes
 # one is an entry point, and each argument of one of these types is a slot
 # the surface test fills with a bad value.
@@ -33,7 +36,7 @@ LIBRARY_TYPES = (
     BifilteredComplex,
     SurgeryTriple,
     SurgeryTotals,
-    TauMaps,
+    TAUS,
     NormalBasis,
     SurgeryPackage,
     PackageStats,
@@ -44,12 +47,12 @@ LIBRARY_TYPES = (
 # and homology spaces: an argument of one of these types is a slot too, in
 # a public function of the modules that build the complexes, and in the
 # constructors of the records that check their matrices when built: the
-# duality maps and the package, whose value keys the per-package memos, and
-# the cone and flip records of the cold path.  test_gf2 covers the GF(2)
-# module's own matrix operands.
+# package, whose value keys the per-package memos, and the cone and flip
+# records of the cold path.  test_gf2 covers the GF(2) module's own matrix
+# operands.
 HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
 HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
-CHECKED_RECORDS = (TauMaps, SurgeryPackage, MappingCone, FlipMap)
+CHECKED_RECORDS = (SurgeryPackage, MappingCone, FlipMap)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -81,7 +84,10 @@ def _hints(obj) -> dict:
 
 
 def _kinds(hint, types: tuple[type, ...]) -> tuple[type, ...]:
-    """The types a hint admits: the hint itself, or a member of a union."""
+    """The types a hint admits: the hint itself (the triple of duality maps
+    is one), or a member of a union."""
+    if hint in types:
+        return (hint,)
     return tuple(t for t in typing.get_args(hint) or (hint,) if t in types)
 
 
@@ -130,7 +136,7 @@ def good(tmp_path_factory) -> dict:
         BifilteredComplex: c,
         SurgeryTriple: triple,
         SurgeryTotals: triple.totals,
-        TauMaps: maps,
+        TAUS: maps,
         NormalBasis: basis,
         SurgeryPackage: package,
         PackageStats: duality.stats(package),
@@ -143,9 +149,8 @@ def good(tmp_path_factory) -> dict:
         helper_hints["vec"]: 0,
         helper_hints["fn"]: lambda label: label,
         helper_hints["columns"]: [],
-        # the plain fields of a basis, which only normal_basis may build
+        # the dims of a basis, which only normal_basis may build
         basis_hints["dims"]: basis.dims,
-        basis_hints["taus"]: basis.taus,
     }
 
 
@@ -186,7 +191,7 @@ def test_the_surface_covers_every_entry_point():
         "check_all_lemmas",
         "lemma31_check-prof",
         "normal_basis",
-        "normal_basis-maps",
+        "normal_basis-taus",
         "normalize",
         "NormalBasis",
         "require_square_zero",
@@ -201,9 +206,6 @@ def test_the_surface_covers_every_entry_point():
         "theorem_check-second",
         "complex_to_dict",
         "dump_complex",
-        "TauMaps",
-        "TauMaps-second",
-        "TauMaps-tau_inf",
         "SurgeryPackage",
         "SurgeryPackage-second",
         "SurgeryPackage-tau_inf",
@@ -215,6 +217,27 @@ def test_the_surface_covers_every_entry_point():
         "FlipMap-matrix",
     } <= labels
     assert len(labels) >= 36
+
+
+@pytest.mark.parametrize("bad", [*BAD, "other-kind"])
+@pytest.mark.parametrize("slot", range(3), ids=["tau0", "tau1", "tau_inf"])
+def test_a_triple_of_duality_maps_holding_another_type_is_a_shape_mismatch(good, slot, bad):
+    # the duality maps are a plain triple: normal_basis refuses one with
+    # anything but a Gf2Matrix in any of its three places
+    taus = list(good[TAUS])
+    taus[slot] = BAD[bad] if bad in BAD else good[BifilteredComplex]
+    with pytest.raises(ShapeMismatch) as info:
+        duality.normal_basis(good[SurgeryTotals], tuple(taus))
+    assert info.type is ShapeMismatch
+
+
+@pytest.mark.parametrize("shape", ["list", "pair", "four"])
+def test_duality_maps_that_are_not_a_triple_are_a_shape_mismatch(good, shape):
+    taus = good[TAUS]
+    bad = {"list": list(taus), "pair": taus[:2], "four": (*taus, taus[0])}[shape]
+    with pytest.raises(ShapeMismatch, match="not a triple") as info:
+        duality.normal_basis(good[SurgeryTotals], bad)
+    assert info.type is ShapeMismatch
 
 
 @pytest.mark.parametrize("dim", ["a0", "a1", "a_inf"])

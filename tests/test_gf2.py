@@ -20,7 +20,7 @@ from splicerank.gf2 import (
     kron_blocks,
     kron_factor,
     kron_side,
-    outer_sum_is_zero,
+    outer_sum_rows,
     span_dim,
     span_intersection,
     spread,
@@ -403,7 +403,7 @@ def _dense_outer_sum(pairs: list[tuple[int, int]]) -> list[list[int]]:
 @st.composite
 def outer_sums(draw) -> list[tuple[int, int]]:
     """Pairs (p, q); half the time joined by pairs that cancel them, (p, q ^ x)
-    and (p, x) for each, and shuffled, so that both verdicts occur."""
+    and (p, x) for each, and shuffled, so that zero and nonzero sums occur."""
     small = st.integers(0, 63)
     pairs = draw(st.lists(st.tuples(small, small), max_size=6))
     if draw(st.booleans()):
@@ -422,9 +422,12 @@ def outer_sums(draw) -> list[tuple[int, int]]:
 @example([(1, 6), (2, 6)])  # a duplicated q whose ps do not: 3 6ᵀ
 @example([(1, 3), (1, 5), (1, 6)])  # dependent qs that cancel
 @example([(1, 3), (2, 5), (3, 6)])  # dependent qs that do not
-def test_outer_sum_is_zero_is_the_dense_sum(pairs):
+def test_outer_sum_rows_are_the_dense_sum(pairs):
+    # every row of the sum: a zero row is left out, a nonzero one given as
+    # an int whose bit c is entry (r, c)
     dense = _dense_outer_sum(pairs)
-    assert outer_sum_is_zero(iter(pairs)) == (not any(map(any, dense)))
+    rows = {r: sum(bit << c for c, bit in enumerate(row)) for r, row in enumerate(dense)}
+    assert outer_sum_rows(iter(pairs)) == {r: q for r, q in rows.items() if q}
 
 
 def test_cancel_identity():

@@ -39,7 +39,6 @@ from splicerank.splice import (
     splice_rank,
     subspace_bounds,
     theorem_check,
-    witness_data,
 )
 from splicerank.surgery import total_package
 
@@ -360,20 +359,20 @@ def test_a_forged_normal_basis_cannot_reach_normalize():
     tau0 = basis.taus[0]
     flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
     forgeries = {
-        "constructor": lambda: duality.NormalBasis(basis.maps, basis.dims, (flipped, *basis.taus[1:])),
-        "keywords": lambda: duality.NormalBasis(maps=basis.maps, dims=basis.dims, taus=basis.taus),
-        "token": lambda: duality.NormalBasis(basis.maps, basis.dims, basis.taus, object()),
+        "constructor": lambda: duality.NormalBasis(basis.dims, (flipped, *basis.taus[1:])),
+        "keywords": lambda: duality.NormalBasis(dims=basis.dims, taus=basis.taus),
+        "token": lambda: duality.NormalBasis(basis.dims, basis.taus, object()),
     }
     for name, forge in forgeries.items():
         with pytest.raises(SpliceRankError, match="made by normal_basis") as info:
             forge()
         assert info.type is ShapeMismatch, name
-    for bad in (basis.taus, (basis.maps, basis.dims, basis.taus)):
+    for bad in (basis.taus, (basis.dims, basis.taus)):
         with pytest.raises(ShapeMismatch):
             normalize(bad)
     # nor can a basis that normal_basis made be changed, or copied field by
     # field past its constructor
-    for name in ("maps", "dims", "taus"):
+    for name in ("dims", "taus"):
         with pytest.raises(ShapeMismatch, match="immutable"):
             setattr(basis, name, getattr(basis, name))
         with pytest.raises(ShapeMismatch, match="immutable"):
@@ -387,7 +386,6 @@ def test_a_forged_normal_basis_cannot_reach_normalize():
 ENTRY_POINTS = {
     "from_entry": lambda p, bad: _from_entry(bad, duality._stats),
     "stats": lambda p, bad: stats(bad),
-    "witness_data": lambda p, bad: witness_data(bad),
     "build_D": lambda p, bad: build_D(bad, p),
     "build_D-second": lambda p, bad: build_D(p, bad),
     "splice_rank-second": lambda p, bad: splice_rank(p, bad),
