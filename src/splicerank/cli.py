@@ -11,12 +11,16 @@ same command.  An input the library refuses (a ``SpliceRankError``) or a
 file that cannot be read exits with status 1 and a one-line message on
 standard error, which starts with the file's path when the error came
 from reading that file or building its knot; bad usage exits with status 2.
+A reader that closes standard output before the command has written it
+(``splicerank corpus | head -1``) ends the command with status 1 and
+nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -67,5 +71,11 @@ def main(argv: list[str] | None = None) -> int:
         where = "" if source is None else f"{source}: "
         print(f"splicerank: error: {where}{type(exc).__name__}: {message}", file=sys.stderr)
         return 1
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # as the signal module's docs advise for SIGPIPE: standard output now
+        # writes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0

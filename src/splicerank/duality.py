@@ -32,22 +32,18 @@ The duality maps are a plain triple (tau0, tau1, tau_inf), as
 or else the maps built from the basis symmetry.  ``geometric_package``
 keeps one entry per complex: its ``NormalBasis``, the dims and the
 normalized taus g_k^-1 tau_k g_k, in the bases g_k that put the triangle
-maps in normal form.  All the work that reads the totals is done once, in
-``normal_basis``: the check of the maps against the barred-map relations,
-the pivots and complements, the basis matrices and their inverses, the
-rank bookkeeping, the check that each f_k reaches its normal form and the
-conjugation of the taus.  Only ``normal_basis`` makes a ``NormalBasis``
-(built anywhere else, one raises ``ShapeMismatch``), so ``normalize``
-checks a basis by its type alone and no hand-built one skips those checks.
-The memo keeps no totals, triple, cone, plane, homology space, basis or
-raw duality map.  It is a ``weakref.WeakKeyDictionary`` keyed on the
-complex itself, which is immutable, hashable and valid by construction, so
-a lookup checks only the argument's type, an equal complex hits the same
-entry and an entry dies with its complex; nothing in an entry refers back
-to the complex.  Every
-call runs ``normalize``, which builds a fresh package from the normalized
-taus and reads its value's verdict (below), so every caller gets a new
-package of a verified value.
+maps in normal form.  All the work that reads the totals, the check of
+the maps against the barred-map relations included, is done once, in
+``normal_basis``.  Only ``normal_basis`` makes a ``NormalBasis`` (built
+anywhere else, one raises ``ShapeMismatch``), so ``normalize`` checks a
+basis by its type alone and no hand-built one skips those checks.  The
+memo is a ``weakref.WeakKeyDictionary`` keyed on the complex itself, which
+is immutable, hashable and valid by construction, so a lookup checks only
+the argument's type, an equal complex hits the same entry and an entry
+dies with its complex; nothing in an entry refers back to the complex.
+Every call runs ``normalize``, which builds a fresh package from the
+normalized taus and reads its value's verdict (below), so every caller
+gets a new package of a verified value.
 
 Everything read from a package depends on its dims and taus alone, so
 each value has one entry, made by ``_derive`` when the value is first built
@@ -82,6 +78,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
+    Frozen,
     NoFlipData,
     NormalizationFailure,
     ShapeMismatch,
@@ -130,7 +127,7 @@ class BlockSet(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SurgeryPackage:
+class SurgeryPackage(Frozen):
     """A normalised package: its dims and its tau maps, six defining fields.
 
     Construction sets one more attribute, the entry of the package's value
@@ -141,8 +138,7 @@ class SurgeryPackage:
     module docstring).  A dim that is not a nonnegative int (a bool is
     refused, as it would equal and hash like the int) or a tau that is not a
     ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not square of size
-    a_prev + a_next raises ``NormalizationFailure``.  Assigning or deleting
-    an attribute raises ``ShapeMismatch``, as it does on a ``Gf2Matrix``.
+    a_prev + a_next raises ``NormalizationFailure``.
     """
 
     a0: int
@@ -177,21 +173,6 @@ class SurgeryPackage:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not the entry
         return SurgeryPackage, (*self.dims, *by_index(self, "tau"))
-
-
-def _refuse_set(p: SurgeryPackage, name: str, value: object) -> None:
-    raise ShapeMismatch(f"a SurgeryPackage is immutable: cannot set {name}")
-
-
-def _refuse_delete(p: SurgeryPackage, name: str) -> None:
-    raise ShapeMismatch(f"a SurgeryPackage is immutable: cannot delete {name}")
-
-
-# A frozen dataclass may not define these in its body, so they are set here,
-# over the ones raising FrozenInstanceError; its constructor and
-# __post_init__ set the fields past them, through object.__setattr__.
-SurgeryPackage.__setattr__ = _refuse_set
-SurgeryPackage.__delattr__ = _refuse_delete
 
 
 class _Entry(NamedTuple):
@@ -256,11 +237,6 @@ def _times_normal_form(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
     return tuple([(row >> bottom) & mask for row in m.row_bits])
 
 
-def _barred(fs, taus, tau_inverses) -> list[Gf2Matrix]:
-    """fbar_k = tau_prev(k)^-1 f_k tau_next(k) for each index, in table order."""
-    return [tau_inverses[prev] @ (f @ taus[nxt]) for f, (_, _, prev, nxt) in zip(fs, CYCLE)]
-
-
 # -- geometric duality maps ---------------------------------------------------
 
 
@@ -320,21 +296,6 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     )
 
 
-def _check_tau_relations(totals: SurgeryTotals, taus: tuple[Gf2Matrix, ...]) -> None:
-    try:
-        inverses = [tau.inverse() for tau in taus]
-    except ShapeMismatch as exc:
-        raise TauRelationFailure(f"duality map is singular: {exc}") from exc
-    expected = _barred(by_index(totals, "f"), taus, inverses)
-    bad = [
-        "fbar" + k.suffix
-        for k, fbar, want in zip(CYCLE, by_index(totals, "fbar"), expected)
-        if fbar != want
-    ]
-    if bad:
-        raise TauRelationFailure(f"barred-map relations fail for: {', '.join(bad)}")
-
-
 # -- normalization ------------------------------------------------------------
 
 
@@ -342,16 +303,16 @@ def _check_tau_relations(totals: SurgeryTotals, taus: tuple[Gf2Matrix, ...]) -> 
 _MADE_HERE = object()
 
 
-class NormalBasis:
+class NormalBasis(Frozen):
     """One knot's dims (a0, a1, a_inf) and normalized taus g_k^-1 tau_k g_k,
     in table order, where the columns of g_k are the basis of H_k that puts
     the triangle maps in normal form.  Only ``normal_basis`` makes one,
     from duality maps that meet the barred-map relations with the totals,
     and conjugates the taus there, once per knot; neither the maps nor the
     bases are kept.  Built anywhere else, it raises ``ShapeMismatch``, and
-    so does assigning or deleting a field, so a basis that ``normalize``
-    accepts by its type is one whose taus were checked.  A plain class with
-    slots, as it is cheaper to define at import than a dataclass."""
+    it is ``Frozen``, so a basis that ``normalize`` accepts by its type is
+    one whose taus were checked.  A plain class with slots, as it is
+    cheaper to define at import than a dataclass."""
 
     __slots__ = ("dims", "taus")
 
@@ -365,12 +326,6 @@ class NormalBasis:
             raise ShapeMismatch("a NormalBasis is made by normal_basis")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "taus", taus)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise ShapeMismatch(f"a NormalBasis is immutable: cannot set {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise ShapeMismatch(f"a NormalBasis is immutable: cannot delete {name}")
 
 
 def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]) -> NormalBasis:
@@ -390,7 +345,18 @@ def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
     if not (isinstance(taus, tuple) and len(taus) == 3):
         raise ShapeMismatch(f"duality maps {taus!r} are not a triple")
     require_type(Gf2Matrix, *taus)
-    _check_tau_relations(totals, taus)
+    try:
+        inverses = [tau.inverse() for tau in taus]
+    except ShapeMismatch as exc:
+        raise TauRelationFailure(f"duality map is singular: {exc}") from exc
+    # fbar_k = tau_prev(k)^-1 f_k tau_next(k)
+    bad = [
+        "fbar" + k.suffix
+        for k, f, fbar in zip(CYCLE, by_index(totals, "f"), by_index(totals, "fbar"))
+        if fbar != inverses[k.prev] @ (f @ taus[k.next])
+    ]
+    if bad:
+        raise TauRelationFailure(f"barred-map relations fail for: {', '.join(bad)}")
     f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the type guard on arguments."""
+"""Exception types shared across the package, the type guard on arguments,
+and the base of the immutable records."""
 
 from __future__ import annotations
 
@@ -70,3 +71,28 @@ def require_type(kind: type, *values: object, message: str = "") -> None:
     for value in values:
         if not isinstance(value, kind):
             raise ShapeMismatch(message.format(*values) if message else f"{value!r} is not a {kind.__name__}")
+
+
+class _KeepsRefusals(type):
+    # A frozen dataclass puts its own __setattr__ and __delattr__, raising
+    # FrozenInstanceError, on its class once the class is made; a subclass
+    # of Frozen keeps the base's, so subclassing is all a record needs.
+    def __setattr__(cls, name: str, value: object) -> None:
+        if name not in ("__setattr__", "__delattr__"):
+            super().__setattr__(name, value)
+
+
+class Frozen(metaclass=_KeepsRefusals):
+    """Base of the immutable records: assigning or deleting an attribute
+    raises ``ShapeMismatch``, as the memos hand one value to every caller,
+    so none may change it for the next.  A record sets its own attributes
+    through ``object.__setattr__``, as a frozen dataclass's constructor
+    does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot delete {name}")

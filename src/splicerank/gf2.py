@@ -15,12 +15,11 @@ does not fit its block.  A result of this module's own operations
 ``from_columns`` after its range check, ``BlockGrid.assemble`` and
 ``kron_blocks``) is in range by construction, so it is built by
 ``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
-module calls that.  A matrix, a ``KronFactor`` and a ``KronSide`` refuse
-assignment and deletion of their attributes with a ``ShapeMismatch``: the
-memos downstream hand one value to every caller, so none may change it for
-the next.  An operand, position or range of the wrong kind (``m @ 3``,
-``entry("a", 0)``, ``cut_blocks(m, "a")``) is one ``isinstance`` away from
-a ``ShapeMismatch``; no row is scanned for it.
+module calls that.  A matrix, a ``KronFactor`` and a ``KronSide`` are
+``errors.Frozen`` records: the memos downstream hand one value to every
+caller, so none may change it for the next.  An operand or range of the
+wrong kind (``m @ 3``, ``cut_blocks(m, "a")``) is one ``isinstance`` away
+from a ``ShapeMismatch``; no row is scanned for it.
 
 ``@`` copies the right operand's row for a left row with at most one set
 bit, the rows of a permutation, an identity or a normal form (0 0; I 0),
@@ -70,7 +69,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
-from .errors import ShapeMismatch
+from .errors import Frozen, ShapeMismatch
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -119,10 +118,8 @@ def outer_sum_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 _set = object.__setattr__
 
 
-class Gf2Matrix:
-    """Immutable dense GF(2) matrix: assigning or deleting an attribute
-    raises ``ShapeMismatch``, so a matrix kept in a memo or a package reads
-    the same to every caller."""
+class Gf2Matrix(Frozen):
+    """Immutable dense GF(2) matrix."""
 
     # _hash is set on the first hash (see __hash__)
     __slots__ = ("rows", "cols", "row_bits", "_hash")
@@ -158,12 +155,6 @@ class Gf2Matrix:
         _set(m, "cols", cols)
         _set(m, "row_bits", row_bits)
         return m
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise ShapeMismatch(f"a Gf2Matrix is immutable: cannot set {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise ShapeMismatch(f"a Gf2Matrix is immutable: cannot delete {name}")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not by assignment
@@ -236,11 +227,6 @@ class Gf2Matrix:
         return cls._trusted(rows, len(columns), tuple(bits))
 
     # -- access -----------------------------------------------------------
-
-    def entry(self, r: int, c: int) -> int:
-        if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < self.rows and 0 <= c < self.cols):
-            raise ShapeMismatch(f"entry ({r!r},{c!r}) outside {self.rows}x{self.cols}")
-        return (self.row_bits[r] >> c) & 1
 
     def dense(self) -> list[list[int]]:
         return [[(b >> c) & 1 for c in range(self.cols)] for b in self.row_bits]
@@ -487,22 +473,15 @@ def cut_blocks(m: Gf2Matrix, top: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]
     )
 
 
-class _Plan:
+class _Plan(Frozen):
     """An immutable record of this module laid out for ``kron_blocks``, made
-    by one function alone (its ``_maker``): like a matrix, it refuses
-    assignment and deletion of its attributes with a ``ShapeMismatch``."""
+    by one function alone (its ``_maker``)."""
 
     __slots__ = ()
     _maker = ""
 
     def __new__(cls, *args, **kwargs):
         raise ShapeMismatch(f"a {cls.__name__} is made by {cls._maker}")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot set {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise ShapeMismatch(f"a {type(self).__name__} is immutable: cannot delete {name}")
 
 
 class KronFactor(_Plan):

@@ -10,34 +10,33 @@ from .errors import NotAComplex, ShapeMismatch, require_type
 from .gf2 import Gf2Matrix, bits_of, low_pivots, reduce, xor_columns
 
 
-def require_square_zero(boundary: Gf2Matrix) -> None:
-    """Raise ``NotAComplex`` unless boundary @ boundary = 0."""
-    require_type(Gf2Matrix, boundary)
-    # one row at a time: row r of d @ d is the XOR of the rows of d at the
-    # bits of row r
-    rows = boundary.row_bits
-    for b in rows:
-        if xor_columns(rows, b):
-            raise NotAComplex("boundary does not square to zero")
-
-
 @dataclass(frozen=True)
 class ChainComplexF2:
     """Ungraded chain complex: square boundary with boundary @ boundary = 0.
 
-    Column c of ``boundary`` is the boundary of basis element c.
+    Column c of ``boundary`` is the boundary of basis element c.  A basis
+    that is not a tuple or a boundary that is not a ``Gf2Matrix`` raises
+    ``ShapeMismatch``, one that is not square on the basis or does not
+    square to zero ``NotAComplex``.
     """
 
     basis: tuple[Hashable, ...]
     boundary: Gf2Matrix
 
     def __post_init__(self):
+        require_type(tuple, self.basis)
+        require_type(Gf2Matrix, self.boundary)
         n = len(self.basis)
         if (self.boundary.rows, self.boundary.cols) != (n, n):
             raise NotAComplex(
                 f"boundary is {self.boundary.rows}x{self.boundary.cols} on {n} generators"
             )
-        require_square_zero(self.boundary)
+        # one row at a time: row r of d @ d is the XOR of the rows of d at
+        # the bits of row r
+        rows = self.boundary.row_bits
+        for b in rows:
+            if xor_columns(rows, b):
+                raise NotAComplex("boundary does not square to zero")
 
     @property
     def dim(self) -> int:

@@ -12,14 +12,15 @@ A ``BifilteredComplex`` is valid by construction: making one, by its
 constructor, ``dataclasses.replace`` or ``mirror``, checks the types of its
 fields and items, integer gradings and drops, grading compatibility, d^2 = 0
 and the symmetry axioms, and raises ``ShapeMismatch`` listing every
-violation.  No later stage checks again.  A complex is also immutable and
-hashable: its generators and arrows are tuples and its symmetry a read-only
-copy of the mapping it was given, so equal complexes hash equal and a
-complex can key a cache.  A complex computes its hash once and keeps it;
-copy and pickle rebuild it through its constructor, so the hash never
-travels to another process, where a str hashes otherwise.  Every grading
-and drop of a complex is an int, so equality cannot pair it with an
-invalid one, as 0 == 0.0 == False otherwise would.
+violation.  No later stage checks again.  A complex is also immutable
+(``errors.Frozen``) and hashable: its generators and arrows are tuples and
+its symmetry a read-only copy of the mapping it was given, so equal
+complexes hash equal and a complex can key a cache.  A complex computes
+its hash once and keeps it; copy and pickle rebuild it through its
+constructor, so the hash never travels to another process, where a str
+hashes otherwise.  Every grading and drop of a complex is an int, so
+equality cannot pair it with an invalid one, as 0 == 0.0 == False
+otherwise would.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .errors import (
+    Frozen,
     NoFlipData,
     NotChainMap,
     NotQuasiIso,
@@ -63,7 +65,7 @@ class TauOverride:
 
 
 @dataclass(frozen=True)
-class BifilteredComplex:
+class BifilteredComplex(Frozen):
     name: str
     generators: tuple[Generator, ...]
     arrows: tuple[Arrow, ...]

@@ -16,10 +16,9 @@ matrices.  ``build_D`` reads each knot's side (``_side``, a
 by ``gf2.kron_factor``, and the mask of the terms whose factor is nonzero.
 ``gf2.kron_blocks`` takes the block offsets from the products of the two
 sides' dims and writes the rows of D straight from the factors' nonzeros,
-visiting only the terms nonzero on both sides: no Kronecker product or
-block is built, no row of a factor is scanned and no factor is checked on
-the way.  ``tests/oracles.reference_build_D`` keeps the block-by-block
-assembly as the reference.
+visiting only the terms nonzero on both sides.
+``tests/oracles.reference_build_D`` keeps the block-by-block assembly as
+the reference.
 
 Per-package values
 ------------------
@@ -43,7 +42,7 @@ taus, not the package, so the entry keeps no other entry alive), and they
 die with that entry: ``_pair_rank``, the pair's ``SpliceRank`` from one
 ``splice_rank`` call, and ``_pair_witnesses``, the witness count, the
 nonzero count and the witness span, kept once the per-knot check below
-has passed.  Both hold ints only, no D and no witness.  ``kernel_witnesses``
+has passed.  Both hold ints only.  ``kernel_witnesses``
 reads both and ``subspace_bounds`` only the rank, so a ``theorem_check``
 and a ``subspace_bounds`` of one pair build D once between them, a warm
 one builds none, and a lone ``subspace_bounds`` builds no witness.  A
@@ -96,7 +95,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 from types import MappingProxyType
 
 from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, by_index, stats
@@ -104,7 +102,6 @@ from .errors import WitnessNotInKernel, require_type
 from .gf2 import (
     BlockGrid,
     Gf2Matrix,
-    KronFactor,
     KronSide,
     kron_blocks,
     kron_factor,
@@ -118,8 +115,6 @@ from .gf2 import (
 @dataclass(frozen=True)
 class SpliceMatrix:
     matrix: Gf2Matrix
-    row_block_dims: tuple[int, ...]
-    col_block_dims: tuple[int, ...]
 
 
 # D's column blocks: the package dims (first knot, second knot) whose
@@ -214,12 +209,7 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     two knots' sides, read from the entries of their packages' values:
     only the terms nonzero on both sides are written."""
     require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
-    left, right = _from_entry(p1, _side, 0), _from_entry(p2, _side, 1)
-    return SpliceMatrix(
-        kron_blocks(left, right),
-        tuple(map(mul, left.row_dims, right.row_dims)),
-        tuple(map(mul, left.col_dims, right.col_dims)),
-    )
+    return SpliceMatrix(kron_blocks(_from_entry(p1, _side, 0), _from_entry(p2, _side, 1)))
 
 
 @dataclass(frozen=True)
@@ -319,46 +309,32 @@ def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ..
     return MappingProxyType(out)
 
 
-def _stacked(f: KronFactor, vectors: list[int]) -> int:
-    """Σ_a (F·vectors[a]) << (a·F.rows), F the matrix laid out in f."""
-    out = 0
-    for a, x in enumerate(vectors):
-        shift = a * f.rows
-        for r, b in f.nonzero_rows:
-            if (b & x).bit_count() & 1:
-                out |= 1 << (shift + r)
-    return out
-
-
 def _witness_images(p: SurgeryPackage, side: int) -> tuple[tuple[int, ...], ...]:
     """One knot's witness images as the first knot (side 0) or the second
     (1): for each check of ``_WITNESS_CHECKS`` and each of its terms, the
-    side's factor of the term applied to the term's part of every vector of
-    the side's family, stacked by ``_stacked``; kept per package value and
-    side (see the module docstring)."""
+    side's factor F of the term applied to the term's part x_a of every
+    vector a of the side's family, stacked as Σ_a (F·x_a) << (a·F.rows);
+    kept per package value and side (see the module docstring)."""
     factors = _from_entry(p, _side, side).factors
     families = _from_entry(p, _family_parts)
-    return tuple(
-        tuple(_stacked(factors[t], [u[parts[side]] for u in families[pair[side]]]) for t, parts in group)
-        for pair, group in _WITNESS_CHECKS
-    )
+    out = []
+    for pair, group in _WITNESS_CHECKS:
+        images = []
+        for t, parts in group:
+            f, image = factors[t], 0
+            for a, u in enumerate(families[pair[side]]):
+                x = u[parts[side]]
+                for r, b in f.nonzero_rows:
+                    if (b & x).bit_count() & 1:
+                        image |= 1 << (a * f.rows + r)
+            images.append(image)
+        out.append(tuple(images))
+    return tuple(out)
 
 
-def _numbering(p1: SurgeryPackage, p2: SurgeryPackage):
-    """The two knots' witness families, the start of each family in its
-    knot's families concatenated, and the second knot's vector count: the
-    pair of the i-th vector of the first knot and the j-th of the second
-    is pair number i * width + j + 1."""
+def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> list[int]:
+    """Every nonzero witness of the pair."""
     fam1, fam2 = _from_entry(p1, _family_parts), _from_entry(p2, _family_parts)
-    start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
-    start2 = dict(zip(fam2, accumulate(map(len, fam2.values()), initial=0)))
-    return fam1, fam2, start1, start2, sum(map(len, fam2.values()))
-
-
-def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, list[tuple[int, int]]]:
-    """The number of pairs of family vectors, and each nonzero witness with
-    its pair number (see ``_numbering``)."""
-    fam1, fam2, start1, start2, width = _numbering(p1, p2)
     blocks = []  # (offset in D's columns, length of the second knot's factor)
     at = 0
     for left, right in _COL_BLOCKS:
@@ -367,7 +343,7 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
     found = []
     for (name1, name2), terms in _WITNESS_TERMS.items():
         seconds = [tuple([v[part2] for _, _, part2 in terms]) for v in fam2[name2]]
-        for i, u in enumerate(fam1[name1], start1[name1]):
+        for u in fam1[name1]:
             # u's nonzero part of each term spread once, at its column
             # block's offset: y * spread is then that part ⊗ y (see
             # gf2.spread)
@@ -376,19 +352,13 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, lis
                 for k, (block, part1, _) in enumerate(terms)
                 if u[part1]
             ]
-            first = i * width + start2[name2] + 1
-            if len(spreads) == 1:
-                (k, s), = spreads
-                found += [(j, ys[k] * s) for j, ys in enumerate(seconds, first) if ys[k]]
-                continue
-            for j, ys in enumerate(seconds, first):
+            for ys in seconds:
                 w = 0
                 for k, s in spreads:
                     w ^= ys[k] * s
                 if w:
-                    found.append((j, w))
-    found.sort()
-    return sum(map(len, fam1.values())) * width, found
+                    found.append(w)
+    return found
 
 
 def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, int]:
@@ -396,9 +366,14 @@ def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, i
     once the per-knot check has found every witness in Ker D: the value the
     check path keeps in the first package's entry (see the module
     docstring).  A failed check raises, naming the first witness outside
-    Ker D in pair order, so nothing is kept."""
+    Ker D in pair order, so nothing is kept: the pair of the i-th vector of
+    the first knot's families concatenated and the j-th of the second's is
+    pair number i * width + j + 1, width the second knot's vector count."""
     left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
-    _, _, start1, start2, width = _numbering(p1, p2)
+    fam1, fam2 = _from_entry(p1, _family_parts), _from_entry(p2, _family_parts)
+    start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
+    start2 = dict(zip(fam2, accumulate(map(len, fam2.values()), initial=0)))
+    width = sum(map(len, fam2.values()))
     outside = []  # the pair number of each witness found outside Ker D
     for ((name1, name2), group), ps, qs in zip(_WITNESS_CHECKS, left, right):
         dim1, dim2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
@@ -411,8 +386,8 @@ def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, i
         ]
     if outside:
         raise WitnessNotInKernel(f"witness from pair #{min(outside)} not annihilated by the splice matrix")
-    checked, found = _nonzero_witnesses(p1, p2)
-    return checked, len(found), span_dim(v for _, v in found)
+    found = _nonzero_witnesses(p1, p2)
+    return sum(map(len, fam1.values())) * width, len(found), span_dim(found)
 
 
 def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
@@ -478,52 +453,35 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
     require_type(SurgeryPackage, p1, p2)
     (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)
     rank = _from_entry(p1, _pair_rank, p2)
+
+    def bound(label: str, kb: int, cb: int) -> SubspaceBound:
+        """The bound named label, whose hypothesis is met."""
+        return SubspaceBound(label, True, kb, cb, rank.ker >= kb, rank.coker >= cb)
+
+    # each bound's sizes are read only when its hypothesis is met
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
         label = f"({circ},{bullet},{star})"
         circ_1, bullet_1, star_1 = (INVOLUTION[x] for x in (circ, bullet, star))
         if ker_2["B" + circ] == 0 and coker_2["B" + bullet] == 0:
             left, right = f"B{circ_1} B{bullet_1}", f"B{bullet} B{circ}"
-            kb = ker_1[left] * ker_2[right]
-            cb = coker_1[left] * coker_2[right]
-            out.append(
-                SubspaceBound(
-                    f"case1 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
-                )
-            )
+            out.append(bound(f"case1 {label}", ker_1[left] * ker_2[right], coker_1[left] * coker_2[right]))
         else:
             out.append(SubspaceBound(f"case1 {label}", False))
         if coker_2["B" + circ] == 0 and ker_2["B" + bullet] == 0:
             kb = ker_1[f"B{bullet_1} B{star_1}"] * ker_2[f"B{star} B{bullet}"]
             cb = coker_1[f"B{star_1} B{circ_1}"] * coker_2[f"B{circ} B{star}"]
-            out.append(
-                SubspaceBound(
-                    f"case2 {label}", True, kb, cb, rank.ker >= kb, rank.coker >= cb
-                )
-            )
+            out.append(bound(f"case2 {label}", kb, cb))
         else:
             out.append(SubspaceBound(f"case2 {label}", False))
-
     # combined variant when B0 of the right knot is injective and Binf surjective;
     # the joined pair of overlapping subspaces is counted by the larger one
     if ker_2["B0"] == 0 and coker_2["Binf"] == 0:
-        k_pair = ker_1["Binf B1"] * ker_2["B1 B0"]
-        k_prime = ker_1["B1"] * ker_2["B1"]
-        kb = (
-            ker_1["B0"] * ker_2["Binf"]
-            + ker_1["Binf"] * ker_2["B0"]
-            + max(k_pair, k_prime)
-        )
-        c_pair = coker_1["B1 B0"] * coker_2["Binf B1"]
-        c_prime = coker_1["B1"] * coker_2["B1"]
-        cb = (
-            coker_1["B0"] * coker_2["Binf"]
-            + coker_1["Binf"] * coker_2["B0"]
-            + max(c_pair, c_prime)
-        )
-        out.append(
-            SubspaceBound("remark", True, kb, cb, rank.ker >= kb, rank.coker >= cb)
-        )
+        k_pair, k_prime = ker_1["Binf B1"] * ker_2["B1 B0"], ker_1["B1"] * ker_2["B1"]
+        c_pair, c_prime = coker_1["B1 B0"] * coker_2["Binf B1"], coker_1["B1"] * coker_2["B1"]
+        kb = ker_1["B0"] * ker_2["Binf"] + ker_1["Binf"] * ker_2["B0"] + max(k_pair, k_prime)
+        cb = coker_1["B0"] * coker_2["Binf"] + coker_1["Binf"] * coker_2["B0"] + max(c_pair, c_prime)
+        out.append(bound("remark", kb, cb))
     else:
         out.append(SubspaceBound("remark", False))
     return out

@@ -41,18 +41,14 @@ hands the triple's store to ``profile``, so one lemma run cuts each plane once.
 A ``SurgeryTriple`` is exact and window-stable once built: its constructor
 raises ``WindowNotStable`` if a surgery group outside the window is nonzero,
 and ``NormalizationFailure`` naming every node (``exactness_failures``)
-where either triangle is not exact.  ``total_package`` only builds one.
-
-The window-stability check only needs the homology dimension of the cones
-just outside the window: ``cone_homology_dim`` reads it from the cone
-boundary, which it assembles as ``cone`` does.
+where either triangle is not exact.
 
 ``SurgeryTriple.totals`` is a small ``SurgeryTotals`` of the six total maps
 and the three total dimensions.  ``duality.normal_basis`` reads it once per
 knot: the three f maps and the dimensions to build the normal-form basis,
-and the three fbar maps, through ``duality._check_tau_relations``, to check
-the duality maps.  ``duality`` keeps the basis, not the totals; the cones,
-the planes and the homology spaces go with the triple.
+and the three fbar maps to check the duality maps.  ``duality`` keeps the
+basis, not the totals; the cones, the planes and the homology spaces go
+with the triple.
 """
 
 from __future__ import annotations
@@ -63,13 +59,7 @@ from typing import Callable, Hashable, NamedTuple
 
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable, require_type
 from .gf2 import BlockGrid, Gf2Matrix, xor_columns
-from .homology import (
-    ChainComplexF2,
-    HomologySpace,
-    inclusion_columns,
-    induced_by_columns,
-    require_square_zero,
-)
+from .homology import ChainComplexF2, HomologySpace, inclusion_columns, induced_by_columns
 from .model import BifilteredComplex, FlipMap, flip_map
 
 
@@ -167,28 +157,6 @@ class PlaneStore:
 
     def cone(self, n: int, s: int) -> MappingCone:
         """Cone of i_n^s; the first summand maps by inclusion, the second by the flip."""
-        first, second, chain_map, boundary = self._cone_parts(n, s)
-        codomain = self.flip.target
-        labels = (
-            tuple(("u", lbl) for lbl in first.basis)
-            + tuple(("v", lbl) for lbl in second.basis)
-            + tuple(("w", lbl) for lbl in codomain.basis)
-        )
-        cone = ChainComplexF2(labels, boundary)
-        return MappingCone(n, s, first, second, codomain, chain_map, cone)
-
-    def cone_homology_dim(self, n: int, s: int) -> int:
-        """dim H of the cone of i_n^s, read as dim - 2 rank from its boundary
-        alone: no labels, no ``ChainComplexF2`` and no ``MappingCone``.  The
-        boundary still has to square to zero."""
-        boundary = self._cone_parts(n, s)[3]
-        require_square_zero(boundary)
-        return boundary.rows - 2 * boundary.rank()
-
-    def _cone_parts(
-        self, n: int, s: int
-    ) -> tuple[ChainComplexF2, ChainComplexF2, Gf2Matrix, Gf2Matrix]:
-        """The two summands of the cone of i_n^s, the chain map and the cone boundary."""
         if n not in (0, 1):
             raise ShapeMismatch(f"cone surgery coefficient must be 0 or 1, got {n!r}")
         first, second = self.first(s), self.second(n - s - 1)
@@ -205,7 +173,13 @@ class PlaneStore:
             m | (b << dom_dim)
             for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
         ]
-        return first, second, chain_map, Gf2Matrix(total, total, bits)
+        labels = (
+            tuple(("u", lbl) for lbl in first.basis)
+            + tuple(("v", lbl) for lbl in second.basis)
+            + tuple(("w", lbl) for lbl in codomain.basis)
+        )
+        cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
+        return MappingCone(n, s, first, second, codomain, chain_map, cone)
 
 
 # Each triangle family: (source, target, source shift, target shift); the
@@ -300,7 +274,7 @@ class SurgeryTriple:
         lo, hi = self.window.start, self.window.stop - 1
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
             for n in (0, 1):
-                if self.planes.cone_homology_dim(n, s):
+                if self.planes.cone(n, s).cone.homology_dim():
                     raise WindowNotStable(f"H_{n}({s}) nonzero outside window")
             if self.planes.spot(s).homology_dim():
                 raise WindowNotStable(f"H_inf({s}) nonzero outside window")

@@ -506,7 +506,7 @@ def reference_build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
         + kron(D0_1 @ Ai_1, D0_2 @ Ai_2)
         + kron(x1a_1, d0x_2),
     }
-    return SpliceMatrix(BlockGrid(row_dims, col_dims, entries).assemble(), row_dims, col_dims)
+    return SpliceMatrix(BlockGrid(row_dims, col_dims, entries).assemble())
 
 
 def reference_build_side(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from splicerank.duality import (
     CYCLE,
     SurgeryPackage,
-    _barred,
     _check_normal_form,
     _derive,
     by_index,
@@ -182,7 +181,6 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
 
 
 def derived_fbars(p: SurgeryPackage) -> list[Gf2Matrix]:
-    """p's fbar maps, fbar_k = tau_prev(k)^-1 f_k tau_next(k), in table order,
-    derived as ``duality._check_tau_relations`` derives the expected ones."""
+    """p's fbar maps, fbar_k = tau_prev(k)^-1 f_k tau_next(k), in table order."""
     taus = by_index(p, "tau")
-    return _barred(by_index(p, "f"), taus, [tau.inverse() for tau in taus])
+    return [taus[k.prev].inverse() @ (f @ taus[k.next]) for f, k in zip(by_index(p, "f"), CYCLE)]

@@ -21,11 +21,15 @@ SRC = Path(splicerank.__file__).parent.parent
 DATA = Path(splicerank.__file__).parent / "data"
 
 
+def _env() -> dict[str, str]:
+    """The environment with the library's source on the path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+
+
 def _run(*args: str) -> subprocess.CompletedProcess:
     """``python -m splicerank args`` with the library's source on the path."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
-        [sys.executable, "-m", "splicerank", *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "splicerank", *args], env=_env(), capture_output=True, text=True, timeout=120
     )
 
 
@@ -122,3 +126,17 @@ def test_bad_usage_exits_2():
         done = _run(*args)
         assert (done.returncode, done.stdout) == (2, ""), args
         assert "usage: splicerank" in done.stderr
+
+
+def test_a_reader_that_closes_the_pipe_first_gets_no_traceback():
+    # the read end is closed before the command starts, so its first write
+    # fails every time
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "splicerank", "corpus"], env=_env(), stdout=write, stderr=subprocess.PIPE, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

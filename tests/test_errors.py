@@ -47,12 +47,12 @@ LIBRARY_TYPES = (
 # and homology spaces: an argument of one of these types is a slot too, in
 # a public function of the modules that build the complexes, and in the
 # constructors of the records that check their matrices when built: the
-# package, whose value keys the per-package memos, and the cone and flip
-# records of the cold path.  test_gf2 covers the GF(2) module's own matrix
-# operands.
+# package, whose value keys the per-package memos, and the chain complex,
+# cone and flip records of the cold path.  test_gf2 covers the GF(2)
+# module's own matrix operands.
 HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
 HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
-CHECKED_RECORDS = (SurgeryPackage, MappingCone, FlipMap)
+CHECKED_RECORDS = (SurgeryPackage, ChainComplexF2, MappingCone, FlipMap)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -132,6 +132,7 @@ def good(tmp_path_factory) -> dict:
     plane = model.plane_i0(c)
     helper_hints = typing.get_type_hints(surgery.relabel_vector) | typing.get_type_hints(homology.induced_by_columns)
     basis_hints = _hints(NormalBasis)
+    complex_hints = _hints(ChainComplexF2)
     return {
         BifilteredComplex: c,
         SurgeryTriple: triple,
@@ -151,6 +152,8 @@ def good(tmp_path_factory) -> dict:
         helper_hints["columns"]: [],
         # the dims of a basis, which only normal_basis may build
         basis_hints["dims"]: basis.dims,
+        # the labels of a chain complex
+        complex_hints["basis"]: plane.basis,
     }
 
 
@@ -194,7 +197,7 @@ def test_the_surface_covers_every_entry_point():
         "normal_basis-taus",
         "normalize",
         "NormalBasis",
-        "require_square_zero",
+        "ChainComplexF2",
         "induced_by_columns",
         "induced_by_columns-second",
         "inclusion_columns-second",
@@ -291,13 +294,16 @@ def test_checks_hold_under_python_O():
 
 @pytest.mark.parametrize("name", ["a0", "a1", "a_inf", "tau0", "tau1", "tau_inf", "_entry", "blocks0", "new"])
 def test_changing_a_package_is_a_shape_mismatch(good, name):
-    # a package keys the per-value memo by its fields: it refuses assignment
-    # and deletion with the typed error, as Gf2Matrix and KronSide do
-    package = good[SurgeryPackage]
-    before = (hash(package), package.dims, package.tau0, package._entry)
-    for change in (lambda: setattr(package, name, 0), lambda: delattr(package, name)):
-        with pytest.raises(ShapeMismatch, match="a SurgeryPackage is immutable") as info:
-            change()
-        assert info.type is ShapeMismatch
-    assert (hash(package), package.dims, package.tau0, package._entry) == before
+    # a package keys the per-value memo by its fields, and a complex the
+    # memo of its normal-form basis: each refuses assignment and deletion of
+    # any attribute, its fields and its kept hash too, with the typed error,
+    # as Gf2Matrix and KronSide do
+    for record in (good[SurgeryPackage], good[BifilteredComplex]):
+        before = (hash(record), dict(vars(record)))
+        for attr in (name, dataclasses.fields(record)[0].name, "_hash"):
+            for change in (lambda: setattr(record, attr, 0), lambda: delattr(record, attr)):
+                with pytest.raises(ShapeMismatch, match=f"a {type(record).__name__} is immutable") as info:
+                    change()
+                assert info.type is ShapeMismatch
+        assert (hash(record), vars(record)) == before
 

@@ -257,12 +257,14 @@ def test_kron_rank_multiplicative_against_oracle():
 def test_kron_entries():
     a = Gf2Matrix.from_dense([[1, 0], [1, 1]])
     b = Gf2Matrix.from_dense([[0, 1], [1, 0]])
+    da, db = a.dense(), b.dense()
     for k in (kron(a, b), _one_kron(a, b)):
+        dk = k.dense()
         for i in range(2):
             for j in range(2):
                 for p in range(2):
                     for q in range(2):
-                        assert k.entry(2 * i + p, 2 * j + q) == a.entry(i, j) * b.entry(p, q)
+                        assert dk[2 * i + p][2 * j + q] == da[i][j] * db[p][q]
 
 
 @st.composite
@@ -463,7 +465,7 @@ def test_cancel_preserves_h_on_random_6x6():
 @settings(max_examples=120, deadline=None)
 @given(matrices, st.data())
 def test_cancel_preserves_kernel_and_cokernel_dims(m, data):
-    pivots = [(r, c) for r in range(m.rows) for c in range(m.cols) if m.entry(r, c)]
+    pivots = [(r, c) for r in range(m.rows) for c in range(m.cols) if m.row_bits[r] >> c & 1]
     if not pivots:
         return
     r, c = data.draw(st.sampled_from(pivots))
@@ -793,17 +795,18 @@ def test_cut_blocks_rejects_a_cut_outside_a_square(m, top):
 
 
 # a position outside the matrix is bad input: a typed error, as in cut_blocks,
-# not the IndexError of a tuple lookup
+# not the IndexError of a list lookup; the entries of from_entries are
+# positions in the matrix it builds
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda m: m.entry(0, 3), r"entry \(0,3\) outside 2x2"),
-        (lambda m: m.entry(2, 0), r"entry \(2,0\) outside 2x2"),
-        (lambda m: m.entry(-1, 0), r"entry \(-1,0\) outside 2x2"),
+        (lambda m: Gf2Matrix.from_entries(m.rows, m.cols, [(0, 3)]), r"entry \(0,3\) outside 2x2"),
+        (lambda m: Gf2Matrix.from_entries(m.rows, m.cols, [(2, 0)]), r"entry \(2,0\) outside 2x2"),
+        (lambda m: Gf2Matrix.from_entries(m.rows, m.cols, [(-1, 0)]), r"entry \(-1,0\) outside 2x2"),
         (lambda m: cancel(m, 2, 0), r"pivot \(2,0\) outside 2x2"),
         (lambda m: cancel(m, 0, -1), r"pivot \(0,-1\) outside 2x2"),
-        (lambda m: m.entry("a", 0), r"entry \('a',0\) outside 2x2"),
-        (lambda m: m.entry(0.0, 0), r"entry \(0.0,0\) outside 2x2"),
+        (lambda m: Gf2Matrix.from_entries(m.rows, m.cols, [("a", 0)]), r"entry \('a',0\) is not at int indices"),
+        (lambda m: Gf2Matrix.from_entries(m.rows, m.cols, [(0.0, 0)]), r"entry \(0.0,0\) is not at int indices"),
         (lambda m: cut_blocks(m, "a"), r"cannot cut Gf2Matrix\(2x2\) at 'a'"),
         (lambda m: m @ 3, "mul 2x2 by 3, not a Gf2Matrix"),
         (lambda m: m + 3, "add 2x2 to 3, not a Gf2Matrix"),
@@ -827,4 +830,5 @@ def test_a_position_outside_the_matrix_is_a_typed_error(call, message):
         call(m)
     assert info.type is ShapeMismatch
     # the corner itself is still inside
-    assert (m.entry(1, 1), cancel(m, 1, 1)) == (1, Gf2Matrix.from_dense([[1]]))
+    assert Gf2Matrix.from_entries(2, 2, [(1, 1)]).row_bits == (0, 2)
+    assert cancel(m, 1, 1) == Gf2Matrix.from_dense([[1]])

@@ -48,21 +48,23 @@ def test_trusted_constructor_is_private_to_gf2():
     assert found == []
 
 
-def _names_used(tree: ast.AST, skip: frozenset[ast.AST] = frozenset()) -> set[str]:
+def _names_used(tree: ast.AST, skip: frozenset[ast.AST] = frozenset(), members: bool = False) -> set[str]:
     """Every name a module mentions: identifiers, attributes, imported names
-    and string constants (a lookup by name, as in getattr).  The nodes in
-    ``skip``, and everything inside them, are not read."""
+    and string constants (a lookup by name, as in getattr); with
+    ``members``, only attributes and string constants, the ways a method is
+    named.  The nodes in ``skip``, and everything inside them, are not
+    read."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not members:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not members:
             out.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
@@ -80,10 +82,12 @@ PUBLIC_API = {
 def dead_definitions(root: Path, public: set[str]) -> list[str]:
     """The functions, classes and methods of src/splicerank that nothing in
     src/ or bench/ names, but for the names in ``public``; dunder methods are
-    called by the language.  A definition named only inside dead ones is
-    dead too: each round drops the bodies of those found so far and looks
-    again, until no more are found.  Tests are not callers, so a fixture
-    that only tests use shows up here and belongs in tests/."""
+    called by the language.  A method counts as named only by an attribute
+    access or a string, so a local variable of the same name does not keep
+    it.  A definition named only inside dead ones is dead too: each round
+    drops the bodies of those found so far and looks again, until no more
+    are found.  Tests are not callers, so a fixture that only tests use
+    shows up here and belongs in tests/."""
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for folder in ("src", "bench")
@@ -98,11 +102,17 @@ def dead_definitions(root: Path, public: set[str]) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
+    methods = {item for tree in trees.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
     dead: dict[str, ast.AST] = {}
     while True:
         skip = frozenset(dead.values())
         used = set(public).union(*(_names_used(tree, skip) for tree in trees.values()))
-        found = {label: node for label, node in defined if node.name not in used and label not in dead}
+        members = set(public).union(*(_names_used(tree, skip, members=True) for tree in trees.values()))
+        found = {
+            label: node
+            for label, node in defined
+            if node.name not in (members if node in methods else used) and label not in dead
+        }
         if not found:
             return sorted(dead)
         dead.update(found)

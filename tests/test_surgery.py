@@ -236,16 +236,6 @@ def test_homology_dim_matches_homology_inside_and_outside_the_window():
                 assert complex_.homology_dim() == HomologySpace(complex_).dim, (c.name, s)
 
 
-def test_cone_homology_dim_matches_the_full_cone():
-    for c in oracle_models():
-        planes = PlaneStore(flip_map(c))
-        lo, hi = c.grading_range()
-        # the window is lo-1 .. hi+1; three levels beyond it on each side
-        for s in range(lo - 4, hi + 5):
-            for n in (0, 1):
-                assert planes.cone_homology_dim(n, s) == planes.cone(n, s).cone.homology_dim(), (c.name, n, s)
-
-
 def test_zero_flip_is_caught_outside_the_window(monkeypatch):
     def zero_flip(complex_):
         flip = flip_map(complex_)
