@@ -1,70 +1,41 @@
-"""Duality maps, simultaneous normal form, block extraction and statistics.
+"""Duality maps, simultaneous normal form, package blocks and statistics.
 
-The duality maps are built at chain level by exchanging the roles of the two
-filtration directions through the basis symmetry: the cone of the comparison
-map at level s is isomorphic to the cone at the reflected level with the two
-domain summands swapped through the symmetry, identically on the target
-plane.  After normalization every triangle map takes the block form
-(0 0; I 0) and the duality maps are stored through their A, B and D blocks
-per index, with the off-diagonal B blocks driving everything downstream.
+The duality maps come from the basis symmetry at chain level: the cone of
+the comparison map at level s is isomorphic to the cone at the reflected
+level with its two domain summands swapped, identically on the target
+plane.  After normalization every triangle map has the block form
+(0 0; I 0), and everything downstream reads the A, B and D blocks of the
+normalized taus.
 
 Index convention.  A knot's surgery exact triangle H0 -> H1 -> Hinf -> H0
-runs its indices in the cycle 0 -> 1 -> inf -> 0, and ``CYCLE`` gives each
-index k its attribute suffix, prev(k) and next(k):
+runs its indices in the cycle 0 -> 1 -> inf -> 0.  Every per-index value is
+a tuple in the order of ``CYCLE``, which gives each index k its names and
+the positions of prev(k) and next(k):
 
 - H_k splits as (a_prev(k), a_next(k)) and tau_k acts on it, so tau_k is cut
   into its A, B and D blocks there and B_k is a_prev(k) x a_next(k);
 - f_k and fbar_k map H_next(k) -> H_prev(k), and in normal form
   f_k = (0 0; I 0) carries the identity on a_k;
-- fbar_k = tau_prev(k)^-1 f_k tau_next(k), and X_k = B_next(k) B_k B_prev(k).
+- fbar_k = tau_prev(k)^-1 f_k tau_next(k), so no package stores it;
+- X_k = B_next(k) B_k B_prev(k).
 
-A ``SurgeryPackage`` is its dims and its three tau maps; its blocks, X
-products and f maps are derived from them once per value (see below),
-each tau cut into its A, B and D blocks in one pass (``gf2.cut_blocks``).
-An f map in normal form depends on the dims alone, so packages of one
-shape share it (``_normal_form``), and the checks that multiply by one read
-the product off the other factor's rows.  The fbar maps are fixed by the
-relation above, so no package stores them; ``stats``, their only reader,
-reads each through its taus (see ``_pair_dims``).
+``geometric_package`` keeps one ``NormalBasis`` per complex in a
+``weakref.WeakKeyDictionary``: a complex is immutable, hashable and valid by
+construction, so an equal complex hits the same entry, and nothing in the
+entry refers back to the complex, so the entry dies with it.
 
-The duality maps are a plain triple (tau0, tau1, tau_inf), as
-``build_tau`` returns them: an override from the input, taken as given,
-or else the maps built from the basis symmetry.  ``geometric_package``
-keeps one entry per complex: its ``NormalBasis``, the dims and the
-normalized taus g_k^-1 tau_k g_k, in the bases g_k that put the triangle
-maps in normal form.  All the work that reads the totals, the check of
-the maps against the barred-map relations included, is done once, in
-``normal_basis``.  Only ``normal_basis`` makes a ``NormalBasis`` (built
-anywhere else, one raises ``ShapeMismatch``), so ``normalize`` checks a
-basis by its type alone and no hand-built one skips those checks.  The
-memo is a ``weakref.WeakKeyDictionary`` keyed on the complex itself, which
-is immutable, hashable and valid by construction, so a lookup checks only
-the argument's type, an equal complex hits the same entry and an entry
-dies with its complex; nothing in an entry refers back to the complex.
-Every call runs ``normalize``, which builds a fresh package from the
-normalized taus and reads its value's verdict (below), so every caller
-gets a new package of a verified value.
-
-Everything read from a package depends on its dims and taus alone, so
-each value has one entry, made by ``_derive`` when the value is first built
-and kept in an ``lru_cache`` of ``PACKAGE_MEMO_SIZE`` entries.  An entry
-holds the blocks, X products and f maps, and a store of what is read from
-the value later: the verdict of ``verify_package`` that ``normalize`` reads,
-``stats`` and the B-block nullities (``_b_nullities``, which the lemma
-checks and ``splice.subspace_bounds`` read) here; and in ``splice``, the
-splice side and the witness images of either knot, the witness families,
-and two values per pair the package is the first knot of: the pair's
-``SpliceRank`` and its checked witness counts and span.  A pair value is
-keyed on the second package's value, its dims and taus, so a store keeps no
-other package's entry alive.  Each package keeps its entry, so all equal
-packages share one, and ``_from_entry`` reads the store: it checks the
-argument's type, computes a value on a miss (a kept None is a hit) and
-stores nothing when the computation raises.  So ``verify_package``
-(6 products) runs once per value, when ``normalize`` first builds it, and
-a value that fails it fails on every build.  An evicted entry takes its
-values with it, the verdict too: an equal package built later derives and
-verifies them afresh.  A tau of the wrong size raises on every build.  A
-direct call of ``verify_package`` checks in full every time.
+Everything read from a package depends on its dims and taus alone, so each
+value has one entry, made by ``_derive`` and kept in an ``lru_cache`` of
+``PACKAGE_MEMO_SIZE`` entries: its blocks, X products and f maps, and a
+store of what is read from the value later (``_from_entry``): the verdict
+of ``verify_package``, ``stats``, the B nullities and, in ``splice``, the
+splice sides, the witness data and the pair values.  A pair value is kept
+in the first package's entry, keyed on the second package's value (its
+dims and taus), not on the package, so a store keeps no other package's
+entry alive.  So ``verify_package`` runs once per value, when ``normalize``
+first builds it; an evicted entry takes its values with it, and an equal
+package built later derives and verifies them afresh.  A computation that
+raises keeps nothing, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -73,7 +44,6 @@ import weakref
 from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -95,24 +65,14 @@ from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
 class Index(NamedTuple):
     """One index of the cycle: its names and the positions of prev and next."""
 
-    suffix: str  # of tau0, a_inf, fbar1, blocks_inf, f_inf, ...
-    label: str  # of X0, Xinf, Pinf, Qinf
+    suffix: str  # of tau0, a_inf, fbar1, w_inf, ...
+    label: str  # of X0, Xinf, B1, ...
     prev: int
     next: int
 
 
 # The index cycle 0 -> 1 -> inf -> 0, in the order of ``SurgeryPackage.dims``.
 CYCLE = (Index("0", "0", 2, 1), Index("1", "1", 0, 2), Index("_inf", "inf", 1, 0))
-
-
-@cache
-def _getter(stem: str) -> attrgetter:
-    return attrgetter(*[stem + k.suffix for k in CYCLE])
-
-
-def by_index(obj: object, stem: str) -> tuple:
-    """obj's attributes stem0, stem1 and stem_inf, in table order."""
-    return _getter(stem)(obj)
 
 
 # The most package values whose entries ``_derive`` keeps (see the module
@@ -128,18 +88,13 @@ class BlockSet(NamedTuple):
 
 @dataclass(frozen=True)
 class SurgeryPackage(Frozen):
-    """A normalised package: its dims and its tau maps, six defining fields.
-
-    Construction sets one more attribute, the entry of the package's value
-    (see the module docstring), and the blocks, X products and f maps are
-    read-only properties that read it, so ``dataclasses.replace`` derives
-    them for its own value; equality and hashing read the six defining
-    fields.  fbar_k = tau_prev(k)^-1 f_k tau_next(k) is not stored (see the
-    module docstring).  A dim that is not a nonnegative int (a bool is
-    refused, as it would equal and hash like the int) or a tau that is not a
-    ``Gf2Matrix`` raises ``ShapeMismatch``; a tau that is not square of size
-    a_prev + a_next raises ``NormalizationFailure``.
-    """
+    """A normalised package: its dims and its tau maps, six defining fields,
+    which equality and hashing read.  Construction keeps the entry of the
+    package's value (see the module docstring), which ``blocks``, ``xs`` and
+    ``fs`` read, so ``dataclasses.replace`` derives them afresh.  A dim that
+    is not a nonnegative int (a bool would equal and hash like the int) or a
+    tau that is not a ``Gf2Matrix`` raises ``ShapeMismatch``, and a tau that
+    is not square of size a_prev + a_next ``NormalizationFailure``."""
 
     a0: int
     a1: int
@@ -149,30 +104,29 @@ class SurgeryPackage(Frozen):
     tau_inf: Gf2Matrix
     _entry: _Entry = field(init=False, compare=False, repr=False)
 
-    blocks0 = property(lambda p: p._entry.blocks[0])
-    blocks1 = property(lambda p: p._entry.blocks[1])
-    blocks_inf = property(lambda p: p._entry.blocks[2])
-    X0 = property(lambda p: p._entry.xs[0])
-    X1 = property(lambda p: p._entry.xs[1])
-    Xinf = property(lambda p: p._entry.xs[2])
-    f0 = property(lambda p: p._entry.fs[0])
-    f1 = property(lambda p: p._entry.fs[1])
-    f_inf = property(lambda p: p._entry.fs[2])
+    blocks = property(lambda p: p._entry.blocks)
+    xs = property(lambda p: p._entry.xs)
+    fs = property(lambda p: p._entry.fs)
 
     def __post_init__(self):
         for k, a in zip(CYCLE, self.dims):
             if not is_int(a) or a < 0:
                 raise ShapeMismatch(f"package dim a{k.suffix} = {a!r} is not a nonnegative int")
-        require_type(Gf2Matrix, *by_index(self, "tau"))
-        object.__setattr__(self, "_entry", _derive(self.dims, by_index(self, "tau")))
+        taus = self.taus
+        require_type(Gf2Matrix, *taus)
+        object.__setattr__(self, "_entry", _derive(self.dims, taus))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a_inf)
 
+    @property
+    def taus(self) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
+        return (self.tau0, self.tau1, self.tau_inf)
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not the entry
-        return SurgeryPackage, (*self.dims, *by_index(self, "tau"))
+        return SurgeryPackage, (*self.dims, *self.taus)
 
 
 class _Entry(NamedTuple):
@@ -207,15 +161,13 @@ _MISSING = object()
 
 
 def _from_entry(p: SurgeryPackage, make: Callable[..., object], *args: Hashable) -> object:
-    """make(p, *args), kept in the store of p's entry under (make, *args)
-    if it returns (see the module docstring); a kept None is a hit too.  A
-    package first among args, the other package of a pair value, is keyed
-    by its value, its dims and taus, not by itself, so a store keeps no
-    other package's entry alive."""
+    """make(p, *args), kept in the store of p's entry under (make, *args) if
+    it returns, a kept None being a hit; a package first among args is keyed
+    by its dims and taus (see the module docstring)."""
     require_type(SurgeryPackage, p)
     store, key = p._entry.store, (make, *args)
     if args and isinstance(args[0], SurgeryPackage):
-        key = (make, args[0].dims, by_index(args[0], "tau"), *args[1:])
+        key = (make, args[0].dims, args[0].taus, *args[1:])
     value = store.get(key, _MISSING)
     if value is _MISSING:
         value = store[key] = make(p, *args)
@@ -241,18 +193,16 @@ def _times_normal_form(m: Gf2Matrix, bottom: int, a: int) -> tuple[int, ...]:
 
 
 def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
-    """Duality maps on the raw total surgery homologies, in table order.
-
-    An explicit override from the input is taken as given, checked for its
-    shape alone; otherwise the maps are built from the basis symmetry.
-    ``normal_basis`` checks the three barred-map relations in either case.
-    """
+    """Duality maps on the raw total surgery homologies, in table order: an
+    override from the input, taken as given and checked for its shape alone,
+    or else the maps built from the basis symmetry.  ``normal_basis`` checks
+    the three barred-map relations in either case."""
     require_type(BifilteredComplex, complex_)
     require_type(SurgeryTriple, triple)
     if complex_.tau_override is not None:
-        taus = by_index(complex_.tau_override, "tau")
-        for k, m in zip(CYCLE, taus):
-            n = triple.total_dim("H" + k.label)
+        override, totals = complex_.tau_override, triple.totals
+        taus = (override.tau0, override.tau1, override.tau_inf)
+        for m, n in zip(taus, (totals.n0, totals.n1, totals.n_inf)):
             if (m.rows, m.cols) != (n, n):
                 raise ShapeMismatch(f"tau override is {m.rows}x{m.cols}, expected {n}x{n}")
         return taus
@@ -273,9 +223,8 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     def shift(s):
         return lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
 
-    def tau_for(chains, which, reflect, relabel):
+    def tau_for(chains, spaces, reflect, relabel):
         """Block (t, s) is induced by relabel(s) from chains[s] to chains[t], t = reflect(s)."""
-        spaces = getattr(triple, which)
         blocks = {}
         for s in triple.window:
             if spaces[s].dim == 0:
@@ -285,14 +234,14 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
                 raise NormalizationFailure(f"duality reflects level {s} outside the window")
             chain = label_columns(chains[s], chains[t], relabel(s))
             blocks[(t, s)] = induced_by_columns(chain, spaces[s], spaces[t])
-        return triple.window_matrix(blocks, which, which)
+        return triple.window_matrix(blocks, spaces, spaces)
 
     cones0 = {s: c.cone for s, c in triple.cones0.items()}
     cones1 = {s: c.cone for s, c in triple.cones1.items()}
     return (
-        tau_for(cones0, "H0", lambda s: -s - 1, lambda s: swap),
-        tau_for(cones1, "H1", lambda s: -s, lambda s: swap),
-        tau_for(triple.spots, "Hinf", lambda s: -s, shift),
+        tau_for(cones0, triple.H0, lambda s: -s - 1, lambda s: swap),
+        tau_for(cones1, triple.H1, lambda s: -s, lambda s: swap),
+        tau_for(triple.spots, triple.Hinf, lambda s: -s, shift),
     )
 
 
@@ -305,14 +254,11 @@ _MADE_HERE = object()
 
 class NormalBasis(Frozen):
     """One knot's dims (a0, a1, a_inf) and normalized taus g_k^-1 tau_k g_k,
-    in table order, where the columns of g_k are the basis of H_k that puts
-    the triangle maps in normal form.  Only ``normal_basis`` makes one,
-    from duality maps that meet the barred-map relations with the totals,
-    and conjugates the taus there, once per knot; neither the maps nor the
-    bases are kept.  Built anywhere else, it raises ``ShapeMismatch``, and
-    it is ``Frozen``, so a basis that ``normalize`` accepts by its type is
-    one whose taus were checked.  A plain class with slots, as it is
-    cheaper to define at import than a dataclass."""
+    the columns of g_k being the basis of H_k that puts the triangle maps in
+    normal form.  Only ``normal_basis`` makes one (anywhere else it raises
+    ``ShapeMismatch``), from duality maps it has checked, and it is
+    ``Frozen``, so ``normalize`` trusts one by its type.  A plain class with
+    slots, as it is cheaper to define at import than a dataclass."""
 
     __slots__ = ("dims", "taus")
 
@@ -349,15 +295,15 @@ def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
         inverses = [tau.inverse() for tau in taus]
     except ShapeMismatch as exc:
         raise TauRelationFailure(f"duality map is singular: {exc}") from exc
+    f0, f1, f_inf = fs = (totals.f0, totals.f1, totals.f_inf)
     # fbar_k = tau_prev(k)^-1 f_k tau_next(k)
     bad = [
         "fbar" + k.suffix
-        for k, f, fbar in zip(CYCLE, by_index(totals, "f"), by_index(totals, "fbar"))
+        for k, f, fbar in zip(CYCLE, fs, (totals.fbar0, totals.fbar1, totals.fbar_inf))
         if fbar != inverses[k.prev] @ (f @ taus[k.next])
     ]
     if bad:
         raise TauRelationFailure(f"barred-map relations fail for: {', '.join(bad)}")
-    f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
     n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
 
     # W, U and Z1 are spanned by standard basis vectors: f applied to one
@@ -392,7 +338,7 @@ def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
     if ninf - len(z1) != a0 or n1 - a0 != a_inf:
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
     dims = (a0, a1, a_inf)
-    _check_normal_form(dims, by_index(totals, "f"), g, "triangle maps do not reach the normal form")
+    _check_normal_form(dims, fs, g, "triangle maps do not reach the normal form")
     normalized = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
     return NormalBasis(dims, normalized, _MADE_HERE)
 
@@ -416,16 +362,8 @@ def normalize(basis: NormalBasis) -> SurgeryPackage:
     from its taus and normal forms, so no fbar map needs a base change."""
     require_type(NormalBasis, basis)
     p = SurgeryPackage(*basis.dims, *basis.taus)
-    _from_entry(p, _verified)
+    _from_entry(p, verify_package)
     return p
-
-
-def _verified(p: SurgeryPackage) -> None:
-    """The verdict that ``normalize`` keeps per package value: None once
-    ``verify_package`` passes on p.  The store's key is this function, not
-    ``verify_package``, so a wrapper put on that name (a trace, say) runs
-    on a miss and changes no key."""
-    verify_package(p)
 
 
 def verify_package(p: SurgeryPackage) -> None:
@@ -455,8 +393,8 @@ def verify_package(p: SurgeryPackage) -> None:
     ranks, so the barred triangle is exact.
     """
     require_type(SurgeryPackage, p)
-    dims, taus = p.dims, by_index(p, "tau")
-    for (suffix, _, prev, _), tau in zip(CYCLE, taus):
+    dims = p.dims
+    for (suffix, _, prev, _), tau in zip(CYCLE, p.taus):
         top = dims[prev]
         s = [row ^ (1 << i) for i, row in enumerate((tau @ tau).row_bits)]
         if any(s[:top]) or any(row >> top for row in s[top:]):
@@ -465,8 +403,7 @@ def verify_package(p: SurgeryPackage) -> None:
             except ShapeMismatch as exc:
                 raise NormalizationFailure(f"tau{suffix} is singular: {exc}") from exc
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
-    for k in CYCLE:
-        x = getattr(p, "X" + k.label)
+    for k, x in zip(CYCLE, p.xs):
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"X{k.label} does not square to zero")
 
@@ -475,12 +412,10 @@ _BUILT: weakref.WeakKeyDictionary[BifilteredComplex, NormalBasis] = weakref.Weak
 
 
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
-    """Full pipeline: surgery triple, duality maps, normalized package.
-
-    The normal-form basis comes from the memo (see the module docstring)
-    or, on the first call for a complex, from ``triple`` or a fresh
-    ``total_package``; a triple of another complex raises ``ShapeMismatch``.
-    """
+    """Full pipeline: surgery triple, duality maps, normalized package.  The
+    normal-form basis comes from the memo or, on a complex's first call, from
+    ``triple`` or a fresh ``total_package``; a triple of another complex
+    raises ``ShapeMismatch``."""
     require_type(BifilteredComplex, complex_)
     if triple is not None:
         require_type(SurgeryTriple, triple)
@@ -544,22 +479,18 @@ def _pair_dims(f: Gf2Matrix, tau_f: tuple[int, ...], f_tau: tuple[int, ...]) -> 
 
 
 def stats(p: SurgeryPackage) -> PackageStats:
-    """Direct subspace dimensions, cross-checked against the closed forms.
-
-    The pair dims read each fbar_k = tau_prev(k)^-1 f_k tau_next(k) through
-    tau_prev(k) f_k and f_k tau_next(k) (see ``_pair_dims``), so no fbar map
-    is formed.  Kept per package value (see the module docstring).
-    """
+    """Direct subspace dimensions, cross-checked against the closed forms;
+    no fbar map is formed (see ``_pair_dims``).  Kept per package value."""
     return _from_entry(p, _stats)
 
 
 def _stats(p: SurgeryPackage) -> PackageStats:
-    dims, taus = p.dims, by_index(p, "tau")
-    r = [blocks.B.rank() for blocks in by_index(p, "blocks")]
+    dims, taus = p.dims, p.taus
+    r = [blocks.B.rank() for blocks in p.blocks]
     k, l, c, d = zip(
         *(
             _pair_dims(f, _times_normal_form(taus[prev], dims[nxt], a), (f @ taus[nxt]).row_bits)
-            for f, a, (_, _, prev, nxt) in zip(by_index(p, "f"), dims, CYCLE)
+            for f, a, (_, _, prev, nxt) in zip(p.fs, dims, CYCLE)
         )
     )
 
@@ -587,17 +518,14 @@ def _stats(p: SurgeryPackage) -> PackageStats:
 
 def _b_nullities(p: SurgeryPackage) -> tuple[Mapping[str, int], Mapping[str, int]]:
     """The kernel and the cokernel dims of p's B blocks and of their
-    products of two, by name: "B1" is blocks1.B and "B1 B0" is
-    blocks1.B @ blocks0.B; kept per package value (see the module
-    docstring), and read by the lemma 3.3 and 3.7 checks and
-    ``splice.subspace_bounds``.  B_k is a_prev(k) x a_next(k) of rank r_k,
-    read from the memoised ``stats``, so no B block is eliminated again; the
-    only products of two that fit are B_k B_prev(k), each eliminated once.
-    B_k is injective when its kernel is 0, and surjective when its cokernel
-    is."""
-    dims, blocks = p.dims, by_index(p, "blocks")
+    products of two, by name: "B1" is blocks[1].B and "B1 B0" is
+    blocks[1].B @ blocks[0].B; kept per package value.  B_k is
+    a_prev(k) x a_next(k) of rank r_k, read from the memoised ``stats``, so
+    no B block is eliminated again; the only products of two that fit are
+    B_k B_prev(k), each eliminated once."""
+    dims, blocks, st = p.dims, p.blocks, stats(p)
     ker, coker = {}, {}
-    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, by_index(stats(p), "r")):
+    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, (st.r0, st.r1, st.r_inf)):
         ker["B" + label], coker["B" + label] = dims[nxt] - r, dims[prev] - r
         product = b.B @ blocks[prev].B
         rank = product.rank()

@@ -9,13 +9,10 @@ mapped through the flip.  Both come from one ``surgery.PlaneStore``:
 duality pipelines are made at the level of dimensions.
 
 ``check_all_lemmas`` keeps each knot's reports, and nothing else, in a
-``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo:
-a complex is valid by construction, so a lookup checks only the argument's
-type, an equal complex hits the same entry and an entry dies with its
-complex.  The lemma 3.3 and 3.7 checks read the kernel and cokernel dims of
-the B blocks and of B1 B0 from the package value's entry
-(``duality._b_nullities``, which ``splice.subspace_bounds`` reads too), so
-they eliminate no B block or product of their own.
+``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo.
+The lemma 3.3 and 3.7 checks read the B-block nullities from the package
+value's entry (``duality._b_nullities``), so they eliminate no B block or
+product of their own.
 
 Graded pieces by a diagonal sweep
 ---------------------------------
@@ -54,14 +51,9 @@ from typing import Callable
 
 from .errors import StatsInconsistent, require_type
 from .gf2 import Gf2Matrix, span_dim, span_intersection, xor_columns
-from .homology import (
-    ChainComplexF2,
-    HomologySpace,
-    inclusion_columns,
-    induced_by_columns,
-)
+from .homology import ChainComplexF2, HomologySpace, induced_by_columns
 from .model import BifilteredComplex, flip_map
-from .surgery import PlaneStore, SurgeryTriple, total_package
+from .surgery import PlaneStore, SurgeryTriple, label_columns, total_package
 from .duality import SurgeryPackage, _b_nullities, _from_entry, geometric_package
 
 E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
@@ -122,7 +114,7 @@ def _build_side(
         kernels[s] = iota.kernel_basis()
         spaces[s] = h
         if prev_sub is not None:
-            inc = induced_by_columns(inclusion_columns(prev_sub, sub), spaces[s - 1], h)
+            inc = induced_by_columns(label_columns(prev_sub, sub, lambda lbl: lbl), spaces[s - 1], h)
             incs[s] = inc.transpose().row_bits
         prev_sub = sub
 
@@ -179,10 +171,13 @@ def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -
     require_type(BifilteredComplex, complex_)
     if _planes is None:
         _planes = PlaneStore(flip_map(complex_))
-    ambient_h = HomologySpace(_planes.flip.target)
+    ambient = _planes.flip.target
+    ambient_h = HomologySpace(ambient)
 
     lo, hi = complex_.grading_range()
-    row = _build_side(range(lo - 1, hi + 2), _planes.first, _planes.include, ambient_h)
+    row = _build_side(
+        range(lo - 1, hi + 2), _planes.first, lambda sub: label_columns(sub, ambient, lambda lbl: lbl), ambient_h
+    )
     col = _build_side(range(-hi - 1, -lo + 2), _planes.second, _planes.flip_columns, ambient_h)
     hf_dim = ambient_h.dim
 

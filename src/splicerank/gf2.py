@@ -2,56 +2,29 @@
 
 A matrix stores one Python int per row; bit ``c`` of row ``r`` is the entry
 at ``(r, c)``.  Column vectors are plain ints with bit ``i`` holding
-coordinate ``i``.  Zero-dimensional matrices are legal values throughout.
+coordinate ``i``; a negative int, which has infinitely many set bits, is no
+vector.  Zero-dimensional matrices are legal values throughout.
 
 Who validates what: rows from outside this module enter through the public
 constructors (``Gf2Matrix(...)``, ``from_entries``, ``from_dense``,
-``from_columns``), which reject a negative shape, a container of rows,
-entries or columns of the wrong kind, a row, column or entry that is not an
-int, and any bit beyond the shape; ``BlockGrid`` rejects a block that is
-not a matrix, and ``kron_side`` a factor that is not a ``KronFactor`` or
-does not fit its block.  A result of this module's own operations
-(``identity``, ``@``, ``+``, ``transpose``, ``inverse``, ``cut_blocks``,
-``from_columns`` after its range check, ``BlockGrid.assemble`` and
-``kron_blocks``) is in range by construction, so it is built by
-``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
+``from_columns``), which reject a negative shape, a container or value of
+the wrong kind and any bit beyond the shape; ``BlockGrid`` and
+``kron_side`` reject a block or factor that does not fit its slot.  A result
+of this module's own operations is in range by construction, so it is built
+by ``Gf2Matrix._trusted``, with no scan and no copy; nothing outside this
 module calls that.  A matrix, a ``KronFactor`` and a ``KronSide`` are
 ``errors.Frozen`` records: the memos downstream hand one value to every
-caller, so none may change it for the next.  An operand or range of the
-wrong kind (``m @ 3``, ``cut_blocks(m, "a")``) is one ``isinstance`` away
-from a ``ShapeMismatch``; no row is scanned for it.
+caller, so none may change it for the next.
 
-``@`` copies the right operand's row for a left row with at most one set
-bit, the rows of a permutation, an identity or a normal form (0 0; I 0),
-and XORs rows together only for the others.  ``cut_blocks`` cuts the A, B
-and D blocks of a square matrix in one pass over its rows, where cutting
-each block by its ranges would make three.
-
-``kron_blocks`` writes a Kronecker sum of terms L ⊗ R from its two sides,
-each made once by ``kron_side``: a side holds its factor of every term,
-laid out by ``kron_factor`` (the nonzero rows with their set-bit positions
-and the nonzero rows as ints), and the mask of its terms whose factor is
-nonzero.  ``kron_side`` checks every factor's shape against its block, so
-a call checks only that the two sides lay out the same terms, visits only
-the terms nonzero on both, and costs one XOR per set bit of a left factor
-and nonzero row of its right factor: a sparse ``D`` costs its number of
-nonzeros, not its rows times its terms, and no factor's rows are scanned
-or checked again however often a side is reused.
-
-Two helpers serve Kronecker products of vectors.  ``spread`` lays a vector
-u out so that one multiplication by v < 2**n gives u ⊗ v.
-``outer_sum_rows`` writes a short sum of outer products p qᵀ out by its
-nonzero rows, by XOR alone: the sum is zero exactly when there are none,
-and the rows show where it is not.
+``kron_side`` checks every factor's shape once, when a side is made, so
+``kron_blocks`` checks none however often a side is reused, and costs one
+XOR per set bit of a left factor and nonzero row of its right factor: a
+sparse ``D`` costs its number of nonzeros, not its rows times its terms.
 
 Elimination has one core, the dict of ``low_pivots``: each row keyed on its
-lowest set bit, no two rows on the same bit.  ``echelon`` reduces it further,
-so that no row has a bit at another row's pivot.  That is the reduced row
-echelon form, which is unique, so ``kernel_basis`` and ``inverse`` return
-the same vectors however the rows are ordered.
-``span_intersection`` and ``pivot_columns`` need only the forward pass, and
-``reduce`` tests a vector against the dict: ``homology.HomologySpace`` finds
-its representatives and coordinates that way.
+lowest set bit, no two rows on the same bit.  ``echelon`` reduces it to the
+reduced row echelon form, which is unique, so ``kernel_basis`` and
+``inverse`` return the same vectors however the rows are ordered.
 
 ``high_pivots`` runs the same forward pass keyed on the highest bit, for the
 two questions whose answer is the set of keys.  A dimension (``rank``,
@@ -74,6 +47,8 @@ from .errors import Frozen, ShapeMismatch
 
 def bits_of(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in increasing order."""
+    if mask < 0:
+        raise _negative(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -83,6 +58,8 @@ def bits_of(mask: int) -> Iterator[int]:
 def xor_columns(columns: Sequence[int], mask: int) -> int:
     """The XOR of columns[k] over the set bits k of mask: a matrix given by
     its columns, applied to the vector mask."""
+    if mask < 0:
+        raise _negative(mask)
     out = 0
     while mask:
         low = mask & -mask
@@ -96,6 +73,8 @@ def spread(u: int, n: int) -> int:
     is the Kronecker product u ⊗ v, with bit a * n + b for each set bit a
     of u and b of v: the shifted copies of v lie in disjoint n-bit slots,
     so the product carries nothing."""
+    if u < 0:
+        raise _negative(u)
     out = 0
     while u:
         low = u & -u
@@ -581,21 +560,15 @@ def kron_side(
 
 
 def kron_blocks(left: KronSide, right: KronSide) -> Gf2Matrix:
-    """The block matrix whose block (i, j) is the sum of the Kronecker
-    products L ⊗ R over the terms in it, L the left side's factor of the
-    term and R the right side's (see ``kron_side``); a block with no
-    terms is zero.
+    """The block matrix whose block (i, j) is the sum of L ⊗ R over its
+    terms, L the left side's factor and R the right side's; row block i has
+    left.row_dims[i] * right.row_dims[i] rows, and column blocks likewise.
 
-    Row block i has left.row_dims[i] * right.row_dims[i] rows, and column
-    block j left.col_dims[j] * right.col_dims[j] columns.  Only the terms
-    nonzero on both sides (left.mask & right.mask) are visited, and each is
-    written from its factors' nonzeros: for each set bit c of L's row r1
-    and each nonzero row r2 of R, R's row r2, shifted to the column block's
-    offset plus c * R.cols, is XORed into row (r1, r2) of the row block.
-    No Kronecker product or block is built on the way, no row of a factor
-    is scanned, and no factor is checked again.  Sides of different terms
-    or grids, or an argument that is not a ``KronSide``, raise
-    ShapeMismatch.
+    Only the terms nonzero on both sides are visited: for each set bit c of
+    L's row r1 and each nonzero row r2 of R, R's row r2, shifted to the
+    column block's offset plus c * R.cols, is XORed into row (r1, r2) of the
+    row block.  Sides of different terms or grids, or an argument that is
+    not a ``KronSide``, raise ShapeMismatch.
     """
     if not (isinstance(left, KronSide) and isinstance(right, KronSide)):
         raise ShapeMismatch(f"kron_blocks of {left!r} and {right!r}: both must be KronSides")
@@ -633,6 +606,11 @@ def _operand_error(op: str, m: Gf2Matrix, joiner: str, other: object) -> ShapeMi
     if not isinstance(other, Gf2Matrix):
         return ShapeMismatch(f"{op} {m.rows}x{m.cols} {joiner} {other!r}, not a Gf2Matrix")
     return ShapeMismatch(f"{op} {m.rows}x{m.cols} {joiner} {other.rows}x{other.cols}")
+
+
+def _negative(v: int) -> ShapeMismatch:
+    # a negative int has infinitely many set bits, so no loop over them ends
+    return ShapeMismatch(f"{v!r} is negative, not a vector of bits")
 
 
 def _check_dims(*dims: int) -> None:

@@ -129,9 +129,3 @@ def induced_by_columns(columns: Sequence[int], source: HomologySpace, target: Ho
     require_type(HomologySpace, source, target)
     cols = [target.coords(xor_columns(columns, rep)) for rep in source.reps]
     return Gf2Matrix.from_columns(cols, target.dim)
-
-
-def inclusion_columns(sub: ChainComplexF2, parent: ChainComplexF2) -> list[int]:
-    """Columns of the inclusion of a sub-complex: each label to its position in parent."""
-    require_type(ChainComplexF2, sub, parent)
-    return [1 << parent.index[label] for label in sub.basis]

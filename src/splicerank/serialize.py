@@ -165,12 +165,14 @@ def complex_to_dict(complex_: BifilteredComplex) -> dict:
 
 
 def load_complex(path: str) -> BifilteredComplex:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # JSON text is UTF-8, so a file that does not decode is not JSON
-        raise InputFormatError("/", f"not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, text that is not UTF-8 (JSON text
+            # is) and an integer literal past Python's digit limit;
+            # RecursionError a document nested deeper than the parser recurses
+            raise InputFormatError("/", f"not valid JSON: {exc}") from exc
     return complex_from_dict(doc)
 
 

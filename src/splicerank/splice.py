@@ -1,93 +1,49 @@
 """The splice matrix, its rank invariant, witnesses, bounds and verdicts.
 
-The 6x6-block matrix of the splicing formula is assembled from the normalized
-duality blocks of the two knots; its kernel plus cokernel rank is the rank of
-the hat invariant of the spliced manifold.  Column blocks follow the
-six-component witness vector of the linear-algebra argument; row blocks follow
+The 6x6-block matrix D of the splicing formula is assembled from the
+normalized duality blocks of the two knots; its kernel plus cokernel rank is
+the rank of the hat invariant of the spliced manifold.  Column blocks follow
+the six-component witness vector of the linear-algebra argument, row blocks
 the printed order of the block matrix.  Identity block sizes are the unique
-shape-consistent choices and assembly hard-fails on any inconsistency.
+shape-consistent choices.  Each of D's 24 nonzero blocks is a sum of
+Kronecker products (factor of the first knot) ⊗ (factor of the second knot),
+31 terms in all (``_TERMS``); ``tests/oracles.reference_build_D`` keeps the
+block-by-block assembly as the reference.
 
-D is assembled in one pass from the term table ``_TERMS``: each of its 24
-nonzero blocks is a sum of Kronecker products (factor of the first knot) ⊗
-(factor of the second knot), 31 terms in all, and a factor is an identity
-on one of the knot's dims or a product of two of its A, B, D and X1
-matrices.  ``build_D`` reads each knot's side (``_side``, a
-``gf2.KronSide``): its factor of every term, in ``_TERMS`` order, laid out
-by ``gf2.kron_factor``, and the mask of the terms whose factor is nonzero.
-``gf2.kron_blocks`` takes the block offsets from the products of the two
-sides' dims and writes the rows of D straight from the factors' nonzeros,
-visiting only the terms nonzero on both sides.
-``tests/oracles.reference_build_D`` keeps the block-by-block assembly as
-the reference.
-
-Per-package values
-------------------
 A knot's splice sides, witness families and witness images depend on its
-package's value alone, so they are kept in that value's entry, as
-``duality.stats`` and the B-block nullities that ``subspace_bounds`` reads
-are (see ``duality``).  The first and the second knot's sides are two keys
-of the store, so a cold ``build_D`` makes 28 products even for a
-self-splice, and so are its witness images (below).  Each of a side's 17
-distinct factors (14 products, 3 identities) is laid out once, and
-``gf2.kron_side`` checks every factor's shape against the dims that
-``_ROW_BLOCKS`` and ``_COL_BLOCKS`` name for its block when the side is
-made, once per value; a warm ``build_D`` builds no matrix but D and checks
-no term.  The values are immutable (``KronSide``s, mapping proxies and
-tuples), so no caller can change what the next one reads.
-
-What joins the two knots, the rank of D and the witnesses, depends on the
-pair's two values alone.  The check path keeps two values per pair in the
-first package's entry, keyed on the second package's value (its dims and
-taus, not the package, so the entry keeps no other entry alive), and they
-die with that entry: ``_pair_rank``, the pair's ``SpliceRank`` from one
-``splice_rank`` call, and ``_pair_witnesses``, the witness count, the
-nonzero count and the witness span, kept once the per-knot check below
-has passed.  Both hold ints only.  ``kernel_witnesses``
-reads both and ``subspace_bounds`` only the rank, so a ``theorem_check``
-and a ``subspace_bounds`` of one pair build D once between them, a warm
-one builds none, and a lone ``subspace_bounds`` builds no witness.  A
-failed check keeps nothing, so it raises on every call.  ``splice_rank``
-itself keeps nothing: each call builds and eliminates D.
+package's value alone, so they are kept in that value's entry (see
+``duality``), checked once when made.  What joins two knots, the rank of D
+and the witness counts and span, depends on the pair's two values alone: the
+check path keeps it in the first package's entry, keyed on the second
+package's value (its dims and taus), so the entry keeps no other entry
+alive.  A theorem check and the bounds of one pair thus build D once between
+them, and a warm one builds none.  ``splice_rank`` itself keeps nothing.
 
 Column layout and kernel witnesses
 ----------------------------------
-The six column blocks of D have the dims (left, right), in the order
-
-    (a_inf, a_inf), (a_inf, a0), (a1, a0), (a0, a_inf), (a0, a1), (a1, a1),
-
-and block k holds Kronecker products u ⊗ v, u of length p1.left and v of
-length p2.right, bit a * n + b of u ⊗ v for bits a of u and b of v, n =
-p2.right.  ``build_D`` reads its column dims from this table
-(``_COL_BLOCKS``), the witnesses their block offsets and Kronecker widths.
-Each knot has six witness families (``_family_parts``), two per index k of
-the cycle in ``duality.CYCLE``: z_k = Ker B_next(k), and w_k, the kernel of
-(B_prev(k) 0; D_prev(k) + A_next(k) B_next(k)), whose vectors have parts
-(x, y) split at a_k; a vector of z_k is one part z.  The witness W(u, v) of
-a pair of vectors, one per knot, is a sum of terms, each a part of the
-first times a part of the second in one column block; ``_WITNESS_TERMS``
-lists them for the six family pairs that have any.  A vector has no parts
-of another family, so every other family pair (30 of the 36) gives the
-witness 0.  A nonzero witness is built by multiplication: for v < 2**n,
-``gf2.spread(x, n)`` puts bit a of x at bit a * n, so v * spread(x, n) is
-x ⊗ v, as the shifted copies of v lie in disjoint n-bit slots and carry
-nothing.  Each first-knot part is spread once per vector, not once per pair.
+Block k of D's columns holds Kronecker products u ⊗ v, u of length
+p1.left and v of length p2.right (``_COL_BLOCKS``), bit a * n + b of u ⊗ v
+for bits a of u and b of v, n = p2.right.  Each knot has six witness
+families (``_family_parts``), two per index k of the cycle: z_k = Ker
+B_next(k), and w_k, the kernel of (B_prev(k) 0; D_prev(k) + A_next(k)
+B_next(k)), whose vectors have parts (x, y) split at a_k; a vector of z_k is
+one part z.  The witness W(u, v) of a pair of vectors, one per knot, is a
+sum of terms, each a part of the first times a part of the second in one
+column block; ``_WITNESS_TERMS`` lists them for the six family pairs that
+have any, and every other family pair (30 of the 36) gives the witness 0.
+A term x ⊗ v is built as v * spread(x, n) (see ``gf2.spread``).
 
 The check that D annihilates every witness is made per knot, without D.
-The terms of D that meet the witnesses of a family pair are those whose
-column block the pair's terms hit (``_WITNESS_CHECKS``, grouped by row
-block), and term t, L_t ⊗ R_t, sends x ⊗ y to (L_t x) ⊗ (R_t y).  So row
-block i of D·W(u_a, v_b) is the sum over those terms s in row block i of
-(L_s x_a) ⊗ (R_s y_b), x_a the term's part of u_a and y_b of v_b.  Each
-knot keeps, per package value and side (``_witness_images``), every such
-image of all of its family's vectors flattened into one int,
+Term t of D, L_t ⊗ R_t, sends x ⊗ y to (L_t x) ⊗ (R_t y).  So row block i
+of D·W(u_a, v_b) is the sum, over the terms s in row block i whose column
+block the pair's terms hit (``_WITNESS_CHECKS``), of (L_s x_a) ⊗ (R_s y_b),
+x_a the term's part of u_a and y_b of v_b.  Each knot keeps every such image
+of all of its family's vectors flattened into one int,
 P_s = Σ_a (L_s x_a) << (a * L_s.rows), and Q_s likewise on the other side.
-Entry ((r1, a), (r2, b)) of the matrix Σ_s P_s Q_sᵀ is then row (r1, r2)
-of row block i of D·W(u_a, v_b), so D annihilates every witness of the
-pair in that row block exactly when the sum is zero.  ``gf2.outer_sum_rows``
-writes the sum out by its nonzero rows, in one pass of XORs: the check
-passes when there are none, and otherwise the same rows name the witnesses
-outside Ker D, as a nonzero entry ((r1, a), (r2, b)) is one for the pair
-(u_a, v_b); the error names the first in pair order.  No D is read.
+Entry ((r1, a), (r2, b)) of Σ_s P_s Q_sᵀ is then row (r1, r2) of row block
+i of D·W(u_a, v_b), so D annihilates every witness of the pair in that row
+block exactly when the sum is zero, and a nonzero entry names a pair
+(u_a, v_b) whose witness is outside Ker D.
 """
 
 from __future__ import annotations
@@ -97,7 +53,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
 
-from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, by_index, stats
+from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, stats
 from .errors import WitnessNotInKernel, require_type
 from .gf2 import (
     BlockGrid,
@@ -117,35 +73,23 @@ class SpliceMatrix:
     matrix: Gf2Matrix
 
 
-# D's column blocks: the package dims (first knot, second knot) whose
-# product is the block's width (see the module docstring).
-_COL_BLOCKS = (
-    ("a_inf", "a_inf"),
-    ("a_inf", "a0"),
-    ("a1", "a0"),
-    ("a0", "a_inf"),
-    ("a0", "a1"),
-    ("a1", "a1"),
-)
+# D's column blocks: the positions in ``SurgeryPackage.dims`` of the dims
+# (first knot, second knot) whose product is the block's width,
+# (a_inf, a_inf), (a_inf, a0), (a1, a0), (a0, a_inf), (a0, a1), (a1, a1).
+_COL_BLOCKS = ((2, 2), (2, 0), (1, 0), (0, 2), (0, 1), (1, 1))
 
+# D's row blocks, in the printed order of the block matrix, in the same form:
+# (a0, a0), (a_inf, a1), (a_inf, a0), (a1, a_inf), (a0, a_inf), (a1, a1).
+_ROW_BLOCKS = ((0, 0), (2, 1), (2, 0), (1, 2), (0, 2), (1, 1))
 
-# D's row blocks, in the printed order of the block matrix, in the same form.
-_ROW_BLOCKS = (
-    ("a0", "a0"),
-    ("a_inf", "a1"),
-    ("a_inf", "a0"),
-    ("a1", "a_inf"),
-    ("a0", "a_inf"),
-    ("a1", "a1"),
-)
-
-_DIMS = frozenset(("a0", "a1", "a_inf"))
+# The position in ``SurgeryPackage.dims`` of each dim a factor of _TERMS names.
+_DIMS = {"a0": 0, "a1": 1, "a_inf": 2}
 
 # D's nonzero blocks (row block, column block), each a sum of Kronecker
 # products (first knot's factor) ⊗ (second knot's factor).  A factor is a
 # dim, standing for the identity on it, or a product of two of the knot's
-# matrices in the printed order: "Dinf B1" is blocks_inf.D @ blocks1.B, and
-# "X1" is the package's X1.
+# matrices in the printed order: "Dinf B1" is blocks[2].D @ blocks[1].B, and
+# "X1" is xs[1].
 _TERMS = {
     (0, 0): (("Dinf B1", "B1 A0"),),
     (0, 1): (("B1 A0", "a0"),),
@@ -179,26 +123,25 @@ _TERM_BLOCKS = tuple([block for block, _ in _TERM_LIST])
 
 def _side(p: SurgeryPackage, side: int) -> KronSide:
     """One knot's splice side, as the first knot (side 0) or the second (1):
-    its factor of each term of D (see ``_TERMS``), each distinct factor laid
-    out once by ``kron_factor``, and each checked by ``kron_side`` against
-    the dims that ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` name for its block;
-    kept per package value and side (see the module docstring)."""
-    mats = {"X1": p.X1}
-    for k, blocks in zip(CYCLE, by_index(p, "blocks")):
+    its factor of each term of D (see ``_TERMS``), each distinct one laid out
+    once, and each checked by ``kron_side`` against the dims that
+    ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` give its block; kept per value."""
+    dims, mats = p.dims, {"X1": p.xs[1]}
+    for k, blocks in zip(CYCLE, p.blocks):
         mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
     laid = {}
     for _, pair in _TERM_LIST:
         name = pair[side]
         if name not in laid:
             if name in _DIMS:
-                m = Gf2Matrix.identity(getattr(p, name))
+                m = Gf2Matrix.identity(dims[_DIMS[name]])
             else:
                 first, second = name.split()
                 m = mats[first] @ mats[second]
             laid[name] = kron_factor(m)
     return kron_side(
-        [getattr(p, dims[side]) for dims in _ROW_BLOCKS],
-        [getattr(p, dims[side]) for dims in _COL_BLOCKS],
+        [dims[block[side]] for block in _ROW_BLOCKS],
+        [dims[block[side]] for block in _COL_BLOCKS],
         _TERM_BLOCKS,
         [laid[pair[side]] for _, pair in _TERM_LIST],
     )
@@ -230,10 +173,9 @@ def splice_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
 
 
 def _pair_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
-    """The pair's ``splice_rank``, the value the check path keeps in the
-    first package's entry (see the module docstring).  The store's key is
-    this function, not ``splice_rank``, so a wrapper put on that name (a
-    trace, say) runs on a miss and changes no key."""
+    """The pair's ``splice_rank``, kept by the check path under this key:
+    a wrapper put on the name ``splice_rank`` (a trace, say) runs on a miss
+    and changes no key."""
     return splice_rank(p1, p2)
 
 
@@ -292,7 +234,7 @@ def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ..
     """One knot's witness families, w_k and z_k for each index k, their
     vectors split into their parts, by family, in pair-numbering order;
     kept per package value (see the module docstring)."""
-    blocks = by_index(p, "blocks")
+    blocks = p.blocks
     out = {}
     for (suffix, _, prev, nxt), a in zip(CYCLE, p.dims):
         before, after = blocks[prev], blocks[nxt]
@@ -338,8 +280,8 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> list[int]:
     blocks = []  # (offset in D's columns, length of the second knot's factor)
     at = 0
     for left, right in _COL_BLOCKS:
-        blocks.append((at, getattr(p2, right)))
-        at += getattr(p1, left) * getattr(p2, right)
+        blocks.append((at, p2.dims[right]))
+        at += p1.dims[left] * p2.dims[right]
     found = []
     for (name1, name2), terms in _WITNESS_TERMS.items():
         seconds = [tuple([v[part2] for _, _, part2 in terms]) for v in fam2[name2]]
@@ -376,8 +318,8 @@ def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, i
     width = sum(map(len, fam2.values()))
     outside = []  # the pair number of each witness found outside Ker D
     for ((name1, name2), group), ps, qs in zip(_WITNESS_CHECKS, left, right):
-        dim1, dim2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
-        rows1, rows2 = getattr(p1, dim1), getattr(p2, dim2)
+        k1, k2 = _ROW_BLOCKS[_TERM_BLOCKS[group[0][0]][0]]
+        rows1, rows2 = p1.dims[k1], p2.dims[k2]
         # a nonzero row (r1, a), at bit a * rows1 + r1, is one of u_a's: its
         # lowest bit b * rows2 + r2 names its first pair (u_a, v_b)
         outside += [
@@ -391,15 +333,12 @@ def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, i
 
 
 def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
-    """Assemble every basis witness, verify annihilation, check both bounds.
+    """Every basis witness checked to lie in Ker D, and both six-term bounds.
 
-    Only the six family pairs of ``_WITNESS_TERMS`` give a nonzero witness
-    (see the module docstring); the witnesses of the other 30 are counted in
-    ``checked`` without being built.  Annihilation is checked per knot, from
-    the two knots' witness images, with no D; a failed check names the
-    first witness, in pair order, outside Ker D.  The witness counts and
-    span, and the rank of D, are read from the pair's values in the first
-    package's entry, so a warm call builds no witness and no D.
+    The witnesses of the 30 family pairs outside ``_WITNESS_TERMS`` are 0 and
+    only counted.  A failed check names the first witness, in pair order,
+    outside Ker D; the counts, the span and the rank of D are the pair's
+    values (see the module docstring), so a warm call builds no witness or D.
     """
     require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
@@ -443,12 +382,9 @@ class SubspaceBound:
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
     """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses.
 
-    Whether a B block is injective or surjective, and the kernel and
-    cokernel dims of a B block or of a product of two, come from each
-    knot's ``duality._b_nullities``, and the rank of D from the pair's
-    ``_pair_rank``, so a warm call eliminates nothing and a cold one builds
-    no witness.  The first knot's blocks are read through the involution
-    0 <-> inf.
+    The nullities come from each knot's ``duality._b_nullities`` and the rank
+    of D from ``_pair_rank``, so a warm call eliminates nothing.  The first
+    knot's blocks are read through the involution 0 <-> inf.
     """
     require_type(SurgeryPackage, p1, p2)
     (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)

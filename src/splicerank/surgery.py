@@ -16,14 +16,10 @@ j = -s; the barred one (fbar_inf, fbar_0, fbar_1) takes the n = 0 cone at
 s - 1, whose quotient is the part of summand u at i = s.  One routine builds
 either from the lift of a spot label into the n = 1 cone: the projection is
 its inverse on the spot basis, and the connecting map is the chain-level
-zig-zag through it.  ``_FAMILIES`` gives each of the six families its source
-and target spaces and their level shifts; the totals, the exactness check
-and the window assembly read it, and the duality maps are assembled over
-the window by the same ``window_matrix``.
+zig-zag through it.
 
-Every plane comes from one ``PlaneStore`` per knot, built on the flip map's
-two planes C{j=0} (``flip.target``) and C{i=0} (``flip.source``).  It cuts
-each sub-plane once, by ``ChainComplexF2.restrict``, and keeps it by level:
+Every plane comes from one ``PlaneStore`` per knot, which cuts each
+sub-plane of the flip's two planes once and keeps it by level:
 
     first(s)   C{i<=s, j=0}    summand u of both cones at level s, and the
                                row-side filtration of ``filtration.profile``;
@@ -33,22 +29,8 @@ each sub-plane once, by ``ChainComplexF2.restrict``, and keeps it by level:
                                column-side filtration;
     spot(s)    C{i=0, j=-s}    H_inf at level s.
 
-It reads the flip's columns once, for every cone's chain map and for the
-column side of the filtration.  The store lives as long as the
-``SurgeryTriple`` (or the ``profile`` call) that made it; ``check_all_lemmas``
-hands the triple's store to ``profile``, so one lemma run cuts each plane once.
-
-A ``SurgeryTriple`` is exact and window-stable once built: its constructor
-raises ``WindowNotStable`` if a surgery group outside the window is nonzero,
-and ``NormalizationFailure`` naming every node (``exactness_failures``)
-where either triangle is not exact.
-
-``SurgeryTriple.totals`` is a small ``SurgeryTotals`` of the six total maps
-and the three total dimensions.  ``duality.normal_basis`` reads it once per
-knot: the three f maps and the dimensions to build the normal-form basis,
-and the three fbar maps to check the duality maps.  ``duality`` keeps the
-basis, not the totals; the cones, the planes and the homology spaces go
-with the triple.
+``check_all_lemmas`` hands a triple's store to ``profile``, so one lemma run
+cuts each plane once.
 """
 
 from __future__ import annotations
@@ -59,7 +41,7 @@ from typing import Callable, Hashable, NamedTuple
 
 from .errors import NormalizationFailure, ShapeMismatch, WindowNotStable, require_type
 from .gf2 import BlockGrid, Gf2Matrix, xor_columns
-from .homology import ChainComplexF2, HomologySpace, inclusion_columns, induced_by_columns
+from .homology import ChainComplexF2, HomologySpace, induced_by_columns
 from .model import BifilteredComplex, FlipMap, flip_map
 
 
@@ -84,36 +66,14 @@ def label_columns(
     target: ChainComplexF2,
     fn: Callable[[Hashable], Hashable | None],
 ) -> list[int]:
-    """Columns of the linear map sending each basis label through fn (None kills)."""
+    """Columns of the linear map sending each basis label through fn (None
+    kills); an image that is not a label of target raises ShapeMismatch."""
     require_type(ChainComplexF2, source, target)
     tgt = target.index
-    out = []
-    for lbl in source.basis:
-        image = fn(lbl)
-        out.append(0 if image is None else 1 << tgt[image])
-    return out
-
-
-def relabel_vector(
-    vec: int,
-    source: ChainComplexF2,
-    target: ChainComplexF2,
-    fn: Callable[[Hashable], Hashable | None],
-) -> int:
-    """vec, a mask over source's basis, with each label sent through fn
-    (None kills), as a mask over target's basis."""
-    require_type(ChainComplexF2, source, target)
-    tgt = target.index
-    out = 0
-    v = vec
-    while v:
-        low = v & -v
-        idx = low.bit_length() - 1
-        v ^= low
-        image = fn(source.basis[idx])
-        if image is not None:
-            out ^= 1 << tgt[image]
-    return out
+    try:
+        return [0 if (image := fn(lbl)) is None else 1 << tgt[image] for lbl in source.basis]
+    except KeyError as exc:
+        raise ShapeMismatch(f"label {exc.args[0]!r} is not in the target basis") from None
 
 
 class PlaneStore:
@@ -147,10 +107,6 @@ class PlaneStore:
     def _flip_columns(self) -> dict[Hashable, int]:
         return dict(zip(self.flip.source.basis, self.flip.matrix.transpose().row_bits))
 
-    def include(self, sub: ChainComplexF2) -> list[int]:
-        """Columns in C{j=0} of the inclusion of a sub-plane of C{j=0}."""
-        return inclusion_columns(sub, self.flip.target)
-
     def flip_columns(self, sub: ChainComplexF2) -> list[int]:
         """Columns in C{j=0} of the flip restricted to a sub-plane of C{i=0}."""
         return [self._flip_columns[lbl] for lbl in sub.basis]
@@ -163,7 +119,7 @@ class PlaneStore:
         codomain = self.flip.target
         dom_dim = first.dim + second.dim
         chain_map = Gf2Matrix.from_columns(
-            self.include(first) + self.flip_columns(second), codomain.dim
+            label_columns(first, codomain, lambda lbl: lbl) + self.flip_columns(second), codomain.dim
         )
         total = dom_dim + codomain.dim
         # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
@@ -204,10 +160,8 @@ _TRIANGLES = (
 
 
 class SurgeryTotals(NamedTuple):
-    """The total triangle maps over the window, and the total dimensions of
-    H0, H1 and Hinf: all that the duality maps and normalization read from a
-    triple.  Normalization reads the f maps and the dimensions; the fbar maps
-    are read only to check the duality maps' barred-map relations.  Immutable
+    """The total triangle maps over the window and the total dimensions of
+    H0, H1 and Hinf: all that normalization reads from a triple.  Immutable
     like a frozen dataclass, and cheaper to define at import."""
 
     f_inf: Gf2Matrix  # H0 -> H1
@@ -222,14 +176,11 @@ class SurgeryTotals(NamedTuple):
 
 
 class SurgeryTriple:
-    """All per-level surgery groups and triangle maps of one complex.
-
-    Per-level maps live in the dictionaries keyed by s; ``f_inf[s]`` maps
-    H0(s) -> H1(s) while the barred families carry the level shift:
-    ``fbar_inf[s]``: H0(s-1) -> H1(s) and ``fbar1[s]``: Hinf(s) -> H0(s-1)
-    (see ``_FAMILIES``).  Totals are assembled over the support window in
-    increasing s.  Construction checks window stability and exactness (see
-    the module docstring).
+    """All per-level surgery groups and triangle maps of one complex, by
+    level s; the barred families carry a level shift (see ``_FAMILIES``).
+    Totals are assembled over the window in increasing s.  Construction
+    raises ``WindowNotStable`` if a group outside the window is nonzero, and
+    ``NormalizationFailure`` naming every node where a triangle is not exact.
     """
 
     def __init__(self, complex_: BifilteredComplex):
@@ -297,44 +248,49 @@ class SurgeryTriple:
         if sub not in self.window:
             return
         sub_cone, h_sub = self.cones0[sub].cone, self.H0[sub]
-        inclusion[s] = induced_by_columns(inclusion_columns(sub_cone, cone1), h_sub, h1)
-        # the cone boundary, applied through the columns H1[s] keeps
-        d1 = h1.boundary_columns
+        included = label_columns(sub_cone, cone1, lambda lbl: lbl)
+        inclusion[s] = induced_by_columns(included, h_sub, h1)
+        # a chain of the n = 1 cone read in the sub-cone's basis: column p is
+        # the sub-cone bit of position p, or 0 outside the sub-cone
+        to_sub = [0] * cone1.dim
+        for k, col in enumerate(included):
+            to_sub[col.bit_length() - 1] = 1 << k
+        up, d1 = label_columns(spot, cone1, lifted.get), h1.boundary_columns
         cols = []
         for rep in h_inf.reps:
-            bd = xor_columns(d1, relabel_vector(rep, spot, cone1, lifted.get))
-            cols.append(h_sub.coords(relabel_vector(bd, cone1, sub_cone, lambda lbl: lbl)))
+            bd = xor_columns(d1, xor_columns(up, rep))
+            chain = xor_columns(to_sub, bd)
+            if xor_columns(included, chain) != bd:
+                raise NormalizationFailure(f"s={s}: the boundary of a lifted spot cycle leaves the sub-cone")
+            cols.append(h_sub.coords(chain))
         connecting[s] = Gf2Matrix.from_columns(cols, h_sub.dim)
 
     # -- dimensions and totals ---------------------------------------------
 
-    def dims(self, which: str) -> list[int]:
-        spaces = {"H0": self.H0, "H1": self.H1, "Hinf": self.Hinf}[which]
-        return [spaces[s].dim for s in self.window]
-
-    def total_dim(self, which: str) -> int:
-        return sum(self.dims(which))
-
     def window_matrix(
-        self, blocks: dict[tuple[int, int], Gf2Matrix], rows: str, cols: str
+        self,
+        blocks: dict[tuple[int, int], Gf2Matrix],
+        rows: dict[int, HomologySpace],
+        cols: dict[int, HomologySpace],
     ) -> Gf2Matrix:
-        """The total map from the ``cols`` spaces to the ``rows`` spaces over
+        """The total map from the spaces ``cols`` to the spaces ``rows`` over
         the window, with block (t, s) from level s to level t."""
         lo = self.window.start
         grid = {(t - lo, s - lo): m for (t, s), m in blocks.items()}
-        return BlockGrid(tuple(self.dims(rows)), tuple(self.dims(cols)), grid).assemble()
+        row_dims, col_dims = (tuple([spaces[s].dim for s in self.window]) for spaces in (rows, cols))
+        return BlockGrid(row_dims, col_dims, grid).assemble()
 
     @cached_property
     def totals(self) -> SurgeryTotals:
         maps = (
             self.window_matrix(
                 {(s + tgt_shift, s + src_shift): m for s, m in getattr(self, name).items()},
-                tgt,
-                src,
+                getattr(self, tgt),
+                getattr(self, src),
             )
             for name, (src, tgt, src_shift, tgt_shift) in _FAMILIES.items()
         )
-        return SurgeryTotals(*maps, *(self.total_dim(w) for w in ("H0", "H1", "Hinf")))
+        return SurgeryTotals(*maps, *(sum(h.dim for h in spaces.values()) for spaces in (self.H0, self.H1, self.Hinf)))
 
     # -- verification -------------------------------------------------------
 

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable
 
 from splicerank.corpus import corpus, corpus_names
-from splicerank.duality import CYCLE, SurgeryPackage, by_index, geometric_package, stats
+from splicerank.duality import CYCLE, SurgeryPackage, geometric_package, stats
 from splicerank.errors import NormalizationFailure, ShapeMismatch, WitnessNotInKernel
 from splicerank.filtration import E_TERM_MULTIPLICITY, FiltrationProfile, profile
 from splicerank.gf2 import (
@@ -249,7 +249,7 @@ def reference_label_matrix(
     return Gf2Matrix.from_entries(target.dim, source.dim, entries)
 
 
-def reference_relabel_vector(
+def reference_map_vector(
     vec: int,
     source: ChainComplexF2,
     target: ChainComplexF2,
@@ -285,8 +285,8 @@ def reference_level_maps(triple: SurgeryTriple) -> dict[str, dict[int, Gf2Matrix
         cone1, spot = triple.cones1[s].cone, triple.spots[s]
         cols = []
         for rep in Hinf[s].reps:
-            lifted = reference_relabel_vector(rep, spot, cone1, lift)
-            back = reference_relabel_vector(
+            lifted = reference_map_vector(rep, spot, cone1, lift)
+            back = reference_map_vector(
                 mul_vec(cone1.boundary, lifted), cone1, triple.cones0[low].cone, same
             )
             cols.append(H0[low].coords(back))
@@ -404,15 +404,9 @@ def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
     A1, B1, D1 = split(p.tau1, p.a0, p.a_inf)
     Ai, Bi, Di = split(p.tau_inf, p.a1, p.a0)
     return {
-        "blocks0": (A0, B0, D0),
-        "blocks1": (A1, B1, D1),
-        "blocks_inf": (Ai, Bi, Di),
-        "X0": B1 @ B0 @ Bi,
-        "X1": Bi @ B1 @ B0,
-        "Xinf": B0 @ Bi @ B1,
-        "f_inf": canonical_f(p.a0, p.a_inf, p.a1),
-        "f0": canonical_f(p.a1, p.a0, p.a_inf),
-        "f1": canonical_f(p.a_inf, p.a1, p.a0),
+        "blocks": ((A0, B0, D0), (A1, B1, D1), (Ai, Bi, Di)),
+        "xs": (B1 @ B0 @ Bi, Bi @ B1 @ B0, B0 @ Bi @ B1),
+        "fs": (canonical_f(p.a1, p.a0, p.a_inf), canonical_f(p.a_inf, p.a1, p.a0), canonical_f(p.a0, p.a_inf, p.a1)),
     }
 
 
@@ -420,7 +414,7 @@ def reference_verify_package(p: SurgeryPackage) -> None:
     """``duality.verify_package`` as it first was: the inverse's A, B and D
     blocks cut out and compared with tau's."""
     dims = p.dims
-    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, by_index(p, "tau"), by_index(p, "blocks")):
+    for (suffix, _, prev, nxt), tau, blocks in zip(CYCLE, p.taus, p.blocks):
         try:
             inverse = tau.inverse()
         except ShapeMismatch as exc:
@@ -433,8 +427,7 @@ def reference_verify_package(p: SurgeryPackage) -> None:
         )
         if cut != blocks:
             raise NormalizationFailure(f"tau{suffix} inverse does not share the A, B, D blocks")
-    for k in CYCLE:
-        x = getattr(p, "X" + k.label)
+    for k, x in zip(CYCLE, p.xs):
         if not (x @ x).is_zero():
             raise NormalizationFailure(f"X{k.label} does not square to zero")
 
@@ -461,13 +454,9 @@ def kron(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
 def reference_build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """The splice matrix block by block: every product and Kronecker product
     written out, the blocks summed and placed by ``BlockGrid``."""
-    A0_1, B0_1, D0_1 = p1.blocks0
-    A1_1, B1_1, D1_1 = p1.blocks1
-    Ai_1, Bi_1, Di_1 = p1.blocks_inf
-    A0_2, B0_2, D0_2 = p2.blocks0
-    A1_2, B1_2, D1_2 = p2.blocks1
-    Ai_2, Bi_2, Di_2 = p2.blocks_inf
-    X1_1, X1_2 = p1.X1, p2.X1
+    (A0_1, B0_1, D0_1), (A1_1, B1_1, D1_1), (Ai_1, Bi_1, Di_1) = p1.blocks
+    (A0_2, B0_2, D0_2), (A1_2, B1_2, D1_2), (Ai_2, Bi_2, Di_2) = p2.blocks
+    X1_1, X1_2 = p1.xs[1], p2.xs[1]
     a0_1, a1_1, ai_1 = p1.a0, p1.a1, p1.a_inf
     a0_2, a1_2, ai_2 = p2.a0, p2.a1, p2.a_inf
 
@@ -623,9 +612,10 @@ class PairTuple:
     z_inf: int = 0
 
 
-# Each index k of the cycle 0 -> 1 -> inf -> 0 with prev(k) and next(k), by
-# the labels of the package's attributes (blocks0, blocks_inf, a_inf, ...).
-_NEIGHBOURS = {"0": ("_inf", "1"), "1": ("0", "_inf"), "_inf": ("1", "0")}
+# Each index k of the cycle 0 -> 1 -> inf -> 0, by the suffix of its
+# package dim (a0, a1, a_inf), with the positions of prev(k) and next(k) in
+# the package's per-index tuples (blocks, xs, fs).
+_NEIGHBOURS = {"0": (2, 1), "1": (0, 2), "_inf": (1, 0)}
 
 
 def reference_witness_families(p: SurgeryPackage) -> dict[str, list[int]]:
@@ -634,7 +624,7 @@ def reference_witness_families(p: SurgeryPackage) -> dict[str, list[int]]:
     B_next(k)), assembled by ``BlockGrid``."""
     out = {}
     for k, (prev, nxt) in _NEIGHBOURS.items():
-        before, after = getattr(p, "blocks" + prev), getattr(p, "blocks" + nxt)
+        before, after = p.blocks[prev], p.blocks[nxt]
         out["z" + k] = after.B.kernel_basis()
         out["w" + k] = lower_triangular(before.B, before.D + after.A, after.B).kernel_basis()
     return out
@@ -813,7 +803,7 @@ def calibrate_e_readings(complexes) -> dict[str, dict[str, int]]:
     for complex_ in complexes:
         prof = profile(complex_)
         package = geometric_package(complex_)
-        b0, b1 = package.blocks0.B, package.blocks1.B
+        b0, b1 = package.blocks[0].B, package.blocks[1].B
         prod = b1 @ b0
         brackets = sum(prof.row.bracket_img.values()) + sum(prof.col.bracket_img.values())
         lhs = {
@@ -843,7 +833,7 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
     """``splice.subspace_bounds`` as it was before it read the B ranks from
     ``stats``: every B block's injectivity, surjectivity, kernel and
     cokernel found by eliminating it."""
-    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, by_index(p, "blocks"))} for p in (p1, p2))
+    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, p.blocks)} for p in (p1, p2))
     rank = splice_rank(p1, p2)
     out = []
     for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):

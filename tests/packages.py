@@ -25,7 +25,6 @@ from splicerank.duality import (
     SurgeryPackage,
     _check_normal_form,
     _derive,
-    by_index,
     verify_package,
 )
 from splicerank.errors import SamplingExhausted, ShapeMismatch, require_type
@@ -80,8 +79,8 @@ def apply_admissible(p: SurgeryPackage, change: AdmissibleChange) -> SurgeryPack
         g_inv = [m.inverse() for m in g]
     except ShapeMismatch as exc:
         raise ShapeMismatch("admissible change is singular") from exc
-    _check_normal_form(p.dims, by_index(p, "f"), g, "admissible change moved a triangle map")
-    q = SurgeryPackage(*p.dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(by_index(p, "tau"), g, g_inv)])
+    _check_normal_form(p.dims, p.fs, g, "admissible change moved a triangle map")
+    q = SurgeryPackage(*p.dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(p.taus, g, g_inv)])
     verify_package(q)
     return q
 
@@ -115,7 +114,7 @@ def direct_sum(p: SurgeryPackage, q: SurgeryPackage) -> SurgeryPackage:
     dp, dq = p.dims, q.dims
     taus = [
         _block_sum(tau_p, tau_q, (dp[prev], dp[prev]), (dq[prev], dq[prev]))
-        for (_, _, prev, _), tau_p, tau_q in zip(CYCLE, by_index(p, "tau"), by_index(q, "tau"))
+        for (_, _, prev, _), tau_p, tau_q in zip(CYCLE, p.taus, q.taus)
     ]
     out = SurgeryPackage(*(a + b for a, b in zip(dp, dq)), *taus)
     verify_package(out)
@@ -182,5 +181,5 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
 
 def derived_fbars(p: SurgeryPackage) -> list[Gf2Matrix]:
     """p's fbar maps, fbar_k = tau_prev(k)^-1 f_k tau_next(k), in table order."""
-    taus = by_index(p, "tau")
-    return [taus[k.prev].inverse() @ (f @ taus[k.next]) for f, k in zip(by_index(p, "f"), CYCLE)]
+    taus = p.taus
+    return [taus[k.prev].inverse() @ (f @ taus[k.next]) for f, k in zip(p.fs, CYCLE)]

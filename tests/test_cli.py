@@ -73,8 +73,9 @@ def test_corpus_lists_the_shipped_knots():
         ('{"format": 1}', "InputFormatError"),
         ("not json", "InputFormatError"),
         (b"\xff\xfe", "InputFormatError"),
+        ("[" * 100_000 + "]" * 100_000, "InputFormatError"),
     ],
-    ids=["missing", "schema", "not-json", "not-utf8"],
+    ids=["missing", "schema", "not-json", "not-utf8", "nested-too-deep"],
 )
 def test_a_bad_input_exits_1_with_one_line(tmp_path, content, error):
     path = tmp_path / "knot.json"

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import splicerank
 from splicerank.errors import ShapeMismatch, SpliceRankError
 from splicerank.gf2 import (
     BlockGrid,
@@ -832,3 +837,27 @@ def test_a_position_outside_the_matrix_is_a_typed_error(call, message):
     # the corner itself is still inside
     assert Gf2Matrix.from_entries(2, 2, [(1, 1)]).row_bits == (0, 2)
     assert cancel(m, 1, 1) == Gf2Matrix.from_dense([[1]])
+
+
+# Calls on a negative int, which has infinitely many set bits: the first
+# three once looped forever and the last raised IndexError.  Each runs in
+# its own interpreter, so a loop fails the test at the timeout instead of
+# hanging the suite.
+NEGATIVE_VECTOR_CALLS = {
+    "bits_of": "list(bits_of(-1))",
+    "spread": "spread(-1, 2)",
+    "outer_sum_rows": "outer_sum_rows([(-1, 1)])",
+    "xor_columns": "xor_columns([1, 2], -1)",
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_VECTOR_CALLS.values(), ids=NEGATIVE_VECTOR_CALLS)
+def test_a_negative_vector_is_a_shape_mismatch(call):
+    script = (
+        "from splicerank.gf2 import bits_of, outer_sum_rows, spread, xor_columns\n"
+        f"try:\n    {call}\nexcept Exception as exc:\n    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(splicerank.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "ShapeMismatch -1 is negative, not a vector of bits\n", done.stderr

@@ -25,7 +25,6 @@ from splicerank.duality import (
     SurgeryPackage,
     _from_entry,
     build_tau,
-    by_index,
     geometric_package,
     normal_basis,
     normalize,
@@ -53,7 +52,7 @@ SIDES = (0, 1)  # the first and the second knot of a splice
 # the splice sides and the witness images are two keys of the store each,
 # one per side.
 VALUES = {
-    "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, by_index(p, "tau"))),
+    "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, p.taus)),
     "factors-left": (lambda p: _from_entry(p, splice._side, SIDES[0]), lambda p: splice._side(p, SIDES[0])),
     "factors-right": (lambda p: _from_entry(p, splice._side, SIDES[1]), lambda p: splice._side(p, SIDES[1])),
     "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
@@ -101,7 +100,7 @@ def _packages() -> list[SurgeryPackage]:
 
 def _rebuilt(p: SurgeryPackage) -> SurgeryPackage:
     """An equal package, another object: what a warm geometric_package gives."""
-    return SurgeryPackage(*p.dims, *by_index(p, "tau"))
+    return SurgeryPackage(*p.dims, *p.taus)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -127,8 +126,8 @@ def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
     # splice side and its witness images as its knot of the splice; the
     # first knot's keeps the pair's rank and witness values too, keyed on
     # the second knot's value, not on the second package
-    kept = {(duality._verified,), (duality._stats,), (splice._family_parts,)}
-    value = (q.dims, by_index(q, "tau"))
+    kept = {(duality.verify_package,), (duality._stats,), (splice._family_parts,)}
+    value = (q.dims, q.taus)
     pair = {(splice._pair_witnesses, *value), (splice._pair_rank, *value)}
     for r, side, extra in ((p, SIDES[0], pair), (q, SIDES[1], set())):
         assert set(_store(r)) == kept | {(splice._side, side), (splice._witness_images, side)} | extra
@@ -170,7 +169,7 @@ def test_a_caller_cannot_change_a_memo_value():
     kernel_dims, _ = _from_entry(p, duality._b_nullities)
     with pytest.raises(TypeError):
         kernel_dims["B0"] = 0
-    entry = duality._derive(p.dims, by_index(p, "tau"))
+    entry = duality._derive(p.dims, p.taus)
     assert entry is p._entry
     with pytest.raises(TypeError):
         entry[0] = entry[1]
@@ -269,9 +268,9 @@ def test_verify_package_runs_once_per_value(monkeypatch):
     # an equal complex, another object, reads the verdict of p's value
     assert geometric_package(corpus("t34_staircase")) == p
     # so does an equal package built by hand, from taus that are other objects
-    taus = [Gf2Matrix(t.rows, t.cols, t.row_bits) for t in by_index(p, "tau")]
+    taus = [Gf2Matrix(t.rows, t.cols, t.row_bits) for t in p.taus]
     q = SurgeryPackage(*p.dims, *taus)
-    assert q._entry is p._entry and _from_entry(q, duality._verified) is None
+    assert q._entry is p._entry and _from_entry(q, duality.verify_package) is None
     # and so does normalize of another basis of that knot, whose taus are
     # other objects
     triple = total_package(c)
@@ -309,7 +308,7 @@ def test_a_memoised_matrix_cannot_be_changed_in_place():
     for name in ("rows", "cols", "set_bits", "nonzero_rows"):
         with pytest.raises(ShapeMismatch, match="immutable"):
             setattr(factor, name, ())
-    for m in (*by_index(p, "tau"), p.blocks1.B, p.X1, p.f0):
+    for m in (*p.taus, p.blocks[1].B, p.xs[1], p.fs[0]):
         with pytest.raises(ShapeMismatch, match="immutable"):
             m.row_bits = (0,) * m.rows
     assert splice_rank(_rebuilt(p), q).h == 25
@@ -343,7 +342,7 @@ def test_a_bad_tau_fails_verification_on_every_build():
         p = SurgeryPackage(*basis.dims, flipped, *basis.taus[1:])
         assert duality._derive.cache_info().hits == info.hits + build, build
         with pytest.raises(NormalizationFailure, match="tau0"):
-            _from_entry(p, duality._verified)
+            _from_entry(p, duality.verify_package)
     # a tau of the wrong size fails before the lookup can keep anything
     for _ in range(2):
         with pytest.raises(NormalizationFailure, match="expected"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -94,6 +95,28 @@ def test_flip_model_round_trips(tmp_path):
 def test_file_that_is_not_utf8_json_raises_input_format_error(tmp_path, content):
     path = tmp_path / "model.json"
     path.write_bytes(content)
+    with pytest.raises(InputFormatError, match="not valid JSON") as err:
+        load_complex(str(path))
+    assert err.value.pointer == "/"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        pytest.param(
+            '{"format": ' + "1" * 5000 + "}",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits"),
+        ),
+    ],
+    ids=["nested-too-deep", "int-too-long"],
+)
+def test_json_the_parser_refuses_raises_input_format_error(tmp_path, content):
+    # the parser raises RecursionError on an array nested past its recursion
+    # limit, and ValueError on an int literal longer than Python parses
+    # (4,300 digits by default): neither may escape untyped
+    path = tmp_path / "model.json"
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(InputFormatError, match="not valid JSON") as err:
         load_complex(str(path))
     assert err.value.pointer == "/"

@@ -190,3 +190,16 @@ def test_one_memo_per_package_value():
     assert decorated == ["duality.py _derive"]
     naming = [path.name for path in sorted(PACKAGE.glob("*.py")) if "PACKAGE_MEMO_SIZE" in path.read_text()]
     assert naming == ["duality.py"]
+
+
+def test_the_package_and_splice_modules_read_per_index_values_by_position():
+    # a package's dims, taus, blocks, X products and f maps are tuples in
+    # CYCLE order; an attribute name built from a string ("blocks" + suffix)
+    # hides the read from a search and from the dead-definition check
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("duality.py", "splice.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(), name))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("getattr", "attrgetter")
+    ]
+    assert found == []

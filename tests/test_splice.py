@@ -106,8 +106,8 @@ def _factor_matrix(p, name: str) -> Gf2Matrix:
     a dim, or a product of two of its A, B, D and X1 matrices."""
     if name in ("a0", "a1", "a_inf"):
         return Gf2Matrix.identity(getattr(p, name))
-    mats = {"X1": p.X1}
-    for label, blocks in zip(("0", "1", "inf"), (p.blocks0, p.blocks1, p.blocks_inf)):
+    mats = {"X1": p.xs[1]}
+    for label, blocks in zip(("0", "1", "inf"), p.blocks):
         mats.update({letter + label: m for letter, m in zip("ABD", blocks)})
     first, second = name.split()
     return mats[first] @ mats[second]
@@ -205,8 +205,8 @@ def test_trefoil_unknot_shape_audit_and_h():
     p1, p2 = pkg("trefoil_staircase"), pkg("unknot")
     d = build_D(p1, p2)
     # each block of D is (first knot's dim) x (second knot's dim) wide or high
-    assert d.matrix.rows == sum(getattr(p1, a) * getattr(p2, b) for a, b in splice._ROW_BLOCKS)
-    assert d.matrix.cols == sum(getattr(p1, a) * getattr(p2, b) for a, b in splice._COL_BLOCKS)
+    assert d.matrix.rows == sum(p1.dims[a] * p2.dims[b] for a, b in splice._ROW_BLOCKS)
+    assert d.matrix.cols == sum(p1.dims[a] * p2.dims[b] for a, b in splice._COL_BLOCKS)
     assert splice_rank(pkg("trefoil_staircase"), pkg("unknot")).h == 1
 
 
@@ -637,7 +637,7 @@ def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, 
             assert kernel_witnesses(p1, p2) == reference_kernel_witnesses(p1, p2)[0]
         else:
             # a failed check keeps nothing, so it raises again, warm or not
-            assert (splice._pair_witnesses, p2.dims, duality.by_index(p2, "tau")) not in p1._entry.store
+            assert (splice._pair_witnesses, p2.dims, p2.taus) not in p1._entry.store
             assert _named_pair(kernel_witnesses, p1, p2) == want
             assert _named_pair(theorem_check, p1, p2) == want
             assert not _pair_keys(p1) and not _pair_keys(p2)
@@ -730,7 +730,7 @@ def test_a_pair_value_holds_ints_and_no_other_entry():
     _fresh_entries()
     p1, p2 = geometric_package(torus_staircase(4, 7)), geometric_package(torus_staircase(5, 6))
     report = kernel_witnesses(p1, p2)
-    value = (p2.dims, duality.by_index(p2, "tau"))
+    value = (p2.dims, p2.taus)
     assert sorted(_pair_keys(p1), key=repr) == sorted(
         [(splice._pair_rank, *value), (splice._pair_witnesses, *value)], key=repr
     )

@@ -8,11 +8,11 @@ import pytest
 
 from splicerank import surgery
 from splicerank.corpus import corpus
-from splicerank.errors import NormalizationFailure, WindowNotStable
+from splicerank.errors import NormalizationFailure, ShapeMismatch, WindowNotStable
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import HomologySpace
-from splicerank.model import flip_map, hf_hat, random_complex
-from splicerank.surgery import PlaneStore, SurgeryTriple, total_package
+from splicerank.model import flip_map, hf_hat, plane_i0, random_complex
+from splicerank.surgery import PlaneStore, SurgeryTriple, label_columns, total_package
 
 from oracles import (
     INF,
@@ -47,9 +47,9 @@ def test_unknot_cone_n1_rank_one():
 def test_unknot_surgery_dims():
     u = corpus("unknot")
     t = total_package(u)
-    assert t.total_dim("H0") == 0
-    assert t.total_dim("H1") == 1
-    assert t.total_dim("Hinf") == 1
+    assert t.totals.n0 == 0
+    assert t.totals.n1 == 1
+    assert t.totals.n_inf == 1
     for s in t.window:
         assert surgery_homology(u, 0, s).dim == 0
 
@@ -58,9 +58,9 @@ def test_trefoil_surgery_dims():
     c = corpus("trefoil_staircase")
     t = total_package(c)
     assert [surgery_homology(c, INF, s).dim for s in (-1, 0, 1)] == [1, 1, 1]
-    assert t.total_dim("Hinf") == 3
-    assert t.total_dim("H1") == 3
-    assert t.total_dim("H0") == 4
+    assert t.totals.n_inf == 3
+    assert t.totals.n1 == 3
+    assert t.totals.n0 == 4
     # stabilization outside the support window
     for s in (-3, 2, 3):
         assert surgery_homology(c, 0, s).dim == 0
@@ -69,17 +69,17 @@ def test_trefoil_surgery_dims():
 def test_t25_surgery_dims():
     c = corpus("t25_staircase")
     t = total_package(c)
-    assert t.total_dim("Hinf") == 5
-    assert t.total_dim("H1") == 7
-    assert t.total_dim("H0") == 8
+    assert t.totals.n_inf == 5
+    assert t.totals.n1 == 7
+    assert t.totals.n0 == 8
 
 
 def test_fig8_surgery_dims():
     c = corpus("fig8_box")
     t = total_package(c)
-    assert t.total_dim("Hinf") == 5
-    assert t.total_dim("H1") == 5
-    assert t.total_dim("H0") == 4
+    assert t.totals.n_inf == 5
+    assert t.totals.n1 == 5
+    assert t.totals.n0 == 4
 
 
 def test_hinf_matches_hfk():
@@ -87,7 +87,7 @@ def test_hinf_matches_hfk():
         c = corpus(name)
         dims = hfk_hat_dims(c)
         t = total_package(c)
-        assert t.total_dim("Hinf") == sum(dims.values())
+        assert t.totals.n_inf == sum(dims.values())
         for s in t.window:
             assert t.Hinf[s].dim == dims.get(s, 0)
 
@@ -159,10 +159,10 @@ def test_rank_dimension_relations():
     for name in ("unknot", "trefoil_staircase", "fig8_box", "t25_staircase"):
         t = total_package(corpus(name))
         a0, a1, ainf = t.totals.f0.rank(), t.totals.f1.rank(), t.totals.f_inf.rank()
-        assert t.total_dim("H0") == a1 + ainf
-        assert t.total_dim("H1") == a0 + ainf
-        assert t.total_dim("Hinf") == a0 + a1
-        assert t.total_dim("H0") == t.totals.f1.rank() + t.totals.f_inf.rank()
+        assert t.totals.n0 == a1 + ainf
+        assert t.totals.n1 == a0 + ainf
+        assert t.totals.n_inf == a0 + a1
+        assert t.totals.n0 == t.totals.f1.rank() + t.totals.f_inf.rank()
 
 
 def test_parity_on_corpus():
@@ -177,7 +177,7 @@ def test_parity_on_corpus():
 def test_hinf_total_equals_hfk_sum_definitional():
     c = random_complex(3)
     t = total_package(c)
-    assert t.total_dim("Hinf") == sum(hfk_hat_dims(c).values())
+    assert t.totals.n_inf == sum(hfk_hat_dims(c).values())
 
 
 def test_barred_unbarred_independent_construction():
@@ -244,3 +244,13 @@ def test_zero_flip_is_caught_outside_the_window(monkeypatch):
     monkeypatch.setattr(surgery, "flip_map", zero_flip)
     with pytest.raises(WindowNotStable, match=r"H_0\(-4\) nonzero outside window"):
         total_package(corpus("trefoil_staircase"))
+
+
+def test_a_label_sent_outside_the_target_is_a_shape_mismatch():
+    # the one label-map helper refuses an image that is not a label of its
+    # target with the typed error, not the KeyError of the basis lookup
+    plane = plane_i0(corpus("trefoil_staircase"))
+    assert label_columns(plane, plane, lambda lbl: lbl) == [1 << k for k in range(plane.dim)]
+    with pytest.raises(ShapeMismatch, match="not in the target basis") as info:
+        label_columns(plane, plane, lambda lbl: ("elsewhere", lbl))
+    assert info.type is ShapeMismatch
