@@ -19,32 +19,32 @@ the positions of prev(k) and next(k):
 - fbar_k = tau_prev(k)^-1 f_k tau_next(k), so no package stores it;
 - X_k = B_next(k) B_k B_prev(k).
 
-``geometric_package`` keeps one ``NormalBasis`` per complex in a
-``weakref.WeakKeyDictionary``: a complex is immutable, hashable and valid by
-construction, so an equal complex hits the same entry, and nothing in the
-entry refers back to the complex, so the entry dies with it.
+``geometric_package`` keeps one ``NormalBasis``, and with it the knot's
+one package, per complex in a ``weakref.WeakKeyDictionary``: a complex is
+immutable, hashable and valid by construction, so an equal complex hits the
+same entry, and nothing in the entry refers back to the complex, so the
+entry dies with it.
 
-Everything read from a package depends on its dims and taus alone, so each
-value has one entry, made by ``_derive`` and kept in an ``lru_cache`` of
-``PACKAGE_MEMO_SIZE`` entries: its blocks, X products and f maps, and a
-store of what is read from the value later (``_from_entry``): the verdict
-of ``verify_package``, ``stats``, the B nullities and, in ``splice``, the
-splice sides, the witness data and the pair values.  A pair value is kept
-in the first package's entry, keyed on the second package's value (its
-dims and taus), not on the package, so a store keeps no other package's
-entry alive.  So ``verify_package`` runs once per value, when ``normalize``
-first builds it; an evicted entry takes its values with it, and an equal
-package built later derives and verifies them afresh.  A computation that
+A package keeps everything read from it.  Its constructor cuts its blocks
+and derives its X products and f maps, and gives it an empty store of what
+is read from it later (``_from_entry``): ``stats``, the B nullities and, in
+``splice``, the splice sides, the witness data and the pair values.  A pair
+value is kept in the first package's store, keyed on the second package's
+value (its dims and taus), not on the package, so a store keeps no other
+package alive.  ``normal_basis`` builds a knot's package and runs
+``verify_package`` on it once, and ``normalize`` returns that package, so a
+knot's values are made once and live as long as its complex.  A package
+built any other way (by hand, by ``dataclasses.replace``, copy or pickle)
+starts with an empty store and computes its own values.  A computation that
 raises keeps nothing, so it raises on every call.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from types import MappingProxyType
+from functools import cache
 from typing import NamedTuple
 
 from .errors import (
@@ -75,11 +75,6 @@ class Index(NamedTuple):
 CYCLE = (Index("0", "0", 2, 1), Index("1", "1", 0, 2), Index("_inf", "inf", 1, 0))
 
 
-# The most package values whose entries ``_derive`` keeps (see the module
-# docstring); the least recently used goes first.
-PACKAGE_MEMO_SIZE = 64
-
-
 class BlockSet(NamedTuple):
     A: Gf2Matrix
     B: Gf2Matrix
@@ -89,12 +84,12 @@ class BlockSet(NamedTuple):
 @dataclass(frozen=True)
 class SurgeryPackage(Frozen):
     """A normalised package: its dims and its tau maps, six defining fields,
-    which equality and hashing read.  Construction keeps the entry of the
-    package's value (see the module docstring), which ``blocks``, ``xs`` and
-    ``fs`` read, so ``dataclasses.replace`` derives them afresh.  A dim that
-    is not a nonnegative int (a bool would equal and hash like the int) or a
-    tau that is not a ``Gf2Matrix`` raises ``ShapeMismatch``, and a tau that
-    is not square of size a_prev + a_next ``NormalizationFailure``."""
+    which equality and hashing read.  Construction cuts the blocks, derives
+    the X products and f maps, in table order, and starts an empty store
+    (see the module docstring).  A dim that is not a nonnegative int (a bool
+    would equal and hash like the int) or a tau that is not a ``Gf2Matrix``
+    raises ``ShapeMismatch``, and a tau that is not square of size
+    a_prev + a_next ``NormalizationFailure``."""
 
     a0: int
     a1: int
@@ -102,19 +97,29 @@ class SurgeryPackage(Frozen):
     tau0: Gf2Matrix
     tau1: Gf2Matrix
     tau_inf: Gf2Matrix
-    _entry: _Entry = field(init=False, compare=False, repr=False)
-
-    blocks = property(lambda p: p._entry.blocks)
-    xs = property(lambda p: p._entry.xs)
-    fs = property(lambda p: p._entry.fs)
+    blocks: tuple[BlockSet, ...] = field(init=False, compare=False, repr=False)
+    xs: tuple[Gf2Matrix, ...] = field(init=False, compare=False, repr=False)
+    fs: tuple[Gf2Matrix, ...] = field(init=False, compare=False, repr=False)
+    _store: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for k, a in zip(CYCLE, self.dims):
+        dims, taus = self.dims, self.taus
+        for k, a in zip(CYCLE, dims):
             if not is_int(a) or a < 0:
                 raise ShapeMismatch(f"package dim a{k.suffix} = {a!r} is not a nonnegative int")
-        taus = self.taus
         require_type(Gf2Matrix, *taus)
-        object.__setattr__(self, "_entry", _derive(self.dims, taus))
+        blocks, fs = [], []
+        for (suffix, _, prev, nxt), tau, a in zip(CYCLE, taus, dims):
+            top, bottom = dims[prev], dims[nxt]
+            n = top + bottom
+            if (tau.rows, tau.cols) != (n, n):
+                raise NormalizationFailure(f"tau{suffix} is {tau.rows}x{tau.cols}, expected {n}x{n}")
+            blocks.append(BlockSet(*cut_blocks(tau, top)))
+            fs.append(_normal_form(bottom, a, top))
+        xs = [blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)]
+        for name, value in (("blocks", blocks), ("xs", xs), ("fs", fs)):
+            object.__setattr__(self, name, tuple(value))
+        object.__setattr__(self, "_store", {})
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -125,51 +130,20 @@ class SurgeryPackage(Frozen):
         return (self.tau0, self.tau1, self.tau_inf)
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not the entry
+        # copy and pickle rebuild through the constructor, with a new store
         return SurgeryPackage, (*self.dims, *self.taus)
 
 
-class _Entry(NamedTuple):
-    """One package value's blocks, X products and f maps, in table order,
-    and its store (see ``_from_entry``)."""
-
-    blocks: tuple[BlockSet, ...]
-    xs: tuple[Gf2Matrix, ...]
-    fs: tuple[Gf2Matrix, ...]
-    store: dict
-
-
-@lru_cache(maxsize=PACKAGE_MEMO_SIZE)
-def _derive(dims: tuple[int, int, int], taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]) -> _Entry:
-    """The entry of the package with these dims and taus, made once per
-    value (see the module docstring), its store empty.  A tau of the wrong
-    size raises on every call, as a failed call is not kept."""
-    blocks, fs = [], []
-    for (suffix, _, prev, nxt), tau, a in zip(CYCLE, taus, dims):
-        top, bottom = dims[prev], dims[nxt]
-        n = top + bottom
-        if (tau.rows, tau.cols) != (n, n):
-            raise NormalizationFailure(f"tau{suffix} is {tau.rows}x{tau.cols}, expected {n}x{n}")
-        blocks.append(BlockSet(*cut_blocks(tau, top)))
-        fs.append(_normal_form(bottom, a, top))
-    xs = tuple([blocks[nxt].B @ blocks[k].B @ blocks[prev].B for k, (_, _, prev, nxt) in enumerate(CYCLE)])
-    return _Entry(tuple(blocks), xs, tuple(fs), {})
-
-
-# What the store gives for a key it does not hold: no value make can return.
-_MISSING = object()
-
-
 def _from_entry(p: SurgeryPackage, make: Callable[..., object], *args: Hashable) -> object:
-    """make(p, *args), kept in the store of p's entry under (make, *args) if
-    it returns, a kept None being a hit; a package first among args is keyed
-    by its dims and taus (see the module docstring)."""
+    """make(p, *args), kept in p's store under (make, *args) once it
+    returns; a package first among args is keyed by its dims and taus (see
+    the module docstring).  No make returns None."""
     require_type(SurgeryPackage, p)
-    store, key = p._entry.store, (make, *args)
+    store, key = p._store, (make, *args)
     if args and isinstance(args[0], SurgeryPackage):
         key = (make, args[0].dims, args[0].taus, *args[1:])
-    value = store.get(key, _MISSING)
-    if value is _MISSING:
+    value = store.get(key)
+    if value is None:
         value = store[key] = make(p, *args)
     return value
 
@@ -253,25 +227,20 @@ _MADE_HERE = object()
 
 
 class NormalBasis(Frozen):
-    """One knot's dims (a0, a1, a_inf) and normalized taus g_k^-1 tau_k g_k,
-    the columns of g_k being the basis of H_k that puts the triangle maps in
-    normal form.  Only ``normal_basis`` makes one (anywhere else it raises
-    ``ShapeMismatch``), from duality maps it has checked, and it is
-    ``Frozen``, so ``normalize`` trusts one by its type.  A plain class with
-    slots, as it is cheaper to define at import than a dataclass."""
+    """One knot's package, its dims (a0, a1, a_inf) and normalized taus
+    g_k^-1 tau_k g_k, the columns of g_k being the basis of H_k that puts the
+    triangle maps in normal form.  Only ``normal_basis`` makes one (anywhere
+    else it raises ``ShapeMismatch``), from duality maps it has checked and
+    a package it has verified, and it is ``Frozen``, so ``normalize`` trusts
+    one by its type.  A plain class with slots, as it is cheaper to define
+    at import than a dataclass."""
 
-    __slots__ = ("dims", "taus")
+    __slots__ = ("package",)
 
-    def __init__(
-        self,
-        dims: tuple[int, int, int],
-        taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix],
-        _made_by: object = None,
-    ) -> None:
+    def __init__(self, package: SurgeryPackage, _made_by: object = None) -> None:
         if _made_by is not _MADE_HERE:
             raise ShapeMismatch("a NormalBasis is made by normal_basis")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "package", package)
 
 
 def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]) -> NormalBasis:
@@ -339,8 +308,9 @@ def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
         raise NormalizationFailure("rank bookkeeping violates triangle exactness")
     dims = (a0, a1, a_inf)
     _check_normal_form(dims, fs, g, "triangle maps do not reach the normal form")
-    normalized = tuple([h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
-    return NormalBasis(dims, normalized, _MADE_HERE)
+    package = SurgeryPackage(*dims, *[h_inv @ tau @ h for tau, h, h_inv in zip(taus, g, g_inv)])
+    verify_package(package)
+    return NormalBasis(package, _MADE_HERE)
 
 
 def _check_normal_form(dims, fs, g, moved: str) -> None:
@@ -356,14 +326,12 @@ def _check_normal_form(dims, fs, g, moved: str) -> None:
 
 
 def normalize(basis: NormalBasis) -> SurgeryPackage:
-    """The knot's package, built afresh from the basis's normalized taus on
-    every call; its value passed ``verify_package`` once, when its entry
-    was made (see the module docstring).  The package derives its fbar maps
-    from its taus and normal forms, so no fbar map needs a base change."""
+    """The knot's package, which ``normal_basis`` built and verified: the
+    same object on every call (see the module docstring).  The package
+    derives its fbar maps from its taus and normal forms, so no fbar map
+    needs a base change."""
     require_type(NormalBasis, basis)
-    p = SurgeryPackage(*basis.dims, *basis.taus)
-    _from_entry(p, verify_package)
-    return p
+    return basis.package
 
 
 def verify_package(p: SurgeryPackage) -> None:
@@ -413,9 +381,9 @@ _BUILT: weakref.WeakKeyDictionary[BifilteredComplex, NormalBasis] = weakref.Weak
 
 def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None = None) -> SurgeryPackage:
     """Full pipeline: surgery triple, duality maps, normalized package.  The
-    normal-form basis comes from the memo or, on a complex's first call, from
-    ``triple`` or a fresh ``total_package``; a triple of another complex
-    raises ``ShapeMismatch``."""
+    knot's one package: its normal-form basis comes from the memo or, on a
+    complex's first call, from ``triple`` or a fresh ``total_package``; a
+    triple of another complex raises ``ShapeMismatch``."""
     require_type(BifilteredComplex, complex_)
     if triple is not None:
         require_type(SurgeryTriple, triple)
@@ -480,7 +448,7 @@ def _pair_dims(f: Gf2Matrix, tau_f: tuple[int, ...], f_tau: tuple[int, ...]) -> 
 
 def stats(p: SurgeryPackage) -> PackageStats:
     """Direct subspace dimensions, cross-checked against the closed forms;
-    no fbar map is formed (see ``_pair_dims``).  Kept per package value."""
+    no fbar map is formed (see ``_pair_dims``).  Kept in p's store."""
     return _from_entry(p, _stats)
 
 
@@ -516,19 +484,20 @@ def _stats(p: SurgeryPackage) -> PackageStats:
     return PackageStats(*dims, *r, *delta, *k, *l, *c, *d, *y)
 
 
-def _b_nullities(p: SurgeryPackage) -> tuple[Mapping[str, int], Mapping[str, int]]:
-    """The kernel and the cokernel dims of p's B blocks and of their
-    products of two, by name: "B1" is blocks[1].B and "B1 B0" is
-    blocks[1].B @ blocks[0].B; kept per package value.  B_k is
-    a_prev(k) x a_next(k) of rank r_k, read from the memoised ``stats``, so
-    no B block is eliminated again; the only products of two that fit are
-    B_k B_prev(k), each eliminated once."""
+def _b_nullities(p: SurgeryPackage) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The kernel and the cokernel dims of p's B blocks, then those of their
+    products B_k B_prev(k), the only products of two that fit, four tuples
+    in table order: the third's entry 1 is the kernel dim of
+    blocks[1].B @ blocks[0].B.  B_k is a_prev(k) x a_next(k) of rank r_k,
+    read from the kept ``stats``, so no B block is eliminated again; each
+    product is eliminated once, and the four are kept in p's store."""
     dims, blocks, st = p.dims, p.blocks, stats(p)
-    ker, coker = {}, {}
-    for (_, label, prev, nxt), b, r in zip(CYCLE, blocks, (st.r0, st.r1, st.r_inf)):
-        ker["B" + label], coker["B" + label] = dims[nxt] - r, dims[prev] - r
-        product = b.B @ blocks[prev].B
-        rank = product.rank()
-        name = f"B{label} B{CYCLE[prev].label}"
-        ker[name], coker[name] = product.cols - rank, product.rows - rank
-    return MappingProxyType(ker), MappingProxyType(coker)
+    r = (st.r0, st.r1, st.r_inf)
+    products = [b.B @ blocks[prev].B for (_, _, prev, _), b in zip(CYCLE, blocks)]
+    ranks = [m.rank() for m in products]
+    return (
+        tuple([dims[nxt] - r[k] for k, (_, _, _, nxt) in enumerate(CYCLE)]),
+        tuple([dims[prev] - r[k] for k, (_, _, prev, _) in enumerate(CYCLE)]),
+        tuple([m.cols - rank for m, rank in zip(products, ranks)]),
+        tuple([m.rows - rank for m, rank in zip(products, ranks)]),
+    )

@@ -9,10 +9,11 @@ mapped through the flip.  Both come from one ``surgery.PlaneStore``:
 duality pipelines are made at the level of dimensions.
 
 ``check_all_lemmas`` keeps each knot's reports, and nothing else, in a
-``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo.
-The lemma 3.3 and 3.7 checks read the B-block nullities from the package
-value's entry (``duality._b_nullities``), so they eliminate no B block or
-product of their own.
+``weakref.WeakKeyDictionary`` keyed on the complex like the ``duality`` memo
+of the knot's one package.  The lemma 3.3 and 3.7 checks read the B-block
+nullities from that package's store (``duality._b_nullities``), by their
+index in ``duality.CYCLE``, so they eliminate no B block or product of their
+own.
 
 Graded pieces by a diagonal sweep
 ---------------------------------
@@ -295,21 +296,21 @@ def _brackets_img_total(prof: FiltrationProfile) -> int:
 
 def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """The four B-block kernel/cokernel formulas at dimension level; the
-    dims are the package value's kept B-block nullities."""
+    dims are the package's kept B-block nullities."""
     require_type(SurgeryPackage, package)
     require_type(FiltrationProfile, prof)
-    ker, coker = _from_entry(package, _b_nullities)
+    ker, coker, _, _ = _from_entry(package, _b_nullities)
     entries = [
-        LemmaEntry("ker B0 = e_1", ker["B0"], prof.e.get(1, 0)),
-        LemmaEntry("coker B1 = e_0", coker["B1"], prof.e.get(0, 0)),
+        LemmaEntry("ker B0 = e_1", ker[0], prof.e.get(1, 0)),
+        LemmaEntry("coker B1 = e_0", coker[1], prof.e.get(0, 0)),
         LemmaEntry(
             "ker B1",
-            ker["B1"],
+            ker[1],
             _brackets_img_total(prof) + _e_term(prof, "ker_b1"),
         ),
         LemmaEntry(
             "coker B0",
-            coker["B0"],
+            coker[0],
             _brackets_img_total(prof) + _e_term(prof, "coker_b0"),
         ),
     ]
@@ -318,19 +319,19 @@ def lemma33_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaRepo
 
 def lemma37_check(package: SurgeryPackage, prof: FiltrationProfile) -> LemmaReport:
     """Kernel and cokernel of B1 B0 against the column-side bracket spaces;
-    the dims are the package value's kept B-block nullities."""
+    the dims are the package's kept B-block nullities."""
     require_type(SurgeryPackage, package)
     require_type(FiltrationProfile, prof)
-    ker, coker = _from_entry(package, _b_nullities)
+    _, _, ker, coker = _from_entry(package, _b_nullities)  # of B_k B_prev(k)
     entries = [
         LemmaEntry(
             "ker B1B0",
-            ker["B1 B0"],
+            ker[1],
             sum(prof.col.inter.values()) + _e_term(prof, "ker_b1b0"),
         ),
         LemmaEntry(
             "coker B1B0",
-            coker["B1 B0"],
+            coker[1],
             sum(prof.col.quot.values()) + _e_term(prof, "coker_b1b0"),
         ),
     ]

@@ -57,14 +57,18 @@ def bits_of(mask: int) -> Iterator[int]:
 
 def xor_columns(columns: Sequence[int], mask: int) -> int:
     """The XOR of columns[k] over the set bits k of mask: a matrix given by
-    its columns, applied to the vector mask."""
+    its columns, applied to the vector mask; a set bit past the columns
+    raises ``ShapeMismatch``."""
     if mask < 0:
         raise _negative(mask)
     out = 0
-    while mask:
-        low = mask & -mask
-        out ^= columns[low.bit_length() - 1]
-        mask ^= low
+    try:
+        while mask:
+            low = mask & -mask
+            out ^= columns[low.bit_length() - 1]
+            mask ^= low
+    except IndexError as exc:
+        raise ShapeMismatch(f"bit {low.bit_length() - 1} of the vector is past its {len(columns)} columns") from exc
     return out
 
 
@@ -75,6 +79,8 @@ def spread(u: int, n: int) -> int:
     so the product carries nothing."""
     if u < 0:
         raise _negative(u)
+    if n < 0:
+        raise ShapeMismatch(f"slot width {n!r} is negative")
     out = 0
     while u:
         low = u & -u

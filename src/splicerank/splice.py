@@ -10,14 +10,15 @@ Kronecker products (factor of the first knot) ⊗ (factor of the second knot),
 31 terms in all (``_TERMS``); ``tests/oracles.reference_build_D`` keeps the
 block-by-block assembly as the reference.
 
-A knot's splice sides, witness families and witness images depend on its
-package's value alone, so they are kept in that value's entry (see
+A knot's splice sides, witness families and witness images are read from
+its package alone, so the package keeps them in its store (see
 ``duality``), checked once when made.  What joins two knots, the rank of D
-and the witness counts and span, depends on the pair's two values alone: the
-check path keeps it in the first package's entry, keyed on the second
-package's value (its dims and taus), so the entry keeps no other entry
-alive.  A theorem check and the bounds of one pair thus build D once between
-them, and a warm one builds none.  ``splice_rank`` itself keeps nothing.
+and the witness counts and span, depends on the pair's two values alone:
+the check path keeps it in the first package's store, keyed on the second
+package's value (its dims and taus), so no store keeps another package
+alive.  A theorem check and the bounds of one pair thus build D once
+between them, and a warm one builds none.  ``splice_rank`` itself keeps
+nothing.
 
 Column layout and kernel witnesses
 ----------------------------------
@@ -125,7 +126,7 @@ def _side(p: SurgeryPackage, side: int) -> KronSide:
     """One knot's splice side, as the first knot (side 0) or the second (1):
     its factor of each term of D (see ``_TERMS``), each distinct one laid out
     once, and each checked by ``kron_side`` against the dims that
-    ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` give its block; kept per value."""
+    ``_ROW_BLOCKS`` and ``_COL_BLOCKS`` give its block; kept by p."""
     dims, mats = p.dims, {"X1": p.xs[1]}
     for k, blocks in zip(CYCLE, p.blocks):
         mats.update({letter + k.label: m for letter, m in zip("ABD", blocks)})
@@ -149,7 +150,7 @@ def _side(p: SurgeryPackage, side: int) -> KronSide:
 
 def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
     """Assemble the splice matrix of a package pair in one pass from the
-    two knots' sides, read from the entries of their packages' values:
+    two knots' sides, read from their packages' stores:
     only the terms nonzero on both sides are written."""
     require_type(SurgeryPackage, p1, p2, message="splice of {0!r} and {1!r}: both must be SurgeryPackages")
     return SpliceMatrix(kron_blocks(_from_entry(p1, _side, 0), _from_entry(p2, _side, 1)))
@@ -233,7 +234,7 @@ _WITNESS_CHECKS = tuple(
 def _family_parts(p: SurgeryPackage) -> Mapping[str, tuple[Mapping[str, int], ...]]:
     """One knot's witness families, w_k and z_k for each index k, their
     vectors split into their parts, by family, in pair-numbering order;
-    kept per package value (see the module docstring)."""
+    kept by p (see the module docstring)."""
     blocks = p.blocks
     out = {}
     for (suffix, _, prev, nxt), a in zip(CYCLE, p.dims):
@@ -256,7 +257,7 @@ def _witness_images(p: SurgeryPackage, side: int) -> tuple[tuple[int, ...], ...]
     (1): for each check of ``_WITNESS_CHECKS`` and each of its terms, the
     side's factor F of the term applied to the term's part x_a of every
     vector a of the side's family, stacked as Σ_a (F·x_a) << (a·F.rows);
-    kept per package value and side (see the module docstring)."""
+    kept by p per side (see the module docstring)."""
     factors = _from_entry(p, _side, side).factors
     families = _from_entry(p, _family_parts)
     out = []
@@ -306,7 +307,7 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> list[int]:
 def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, int]:
     """The pair's witness count, nonzero witness count and witness span,
     once the per-knot check has found every witness in Ker D: the value the
-    check path keeps in the first package's entry (see the module
+    check path keeps in the first package's store (see the module
     docstring).  A failed check raises, naming the first witness outside
     Ker D in pair order, so nothing is kept: the pair of the i-th vector of
     the first knot's families concatenated and the j-th of the second's is
@@ -365,10 +366,6 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
 
 # -- subspace bounds (cyclic-triple and remark variants) -----------------------
 
-# The index involution 0 <-> inf, with 1 fixed.
-INVOLUTION = {"0": "inf", "1": "1", "inf": "0"}
-
-
 @dataclass(frozen=True)
 class SubspaceBound:
     label: str
@@ -387,36 +384,41 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
     knot's blocks are read through the involution 0 <-> inf.
     """
     require_type(SurgeryPackage, p1, p2)
-    (ker_1, coker_1), (ker_2, coker_2) = _from_entry(p1, _b_nullities), _from_entry(p2, _b_nullities)
+    # per knot: ker and coker of each B_k, then of each B_k B_prev(k)
+    ker_1, coker_1, kk_1, cc_1 = _from_entry(p1, _b_nullities)
+    ker_2, coker_2, kk_2, cc_2 = _from_entry(p2, _b_nullities)
     rank = _from_entry(p1, _pair_rank, p2)
 
     def bound(label: str, kb: int, cb: int) -> SubspaceBound:
         """The bound named label, whose hypothesis is met."""
         return SubspaceBound(label, True, kb, cb, rank.ker >= kb, rank.coker >= cb)
 
-    # each bound's sizes are read only when its hypothesis is met
+    # each bound's sizes are read only when its hypothesis is met; bullet is
+    # next(circ) and star next(bullet), and the involution 0 <-> inf of the
+    # first knot, k -> 2 - k, turns next into prev, so every product read
+    # is some B_k B_prev(k)
     out = []
-    for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
-        label = f"({circ},{bullet},{star})"
-        circ_1, bullet_1, star_1 = (INVOLUTION[x] for x in (circ, bullet, star))
-        if ker_2["B" + circ] == 0 and coker_2["B" + bullet] == 0:
-            left, right = f"B{circ_1} B{bullet_1}", f"B{bullet} B{circ}"
-            out.append(bound(f"case1 {label}", ker_1[left] * ker_2[right], coker_1[left] * coker_2[right]))
+    for circ, bullet, star in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        label = "({},{},{})".format(*(CYCLE[k].label for k in (circ, bullet, star)))
+        circ_1, bullet_1, star_1 = 2 - circ, 2 - bullet, 2 - star
+        if ker_2[circ] == 0 and coker_2[bullet] == 0:
+            # B_circ_1 B_bullet_1 and B_bullet B_circ
+            out.append(bound(f"case1 {label}", kk_1[circ_1] * kk_2[bullet], cc_1[circ_1] * cc_2[bullet]))
         else:
             out.append(SubspaceBound(f"case1 {label}", False))
-        if coker_2["B" + circ] == 0 and ker_2["B" + bullet] == 0:
-            kb = ker_1[f"B{bullet_1} B{star_1}"] * ker_2[f"B{star} B{bullet}"]
-            cb = coker_1[f"B{star_1} B{circ_1}"] * coker_2[f"B{circ} B{star}"]
-            out.append(bound(f"case2 {label}", kb, cb))
+        if coker_2[circ] == 0 and ker_2[bullet] == 0:
+            # B_bullet_1 B_star_1 and B_star B_bullet; B_star_1 B_circ_1 and B_circ B_star
+            out.append(bound(f"case2 {label}", kk_1[bullet_1] * kk_2[star], cc_1[star_1] * cc_2[circ]))
         else:
             out.append(SubspaceBound(f"case2 {label}", False))
     # combined variant when B0 of the right knot is injective and Binf surjective;
-    # the joined pair of overlapping subspaces is counted by the larger one
-    if ker_2["B0"] == 0 and coker_2["Binf"] == 0:
-        k_pair, k_prime = ker_1["Binf B1"] * ker_2["B1 B0"], ker_1["B1"] * ker_2["B1"]
-        c_pair, c_prime = coker_1["B1 B0"] * coker_2["Binf B1"], coker_1["B1"] * coker_2["B1"]
-        kb = ker_1["B0"] * ker_2["Binf"] + ker_1["Binf"] * ker_2["B0"] + max(k_pair, k_prime)
-        cb = coker_1["B0"] * coker_2["Binf"] + coker_1["Binf"] * coker_2["B0"] + max(c_pair, c_prime)
+    # the joined pair of overlapping subspaces is counted by the larger one:
+    # products Binf B1 and B1 B0 (crossed for the cokernels) against B1
+    if ker_2[0] == 0 and coker_2[2] == 0:
+        k_pair, k_prime = kk_1[2] * kk_2[1], ker_1[1] * ker_2[1]
+        c_pair, c_prime = cc_1[1] * cc_2[2], coker_1[1] * coker_2[1]
+        kb = ker_1[0] * ker_2[2] + ker_1[2] * ker_2[0] + max(k_pair, k_prime)
+        cb = coker_1[0] * coker_2[2] + coker_1[2] * coker_2[0] + max(c_pair, c_prime)
         out.append(bound("remark", kb, cb))
     else:
         out.append(SubspaceBound("remark", False))

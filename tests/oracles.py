@@ -20,6 +20,7 @@ multiplicities.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterable
@@ -48,7 +49,6 @@ from splicerank.model import (
     staircase,
 )
 from splicerank.splice import (
-    INVOLUTION,
     SpliceMatrix,
     SubspaceBound,
     WitnessReport,
@@ -71,7 +71,7 @@ def span_sum_dim(*vector_sets: Iterable[int]) -> int:
 
 def reachable(obj):
     """Every object obj holds through dataclass fields, slots, tuples, lists
-    and dict values, obj included, each once."""
+    and the keys and values of mappings, obj included, each once."""
     seen, stack = set(), [obj]
     while stack:
         x = stack.pop()
@@ -85,8 +85,8 @@ def reachable(obj):
             stack.extend(getattr(x, name, None) for name in type(x).__slots__)
         elif isinstance(x, (tuple, list)):
             stack.extend(x)
-        elif isinstance(x, dict):
-            stack.extend(x.values())
+        elif isinstance(x, Mapping):
+            stack.extend((*x.keys(), *x.values()))
 
 
 def cokernel_dim(m: Gf2Matrix) -> int:
@@ -833,13 +833,15 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
     """``splice.subspace_bounds`` as it was before it read the B ranks from
     ``stats``: every B block's injectivity, surjectivity, kernel and
     cokernel found by eliminating it."""
-    b_1, b_2 = ({k.label: blocks.B for k, blocks in zip(CYCLE, p.blocks)} for p in (p1, p2))
+    b_1, b_2 = ([blocks.B for blocks in p.blocks] for p in (p1, p2))
     rank = splice_rank(p1, p2)
     out = []
-    for circ, bullet, star in (("0", "1", "inf"), ("1", "inf", "0"), ("inf", "0", "1")):
-        label = f"({circ},{bullet},{star})"
+    for circ, bullet, star in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        label = "({},{},{})".format(*(CYCLE[k].label for k in (circ, bullet, star)))
+        # the first knot is read through the involution 0 <-> inf
+        circ_1, bullet_1, star_1 = 2 - circ, 2 - bullet, 2 - star
         if _injective(b_2[circ]) and _surjective(b_2[bullet]):
-            left = b_1[INVOLUTION[circ]] @ b_1[INVOLUTION[bullet]]
+            left = b_1[circ_1] @ b_1[bullet_1]
             right = b_2[bullet] @ b_2[circ]
             kb = left.kernel_dim() * right.kernel_dim()
             cb = cokernel_dim(left) * cokernel_dim(right)
@@ -851,10 +853,10 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
         else:
             out.append(SubspaceBound(f"case1 {label}", False))
         if _surjective(b_2[circ]) and _injective(b_2[bullet]):
-            left_k = b_1[INVOLUTION[bullet]] @ b_1[INVOLUTION[star]]
+            left_k = b_1[bullet_1] @ b_1[star_1]
             right_k = b_2[star] @ b_2[bullet]
             kb = left_k.kernel_dim() * right_k.kernel_dim()
-            left_c = b_1[INVOLUTION[star]] @ b_1[INVOLUTION[circ]]
+            left_c = b_1[star_1] @ b_1[circ_1]
             right_c = b_2[circ] @ b_2[star]
             cb = cokernel_dim(left_c) * cokernel_dim(right_c)
             out.append(
@@ -867,19 +869,19 @@ def reference_subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[Su
 
     # combined variant when B0 of the right knot is injective and Binf surjective;
     # the joined pair of overlapping subspaces is counted by the larger one
-    if _injective(b_2["0"]) and _surjective(b_2["inf"]):
-        k_pair = (b_1["inf"] @ b_1["1"]).kernel_dim() * (b_2["1"] @ b_2["0"]).kernel_dim()
-        k_prime = b_1["1"].kernel_dim() * b_2["1"].kernel_dim()
+    if _injective(b_2[0]) and _surjective(b_2[2]):
+        k_pair = (b_1[2] @ b_1[1]).kernel_dim() * (b_2[1] @ b_2[0]).kernel_dim()
+        k_prime = b_1[1].kernel_dim() * b_2[1].kernel_dim()
         kb = (
-            b_1["0"].kernel_dim() * b_2["inf"].kernel_dim()
-            + b_1["inf"].kernel_dim() * b_2["0"].kernel_dim()
+            b_1[0].kernel_dim() * b_2[2].kernel_dim()
+            + b_1[2].kernel_dim() * b_2[0].kernel_dim()
             + max(k_pair, k_prime)
         )
-        c_pair = cokernel_dim(b_1["1"] @ b_1["0"]) * cokernel_dim(b_2["inf"] @ b_2["1"])
-        c_prime = cokernel_dim(b_1["1"]) * cokernel_dim(b_2["1"])
+        c_pair = cokernel_dim(b_1[1] @ b_1[0]) * cokernel_dim(b_2[2] @ b_2[1])
+        c_prime = cokernel_dim(b_1[1]) * cokernel_dim(b_2[1])
         cb = (
-            cokernel_dim(b_1["0"]) * cokernel_dim(b_2["inf"])
-            + cokernel_dim(b_1["inf"]) * cokernel_dim(b_2["0"])
+            cokernel_dim(b_1[0]) * cokernel_dim(b_2[2])
+            + cokernel_dim(b_1[2]) * cokernel_dim(b_2[0])
             + max(c_pair, c_prime)
         )
         out.append(

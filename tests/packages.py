@@ -12,19 +12,21 @@ pins the packages with a digest taken from the library code.  They reach
 into ``duality`` for the private helpers a package is built with.
 
 A package is its dims and its three tau maps; ``derived_fbars`` gives its
-fbar maps, which no package stores.
+fbar maps, which no package stores.  ``own_packages`` gives a test knot
+packages that no other test shares.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+from splicerank import duality
 from splicerank.duality import (
     CYCLE,
     SurgeryPackage,
     _check_normal_form,
-    _derive,
     verify_package,
 )
 from splicerank.errors import SamplingExhausted, ShapeMismatch, require_type
@@ -168,10 +170,9 @@ def synthetic_package(seed: int, dims: tuple[int, int, int]) -> SurgeryPackage:
         for _, _, prev, nxt in CYCLE:
             top, bottom = dims[prev], dims[nxt]
             taus.append(_twist(rng, _random_involution(rng, top + bottom), top, bottom))
-        # the uncached derivation: a rejected draw takes no memo entry
-        if not all((x @ x).is_zero() for x in _derive.__wrapped__(dims, tuple(taus)).xs):
-            continue
         p = SurgeryPackage(*dims, *taus)
+        if not all((x @ x).is_zero() for x in p.xs):
+            continue
         verify_package(p)
         return p
     raise SamplingExhausted(
@@ -183,3 +184,17 @@ def derived_fbars(p: SurgeryPackage) -> list[Gf2Matrix]:
     """p's fbar maps, fbar_k = tau_prev(k)^-1 f_k tau_next(k), in table order."""
     taus = p.taus
     return [taus[k.prev].inverse() @ (f @ taus[k.next]) for f, k in zip(p.fs, CYCLE)]
+
+
+@contextmanager
+def own_packages():
+    """Within the block, ``geometric_package`` keeps its packages in a memo
+    of the block's own, empty at the start, which it yields: a knot's
+    package built there is made afresh, with an empty store, and shared
+    with no other test, so what is put into its store dies with it."""
+    kept = duality._BUILT
+    duality._BUILT = fresh = type(kept)()
+    try:
+        yield fresh
+    finally:
+        duality._BUILT = kept

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -20,7 +21,6 @@ from splicerank import duality
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
     CYCLE,
-    NormalBasis,
     SurgeryPackage,
     _geometric_tau,
     build_tau,
@@ -34,7 +34,7 @@ from splicerank.errors import NormalizationFailure, NotQuasiIso, ShapeMismatch, 
 from splicerank.gf2 import BlockGrid, Gf2Matrix
 from splicerank.homology import HomologySpace
 from splicerank.model import BifilteredComplex, Generator, TauOverride, flip_map, random_complex, replace
-from splicerank.splice import splice_rank
+from splicerank.splice import splice_rank, subspace_bounds, theorem_check
 from splicerank.surgery import MappingCone, SurgeryTriple, total_package
 
 from oracles import (
@@ -48,7 +48,7 @@ from oracles import (
     submatrix,
     torus_staircase,
 )
-from packages import apply_admissible, derived_fbars, direct_sum, random_admissible, synthetic_package
+from packages import apply_admissible, derived_fbars, direct_sum, own_packages, random_admissible, synthetic_package
 
 
 def test_unknot_package_dims_and_blocks():
@@ -449,11 +449,10 @@ def test_normalize_matches_the_greedy_complement_reference():
 
 
 @pytest.fixture
-def memo(monkeypatch):
+def memo():
     """A fresh, empty memo of the module's own kind for the test."""
-    fresh = type(duality._BUILT)()
-    monkeypatch.setattr(duality, "_BUILT", fresh)
-    return fresh
+    with own_packages() as fresh:
+        yield fresh
 
 
 def _count_calls(monkeypatch, names) -> Counter:
@@ -473,10 +472,11 @@ def test_memo_hit_equals_a_cold_build_and_still_normalizes(memo, monkeypatch):
     counts = _count_calls(monkeypatch, ("total_package", "build_tau", "normal_basis", "normalize", "verify_package"))
     cold = geometric_package(c)
     assert len(memo) == 1
+    assert counts["verify_package"] == 1
     counts.clear()
     warm = geometric_package(corpus("t34_staircase"))  # equal, but another object
-    assert warm == cold and warm is not cold
-    # the value's entry keeps its verdict, so verify_package does not run
+    # the knot's one package, verified once when normal_basis built it
+    assert warm is cold
     assert counts == {"normalize": 1}
 
 
@@ -489,12 +489,15 @@ def test_a_package_of_something_else_is_a_typed_error(memo, bad):
 
 
 def test_memo_entry_dies_with_its_complex(memo):
+    # and with it the knot's package and every value read from it
     c = random_complex(5)
-    geometric_package(c)
+    p = geometric_package(c)
+    theorem_check(p, p), subspace_bounds(p, p)
     assert len(memo) == 1
-    del c
+    package = weakref.ref(p)
+    del c, p
     gc.collect()
-    assert len(memo) == 0
+    assert len(memo) == 0 and package() is None
 
 
 def test_complexes_differing_only_in_override_flip_or_symmetry_do_not_share(memo):
@@ -603,17 +606,24 @@ def test_a_non_int_grading_does_not_hit_an_equal_entry(memo):
 
 
 def test_memo_keeps_only_totals_and_tau_maps(memo):
-    knots = [corpus(name) for name in corpus_names()]
-    for c in knots:
-        geometric_package(c)
+    # of a knot's cold build the memo keeps only what normal_basis made from
+    # its totals and tau maps: the basis and the package it holds, with
+    # every value read from the package.  The check path fills each store,
+    # with its stats, B nullities, splice sides, witness data and pair
+    # values, and still no entry reaches a complex, a cold-path object or
+    # another knot's package
+    knots = [corpus(name) for name in ("t34_staircase", "fig8_box", "trefoil_staircase")]
+    packages = [geometric_package(c) for c in knots]
+    for p, q in product(packages, repeat=2):
+        theorem_check(p, q), subspace_bounds(p, q)
     assert len(memo) == len(knots)
-    held = [x for value in memo.values() for x in reachable(value)]
-    assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
-    # nothing else either: a value is the dims and the normalized taus,
-    # made of these and the ints in Gf2Matrix rows; neither the totals nor
-    # the raw duality maps are kept
-    kept = {NormalBasis, Gf2Matrix, tuple, int}
-    assert {type(x) for x in held} <= kept
+    for c, p in zip(knots, packages):
+        held = list(reachable(memo[c]))
+        assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
+        assert [x for x in held if isinstance(x, SurgeryPackage)] == [p]
+        # stats, B nullities, families, and sides and images as either
+        # knot; and the rank and witness values of each pair it leads
+        assert len(p._store) == 7 + 2 * len(knots)
 
 
 def test_triple_of_another_complex_is_rejected(memo):
@@ -640,12 +650,11 @@ def test_second_pass_over_all_pairs_builds_no_knot(memo, monkeypatch):
 
 
 def test_warm_geometric_package_operation_budget(memo, monkeypatch):
-    # a warm call builds one package from the memo's normalized taus: its
-    # blocks, X products, normal-form f maps and verdict come from the entry
-    # of its value, no basis is built or inverted, no tau is cut, inverted,
-    # conjugated or squared, no fbar map is built, and no operation may
-    # exceed these counts
+    # a warm call returns the knot's one package: no package is constructed,
+    # no basis is built or inverted, no tau is cut, inverted, conjugated or
+    # squared, no fbar map is built, and no operation may exceed these counts
     ceiling = {
+        "__post_init__": 0,
         "__matmul__": 0,
         "inverse": 0,
         "transpose": 0,
@@ -657,24 +666,23 @@ def test_warm_geometric_package_operation_budget(memo, monkeypatch):
         "assemble": 0,
     }
     knots = [corpus(name) for name in ("trefoil_staircase", "t34_staircase", "fig8_box")]
-    for c in knots:
-        geometric_package(c)
+    cold = [geometric_package(c) for c in knots]
     counts = Counter()
-    others = {"assemble": BlockGrid, "cut_blocks": duality}
+    others = {"__post_init__": SurgeryPackage, "assemble": BlockGrid, "cut_blocks": duality}
     counted_ops = [(others.get(name, Gf2Matrix), name) for name in ceiling]
     for owner, name in counted_ops:
         def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    for c in knots:
+    for c, p in zip(knots, cold):
         counts.clear()
-        geometric_package(c)
+        assert geometric_package(c) is p
         assert {name: n for name, n in counts.items() if n > ceiling[name]} == {}, c.name
         assert counts["__matmul__"] == 0, c.name
-    # the wrappers count: with the entries gone, a build derives its value
-    # afresh, 2 products per X, and verifies it, 3 for tau^2 and 3 for X^2
-    duality._derive.cache_clear()
+    # the wrappers count: a package built by hand is constructed and derives
+    # its X products afresh, 2 products each, and verify_package checks it
+    # in full, 3 for tau^2 and 3 for X^2
     counts.clear()
-    geometric_package(knots[1])
-    assert counts["__matmul__"] == 12
+    verify_package(SurgeryPackage(*cold[1].dims, *cold[1].taus))
+    assert (counts["__post_init__"], counts["__matmul__"]) == (1, 12)

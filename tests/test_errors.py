@@ -47,7 +47,7 @@ LIBRARY_TYPES = (
 # and homology spaces: an argument of one of these types is a slot too, in
 # a public function of the modules that build the complexes, and in the
 # constructors of the records that check their matrices when built: the
-# package, whose value keys the per-package memos, and the chain complex,
+# package, whose dims and taus key the pair values, and the chain complex,
 # cone and flip records of the cold path.  test_gf2 covers the GF(2)
 # module's own matrix operands.
 HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
@@ -131,7 +131,6 @@ def good(tmp_path_factory) -> dict:
     basis = duality.normal_basis(triple.totals, maps)
     plane = model.plane_i0(c)
     helper_hints = typing.get_type_hints(surgery.label_columns) | typing.get_type_hints(homology.induced_by_columns)
-    basis_hints = _hints(NormalBasis)
     complex_hints = _hints(ChainComplexF2)
     return {
         BifilteredComplex: c,
@@ -151,8 +150,6 @@ def good(tmp_path_factory) -> dict:
         int: 0,
         helper_hints["fn"]: lambda label: label,
         helper_hints["columns"]: [],
-        # the dims of a basis, which only normal_basis may build
-        basis_hints["dims"]: basis.dims,
         # the labels of a chain complex
         complex_hints["basis"]: plane.basis,
     }
@@ -246,7 +243,8 @@ def test_duality_maps_that_are_not_a_triple_are_a_shape_mismatch(good, shape):
 @pytest.mark.parametrize("bad", [None, 1.0, True, -1, "x"], ids=["none", "float", "bool", "negative", "str"])
 def test_a_package_dim_that_is_not_a_nonnegative_int_is_a_shape_mismatch(good, dim, bad):
     # True == 1 == 1.0, so a package with such a dim would equal and hash
-    # like a valid one and be served its memo entries: it cannot be built
+    # like a valid one and be served the pair values kept for it: it cannot
+    # be built
     package = good[SurgeryPackage]
     with pytest.raises(ShapeMismatch, match=f"package dim {dim} = ") as info:
         dataclasses.replace(package, **{dim: bad})
@@ -291,10 +289,10 @@ def test_checks_hold_under_python_O():
     assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr
 
 
-@pytest.mark.parametrize("name", ["a0", "a1", "a_inf", "tau0", "tau1", "tau_inf", "_entry", "blocks", "new"])
+@pytest.mark.parametrize("name", ["a0", "a1", "a_inf", "tau0", "tau1", "tau_inf", "_store", "blocks", "new"])
 def test_changing_a_package_is_a_shape_mismatch(good, name):
-    # a package keys the per-value memo by its fields, and a complex the
-    # memo of its normal-form basis: each refuses assignment and deletion of
+    # a package keeps the values read from it in its store, and a complex
+    # keys the memo of its package: each refuses assignment and deletion of
     # any attribute, its fields and its kept hash too, with the typed error,
     # as Gf2Matrix and KronSide do
     for record in (good[SurgeryPackage], good[BifilteredComplex]):

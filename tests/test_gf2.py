@@ -29,6 +29,7 @@ from splicerank.gf2 import (
     span_dim,
     span_intersection,
     spread,
+    xor_columns,
 )
 
 from oracles import SpanSolver, _vec_kron, cancel, h_number, kron, mul_vec, span_basis, span_sum_dim, submatrix
@@ -815,6 +816,9 @@ def test_cut_blocks_rejects_a_cut_outside_a_square(m, top):
         (lambda m: cut_blocks(m, "a"), r"cannot cut Gf2Matrix\(2x2\) at 'a'"),
         (lambda m: m @ 3, "mul 2x2 by 3, not a Gf2Matrix"),
         (lambda m: m + 3, "add 2x2 to 3, not a Gf2Matrix"),
+        (lambda m: xor_columns(m.row_bits, 4), "bit 2 of the vector is past its 2 columns"),
+        (lambda m: spread(2, -1), "slot width -1 is negative"),
+        (lambda m: spread(1, -1), "slot width -1 is negative"),
     ],
     ids=[
         "entry-col",
@@ -827,6 +831,9 @@ def test_cut_blocks_rejects_a_cut_outside_a_square(m, top):
         "cut-blocks-str",
         "mul-int",
         "add-int",
+        "xor-columns-past",
+        "spread-negative-width",
+        "spread-negative-width-low-bit",
     ],
 )
 def test_a_position_outside_the_matrix_is_a_typed_error(call, message):

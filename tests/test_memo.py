@@ -1,13 +1,16 @@
-"""The one per-value memo: ``duality._derive`` keeps, for each package
-value, one entry of at most ``PACKAGE_MEMO_SIZE``.  An entry holds the
-value's blocks, X products and f maps, and a store of what is read from
-the value later: its verdict, its stats, its splice side as either knot,
-its witness families, its witness images as either knot and its B-block
-nullities.  Every equal package
-shares the entry, so each of these is made once per value, and
-``verify_package`` runs once per value; a hit is what a cold computation
-makes, a kept None is a hit too, evicting an entry drops what it holds,
-and a computation that raises stores nothing."""
+"""One package per knot, and each package keeps its own values.
+
+``normal_basis`` builds a knot's package and verifies it once, and
+``geometric_package`` hands out that one package for as long as the knot's
+complex lives.  A package cuts its blocks and derives its X products and f
+maps when it is made, and keeps in its own store what is read from it
+later: its stats, its splice side as either knot, its witness families, its
+witness images as either knot, its B-block nullities and the values of the
+pairs it leads.  So each of these is made once per package, a second read
+is what a cold computation makes, a package built any other way (by hand,
+copy or pickle) computes its own, and a computation that raises stores
+nothing.  Each test gets a package memo of its own (``memo``), so no other
+test's package is warm in it."""
 
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import pytest
 from splicerank import duality, splice
 from splicerank.corpus import corpus, corpus_names
 from splicerank.duality import (
-    PACKAGE_MEMO_SIZE,
     SurgeryPackage,
     _from_entry,
     build_tau,
@@ -41,18 +43,18 @@ from splicerank.splice import (
 )
 from splicerank.surgery import total_package
 
-from oracles import oracle_models
-from packages import synthetic_package
+from oracles import oracle_models, reference_package_parts
+from packages import own_packages, synthetic_package
 
 SIDES = (0, 1)  # the first and the second knot of a splice
 
 
-# What the memo keeps of a package value, each read through the package's
-# entry and computed cold (by the function whose result the entry keeps);
-# the splice sides and the witness images are two keys of the store each,
-# one per side.
+# What a package keeps, each read from the package and computed cold (by
+# the function whose result its store keeps, or by the reference for the
+# derivations its constructor makes); the splice sides and the witness
+# images are two keys of the store each, one per side.
 VALUES = {
-    "derivations": (lambda p: p._entry, lambda p: duality._derive.__wrapped__(p.dims, p.taus)),
+    "derivations": (lambda p: (p.blocks, p.xs, p.fs), lambda p: tuple(reference_package_parts(p).values())),
     "factors-left": (lambda p: _from_entry(p, splice._side, SIDES[0]), lambda p: splice._side(p, SIDES[0])),
     "factors-right": (lambda p: _from_entry(p, splice._side, SIDES[1]), lambda p: splice._side(p, SIDES[1])),
     "families": (lambda p: _from_entry(p, splice._family_parts), splice._family_parts),
@@ -69,20 +71,24 @@ VALUES = {
 }
 
 
-def _kept(value):
-    """What a memo value is compared by: an entry's blocks, X products and f
-    maps, without its store; any other value itself."""
-    return value[:3] if isinstance(value, duality._Entry) else value
+def _same(value, kept) -> bool:
+    """Whether value is the kept object itself, or for the derivations, a
+    triple of the kept objects themselves."""
+    if value is kept:
+        return True
+    return isinstance(value, tuple) and len(value) == 3 and all(a is b for a, b in zip(value, kept))
 
 
 def _store(p: SurgeryPackage) -> dict:
-    """A copy of the store of p's entry."""
-    return dict(p._entry.store)
+    """A copy of p's store."""
+    return dict(p._store)
 
 
 @pytest.fixture(autouse=True)
-def empty_memo():
-    duality._derive.cache_clear()
+def memo():
+    """A fresh, empty package memo for the test."""
+    with own_packages() as fresh:
+        yield fresh
 
 
 def _packages() -> list[SurgeryPackage]:
@@ -99,7 +105,8 @@ def _packages() -> list[SurgeryPackage]:
 
 
 def _rebuilt(p: SurgeryPackage) -> SurgeryPackage:
-    """An equal package, another object: what a warm geometric_package gives."""
+    """An equal package built by hand, another object, with a store of its
+    own."""
     return SurgeryPackage(*p.dims, *p.taus)
 
 
@@ -110,39 +117,43 @@ def test_a_hit_equals_a_cold_computation(name):
     assert len(packages) > 40
     for p in packages:
         first = read(p)
-        info = duality._derive.cache_info()
+        assert _same(read(p), first), p.dims  # kept by p
+        assert first == cold(p), p.dims
+        # an equal package built by hand starts empty and computes its own
         rebuilt = _rebuilt(p)
-        assert duality._derive.cache_info().hits == info.hits + 1, p.dims
-        assert rebuilt._entry is p._entry
-        again = read(rebuilt)
-        assert again is first
-        assert _kept(again) == _kept(cold(p)), p.dims
+        assert rebuilt._store == {}
+        assert read(rebuilt) == first, p.dims
 
 
 def test_a_witness_report_read_from_the_memos_equals_a_cold_one():
-    p, q = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
+    c1, c2 = corpus("t34_staircase"), corpus("fig8_box")
+    p, q = geometric_package(c1), geometric_package(c2)
     cold = kernel_witnesses(p, q)
-    # each knot's entry keeps its verdict, its stats, its families, and its
-    # splice side and its witness images as its knot of the splice; the
-    # first knot's keeps the pair's rank and witness values too, keyed on
-    # the second knot's value, not on the second package
-    kept = {(duality.verify_package,), (duality._stats,), (splice._family_parts,)}
+    # each knot's store keeps its stats, its families, and its splice side
+    # and its witness images as its knot of the splice; the first knot's
+    # keeps the pair's rank and witness values too, keyed on the second
+    # knot's value, not on the second package
+    kept = {(duality._stats,), (splice._family_parts,)}
     value = (q.dims, q.taus)
     pair = {(splice._pair_witnesses, *value), (splice._pair_rank, *value)}
     for r, side, extra in ((p, SIDES[0], pair), (q, SIDES[1], set())):
         assert set(_store(r)) == kept | {(splice._side, side), (splice._witness_images, side)} | extra
     stores = _store(p), _store(q)
-    rebuilt = _rebuilt(p), _rebuilt(q)
-    assert kernel_witnesses(*rebuilt) == cold
-    # the warm report read every value from the entries and added none
-    for store, r in zip(stores, rebuilt):
-        assert r._entry.store.keys() == store.keys()
-        assert all(r._entry.store[key] is value for key, value in store.items())
+    # warm: the knots' packages again, from equal complexes
+    warm = geometric_package(corpus("t34_staircase")), geometric_package(corpus("fig8_box"))
+    assert warm[0] is p and warm[1] is q
+    assert kernel_witnesses(*warm) == cold
+    # the warm report read every value from the stores and added none
+    for store, r in zip(stores, warm):
+        assert r._store.keys() == store.keys()
+        assert all(r._store[key] is value for key, value in store.items())
+    # equal packages built by hand compute the same report afresh
+    assert kernel_witnesses(_rebuilt(p), _rebuilt(q)) == cold
 
 
 def test_a_caller_cannot_change_a_memo_value():
     p = geometric_package(corpus("t34_staircase"))
-    cold = [_kept(cold(p)) for _, cold in VALUES.values()]
+    cold = [cold(p) for _, cold in VALUES.values()]
     side = _from_entry(p, splice._side, SIDES[0])
     for name in ("row_dims", "col_dims", "blocks", "factors", "mask"):
         with pytest.raises(ShapeMismatch, match="immutable"):
@@ -166,20 +177,17 @@ def test_a_caller_cannot_change_a_memo_value():
         images[0][0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats(p).a0 = 0
-    kernel_dims, _ = _from_entry(p, duality._b_nullities)
+    nullities = _from_entry(p, duality._b_nullities)
     with pytest.raises(TypeError):
-        kernel_dims["B0"] = 0
-    entry = duality._derive(p.dims, p.taus)
-    assert entry is p._entry
-    with pytest.raises(TypeError):
-        entry[0] = entry[1]
-    with pytest.raises(AttributeError):
-        entry.blocks = ()
-    with pytest.raises(ShapeMismatch, match="immutable"):
-        p._entry = None
-    blocks, xs, fs = entry[:3]
+        nullities[0][0] = 0
+    for name in ("blocks", "xs", "fs", "_store"):
+        with pytest.raises(ShapeMismatch, match="immutable"):
+            setattr(p, name, None)
+    blocks, xs, fs = p.blocks, p.xs, p.fs
     with pytest.raises(TypeError):
         blocks[0] = blocks[1]
+    with pytest.raises(TypeError):
+        xs[0] = xs[1]
     with pytest.raises(AttributeError):
         blocks[0].A = blocks[0].D
     for m in (blocks[1].B, xs[1], fs[0], side.factors[0]):
@@ -187,36 +195,17 @@ def test_a_caller_cannot_change_a_memo_value():
             m.rows = 0
         with pytest.raises(ShapeMismatch):
             del m.cols
-    assert [_kept(read(p)) for read, _ in VALUES.values()] == cold
-
-
-@pytest.mark.parametrize("name", VALUES)
-def test_one_package_past_the_bound_evicts_the_oldest(name):
-    read, _ = VALUES[name]
-    packages = list(dict.fromkeys(synthetic_package(seed, (2, 3, 2)) for seed in range(PACKAGE_MEMO_SIZE + 1)))
-    assert len(packages) == PACKAGE_MEMO_SIZE + 1
-    info = duality._derive.cache_info()
-    # building the packages made their entries; the first was evicted
-    assert (info.misses, info.currsize, info.maxsize) == (PACKAGE_MEMO_SIZE + 1, PACKAGE_MEMO_SIZE, PACKAGE_MEMO_SIZE)
-    values = [read(p) for p in packages]
-    kept = _rebuilt(packages[1])  # the second oldest is kept: its values with it
-    assert kept._entry is packages[1]._entry and read(kept) is values[1]
-    info = duality._derive.cache_info()
-    again = _rebuilt(packages[0])  # the oldest was evicted: its values with it
-    assert duality._derive.cache_info().misses == info.misses + 1
-    assert again._entry is not packages[0]._entry and again._entry.store == {}
-    value = read(again)
-    assert _kept(value) == _kept(values[0]) and value is not values[0]
+    assert [read(p) for read, _ in VALUES.values()] == cold
 
 
 def test_a_package_survives_copy_and_pickle_after_its_values_are_read():
     # the store holds mapping proxies, which cannot be copied: a copy is
-    # rebuilt from the six defining fields, and so shares the entry
+    # rebuilt from the six defining fields, with an empty store of its own
     p = geometric_package(corpus("t34_staircase"))
     report = kernel_witnesses(p, p)
     for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert again == p and again is not p
-        assert again._entry is p._entry
+        assert again._store == {}
         assert kernel_witnesses(again, again) == report
 
 
@@ -236,24 +225,7 @@ def test_a_read_that_raises_stores_nothing():
     assert calls == [p, p]  # computed afresh on every read
 
 
-def test_a_read_that_returns_none_runs_once_per_entry():
-    p = geometric_package(corpus("t34_staircase"))
-    calls = []
-
-    def returns_none(q):
-        calls.append(q)
-
-    for q in (p, _rebuilt(p), p):
-        assert _from_entry(q, returns_none) is None
-    assert calls == [p]  # a kept None is a hit
-    assert _store(p)[(returns_none,)] is None
-    duality._derive.cache_clear()
-    again = _rebuilt(p)
-    assert _from_entry(again, returns_none) is None
-    assert calls == [p, again]  # a fresh entry computes it afresh
-
-
-def test_verify_package_runs_once_per_value(monkeypatch):
+def test_verify_package_runs_once_per_knot(monkeypatch):
     runs = []
     verify = duality.verify_package
 
@@ -265,23 +237,18 @@ def test_verify_package_runs_once_per_value(monkeypatch):
     c = corpus("t34_staircase")
     p = geometric_package(c)
     assert runs == [p]
-    # an equal complex, another object, reads the verdict of p's value
-    assert geometric_package(corpus("t34_staircase")) == p
-    # so does an equal package built by hand, from taus that are other objects
-    taus = [Gf2Matrix(t.rows, t.cols, t.row_bits) for t in p.taus]
-    q = SurgeryPackage(*p.dims, *taus)
-    assert q._entry is p._entry and _from_entry(q, duality.verify_package) is None
-    # and so does normalize of another basis of that knot, whose taus are
-    # other objects
+    # an equal complex, another object, gets the knot's package, and
+    # normalize reads no verdict: it only hands the package out
+    assert geometric_package(corpus("t34_staircase")) is p
+    assert normalize(duality._BUILT[c]) is p
+    assert runs == [p]
+    # another basis of that knot holds another package, verified when made
     triple = total_package(c)
     basis = normal_basis(triple.totals, build_tau(c, triple))
-    assert basis is not duality._BUILT[c] and basis.taus[0] is not p.tau0
-    assert normalize(basis) == p
-    assert runs == [p]
-    # an evicted entry takes the verdict with it
-    duality._derive.cache_clear()
-    assert geometric_package(c) == p
-    assert runs == [p, p]
+    q = normalize(basis)
+    assert basis is not duality._BUILT[c] and q == p and q is not p
+    assert runs == [p, q]
+    assert normalize(basis) is q and runs == [p, q]
     # a direct call checks in full every time: 3 products for tau^2, 3 for X^2
     products = Counter()
     matmul = Gf2Matrix.__matmul__
@@ -328,25 +295,23 @@ def test_a_kron_factor_is_made_only_from_a_matrix():
 
 
 def test_a_bad_tau_fails_verification_on_every_build():
-    # the derivations serve the second build, and verify_package still runs.
+    # each build derives its own values, and verify_package fails on each.
     # No basis can carry a bad tau to normalize (see
     # test_a_forged_normal_basis_cannot_reach_normalize), so the package is
-    # built and its verdict read as normalize builds and reads them
+    # built and verified as normal_basis builds and verifies it
     c = corpus("t34_staircase")
-    triple = total_package(c)
-    basis = normal_basis(triple.totals, build_tau(c, triple))
-    tau0 = basis.taus[0]
+    good = geometric_package(c)
+    tau0 = good.tau0
     flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
-    for build in range(2):
-        info = duality._derive.cache_info()
-        p = SurgeryPackage(*basis.dims, flipped, *basis.taus[1:])
-        assert duality._derive.cache_info().hits == info.hits + build, build
+    for _ in range(2):
+        p = SurgeryPackage(*good.dims, flipped, *good.taus[1:])
         with pytest.raises(NormalizationFailure, match="tau0"):
-            _from_entry(p, duality.verify_package)
-    # a tau of the wrong size fails before the lookup can keep anything
+            duality.verify_package(p)
+        assert p._store == {}
+    # a tau of the wrong size fails before the package is made
     for _ in range(2):
         with pytest.raises(NormalizationFailure, match="expected"):
-            SurgeryPackage(*basis.dims, Gf2Matrix.identity(tau0.rows - 1), *basis.taus[1:])
+            SurgeryPackage(*good.dims, Gf2Matrix.identity(tau0.rows - 1), *good.taus[1:])
 
 
 def test_a_forged_normal_basis_cannot_reach_normalize():
@@ -355,31 +320,32 @@ def test_a_forged_normal_basis_cannot_reach_normalize():
     c = corpus("t34_staircase")
     p = geometric_package(c)
     basis = duality._BUILT[c]
-    tau0 = basis.taus[0]
+    tau0 = p.tau0
     flipped = Gf2Matrix(tau0.rows, tau0.cols, (tau0.row_bits[0] ^ 1,) + tau0.row_bits[1:])
     forgeries = {
-        "constructor": lambda: duality.NormalBasis(basis.dims, (flipped, *basis.taus[1:])),
-        "keywords": lambda: duality.NormalBasis(dims=basis.dims, taus=basis.taus),
-        "token": lambda: duality.NormalBasis(basis.dims, basis.taus, object()),
+        "constructor": lambda: duality.NormalBasis(SurgeryPackage(*p.dims, flipped, *p.taus[1:])),
+        "keywords": lambda: duality.NormalBasis(package=p),
+        "token": lambda: duality.NormalBasis(p, object()),
     }
     for name, forge in forgeries.items():
         with pytest.raises(SpliceRankError, match="made by normal_basis") as info:
             forge()
         assert info.type is ShapeMismatch, name
-    for bad in (basis.taus, (basis.dims, basis.taus)):
+    # nor is a package, or its fields, a basis
+    for bad in (p, p.taus, (p.dims, p.taus)):
         with pytest.raises(ShapeMismatch):
             normalize(bad)
     # nor can a basis that normal_basis made be changed, or copied field by
     # field past its constructor
-    for name in ("dims", "taus"):
+    for name in ("package",):
         with pytest.raises(ShapeMismatch, match="immutable"):
             setattr(basis, name, getattr(basis, name))
         with pytest.raises(ShapeMismatch, match="immutable"):
             delattr(basis, name)
     with pytest.raises(ShapeMismatch, match="immutable"):
         copy.copy(basis)
-    assert duality._BUILT[c] is basis and basis.taus[0] is tau0
-    assert normalize(basis) == p
+    assert duality._BUILT[c] is basis and basis.package is p and p.tau0 is tau0
+    assert normalize(basis) is p
 
 
 ENTRY_POINTS = {
@@ -400,17 +366,17 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", [[1, 2], None, 1j], ids=["list", "none", "complex"])
 def test_an_argument_of_another_type_fails_before_any_lookup(call, bad):
     p = geometric_package(corpus("trefoil_staircase"))
-    before = duality._derive.cache_info(), _store(p)
+    before = _store(p)
     with pytest.raises(ShapeMismatch) as info:
         call(p, bad)
     assert info.type is ShapeMismatch
-    assert (duality._derive.cache_info(), _store(p)) == before
+    assert _store(p) == before
 
 
 def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
     knots = [corpus(name) for name in corpus_names()]
     first = {(a.name, b.name): build_D(geometric_package(a), geometric_package(b)) for a in knots for b in knots}
-    packages = {c.name: geometric_package(c) for c in knots}  # equal packages, other objects
+    packages = {c.name: geometric_package(c) for c in knots}  # each knot's one package
     counts = Counter()
     real = Gf2Matrix.__matmul__
 
@@ -422,6 +388,6 @@ def test_a_second_build_D_of_the_same_pair_makes_no_product(monkeypatch):
     for (n1, n2), d in first.items():
         assert build_D(packages[n1], packages[n2]) == d
     assert counts == Counter()
-    # each knot's entry holds its side as either knot, made once each
+    # each knot's store holds its side as either knot, made once each
     for p in packages.values():
-        assert {key for key in p._entry.store if key[0] is splice._side} == {(splice._side, side) for side in SIDES}
+        assert {key for key in p._store if key[0] is splice._side} == {(splice._side, side) for side in SIDES}

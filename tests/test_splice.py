@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from oracles import (
     reference_subspace_bounds,
     torus_staircase,
 )
-from packages import apply_admissible, direct_sum, random_admissible, synthetic_package
+from packages import apply_admissible, direct_sum, own_packages, random_admissible, synthetic_package
 
 
 def pkg(name: str):
@@ -134,7 +135,6 @@ def test_a_side_masks_exactly_the_terms_whose_factor_is_nonzero():
 
 
 def test_a_factor_of_the_wrong_shape_fails_when_its_side_is_made(monkeypatch):
-    duality._derive.cache_clear()
     p = synthetic_package(0, (1, 2, 3))
     # row blocks 0 and 1 swapped: block (0,0)'s factors no longer fit
     rows = splice._ROW_BLOCKS
@@ -144,7 +144,7 @@ def test_a_factor_of_the_wrong_shape_fails_when_its_side_is_made(monkeypatch):
             duality._from_entry(p, splice._side, side)
     with pytest.raises(ShapeMismatch, match=r"block \(0,0\)"):
         build_D(p, p)
-    assert not [key for key in p._entry.store if key[0] is splice._side]
+    assert not [key for key in p._store if key[0] is splice._side]
     monkeypatch.undo()
     assert build_D(p, p) == reference_build_D(p, p)
 
@@ -169,15 +169,15 @@ def test_build_D_operation_budget(monkeypatch):
     # cold, each knot's 14 products are made once and the rows of D are
     # written straight from them: no sum, no block grid, and no matrix built
     # besides the 28 products, the 6 identity factors and D itself.  Warm,
-    # the factors come from the memo, so D is the only matrix built
+    # the factors come from the packages' stores, so D is the only matrix built
     ceiling = {"__matmul__": 28, "_trusted": 28 + 6 + 1, "__add__": 0, "__init__": 0, "assemble": 0}
-    # packages built after the clear take fresh entries, with no factors
-    duality._derive.cache_clear()
-    pairs = [
-        (pkg("t34_staircase"), pkg("fig8_box")),
-        (pkg("trefoil_staircase"), pkg("trefoil_staircase")),
-        (synthetic_package(1, (2, 3, 1)), pkg("t25_staircase")),
-    ]
+    # packages of the test's own, with empty stores: no factors yet
+    with own_packages():
+        pairs = [
+            (pkg("t34_staircase"), pkg("fig8_box")),
+            (pkg("trefoil_staircase"), pkg("trefoil_staircase")),
+            (synthetic_package(1, (2, 3, 1)), pkg("t25_staircase")),
+        ]
     counts = Counter()
     counted_ops = [(Gf2Matrix, name) for name in ceiling if name != "assemble"] + [(BlockGrid, "assemble")]
     for owner, name in counted_ops:
@@ -536,19 +536,12 @@ def _flipped(side: KronSide, t: int, r: int, c: int) -> KronSide:
 
 
 def _inject(p, side: int, t: int, r: int, c: int) -> KronSide:
-    """Put into the store of p's entry its splice side ``side`` with bit
-    (r, c) of term t's factor flipped, before anything reads it; the entry
-    must be fresh (see ``_fresh_entries``)."""
+    """Put into p's store its splice side ``side`` with bit (r, c) of term
+    t's factor flipped, before anything reads it; p must be the test's own
+    (see ``packages.own_packages``)."""
     faulty = _flipped(duality._from_entry(p, splice._side, side), t, r, c)
-    p._entry.store[(splice._side, side)] = faulty
+    p._store[(splice._side, side)] = faulty
     return faulty
-
-
-def _fresh_entries():
-    """Empties the package memo, so packages built next take entries that no
-    other test's packages share: a fault put into one dies with it once the
-    memo is emptied again."""
-    duality._derive.cache_clear()
 
 
 def _named_pair(check, p1, p2) -> int | None:
@@ -567,8 +560,7 @@ def test_witness_outside_kernel_names_its_pair():
     # bit (0, 1) of the first knot's Binf B1 in block (3, 0) flipped: D, as
     # kron_blocks assembles it from the faulty sides, fails a witness that
     # is not the first, and so must the per-knot check, naming it
-    _fresh_entries()
-    try:
+    with own_packages():
         p1 = p2 = pkg("trefoil_staircase")
         t = splice._TERM_LIST.index(((3, 0), ("Binf B1", "a_inf")))
         faulty = _inject(p1, 0, t, 0, 1)
@@ -582,8 +574,6 @@ def test_witness_outside_kernel_names_its_pair():
         assert build_D(p1, p2).matrix == broken
         with pytest.raises(WitnessNotInKernel, match=rf"pair #{first_bad} "):
             kernel_witnesses(p1, p2)
-    finally:
-        _fresh_entries()
 
 
 # The knots of the fault property, each (kind, how to build it): corpus,
@@ -619,8 +609,7 @@ def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, 
     # one bit of one factor flipped in either knot's side: the per-knot
     # check fails exactly when the D of the faulty sides leaves some witness
     # outside its kernel, and then names the same pair as the reference
-    _fresh_entries()
-    try:
+    with own_packages():
         p1, p2 = _fault_knot(knot1), _fault_knot(knot2)
         p = (p1, p2)[side]
         bits = [
@@ -637,17 +626,15 @@ def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, 
             assert kernel_witnesses(p1, p2) == reference_kernel_witnesses(p1, p2)[0]
         else:
             # a failed check keeps nothing, so it raises again, warm or not
-            assert (splice._pair_witnesses, p2.dims, p2.taus) not in p1._entry.store
+            assert (splice._pair_witnesses, p2.dims, p2.taus) not in p1._store
             assert _named_pair(kernel_witnesses, p1, p2) == want
             assert _named_pair(theorem_check, p1, p2) == want
             assert not _pair_keys(p1) and not _pair_keys(p2)
-    finally:
-        _fresh_entries()
 
 
 def _pair_keys(p) -> list:
-    """The keys of the pair values in the store of p's entry."""
-    return [key for key in p._entry.store if key[0] in (splice._pair_rank, splice._pair_witnesses)]
+    """The keys of the pair values in p's store."""
+    return [key for key in p._store if key[0] in (splice._pair_rank, splice._pair_witnesses)]
 
 
 def _counting(monkeypatch, counts: Counter) -> None:
@@ -693,41 +680,42 @@ def test_a_check_call_builds_D_at_most_once(monkeypatch):
     # cold, theorem_check and subspace_bounds of one pair build D once
     # between them and the witnesses once; warm, neither builds anything.
     # A cold subspace_bounds alone builds D once and no witness
-    _fresh_entries()
-    counts = Counter()
-    _counting(monkeypatch, counts)
-    p1, p2 = pkg("t34_staircase"), pkg("fig8_box")
-    verdict, bounds = theorem_check(p1, p2), subspace_bounds(p1, p2)
-    # cold, each knot's images and families are made once, with products
-    assert _made(counts) == {
-        "build_D": 1,
-        "_nonzero_witnesses": 1,
-        "span_dim": 1,
-        "_witness_images": 2,
-        "_family_parts": 2,
-    }
-    for q1, q2 in ((p1, p2), (pkg("t34_staircase"), pkg("fig8_box"))):
+    with own_packages():
+        counts = Counter()
+        _counting(monkeypatch, counts)
+        c1, c2 = corpus("t34_staircase"), corpus("fig8_box")
+        p1, p2 = geometric_package(c1), geometric_package(c2)
+        verdict, bounds = theorem_check(p1, p2), subspace_bounds(p1, p2)
+        # cold, each knot's images and families are made once, with products
+        assert _made(counts) == {
+            "build_D": 1,
+            "_nonzero_witnesses": 1,
+            "span_dim": 1,
+            "_witness_images": 2,
+            "_family_parts": 2,
+        }
+        # warm: the same packages, and the same again from equal complexes
+        # while the first two live
+        for q1, q2 in ((p1, p2), (pkg("t34_staircase"), pkg("fig8_box"))):
+            assert q1 is p1 and q2 is p2
+            counts.clear()
+            assert (theorem_check(q1, q2), subspace_bounds(q1, q2)) == (verdict, bounds)
+            assert counts == Counter()
         counts.clear()
-        assert (theorem_check(q1, q2), subspace_bounds(q1, q2)) == (verdict, bounds)
-        assert counts == Counter()
-    counts.clear()
-    q1, q2 = pkg("trefoil_staircase"), pkg("t25_staircase")
-    alone = subspace_bounds(q1, q2)
-    assert _made(counts) == {"build_D": 1}
-    # the other order is another pair, kept in the other package's entry
-    counts.clear()
-    subspace_bounds(q2, q1)
-    assert _made(counts) == {"build_D": 1}
-    counts.clear()
-    assert subspace_bounds(q1, q2) == alone and counts == Counter()
-    monkeypatch.undo()
-    _fresh_entries()
-
+        q1, q2 = pkg("trefoil_staircase"), pkg("t25_staircase")
+        alone = subspace_bounds(q1, q2)
+        assert _made(counts) == {"build_D": 1}
+        # the other order is another pair, kept in the other package's store
+        counts.clear()
+        subspace_bounds(q2, q1)
+        assert _made(counts) == {"build_D": 1}
+        counts.clear()
+        assert subspace_bounds(q1, q2) == alone and counts == Counter()
+        monkeypatch.undo()
 
 def test_a_pair_value_holds_ints_and_no_other_entry():
     # the pair values are a SpliceRank and three ints, keyed on the second
-    # package's dims and taus: no D, no witness list, no package or entry
-    _fresh_entries()
+    # package's dims and taus: no D, no witness list, no package or store
     p1, p2 = geometric_package(torus_staircase(4, 7)), geometric_package(torus_staircase(5, 6))
     report = kernel_witnesses(p1, p2)
     value = (p2.dims, p2.taus)
@@ -736,13 +724,12 @@ def test_a_pair_value_holds_ints_and_no_other_entry():
     )
     assert _pair_keys(p2) == []
     for key in _pair_keys(p1):
-        held = list(reachable(p1._entry.store[key]))
+        held = list(reachable(p1._store[key]))
         assert all(type(x) in (int, tuple, splice.SpliceRank) for x in held), key
         assert {type(x) for x in reachable(key[1:])} <= {int, tuple, Gf2Matrix}
     rank = splice_rank(p1, p2)
-    assert p1._entry.store[(splice._pair_rank, *value)] == rank
-    assert p1._entry.store[(splice._pair_witnesses, *value)] == (report.checked, report.nonzero, report.witness_span)
-    _fresh_entries()
+    assert p1._store[(splice._pair_rank, *value)] == rank
+    assert p1._store[(splice._pair_witnesses, *value)] == (report.checked, report.nonzero, report.witness_span)
 
 
 @settings(max_examples=60, deadline=None)
@@ -751,13 +738,14 @@ def test_a_pair_value_holds_ints_and_no_other_entry():
 @example(("synthetic", 14, (1, 3, 3)), ("random", 2))
 def test_warm_check_reports_equal_cold_ones_and_the_reference(knot1, knot2):
     # in both orders: the cold reports, the warm ones read from the pair
-    # values by equal packages built afresh, and the reference all agree
-    _fresh_entries()
+    # values by the same packages, those of equal packages built by hand,
+    # which compute their own, and the reference all agree
     for first, second in ((knot1, knot2), (knot2, knot1)):
         p1, p2 = _fault_knot(first), _fault_knot(second)
         cold = kernel_witnesses(p1, p2), subspace_bounds(p1, p2), theorem_check(p1, p2)
-        q1, q2 = _fault_knot(first), _fault_knot(second)
-        assert q1._entry is p1._entry
+        assert (kernel_witnesses(p1, p2), subspace_bounds(p1, p2), theorem_check(p1, p2)) == cold
+        q1, q2 = copy.copy(p1), copy.copy(p2)
+        assert (q1, q2) == (p1, p2) and not q1._store and not q2._store
         assert (kernel_witnesses(q1, q2), subspace_bounds(q1, q2), theorem_check(q1, q2)) == cold
         assert cold[0] == reference_kernel_witnesses(p1, p2)[0]
         assert cold[1] == reference_subspace_bounds(p1, p2)
