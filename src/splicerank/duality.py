@@ -402,6 +402,10 @@ def geometric_package(complex_: BifilteredComplex, triple: SurgeryTriple | None 
 
 @dataclass(frozen=True)
 class PackageStats:
+    """A package's subspace dimensions, per index of the cycle: the dims a,
+    the B-block ranks r, the deltas, the k, l, c and d dims of each f map
+    beside its barred map, and y = k + l + c + d."""
+
     a0: int
     a1: int
     a_inf: int

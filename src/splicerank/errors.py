@@ -1,5 +1,13 @@
 """Exception types shared across the package, the type guard on arguments,
-and the base of the immutable records."""
+and the base of the immutable records.
+
+A record is a ``typing.NamedTuple``, which is cheaper to define at import,
+unless a reader needs the dataclass API (``dataclasses.asdict``,
+``replace`` or ``fields``), its constructor validates, or it is a
+``Frozen`` record with its own refusals: those are frozen dataclasses, each
+with a docstring, as ``dataclasses`` writes a missing one at import through
+``inspect.signature``.  A NamedTuple equals the plain tuple of its values,
+so code that must tell a record from a tuple checks its type."""
 
 from __future__ import annotations
 

@@ -47,8 +47,7 @@ models with top grading >= 2 show.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import StatsInconsistent, require_type
 from .gf2 import Gf2Matrix, span_dim, span_intersection, xor_columns
@@ -65,8 +64,7 @@ E_TERM_MULTIPLICITY: dict[str, Callable[[int], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class SideData:
+class SideData(NamedTuple):
     """One filtration direction: kernels of the maps into the ambient rank."""
 
     window: range
@@ -78,8 +76,10 @@ class SideData:
     quot: dict[int, int]  # dim K_s / ([K_{s-1}]^s + [K_s]_{s+1})
 
 
-@dataclass(frozen=True)
-class FiltrationProfile:
+class FiltrationProfile(NamedTuple):
+    """The double-filtration invariants of one complex: the ambient rank,
+    the graded pieces E_t and A(p, q), and both filtration directions."""
+
     name: str
     hf_dim: int
     e: dict[int, int]
@@ -225,8 +225,9 @@ def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -
 # -- lemma suite --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaEntry:
+class LemmaEntry(NamedTuple):
+    """One identity of a lemma: its two sides, which must agree."""
+
     label: str
     lhs: int
     rhs: int
@@ -236,8 +237,9 @@ class LemmaEntry:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
+    """A lemma's identities on one complex."""
+
     name: str
     entries: tuple[LemmaEntry, ...]
 

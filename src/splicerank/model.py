@@ -29,6 +29,7 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     Frozen,
@@ -43,22 +44,25 @@ from .gf2 import Gf2Matrix
 from .homology import ChainComplexF2, HomologySpace, induced_by_columns
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
+    """A generator: its id and its Alexander grading."""
+
     id: str
     alexander: int
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
+    """A differential arrow from src to dst, dropping i and j by its drops."""
+
     src: str
     dst: str
     drop_i: int
     drop_j: int
 
 
-@dataclass(frozen=True)
-class TauOverride:
+class TauOverride(NamedTuple):
+    """Duality maps given in the input, used in place of computed ones."""
+
     tau0: Gf2Matrix
     tau1: Gf2Matrix
     tau_inf: Gf2Matrix
@@ -66,6 +70,10 @@ class TauOverride:
 
 @dataclass(frozen=True)
 class BifilteredComplex(Frozen):
+    """A knot's model: named generators and arrows, with a basis symmetry,
+    an explicit flip matrix, or both, and optional duality maps.  Valid,
+    immutable and hashable by construction (see the module docstring)."""
+
     name: str
     generators: tuple[Generator, ...]
     arrows: tuple[Arrow, ...]
@@ -279,6 +287,9 @@ def sigma_chain_map(
 
 @dataclass(frozen=True)
 class FlipMap:
+    """The flip from the i = 0 plane to the j = 0 plane, a chain homotopy
+    equivalence; its fields' types are checked when built."""
+
     source: ChainComplexF2
     target: ChainComplexF2
     matrix: Gf2Matrix
@@ -364,6 +375,9 @@ def random_complex(seed: int) -> BifilteredComplex:
     closed under the symmetry.  Rejection keeps drawing until a draw builds
     (the constructor validates it) and the j = 0 plane has odd homology
     rank, matching the homology-sphere setting of the geometric inputs.
+    That rank is read off the generator count, with no homology computed:
+    the j = 0 plane has one basis element per generator, and over GF(2)
+    dim H = dim C - 2 rank(d), so dim H and dim C have the same parity.
     """
     rng = random.Random(f"splicerank-complex-{seed}")
     for _ in range(400):
@@ -371,7 +385,7 @@ def random_complex(seed: int) -> BifilteredComplex:
             candidate = _draw_two_layer(rng, seed)
         except ShapeMismatch:
             continue
-        if hf_hat(candidate).dim % 2 == 1:
+        if len(candidate.generators) % 2 == 1:
             return candidate
     raise SamplingExhausted(f"no valid random complex after 400 draws (seed {seed})")
 

@@ -53,6 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .duality import CYCLE, SurgeryPackage, _b_nullities, _from_entry, stats
 from .errors import WitnessNotInKernel, require_type
@@ -69,8 +70,9 @@ from .gf2 import (
 )
 
 
-@dataclass(frozen=True)
-class SpliceMatrix:
+class SpliceMatrix(NamedTuple):
+    """The splice matrix D of a package pair."""
+
     matrix: Gf2Matrix
 
 
@@ -158,6 +160,8 @@ def build_D(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceMatrix:
 
 @dataclass(frozen=True)
 class SpliceRank:
+    """The rank h of the splice's hat invariant, dim Ker D + dim Coker D."""
+
     h: int
     ker: int
     coker: int
@@ -185,6 +189,10 @@ def _pair_rank(p1: SurgeryPackage, p2: SurgeryPackage) -> SpliceRank:
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """The kernel witnesses of a pair: how many were checked and are
+    nonzero, and the span they reach, beside the six-term bounds and the
+    kernel and cokernel dims of D."""
+
     checked: int
     nonzero: int
     ker_bound: int
@@ -368,6 +376,9 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
 
 @dataclass(frozen=True)
 class SubspaceBound:
+    """One tensor-factor bound: whether its hypothesis is met and, if it
+    is, its kernel and cokernel bounds and whether D meets each."""
+
     label: str
     hypothesis_met: bool
     ker_bound: int | None = None
@@ -430,6 +441,9 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
 
 @dataclass(frozen=True)
 class TheoremVerdict:
+    """The main rank inequality on a pair: whether it applies and holds,
+    h, its lower bound and margin, and whether the witness bounds hold."""
+
     applicable: bool
     holds: bool | None
     h: int

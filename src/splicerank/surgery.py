@@ -47,6 +47,9 @@ from .model import BifilteredComplex, FlipMap, flip_map
 
 @dataclass(frozen=True)
 class MappingCone:
+    """The cone of i_n^s at level s, whose homology is the surgery group
+    H_n(K, s); its fields' types are checked when built."""
+
     n: int
     s: int
     first: ChainComplexF2   # C{i<=s, j=0}

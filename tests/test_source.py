@@ -23,6 +23,24 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_every_dataclass_has_a_docstring():
+    # dataclasses writes the docstring of a class without one when the class
+    # is made, from inspect.signature, which costs time at every import
+    decorated = [
+        (f"{path.name}:{node.lineno} {node.name}", ast.get_docstring(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+            for d in node.decorator_list
+        )
+    ]
+    assert len(decorated) > 5
+    assert [label for label, doc in decorated if not doc] == []
+
+
 def test_library_imports_only_at_module_top():
     # an import inside a function hides a dependency (or an import cycle)
     # from the module header
