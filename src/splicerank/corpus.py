@@ -3,24 +3,22 @@ directory is listed once per process."""
 
 from __future__ import annotations
 
+import json
+import os
 from functools import cache
-from importlib import resources
 
 from .errors import UnknownName
 from .model import BifilteredComplex
 from .serialize import complex_from_dict
 
-import json
-
-
-def _data_dir():
-    return resources.files("splicerank") / "data"
+# the data files beside this module, named with os.path: importlib.resources
+# and pathlib would cost a one-shot command more to import than the listing
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @cache
 def _names() -> tuple[str, ...]:
-    names = [entry.name[: -len(".json")] for entry in _data_dir().iterdir() if entry.name.endswith(".json")]
-    return tuple(sorted(names))
+    return tuple(sorted(entry[: -len(".json")] for entry in os.listdir(_DATA) if entry.endswith(".json")))
 
 
 def corpus_names() -> list[str]:
@@ -32,4 +30,5 @@ def corpus(name: str) -> BifilteredComplex:
     names = _names()
     if name not in names:
         raise UnknownName(f"no corpus entry {name!r}; known: {', '.join(names)}")
-    return complex_from_dict(json.loads((_data_dir() / f"{name}.json").read_text(encoding="utf-8")))
+    with open(os.path.join(_DATA, f"{name}.json"), encoding="utf-8") as f:
+        return complex_from_dict(json.load(f))

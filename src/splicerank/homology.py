@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .errors import NotAComplex, ShapeMismatch, require_type
@@ -42,9 +41,12 @@ class ChainComplexF2:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @property
     def index(self) -> dict[Hashable, int]:
-        """Position of each basis label, built on first use."""
+        """Position of each basis label, in a dict built on each call and
+        kept by no one: no caller can change a complex's index, and no cone
+        or plane carries a dict as long as its basis.  Callers read it once
+        per map."""
         return {label: k for k, label in enumerate(self.basis)}
 
     def homology_dim(self) -> int:

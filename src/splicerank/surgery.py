@@ -31,6 +31,12 @@ sub-plane of the flip's two planes once and keeps it by level:
 
 ``check_all_lemmas`` hands a triple's store to ``profile``, so one lemma run
 cuts each plane once.
+
+A cone's basis tags each label with its summand, ("u", label), ("v", label)
+or ("w", label), and every cone takes these tuples from its store, one per
+(tag, label), so a knot's cones share them: the 126 cones of T(2,61) hold
+15,433 tagged labels with 183 distinct values, and a tuple built per cone
+made them about 0.9 MB of a 3.2 MB triple.
 """
 
 from __future__ import annotations
@@ -80,11 +86,21 @@ def label_columns(
 
 
 class PlaneStore:
-    """The sub-planes of one knot's flip map, each cut once, and the cones on them."""
+    """The sub-planes of one knot's flip map, each cut once, and the cones on
+    them.  Every cone's basis is built from the store's tagged labels, one
+    dict per tag from a plane label to its (tag, label) tuple, so the cones
+    of all levels hold one tuple per value, which dies with the store."""
 
     def __init__(self, flip: FlipMap):
         self.flip = flip
         self._planes: dict[tuple[str, int], ChainComplexF2] = {}
+        # the column in C{j=0} of each of its labels, read by every cone
+        # for its first summand, as a complex keeps no label index
+        self._inclusion = {lbl: 1 << k for k, lbl in enumerate(flip.target.basis)}
+        self._tagged = {
+            tag: {lbl: (tag, lbl) for lbl in plane.basis}
+            for tag, plane in (("u", flip.target), ("v", flip.source), ("w", flip.target))
+        }
 
     def _cut(
         self, key: tuple[str, int], plane: ChainComplexF2, keep: Callable[[Hashable], bool]
@@ -122,7 +138,7 @@ class PlaneStore:
         codomain = self.flip.target
         dom_dim = first.dim + second.dim
         chain_map = Gf2Matrix.from_columns(
-            label_columns(first, codomain, lambda lbl: lbl) + self.flip_columns(second), codomain.dim
+            [self._inclusion[lbl] for lbl in first.basis] + self.flip_columns(second), codomain.dim
         )
         total = dom_dim + codomain.dim
         # boundary (d_u 0 0; 0 d_v 0; i_u i_v d_w), assembled row by row
@@ -132,11 +148,8 @@ class PlaneStore:
             m | (b << dom_dim)
             for m, b in zip(chain_map.row_bits, codomain.boundary.row_bits)
         ]
-        labels = (
-            tuple(("u", lbl) for lbl in first.basis)
-            + tuple(("v", lbl) for lbl in second.basis)
-            + tuple(("w", lbl) for lbl in codomain.basis)
-        )
+        u, v, w = (self._tagged[tag].__getitem__ for tag in "uvw")
+        labels = tuple(map(u, first.basis)) + tuple(map(v, second.basis)) + tuple(map(w, codomain.basis))
         cone = ChainComplexF2(labels, Gf2Matrix(total, total, bits))
         return MappingCone(n, s, first, second, codomain, chain_map, cone)
 

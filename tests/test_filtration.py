@@ -36,6 +36,7 @@ from oracles import (
     reference_graded_pieces,
     torus_staircase,
 )
+from packages import own_packages
 
 
 def mismatches(report: LemmaReport) -> list[LemmaEntry]:
@@ -227,6 +228,28 @@ def reports(monkeypatch):
     fresh = type(filtration._REPORTS)()
     monkeypatch.setattr(filtration, "_REPORTS", fresh)
     return fresh
+
+
+def test_a_caller_cannot_corrupt_a_label_index(reports, monkeypatch):
+    # a complex keeps no label index: a write into the dict it hands out is
+    # lost, and a lemma run leaves no cone, spot or plane holding one
+    plane = flip_map(corpus("t35_staircase")).source
+    plane.index[plane.basis[0]] = plane.dim
+    assert plane.index == {lbl: k for k, lbl in enumerate(plane.basis)}
+    triples = []
+
+    def kept(complex_):
+        triples.append(total_package(complex_))
+        return triples[-1]
+
+    monkeypatch.setattr(filtration, "total_package", kept)
+    with own_packages():
+        check_all_lemmas(corpus("t35_staircase"))
+    (t,) = triples
+    cones = [*t.cones0.values(), *t.cones1.values()]
+    complexes = [c for cone in cones for c in (cone.first, cone.second, cone.codomain, cone.cone)]
+    complexes += [*t.spots.values(), *t.planes._planes.values(), t.flip.source, t.flip.target]
+    assert [c for c in complexes if "index" in vars(c)] == []
 
 
 def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(reports, monkeypatch):

@@ -413,18 +413,14 @@ def test_corpus_lists_its_directory_once(monkeypatch):
     # each caller of corpus_names gets a fresh list of its own
     names = corpus_names()
     names.append("granny")
-    data = corpus_module._data_dir()
 
-    class Unlisted:
-        def __truediv__(self, name):
-            return data / name
+    def unlisted(path="."):
+        raise AssertionError(f"{path} was listed again")
 
-        def iterdir(self):
-            raise AssertionError("the data directory was listed again")
-
-    monkeypatch.setattr(corpus_module, "_data_dir", Unlisted)
+    monkeypatch.setattr(corpus_module.os, "listdir", unlisted)
     assert corpus_names() == names[:-1] and corpus_names() is not corpus_names()
-    assert corpus("unknot") == corpus_module.complex_from_dict(json.loads((data / "unknot.json").read_text()))
+    with open(corpus_module.os.path.join(corpus_module._DATA, "unknot.json"), encoding="utf-8") as f:
+        assert corpus("unknot") == corpus_module.complex_from_dict(json.load(f))
     known = re.escape(", ".join(names[:-1]))
     with pytest.raises(UnknownName, match=f"^no corpus entry 'granny'; known: {known}$"):
         corpus("granny")

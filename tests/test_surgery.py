@@ -225,6 +225,18 @@ def test_cones_share_the_stored_planes():
         if s + 1 in t.window:
             # C{i=0, j<=-s-1} is the second summand of cones (0, s) and (1, s+1)
             assert t.cones0[s].second is t.cones1[s + 1].second
+    # the cones hold one tagged label per (tag, label) of the store, so their
+    # bases together hold at most three objects per generator, each basis
+    # equal to one built fresh, in value and order
+    cones = [*t.cones0.values(), *t.cones1.values()]
+    assert len({id(lbl) for cone in cones for lbl in cone.cone.basis}) <= 3 * len(t.complex.generators)
+    for cone in cones:
+        fresh = (
+            tuple(("u", lbl) for lbl in cone.first.basis)
+            + tuple(("v", lbl) for lbl in cone.second.basis)
+            + tuple(("w", lbl) for lbl in cone.codomain.basis)
+        )
+        assert cone.cone.basis == fresh
 
 
 def test_homology_dim_matches_homology_inside_and_outside_the_window():
