@@ -12,12 +12,13 @@ block-by-block assembly as the reference.
 
 A knot's splice sides, witness families and witness images are read from
 its package alone, so the package keeps them in its store (see
-``duality``), checked once when made.  What joins two knots, the rank of D
-and the witness counts and span, depends on the pair's two values alone:
-the check path keeps it in the first package's store, keyed on the second
-package's value (its dims and taus), so no store keeps another package
-alive.  A theorem check and the bounds of one pair thus build D once
-between them, and a warm one builds none.  ``splice_rank`` itself keeps
+``duality``), checked once when made.  What joins two knots, the rank of D,
+the witness report and the subspace bounds, depends on the pair's two
+values alone: the check path keeps it in the first package's store, keyed
+on the second package's value (its dims and taus), so no store keeps
+another package alive.  A theorem check and the bounds of one pair thus
+build D once between them, and a warm one builds no D, witness or report
+and reads its frozen records from the store.  ``splice_rank`` itself keeps
 nothing.
 
 Column layout and kernel witnesses
@@ -312,14 +313,14 @@ def _nonzero_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> list[int]:
     return found
 
 
-def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, int]:
-    """The pair's witness count, nonzero witness count and witness span,
-    once the per-knot check has found every witness in Ker D: the value the
-    check path keeps in the first package's store (see the module
-    docstring).  A failed check raises, naming the first witness outside
-    Ker D in pair order, so nothing is kept: the pair of the i-th vector of
-    the first knot's families concatenated and the j-th of the second's is
-    pair number i * width + j + 1, width the second knot's vector count."""
+def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
+    """The pair's ``kernel_witnesses`` report, once the per-knot check has
+    found every witness in Ker D: the value the check path keeps in the
+    first package's store (see the module docstring).  A failed check
+    raises, naming the first witness outside Ker D in pair order, so nothing
+    is kept: the pair of the i-th vector of the first knot's families
+    concatenated and the j-th of the second's is pair number
+    i * width + j + 1, width the second knot's vector count."""
     left, right = _from_entry(p1, _witness_images, 0), _from_entry(p2, _witness_images, 1)
     fam1, fam2 = _from_entry(p1, _family_parts), _from_entry(p2, _family_parts)
     start1 = dict(zip(fam1, accumulate(map(len, fam1.values()), initial=0)))
@@ -338,20 +339,7 @@ def _pair_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[int, int, i
     if outside:
         raise WitnessNotInKernel(f"witness from pair #{min(outside)} not annihilated by the splice matrix")
     found = _nonzero_witnesses(p1, p2)
-    return sum(map(len, fam1.values())) * width, len(found), span_dim(found)
-
-
-def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
-    """Every basis witness checked to lie in Ker D, and both six-term bounds.
-
-    The witnesses of the 30 family pairs outside ``_WITNESS_TERMS`` are 0 and
-    only counted.  A failed check names the first witness, in pair order,
-    outside Ker D; the counts, the span and the rank of D are the pair's
-    values (see the module docstring), so a warm call builds no witness or D.
-    """
-    require_type(SurgeryPackage, p1, p2)
     st1, st2 = stats(p1), stats(p2)
-    checked, nonzero, span = _from_entry(p1, _pair_witnesses, p2)
     rank = _from_entry(p1, _pair_rank, p2)
     ker_bound = (
         st1.k0 * st2.k0
@@ -369,7 +357,20 @@ def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
         + st1.d0 * st2.d_inf
         + st1.d1 * st2.d1
     )
-    return WitnessReport(checked, nonzero, ker_bound, coker_bound, rank.ker, rank.coker, span)
+    checked = sum(map(len, fam1.values())) * width
+    return WitnessReport(checked, len(found), ker_bound, coker_bound, rank.ker, rank.coker, span_dim(found))
+
+
+def kernel_witnesses(p1: SurgeryPackage, p2: SurgeryPackage) -> WitnessReport:
+    """Every basis witness checked to lie in Ker D, and both six-term bounds.
+
+    The witnesses of the 30 family pairs outside ``_WITNESS_TERMS`` are 0 and
+    only counted.  A failed check names the first witness, in pair order,
+    outside Ker D; the report is the pair's value (see the module
+    docstring), so a warm call reads it and builds no witness, D or record.
+    """
+    require_type(SurgeryPackage, p1, p2)
+    return _from_entry(p1, _pair_witnesses, p2)
 
 
 # -- subspace bounds (cyclic-triple and remark variants) -----------------------
@@ -388,13 +389,21 @@ class SubspaceBound:
 
 
 def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBound]:
-    """Tensor-factor lower bounds under the injectivity/surjectivity hypotheses.
+    """Tensor-factor lower bounds under the injectivity/surjectivity
+    hypotheses, in a new list each call: the bounds are the pair's value
+    (``_pair_bounds``), so a warm call builds no bound and eliminates
+    nothing."""
+    require_type(SurgeryPackage, p1, p2)
+    return list(_from_entry(p1, _pair_bounds, p2))
+
+
+def _pair_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> tuple[SubspaceBound, ...]:
+    """The pair's ``subspace_bounds``, kept in the first package's store.
 
     The nullities come from each knot's ``duality._b_nullities`` and the rank
-    of D from ``_pair_rank``, so a warm call eliminates nothing.  The first
-    knot's blocks are read through the involution 0 <-> inf.
+    of D from ``_pair_rank``.  The first knot's blocks are read through the
+    involution 0 <-> inf.
     """
-    require_type(SurgeryPackage, p1, p2)
     # per knot: ker and coker of each B_k, then of each B_k B_prev(k)
     ker_1, coker_1, kk_1, cc_1 = _from_entry(p1, _b_nullities)
     ker_2, coker_2, kk_2, cc_2 = _from_entry(p2, _b_nullities)
@@ -412,28 +421,25 @@ def subspace_bounds(p1: SurgeryPackage, p2: SurgeryPackage) -> list[SubspaceBoun
     for circ, bullet, star in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         label = "({},{},{})".format(*(CYCLE[k].label for k in (circ, bullet, star)))
         circ_1, bullet_1, star_1 = 2 - circ, 2 - bullet, 2 - star
+        case1, case2 = (SubspaceBound(f"case{n} {label}", False) for n in (1, 2))
         if ker_2[circ] == 0 and coker_2[bullet] == 0:
             # B_circ_1 B_bullet_1 and B_bullet B_circ
-            out.append(bound(f"case1 {label}", kk_1[circ_1] * kk_2[bullet], cc_1[circ_1] * cc_2[bullet]))
-        else:
-            out.append(SubspaceBound(f"case1 {label}", False))
+            case1 = bound(case1.label, kk_1[circ_1] * kk_2[bullet], cc_1[circ_1] * cc_2[bullet])
         if coker_2[circ] == 0 and ker_2[bullet] == 0:
             # B_bullet_1 B_star_1 and B_star B_bullet; B_star_1 B_circ_1 and B_circ B_star
-            out.append(bound(f"case2 {label}", kk_1[bullet_1] * kk_2[star], cc_1[star_1] * cc_2[circ]))
-        else:
-            out.append(SubspaceBound(f"case2 {label}", False))
+            case2 = bound(case2.label, kk_1[bullet_1] * kk_2[star], cc_1[star_1] * cc_2[circ])
+        out += (case1, case2)
     # combined variant when B0 of the right knot is injective and Binf surjective;
     # the joined pair of overlapping subspaces is counted by the larger one:
     # products Binf B1 and B1 B0 (crossed for the cokernels) against B1
+    remark = SubspaceBound("remark", False)
     if ker_2[0] == 0 and coker_2[2] == 0:
         k_pair, k_prime = kk_1[2] * kk_2[1], ker_1[1] * ker_2[1]
         c_pair, c_prime = cc_1[1] * cc_2[2], coker_1[1] * coker_2[1]
         kb = ker_1[0] * ker_2[2] + ker_1[2] * ker_2[0] + max(k_pair, k_prime)
         cb = coker_1[0] * coker_2[2] + coker_1[2] * coker_2[0] + max(c_pair, c_prime)
-        out.append(bound("remark", kb, cb))
-    else:
-        out.append(SubspaceBound("remark", False))
-    return out
+        remark = bound("remark", kb, cb)
+    return (*out, remark)
 
 
 # -- theorem verdict ----------------------------------------------------------

@@ -622,8 +622,8 @@ def test_memo_keeps_only_totals_and_tau_maps(memo):
         assert not [x for x in held if isinstance(x, (SurgeryTriple, MappingCone, HomologySpace, BifilteredComplex))]
         assert [x for x in held if isinstance(x, SurgeryPackage)] == [p]
         # stats, B nullities, families, and sides and images as either
-        # knot; and the rank and witness values of each pair it leads
-        assert len(p._store) == 7 + 2 * len(knots)
+        # knot; and the rank, witness and bounds values of each pair it leads
+        assert len(p._store) == 7 + 3 * len(knots)
 
 
 def test_triple_of_another_complex_is_rejected(memo):

@@ -634,7 +634,7 @@ def test_the_per_knot_check_gives_the_verdict_of_D_under_one_flipped_bit(knot1, 
 
 def _pair_keys(p) -> list:
     """The keys of the pair values in p's store."""
-    return [key for key in p._store if key[0] in (splice._pair_rank, splice._pair_witnesses)]
+    return [key for key in p._store if key[0] in (splice._pair_rank, splice._pair_witnesses, splice._pair_bounds)]
 
 
 def _counting(monkeypatch, counts: Counter) -> None:
@@ -714,22 +714,29 @@ def test_a_check_call_builds_D_at_most_once(monkeypatch):
         monkeypatch.undo()
 
 def test_a_pair_value_holds_ints_and_no_other_entry():
-    # the pair values are a SpliceRank and three ints, keyed on the second
-    # package's dims and taus: no D, no witness list, no package or store
+    # the pair values are the SpliceRank, the WitnessReport and the tuple of
+    # SubspaceBounds, frozen records of ints, flags and labels, keyed on the
+    # second package's dims and taus: no D, no witness list, no package or
+    # store
     p1, p2 = geometric_package(torus_staircase(4, 7)), geometric_package(torus_staircase(5, 6))
-    report = kernel_witnesses(p1, p2)
+    report, bounds = kernel_witnesses(p1, p2), subspace_bounds(p1, p2)
     value = (p2.dims, p2.taus)
     assert sorted(_pair_keys(p1), key=repr) == sorted(
-        [(splice._pair_rank, *value), (splice._pair_witnesses, *value)], key=repr
+        [(splice._pair_rank, *value), (splice._pair_witnesses, *value), (splice._pair_bounds, *value)], key=repr
     )
     assert _pair_keys(p2) == []
+    records = (splice.SpliceRank, splice.WitnessReport, splice.SubspaceBound)
     for key in _pair_keys(p1):
         held = list(reachable(p1._store[key]))
-        assert all(type(x) in (int, tuple, splice.SpliceRank) for x in held), key
+        assert all(type(x) in (int, bool, str, type(None), tuple, *records) for x in held), key
         assert {type(x) for x in reachable(key[1:])} <= {int, tuple, Gf2Matrix}
     rank = splice_rank(p1, p2)
     assert p1._store[(splice._pair_rank, *value)] == rank
-    assert p1._store[(splice._pair_witnesses, *value)] == (report.checked, report.nonzero, report.witness_span)
+    assert p1._store[(splice._pair_witnesses, *value)] == report
+    assert p1._store[(splice._pair_bounds, *value)] == tuple(bounds)
+    # a caller gets a list of its own: changing it leaves the pair's value
+    bounds.clear()
+    assert subspace_bounds(p1, p2) == list(p1._store[(splice._pair_bounds, *value)]) != []
 
 
 @settings(max_examples=60, deadline=None)
