@@ -7,17 +7,9 @@ plane.  After normalization every triangle map has the block form
 (0 0; I 0), and everything downstream reads the A, B and D blocks of the
 normalized taus.
 
-Index convention.  A knot's surgery exact triangle H0 -> H1 -> Hinf -> H0
-runs its indices in the cycle 0 -> 1 -> inf -> 0.  Every per-index value is
-a tuple in the order of ``CYCLE``, which gives each index k its names and
-the positions of prev(k) and next(k):
-
-- H_k splits as (a_prev(k), a_next(k)) and tau_k acts on it, so tau_k is cut
-  into its A, B and D blocks there and B_k is a_prev(k) x a_next(k);
-- f_k and fbar_k map H_next(k) -> H_prev(k), and in normal form
-  f_k = (0 0; I 0) carries the identity on a_k;
-- fbar_k = tau_prev(k)^-1 f_k tau_next(k), so no package stores it;
-- X_k = B_next(k) B_k B_prev(k).
+Every per-index value is a tuple in the order of ``surgery.CYCLE`` (see
+the index convention in ``surgery``): a package's dims, taus, blocks, X
+products and f maps, like the triple's totals it is built from.
 
 ``geometric_package`` keeps one ``NormalBasis``, and with it the knot's
 one package, per complex in a ``weakref.WeakKeyDictionary``: a complex is
@@ -59,20 +51,7 @@ from .errors import (
 from .gf2 import Gf2Matrix, cut_blocks, high_pivots, span_dim
 from .homology import induced_by_columns
 from .model import BifilteredComplex, is_int
-from .surgery import SurgeryTotals, SurgeryTriple, label_columns, total_package
-
-
-class Index(NamedTuple):
-    """One index of the cycle: its names and the positions of prev and next."""
-
-    suffix: str  # of tau0, a_inf, fbar1, w_inf, ...
-    label: str  # of X0, Xinf, B1, ...
-    prev: int
-    next: int
-
-
-# The index cycle 0 -> 1 -> inf -> 0, in the order of ``SurgeryPackage.dims``.
-CYCLE = (Index("0", "0", 2, 1), Index("1", "1", 0, 2), Index("_inf", "inf", 1, 0))
+from .surgery import CYCLE, SurgeryTotals, SurgeryTriple, label_columns, total_package
 
 
 class BlockSet(NamedTuple):
@@ -176,7 +155,7 @@ def build_tau(complex_: BifilteredComplex, triple: SurgeryTriple) -> tuple[Gf2Ma
     if complex_.tau_override is not None:
         override, totals = complex_.tau_override, triple.totals
         taus = (override.tau0, override.tau1, override.tau_inf)
-        for m, n in zip(taus, (totals.n0, totals.n1, totals.n_inf)):
+        for m, n in zip(taus, totals.dims):
             if (m.rows, m.cols) != (n, n):
                 raise ShapeMismatch(f"tau override is {m.rows}x{m.cols}, expected {n}x{n}")
         return taus
@@ -197,8 +176,9 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
     def shift(s):
         return lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s)
 
-    def tau_for(chains, spaces, reflect, relabel):
-        """Block (t, s) is induced by relabel(s) from chains[s] to chains[t], t = reflect(s)."""
+    def tau_for(spaces, reflect, relabel):
+        """Block (t, s) is induced by relabel(s) from the chains of spaces[s]
+        to those of spaces[t], t = reflect(s)."""
         blocks = {}
         for s in triple.window:
             if spaces[s].dim == 0:
@@ -206,17 +186,18 @@ def _geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
             t = reflect(s)
             if t not in triple.window:
                 raise NormalizationFailure(f"duality reflects level {s} outside the window")
-            chain = label_columns(chains[s], chains[t], relabel(s))
+            chain = label_columns(spaces[s].complex, spaces[t].complex, relabel(s))
             blocks[(t, s)] = induced_by_columns(chain, spaces[s], spaces[t])
         return triple.window_matrix(blocks, spaces, spaces)
 
-    cones0 = {s: c.cone for s, c in triple.cones0.items()}
-    cones1 = {s: c.cone for s, c in triple.cones1.items()}
-    return (
-        tau_for(cones0, triple.H0, lambda s: -s - 1, lambda s: swap),
-        tau_for(cones1, triple.H1, lambda s: -s, lambda s: swap),
-        tau_for(triple.spots, triple.Hinf, lambda s: -s, shift),
+    # by CYCLE position: H0 reflects level s to -s - 1, H1 and Hinf to -s; a
+    # cone swaps its two domain summands, and a spot shifts by the symmetry
+    reflections = (
+        (lambda s: -s - 1, lambda s: swap),
+        (lambda s: -s, lambda s: swap),
+        (lambda s: -s, shift),
     )
+    return tuple([tau_for(spaces, *reflection) for spaces, reflection in zip(triple.H, reflections)])
 
 
 # -- normalization ------------------------------------------------------------
@@ -264,16 +245,16 @@ def normal_basis(totals: SurgeryTotals, taus: tuple[Gf2Matrix, Gf2Matrix, Gf2Mat
         inverses = [tau.inverse() for tau in taus]
     except ShapeMismatch as exc:
         raise TauRelationFailure(f"duality map is singular: {exc}") from exc
-    f0, f1, f_inf = fs = (totals.f0, totals.f1, totals.f_inf)
+    f0, f1, f_inf = fs = totals.fs
     # fbar_k = tau_prev(k)^-1 f_k tau_next(k)
     bad = [
         "fbar" + k.suffix
-        for k, f, fbar in zip(CYCLE, fs, (totals.fbar0, totals.fbar1, totals.fbar_inf))
+        for k, f, fbar in zip(CYCLE, fs, totals.fbars)
         if fbar != inverses[k.prev] @ (f @ taus[k.next])
     ]
     if bad:
         raise TauRelationFailure(f"barred-map relations fail for: {', '.join(bad)}")
-    n0, n1, ninf = totals.n0, totals.n1, totals.n_inf
+    n0, n1, ninf = totals.dims
 
     # W, U and Z1 are spanned by standard basis vectors: f applied to one
     # is a column of f, read from the rows of its transpose.  The complement

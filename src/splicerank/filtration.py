@@ -172,13 +172,10 @@ def profile(complex_: BifilteredComplex, *, _planes: PlaneStore | None = None) -
     require_type(BifilteredComplex, complex_)
     if _planes is None:
         _planes = PlaneStore(flip_map(complex_))
-    ambient = _planes.flip.target
-    ambient_h = HomologySpace(ambient)
+    ambient_h = HomologySpace(_planes.flip.target)
 
     lo, hi = complex_.grading_range()
-    row = _build_side(
-        range(lo - 1, hi + 2), _planes.first, lambda sub: label_columns(sub, ambient, lambda lbl: lbl), ambient_h
-    )
+    row = _build_side(range(lo - 1, hi + 2), _planes.first, _planes.first_columns, ambient_h)
     col = _build_side(range(-hi - 1, -lo + 2), _planes.second, _planes.flip_columns, ambient_h)
     hf_dim = ambient_h.dim
 
@@ -253,8 +250,7 @@ def lemma31_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport
     require_type(SurgeryTriple, triple)
     require_type(FiltrationProfile, prof)
     entries = []
-    for n in (0, 1):
-        spaces = triple.H0 if n == 0 else triple.H1
+    for n, spaces in enumerate(triple.H[:2]):
         for s in triple.window:
             rhs = (
                 prof.row.kernel_dim.get(s, 0)
@@ -272,7 +268,7 @@ def lemma32_check(triple: SurgeryTriple, prof: FiltrationProfile) -> LemmaReport
     require_type(FiltrationProfile, prof)
     entries = []
     for s in triple.window:
-        f = triple.f_inf[s]
+        f = triple.maps[0][2][s]  # f_inf, by its CYCLE position
         ker_rhs = prof.col.bracket_sub.get(-s - 1, 0) + prof.a_sum(
             lambda p, q: p > s and q == -s
         )

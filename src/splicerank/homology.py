@@ -87,10 +87,12 @@ class HomologySpace:
 
     ``boundary_columns`` keeps the boundary's columns: ``coords`` tests "is
     a cycle" on them, and callers apply the boundary to a chain with
-    ``xor_columns``.
+    ``xor_columns``.  A complex that is not a ``ChainComplexF2`` raises
+    ``ShapeMismatch``.
     """
 
     def __init__(self, complex_: ChainComplexF2):
+        require_type(ChainComplexF2, complex_)
         self.complex = complex_
         boundary = complex_.boundary
         n = complex_.dim

@@ -269,49 +269,74 @@ def reference_induced(chain_map: Gf2Matrix, source, target) -> Gf2Matrix:
     return Gf2Matrix.from_columns(cols, target.dim)
 
 
-def reference_level_maps(triple: SurgeryTriple) -> dict[str, dict[int, Gf2Matrix]]:
-    """The six map families of a triple, from its cones and spots alone."""
-    H0 = {s: ReferenceHomology(triple.cones0[s].cone) for s in triple.window}
-    H1 = {s: ReferenceHomology(triple.cones1[s].cone) for s in triple.window}
-    Hinf = {s: ReferenceHomology(triple.spots[s]) for s in triple.window}
-    maps: dict[str, dict[int, Gf2Matrix]] = {
-        name: {} for name in ("f_inf", "f0", "f1", "fbar_inf", "fbar0", "fbar1")
-    }
+def reference_level_maps(triple: SurgeryTriple) -> tuple[tuple[dict[int, Gf2Matrix], ...], ...]:
+    """The maps of both triangles of a triple, (f0, f1, f_inf) and (fbar0,
+    fbar1, fbar_inf) in ``CYCLE`` order as ``SurgeryTriple.maps`` holds
+    them, from its cones and spots alone."""
+    cones0 = {s: triple.cones0[s].cone for s in triple.window}
+    cones1 = {s: triple.cones1[s].cone for s in triple.window}
+    spots = {s: triple.H[2][s].complex for s in triple.window}
+    H0 = {s: ReferenceHomology(cones0[s]) for s in triple.window}
+    H1 = {s: ReferenceHomology(cones1[s]) for s in triple.window}
+    Hinf = {s: ReferenceHomology(spots[s]) for s in triple.window}
+    (f0, f1, f_inf), (fbar0, fbar1, fbar_inf) = maps = tuple(tuple({} for _ in CYCLE) for _ in range(2))
 
     def same(lbl):
         return lbl
 
     def zig_zag(s, low, lift):
-        cone1, spot = triple.cones1[s].cone, triple.spots[s]
         cols = []
         for rep in Hinf[s].reps:
-            lifted = reference_map_vector(rep, spot, cone1, lift)
-            back = reference_map_vector(
-                mul_vec(cone1.boundary, lifted), cone1, triple.cones0[low].cone, same
-            )
+            lifted = reference_map_vector(rep, spots[s], cones1[s], lift)
+            back = reference_map_vector(mul_vec(cones1[s].boundary, lifted), cones1[s], cones0[low], same)
             cols.append(H0[low].coords(back))
         return Gf2Matrix.from_columns(cols, H0[low].dim)
 
     for s in triple.window:
-        cone0, cone1, spot = triple.cones0[s].cone, triple.cones1[s].cone, triple.spots[s]
+        cone0, cone1, spot = cones0[s], cones1[s], spots[s]
         inc = reference_label_matrix(cone0, cone1, same)
-        maps["f_inf"][s] = reference_induced(inc, H0[s], H1[s])
+        f_inf[s] = reference_induced(inc, H0[s], H1[s])
         proj = reference_label_matrix(
             cone1, spot, lambda lbl: lbl[1] if lbl[0] == "v" and lbl[1][2] == -s else None
         )
-        maps["f0"][s] = reference_induced(proj, H1[s], Hinf[s])
-        maps["f1"][s] = zig_zag(s, s, lambda lbl: ("v", lbl))
+        f0[s] = reference_induced(proj, H1[s], Hinf[s])
+        f1[s] = zig_zag(s, s, lambda lbl: ("v", lbl))
         proj_bar = reference_label_matrix(
             cone1,
             spot,
             lambda lbl: (lbl[1][0], 0, -s) if lbl[0] == "u" and lbl[1][1] == s else None,
         )
-        maps["fbar0"][s] = reference_induced(proj_bar, H1[s], Hinf[s])
+        fbar0[s] = reference_induced(proj_bar, H1[s], Hinf[s])
         if s - 1 in triple.window:
-            inc_bar = reference_label_matrix(triple.cones0[s - 1].cone, cone1, same)
-            maps["fbar_inf"][s] = reference_induced(inc_bar, H0[s - 1], H1[s])
-            maps["fbar1"][s] = zig_zag(s, s - 1, lambda lbl: ("u", (lbl[0], s, 0)))
+            inc_bar = reference_label_matrix(cones0[s - 1], cone1, same)
+            fbar_inf[s] = reference_induced(inc_bar, H0[s - 1], H1[s])
+            fbar1[s] = zig_zag(s, s - 1, lambda lbl: ("u", (lbl[0], s, 0)))
     return maps
+
+
+def reference_totals(triple: SurgeryTriple) -> SurgeryTotals:
+    """A triple's totals entry by entry from its level maps: H_k stacks its
+    levels in increasing s, and f_k or fbar_k at level s goes from H_next(k)
+    to H_prev(k) of the triangle at s, whose H0 the barred one reads at
+    level s - 1."""
+    offsets, dims = [], []
+    for spaces in triple.H:
+        offsets.append({})
+        at = 0
+        for s in triple.window:
+            offsets[-1][s], at = at, at + spaces[s].dim
+        dims.append(at)
+    families = []
+    for maps, shifts in zip(triple.maps, ((0, 0, 0), (-1, 0, 0))):
+        totals = []
+        for (_, _, prev, nxt), family in zip(CYCLE, maps):
+            entries = []
+            for s, m in family.items():
+                top, left = offsets[prev][s + shifts[prev]], offsets[nxt][s + shifts[nxt]]
+                entries += [(top + r, left + c) for r, row in enumerate(m.dense()) for c, x in enumerate(row) if x]
+            totals.append(Gf2Matrix.from_entries(dims[prev], dims[nxt], entries))
+        families.append(tuple(totals))
+    return SurgeryTotals(*families, tuple(dims))
 
 
 def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
@@ -336,13 +361,12 @@ def reference_geometric_tau(complex_: BifilteredComplex, triple: SurgeryTriple):
                 blocks[(index[t], index[s])] = induced_by_columns(chain.transpose().row_bits, spaces[s], spaces[t])
         return BlockGrid(dims, dims, blocks).assemble()
 
-    cones0 = {s: c.cone for s, c in triple.cones0.items()}
-    cones1 = {s: c.cone for s, c in triple.cones1.items()}
-    tau0 = total(cones0, triple.H0, lambda s: -s - 1, lambda s: swap)
-    tau1 = total(cones1, triple.H1, lambda s: -s, lambda s: swap)
+    planes = [{s: spaces[s].complex for s in triple.window} for spaces in triple.H]
+    tau0 = total(planes[0], triple.H[0], lambda s: -s - 1, lambda s: swap)
+    tau1 = total(planes[1], triple.H[1], lambda s: -s, lambda s: swap)
     tau_inf = total(
-        triple.spots,
-        triple.Hinf,
+        planes[2],
+        triple.H[2],
         lambda s: -s,
         lambda s: lambda lbl: (sigma[lbl[0]], 0, lbl[2] + 2 * s),
     )
@@ -365,24 +389,26 @@ def reference_normalize(
         solver = SpanSolver(vectors)
         return [i for i in range(dim) if solver.add(1 << i)]
 
-    f_inf, f0, f1 = totals.f_inf, totals.f0, totals.f1
-    w = complement(f0.kernel_basis(), totals.n1)
-    u = complement(f_inf.kernel_basis(), totals.n0)
+    f0, f1, f_inf = totals.fs
+    fbar0, fbar1, fbar_inf = totals.fbars
+    n0, n1, n_inf = totals.dims
+    w = complement(f0.kernel_basis(), n1)
+    u = complement(f_inf.kernel_basis(), n0)
     image_f0 = [mul_vec(f0, 1 << i) for i in w]
-    z1 = complement(image_f0, totals.n_inf)
-    g0 = Gf2Matrix.from_columns([1 << i for i in u] + [mul_vec(f1, 1 << i) for i in z1], totals.n0)
-    g1 = Gf2Matrix.from_columns([1 << i for i in w] + [mul_vec(f_inf, 1 << i) for i in u], totals.n1)
-    g_inf = Gf2Matrix.from_columns([1 << i for i in z1] + image_f0, totals.n_inf)
+    z1 = complement(image_f0, n_inf)
+    g0 = Gf2Matrix.from_columns([1 << i for i in u] + [mul_vec(f1, 1 << i) for i in z1], n0)
+    g1 = Gf2Matrix.from_columns([1 << i for i in w] + [mul_vec(f_inf, 1 << i) for i in u], n1)
+    g_inf = Gf2Matrix.from_columns([1 << i for i in z1] + image_f0, n_inf)
     i0, i1, i_inf = g0.inverse(), g1.inverse(), g_inf.inverse()
     package = SurgeryPackage(
         len(w),
-        totals.n0 - len(u),
+        n0 - len(u),
         len(u),
         i0 @ taus[0] @ g0,
         i1 @ taus[1] @ g1,
         i_inf @ taus[2] @ g_inf,
     )
-    return package, (i_inf @ totals.fbar0 @ g1, i0 @ totals.fbar1 @ g_inf, i1 @ totals.fbar_inf @ g0)
+    return package, (i_inf @ fbar0 @ g1, i0 @ fbar1 @ g_inf, i1 @ fbar_inf @ g0)
 
 
 def reference_package_parts(p: SurgeryPackage) -> dict[str, object]:
@@ -722,9 +748,22 @@ def h_number(m: Gf2Matrix) -> int:
 INF = "inf"
 
 
-def build_cone(complex_: BifilteredComplex, n: int, s: int, flip: FlipMap | None = None) -> MappingCone:
+def build_cone(complex_: BifilteredComplex, n: int, s: int) -> MappingCone:
     """Cone of i_n^s (``PlaneStore.cone`` on a store of its own)."""
-    return PlaneStore(flip_map(complex_) if flip is None else flip).cone(n, s)
+    return PlaneStore(flip_map(complex_)).cone(n, s)
+
+
+def summand_dims(cone: MappingCone) -> tuple[int, int, int]:
+    """The dims of a cone's summands u, v and w, counted on its tagged basis."""
+    tags = [tag for tag, _ in cone.cone.basis]
+    return tags.count("u"), tags.count("v"), tags.count("w")
+
+
+def cone_chain_map(cone: MappingCone) -> Gf2Matrix:
+    """The chain map i_n^s of a cone: the lower-left block of its boundary,
+    rows on the codomain summand w, columns on the domain u (+) v."""
+    u, v, w = summand_dims(cone)
+    return submatrix(cone.cone.boundary, range(u + v, u + v + w), range(u + v))
 
 
 def spot_plane(flip: FlipMap, s: int) -> ChainComplexF2:
@@ -755,20 +794,16 @@ def triangle_maps(complex_: BifilteredComplex, s: int) -> dict[str, Gf2Matrix]:
     """The six maps at level s (barred maps shift the level by one)."""
     triple = SurgeryTriple(complex_)
 
-    def dim(spaces: dict[int, HomologySpace], level: int) -> int:
-        return spaces[level].dim if level in triple.window else 0
+    def dim(k: int, level: int) -> int:
+        return triple.H[k][level].dim if level in triple.window else 0
 
-    def get(fam: dict[int, Gf2Matrix], rows: int, cols: int) -> Gf2Matrix:
-        return fam.get(s, Gf2Matrix(rows, cols))
-
-    return {
-        "f_inf": get(triple.f_inf, dim(triple.H1, s), dim(triple.H0, s)),
-        "f0": get(triple.f0, dim(triple.Hinf, s), dim(triple.H1, s)),
-        "f1": get(triple.f1, dim(triple.H0, s), dim(triple.Hinf, s)),
-        "fbar_inf": get(triple.fbar_inf, dim(triple.H1, s), dim(triple.H0, s - 1)),
-        "fbar0": get(triple.fbar0, dim(triple.Hinf, s), dim(triple.H1, s)),
-        "fbar1": get(triple.fbar1, dim(triple.H0, s - 1), dim(triple.Hinf, s)),
-    }
+    # H0 of the barred triangle at level s sits at level s - 1
+    out = {}
+    for prefix, maps, shifts in (("f", triple.maps[0], (0, 0, 0)), ("fbar", triple.maps[1], (-1, 0, 0))):
+        for (suffix, _, prev, nxt), family in zip(CYCLE, maps):
+            zero = Gf2Matrix(dim(prev, s + shifts[prev]), dim(nxt, s + shifts[nxt]))
+            out[prefix + suffix] = family.get(s, zero)
+    return out
 
 
 # Calibration of the graded-piece multiplicities: every candidate reading of

@@ -247,10 +247,11 @@ def test_a_one_bit_change_to_a_total_f_fails_normalization():
     for c in [corpus(name) for name in ("trefoil_staircase", "fig8_box", "t25_staircase")] + [random_complex(2)]:
         triple = total_package(c)
         totals, maps = triple.totals, build_tau(c, triple)
-        for name in ("f0", "f1", "f_inf"):
-            m = getattr(totals, name)
+        for k, m in enumerate(totals.fs):
             for r, col in product(range(m.rows), range(m.cols)):
-                bad = totals._replace(**{name: _flipped(m, r, col)})
+                fs = list(totals.fs)
+                fs[k] = _flipped(m, r, col)
+                bad = totals._replace(fs=tuple(fs))
                 with pytest.raises(TauRelationFailure, match="barred-map relations fail"):
                     normal_basis(bad, maps)
                 flips += 1
@@ -276,11 +277,7 @@ def test_nontrivial_knots_have_nontrivial_x_kernel():
 def test_tau_override_rejected_when_inconsistent():
     c = corpus("trefoil_staircase")
     t = total_package(c)
-    bad = TauOverride(
-        Gf2Matrix.identity(t.totals.n0),
-        Gf2Matrix.identity(t.totals.n1),
-        Gf2Matrix.identity(t.totals.n_inf),
-    )
+    bad = TauOverride(*(Gf2Matrix.identity(n) for n in t.totals.dims))
     with pytest.raises(TauRelationFailure):
         normal_basis(t.totals, build_tau(replace(c, tau_override=bad), t))
 
@@ -523,7 +520,7 @@ def test_a_build_that_raises_caches_nothing(memo):
     bad_flip = BifilteredComplex("bad-flip", (Generator("e", 0),), (), None, Gf2Matrix(1, 1))
     c = corpus("trefoil_staircase")
     t = total_package(c)
-    singular = TauOverride(*(Gf2Matrix(n, n) for n in (t.totals.n0, t.totals.n1, t.totals.n_inf)))
+    singular = TauOverride(*(Gf2Matrix(n, n) for n in t.totals.dims))
     for _ in range(2):
         with pytest.raises(NotQuasiIso):
             geometric_package(bad_flip)

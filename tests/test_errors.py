@@ -23,7 +23,7 @@ from splicerank.filtration import FiltrationProfile
 from splicerank.gf2 import Gf2Matrix
 from splicerank.homology import ChainComplexF2, HomologySpace
 from splicerank.model import BifilteredComplex, FlipMap
-from splicerank.surgery import MappingCone, SurgeryTotals, SurgeryTriple
+from splicerank.surgery import MappingCone, PlaneStore, SurgeryTotals, SurgeryTriple
 
 
 # The duality maps tau0, tau1 and tau_inf, a plain triple.
@@ -43,16 +43,16 @@ LIBRARY_TYPES = (
     FiltrationProfile,
 )
 
-# The chain-complex and label helpers underneath take matrices, complexes
-# and homology spaces: an argument of one of these types is a slot too, in
-# a public function of the modules that build the complexes, and in the
-# constructors of the records that check their matrices when built: the
-# package, whose dims and taus key the pair values, and the chain complex,
-# cone and flip records of the cold path.  test_gf2 covers the GF(2)
-# module's own matrix operands.
-HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace)
+# The chain-complex and label helpers underneath take matrices, complexes,
+# homology spaces and flips: an argument of one of these types is a slot
+# too, in a public function of the modules that build the complexes, and in
+# the constructors of the records that check their arguments when built:
+# the package, whose dims and taus key the pair values, and the chain
+# complex, cone, flip, homology space and plane store of the cold path.
+# test_gf2 covers the GF(2) module's own matrix operands.
+HELPER_TYPES = (Gf2Matrix, ChainComplexF2, HomologySpace, FlipMap)
 HELPER_MODULES = ("splicerank.homology", "splicerank.model", "splicerank.surgery")
-CHECKED_RECORDS = (SurgeryPackage, ChainComplexF2, MappingCone, FlipMap)
+CHECKED_RECORDS = (SurgeryPackage, ChainComplexF2, MappingCone, FlipMap, HomologySpace, PlaneStore)
 
 # Values of the wrong kind for every slot, and "other-kind": a package where a
 # complex belongs and a complex anywhere else.  None is a good value for an
@@ -143,6 +143,7 @@ def good(tmp_path_factory) -> dict:
         FiltrationProfile: filtration.profile(c),
         ChainComplexF2: plane,
         HomologySpace: HomologySpace(plane),
+        FlipMap: triple.flip,
         Gf2Matrix: plane.boundary,
         str: str(tmp_path_factory.mktemp("dump") / "out.json"),
         # the plain arguments of the helpers and records: an int (a dim or a
@@ -209,8 +210,8 @@ def test_the_surface_covers_every_entry_point():
         "SurgeryPackage-second",
         "SurgeryPackage-tau_inf",
         "MappingCone",
-        "MappingCone-chain_map",
-        "MappingCone-cone",
+        "HomologySpace",
+        "PlaneStore",
         "FlipMap",
         "FlipMap-second",
         "FlipMap-matrix",

@@ -23,8 +23,8 @@ from splicerank.filtration import (
     profile,
 )
 from splicerank.gf2 import Gf2Matrix
-from splicerank.homology import HomologySpace
-from splicerank.model import BifilteredComplex, Generator, flip_map, hf_hat, mirror, random_complex
+from splicerank.homology import ChainComplexF2, HomologySpace
+from splicerank.model import BifilteredComplex, Generator, flip_map, hf_hat, mirror, random_complex, staircase
 from splicerank.surgery import MappingCone, SurgeryTriple, total_package
 
 from oracles import (
@@ -246,10 +246,31 @@ def test_a_caller_cannot_corrupt_a_label_index(reports, monkeypatch):
     with own_packages():
         check_all_lemmas(corpus("t35_staircase"))
     (t,) = triples
-    cones = [*t.cones0.values(), *t.cones1.values()]
-    complexes = [c for cone in cones for c in (cone.first, cone.second, cone.codomain, cone.cone)]
-    complexes += [*t.spots.values(), *t.planes._planes.values(), t.flip.source, t.flip.target]
+    # the cones' summands and the spots are the store's planes
+    complexes = [space.complex for spaces in t.H for space in spaces.values()]
+    complexes += [*t.planes._planes.values(), t.flip.source, t.flip.target]
     assert [c for c in complexes if "index" in vars(c)] == []
+
+
+def test_a_cold_lemma_run_label_index_budget(reports, monkeypatch):
+    # a label index is built on each read and kept by no one, so its entries
+    # are what a cold lemma run pays for label lookups: on T(2,61) the
+    # triangles read the n = 1 cone's index once per level for both, and
+    # the row side of the profile reads the inclusion columns of the plane
+    # store (53,558 entries when each triangle read it twice and the row
+    # side rebuilt C{j=0}'s index per level)
+    real = ChainComplexF2.index.fget
+    entries = []
+
+    def counted(self):
+        index = real(self)
+        entries.append(len(index))
+        return index
+
+    monkeypatch.setattr(ChainComplexF2, "index", property(counted))
+    with own_packages():
+        check_all_lemmas(staircase([1] * 60))
+    assert sum(entries) == 26_596
 
 
 def test_warm_lemma_run_builds_no_triple_and_reports_as_cold(reports, monkeypatch):

@@ -29,8 +29,16 @@ from splicerank.model import (
     random_complex,
     staircase,
 )
+from splicerank.surgery import PlaneStore
 
-from oracles import ReferenceHomology, build_cone, hfk_hat_dims, oracle_models, spot_plane
+from oracles import (
+    ReferenceHomology,
+    cone_chain_map,
+    hfk_hat_dims,
+    oracle_models,
+    reference_label_matrix,
+    summand_dims,
+)
 
 
 def trefoil() -> BifilteredComplex:
@@ -318,15 +326,27 @@ def test_planes_match_reference_on_oracle_models():
 
 
 def test_cones_and_spots_match_reference_on_oracle_models():
+    # a cone's summands are the store's planes, and its chain map, the
+    # lower-left block of its boundary, is the inclusion on C{i<=s, j=0}
+    # beside the flip on C{i=0, j<=n-s-1}
     for c in oracle_models():
         flip = flip_map(c)
+        planes = PlaneStore(flip)
+        flip_cols = dict(zip(flip.source.basis, flip.matrix.transpose().row_bits))
         lo, hi = c.grading_range()
         for s in range(lo - 3, hi + 4):
             for n in (0, 1):
-                cone = build_cone(c, n, s, flip)
-                assert cone.first == reference_subquotient(c, i_le=s, j_eq=0), (c.name, n, s)
-                assert cone.second == reference_subquotient(c, i_eq=0, j_le=n - s - 1), (c.name, n, s)
-            assert spot_plane(flip, s) == reference_subquotient(c, i_eq=0, j_eq=-s), (c.name, s)
+                first, second = planes.first(s), planes.second(n - s - 1)
+                assert first == reference_subquotient(c, i_le=s, j_eq=0), (c.name, n, s)
+                assert second == reference_subquotient(c, i_eq=0, j_le=n - s - 1), (c.name, n, s)
+                cone = planes.cone(n, s)
+                assert summand_dims(cone) == (first.dim, second.dim, flip.target.dim), (c.name, n, s)
+                inclusion = reference_label_matrix(first, flip.target, lambda lbl: lbl).transpose().row_bits
+                chain_map = Gf2Matrix.from_columns(
+                    [*inclusion, *(flip_cols[lbl] for lbl in second.basis)], flip.target.dim
+                )
+                assert cone_chain_map(cone) == chain_map, (c.name, n, s)
+            assert planes.spot(s) == reference_subquotient(c, i_eq=0, j_eq=-s), (c.name, s)
 
 
 def test_profile_sub_planes_match_reference_on_oracle_models(monkeypatch):

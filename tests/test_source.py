@@ -205,12 +205,13 @@ def test_no_module_keeps_a_bounded_memo():
 
 
 def test_the_package_and_splice_modules_read_per_index_values_by_position():
-    # a package's dims, taus, blocks, X products and f maps are tuples in
-    # CYCLE order; an attribute name built from a string ("blocks" + suffix)
+    # a triple's groups, maps and totals and a package's dims, taus, blocks,
+    # X products and f maps are tuples in CYCLE order, from the cones to the
+    # lemmas; an attribute name built from a string ("blocks" + suffix)
     # hides the read from a search and from the dead-definition check
     found = [
         f"{name}:{node.lineno}"
-        for name in ("duality.py", "splice.py")
+        for name in ("surgery.py", "duality.py", "filtration.py", "splice.py")
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(), name))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("getattr", "attrgetter")
     ]
