@@ -59,6 +59,11 @@ CHECKED_RECORDS = (SurgeryPackage, ChainComplexF2, MappingCone, FlipMap, Homolog
 # optional slot, so it is not tried there.
 BAD = {"none": None, "int": 3, "str": "x", "float": 1.5}
 
+# Slots swept under their field's label as well, (record, field): the cone
+# is MappingCone's one complex, so the record's label names it, and its
+# cases keep their field label too.
+FIELD_LABELS = {(MappingCone, "cone")}
+
 
 def public_callables() -> list[tuple[str, object]]:
     """(name, function or class) for every public function the library's
@@ -95,7 +100,8 @@ def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
     """(label, callable, parameter, its library types, whether None is good)
     for every slot of every entry point.  The label is the callable's name for
     its first slot; the second slot adds "-second" if it has the first's
-    type, and any other slot its parameter name."""
+    type, and any other slot its parameter name; a slot in ``FIELD_LABELS``
+    is listed again under "-" and its parameter name."""
     out = []
     for name, obj in public_callables():
         hints = _hints(obj)
@@ -109,6 +115,8 @@ def surface() -> list[tuple[str, object, str, tuple[type, ...], bool]]:
         for k, (param, kinds, optional) in enumerate(slots):
             label = name if k == 0 else f"{name}-{'second' if k == 1 and kinds == slots[0][1] else param}"
             out.append((label, obj, param, kinds, optional))
+            if (obj, param) in FIELD_LABELS:
+                out.append((f"{name}-{param}", obj, param, kinds, optional))
     return out
 
 
